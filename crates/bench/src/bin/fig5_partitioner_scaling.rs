@@ -32,50 +32,45 @@
 //! `--speedup-only` skips the k sweep (CI smoke).
 
 use schism_bench::table::Table;
-use schism_core::{build_graph, GraphBackend, SchismConfig};
-use schism_graph::{hpartition, partition, HyperGraph, PartitionerConfig, Partitioning};
+use schism_core::{build_graph, run_partition_phase, GraphBackend, SchismConfig, WorkloadGraph};
 use schism_workload::epinions::{self, EpinionsConfig};
 use schism_workload::tpcc::{self, TpccConfig};
 use schism_workload::tpce::{self, TpceConfig};
-use std::time::Instant;
 
-/// The co-access representation under the partitioner: both variants carry
-/// the same vertices and weights (the build invariant); only the structure
-/// being cut — pairwise edges vs transaction nets — differs.
-enum Repr {
-    Clique(schism_graph::CsrGraph),
-    Hyper(HyperGraph),
+/// A built co-access representation plus the configuration that built it.
+/// Both backends carry the same vertices and weights (the build invariant);
+/// only the structure being cut — pairwise edges vs transaction nets —
+/// differs, and `run_partition_phase` hands whichever was built to the one
+/// multilevel driver.
+struct Built {
+    wg: WorkloadGraph,
+    cfg: SchismConfig,
 }
 
-impl Repr {
-    fn num_nodes(&self) -> usize {
-        match self {
-            Repr::Clique(g) => g.num_vertices(),
-            Repr::Hyper(h) => h.num_vertices(),
-        }
-    }
-
+impl Built {
     /// Structure size: edges for the clique graph, pins for the hypergraph
     /// — the quantity partitioning time actually scales with.
     fn structure_size(&self) -> usize {
-        match self {
-            Repr::Clique(g) => g.num_edges(),
-            Repr::Hyper(h) => h.num_pins(),
-        }
-    }
-
-    fn partition(&self, cfg: &PartitionerConfig) -> Partitioning {
-        match self {
-            Repr::Clique(g) => partition(g, cfg),
-            Repr::Hyper(h) => hpartition(h, cfg),
+        match &self.wg.hgraph {
+            Some(h) => h.num_pins(),
+            None => self.wg.graph.num_edges(),
         }
     }
 
     fn cut_metric(&self) -> &'static str {
-        match self {
-            Repr::Clique(_) => "edge-cut",
-            Repr::Hyper(_) => "connectivity(lambda-1)",
+        match self.cfg.graph_backend {
+            GraphBackend::Clique => "edge-cut",
+            GraphBackend::Hypergraph => "connectivity(lambda-1)",
         }
+    }
+
+    /// The partitioning phase at `k` parts on `threads` workers (default
+    /// partitioner tuning, seed 0).
+    fn partition(&self, k: u32, threads: usize) -> schism_core::PartitionPhase {
+        let mut cfg = self.cfg.clone();
+        cfg.k = k;
+        cfg.threads = threads;
+        run_partition_phase(&self.wg, &cfg)
     }
 }
 
@@ -86,7 +81,7 @@ fn backend_name(b: GraphBackend) -> &'static str {
     }
 }
 
-fn build(name: &str, full: bool, backend: GraphBackend) -> (String, Repr) {
+fn build(name: &str, full: bool, backend: GraphBackend) -> (String, Built) {
     let scale = |small: usize, paper: usize| if full { paper } else { small };
     let mut cfg = SchismConfig::new(2);
     cfg.graph_backend = backend;
@@ -116,17 +111,13 @@ fn build(name: &str, full: bool, backend: GraphBackend) -> (String, Repr) {
         other => panic!("unknown graph {other}"),
     };
     let wg = build_graph(&workload, &workload.trace, &cfg);
-    let repr = match wg.hgraph {
-        Some(h) => Repr::Hyper(h),
-        None => Repr::Clique(wg.graph),
-    };
-    let structure = match &repr {
-        Repr::Clique(g) => format!("{} edges", g.num_edges()),
-        Repr::Hyper(h) => format!("{} nets / {} pins", h.num_nets(), h.num_pins()),
+    let structure = match &wg.hgraph {
+        Some(h) => format!("{} nets / {} pins", h.num_nets(), h.num_pins()),
+        None => format!("{} edges", wg.graph.num_edges()),
     };
     (
-        format!("{label}: {} nodes, {structure}", repr.num_nodes()),
-        repr,
+        format!("{label}: {} nodes, {structure}", wg.num_nodes()),
+        Built { wg, cfg },
     )
 }
 
@@ -135,7 +126,7 @@ fn build(name: &str, full: bool, backend: GraphBackend) -> (String, Repr) {
 /// the labels or cut — thread scaling is only worth reporting if the
 /// determinism contract holds on the graph being timed. Returns this
 /// backend's one-line section for BENCH_partition.json.
-fn thread_scaling(repr: &Repr, label: &str, k: u32, max_threads: usize, full: bool) -> String {
+fn thread_scaling(built: &Built, label: &str, k: u32, max_threads: usize, full: bool) -> String {
     let mut counts = vec![1usize];
     while counts.last().unwrap() * 2 <= max_threads {
         counts.push(counts.last().unwrap() * 2);
@@ -144,26 +135,21 @@ fn thread_scaling(repr: &Repr, label: &str, k: u32, max_threads: usize, full: bo
     println!("=== thread scaling on the largest graph ({label}), k={k} ===");
     println!("host cores: {host_cores}\n");
 
-    let mut baseline: Option<(f64, Vec<u32>, u64)> = None;
+    let mut baseline: Option<(f64, schism_core::PartitionPhase)> = None;
     let mut rows: Vec<(usize, f64, f64)> = Vec::new(); // (threads, secs, speedup)
     let mut table = Table::new(&["threads", "wall (s)", "speedup", "cut"]);
     for &t in &counts {
-        let cfg = PartitionerConfig {
-            k,
-            threads: t,
-            ..PartitionerConfig::with_k(k)
-        };
-        let t0 = Instant::now();
-        let p = repr.partition(&cfg);
-        let dt = t0.elapsed().as_secs_f64();
+        let p = built.partition(k, t);
+        let dt = p.partition_time.as_secs_f64();
+        let cut = p.edge_cut;
         match &baseline {
-            None => baseline = Some((dt, p.assignment.clone(), p.edge_cut)),
-            Some((_, labels, cut)) => {
+            None => baseline = Some((dt, p)),
+            Some((_, base)) => {
                 assert_eq!(
-                    &p.assignment, labels,
+                    p.assignment, base.assignment,
                     "threads={t} changed partition labels — determinism contract broken"
                 );
-                assert_eq!(p.edge_cut, *cut, "threads={t} changed the cut");
+                assert_eq!(cut, base.edge_cut, "threads={t} changed the cut");
             }
         }
         let speedup = baseline.as_ref().unwrap().0 / dt.max(1e-9);
@@ -172,7 +158,7 @@ fn thread_scaling(repr: &Repr, label: &str, k: u32, max_threads: usize, full: bo
             format!("{t}"),
             format!("{dt:.2}"),
             format!("{speedup:.2}x"),
-            format!("{}", p.edge_cut),
+            format!("{cut}"),
         ]);
     }
     println!("{}", table.render());
@@ -203,10 +189,10 @@ fn thread_scaling(repr: &Repr, label: &str, k: u32, max_threads: usize, full: bo
          \"cut_metric\": \"{metric}\", \"cut\": {cut}, \"k\": {k}, \"full\": {full}, \
          \"threads\": {max_threads}, \"note\": \"{note}\", \
          \"deterministic_across_threads\": true, \"runs\": [{runs}] }}",
-        nodes = repr.num_nodes(),
-        size = repr.structure_size(),
-        metric = repr.cut_metric(),
-        cut = baseline.as_ref().unwrap().2,
+        nodes = built.wg.num_nodes(),
+        size = built.structure_size(),
+        metric = built.cut_metric(),
+        cut = baseline.as_ref().unwrap().1.edge_cut,
         runs = entries.join(", "),
     )
 }
@@ -263,7 +249,7 @@ fn main() {
     } else {
         &["epinions", "tpcc-50w", "tpce"]
     };
-    let graphs: Vec<(String, Repr)> = names.iter().map(|n| build(n, full, backend)).collect();
+    let graphs: Vec<(String, Built)> = names.iter().map(|n| build(n, full, backend)).collect();
     println!("backend: {}", backend_name(backend));
     for (label, _) in &graphs {
         println!("graph {label}");
@@ -275,21 +261,16 @@ fn main() {
         let ks = [2u32, 4, 8, 16, 32, 64, 128, 256, 512];
         let mut table = Table::new(&["k", "epinions (s)", "tpcc-50w (s)", "tpce (s)"]);
         let mut rows: Vec<Vec<String>> = ks.iter().map(|k| vec![k.to_string()]).collect();
-        for (_, repr) in &graphs {
+        for (_, built) in &graphs {
             for (i, &k) in ks.iter().enumerate() {
-                let cfg = PartitionerConfig {
-                    threads,
-                    ..PartitionerConfig::with_k(k)
-                };
-                let t0 = Instant::now();
-                let p = repr.partition(&cfg);
-                let dt = t0.elapsed().as_secs_f64();
+                let p = built.partition(k, threads);
+                let dt = p.partition_time.as_secs_f64();
                 rows[i].push(format!("{dt:.2}"));
                 eprintln!(
                     "[fig5] k={k}: {dt:.2}s {}={} imbalance={:.3}",
-                    repr.cut_metric(),
+                    built.cut_metric(),
                     p.edge_cut,
-                    p.imbalance()
+                    p.imbalance
                 );
             }
         }
@@ -312,11 +293,11 @@ fn main() {
         } else {
             schism_par::resolve_threads(0)
         };
-        let (label, repr) = graphs
+        let (label, built) = graphs
             .iter()
-            .max_by_key(|(_, r)| r.structure_size())
+            .max_by_key(|(_, b)| b.structure_size())
             .expect("at least one graph");
-        let section = thread_scaling(repr, label, 8, max_threads.max(2), full);
+        let section = thread_scaling(built, label, 8, max_threads.max(2), full);
         write_bench_json(backend, section);
     }
 }

@@ -55,18 +55,6 @@ pub struct SchismConfig {
     /// trade — any value produces the identical graph (duplicate-edge
     /// merging is associative), smaller values re-sort more often.
     pub compact_every: usize,
-    /// Shard count for the pass-1 stats merge of the streaming graph build.
-    /// Each chunk hash-partitions its partial `TupleId → TupleStats` map
-    /// into this many shards, and the shards merge **in parallel** (one
-    /// ordered fold per shard via `schism_par::Pool::reduce_shards`) instead
-    /// of funneling every chunk map through one single-threaded reduce.
-    /// `0` = auto (4× the resolved thread count, so the merge keeps every
-    /// worker busy); `1` reproduces the old single-map merge exactly. All
-    /// merged quantities are commutative sums, so the built graph is
-    /// **bit-identical for every shard count and thread count** — the knob
-    /// trades merge wall-clock only, never output (pinned by
-    /// `tests/graph_build_invariants.rs`).
-    pub merge_shards: usize,
 
     // --- graph representation (§4.1) ---
     /// Co-access representation: clique expansion (the paper's §4.1) or one
@@ -140,7 +128,6 @@ impl SchismConfig {
             seed: 0,
             threads: 0,
             compact_every: 1 << 23,
-            merge_shards: 0,
             graph_backend: GraphBackend::Clique,
             replication: true,
             replication_min_accesses: 2,

@@ -8,8 +8,8 @@
 //! - **Pass 1** (filter + count): each chunk builds partial
 //!   `TupleId → TupleStats` maps — transaction sampling, blanket-statement
 //!   filtering, access/write counts and the coalescing signature —
-//!   **hash-sharded by tuple** into [`SchismConfig::merge_shards`]
-//!   independent maps. The shards merge in parallel (one ordered fold per
+//!   **hash-sharded by tuple** into four independent maps per worker
+//!   thread. The shards merge in parallel (one ordered fold per
 //!   shard, [`schism_par::Pool::reduce_shards`]) instead of serializing the
 //!   whole fan-in through a single map. Counts merge by addition; the
 //!   coalescing signature is a **commutative** sum of per-access hashes
@@ -119,16 +119,9 @@ fn shard_of(t: TupleId, shards: usize) -> usize {
     (tuple_hash(t) % shards as u64) as usize
 }
 
-/// Resolves [`SchismConfig::merge_shards`]: explicit value, or 4 shards per
-/// worker so the parallel merge keeps the whole pool busy even when shard
-/// sizes skew.
-fn resolve_merge_shards(requested: usize, threads: usize) -> usize {
-    if requested > 0 {
-        requested
-    } else {
-        threads.saturating_mul(4).max(1)
-    }
-}
+/// Pass-1 merge shards per worker: enough that the parallel merge keeps
+/// the whole pool busy even when shard sizes skew.
+const MERGE_SHARDS_PER_THREAD: usize = 4;
 
 fn visit_tuple(map: &mut HashMap<TupleId, TupleStats>, t: TupleId, write: bool, idx: usize) {
     let e = map.entry(t).or_default();
@@ -603,7 +596,7 @@ where
     // chunk. Sharding by tuple means shard `s` of every chunk holds
     // contributions for the same tuple population, so the merge decomposes
     // into `shards` independent folds.
-    let shards = resolve_merge_shards(cfg.merge_shards, pool.threads());
+    let shards = pool.threads() * MERGE_SHARDS_PER_THREAD;
     let partials = pool.scope_chunks(n_txns, chunk, |range| {
         let mut p = Pass1Partial {
             stats: (0..shards).map(|_| HashMap::new()).collect(),

@@ -2,9 +2,9 @@
 //! the workload graph and resolve the node assignment back to per-tuple
 //! partition sets (replicated tuples map to several partitions).
 //!
-//! Dispatches on the representation the build produced: the edge-cut
-//! partitioner for clique graphs, the (λ−1)-connectivity hypergraph
-//! partitioner when [`crate::config::GraphBackend::Hypergraph`] built a
+//! Dispatches on the representation the build produced — the one
+//! multilevel driver minimizes edge cut on a clique graph and (λ−1)
+//! connectivity when [`crate::config::GraphBackend::Hypergraph`] built a
 //! net-per-transaction hypergraph. Everything downstream (explanation,
 //! validation, migration) consumes the resolved per-tuple sets and is
 //! backend-agnostic; for the hypergraph path `edge_cut` reports the
@@ -13,6 +13,7 @@
 
 use crate::config::SchismConfig;
 use crate::graph_builder::WorkloadGraph;
+use schism_graph::{partition, partition_warm};
 use schism_router::PartitionSet;
 use schism_workload::TupleId;
 use std::collections::HashMap;
@@ -36,16 +37,7 @@ pub struct PartitionPhase {
 
 /// Runs the partitioner over a built [`WorkloadGraph`].
 pub fn run_partition_phase(wg: &WorkloadGraph, cfg: &SchismConfig) -> PartitionPhase {
-    let mut pcfg = cfg.partitioner.clone();
-    pcfg.k = cfg.k;
-    pcfg.seed = cfg.seed;
-    pcfg.threads = cfg.threads;
-    let start = Instant::now();
-    let partitioning = match &wg.hgraph {
-        Some(h) => schism_graph::hpartition(h, &pcfg),
-        None => schism_graph::partition(&wg.graph, &pcfg),
-    };
-    resolve_phase(wg, partitioning, start.elapsed())
+    partition_and_resolve(wg, cfg, None)
 }
 
 /// Runs the *warm-started* partitioner: the per-node `initial` assignment
@@ -58,14 +50,26 @@ pub fn run_partition_phase_warm(
     cfg: &SchismConfig,
     initial: &[u32],
 ) -> PartitionPhase {
+    partition_and_resolve(wg, cfg, Some(initial))
+}
+
+/// Cold (`initial = None`) or warm partitioning of whichever
+/// representation the build produced, timed, then resolved to tuples.
+fn partition_and_resolve(
+    wg: &WorkloadGraph,
+    cfg: &SchismConfig,
+    initial: Option<&[u32]>,
+) -> PartitionPhase {
     let mut pcfg = cfg.partitioner.clone();
     pcfg.k = cfg.k;
     pcfg.seed = cfg.seed;
     pcfg.threads = cfg.threads;
     let start = Instant::now();
-    let partitioning = match &wg.hgraph {
-        Some(h) => schism_graph::hpartition_warm(h, initial, &pcfg),
-        None => schism_graph::partition_warm(&wg.graph, initial, &pcfg),
+    let partitioning = match (&wg.hgraph, initial) {
+        (Some(h), None) => partition(h, &pcfg),
+        (Some(h), Some(init)) => partition_warm(h, init, &pcfg),
+        (None, None) => partition(&wg.graph, &pcfg),
+        (None, Some(init)) => partition_warm(&wg.graph, init, &pcfg),
     };
     resolve_phase(wg, partitioning, start.elapsed())
 }

@@ -1,12 +1,15 @@
-//! Graph contraction: collapse a matching into a coarser graph.
+//! Contraction: collapse a matching into a coarser structure.
 //!
 //! Matched pairs become a single coarse vertex whose weight is the sum of the
-//! pair's weights; parallel edges created by the contraction are merged with
-//! summed weights; edges interior to a pair vanish. The mapping from fine to
-//! coarse vertex ids is retained so partitions can be projected back during
-//! uncoarsening.
+//! pair's weights; the mapping from fine to coarse vertex ids is retained so
+//! partitions can be projected back during uncoarsening. Coarse ids and
+//! weights are computed here, once, for every `Incidence`; what the merge
+//! does to the structure itself is the implementation's business
+//! (`Incidence::contract`).
 //!
-//! The expensive part — building the coarse adjacency, O(E) — is
+//! For a plain graph (`contract_adjacency`) parallel edges created by the
+//! contraction are merged with summed weights and edges interior to a pair
+//! vanish. The expensive part — building the coarse adjacency, O(E) — is
 //! parallelized over *coarse* vertex ranges: each chunk accumulates its
 //! vertices' merged neighbor lists into private buffers with a private
 //! timestamped scratch table, and a sequential stitch concatenates them
@@ -16,21 +19,27 @@
 //! build** for any pool size.
 
 use crate::csr::{CsrGraph, NodeId};
+use crate::incidence::Incidence;
 use schism_par::Pool;
 
 /// One level of the multilevel hierarchy.
 #[derive(Clone, Debug)]
-pub struct CoarseLevel {
-    /// The contracted graph.
-    pub graph: CsrGraph,
+pub struct CoarseLevel<G> {
+    /// The contracted structure.
+    pub graph: G,
     /// `map[v_fine] = v_coarse`.
     pub map: Vec<NodeId>,
 }
 
 /// Contracts `g` according to `mate` (as produced by
-/// [`crate::matching::heavy_edge_matching`]), sharing the adjacency build
-/// across `pool`.
-pub fn contract(g: &CsrGraph, mate: &[NodeId], pool: &Pool) -> CoarseLevel {
+/// [`crate::matching::heavy_matching`]), sharing the structure build across
+/// `pool`.
+///
+/// # Panics
+/// If a matched pair weighs more than `u32::MAX` — the driver caps pair
+/// weights below that, so a coarse level always carries the full mass of
+/// the level under it.
+pub fn contract<G: Incidence>(g: &G, mate: &[NodeId], pool: &Pool) -> CoarseLevel<G> {
     let n = g.num_vertices();
     debug_assert_eq!(mate.len(), n);
 
@@ -46,14 +55,35 @@ pub fn contract(g: &CsrGraph, mate: &[NodeId], pool: &Pool) -> CoarseLevel {
             next += 1;
         }
     }
-    let cn = next as usize;
 
-    // Coarse vertex weights, and the owner (emitting) fine vertex of each
-    // coarse vertex — the lower endpoint of its pair.
-    let mut cvwgt = vec![0u64; cn];
-    let mut owner = vec![0 as NodeId; cn];
+    let mut vwgt = vec![0u32; next as usize];
     for v in 0..n {
-        cvwgt[map[v] as usize] += g.vertex_weight(v as NodeId) as u64;
+        let w = &mut vwgt[map[v] as usize];
+        *w = w
+            .checked_add(g.vertex_weight(v as NodeId))
+            .expect("matching caps a pair's weight at u32::MAX");
+    }
+
+    CoarseLevel {
+        graph: g.contract(mate, &map, vwgt, pool),
+        map,
+    }
+}
+
+/// The plain-graph half of [`contract`]: the merged coarse adjacency.
+pub(crate) fn contract_adjacency(
+    g: &CsrGraph,
+    mate: &[NodeId],
+    map: &[NodeId],
+    vwgt: Vec<u32>,
+    pool: &Pool,
+) -> CsrGraph {
+    let cn = vwgt.len();
+
+    // The owner (emitting) fine vertex of each coarse vertex — the lower
+    // endpoint of its pair.
+    let mut owner = vec![0 as NodeId; cn];
+    for v in 0..g.num_vertices() {
         if mate[v] as usize >= v {
             owner[map[v] as usize] = v as NodeId;
         }
@@ -126,21 +156,14 @@ pub fn contract(g: &CsrGraph, mate: &[NodeId], pool: &Pool) -> CoarseLevel {
         adjwgt.extend_from_slice(&p.adjwgt);
     }
 
-    let cvwgt: Vec<u32> = cvwgt
-        .into_iter()
-        .map(|w| u32::try_from(w).unwrap_or(u32::MAX))
-        .collect();
-    CoarseLevel {
-        graph: CsrGraph::from_parts(xadj, adjncy, adjwgt, cvwgt),
-        map,
-    }
+    CsrGraph::from_parts(xadj, adjncy, adjwgt, vwgt)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::builder::GraphBuilder;
-    use crate::matching::heavy_edge_matching;
+    use crate::matching::heavy_matching;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -187,7 +210,7 @@ mod tests {
             b.add_edge(u, v, rng.gen_range(1..5));
         }
         let g = b.build();
-        let mate = heavy_edge_matching(&g, &mut rng);
+        let mate = heavy_matching(&g, None, u64::MAX, &mut rng, &Pool::new(1));
         let lvl = contract(&g, &mate, &Pool::new(1));
         lvl.graph.validate().unwrap();
         assert_eq!(lvl.graph.total_vertex_weight(), g.total_vertex_weight());
@@ -219,7 +242,7 @@ mod tests {
             b.add_edge(u, v, rng.gen_range(1..9));
         }
         let g = b.build();
-        let mate = heavy_edge_matching(&g, &mut rng);
+        let mate = heavy_matching(&g, None, u64::MAX, &mut rng, &Pool::new(1));
         let base = contract(&g, &mate, &Pool::new(1));
         base.graph.validate().unwrap();
         for t in [2, 4] {

@@ -1,50 +1,36 @@
-//! Multilevel k-way hypergraph partitioning under the (λ−1) connectivity
-//! metric.
+//! The hypergraph side of the `Incidence` contract: what multilevel
+//! partitioning under the (λ−1) connectivity metric needs beyond the shared
+//! driver in [`crate::partition()`].
 //!
-//! The pipeline mirrors the plain-graph driver ([`crate::partition()`]), with
-//! each phase re-derived for nets instead of edges:
+//! Each phase re-derives, for nets instead of edges, only the part that
+//! depends on the representation:
 //!
-//! 1. **Coarsen** with randomized **heavy-pin matching**: a vertex prefers
-//!    the partner it co-occurs with in heavy, small nets (each net scores
-//!    its pin pairs `w / (|e| − 1)`, so a 2-pin net counts like a full edge
-//!    and a wide scan contributes little). Propose/mutual-accept rounds with
-//!    a sequential cleanup, exactly as in [`crate::matching`].
-//! 2. **Initial partition** of the coarsest hypergraph by clique-expanding
-//!    it (cheap at coarsest size; wide nets expand as paths to stay linear)
-//!    and reusing the existing recursive-bisection machinery.
-//! 3. **Uncoarsen** with greedy (λ−1) boundary refinement: the gain of
-//!    moving `v` from `a` to `b` is `Σ_e w(e)·[Λ(e,a)=1] − w(e)·[Λ(e,b)=0]`
-//!    where `Λ(e,p)` counts `e`'s pins in part `p` — moving the last pin
-//!    out of a part stops the net spanning it; moving into a part the net
-//!    doesn't touch extends it.
+//! 1. **Matching** scores partners by **heavy pins**: a vertex prefers the
+//!    partner it co-occurs with in heavy, small nets (each net scores its
+//!    pin pairs `w / (|e| − 1)`, so a 2-pin net counts like a full edge and
+//!    a wide scan contributes little).
+//! 2. **Contraction** remaps and deduplicates pins per net, drops nets that
+//!    collapse to one pin and merges identical coarse pin sets.
+//! 3. **The coarsest-level seed** is a clique expansion (cheap at coarsest
+//!    size; wide nets expand as paths to stay linear), so the plain-graph
+//!    recursive bisection is reused.
+//! 4. **Move gains**: the gain of moving `v` from `a` to `b` is
+//!    `Σ_e w(e)·[Λ(e,a)=1] − w(e)·[Λ(e,b)=0]` where `Λ(e,p)` counts `e`'s
+//!    pins in part `p`, with the cut-net change as the second objective.
+//! 5. **The schedule** is longer: two more V-cycles after the cold descent,
+//!    then the cut-net-primary final stage.
 //!
 //! The objective `Σ_e w(e)·(λ(e) − 1)` is the number of *extra* partitions
 //! each transaction spans — for a transactional workload, a direct count of
 //! distributed transactions (weighted by frequency), where the clique
 //! model's edge cut is only a quadratic proxy.
-//!
-//! Parallelism and determinism follow the same contract as the plain
-//! partitioner: parallel phases are pure functions of frozen state over
-//! [`schism_par::Pool`] chunks, conflict sets are serialized with
-//! total-order tie-breaks, and labels + cost are **bit-identical for every
-//! thread count**.
 
 use crate::builder::GraphBuilder;
 use crate::csr::{CsrGraph, NodeId};
-use crate::hypergraph::HyperGraph;
-use crate::initial::recursive_bisection;
-use crate::matching::prio;
-use crate::partition::{PartitionerConfig, Partitioning};
-use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::{Rng, SeedableRng};
+use crate::hypergraph::{HyperGraph, HyperGraphBuilder};
+use crate::incidence::{Incidence, MoveScratch};
 use schism_par::{chunk_size, Pool};
-
-const UNMATCHED: NodeId = NodeId::MAX;
-const NO_PROPOSAL: NodeId = NodeId::MAX;
-
-/// Propose rounds before the sequential cleanup, as in [`crate::matching`].
-const PROPOSE_ROUNDS: usize = 8;
+use std::borrow::Cow;
 
 /// Nets wider than this are skipped while *scoring* match candidates: a
 /// wide net's per-pair weight `w / (|e| − 1)` is negligible, and skipping
@@ -66,15 +52,6 @@ const EXPAND_PIN_CAP: usize = 64;
 /// Fixed-point scale for heavy-pin match scores (`w·SCALE / (|e| − 1)`).
 const SCORE_SCALE: u64 = 256;
 
-/// One coarsening level of the hypergraph hierarchy.
-#[derive(Clone, Debug)]
-pub struct HCoarseLevel {
-    /// The contracted hypergraph.
-    pub hg: HyperGraph,
-    /// `map[v_fine] = v_coarse`.
-    pub map: Vec<NodeId>,
-}
-
 /// The (λ−1) connectivity cost: `Σ_e w(e) · (parts_spanned(e) − 1)`.
 /// Zero iff every net is internal to one partition.
 pub fn connectivity_cost(hg: &HyperGraph, assignment: &[u32]) -> u64 {
@@ -94,69 +71,50 @@ pub fn connectivity_cost(hg: &HyperGraph, assignment: &[u32]) -> u64 {
     cost
 }
 
-/// Vertex weight per partition under `assignment`.
-pub fn hpart_weights(hg: &HyperGraph, assignment: &[u32], k: u32) -> Vec<u64> {
-    let mut weights = vec![0u64; k as usize];
-    for (v, &p) in assignment.iter().enumerate() {
-        weights[p as usize] += hg.vertex_weight(v as NodeId) as u64;
-    }
-    weights
-}
-
 /// Per-worker scratch for heavy-pin match scoring: `score[u]` is valid when
 /// `stamp[u]` equals the vertex currently being scored.
-struct ScoreScratch {
+pub struct ScoreScratch {
     score: Vec<u64>,
     stamp: Vec<NodeId>,
     touched: Vec<NodeId>,
 }
 
-impl ScoreScratch {
-    fn new(n: usize) -> Self {
-        Self {
+impl Incidence for HyperGraph {
+    const COLD_VCYCLES: usize = 2;
+    const CUT_NET_STAGE: bool = true;
+    type PartnerScratch = ScoreScratch;
+
+    fn num_vertices(&self) -> usize {
+        self.num_vertices()
+    }
+
+    fn vertex_weight(&self, v: NodeId) -> u32 {
+        self.vertex_weight(v)
+    }
+
+    fn total_vertex_weight(&self) -> u64 {
+        self.total_vertex_weight()
+    }
+
+    fn partner_scratch(&self) -> ScoreScratch {
+        let n = self.num_vertices();
+        ScoreScratch {
             score: vec![0; n],
-            stamp: vec![UNMATCHED; n],
+            stamp: vec![NodeId::MAX; n],
             touched: Vec::new(),
         }
     }
-}
 
-/// Heavy-pin matching: propose/mutual-accept rounds + sequential cleanup +
-/// a bounded two-hop pass, structurally identical to [`crate::matching`]
-/// but scoring partners by co-membership in heavy, small nets.
-fn heavy_pin_matching<R: Rng>(
-    hg: &HyperGraph,
-    labels: Option<&[u32]>,
-    max_pair_weight: u64,
-    rng: &mut R,
-    pool: &Pool,
-) -> Vec<NodeId> {
-    let n = hg.num_vertices();
-    let mut mate = vec![UNMATCHED; n];
-    // One seed draw and one shuffle: the rng advances by the same amount
-    // whatever the pool size.
-    let seed: u64 = rng.gen();
-    let mut order: Vec<NodeId> = (0..n as NodeId).collect();
-    order.shuffle(rng);
-
-    let eligible = |v: NodeId, u: NodeId, vw: u64, mate: &[NodeId]| -> bool {
-        u != v
-            && mate[u as usize] == UNMATCHED
-            && vw + hg.vertex_weight(u) as u64 <= max_pair_weight
-            && labels.is_none_or(|l| l[u as usize] == l[v as usize])
-    };
-
-    // Highest-scoring eligible partner; ties by seeded priority, then id —
-    // a total order, so the proposal is unique.
-    let best_partner = |v: NodeId, mate: &[NodeId], s: &mut ScoreScratch| -> NodeId {
-        let vw = hg.vertex_weight(v) as u64;
+    /// Heavy-pin scoring: every net up to [`SCORE_PIN_CAP`] pins credits
+    /// each of `v`'s co-pins with `w·SCALE / (|e| − 1)`.
+    fn for_each_partner(&self, v: NodeId, s: &mut ScoreScratch, mut f: impl FnMut(NodeId, u64)) {
         s.touched.clear();
-        for &e in hg.nets(v) {
-            let ps = hg.pins(e);
+        for &e in self.nets(v) {
+            let ps = self.pins(e);
             if ps.len() > SCORE_PIN_CAP {
                 continue;
             }
-            let inc = hg.net_weight(e) as u64 * SCORE_SCALE / (ps.len() as u64 - 1);
+            let inc = self.net_weight(e) as u64 * SCORE_SCALE / (ps.len() as u64 - 1);
             for &u in ps {
                 if u == v {
                     continue;
@@ -169,146 +127,109 @@ fn heavy_pin_matching<R: Rng>(
                 s.score[u as usize] += inc;
             }
         }
-        let mut best: Option<(u64, u64, NodeId)> = None;
         for &u in &s.touched {
-            if !eligible(v, u, vw, mate) {
-                continue;
-            }
-            let key = (s.score[u as usize], prio(seed, u), u);
-            if best.is_none_or(|b| key > b) {
-                best = Some(key);
+            f(u, s.score[u as usize]);
+        }
+    }
+
+    /// Another vertex reachable through a shared pin — the hypergraph
+    /// analog of the METIS star fix (replication stars leave every
+    /// replica's partner taken). Bounded scans keep hubs from making this
+    /// quadratic.
+    fn two_hop(&self, v: NodeId, mut accept: impl FnMut(NodeId) -> bool) -> Option<NodeId> {
+        let co_pins = self.nets(v).iter().flat_map(|&e| self.pins(e));
+        for &u in co_pins.filter(|&&u| u != v).take(16) {
+            for &e2 in self.nets(u).iter().take(8) {
+                for &w2 in self.pins(e2).iter().take(32) {
+                    if accept(w2) {
+                        return Some(w2);
+                    }
+                }
             }
         }
-        best.map_or(NO_PROPOSAL, |(_, _, u)| u)
-    };
+        None
+    }
 
-    let chunk = chunk_size(n, pool.threads());
-    for _ in 0..PROPOSE_ROUNDS {
-        // Phase 1: propose against the frozen `mate` (parallel, pure).
-        let proposals: Vec<Vec<NodeId>> = pool.scope_chunks_with(
-            n,
-            chunk,
-            || ScoreScratch::new(n),
-            |s, r| {
-                r.map(|v| {
-                    if mate[v] != UNMATCHED {
-                        NO_PROPOSAL
+    fn contract(&self, _mate: &[NodeId], map: &[NodeId], vwgt: Vec<u32>, pool: &Pool) -> Self {
+        contract_nets(self, map, vwgt, pool)
+    }
+
+    fn seed_graph(&self) -> Cow<'_, CsrGraph> {
+        Cow::Owned(clique_expand(self))
+    }
+
+    /// Accumulates, over `v`'s nets (up to [`GAIN_PIN_CAP`]), the
+    /// ingredients of every (λ−1) move gain: `base` (weight of nets where
+    /// `v` is the last pin in its own part — moving `v` anywhere un-spans
+    /// them), `total` (weight of all considered nets), and per-part
+    /// `toward` (weight of nets already spanning that part — moving there
+    /// costs nothing for them). The gain of `a → b` is then `base − (total
+    /// − toward[b])`, i.e. `toward[b] − stay` with `stay = total − base`.
+    ///
+    /// Alongside, it gathers the *cut-net* objective — the number of nets
+    /// spanning more than one part, i.e. exactly the distributed
+    /// transactions a placement produces: `uncut[p]` (nets un-cut by moving
+    /// `v` to `p`) and the returned `interior` (weight of nets fully inside
+    /// `own` with more pins than `v` — any move newly cuts them).
+    fn pull(&self, assignment: &[u32], v: NodeId, s: &mut MoveScratch) -> (i64, i64) {
+        let own = assignment[v as usize];
+        s.touched.clear();
+        let mut base = 0i64;
+        let mut total = 0i64;
+        let mut interior = 0i64;
+        for &e in self.nets(v) {
+            let ps = self.pins(e);
+            if ps.len() > GAIN_PIN_CAP {
+                continue;
+            }
+            let w = self.net_weight(e) as i64;
+            s.net_parts.clear();
+            for &u in ps {
+                let p = assignment[u as usize];
+                if s.net_cnt[p as usize] == 0 {
+                    s.net_parts.push(p);
+                }
+                s.net_cnt[p as usize] += 1;
+            }
+            if s.net_cnt[own as usize] == 1 {
+                base += w;
+                if s.net_parts.len() == 2 {
+                    // Span is exactly {own, q}: landing on q un-cuts the net.
+                    let q = if s.net_parts[0] == own {
+                        s.net_parts[1]
                     } else {
-                        best_partner(v as NodeId, &mate, s)
+                        s.net_parts[0]
+                    };
+                    s.uncut[q as usize] += w as u64;
+                }
+            } else if s.net_parts.len() == 1 {
+                // Fully internal with other pins in `own`: any move cuts it.
+                interior += w;
+            }
+            total += w;
+            for &p in &s.net_parts {
+                if p != own {
+                    if s.toward[p as usize] == 0 {
+                        s.touched.push(p);
                     }
-                })
-                .collect()
-            },
-        );
-        let prop: Vec<NodeId> = proposals.into_iter().flatten().collect();
-
-        // Phase 2: deterministic conflict resolution — mutual proposals
-        // match, everyone else retries next round.
-        let mut matched = 0usize;
-        for v in 0..n {
-            let u = prop[v];
-            if u == NO_PROPOSAL || (u as usize) <= v {
-                continue;
-            }
-            if prop[u as usize] == v as NodeId {
-                mate[v] = u;
-                mate[u as usize] = v as NodeId;
-                matched += 1;
+                    s.toward[p as usize] += w as u64;
+                }
+                s.net_cnt[p as usize] = 0;
             }
         }
-        if matched == 0 {
-            break;
-        }
+        (total - base, interior)
     }
 
-    // Cleanup: greedy maximal matching over the remainder in the seeded
-    // random visit order. Vertices with no eligible partner self-match.
-    let mut scratch = ScoreScratch::new(n);
-    for &v in &order {
-        if mate[v as usize] != UNMATCHED {
-            continue;
-        }
-        let u = best_partner(v, &mate, &mut scratch);
-        if u == NO_PROPOSAL {
-            mate[v as usize] = v;
-        } else {
-            mate[v as usize] = u;
-            mate[u as usize] = v;
-        }
+    fn cost(&self, assignment: &[u32]) -> u64 {
+        connectivity_cost(self, assignment)
     }
-
-    // Two-hop pass: self-matched leftovers pair with another self-matched
-    // vertex reachable through a shared pin — the hypergraph analog of the
-    // METIS star fix (replication stars leave every replica's partner
-    // taken). Bounded scans keep hubs from making this quadratic.
-    for &v in &order {
-        if mate[v as usize] != v {
-            continue;
-        }
-        let vw = hg.vertex_weight(v) as u64;
-        let mut scanned = 0usize;
-        'outer: for &e in hg.nets(v) {
-            for &u in hg.pins(e) {
-                if u == v {
-                    continue;
-                }
-                for &e2 in hg.nets(u).iter().take(8) {
-                    for &w2 in hg.pins(e2).iter().take(32) {
-                        if w2 != v
-                            && mate[w2 as usize] == w2
-                            && vw + hg.vertex_weight(w2) as u64 <= max_pair_weight
-                            && labels.is_none_or(|l| l[w2 as usize] == l[v as usize])
-                        {
-                            mate[v as usize] = w2;
-                            mate[w2 as usize] = v;
-                            break 'outer;
-                        }
-                    }
-                }
-                scanned += 1;
-                if scanned >= 16 {
-                    break 'outer;
-                }
-            }
-        }
-    }
-    mate
 }
 
-fn matched_pairs(mate: &[NodeId]) -> usize {
-    mate.iter()
-        .enumerate()
-        .filter(|&(v, &m)| (m as usize) > v)
-        .count()
-}
-
-/// Contracts `hg` according to `mate`: matched pairs become one coarse
-/// vertex, pins are remapped and deduplicated per net, nets collapsing to a
-/// single pin vanish, and identical coarse pin sets merge with summed
-/// weights (the builder's canonical form makes the result independent of
-/// chunk decomposition).
-fn hcontract(hg: &HyperGraph, mate: &[NodeId], pool: &Pool) -> HCoarseLevel {
-    let n = hg.num_vertices();
-    debug_assert_eq!(mate.len(), n);
-
-    // Coarse ids: the lower-numbered endpoint of each pair owns the id.
-    let mut map = vec![NodeId::MAX; n];
-    let mut next: NodeId = 0;
-    for v in 0..n {
-        let m = mate[v] as usize;
-        if m >= v {
-            map[v] = next;
-            map[m] = next; // no-op when m == v
-            next += 1;
-        }
-    }
-    let cn = next as usize;
-
-    let mut cvwgt = vec![0u64; cn];
-    for v in 0..n {
-        cvwgt[map[v] as usize] += hg.vertex_weight(v as NodeId) as u64;
-    }
-
+/// The hypergraph half of [`crate::coarsen::contract`]: pins are remapped
+/// and deduplicated per net, nets collapsing to a single pin vanish, and
+/// identical coarse pin sets merge with summed weights (the builder's
+/// canonical form makes the result independent of chunk decomposition).
+fn contract_nets(hg: &HyperGraph, map: &[NodeId], vwgt: Vec<u32>, pool: &Pool) -> HyperGraph {
     // Remap pins over net chunks (parallel, pure), then stitch in chunk
     // order; the builder's final canonical sort makes the decomposition
     // invisible.
@@ -346,9 +267,9 @@ fn hcontract(hg: &HyperGraph, mate: &[NodeId], pool: &Pool) -> HCoarseLevel {
         out
     });
 
-    let mut b = crate::hypergraph::HyperGraphBuilder::new(cn);
-    for (cv, &w) in cvwgt.iter().enumerate() {
-        b.set_vertex_weight(cv as NodeId, u32::try_from(w).unwrap_or(u32::MAX));
+    let mut b = HyperGraphBuilder::new(vwgt.len());
+    for (cv, &w) in vwgt.iter().enumerate() {
+        b.set_vertex_weight(cv as NodeId, w);
     }
     for part in &parts {
         let mut offset = 0usize;
@@ -357,371 +278,7 @@ fn hcontract(hg: &HyperGraph, mate: &[NodeId], pool: &Pool) -> HCoarseLevel {
             offset += len as usize;
         }
     }
-    HCoarseLevel { hg: b.build(), map }
-}
-
-/// Per-thread scratch for (λ−1) move evaluation, all `O(k)`.
-struct MoveScratch {
-    /// `credit[p]` = Σ weight of v's nets that already have a pin in `p`.
-    credit: Vec<u64>,
-    /// `cut_credit[p]` = Σ weight of v's nets spanning exactly
-    /// `{own, p}` with `v` alone in `own` — moving `v` to `p` makes them
-    /// entirely internal (un-cuts them).
-    cut_credit: Vec<u64>,
-    /// Parts with non-zero credit (excluding v's own part).
-    touched: Vec<u32>,
-    /// Per-net pin counts per part, reset after each net.
-    net_cnt: Vec<u32>,
-    net_parts: Vec<u32>,
-}
-
-impl MoveScratch {
-    fn new(k: usize) -> Self {
-        Self {
-            credit: vec![0; k],
-            cut_credit: vec![0; k],
-            touched: Vec::with_capacity(16),
-            net_cnt: vec![0; k],
-            net_parts: Vec::with_capacity(16),
-        }
-    }
-}
-
-/// Accumulates, over `v`'s nets (up to [`GAIN_PIN_CAP`]), the ingredients
-/// of every (λ−1) move gain: `base` (weight of nets where `v` is the last
-/// pin in its own part — moving `v` anywhere un-spans them), `total`
-/// (weight of all considered nets), and per-part `credit` (weight of nets
-/// already spanning that part — moving there costs nothing for them). The
-/// gain of `a → b` is then `base − (total − credit[b])`.
-///
-/// Alongside, it gathers the *cut-net* secondary objective — the number of
-/// nets spanning more than one part, i.e. exactly the distributed
-/// transactions a placement produces: `cut_credit[p]` (nets un-cut by
-/// moving `v` to `p`) and the returned `interior` (weight of nets fully
-/// inside `own` with more pins than `v` — any move newly cuts them).
-fn accumulate_credits(
-    hg: &HyperGraph,
-    assignment: &[u32],
-    v: NodeId,
-    s: &mut MoveScratch,
-) -> (i64, i64, i64) {
-    let own = assignment[v as usize];
-    s.touched.clear();
-    let mut base = 0i64;
-    let mut total = 0i64;
-    let mut interior = 0i64;
-    for &e in hg.nets(v) {
-        let ps = hg.pins(e);
-        if ps.len() > GAIN_PIN_CAP {
-            continue;
-        }
-        let w = hg.net_weight(e) as i64;
-        s.net_parts.clear();
-        for &u in ps {
-            let p = assignment[u as usize];
-            if s.net_cnt[p as usize] == 0 {
-                s.net_parts.push(p);
-            }
-            s.net_cnt[p as usize] += 1;
-        }
-        if s.net_cnt[own as usize] == 1 {
-            base += w;
-            if s.net_parts.len() == 2 {
-                // Span is exactly {own, q}: landing on q un-cuts the net.
-                let q = if s.net_parts[0] == own {
-                    s.net_parts[1]
-                } else {
-                    s.net_parts[0]
-                };
-                s.cut_credit[q as usize] += w as u64;
-            }
-        } else if s.net_parts.len() == 1 {
-            // Fully internal with other pins in `own`: any move cuts it.
-            interior += w;
-        }
-        total += w;
-        for &p in &s.net_parts {
-            if p != own {
-                if s.credit[p as usize] == 0 {
-                    s.touched.push(p);
-                }
-                s.credit[p as usize] += w as u64;
-            }
-            s.net_cnt[p as usize] = 0;
-        }
-    }
-    (base, total, interior)
-}
-
-/// The (λ−1) analog of the graph refiner's move weighing: gain and
-/// destination of `v`'s best admissible move, or `None`. The (λ−1) gain is
-/// primary; ties are broken by the cut-net gain (nets un-cut minus nets
-/// newly cut — exactly the change in distributed transactions), so the
-/// refiner keeps lowering the distributed fraction on (λ−1) plateaus.
-/// `s.credit`/`s.cut_credit` are re-zeroed before returning so callers
-/// reuse the scratch across vertices.
-fn weigh_hmove(
-    hg: &HyperGraph,
-    assignment: &[u32],
-    weights: &[u64],
-    max_part_weight: u64,
-    v: NodeId,
-    s: &mut MoveScratch,
-    cut_primary: bool,
-) -> Option<(i64, u32)> {
-    let own = assignment[v as usize];
-    let (base, total, interior) = accumulate_credits(hg, assignment, v, s);
-    let result = (|| {
-        if s.touched.is_empty() {
-            return None; // interior vertex: every net fully in `own`
-        }
-        let vw = hg.vertex_weight(v) as u64;
-        let mut best: Option<(i64, i64, u32)> = None;
-        for &p in &s.touched {
-            let lam_gain = base - (total - s.credit[p as usize] as i64);
-            let cut_gain = s.cut_credit[p as usize] as i64 - interior;
-            // Primary/secondary objective per mode: (λ−1) first during
-            // multilevel refinement, cut-nets first during the final polish.
-            let (gain, tie) = if cut_primary {
-                (cut_gain, lam_gain)
-            } else {
-                (lam_gain, cut_gain)
-            };
-            let fits = weights[p as usize] + vw <= max_part_weight;
-            let rebalances = weights[own as usize] > max_part_weight
-                && weights[p as usize] + vw < weights[own as usize];
-            if !(fits || rebalances) {
-                continue;
-            }
-            let improves_balance = weights[p as usize] + vw < weights[own as usize];
-            // Zero-gain moves must not pay the secondary objective for
-            // balance: balance is already capped by epsilon, the
-            // objectives are not.
-            let take = gain > 0 || (gain == 0 && (tie > 0 || (tie == 0 && improves_balance)));
-            if take {
-                let replace = match best {
-                    None => true,
-                    Some((bg, bc, bp)) => {
-                        (gain, tie) > (bg, bc)
-                            || ((gain, tie) == (bg, bc)
-                                && weights[p as usize] < weights[bp as usize])
-                    }
-                };
-                if replace {
-                    best = Some((gain, tie, p));
-                }
-            }
-        }
-        best.map(|(gain, _, p)| (gain, p))
-    })();
-    for &p in &s.touched {
-        s.credit[p as usize] = 0;
-        s.cut_credit[p as usize] = 0;
-    }
-    result
-}
-
-/// Greedy k-way boundary refinement under the (λ−1) metric, parallelized as
-/// scan/apply passes exactly like [`crate::refine::kway_greedy_refine`]:
-/// the boundary scan runs over vertex chunks against the frozen pass-start
-/// state, candidates are ordered `(Reverse(gain), v)` and re-validated
-/// sequentially against the live assignment. Returns moves performed.
-pub fn hkway_greedy_refine(
-    hg: &HyperGraph,
-    assignment: &mut [u32],
-    k: u32,
-    max_part_weight: u64,
-    passes: usize,
-    pool: &Pool,
-) -> usize {
-    hkway_refine_inner(hg, assignment, k, max_part_weight, passes, pool, false)
-}
-
-/// The final polish the partition drivers run on the flat hypergraph:
-/// identical scan/apply structure, but with the **cut-net metric primary**
-/// — the weight of nets spanning more than one part, i.e. exactly the
-/// distributed transactions the placement produces (the paper's §6.1
-/// metric). Minimizing Σ(λ−1) alone happily trades one 3-way transaction
-/// for two 2-way ones; this pass undoes such trades when they don't pay,
-/// accepting a (λ−1) regression only for a strict cut-net win.
-pub fn hkway_cutnet_polish(
-    hg: &HyperGraph,
-    assignment: &mut [u32],
-    k: u32,
-    max_part_weight: u64,
-    passes: usize,
-    pool: &Pool,
-) -> usize {
-    hkway_refine_inner(hg, assignment, k, max_part_weight, passes, pool, true)
-}
-
-fn hkway_refine_inner(
-    hg: &HyperGraph,
-    assignment: &mut [u32],
-    k: u32,
-    max_part_weight: u64,
-    passes: usize,
-    pool: &Pool,
-    cut_primary: bool,
-) -> usize {
-    let n = hg.num_vertices();
-    let kk = k as usize;
-    let mut weights = hpart_weights(hg, assignment, k);
-
-    let chunk = chunk_size(n, pool.threads());
-    let mut total_moves = 0usize;
-
-    for _pass in 0..passes {
-        let frozen_assignment: &[u32] = assignment;
-        let frozen_weights: &[u64] = &weights;
-        let candidates: Vec<Vec<(i64, NodeId)>> = pool.scope_chunks_with(
-            n,
-            chunk,
-            || MoveScratch::new(kk),
-            |s, range| {
-                range
-                    .filter_map(|v| {
-                        weigh_hmove(
-                            hg,
-                            frozen_assignment,
-                            frozen_weights,
-                            max_part_weight,
-                            v as NodeId,
-                            s,
-                            cut_primary,
-                        )
-                        .map(|(gain, _)| (gain, v as NodeId))
-                    })
-                    .collect()
-            },
-        );
-        let mut cands: Vec<(i64, NodeId)> = candidates.into_iter().flatten().collect();
-        if cands.is_empty() {
-            break;
-        }
-        cands.sort_unstable_by_key(|&(gain, v)| (std::cmp::Reverse(gain), v));
-
-        let mut s = MoveScratch::new(kk);
-        let mut moves = 0usize;
-        for (_, v) in cands {
-            let Some((_, p)) = weigh_hmove(
-                hg,
-                assignment,
-                &weights,
-                max_part_weight,
-                v,
-                &mut s,
-                cut_primary,
-            ) else {
-                continue;
-            };
-            let own = assignment[v as usize];
-            let vw = hg.vertex_weight(v) as u64;
-            weights[own as usize] -= vw;
-            weights[p as usize] += vw;
-            assignment[v as usize] = p;
-            moves += 1;
-        }
-        total_moves += moves;
-        if moves == 0 {
-            break;
-        }
-    }
-    total_moves
-}
-
-/// Forces every partition under `max_part_weight` by evicting vertices of
-/// overweight partitions, cheapest (λ−1) damage first — the hypergraph
-/// analog of [`crate::refine::enforce_balance`] with the same
-/// parallel-score / sequential-evict structure and determinism contract.
-pub fn henforce_balance(
-    hg: &HyperGraph,
-    assignment: &mut [u32],
-    k: u32,
-    max_part_weight: u64,
-    pool: &Pool,
-) {
-    let n = hg.num_vertices();
-    let kk = k as usize;
-    let mut weights = hpart_weights(hg, assignment, k);
-    if !weights.iter().any(|&w| w > max_part_weight) {
-        return;
-    }
-    let chunk = chunk_size(n, pool.threads());
-    for _ in 0..4 {
-        if !weights.iter().any(|&w| w > max_part_weight) {
-            break;
-        }
-        // Score every vertex of an overweight partition by the cost of its
-        // best unconstrained move: delta = (total − base) − max credit.
-        // The destination is re-chosen at move time against fresh weights.
-        let frozen_assignment: &[u32] = assignment;
-        let frozen_weights: &[u64] = &weights;
-        let scored: Vec<Vec<(i64, NodeId)>> = pool.scope_chunks_with(
-            n,
-            chunk,
-            || MoveScratch::new(kk),
-            |s, range| {
-                range
-                    .filter_map(|v| {
-                        let own = frozen_assignment[v] as usize;
-                        if frozen_weights[own] <= max_part_weight {
-                            return None;
-                        }
-                        let (base, total, _) =
-                            accumulate_credits(hg, frozen_assignment, v as NodeId, s);
-                        let max_credit = s
-                            .touched
-                            .iter()
-                            .map(|&p| s.credit[p as usize])
-                            .max()
-                            .unwrap_or(0);
-                        for &p in &s.touched {
-                            s.credit[p as usize] = 0;
-                            s.cut_credit[p as usize] = 0;
-                        }
-                        Some(((total - base) - max_credit as i64, v as NodeId))
-                    })
-                    .collect()
-            },
-        );
-        let mut cands: Vec<(i64, NodeId)> = scored.into_iter().flatten().collect();
-        if cands.is_empty() {
-            break;
-        }
-        // Cheapest damage first; heavier vertex first on ties (fewer moves).
-        cands
-            .sort_unstable_by_key(|&(delta, v)| (delta, std::cmp::Reverse(hg.vertex_weight(v)), v));
-        let mut s = MoveScratch::new(kk);
-        let mut moved = false;
-        for (_, v) in cands {
-            let own = assignment[v as usize] as usize;
-            if weights[own] <= max_part_weight {
-                continue; // partition already fixed this sweep
-            }
-            let vw = hg.vertex_weight(v) as u64;
-            accumulate_credits(hg, assignment, v, &mut s);
-            // Feasible destination with the most connectivity credit; break
-            // ties toward the lightest load.
-            let dest = (0..kk)
-                .filter(|&p| p != own && weights[p] + vw <= max_part_weight)
-                .map(|p| (p, (s.credit[p], std::cmp::Reverse(weights[p]))))
-                .max_by_key(|&(_, key)| key);
-            for &p in &s.touched {
-                s.credit[p as usize] = 0;
-                s.cut_credit[p as usize] = 0;
-            }
-            if let Some((p, _)) = dest {
-                weights[own] -= vw;
-                weights[p] += vw;
-                assignment[v as usize] = p as u32;
-                moved = true;
-            }
-        }
-        if !moved {
-            break;
-        }
-    }
+    b.build()
 }
 
 /// Expands the (coarsest) hypergraph into a plain graph for initial
@@ -755,263 +312,12 @@ fn clique_expand(hg: &HyperGraph) -> CsrGraph {
     b.build()
 }
 
-/// `(1 + epsilon) * total / k`, rounded up — same cap as the plain driver.
-fn hmax_part_weight(total: u64, k: u32, epsilon: f64) -> u64 {
-    (((total as f64) * (1.0 + epsilon)) / k as f64).ceil() as u64
-}
-
-fn hfinish(hg: &HyperGraph, assignment: Vec<u32>, k: u32) -> Partitioning {
-    let cost = connectivity_cost(hg, &assignment);
-    let part_weights = hpart_weights(hg, &assignment, k);
-    Partitioning {
-        assignment,
-        edge_cut: cost,
-        part_weights,
-        k,
-    }
-}
-
-/// Partitions `hg` into `cfg.k` balanced parts minimizing the (λ−1)
-/// connectivity cost. The returned [`Partitioning`] stores that cost in its
-/// `edge_cut` field.
-///
-/// Runs `cfg.ncuts` independent multilevel passes — concurrently when the
-/// thread budget allows — and returns the best (lowest cost, then lowest
-/// imbalance, then earliest run). Deterministic for a fixed
-/// `(hypergraph, config)` pair regardless of `cfg.threads`.
-pub fn hpartition(hg: &HyperGraph, cfg: &PartitionerConfig) -> Partitioning {
-    let runs = cfg.ncuts.max(1);
-    let pool = Pool::new(schism_par::resolve_threads(cfg.threads));
-    let (outer, inner) = pool.split(runs);
-
-    let results: Vec<Partitioning> = outer.scope_chunks(runs, 1, |r| {
-        let i = r.start;
-        let run_cfg = PartitionerConfig {
-            seed: cfg
-                .seed
-                .wrapping_add(i as u64)
-                .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                ^ cfg.seed,
-            ncuts: 1,
-            ..cfg.clone()
-        };
-        hpartition_once(hg, &run_cfg, &inner)
-    });
-
-    let mut best: Option<Partitioning> = None;
-    for p in results {
-        let better = match &best {
-            None => true,
-            Some(b) => {
-                (p.edge_cut, p.imbalance().to_bits()) < (b.edge_cut, b.imbalance().to_bits())
-            }
-        };
-        if better {
-            best = Some(p);
-        }
-    }
-    best.expect("at least one run")
-}
-
-fn hpartition_once(hg: &HyperGraph, cfg: &PartitionerConfig, pool: &Pool) -> Partitioning {
-    assert!(cfg.k >= 1, "k must be at least 1");
-    assert!(cfg.epsilon >= 0.0, "epsilon must be non-negative");
-    let n = hg.num_vertices();
-    let k = cfg.k;
-
-    if k == 1 || n == 0 {
-        return hfinish(hg, vec![0u32; n], k);
-    }
-    if (k as usize) >= n {
-        return hfinish(hg, (0..n as u32).collect(), k);
-    }
-
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let total = hg.total_vertex_weight();
-    let max_part = hmax_part_weight(total, k, cfg.epsilon);
-    let max_pair = (max_part / 2).max(1);
-
-    // --- Coarsening ---
-    // The current (finest-so-far) hypergraph is always borrowed — `hg`
-    // itself before any contraction, the last level's graph after — so the
-    // coarsening chain holds each level exactly once. At --huge scale the
-    // input CSR alone is hundreds of MiB; cloning it per level was the
-    // partitioner's peak-RSS driver.
-    let coarsen_target = cfg.effective_coarsen_target();
-    let mut levels: Vec<HCoarseLevel> = Vec::new();
-    loop {
-        let current: &HyperGraph = levels.last().map_or(hg, |l| &l.hg);
-        if current.num_vertices() <= coarsen_target {
-            break;
-        }
-        let mate = heavy_pin_matching(current, None, max_pair, &mut rng, pool);
-        let pairs = matched_pairs(&mate);
-        if (pairs as f64) < 0.02 * current.num_vertices() as f64 {
-            break;
-        }
-        let level = hcontract(current, &mate, pool);
-        levels.push(level);
-        if levels.len() > 64 {
-            break;
-        }
-    }
-    let coarsest: &HyperGraph = levels.last().map_or(hg, |l| &l.hg);
-
-    // --- Initial partitioning: clique-expand the coarsest hypergraph and
-    // reuse the plain-graph recursive bisection, then repair under the real
-    // metric. ---
-    let cg = clique_expand(coarsest);
-    let mut assignment = recursive_bisection(&cg, k, cfg.epsilon, cfg.init_tries, &mut rng, pool);
-    henforce_balance(coarsest, &mut assignment, k, max_part, pool);
-    hkway_greedy_refine(
-        coarsest,
-        &mut assignment,
-        k,
-        max_part,
-        cfg.refine_passes,
-        pool,
-    );
-
-    // --- Uncoarsening with refinement ---
-    for (idx, level) in levels.iter().enumerate().rev() {
-        let fine_n = level.map.len();
-        let mut fine_assignment = vec![0u32; fine_n];
-        for v in 0..fine_n {
-            fine_assignment[v] = assignment[level.map[v] as usize];
-        }
-        assignment = fine_assignment;
-        let fine: &HyperGraph = if idx == 0 { hg } else { &levels[idx - 1].hg };
-        henforce_balance(fine, &mut assignment, k, max_part, pool);
-        hkway_greedy_refine(fine, &mut assignment, k, max_part, cfg.refine_passes, pool);
-    }
-
-    // --- V-cycle polish: re-coarsen within the labels just found and
-    // refine again, so whole co-access clusters can change side as single
-    // vertices — flat boundary moves alone leave the cold partition in a
-    // slightly worse local minimum than the clique pipeline reaches. ---
-    for _ in 0..2 {
-        assignment = warm_hvcycle(hg, assignment, cfg, &mut rng, pool, false);
-    }
-
-    // Final stage under the metric that is the point (§6.1): the weight of
-    // nets left spanning more than one part. One V-cycle so whole clusters
-    // can switch side for a cut-net win, then a flat polish to convergence.
-    assignment = warm_hvcycle(hg, assignment, cfg, &mut rng, pool, true);
-    hkway_cutnet_polish(hg, &mut assignment, k, max_part, cfg.refine_passes, pool);
-
-    hfinish(hg, assignment, k)
-}
-
-/// Refines a hypergraph partitioning starting from `initial` — the
-/// warm-start entry point for incremental repartitioning, mirroring
-/// [`crate::partition::partition_warm`]: label-respecting heavy-pin
-/// coarsening projects the seed exactly onto every level, the coarsest
-/// level is rebalanced and refined where whole co-access clusters move as
-/// single vertices, and refinement repeats at each uncoarsening level.
-/// Labels `>= k` are wrapped. Two V-cycles, same determinism contract.
-pub fn hpartition_warm(hg: &HyperGraph, initial: &[u32], cfg: &PartitionerConfig) -> Partitioning {
-    assert!(cfg.k >= 1, "k must be at least 1");
-    assert_eq!(
-        initial.len(),
-        hg.num_vertices(),
-        "initial assignment must cover every vertex"
-    );
-    let k = cfg.k;
-    let mut labels: Vec<u32> = initial.iter().map(|&p| p % k).collect();
-    if k == 1 || hg.num_vertices() == 0 {
-        return hfinish(hg, labels, k);
-    }
-    let pool = Pool::new(schism_par::resolve_threads(cfg.threads));
-    let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0x57A2_7ED0);
-    for _ in 0..2 {
-        labels = warm_hvcycle(hg, labels, cfg, &mut rng, &pool, false);
-    }
-    labels = warm_hvcycle(hg, labels, cfg, &mut rng, &pool, true);
-    let max_part = hmax_part_weight(hg.total_vertex_weight(), k, cfg.epsilon);
-    hkway_cutnet_polish(hg, &mut labels, k, max_part, cfg.refine_passes, &pool);
-    hfinish(hg, labels, k)
-}
-
-fn warm_hvcycle(
-    hg: &HyperGraph,
-    mut labels: Vec<u32>,
-    cfg: &PartitionerConfig,
-    rng: &mut StdRng,
-    pool: &Pool,
-    cut_primary: bool,
-) -> Vec<u32> {
-    let k = cfg.k;
-    let total = hg.total_vertex_weight();
-    let max_part = hmax_part_weight(total, k, cfg.epsilon);
-    let max_pair = (max_part / 2).max(1);
-
-    // Coarsen within label classes until matching stalls. As in the cold
-    // driver, the finest-so-far hypergraph is borrowed, never cloned.
-    let mut levels: Vec<HCoarseLevel> = Vec::new();
-    loop {
-        let current: &HyperGraph = levels.last().map_or(hg, |l| &l.hg);
-        if current.num_vertices() <= k as usize {
-            break;
-        }
-        let mate = heavy_pin_matching(current, Some(&labels), max_pair, rng, pool);
-        let pairs = matched_pairs(&mate);
-        if (pairs as f64) < 0.02 * current.num_vertices() as f64 {
-            break;
-        }
-        let level = hcontract(current, &mate, pool);
-        let mut coarse_labels = vec![0u32; level.hg.num_vertices()];
-        for (v, &cv) in level.map.iter().enumerate() {
-            coarse_labels[cv as usize] = labels[v];
-        }
-        labels = coarse_labels;
-        levels.push(level);
-        if levels.len() > 64 {
-            break;
-        }
-    }
-    let coarsest: &HyperGraph = levels.last().map_or(hg, |l| &l.hg);
-
-    // Rebalance + refine the seed on the coarsest hypergraph.
-    let mut assignment = labels;
-    henforce_balance(coarsest, &mut assignment, k, max_part, pool);
-    hkway_refine_inner(
-        coarsest,
-        &mut assignment,
-        k,
-        max_part,
-        cfg.refine_passes,
-        pool,
-        cut_primary,
-    );
-
-    // Uncoarsen with refinement.
-    for (idx, level) in levels.iter().enumerate().rev() {
-        let fine_n = level.map.len();
-        let mut fine_assignment = vec![0u32; fine_n];
-        for v in 0..fine_n {
-            fine_assignment[v] = assignment[level.map[v] as usize];
-        }
-        assignment = fine_assignment;
-        let fine: &HyperGraph = if idx == 0 { hg } else { &levels[idx - 1].hg };
-        henforce_balance(fine, &mut assignment, k, max_part, pool);
-        hkway_refine_inner(
-            fine,
-            &mut assignment,
-            k,
-            max_part,
-            cfg.refine_passes,
-            pool,
-            cut_primary,
-        );
-    }
-
-    assignment
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hypergraph::HyperGraphBuilder;
+    use crate::metrics::part_weights;
+    use crate::partition::{partition, partition_warm, PartitionerConfig};
+    use crate::refine::{enforce_balance, kway_greedy_refine};
 
     /// Two clusters of `size` vertices each: every consecutive triple inside
     /// a cluster is a net of weight 5, plus one 2-pin bridge net of weight 1.
@@ -1030,7 +336,7 @@ mod tests {
     #[test]
     fn k1_is_trivial() {
         let hg = two_hyper_clusters(10);
-        let p = hpartition(&hg, &PartitionerConfig::with_k(1));
+        let p = partition(&hg, &PartitionerConfig::with_k(1));
         assert_eq!(p.edge_cut, 0);
         assert!(p.assignment.iter().all(|&a| a == 0));
     }
@@ -1038,7 +344,7 @@ mod tests {
     #[test]
     fn empty_hypergraph() {
         let hg = HyperGraph::empty();
-        let p = hpartition(&hg, &PartitionerConfig::with_k(4));
+        let p = partition(&hg, &PartitionerConfig::with_k(4));
         assert!(p.assignment.is_empty());
         assert_eq!(p.part_weights, vec![0, 0, 0, 0]);
     }
@@ -1048,14 +354,14 @@ mod tests {
         let mut b = HyperGraphBuilder::new(3);
         b.add_net(&[0, 1, 2], 1);
         let hg = b.build();
-        let p = hpartition(&hg, &PartitionerConfig::with_k(8));
+        let p = partition(&hg, &PartitionerConfig::with_k(8));
         assert_eq!(p.assignment, vec![0, 1, 2]);
     }
 
     #[test]
     fn two_clusters_optimal() {
         let hg = two_hyper_clusters(24);
-        let p = hpartition(
+        let p = partition(
             &hg,
             &PartitionerConfig {
                 k: 2,
@@ -1087,8 +393,8 @@ mod tests {
             seed: 42,
             ..Default::default()
         };
-        let p1 = hpartition(&hg, &cfg);
-        let p2 = hpartition(&hg, &cfg);
+        let p1 = partition(&hg, &cfg);
+        let p2 = partition(&hg, &cfg);
         assert_eq!(p1.assignment, p2.assignment);
         assert_eq!(p1.edge_cut, p2.edge_cut);
     }
@@ -1112,7 +418,7 @@ mod tests {
         let hg = b.build();
         hg.validate().unwrap();
         let run = |threads: usize| {
-            hpartition(
+            partition(
                 &hg,
                 &PartitionerConfig {
                     k: 3,
@@ -1129,7 +435,7 @@ mod tests {
             assert_eq!(p.edge_cut, base.edge_cut, "threads {t} changed the cost");
         }
         let warm = |threads: usize| {
-            hpartition_warm(
+            partition_warm(
                 &hg,
                 &base.assignment,
                 &PartitionerConfig {
@@ -1152,7 +458,7 @@ mod tests {
     fn warm_start_preserves_good_assignment() {
         let hg = two_hyper_clusters(24);
         let initial: Vec<u32> = (0..48).map(|v| (v >= 24) as u32).collect();
-        let p = hpartition_warm(&hg, &initial, &PartitionerConfig::with_k(2));
+        let p = partition_warm(&hg, &initial, &PartitionerConfig::with_k(2));
         assert_eq!(p.edge_cut, 1);
         assert_eq!(p.assignment, initial, "optimal warm start must be stable");
     }
@@ -1161,7 +467,7 @@ mod tests {
     fn warm_start_repairs_imbalance() {
         let hg = two_hyper_clusters(20);
         let initial = vec![0u32; 40];
-        let p = hpartition_warm(&hg, &initial, &PartitionerConfig::with_k(4));
+        let p = partition_warm(&hg, &initial, &PartitionerConfig::with_k(4));
         let cap = ((hg.total_vertex_weight() as f64) * 1.05 / 4.0).ceil() as u64;
         for (i, &w) in p.part_weights.iter().enumerate() {
             assert!(w <= cap, "part {i} overweight: {w} > {cap}");
@@ -1177,7 +483,7 @@ mod tests {
         }
         let hg = b.build();
         let initial = vec![7u32, 8, 9, 10, 11, 12];
-        let p = hpartition_warm(&hg, &initial, &PartitionerConfig::with_k(2));
+        let p = partition_warm(&hg, &initial, &PartitionerConfig::with_k(2));
         assert!(p.assignment.iter().all(|&a| a < 2));
     }
 
@@ -1191,7 +497,7 @@ mod tests {
             b.set_vertex_weight(i, 1 + (i % 7));
         }
         let hg = b.build();
-        let p = hpartition(
+        let p = partition(
             &hg,
             &PartitionerConfig {
                 k: 5,
@@ -1213,7 +519,7 @@ mod tests {
         let mut assignment: Vec<u32> = (0..32).map(|v| v % 2).collect();
         let before = connectivity_cost(&hg, &assignment);
         let cap = ((hg.total_vertex_weight() as f64) * 1.05 / 2.0).ceil() as u64;
-        hkway_greedy_refine(&hg, &mut assignment, 2, cap, 10, &Pool::new(1));
+        kway_greedy_refine(&hg, &mut assignment, 2, cap, 10, false, &Pool::new(1));
         let after = connectivity_cost(&hg, &assignment);
         assert!(after < before, "refinement failed: {before} -> {after}");
     }
@@ -1223,8 +529,8 @@ mod tests {
         let hg = two_hyper_clusters(16);
         let mut assignment = vec![0u32; 32];
         let cap = 20;
-        henforce_balance(&hg, &mut assignment, 2, cap, &Pool::new(1));
-        let w = hpart_weights(&hg, &assignment, 2);
+        enforce_balance(&hg, &mut assignment, 2, cap, &Pool::new(1));
+        let w = part_weights(&hg, &assignment, 2);
         assert!(w[0] <= cap && w[1] <= cap, "still overweight: {w:?}");
     }
 }

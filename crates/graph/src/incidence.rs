@@ -1,0 +1,177 @@
+//! The incidence contract: everything the multilevel driver needs to know
+//! about the structure it partitions.
+//!
+//! [`crate::partition()`], [`crate::matching`], [`crate::coarsen`] and
+//! [`crate::refine`] are written once against [`Incidence`] and statically
+//! dispatched to its two implementations — [`CsrGraph`] (below; edge-cut
+//! objective) and [`crate::HyperGraph`] (in `hpartition.rs`; (λ−1)
+//! connectivity with a cut-net tie-break). A clique edge is a 2-pin net, so
+//! the *protocols* — propose/mutual-accept matching, frozen-scan /
+//! sorted-apply refinement, cheapest-damage eviction, the V-cycle schedule —
+//! are shared; an implementation only supplies what genuinely depends on
+//! the representation: how strongly two vertices attract, who is two hops
+//! away, how a matching contracts, which plain graph seeds the coarsest
+//! level, how strongly a vertex is pulled toward each part, and the cost.
+//!
+//! The trait is `pub` only so the generic entry points can name it in their
+//! bounds; the module is private, so it cannot be named or implemented
+//! outside this crate.
+
+use crate::csr::{CsrGraph, NodeId};
+use schism_par::Pool;
+use std::borrow::Cow;
+
+/// Per-worker scratch for weighing the moves of one vertex: the output of
+/// [`Incidence::pull`] plus the working space an implementation needs to
+/// produce it. All vectors are `O(k)`; [`MoveScratch::reset`] re-zeroes
+/// only the touched entries so one scratch serves a whole vertex chunk.
+pub struct MoveScratch {
+    /// `toward[p]`: how strongly the vertex is attracted to part `p` (edge
+    /// weight into `p`; weight of nets that already have a pin in `p`).
+    /// Never set for the vertex's own part.
+    pub(crate) toward: Vec<u64>,
+    /// `uncut[p]`: weight of nets that become internal if the vertex moves
+    /// to `p` — the cut-net objective. Left zero by plain graphs.
+    pub(crate) uncut: Vec<u64>,
+    /// Parts with an entry in `toward`, in first-seen order.
+    pub(crate) touched: Vec<u32>,
+    /// Working space for per-net pin counts (zero between nets).
+    pub(crate) net_cnt: Vec<u32>,
+    /// Working space: the parts one net spans.
+    pub(crate) net_parts: Vec<u32>,
+}
+
+impl MoveScratch {
+    pub(crate) fn new(k: usize) -> Self {
+        Self {
+            toward: vec![0; k],
+            uncut: vec![0; k],
+            touched: Vec::with_capacity(16),
+            net_cnt: vec![0; k],
+            net_parts: Vec::with_capacity(16),
+        }
+    }
+
+    pub(crate) fn reset(&mut self) {
+        for &p in &self.touched {
+            self.toward[p as usize] = 0;
+            self.uncut[p as usize] = 0;
+        }
+    }
+}
+
+/// What the multilevel driver needs from a vertex–structure incidence.
+pub trait Incidence: Sized + Sync {
+    /// Label-respecting V-cycles appended to a cold run, before the
+    /// cut-net stage.
+    const COLD_VCYCLES: usize;
+    /// Whether cold and warm runs end with one cut-net-primary V-cycle and
+    /// a flat cut-net polish.
+    const CUT_NET_STAGE: bool;
+    /// Per-worker scratch for [`Incidence::for_each_partner`].
+    type PartnerScratch;
+
+    fn num_vertices(&self) -> usize;
+    fn vertex_weight(&self, v: NodeId) -> u32;
+    fn total_vertex_weight(&self) -> u64;
+
+    fn partner_scratch(&self) -> Self::PartnerScratch;
+
+    /// Calls `f(u, score)` once per candidate matching partner of `v`, in a
+    /// deterministic order; a higher score is a stronger attraction.
+    fn for_each_partner(&self, v: NodeId, s: &mut Self::PartnerScratch, f: impl FnMut(NodeId, u64));
+
+    /// Walks `v`'s bounded two-hop neighbourhood and returns the first
+    /// vertex `accept` takes.
+    fn two_hop(&self, v: NodeId, accept: impl FnMut(NodeId) -> bool) -> Option<NodeId>;
+
+    /// The structure induced by merging every matched pair: `map` sends
+    /// fine to coarse ids and `vwgt` holds the coarse vertex weights. Must
+    /// be independent of `pool`'s size.
+    fn contract(&self, mate: &[NodeId], map: &[NodeId], vwgt: Vec<u32>, pool: &Pool) -> Self;
+
+    /// The plain graph recursive bisection seeds the coarsest level on.
+    fn seed_graph(&self) -> Cow<'_, CsrGraph>;
+
+    /// Fills `s.toward` / `s.uncut` / `s.touched` for `v` under
+    /// `assignment` and returns `(stay, interior)`: the attraction of `v`'s
+    /// own part (a move to `p` gains `toward[p] − stay`) and the weight of
+    /// nets any move newly cuts (a move to `p` un-cuts `uncut[p] −
+    /// interior`). The caller calls [`MoveScratch::reset`] afterwards.
+    fn pull(&self, assignment: &[u32], v: NodeId, s: &mut MoveScratch) -> (i64, i64);
+
+    /// The objective reported as [`crate::Partitioning::edge_cut`].
+    fn cost(&self, assignment: &[u32]) -> u64;
+}
+
+impl Incidence for CsrGraph {
+    const COLD_VCYCLES: usize = 0;
+    const CUT_NET_STAGE: bool = false;
+    type PartnerScratch = ();
+
+    fn num_vertices(&self) -> usize {
+        self.num_vertices()
+    }
+
+    fn vertex_weight(&self, v: NodeId) -> u32 {
+        self.vertex_weight(v)
+    }
+
+    fn total_vertex_weight(&self) -> u64 {
+        self.total_vertex_weight()
+    }
+
+    fn partner_scratch(&self) {}
+
+    /// Heavy-edge scoring: a neighbour attracts by the weight of its edge.
+    fn for_each_partner(&self, v: NodeId, _: &mut (), mut f: impl FnMut(NodeId, u64)) {
+        for (u, w) in self.edges(v) {
+            f(u, w as u64);
+        }
+    }
+
+    /// METIS's fix for star/power-law graphs: leaves hanging off the same
+    /// hub are structurally near-duplicates, so pairing them is
+    /// quality-safe. Bounded scans keep huge hubs from making this
+    /// quadratic.
+    fn two_hop(&self, v: NodeId, mut accept: impl FnMut(NodeId) -> bool) -> Option<NodeId> {
+        for (u, _) in self.edges(v).take(16) {
+            for (w2, _) in self.edges(u).take(32) {
+                if accept(w2) {
+                    return Some(w2);
+                }
+            }
+        }
+        None
+    }
+
+    fn contract(&self, mate: &[NodeId], map: &[NodeId], vwgt: Vec<u32>, pool: &Pool) -> Self {
+        crate::coarsen::contract_adjacency(self, mate, map, vwgt, pool)
+    }
+
+    fn seed_graph(&self) -> Cow<'_, CsrGraph> {
+        Cow::Borrowed(self)
+    }
+
+    fn pull(&self, assignment: &[u32], v: NodeId, s: &mut MoveScratch) -> (i64, i64) {
+        let own = assignment[v as usize];
+        s.touched.clear();
+        let mut stay = 0i64;
+        for (u, w) in self.edges(v) {
+            let p = assignment[u as usize];
+            if p == own {
+                stay += w as i64;
+                continue;
+            }
+            if s.toward[p as usize] == 0 {
+                s.touched.push(p);
+            }
+            s.toward[p as usize] += w as u64;
+        }
+        (stay, 0)
+    }
+
+    fn cost(&self, assignment: &[u32]) -> u64 {
+        crate::metrics::edge_cut(self, assignment)
+    }
+}

@@ -1,36 +1,61 @@
 //! # schism-graph
 //!
-//! A from-scratch multilevel k-way balanced min-cut graph partitioner — the
-//! substrate the Schism paper obtains from METIS (Karypis & Kumar).
+//! A from-scratch multilevel k-way balanced min-cut partitioner — the
+//! substrate the Schism paper obtains from METIS (Karypis & Kumar) — for
+//! the two co-access representations the advisor builds: a [`CsrGraph`]
+//! (one clique per transaction, edge-cut objective) and a [`HyperGraph`]
+//! (one net per transaction in dual-CSR form, (λ−1) connectivity objective
+//! with a cut-net final stage).
 //!
 //! The partitioner follows the classic multilevel recipe: randomized
-//! heavy-edge-matching coarsening, recursive-bisection initial partitioning
+//! heavy-matching coarsening, recursive-bisection initial partitioning
 //! (greedy graph growing + Fiduccia–Mattheyses refinement), and greedy
-//! k-way boundary refinement during uncoarsening. It is deterministic for a
-//! fixed seed and enforces a configurable balance constraint
+//! k-way boundary refinement during uncoarsening, optionally repeated as
+//! label-respecting V-cycles. It is deterministic for a fixed seed and
+//! enforces a configurable balance constraint
 //! `max_part <= (1 + epsilon) * total / k`.
+//!
+//! ## One driver, two incidence implementations
+//!
+//! A clique edge is a 2-pin net, so there is **one** driver:
+//! [`partition()`] and [`partition_warm`] accept either representation and
+//! are statically dispatched through a crate-private incidence trait that
+//! both implement. The protocols exist once; an implementation supplies
+//! only what depends on the representation:
+//!
+//! | | shared (written once) | graph | hypergraph |
+//! |---|---|---|---|
+//! | schedule ([`partition`](mod@partition)) | `ncuts` fan-out + best-of, cold descent, warm start, label-respecting V-cycle, level projection, balance cap, result | no extra stages | 2 more cold V-cycles, then a cut-net-primary V-cycle + flat polish |
+//! | matching ([`matching`]) | seed draw + shuffle, 8 propose / mutual-accept rounds, seeded-order cleanup, two-hop pass, pair-weight cap, label restriction | score = edge weight; two hops over edges | score = `w·256/(|e|−1)` over nets ≤ 64 pins; two hops over shared nets |
+//! | contraction ([`coarsen`]) | coarse ids, checked coarse weights, the level struct | merged adjacency, stitched in coarse-id order | remapped + deduplicated pins, merged identical nets |
+//! | coarsest seed ([`initial`]) | recursive bisection | on the level itself | on its clique expansion |
+//! | refinement ([`refine`]) | parallel frozen scan → `(Reverse(gain), v)` sort → sequential live re-validation; admissibility, take rule, tie to the lighter part | pull = edge weight into each part | pull = weight of nets already spanning each part (nets ≤ 512 pins), plus the cut-net tie-break |
+//! | balance ([`refine::enforce_balance`]) | 4 sweeps, cheapest damage first, destination re-chosen live | same pull | same pull |
+//! | reported cost | [`Partitioning::edge_cut`] | [`edge_cut()`] | [`connectivity_cost`] |
 //!
 //! All phases run data-parallel over a [`schism_par::Pool`] sized by
 //! [`PartitionerConfig::threads`] (default: `SCHISM_THREADS` or all
 //! hardware threads), with a hard determinism contract: partition labels
-//! and edge cut are **bit-identical for every thread count** — matching
-//! uses propose/mutual-accept rounds with a sequential tie-break pass,
-//! contraction stitches chunk-built adjacency in coarse-id order, and
+//! and cost are **bit-identical for every thread count** — matching uses
+//! propose/mutual-accept rounds with a sequential tie-break pass,
+//! contraction stitches chunk-built structure in a canonical order, and
 //! refinement scans the boundary in parallel but serializes only the
 //! conflict set of candidate moves.
 //!
-//! A hypergraph backend lives alongside the plain-graph path: a
-//! [`HyperGraph`] stores one net (hyperedge) per transaction in dual-CSR
-//! form, and [`hpartition()`] / [`hpartition_warm`] run the same multilevel
-//! scheme — heavy-pin matching, contraction, scan/apply refinement — under
-//! the (λ−1) connectivity metric, with the identical determinism contract.
-//!
 //! ```
-//! use schism_graph::{gen, partition, PartitionerConfig};
+//! use schism_graph::{gen, partition, HyperGraphBuilder, PartitionerConfig};
 //!
 //! let g = gen::two_cliques(16, 1);
 //! let p = partition(&g, &PartitionerConfig::with_k(2));
 //! assert_eq!(p.edge_cut, 1); // only the bridge edge is cut
+//!
+//! // The same entry point partitions a hypergraph.
+//! let mut b = HyperGraphBuilder::new(6);
+//! b.add_net(&[0, 1, 2], 5);
+//! b.add_net(&[3, 4, 5], 5);
+//! b.add_net(&[2, 3], 1);
+//! let p = partition(&b.build(), &PartitionerConfig::with_k(2));
+//! assert_eq!(p.edge_cut, 1); // only the 2-pin bridge net is cut
 //! ```
 
 pub mod builder;
@@ -38,8 +63,9 @@ pub mod coarsen;
 pub mod components;
 pub mod csr;
 pub mod gen;
-pub mod hpartition;
+mod hpartition;
 pub mod hypergraph;
+mod incidence;
 pub mod initial;
 pub mod matching;
 pub mod metrics;
@@ -49,7 +75,7 @@ pub mod refine;
 pub use builder::{EdgeBuffer, GraphBuilder};
 pub use components::{connected_components, UnionFind};
 pub use csr::{CsrGraph, NodeId};
-pub use hpartition::{connectivity_cost, hpart_weights, hpartition, hpartition_warm};
+pub use hpartition::connectivity_cost;
 pub use hypergraph::{HyperEdgeBuffer, HyperGraph, HyperGraphBuilder};
 pub use metrics::{boundary_size, edge_cut, imbalance, part_weights};
 pub use partition::{partition, partition_warm, PartitionerConfig, Partitioning};

@@ -1,4 +1,5 @@
-//! Parallel heavy-edge matching (HEM) for the coarsening phase.
+//! Parallel heavy matching for the coarsening phase, generic over the
+//! `Incidence` being coarsened.
 //!
 //! The classic Karypis–Kumar heuristic ("A fast and high quality multilevel
 //! scheme for partitioning irregular graphs") visits vertices in random
@@ -10,10 +11,10 @@
 //! Each round runs two phases:
 //!
 //! 1. **Propose** (parallel over vertex chunks): every unmatched vertex
-//!    computes its preferred partner — the unmatched neighbor with the
-//!    heaviest edge, ties broken by a seed-derived per-vertex priority —
+//!    computes its preferred partner — the unmatched candidate with the
+//!    highest score, ties broken by a seed-derived per-vertex priority —
 //!    against the *frozen* matching state of the round start. Pure function
-//!    of `(graph, mate, seed)`, so chunk decomposition cannot change it.
+//!    of `(structure, mate, seed)`, so chunk decomposition cannot change it.
 //! 2. **Resolve** (sequential, O(n)): mutual proposals (`prop[v] == u` and
 //!    `prop[u] == v`) become matches. This is the deterministic cross-chunk
 //!    conflict tie-break: one-sided proposals simply lose the round and
@@ -25,12 +26,18 @@
 //! the leaves of hub-and-spoke structures — Schism's replication stars —
 //! that no direct matching can reduce.
 //!
-//! Determinism contract: for a fixed `(graph, rng state)` the returned
+//! What a "candidate", its "score" and "two hops away" mean is the
+//! implementation's (`Incidence::for_each_partner`, `Incidence::two_hop`):
+//! a plain graph scores a neighbour by edge weight (heavy-edge matching), a
+//! hypergraph by co-membership in heavy, small nets (heavy-pin matching).
+//!
+//! Determinism contract: for a fixed `(structure, rng state)` the returned
 //! matching is bit-identical for every pool size, because the parallel
 //! phase is pure and every tie-break is a total order independent of
 //! scheduling.
 
-use crate::csr::{CsrGraph, NodeId};
+use crate::csr::NodeId;
+use crate::incidence::Incidence;
 use rand::seq::SliceRandom;
 use rand::Rng;
 use schism_par::{chunk_size, Pool};
@@ -50,65 +57,41 @@ const PROPOSE_ROUNDS: usize = 8;
 
 /// SplitMix64 — the per-vertex tie-break priority. Seeded per matching call
 /// so repeated levels explore different orders, like the shuffle used to.
-/// Shared with the hypergraph matcher (`crate::hpartition`).
 #[inline]
-pub(crate) fn prio(seed: u64, v: NodeId) -> u64 {
+fn prio(seed: u64, v: NodeId) -> u64 {
     let mut z = seed.wrapping_add((v as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
 }
 
-/// Computes a heavy-edge matching with a single-threaded pool.
+/// Computes a heavy matching of `g`, parallelized over `pool`.
 ///
 /// Returns `mate` with `mate[v] == v` for vertices left unmatched (isolated
 /// vertices or odd leftovers) and `mate[v] == u`, `mate[u] == v` for matched
 /// pairs.
-pub fn heavy_edge_matching<R: Rng>(g: &CsrGraph, rng: &mut R) -> Vec<NodeId> {
-    heavy_edge_matching_capped(g, u64::MAX, rng, &Pool::new(1))
-}
-
-/// [`heavy_edge_matching`] with a cap on the combined weight of a matched
-/// pair, parallelized over `pool`. The multilevel driver uses the cap to
-/// stop vertices from snowballing past the point where a balanced partition
-/// is impossible (a coarse vertex heavier than a partition's capacity can
-/// never be placed without overflowing it).
-pub fn heavy_edge_matching_capped<R: Rng>(
-    g: &CsrGraph,
-    max_pair_weight: u64,
-    rng: &mut R,
-    pool: &Pool,
-) -> Vec<NodeId> {
-    hem(g, None, max_pair_weight, rng, pool)
-}
-
-/// [`heavy_edge_matching_capped`] restricted to pairs with equal `labels`.
 ///
-/// Used by the warm-start V-cycle: coarsening that never crosses a label
-/// boundary keeps every coarse vertex on one side of the seed partitioning,
-/// so the seed projects exactly onto every level of the hierarchy and the
-/// refiner can move whole co-access clusters (which single-vertex moves on
-/// the fine graph cannot — evicting one member of a clique is always a
+/// `max_pair_weight` caps the combined weight of a matched pair: the
+/// multilevel driver uses it to stop vertices from snowballing past the
+/// point where a balanced partition is impossible (a coarse vertex heavier
+/// than a partition's capacity can never be placed without overflowing it).
+///
+/// With `labels`, only vertices with equal labels pair up. The V-cycle
+/// relies on this: coarsening that never crosses a label boundary keeps
+/// every coarse vertex on one side of the seed partitioning, so the seed
+/// projects exactly onto every level of the hierarchy and the refiner can
+/// move whole co-access clusters (which single-vertex moves on the fine
+/// structure cannot — evicting one member of a clique is always a
 /// negative-gain move).
-pub fn heavy_edge_matching_labeled<R: Rng>(
-    g: &CsrGraph,
-    labels: &[u32],
-    max_pair_weight: u64,
-    rng: &mut R,
-    pool: &Pool,
-) -> Vec<NodeId> {
-    debug_assert_eq!(labels.len(), g.num_vertices());
-    hem(g, Some(labels), max_pair_weight, rng, pool)
-}
-
-fn hem<R: Rng>(
-    g: &CsrGraph,
+pub fn heavy_matching<G: Incidence, R: Rng>(
+    g: &G,
     labels: Option<&[u32]>,
     max_pair_weight: u64,
     rng: &mut R,
     pool: &Pool,
 ) -> Vec<NodeId> {
     let n = g.num_vertices();
+    debug_assert!(labels.is_none_or(|l| l.len() == n));
     let mut mate = vec![UNMATCHED; n];
     // One seed draw and one shuffle: the rng advances by the same amount
     // whatever the pool size, so downstream consumers see identical state.
@@ -116,43 +99,49 @@ fn hem<R: Rng>(
     let mut order: Vec<NodeId> = (0..n as NodeId).collect();
     order.shuffle(rng);
 
-    let eligible = |v: NodeId, u: NodeId, vw: u64, mate: &[NodeId]| -> bool {
+    // Whether `v` (of weight `vw`) may pair with `u`, `u`'s matching state
+    // aside.
+    let pairable = |v: NodeId, u: NodeId, vw: u64| -> bool {
         u != v
-            && mate[u as usize] == UNMATCHED
             && vw + g.vertex_weight(u) as u64 <= max_pair_weight
             && labels.is_none_or(|l| l[u as usize] == l[v as usize])
     };
 
-    // Heaviest eligible neighbor; ties by seeded priority, then id — a
-    // total order, so the proposal is unique.
-    let best_partner = |v: NodeId, mate: &[NodeId]| -> NodeId {
+    // Highest-scoring eligible partner; ties by seeded priority, then id —
+    // a total order, so the proposal is unique.
+    let best_partner = |v: NodeId, mate: &[NodeId], s: &mut G::PartnerScratch| -> NodeId {
         let vw = g.vertex_weight(v) as u64;
-        let mut best: Option<(u32, u64, NodeId)> = None;
-        for (u, w) in g.edges(v) {
-            if !eligible(v, u, vw, mate) {
-                continue;
+        let mut best: Option<(u64, u64, NodeId)> = None;
+        g.for_each_partner(v, s, |u, score| {
+            if mate[u as usize] != UNMATCHED || !pairable(v, u, vw) {
+                return;
             }
-            let key = (w, prio(seed, u), u);
+            let key = (score, prio(seed, u), u);
             if best.is_none_or(|b| key > b) {
                 best = Some(key);
             }
-        }
+        });
         best.map_or(NO_PROPOSAL, |(_, _, u)| u)
     };
 
     let chunk = chunk_size(n, pool.threads());
     for _ in 0..PROPOSE_ROUNDS {
         // Phase 1: propose against the frozen `mate` (parallel, pure).
-        let proposals: Vec<Vec<NodeId>> = pool.scope_chunks(n, chunk, |r| {
-            r.map(|v| {
-                if mate[v] != UNMATCHED {
-                    NO_PROPOSAL
-                } else {
-                    best_partner(v as NodeId, &mate)
-                }
-            })
-            .collect()
-        });
+        let proposals: Vec<Vec<NodeId>> = pool.scope_chunks_with(
+            n,
+            chunk,
+            || g.partner_scratch(),
+            |s, r| {
+                r.map(|v| {
+                    if mate[v] != UNMATCHED {
+                        NO_PROPOSAL
+                    } else {
+                        best_partner(v as NodeId, &mate, s)
+                    }
+                })
+                .collect()
+            },
+        );
         let prop: Vec<NodeId> = proposals.into_iter().flatten().collect();
 
         // Phase 2: deterministic conflict resolution — mutual proposals
@@ -177,11 +166,12 @@ fn hem<R: Rng>(
     // Cleanup: greedy maximal matching over the remainder, in the seeded
     // random visit order the sequential algorithm used. Vertices with no
     // eligible partner self-match.
+    let mut scratch = g.partner_scratch();
     for &v in &order {
         if mate[v as usize] != UNMATCHED {
             continue;
         }
-        let u = best_partner(v, &mate);
+        let u = best_partner(v, &mate, &mut scratch);
         if u == NO_PROPOSAL {
             mate[v as usize] = v;
         } else {
@@ -190,42 +180,24 @@ fn hem<R: Rng>(
         }
     }
 
-    // Two-hop pass (METIS's fix for star/power-law graphs). Hub-and-spoke
-    // structures — Schism's replication stars and hot-tuple cliques — leave
-    // most leaves self-matched because their only neighbor (the hub) is
-    // taken, stalling coarsening. Leaves hanging off the same matched
-    // vertex are near-duplicates structurally, so pairing them is
-    // quality-safe. Bounded scans keep huge hubs from making this
-    // quadratic.
+    // Two-hop pass. Hub-and-spoke structures — Schism's replication stars
+    // and hot-tuple cliques — leave most leaves self-matched because their
+    // only neighbor (the hub) is taken, stalling coarsening; pair each such
+    // leftover with another one two hops away.
     for &v in &order {
         if mate[v as usize] != v {
             continue; // only self-matched leftovers
         }
         let vw = g.vertex_weight(v) as u64;
-        let mut scanned = 0usize;
-        'outer: for (u, _) in g.edges(v) {
-            for (w2, _) in g.edges(u).take(32) {
-                if w2 != v
-                    && mate[w2 as usize] == w2
-                    && vw + g.vertex_weight(w2) as u64 <= max_pair_weight
-                    && labels.is_none_or(|l| l[w2 as usize] == l[v as usize])
-                {
-                    mate[v as usize] = w2;
-                    mate[w2 as usize] = v;
-                    break 'outer;
-                }
-            }
-            scanned += 1;
-            if scanned >= 16 {
-                break;
-            }
+        if let Some(w2) = g.two_hop(v, |w2| mate[w2 as usize] == w2 && pairable(v, w2, vw)) {
+            mate[v as usize] = w2;
+            mate[w2 as usize] = v;
         }
     }
     mate
 }
 
-/// Number of matched *pairs* in a matching produced by
-/// [`heavy_edge_matching`].
+/// Number of matched *pairs* in a matching produced by [`heavy_matching`].
 pub fn matched_pairs(mate: &[NodeId]) -> usize {
     mate.iter()
         .enumerate()
@@ -237,8 +209,14 @@ pub fn matched_pairs(mate: &[NodeId]) -> usize {
 mod tests {
     use super::*;
     use crate::builder::GraphBuilder;
+    use crate::csr::CsrGraph;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// Uncapped, unlabeled, single-threaded.
+    fn heavy_edge_matching(g: &CsrGraph, rng: &mut StdRng) -> Vec<NodeId> {
+        heavy_matching(g, None, u64::MAX, rng, &Pool::new(1))
+    }
 
     fn check_is_matching(g: &CsrGraph, mate: &[NodeId]) {
         for v in 0..g.num_vertices() as NodeId {
@@ -282,9 +260,9 @@ mod tests {
         b.set_vertex_weight(1, 100);
         let g = b.build();
         let pool = Pool::new(1);
-        let mate = heavy_edge_matching_capped(&g, 150, &mut StdRng::seed_from_u64(0), &pool);
+        let mate = heavy_matching(&g, None, 150, &mut StdRng::seed_from_u64(0), &pool);
         assert_eq!(mate, vec![0, 1], "pair exceeding cap must stay unmatched");
-        let mate = heavy_edge_matching_capped(&g, 200, &mut StdRng::seed_from_u64(0), &pool);
+        let mate = heavy_matching(&g, None, 200, &mut StdRng::seed_from_u64(0), &pool);
         assert_eq!(mate, vec![1, 0]);
     }
 
@@ -307,9 +285,9 @@ mod tests {
         let g = b.build();
         let labels = [0u32, 0, 1, 1];
         for seed in 0..20 {
-            let mate = heavy_edge_matching_labeled(
+            let mate = heavy_matching(
                 &g,
-                &labels,
+                Some(&labels),
                 u64::MAX,
                 &mut StdRng::seed_from_u64(seed),
                 &Pool::new(1),
@@ -361,8 +339,9 @@ mod tests {
         }
         let g = b.build();
         let run = |threads: usize| {
-            heavy_edge_matching_capped(
+            heavy_matching(
                 &g,
+                None,
                 u64::MAX,
                 &mut StdRng::seed_from_u64(99),
                 &Pool::new(threads),

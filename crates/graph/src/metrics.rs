@@ -1,6 +1,7 @@
 //! Quality metrics for partitionings: edge cut, partition weights, imbalance.
 
 use crate::csr::{CsrGraph, NodeId};
+use crate::incidence::Incidence;
 
 /// Total weight of edges whose endpoints lie in different partitions.
 ///
@@ -20,8 +21,8 @@ pub fn edge_cut(g: &CsrGraph, assignment: &[u32]) -> u64 {
     cut
 }
 
-/// Sum of vertex weights per partition.
-pub fn part_weights(g: &CsrGraph, assignment: &[u32], k: u32) -> Vec<u64> {
+/// Sum of vertex weights per partition (of a graph or a hypergraph).
+pub fn part_weights<G: Incidence>(g: &G, assignment: &[u32], k: u32) -> Vec<u64> {
     let mut w = vec![0u64; k as usize];
     for v in 0..g.num_vertices() {
         w[assignment[v] as usize] += g.vertex_weight(v as NodeId) as u64;

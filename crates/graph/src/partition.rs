@@ -1,31 +1,39 @@
-//! The multilevel k-way partitioning driver.
+//! The multilevel k-way partitioning driver — one driver for every
+//! `Incidence`: plain graphs (edge cut) and hypergraphs ((λ−1)
+//! connectivity, then cut nets).
 //!
 //! Pipeline (Karypis–Kumar multilevel scheme, the algorithm family METIS
-//! implements):
+//! implements), one **V** of which is `vcycle`:
 //!
-//! 1. **Coarsen** with randomized heavy-edge matching until the graph is
+//! 1. **Coarsen** with randomized heavy matching until the structure is
 //!    small (or stops shrinking), capping coarse vertex weights so balance
 //!    stays achievable.
-//! 2. **Initial partition** of the coarsest graph by recursive bisection
-//!    (greedy graph growing + FM).
+//! 2. **Initial partition** of the coarsest level by recursive bisection
+//!    (greedy graph growing + FM) — or, when the V starts from labels, the
+//!    labels themselves, which label-respecting matching has projected
+//!    exactly onto every level.
 //! 3. **Uncoarsen**: project the partition one level up and run greedy
 //!    k-way boundary refinement (with a balance-enforcement pre-pass).
 //!
+//! A cold run is one seeded V plus the implementation's polish schedule
+//! (`Incidence::COLD_VCYCLES`, `Incidence::CUT_NET_STAGE`); a warm run
+//! is two labeled Vs plus the same final stage.
+//!
 //! Every phase is parallelized over a [`schism_par::Pool`] sized by
 //! [`PartitionerConfig::threads`]: matching proposes partners over vertex
-//! chunks, contraction builds coarse adjacency over coarse-vertex chunks,
-//! refinement scans the boundary over vertex chunks, initial bisection
-//! runs its seeded attempts concurrently, and the `ncuts` independent runs
-//! execute side by side (the pool budget splits between the two levels).
-//! Every component is deterministic for a fixed seed **independent of the
-//! thread count** — labels and cut are bit-identical for `threads ∈ {1, 2,
-//! 4, ...}` — so parallelism is purely a wall-clock knob.
+//! chunks, contraction builds the coarse structure over chunks, refinement
+//! scans the boundary over vertex chunks, initial bisection runs its seeded
+//! attempts concurrently, and the `ncuts` independent runs execute side by
+//! side (the pool budget splits between the two levels). Every component
+//! is deterministic for a fixed seed **independent of the thread count** —
+//! labels and cost are bit-identical for `threads ∈ {1, 2, 4, ...}` — so
+//! parallelism is purely a wall-clock knob.
 
 use crate::coarsen::{contract, CoarseLevel};
-use crate::csr::CsrGraph;
+use crate::incidence::Incidence;
 use crate::initial::recursive_bisection;
-use crate::matching::{heavy_edge_matching_capped, matched_pairs};
-use crate::metrics::{edge_cut, part_weights};
+use crate::matching::{heavy_matching, matched_pairs};
+use crate::metrics::part_weights;
 use crate::refine::{enforce_balance, kway_greedy_refine};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -99,7 +107,9 @@ impl PartitionerConfig {
 pub struct Partitioning {
     /// `assignment[v]` is the partition of vertex `v`, in `[0, k)`.
     pub assignment: Vec<u32>,
-    /// Total weight of cut edges.
+    /// The minimized objective: total weight of cut edges for a graph, the
+    /// (λ−1) connectivity cost ([`crate::connectivity_cost`]) for a
+    /// hypergraph.
     pub edge_cut: u64,
     /// Vertex weight per partition.
     pub part_weights: Vec<u64>,
@@ -114,13 +124,16 @@ impl Partitioning {
     }
 }
 
-/// Partitions `g` into `cfg.k` balanced parts minimizing edge cut.
+/// Partitions `g` — a [`crate::CsrGraph`] or a [`crate::HyperGraph`] — into
+/// `cfg.k` balanced parts minimizing its cost: edge cut for a graph, the
+/// (λ−1) connectivity cost for a hypergraph (stored in the result's
+/// `edge_cut` field either way).
 ///
 /// Runs `cfg.ncuts` independent multilevel passes — concurrently when the
-/// thread budget allows — and returns the best (lowest cut, then lowest
+/// thread budget allows — and returns the best (lowest cost, then lowest
 /// imbalance, then earliest run). Deterministic for a fixed
-/// `(graph, config)` pair regardless of `cfg.threads`.
-pub fn partition(g: &CsrGraph, cfg: &PartitionerConfig) -> Partitioning {
+/// `(structure, config)` pair regardless of `cfg.threads`.
+pub fn partition<G: Incidence>(g: &G, cfg: &PartitionerConfig) -> Partitioning {
     let runs = cfg.ncuts.max(1);
     let pool = Pool::new(schism_par::resolve_threads(cfg.threads));
     // Split the budget: independent runs outside, phase parallelism inside.
@@ -140,19 +153,11 @@ pub fn partition(g: &CsrGraph, cfg: &PartitionerConfig) -> Partitioning {
         partition_once(g, &run_cfg, &inner)
     });
 
-    let mut best: Option<Partitioning> = None;
-    for p in results {
-        let better = match &best {
-            None => true,
-            Some(b) => {
-                (p.edge_cut, p.imbalance().to_bits()) < (b.edge_cut, b.imbalance().to_bits())
-            }
-        };
-        if better {
-            best = Some(p);
-        }
-    }
-    best.expect("at least one run")
+    // `min_by_key` keeps the earliest of equal runs.
+    results
+        .into_iter()
+        .min_by_key(|p| (p.edge_cut, p.imbalance().to_bits()))
+        .expect("at least one run")
 }
 
 /// Refines a partitioning starting from `initial` instead of running the
@@ -160,21 +165,25 @@ pub fn partition(g: &CsrGraph, cfg: &PartitionerConfig) -> Partitioning {
 /// incremental repartitioning (`schism-migrate`).
 ///
 /// This is a V-cycle in the ParMETIS adaptive-repartitioning mold: the
-/// graph is coarsened with *label-respecting* heavy-edge matching (matched
+/// structure is coarsened with *label-respecting* heavy matching (matched
 /// pairs never straddle the seed partitioning, so `initial` projects
 /// exactly onto every level), the seed is rebalanced and refined on the
-/// coarsest graph — where whole co-access clusters are single vertices and
+/// coarsest level — where whole co-access clusters are single vertices and
 /// moving one is a cheap, often positive-gain move — and refinement runs
 /// again at each uncoarsening level. Plain fine-grained refinement cannot
 /// do this: evicting one member of a clique is always negative-gain, so a
 /// drifted workload would leave the seed stuck in its old shape.
 ///
 /// Labels `>= k` are wrapped. Vertices keep their partition unless a
-/// balance or cut-improving move evicts them, which is what bounds data
+/// balance or cost-improving move evicts them, which is what bounds data
 /// movement when the workload changed only incrementally. Parallelized
 /// over `cfg.threads` like the cold path, with the same determinism
 /// contract.
-pub fn partition_warm(g: &CsrGraph, initial: &[u32], cfg: &PartitionerConfig) -> Partitioning {
+pub fn partition_warm<G: Incidence>(
+    g: &G,
+    initial: &[u32],
+    cfg: &PartitionerConfig,
+) -> Partitioning {
     assert!(cfg.k >= 1, "k must be at least 1");
     assert_eq!(
         initial.len(),
@@ -182,7 +191,7 @@ pub fn partition_warm(g: &CsrGraph, initial: &[u32], cfg: &PartitionerConfig) ->
         "initial assignment must cover every vertex"
     );
     let k = cfg.k;
-    let mut labels: Vec<u32> = initial.iter().map(|&p| p % k).collect();
+    let labels: Vec<u32> = initial.iter().map(|&p| p % k).collect();
     if k == 1 || g.num_vertices() == 0 {
         return finish(g, labels, k);
     }
@@ -192,189 +201,177 @@ pub fn partition_warm(g: &CsrGraph, initial: &[u32], cfg: &PartitionerConfig) ->
     // granularity; the second re-coarsens along the *new* labels, letting
     // clusters the first round had to split re-merge and move as a unit
     // (METIS runs repeated V-cycles for the same reason).
-    for _ in 0..2 {
-        labels = warm_vcycle(g, labels, cfg, &mut rng, &pool);
-    }
+    let labels = polish(g, labels, 2, cfg, &mut rng, &pool);
     finish(g, labels, k)
 }
 
-fn warm_vcycle(
-    g: &CsrGraph,
-    mut labels: Vec<u32>,
-    cfg: &PartitionerConfig,
-    rng: &mut StdRng,
-    pool: &Pool,
-) -> Vec<u32> {
-    let k = cfg.k;
-    let total = g.total_vertex_weight();
-    let max_part = max_part_weight(total, k, cfg.epsilon);
-    let max_pair = (max_part / 2).max(1);
-
-    // --- Coarsening, restricted to the seed's label classes. ---
-    // Unlike the cold path there is no vertex-count target: we coarsen
-    // until label-respecting matching stalls, i.e. until every connected
-    // intra-label cluster is (close to) a single vertex. That is the
-    // granularity at which rebalancing a drifted seed is cheap — whole
-    // clusters move without cutting their interior edges.
-    let mut levels: Vec<CoarseLevel> = Vec::new();
-    let mut current: CsrGraph = g.clone();
-    while current.num_vertices() > k as usize {
-        let mate =
-            crate::matching::heavy_edge_matching_labeled(&current, &labels, max_pair, rng, pool);
-        let pairs = matched_pairs(&mate);
-        if (pairs as f64) < 0.02 * current.num_vertices() as f64 {
-            break;
-        }
-        let level = contract(&current, &mate, pool);
-        // Project labels onto the coarse graph: both members of a matched
-        // pair share a label by construction.
-        let mut coarse_labels = vec![0u32; level.graph.num_vertices()];
-        for (v, &cv) in level.map.iter().enumerate() {
-            coarse_labels[cv as usize] = labels[v];
-        }
-        labels = coarse_labels;
-        current = level.graph.clone();
-        levels.push(level);
-        if levels.len() > 64 {
-            break;
-        }
-    }
-
-    // --- Rebalance + refine the seed on the coarsest graph. ---
-    let mut assignment = labels;
-    enforce_balance(&current, &mut assignment, k, max_part, pool);
-    kway_greedy_refine(
-        &current,
-        &mut assignment,
-        k,
-        max_part,
-        cfg.refine_passes,
-        pool,
-    );
-
-    // --- Uncoarsen with refinement, as in the cold path. ---
-    for (idx, level) in levels.iter().enumerate().rev() {
-        let fine_n = level.map.len();
-        let mut fine_assignment = vec![0u32; fine_n];
-        for v in 0..fine_n {
-            fine_assignment[v] = assignment[level.map[v] as usize];
-        }
-        assignment = fine_assignment;
-        let fine_graph: &CsrGraph = if idx == 0 { g } else { &levels[idx - 1].graph };
-        enforce_balance(fine_graph, &mut assignment, k, max_part, pool);
-        kway_greedy_refine(
-            fine_graph,
-            &mut assignment,
-            k,
-            max_part,
-            cfg.refine_passes,
-            pool,
-        );
-    }
-
-    assignment
-}
-
-fn partition_once(g: &CsrGraph, cfg: &PartitionerConfig, pool: &Pool) -> Partitioning {
+fn partition_once<G: Incidence>(g: &G, cfg: &PartitionerConfig, pool: &Pool) -> Partitioning {
     assert!(cfg.k >= 1, "k must be at least 1");
     assert!(cfg.epsilon >= 0.0, "epsilon must be non-negative");
     let n = g.num_vertices();
     let k = cfg.k;
 
     if k == 1 || n == 0 {
-        let assignment = vec![0u32; n];
-        return finish(g, assignment, k);
+        return finish(g, vec![0u32; n], k);
     }
     if (k as usize) >= n {
         // One vertex per partition (extra partitions stay empty).
-        let assignment: Vec<u32> = (0..n as u32).collect();
-        return finish(g, assignment, k);
+        return finish(g, (0..n as u32).collect(), k);
     }
 
     let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let total = g.total_vertex_weight();
-    let max_part = max_part_weight(total, k, cfg.epsilon);
-    // Cap coarse vertices at half a partition's capacity so initial
-    // partitioning always has room to balance.
-    let max_pair = (max_part / 2).max(1);
-
-    // --- Coarsening ---
-    let coarsen_target = cfg.effective_coarsen_target();
-    let mut levels: Vec<CoarseLevel> = Vec::new();
-    let mut current: CsrGraph = g.clone();
-    while current.num_vertices() > coarsen_target {
-        let mate = heavy_edge_matching_capped(&current, max_pair, &mut rng, pool);
-        let pairs = matched_pairs(&mate);
-        // Stop if the graph stops shrinking meaningfully (< 2% reduction).
-        if (pairs as f64) < 0.02 * current.num_vertices() as f64 {
-            break;
-        }
-        let level = contract(&current, &mate, pool);
-        current = level.graph.clone();
-        levels.push(level);
-        if levels.len() > 64 {
-            break; // safety net; cannot trigger with 5% shrink guarantee
-        }
-    }
-
-    // --- Initial partitioning on the coarsest graph ---
-    let mut assignment =
-        recursive_bisection(&current, k, cfg.epsilon, cfg.init_tries, &mut rng, pool);
-    enforce_balance(&current, &mut assignment, k, max_part, pool);
-    kway_greedy_refine(
-        &current,
-        &mut assignment,
-        k,
-        max_part,
-        cfg.refine_passes,
-        pool,
-    );
-
-    // --- Uncoarsening with refinement ---
-    for level in levels.iter().rev() {
-        let fine_n = level.map.len();
-        let mut fine_assignment = vec![0u32; fine_n];
-        for v in 0..fine_n {
-            fine_assignment[v] = assignment[level.map[v] as usize];
-        }
-        assignment = fine_assignment;
-        let fine_graph: &CsrGraph = if std::ptr::eq(level, levels.first().expect("non-empty")) {
-            g
-        } else {
-            // The fine graph of level i is the coarse graph of level i-1.
-            let idx = levels
-                .iter()
-                .position(|l| std::ptr::eq(l, level))
-                .expect("present");
-            &levels[idx - 1].graph
-        };
-        enforce_balance(fine_graph, &mut assignment, k, max_part, pool);
-        kway_greedy_refine(
-            fine_graph,
-            &mut assignment,
-            k,
-            max_part,
-            cfg.refine_passes,
-            pool,
-        );
-    }
-
+    let assignment = vcycle(g, None, cfg, false, &mut rng, pool);
+    // Re-coarsening within the labels just found lets whole co-access
+    // clusters change side as single vertices — where flat boundary moves
+    // alone would leave the cold partition in a worse local minimum.
+    let assignment = polish(g, assignment, G::COLD_VCYCLES, cfg, &mut rng, pool);
     finish(g, assignment, k)
 }
 
-/// `(1 + epsilon) * total / k`, rounded up, with a floor of the heaviest
-/// vertex (a partition must at least be able to hold one vertex).
+/// `vcycles` label-respecting V-cycles, then — for implementations with a
+/// cut-net objective — the final stage under the metric that is the point
+/// (§6.1), the weight of nets left spanning more than one part: one
+/// cut-net-primary V-cycle so whole clusters can switch side for a cut-net
+/// win, then a flat polish to convergence.
+fn polish<G: Incidence>(
+    g: &G,
+    mut labels: Vec<u32>,
+    vcycles: usize,
+    cfg: &PartitionerConfig,
+    rng: &mut StdRng,
+    pool: &Pool,
+) -> Vec<u32> {
+    for _ in 0..vcycles {
+        labels = vcycle(g, Some(labels), cfg, false, rng, pool);
+    }
+    if G::CUT_NET_STAGE {
+        labels = vcycle(g, Some(labels), cfg, true, rng, pool);
+        let max_part = max_part_weight(g.total_vertex_weight(), cfg.k, cfg.epsilon);
+        kway_greedy_refine(
+            g,
+            &mut labels,
+            cfg.k,
+            max_part,
+            cfg.refine_passes,
+            true,
+            pool,
+        );
+    }
+    labels
+}
+
+/// One multilevel V: coarsen, settle the coarsest level, refine back up.
+///
+/// Without `labels` this is the cold descent: coarsen down to the
+/// configured target and seed the coarsest level by recursive bisection.
+/// With `labels` it is the warm V-cycle: matching never crosses a label
+/// boundary, so the labels are the coarsest level's assignment, and there
+/// is no vertex-count target — coarsening runs until label-respecting
+/// matching stalls, i.e. until every connected intra-label cluster is
+/// (close to) a single vertex. That is the granularity at which
+/// rebalancing a drifted seed is cheap — whole clusters move without
+/// cutting their interior.
+fn vcycle<G: Incidence>(
+    g: &G,
+    mut labels: Option<Vec<u32>>,
+    cfg: &PartitionerConfig,
+    cut_primary: bool,
+    rng: &mut StdRng,
+    pool: &Pool,
+) -> Vec<u32> {
+    let k = cfg.k;
+    let max_part = max_part_weight(g.total_vertex_weight(), k, cfg.epsilon);
+    let max_pair = max_pair_weight(max_part);
+    let target = match labels {
+        Some(_) => k as usize,
+        None => cfg.effective_coarsen_target(),
+    };
+
+    // --- Coarsening ---
+    // The finest-so-far level is always borrowed — `g` itself before any
+    // contraction, the last level's structure after — so the chain holds
+    // each level exactly once (at 1e8 accesses the input alone is hundreds
+    // of MiB).
+    let mut levels: Vec<CoarseLevel<G>> = Vec::new();
+    loop {
+        let current = levels.last().map_or(g, |l| &l.graph);
+        if current.num_vertices() <= target {
+            break;
+        }
+        let mate = heavy_matching(current, labels.as_deref(), max_pair, rng, pool);
+        // Stop if the level stops shrinking meaningfully (< 2% reduction).
+        if (matched_pairs(&mate) as f64) < 0.02 * current.num_vertices() as f64 {
+            break;
+        }
+        let level = contract(current, &mate, pool);
+        if let Some(fine) = &mut labels {
+            // Both members of a matched pair share a label by construction.
+            let mut coarse = vec![0u32; level.graph.num_vertices()];
+            for (v, &cv) in level.map.iter().enumerate() {
+                coarse[cv as usize] = fine[v];
+            }
+            *fine = coarse;
+        }
+        levels.push(level);
+        if levels.len() > 64 {
+            break; // safety net; cannot trigger with the 2% shrink floor
+        }
+    }
+    let coarsest = levels.last().map_or(g, |l| &l.graph);
+
+    // --- Coarsest level: seed (cold) or inherit the labels (warm) ---
+    let mut assignment = labels.unwrap_or_else(|| {
+        let seed_graph = coarsest.seed_graph();
+        recursive_bisection(&seed_graph, k, cfg.epsilon, cfg.init_tries, rng, pool)
+    });
+    let settle = |level: &G, assignment: &mut Vec<u32>| {
+        enforce_balance(level, assignment, k, max_part, pool);
+        kway_greedy_refine(
+            level,
+            assignment,
+            k,
+            max_part,
+            cfg.refine_passes,
+            cut_primary,
+            pool,
+        );
+    };
+    settle(coarsest, &mut assignment);
+
+    // --- Uncoarsening with refinement ---
+    for (idx, level) in levels.iter().enumerate().rev() {
+        assignment = level
+            .map
+            .iter()
+            .map(|&cv| assignment[cv as usize])
+            .collect();
+        // The fine side of level i is the coarse side of level i-1.
+        let fine = if idx == 0 { g } else { &levels[idx - 1].graph };
+        settle(fine, &mut assignment);
+    }
+    assignment
+}
+
+/// The balance cap: `(1 + epsilon) * total / k`, rounded up. There is no
+/// heaviest-vertex floor — a vertex heavier than the cap makes its part
+/// overweight, and balance enforcement gives up on it after its bounded
+/// sweeps.
 fn max_part_weight(total: u64, k: u32, epsilon: f64) -> u64 {
     (((total as f64) * (1.0 + epsilon)) / k as f64).ceil() as u64
 }
 
-fn finish(g: &CsrGraph, assignment: Vec<u32>, k: u32) -> Partitioning {
-    let edge_cut = edge_cut(g, &assignment);
-    let part_weights = part_weights(g, &assignment, k);
+/// Cap on a matched pair's weight: half a partition's capacity, so initial
+/// partitioning always has room to balance — and never more than a `u32`
+/// vertex weight can hold, so a coarse level never loses mass.
+fn max_pair_weight(max_part: u64) -> u64 {
+    (max_part / 2).clamp(1, u32::MAX as u64)
+}
+
+fn finish<G: Incidence>(g: &G, assignment: Vec<u32>, k: u32) -> Partitioning {
     Partitioning {
+        edge_cut: g.cost(&assignment),
+        part_weights: part_weights(g, &assignment, k),
         assignment,
-        edge_cut,
-        part_weights,
         k,
     }
 }
@@ -550,6 +547,45 @@ mod tests {
         let initial = vec![7u32, 8, 9, 10, 11, 12];
         let p = partition_warm(&g, &initial, &PartitionerConfig::with_k(2));
         assert!(p.assignment.iter().all(|&a| a < 2));
+    }
+
+    #[test]
+    fn coarse_levels_keep_their_mass_under_data_size_weights() {
+        // 64 path vertices of weight 2^30 (NodeWeight::DataSize scale): half
+        // a part's capacity is ~2^34, so without the u32 clamp on pair
+        // weights the third level would build 2^32-weight vertices, which a
+        // u32 vertex weight cannot hold — the level would lose mass and
+        // balance would be enforced against the wrong total.
+        let mut b = crate::builder::GraphBuilder::new(64);
+        for i in 0..63u32 {
+            b.add_edge(i, i + 1, 1);
+        }
+        for i in 0..64u32 {
+            b.set_vertex_weight(i, 1 << 30);
+        }
+        let g = b.build();
+        let total = g.total_vertex_weight();
+        assert_eq!(total, 64 << 30);
+
+        // The driver's coarsening loop, level by level.
+        let pool = Pool::new(1);
+        let mut rng = StdRng::seed_from_u64(0);
+        let max_pair = max_pair_weight(max_part_weight(total, 2, 0.05));
+        let mut current = g.clone();
+        for _ in 0..8 {
+            let mate = heavy_matching(&current, None, max_pair, &mut rng, &pool);
+            current = contract(&current, &mate, &pool).graph;
+            assert_eq!(current.total_vertex_weight(), total, "a level lost mass");
+        }
+        assert!(
+            current.num_vertices() <= 32,
+            "pairs up to u32::MAX must still form"
+        );
+
+        let p = partition(&g, &PartitionerConfig::with_k(2));
+        assert_eq!(p.part_weights.iter().sum::<u64>(), total);
+        let cap = max_part_weight(total, 2, 0.05);
+        assert!(p.part_weights.iter().all(|&w| w <= cap), "{p:?}");
     }
 
     #[test]

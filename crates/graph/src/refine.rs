@@ -7,19 +7,29 @@
 //!   the move sequence is kept). Used on the coarsest graph where quality
 //!   matters most; stays sequential (it runs on thousands of vertices).
 //! - [`kway_greedy_refine`] + [`enforce_balance`]: the greedy boundary
-//!   k-way refinement used at every uncoarsening step, as in k-way METIS.
+//!   k-way refinement used at every uncoarsening step, as in k-way METIS —
+//!   generic over the `Incidence` being partitioned.
 //!
-//! The k-way refiners are parallelized as **scan/apply passes**: the O(E)
+//! The k-way refiners are parallelized as **scan/apply passes**: the
 //! boundary scan — finding movable vertices and their gains — runs over
 //! vertex chunks against the frozen pass-start state (a pure function, so
 //! chunking cannot change it), and only the *conflict set* (the candidate
-//! moves, a small fraction of the graph) is serialized: candidates are
+//! moves, a small fraction of the vertices) is serialized: candidates are
 //! ordered by a deterministic key and re-validated one at a time against
 //! the live assignment before applying. Results are therefore bit-identical
 //! for every pool size.
+//!
+//! Both weigh a move through `Incidence::pull`: the vertex's attraction
+//! `toward` every other part and to `stay` where it is. On a plain graph
+//! that is the edge weight into each part and the gain `toward[p] − stay`
+//! is the edge-cut reduction; on a hypergraph it is the weight of nets
+//! already spanning the part, and the same difference is the (λ−1)
+//! connectivity reduction — moving the last pin out of a part stops the net
+//! spanning it; moving into a part the net doesn't touch extends it.
 
 use crate::csr::{CsrGraph, NodeId};
-use crate::metrics::edge_cut;
+use crate::incidence::{Incidence, MoveScratch};
+use crate::metrics::{edge_cut, part_weights};
 use schism_par::{chunk_size, Pool};
 use std::collections::BinaryHeap;
 
@@ -149,62 +159,57 @@ pub fn fm_bisection(
 
 /// A candidate move weighed against a (frozen or live) state: the gain and
 /// destination of `v`'s best admissible move, or `None` for interior /
-/// immovable vertices. `conn` is a zeroed k-sized scratch buffer that is
-/// re-zeroed (via the touched list) before returning, so callers can reuse
-/// it across vertices without O(k) resets.
-fn weigh_move(
-    g: &CsrGraph,
+/// immovable vertices.
+///
+/// Two objectives rank a move to `p`: the connectivity gain `toward[p] −
+/// stay` and the cut-net gain `uncut[p] − interior` (nets un-cut minus nets
+/// newly cut — exactly the change in distributed transactions; always zero
+/// on a plain graph). `cut_primary` picks which one leads; the other breaks
+/// ties, so the refiner keeps lowering the distributed fraction on
+/// connectivity plateaus.
+fn weigh_move<G: Incidence>(
+    g: &G,
     assignment: &[u32],
     weights: &[u64],
     max_part_weight: u64,
     v: NodeId,
-    conn: &mut [u64],
-    touched: &mut Vec<u32>,
+    s: &mut MoveScratch,
+    cut_primary: bool,
 ) -> Option<(i64, u32)> {
-    let own = assignment[v as usize];
-    touched.clear();
-    for (u, w) in g.edges(v) {
-        let p = assignment[u as usize];
-        if conn[p as usize] == 0 {
-            touched.push(p);
+    let own = assignment[v as usize] as usize;
+    let (stay, interior) = g.pull(assignment, v, s);
+    let vw = g.vertex_weight(v) as u64;
+    let mut best: Option<(i64, i64, u32)> = None;
+    for &p in &s.touched {
+        let conn_gain = s.toward[p as usize] as i64 - stay;
+        let cut_gain = s.uncut[p as usize] as i64 - interior;
+        let (gain, tie) = if cut_primary {
+            (cut_gain, conn_gain)
+        } else {
+            (conn_gain, cut_gain)
+        };
+        let landing = weights[p as usize] + vw;
+        let fits = landing <= max_part_weight;
+        let improves_balance = landing < weights[own];
+        let rebalances = weights[own] > max_part_weight && improves_balance;
+        if !(fits || rebalances) {
+            continue;
         }
-        conn[p as usize] += w as u64;
+        // Zero-gain moves must not pay the secondary objective for balance:
+        // balance is already capped by epsilon, the objectives are not.
+        let take = gain > 0 || (gain == 0 && (tie > 0 || (tie == 0 && improves_balance)));
+        // Best objective pair wins; equal pairs go to the lighter part.
+        if take
+            && best.is_none_or(|(bg, bt, bp)| {
+                (gain, tie) > (bg, bt)
+                    || ((gain, tie) == (bg, bt) && weights[p as usize] < weights[bp as usize])
+            })
+        {
+            best = Some((gain, tie, p));
+        }
     }
-    let result = (|| {
-        if touched.len() <= 1 && touched.first() == Some(&own) {
-            return None; // interior vertex
-        }
-        let own_conn = conn[own as usize];
-        let vw = g.vertex_weight(v) as u64;
-        let mut best: Option<(i64, u32)> = None;
-        for &p in touched.iter() {
-            if p == own {
-                continue;
-            }
-            let gain = conn[p as usize] as i64 - own_conn as i64;
-            let fits = weights[p as usize] + vw <= max_part_weight;
-            let rebalances = weights[own as usize] > max_part_weight
-                && weights[p as usize] + vw < weights[own as usize];
-            if !(fits || rebalances) {
-                continue;
-            }
-            let improves_balance = weights[p as usize] + vw < weights[own as usize];
-            let take = gain > 0 || (gain == 0 && improves_balance);
-            if take {
-                match best {
-                    Some((bg, bp))
-                        if bg > gain
-                            || (bg == gain && weights[bp as usize] <= weights[p as usize]) => {}
-                    _ => best = Some((gain, p)),
-                }
-            }
-        }
-        best
-    })();
-    for &p in touched.iter() {
-        conn[p as usize] = 0;
-    }
-    result
+    s.reset();
+    best.map(|(gain, _, p)| (gain, p))
 }
 
 /// Greedy k-way boundary refinement (the METIS "greedy refinement" variant),
@@ -212,51 +217,60 @@ fn weigh_move(
 ///
 /// Each pass first scans every vertex **in parallel** against the frozen
 /// pass-start state, collecting candidate moves with positive gain (or
-/// zero gain that improves balance). The candidates — the conflict set —
-/// are then ordered deterministically (largest frozen gain first, vertex id
-/// as tie-break) and re-validated sequentially against the live assignment
-/// before applying, so stale gains never corrupt the cut and the result is
-/// independent of the pool size. Returns the number of moves performed.
-pub fn kway_greedy_refine(
-    g: &CsrGraph,
+/// zero gain that improves the secondary objective or balance). The
+/// candidates — the conflict set — are then ordered deterministically
+/// (largest frozen gain first, vertex id as tie-break) and re-validated
+/// sequentially against the live assignment before applying, so stale gains
+/// never corrupt the objective and the result is independent of the pool
+/// size. Returns the number of moves performed.
+///
+/// With `cut_primary` the **cut-net metric leads** — the weight of nets
+/// spanning more than one part, i.e. exactly the distributed transactions
+/// the placement produces (the paper's §6.1 metric). Minimizing Σ(λ−1)
+/// alone happily trades one 3-way transaction for two 2-way ones; a
+/// cut-primary pass undoes such trades when they don't pay, accepting a
+/// (λ−1) regression only for a strict cut-net win.
+pub fn kway_greedy_refine<G: Incidence>(
+    g: &G,
     assignment: &mut [u32],
     k: u32,
     max_part_weight: u64,
     passes: usize,
+    cut_primary: bool,
     pool: &Pool,
 ) -> usize {
     let n = g.num_vertices();
     let kk = k as usize;
-    let mut weights = vec![0u64; kk];
-    for v in 0..n {
-        weights[assignment[v] as usize] += g.vertex_weight(v as NodeId) as u64;
-    }
-
+    let mut weights = part_weights(g, assignment, k);
     let chunk = chunk_size(n, pool.threads());
+    let mut live = MoveScratch::new(kk);
     let mut total_moves = 0usize;
 
     for _pass in 0..passes {
         // --- Scan (parallel, frozen state): the boundary + its gains. ---
         let frozen_assignment: &[u32] = assignment;
         let frozen_weights: &[u64] = &weights;
-        let candidates: Vec<Vec<(i64, NodeId)>> = pool.scope_chunks(n, chunk, |range| {
-            let mut conn = vec![0u64; kk];
-            let mut touched: Vec<u32> = Vec::with_capacity(16);
-            range
-                .filter_map(|v| {
-                    weigh_move(
-                        g,
-                        frozen_assignment,
-                        frozen_weights,
-                        max_part_weight,
-                        v as NodeId,
-                        &mut conn,
-                        &mut touched,
-                    )
-                    .map(|(gain, _)| (gain, v as NodeId))
-                })
-                .collect()
-        });
+        let candidates: Vec<Vec<(i64, NodeId)>> = pool.scope_chunks_with(
+            n,
+            chunk,
+            || MoveScratch::new(kk),
+            |s, range| {
+                range
+                    .filter_map(|v| {
+                        weigh_move(
+                            g,
+                            frozen_assignment,
+                            frozen_weights,
+                            max_part_weight,
+                            v as NodeId,
+                            s,
+                            cut_primary,
+                        )
+                        .map(|(gain, _)| (gain, v as NodeId))
+                    })
+                    .collect()
+            },
+        );
         let mut cands: Vec<(i64, NodeId)> = candidates.into_iter().flatten().collect();
         if cands.is_empty() {
             break;
@@ -266,8 +280,6 @@ pub fn kway_greedy_refine(
         cands.sort_unstable_by_key(|&(gain, v)| (std::cmp::Reverse(gain), v));
 
         // --- Apply (sequential): re-validate each candidate live. ---
-        let mut conn = vec![0u64; kk];
-        let mut touched: Vec<u32> = Vec::with_capacity(16);
         let mut moves = 0usize;
         for (_, v) in cands {
             let Some((_, p)) = weigh_move(
@@ -276,8 +288,8 @@ pub fn kway_greedy_refine(
                 &weights,
                 max_part_weight,
                 v,
-                &mut conn,
-                &mut touched,
+                &mut live,
+                cut_primary,
             ) else {
                 continue;
             };
@@ -298,20 +310,20 @@ pub fn kway_greedy_refine(
 
 /// Forces every partition under `max_part_weight` (if at all possible) by
 /// evicting vertices from overweight partitions into feasible destinations,
-/// **cheapest cut damage first**: each sweep scores every vertex of an
-/// overweight partition by the cut delta of its best move
-/// (`edges-to-own − edges-to-destination`) and evicts in ascending order.
-/// An interior vertex of a co-access cluster is therefore never chosen
-/// while a whole contracted cluster (delta 0) is available — which is what
-/// keeps warm-started repartitioning from shredding cliques the refiner
-/// can never reassemble. [`kway_greedy_refine`] runs afterwards to repair
-/// what damage was unavoidable.
+/// **cheapest damage first**: each sweep scores every vertex of an
+/// overweight partition by the objective delta of its best unconstrained
+/// move (`stay − max toward`) and evicts in ascending order. An interior
+/// vertex of a co-access cluster is therefore never chosen while a whole
+/// contracted cluster (delta 0) is available — which is what keeps
+/// warm-started repartitioning from shredding cliques the refiner can never
+/// reassemble. [`kway_greedy_refine`] runs afterwards to repair what damage
+/// was unavoidable.
 ///
-/// The scoring sweep — the O(E) part — runs in parallel over vertex
-/// chunks; candidates come back in vertex order regardless of pool size,
-/// and the eviction loop (sorted, re-validated per move) stays sequential.
-pub fn enforce_balance(
-    g: &CsrGraph,
+/// The scoring sweep runs in parallel over vertex chunks; candidates come
+/// back in vertex order regardless of pool size, and the eviction loop
+/// (sorted, re-validated per move) stays sequential.
+pub fn enforce_balance<G: Incidence>(
+    g: &G,
     assignment: &mut [u32],
     k: u32,
     max_part_weight: u64,
@@ -319,15 +331,9 @@ pub fn enforce_balance(
 ) {
     let n = g.num_vertices();
     let kk = k as usize;
-    let mut weights = vec![0u64; kk];
-    for v in 0..n {
-        weights[assignment[v] as usize] += g.vertex_weight(v as NodeId) as u64;
-    }
-    if !weights.iter().any(|&w| w > max_part_weight) {
-        return;
-    }
+    let mut weights = part_weights(g, assignment, k);
     let chunk = chunk_size(n, pool.threads());
-    let mut conn = vec![0u64; kk];
+    let mut live = MoveScratch::new(kk);
     // Bounded sweeps: stale scores self-correct next sweep, and the bound
     // avoids thrashing on impossible instances (e.g. one vertex heavier
     // than the cap).
@@ -335,34 +341,29 @@ pub fn enforce_balance(
         if !weights.iter().any(|&w| w > max_part_weight) {
             break;
         }
-        // Score every vertex of an overweight partition: (delta, v) with
-        // delta = conn(own) - best conn among all other partitions. The
-        // destination is re-chosen at move time against fresh weights.
+        // Score every vertex of an overweight partition. The destination is
+        // re-chosen at move time against fresh weights.
         let frozen_assignment: &[u32] = assignment;
         let frozen_weights: &[u64] = &weights;
-        let scored: Vec<Vec<(i64, NodeId)>> = pool.scope_chunks(n, chunk, |range| {
-            let mut conn = vec![0u64; kk];
-            range
-                .filter_map(|v| {
-                    let own = frozen_assignment[v] as usize;
-                    if frozen_weights[own] <= max_part_weight {
-                        return None;
-                    }
-                    conn.iter_mut().for_each(|c| *c = 0);
-                    for (u, w) in g.edges(v as NodeId) {
-                        conn[frozen_assignment[u as usize] as usize] += w as u64;
-                    }
-                    let best_other = conn
-                        .iter()
-                        .enumerate()
-                        .filter(|&(p, _)| p != own)
-                        .map(|(_, &c)| c)
-                        .max()
-                        .unwrap_or(0);
-                    Some((conn[own] as i64 - best_other as i64, v as NodeId))
-                })
-                .collect()
-        });
+        let scored: Vec<Vec<(i64, NodeId)>> = pool.scope_chunks_with(
+            n,
+            chunk,
+            || MoveScratch::new(kk),
+            |s, range| {
+                range
+                    .filter_map(|v| {
+                        let own = frozen_assignment[v] as usize;
+                        if frozen_weights[own] <= max_part_weight {
+                            return None;
+                        }
+                        let (stay, _) = g.pull(frozen_assignment, v as NodeId, s);
+                        let best_other = s.touched.iter().map(|&p| s.toward[p as usize]).max();
+                        s.reset();
+                        Some((stay - best_other.unwrap_or(0) as i64, v as NodeId))
+                    })
+                    .collect()
+            },
+        );
         let mut cands: Vec<(i64, NodeId)> = scored.into_iter().flatten().collect();
         if cands.is_empty() {
             break;
@@ -376,17 +377,14 @@ pub fn enforce_balance(
                 continue; // partition already fixed this sweep
             }
             let vw = g.vertex_weight(v) as u64;
-            conn.iter_mut().for_each(|c| *c = 0);
-            for (u, w) in g.edges(v) {
-                conn[assignment[u as usize] as usize] += w as u64;
-            }
-            // Feasible destination with the most connectivity; break ties
+            g.pull(assignment, v, &mut live);
+            // Feasible destination with the strongest pull; break ties
             // toward the lightest load.
-            if let Some((p, _)) = (0..kk)
+            let dest = (0..kk)
                 .filter(|&p| p != own && weights[p] + vw <= max_part_weight)
-                .map(|p| (p, (conn[p], std::cmp::Reverse(weights[p]))))
-                .max_by_key(|&(_, key)| key)
-            {
+                .max_by_key(|&p| (live.toward[p], std::cmp::Reverse(weights[p])));
+            live.reset();
+            if let Some(p) = dest {
                 weights[own] -= vw;
                 weights[p] += vw;
                 assignment[v as usize] = p as u32;
@@ -403,7 +401,7 @@ pub fn enforce_balance(
 mod tests {
     use super::*;
     use crate::gen;
-    use crate::metrics::{edge_cut, imbalance, part_weights};
+    use crate::metrics::imbalance;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -432,7 +430,7 @@ mod tests {
         let mut assign: Vec<u32> = (0..g.num_vertices()).map(|_| rng.gen_range(0..4)).collect();
         let before = edge_cut(&g, &assign);
         let cap = (g.total_vertex_weight() as f64 * 1.05 / 4.0).ceil() as u64;
-        kway_greedy_refine(&g, &mut assign, 4, cap, 10, &Pool::new(1));
+        kway_greedy_refine(&g, &mut assign, 4, cap, 10, false, &Pool::new(1));
         let after = edge_cut(&g, &assign);
         assert!(after < before, "refinement failed: {before} -> {after}");
         let w = part_weights(&g, &assign, 4);
@@ -448,7 +446,7 @@ mod tests {
         let cap = (g.total_vertex_weight() as f64 * 1.05 / 4.0).ceil() as u64;
         let run = |threads: usize| {
             let mut a = start.clone();
-            kway_greedy_refine(&g, &mut a, 4, cap, 10, &Pool::new(threads));
+            kway_greedy_refine(&g, &mut a, 4, cap, 10, false, &Pool::new(threads));
             a
         };
         let base = run(1);

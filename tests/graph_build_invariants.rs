@@ -6,9 +6,8 @@
 //! - `BuildStats` bookkeeping (`sampled_txns`, `dropped_scans`) and the
 //!   whole graph are identical between chunked (streaming-source) and
 //!   whole-trace ingestion, for any sampling rate and seed;
-//! - the sharded pass-1 merge (`SchismConfig::merge_shards`) is invisible
-//!   in the output: every shard count × thread count × ingestion path
-//!   digests identically to the single-map merge.
+//! - the sharded pass-1 merge is invisible in the output: every shard
+//!   count (4× the thread count) × ingestion path digests identically.
 
 use proptest::prelude::*;
 use schism_core::{build_graph, build_graph_source, GraphBackend, SchismConfig};
@@ -164,20 +163,17 @@ proptest! {
         prop_assert_eq!(cs, hs);
     }
 
-    /// The sharded pass-1 merge is a pure wall-clock knob: for any shard
-    /// count (including the auto default) and any thread count, both
-    /// ingestion paths build the bit-identical graph the single-map merge
-    /// (`merge_shards = 1`) builds — with sampling and coalescing on, so
-    /// the merge is exercised on every `TupleStats` field it folds.
+    /// The sharded pass-1 merge is invisible in the output: the builder
+    /// shards 4× its thread count, so threads 1/2/3/4 merge through
+    /// 4/8/12/16 shards — even and uneven counts — and both ingestion paths
+    /// must build the bit-identical graph at each, with sampling and
+    /// coalescing on so the merge is exercised on every `TupleStats` field
+    /// it folds.
     #[test]
-    fn sharded_merge_is_bit_identical_to_single_map(
-        shards_idx in 0..4usize,
-        threads in 1..=4usize,
+    fn sharded_merge_is_bit_identical_across_shard_counts(
         txn_pct in 50..=100u32,
         seed in 0..20u64,
     ) {
-        // 0 = the auto default (4x threads); the rest stress uneven counts.
-        let merge_shards = [0usize, 2, 3, 16][shards_idx];
         let dcfg = DriftingConfig {
             num_txns: 600,
             seed,
@@ -186,26 +182,29 @@ proptest! {
         let w = drifting::generate(&dcfg);
         let src = drifting::stream(&dcfg);
 
-        let mut single = SchismConfig::new(2);
-        single.seed = seed;
-        single.threads = 1;
-        single.merge_shards = 1;
-        single.txn_sample = f64::from(txn_pct) / 100.0;
-        let reference = build_graph_source(&w, &src, &single);
-
-        let mut sharded = single.clone();
-        sharded.threads = threads;
-        sharded.merge_shards = merge_shards;
-        let chunked = build_graph_source(&w, &src, &sharded);
-        let whole = build_graph(&w, &src.materialize(), &sharded);
-        prop_assert_eq!(chunked.stats, reference.stats);
+        let mut cfg = SchismConfig::new(2);
+        cfg.seed = seed;
+        cfg.threads = 1;
+        cfg.txn_sample = f64::from(txn_pct) / 100.0;
+        let reference = build_graph_source(&w, &src, &cfg);
         prop_assert_eq!(
-            chunked.digest(),
-            reference.digest(),
-            "merge_shards={} threads={} changed the graph vs the single-map merge",
-            merge_shards,
-            threads
+            build_graph(&w, &src.materialize(), &cfg).digest(),
+            reference.digest()
         );
-        prop_assert_eq!(whole.digest(), reference.digest());
+
+        for threads in 2..=4usize {
+            cfg.threads = threads;
+            let chunked = build_graph_source(&w, &src, &cfg);
+            let whole = build_graph(&w, &src.materialize(), &cfg);
+            prop_assert_eq!(chunked.stats, reference.stats);
+            prop_assert_eq!(
+                chunked.digest(),
+                reference.digest(),
+                "threads={} ({} merge shards) changed the graph",
+                threads,
+                4 * threads
+            );
+            prop_assert_eq!(whole.digest(), reference.digest());
+        }
     }
 }

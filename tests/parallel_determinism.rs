@@ -12,25 +12,16 @@ use schism_core::{
     build_graph, build_graph_source, run_partition_phase, run_partition_phase_warm, GraphBackend,
     SchismConfig,
 };
-use schism_graph::{gen, partition, partition_warm, PartitionerConfig, Partitioning};
+use schism_graph::{
+    gen, partition, partition_warm, HyperGraph, HyperGraphBuilder, PartitionerConfig, Partitioning,
+};
 use schism_workload::drifting::{self, DriftingConfig};
 use schism_workload::tpcc::{self, TpccConfig};
 use schism_workload::ycsb::{self, YcsbConfig};
 use schism_workload::TraceSource;
+use schism_workload::Workload;
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 4];
-
-fn cold(g: &schism_graph::CsrGraph, k: u32, seed: u64, threads: usize) -> Partitioning {
-    partition(
-        g,
-        &PartitionerConfig {
-            k,
-            seed,
-            threads,
-            ..Default::default()
-        },
-    )
-}
 
 fn assert_identical(name: &str, runs: &[Partitioning]) {
     let base = &runs[0];
@@ -42,11 +33,104 @@ fn assert_identical(name: &str, runs: &[Partitioning]) {
         );
         assert_eq!(
             p.edge_cut, base.edge_cut,
-            "{name}: threads={} changed the cut",
+            "{name}: threads={} changed the cost",
             THREAD_COUNTS[i]
         );
         assert_eq!(p.part_weights, base.part_weights);
     }
+}
+
+/// Cold runs at every thread count, then warm runs seeded from the cold
+/// result (as the incremental path does), for either representation: `cold`
+/// and `warm` are `partition` / `partition_warm` at the caller's type.
+/// Returns the cold result.
+fn cold_and_warm_identical<G>(
+    name: &str,
+    g: &G,
+    k: u32,
+    seed: u64,
+    cold: impl Fn(&G, &PartitionerConfig) -> Partitioning,
+    warm: impl Fn(&G, &[u32], &PartitionerConfig) -> Partitioning,
+) -> Partitioning {
+    let cfg = |threads: usize| PartitionerConfig {
+        k,
+        seed,
+        threads,
+        ..Default::default()
+    };
+    let mut cold_runs: Vec<Partitioning> =
+        THREAD_COUNTS.iter().map(|&t| cold(g, &cfg(t))).collect();
+    assert_identical(&format!("{name} (cold)"), &cold_runs);
+    let base = cold_runs.swap_remove(0);
+    let warm_runs: Vec<Partitioning> = THREAD_COUNTS
+        .iter()
+        .map(|&t| warm(g, &base.assignment, &cfg(t)))
+        .collect();
+    assert_identical(&format!("{name} (warm)"), &warm_runs);
+    base
+}
+
+/// Two clusters of `size` vertices each: every consecutive triple inside a
+/// cluster is a net of weight 5, plus one 2-pin bridge net of weight 1.
+fn two_hyper_clusters(size: usize) -> HyperGraph {
+    let mut b = HyperGraphBuilder::new(2 * size);
+    for base in [0, size] {
+        for i in 0..size - 2 {
+            let v = (base + i) as u32;
+            b.add_net(&[v, v + 1, v + 2], 5);
+        }
+    }
+    b.add_net(&[(size - 1) as u32, size as u32], 1);
+    b.build()
+}
+
+/// Six loose clusters of weighted vertices under mostly small nets, plus
+/// nets wide enough to cross every pin cap of the hypergraph path (90 pins:
+/// skipped by match scoring, expanded as a path; 600 pins: also neutral in
+/// gain evaluation).
+fn wide_net_hypergraph() -> HyperGraph {
+    let n = 1_500u64;
+    let mut b = HyperGraphBuilder::new(n as usize);
+    let mut state = 17u64;
+    let mut next = move || {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        state >> 33
+    };
+    for i in 0..2_500u64 {
+        let len = match i % 400 {
+            0 => 600,
+            1..=4 => 90,
+            _ => 2 + next() % 6,
+        };
+        let home = next() % 6;
+        let pins: Vec<u32> = (0..len)
+            .map(|_| {
+                let local = next() % (n / 6);
+                let c = if next() % 10 == 0 { next() % 6 } else { home };
+                (c * (n / 6) + local) as u32
+            })
+            .collect();
+        b.add_net(&pins, 1 + (next() % 7) as u32);
+    }
+    for v in 0..n as u32 {
+        b.set_vertex_weight(v, 1 + v % 5);
+    }
+    b.build()
+}
+
+fn small_tpcc() -> Workload {
+    tpcc::generate(&TpccConfig {
+        num_txns: 4_000,
+        ..TpccConfig::small(2)
+    })
+}
+
+fn hypergraph_config(k: u32) -> SchismConfig {
+    let mut c = SchismConfig::new(k);
+    c.graph_backend = GraphBackend::Hypergraph;
+    c
 }
 
 #[test]
@@ -57,28 +141,15 @@ fn generated_graphs_cold_and_warm() {
         ("two_cliques", gen::two_cliques(24, 1)),
     ];
     for (name, g) in &graphs {
-        let cold_runs: Vec<Partitioning> =
-            THREAD_COUNTS.iter().map(|&t| cold(g, 4, 9, t)).collect();
-        assert_identical(&format!("{name} (cold)"), &cold_runs);
-
-        // Warm-start from the cold result, as the incremental path does.
-        let seed_labels = &cold_runs[0].assignment;
-        let warm_runs: Vec<Partitioning> = THREAD_COUNTS
-            .iter()
-            .map(|&t| {
-                partition_warm(
-                    g,
-                    seed_labels,
-                    &PartitionerConfig {
-                        k: 4,
-                        seed: 9,
-                        threads: t,
-                        ..Default::default()
-                    },
-                )
-            })
-            .collect();
-        assert_identical(&format!("{name} (warm)"), &warm_runs);
+        cold_and_warm_identical(name, g, 4, 9, partition, partition_warm);
+    }
+    let hypergraphs = [
+        ("two_hyper_clusters", two_hyper_clusters(200)),
+        ("wide nets", wide_net_hypergraph()),
+    ];
+    for (name, hg) in &hypergraphs {
+        hg.validate().unwrap();
+        cold_and_warm_identical(name, hg, 4, 9, partition, partition_warm);
     }
 }
 
@@ -86,45 +157,157 @@ fn generated_graphs_cold_and_warm() {
 fn tpcc_builder_graph() {
     // The real thing: the workload graph the pipeline builds from a TPC-C
     // trace (clique edges, replication stars, coalesced groups) — exactly
-    // the graph family `fig5_partitioner_scaling` times.
-    let w = tpcc::generate(&TpccConfig {
-        num_txns: 4_000,
-        ..TpccConfig::small(2)
-    });
-    let cfg = SchismConfig::new(4);
-    let wg = build_graph(&w, &w.trace, &cfg);
-    let runs: Vec<Partitioning> = THREAD_COUNTS
-        .iter()
-        .map(|&t| cold(&wg.graph, 4, 3, t))
-        .collect();
-    assert_identical("tpcc builder graph", &runs);
-    assert!(runs[0].edge_cut > 0, "sanity: non-trivial graph");
+    // the graph family `fig5_partitioner_scaling` times. (The TPC-C
+    // hypergraph rides `hypergraph_backend_identical_across_threads_and_ingestion`.)
+    let w = small_tpcc();
+    let wg = build_graph(&w, &w.trace, &SchismConfig::new(4));
+    let p = cold_and_warm_identical("tpcc clique", &wg.graph, 4, 3, partition, partition_warm);
+    assert!(p.edge_cut > 0, "sanity: non-trivial graph");
 }
 
-/// Graph-build half of the contract, mirroring the partitioner's: the
-/// workload graph is bit-identical at threads 1/2/4, and streaming a
-/// generator source chunk by chunk equals building from its materialized
-/// whole trace.
+/// FNV-1a over labels, cost and part weights.
+fn digest(p: &Partitioning) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut eat = |x: u64| {
+        for b in x.to_le_bytes() {
+            h ^= b as u64;
+            h = h.wrapping_mul(0x0100_0000_01b3);
+        }
+    };
+    p.assignment.iter().for_each(|&a| eat(a as u64));
+    eat(p.edge_cut);
+    p.part_weights.iter().for_each(|&w| eat(w));
+    h
+}
+
+/// Digests of a cold run and of warm runs from three seeds: the cold labels
+/// (a near-fixpoint), 5-vertex stripes (a bad cut) and everything on part 0
+/// (balance eviction does the work).
+fn golden_row<G>(
+    g: &G,
+    n: usize,
+    k: u32,
+    seed: u64,
+    cold: impl Fn(&G, &PartitionerConfig) -> Partitioning,
+    warm: impl Fn(&G, &[u32], &PartitionerConfig) -> Partitioning,
+) -> [u64; 4] {
+    let cfg = PartitionerConfig {
+        k,
+        seed,
+        ..Default::default()
+    };
+    let c = cold(g, &cfg);
+    let stripes: Vec<u32> = (0..n).map(|v| (v / 5) as u32 % k).collect();
+    [
+        digest(&c),
+        digest(&warm(g, &c.assignment, &cfg)),
+        digest(&warm(g, &stripes, &cfg)),
+        digest(&warm(g, &vec![0; n], &cfg)),
+    ]
+}
+
+/// Same-seed output, bit for bit, as recorded before the clique and
+/// hypergraph pipelines were folded onto one driver (PR 12). A change that
+/// is meant to alter partitions re-records these; one that is not must
+/// leave them alone.
 #[test]
-fn build_graph_identical_across_threads_and_ingestion() {
-    let mk = |threads: usize| {
-        let mut c = SchismConfig::new(4);
-        c.seed = 11;
-        c.threads = threads;
-        c
+fn same_seed_output_matches_golden_digests() {
+    let check = |name: &str, got: [u64; 4], want: [u64; 4]| {
+        let hex = |r: [u64; 4]| r.map(|d| format!("{d:#018x}")).join(", ");
+        assert_eq!(
+            got,
+            want,
+            "{name}: [cold, warm, warm-stripes, warm-zeros] = [{}]",
+            hex(got)
+        );
     };
 
-    // Generated (YCSB-E: scans exercise the blanket filter), TPC-C (cliques,
-    // stars, coalesced groups), and drifting (hot-block clusters) traces.
+    let g = gen::planted_partition(4, 150, 1200, 90, 21);
+    check(
+        "planted",
+        golden_row(&g, g.num_vertices(), 4, 9, partition, partition_warm),
+        [
+            0x72001ebc2a90209f,
+            0x72001ebc2a90209f,
+            0xb1e15427e081409f,
+            0xb1e15427e081409f,
+        ],
+    );
+    let g = gen::grid(24, 24);
+    check(
+        "grid",
+        golden_row(&g, g.num_vertices(), 4, 9, partition, partition_warm),
+        [
+            0x62c786a74b7a24ad,
+            0xe59291bbbc48b9f6,
+            0x0685386231112fef,
+            0xa4e4df690b309014,
+        ],
+    );
+    let w = small_tpcc();
+    let wg = build_graph(&w, &w.trace, &SchismConfig::new(4));
+    let g = &wg.graph;
+    check(
+        "tpcc clique",
+        golden_row(g, g.num_vertices(), 4, 3, partition, partition_warm),
+        [
+            0xb6e8d87eb8b4fd5c,
+            0xb69353a6e4247d5c,
+            0x6525f3ee09825421,
+            0x884df98e0c1391da,
+        ],
+    );
+    let wg = build_graph(&w, &w.trace, &hypergraph_config(4));
+    let hg = wg.hgraph.as_ref().expect("hypergraph built");
+    check(
+        "tpcc hypergraph",
+        golden_row(hg, hg.num_vertices(), 4, 3, partition, partition_warm),
+        [
+            0x4da1a58d967f2dc8,
+            0x9c4490c05c926aef,
+            0x26c0228e477ae808,
+            0xd0f0b78b0a7097ec,
+        ],
+    );
+    let hg = two_hyper_clusters(200);
+    check(
+        "two_hyper_clusters",
+        golden_row(&hg, hg.num_vertices(), 4, 9, partition, partition_warm),
+        [
+            0x42e2353a2945b8b0,
+            0x42e2353a2945b8b0,
+            0xb3851b112daab702,
+            0xb1d6958c15abd2d5,
+        ],
+    );
+    let hg = wide_net_hypergraph();
+    check(
+        "wide nets",
+        golden_row(&hg, hg.num_vertices(), 6, 5, partition, partition_warm),
+        [
+            0xf5944343a24946e0,
+            0xf5944343a24946e0,
+            0x0d0d81d47fc15296,
+            0xaa6ac5ae403a46ea,
+        ],
+    );
+}
+
+/// Graph-build half of the contract, mirroring the partitioner's, for the
+/// backend `mk` selects: the built representation, its digest and
+/// `BuildStats` are bit-identical at threads 1/2/4, and streaming a
+/// generator source chunk by chunk equals building from its materialized
+/// whole trace.
+fn build_identical_across_threads_and_ingestion(mk: impl Fn(usize) -> SchismConfig) {
+    // Generated (YCSB-E: scans exercise the blanket filter), TPC-C (cliques
+    // or nets, stars, coalesced groups), and drifting (hot-block clusters)
+    // traces.
     let ycsb_w = ycsb::generate(&YcsbConfig {
         records: 2_000,
         num_txns: 3_000,
         ..YcsbConfig::workload_e()
     });
-    let tpcc_w = tpcc::generate(&TpccConfig {
-        num_txns: 4_000,
-        ..TpccConfig::small(2)
-    });
+    let tpcc_w = small_tpcc();
     let drift_cfg = DriftingConfig {
         num_txns: 3_000,
         ..Default::default()
@@ -138,6 +321,13 @@ fn build_graph_identical_across_threads_and_ingestion() {
     ] {
         let base = build_graph(w, &w.trace, &mk(1));
         base.graph.validate().unwrap();
+        match &base.hgraph {
+            Some(hg) => {
+                hg.validate().unwrap();
+                assert!(base.stats.hyperedges > 0, "{name}: no nets emitted");
+            }
+            None => assert!(base.stats.edges > 0, "{name}: no edges emitted"),
+        }
         for t in THREAD_COUNTS.into_iter().skip(1) {
             let g = build_graph(w, &w.trace, &mk(t));
             assert_eq!(
@@ -150,16 +340,16 @@ fn build_graph_identical_across_threads_and_ingestion() {
                 "{name}: threads={t} changed the workload graph"
             );
             assert_eq!(g.graph, base.graph, "{name}: threads={t} changed the CSR");
+            assert_eq!(g.hgraph, base.hgraph, "{name}: threads={t} changed nets");
         }
     }
 
     // Chunked (streaming source) vs whole-trace ingestion, at every thread
     // count: TPC-C's scripted source and the drifting per-index source.
-    let tpcc_cfg = TpccConfig {
+    let tpcc_src = tpcc::stream(&TpccConfig {
         num_txns: 4_000,
         ..TpccConfig::small(2)
-    };
-    let tpcc_src = tpcc::stream(&tpcc_cfg);
+    });
     let drift_src = drifting::stream(&drift_cfg);
     for t in THREAD_COUNTS {
         let chunked = build_graph_source(&tpcc_w, &tpcc_src, &mk(t));
@@ -174,138 +364,58 @@ fn build_graph_identical_across_threads_and_ingestion() {
     }
 }
 
-/// The hypergraph backend carries the identical contract: the built
-/// hypergraph (one net per transaction), its digest and `BuildStats`, the
-/// (λ−1) partition cold and warm, and the resolved per-tuple partition
-/// sets are bit-identical at threads 1/2/4 and for chunked vs whole-trace
-/// ingestion.
-#[test]
-fn hypergraph_backend_identical_across_threads_and_ingestion() {
-    let mk = |threads: usize| {
-        let mut c = SchismConfig::new(4);
-        c.seed = 11;
-        c.threads = threads;
-        c.graph_backend = GraphBackend::Hypergraph;
-        c
-    };
-
-    let ycsb_w = ycsb::generate(&YcsbConfig {
-        records: 2_000,
-        num_txns: 3_000,
-        ..YcsbConfig::workload_e()
-    });
-    let tpcc_cfg = TpccConfig {
-        num_txns: 4_000,
-        ..TpccConfig::small(2)
-    };
-    let tpcc_w = tpcc::generate(&tpcc_cfg);
-    let drift_cfg = DriftingConfig {
-        num_txns: 3_000,
-        ..Default::default()
-    };
-    let drift_w = drifting::generate(&drift_cfg);
-
-    for (name, w) in [
-        ("ycsb-e", &ycsb_w),
-        ("tpcc", &tpcc_w),
-        ("drifting", &drift_w),
-    ] {
-        let base = build_graph(w, &w.trace, &mk(1));
-        let hg = base.hgraph.as_ref().expect("hypergraph built");
-        hg.validate().unwrap();
-        assert!(base.stats.hyperedges > 0, "{name}: no nets emitted");
-        for t in THREAD_COUNTS.into_iter().skip(1) {
-            let g = build_graph(w, &w.trace, &mk(t));
-            assert_eq!(
-                g.stats, base.stats,
-                "{name}: threads={t} changed BuildStats"
-            );
-            assert_eq!(
-                g.digest(),
-                base.digest(),
-                "{name}: threads={t} changed the hypergraph"
-            );
-            assert_eq!(g.hgraph, base.hgraph);
-        }
-    }
-
-    // Chunked (streaming source) vs whole-trace ingestion, at every thread
-    // count.
-    let tpcc_src = tpcc::stream(&tpcc_cfg);
-    let drift_src = drifting::stream(&drift_cfg);
-    for t in THREAD_COUNTS {
-        let chunked = build_graph_source(&tpcc_w, &tpcc_src, &mk(t));
-        let whole = build_graph(&tpcc_w, &tpcc_src.materialize(), &mk(t));
-        assert_eq!(chunked.stats, whole.stats, "tpcc chunked vs whole stats");
-        assert_eq!(chunked.digest(), whole.digest(), "tpcc chunked vs whole");
-
-        let chunked = build_graph_source(&drift_w, &drift_src, &mk(t));
-        let whole = build_graph(&drift_w, &drift_src.materialize(), &mk(t));
-        assert_eq!(chunked.stats, whole.stats, "drift chunked vs whole stats");
-        assert_eq!(chunked.digest(), whole.digest(), "drift chunked vs whole");
-    }
-
-    // The (λ−1) partition through schism-core, cold and warm.
-    let wg = build_graph(&tpcc_w, &tpcc_w.trace, &mk(1));
+/// Through schism-core, for the backend `mk` selects: the cost and the
+/// resolved per-tuple partition sets (including replication resolution)
+/// must match, cold and warm, for any `SchismConfig::threads`.
+fn partition_phase_identical_across_threads(w: &Workload, mk: impl Fn(usize) -> SchismConfig) {
+    let wg = build_graph(w, &w.trace, &mk(1));
     let base = run_partition_phase(&wg, &mk(1));
+    let initial = wg.seed_assignment(&base.assignment, 4);
+    let warm_base = run_partition_phase_warm(&wg, &mk(1), &initial);
     for t in [2usize, 4] {
         let p = run_partition_phase(&wg, &mk(t));
-        assert_eq!(
-            p.edge_cut, base.edge_cut,
-            "threads={t} changed the connectivity cost"
-        );
+        assert_eq!(p.edge_cut, base.edge_cut, "threads={t} changed the cost");
         assert_eq!(
             p.assignment, base.assignment,
             "threads={t} changed per-tuple partition sets"
         );
-    }
-    let initial = wg.seed_assignment(&base.assignment, 4);
-    let warm_base = run_partition_phase_warm(&wg, &mk(1), &initial);
-    for t in [2usize, 4] {
         let p = run_partition_phase_warm(&wg, &mk(t), &initial);
-        assert_eq!(p.edge_cut, warm_base.edge_cut, "warm threads={t} cut");
+        assert_eq!(p.edge_cut, warm_base.edge_cut, "warm threads={t} cost");
         assert_eq!(
             p.assignment, warm_base.assignment,
             "warm threads={t} changed per-tuple partition sets"
         );
     }
+}
+
+fn config(backend: GraphBackend, seed: u64) -> impl Fn(usize) -> SchismConfig {
+    move |threads| {
+        let mut c = SchismConfig::new(4);
+        c.seed = seed;
+        c.threads = threads;
+        c.graph_backend = backend;
+        c
+    }
+}
+
+#[test]
+fn build_graph_identical_across_threads_and_ingestion() {
+    build_identical_across_threads_and_ingestion(config(GraphBackend::Clique, 11));
+}
+
+/// The hypergraph backend carries the identical contract, build and
+/// partition phase alike.
+#[test]
+fn hypergraph_backend_identical_across_threads_and_ingestion() {
+    build_identical_across_threads_and_ingestion(config(GraphBackend::Hypergraph, 11));
+    partition_phase_identical_across_threads(&small_tpcc(), config(GraphBackend::Hypergraph, 11));
 }
 
 #[test]
 fn partition_phase_and_warm_rerun() {
-    // Through schism-core: the resolved per-tuple partition sets (including
-    // replication resolution) must match, cold and warm, for any
-    // `SchismConfig::threads`.
     let w = tpcc::generate(&TpccConfig {
         num_txns: 3_000,
         ..TpccConfig::small(2)
     });
-    let mk = |threads: usize| {
-        let mut c = SchismConfig::new(4);
-        c.seed = 7;
-        c.threads = threads;
-        c
-    };
-    let wg = build_graph(&w, &w.trace, &mk(1));
-
-    let base = run_partition_phase(&wg, &mk(1));
-    for t in [2usize, 4] {
-        let p = run_partition_phase(&wg, &mk(t));
-        assert_eq!(p.edge_cut, base.edge_cut, "threads={t} changed the cut");
-        assert_eq!(
-            p.assignment, base.assignment,
-            "threads={t} changed per-tuple partition sets"
-        );
-    }
-
-    let initial = wg.seed_assignment(&base.assignment, 4);
-    let warm_base = run_partition_phase_warm(&wg, &mk(1), &initial);
-    for t in [2usize, 4] {
-        let p = run_partition_phase_warm(&wg, &mk(t), &initial);
-        assert_eq!(p.edge_cut, warm_base.edge_cut, "warm threads={t} cut");
-        assert_eq!(
-            p.assignment, warm_base.assignment,
-            "warm threads={t} changed per-tuple partition sets"
-        );
-    }
+    partition_phase_identical_across_threads(&w, config(GraphBackend::Clique, 7));
 }
