@@ -1,8 +1,12 @@
 //! Criterion micro-benchmarks for the explanation-phase classifier
-//! (decision tree training + CFS).
+//! (decision tree training, cross-validation, CFS).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use schism_ml::{cfs_select, DatasetBuilder, DecisionTree, TreeConfig};
+use schism_ml::{
+    cfs_select, cross_validate, AttrKind, Attribute, Dataset, DatasetBuilder, DecisionTree,
+    TreeConfig,
+};
+use schism_par::Pool;
 
 fn warehouse_dataset(rows: i64, warehouses: i64) -> schism_ml::Dataset {
     let mut b = DatasetBuilder::new()
@@ -14,6 +18,67 @@ fn warehouse_dataset(rows: i64, warehouses: i64) -> schism_ml::Dataset {
         b.row(&[i, w, (i * 2654435761) % 97], (w % 8) as u32);
     }
     b.build()
+}
+
+/// The shape that carries the explanation phase on full-cardinality TPC-C:
+/// the `item` table under a k = 8 placement. ~12k access-weighted rows (10k
+/// sampled tuples, one in five read twice), one numeric attribute spanning
+/// the whole id range, 9 labels (8 partitions plus the replicate catch-all)
+/// that barely depend on the id — so nearly every distinct value is a
+/// candidate threshold at every node and pruning gets no early exit.
+fn noisy_item_dataset() -> Dataset {
+    let mix = |i: u64| {
+        let h = i.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        (h ^ (h >> 29)).wrapping_mul(0xBF58_476D_1CE4_E5B9) >> 17
+    };
+    let mut ids = Vec::new();
+    let mut labels = Vec::new();
+    for tuple in 0..10_000u64 {
+        let id = (mix(tuple) % 100_000) as i64;
+        // One label in ten follows the id range; the rest are noise.
+        let label = if mix(tuple ^ 0xABCD) % 10 == 0 {
+            (id / 12_500) as u32
+        } else {
+            (mix(tuple ^ 0x1234) % 8) as u32
+        };
+        for _ in 0..1 + u64::from(tuple % 5 == 0) {
+            ids.push(id);
+            labels.push(label);
+        }
+    }
+    let attr = Attribute {
+        name: "i_id".to_owned(),
+        kind: AttrKind::Numeric,
+    };
+    Dataset::new(vec![attr], vec![ids], labels, 9)
+}
+
+/// Leaf-support floor as `schism_core::explain` scales it for a table of
+/// `rows` training rows at k = 8.
+fn explain_tree_config(rows: usize) -> TreeConfig {
+    let min_leaf = (rows / (25 * 8)).max(4) as u32;
+    TreeConfig {
+        min_leaf,
+        min_split: min_leaf * 2,
+        ..TreeConfig::default()
+    }
+}
+
+fn bench_noisy_item(c: &mut Criterion) {
+    let ds = noisy_item_dataset();
+    let cfg = explain_tree_config(ds.len());
+    let mut group = c.benchmark_group("tree/noisy_item");
+    group.sample_size(10);
+    group.bench_function("train", |b| b.iter(|| DecisionTree::train(&ds, &cfg)));
+    for threads in [1usize, 2] {
+        let pool = Pool::new(threads);
+        group.bench_with_input(
+            BenchmarkId::new("cross_validate", threads),
+            &pool,
+            |b, pool| b.iter(|| cross_validate(&ds, &cfg, 5, 7, pool)),
+        );
+    }
+    group.finish();
 }
 
 fn bench_tree_train(c: &mut Criterion) {
@@ -45,5 +110,11 @@ fn bench_predict(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_tree_train, bench_cfs, bench_predict);
+criterion_group!(
+    benches,
+    bench_tree_train,
+    bench_noisy_item,
+    bench_cfs,
+    bench_predict
+);
 criterion_main!(benches);

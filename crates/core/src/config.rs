@@ -37,10 +37,16 @@ pub struct SchismConfig {
     /// Master seed (graph sampling, partitioner, cross-validation).
     pub seed: u64,
     /// Worker threads for the parallel phases: graph building (both passes
-    /// of [`crate::build_graph`]) and partitioning (cold and warm).
+    /// of [`crate::build_graph`]), partitioning (cold and warm), the
+    /// explanation phase (per table, the full-data tree and the
+    /// cross-validation folds train as independent tasks) and the train
+    /// check of [`crate::Schism::run_split`] (lookup and range schemes
+    /// costed side by side).
     /// `0` = auto: the `SCHISM_THREADS` environment variable if set,
     /// otherwise all hardware threads. Results are bit-identical for every
-    /// value — this knob only trades wall-clock, never output.
+    /// value — every parallel task is a pure function of its inputs and
+    /// results are combined in task order (an ordered reduce) — so this
+    /// knob only trades wall-clock, never output.
     pub threads: usize,
     /// Edge-buffer compaction threshold for the streaming graph build: once
     /// buffered (pre-merge) edge insertions exceed this count, duplicates

@@ -4,9 +4,9 @@
 
 use crate::config::SchismConfig;
 use schism_ml::{
-    cfs_select, cross_validate, extract_rules, AttrKind, Attribute, Dataset, DecisionTree,
-    TreeConfig,
+    cfs_select, cross_validate, extract_rules, AttrKind, Attribute, Dataset, TreeConfig,
 };
+use schism_par::{resolve_threads, Pool};
 use schism_router::{PartitionSet, RangeRule, RangeScheme, TablePolicy};
 use schism_sql::{ColId, TableId};
 use schism_workload::{TupleId, Workload};
@@ -53,6 +53,10 @@ const MAX_TUPLE_WEIGHT: u32 = 32;
 /// classifier learns the mapping for the tuples the workload actually
 /// touches, which is what makes the paper's `item` example come out as
 /// "replicate" despite a long tail of barely-seen tuples (§5.2).
+///
+/// Tables are explained one after another; within a table the full-data
+/// tree and the cross-validation folds train concurrently on
+/// [`SchismConfig::threads`] workers, bit-identical at any count.
 pub fn explain(
     workload: &Workload,
     assignment: &HashMap<TupleId, PartitionSet>,
@@ -60,6 +64,7 @@ pub fn explain(
     cfg: &SchismConfig,
 ) -> Explanation {
     let k = cfg.k;
+    let pool = Pool::new(resolve_threads(cfg.threads));
     let mut per_table = Vec::new();
     let mut policies: Vec<TablePolicy> = Vec::new();
 
@@ -93,7 +98,15 @@ pub fn explain(
 
     for (tid, tdef) in workload.schema.tables() {
         let entries = &by_table[tid as usize];
-        let mut exp = explain_table(workload, tid, &tdef.name, entries, access_counts, cfg, k);
+        let mut exp = explain_table(
+            workload,
+            tid,
+            &tdef.name,
+            entries,
+            access_counts,
+            cfg,
+            &pool,
+        );
         // Low-confidence fallback (the paper's `item` narrative, §5.2): a
         // table whose classifier cannot generalize gets replicated when it
         // is (nearly) read-only — reads stay local everywhere and rare
@@ -116,7 +129,7 @@ pub fn explain(
                 write_frac * 100.0
             )];
         }
-        policies.push(clone_policy(&exp.policy));
+        policies.push(exp.policy.clone());
         per_table.push(exp);
     }
 
@@ -131,17 +144,6 @@ pub fn explain(
     }
 }
 
-fn clone_policy(p: &TablePolicy) -> TablePolicy {
-    match p {
-        TablePolicy::Replicate => TablePolicy::Replicate,
-        TablePolicy::Single(x) => TablePolicy::Single(*x),
-        TablePolicy::Rules { rules, default } => TablePolicy::Rules {
-            rules: rules.clone(),
-            default: *default,
-        },
-    }
-}
-
 fn explain_table(
     workload: &Workload,
     table: TableId,
@@ -149,8 +151,9 @@ fn explain_table(
     entries: &[(TupleId, PartitionSet)],
     access_counts: &HashMap<TupleId, u32>,
     cfg: &SchismConfig,
-    k: u32,
+    pool: &Pool,
 ) -> TableExplanation {
+    let k = cfg.k;
     // Untouched table: nothing to learn; replicate the (reference) table.
     if entries.is_empty() {
         return TableExplanation {
@@ -286,7 +289,7 @@ fn explain_table(
             kind: AttrKind::Numeric,
         })
         .collect();
-    let ds = Dataset::new(attrs_meta, columns, labels.clone(), num_labels);
+    let ds = Dataset::new(attrs_meta, columns, labels, num_labels);
 
     // Attribute selection (§5.2): CFS keeps label-correlated attributes.
     let cfs = cfs_select(&ds, 16);
@@ -295,10 +298,7 @@ fn explain_table(
     } else {
         cfs.selected
     };
-    // Project the dataset onto the selected attributes.
-    let proj_cols: Vec<Vec<i64>> = selected.iter().map(|&a| ds.column(a).to_vec()).collect();
-    let proj_attrs: Vec<Attribute> = selected.iter().map(|&a| ds.attr(a).clone()).collect();
-    let proj = Dataset::new(proj_attrs, proj_cols, labels, num_labels);
+    let proj = ds.project(&selected);
     let selected_cols: Vec<ColId> = selected.iter().map(|&a| candidates[a]).collect();
 
     // Train + validate. Tiny tables (TPC-C has a 2-row warehouse table at
@@ -322,9 +322,14 @@ fn explain_table(
         tree_cfg.min_leaf = tree_cfg.min_leaf.max(floor as u32);
         tree_cfg.min_split = tree_cfg.min_split.max(tree_cfg.min_leaf * 2);
     }
-    let cv = cross_validate(&proj, &tree_cfg, cfg.cv_folds.max(2), cfg.seed ^ 0xC0FFEE);
-    let tree = DecisionTree::train(&proj, &tree_cfg);
-    let rules = extract_rules(&tree, &proj);
+    let cv = cross_validate(
+        &proj,
+        &tree_cfg,
+        cfg.cv_folds.max(2),
+        cfg.seed ^ 0xC0FFEE,
+        pool,
+    );
+    let rules = extract_rules(&cv.tree, &proj);
 
     // Rules -> executable policy.
     let names: Vec<&str> = proj.attrs().iter().map(|a| a.name.as_str()).collect();

@@ -7,6 +7,7 @@ use crate::explain::{explain, Explanation};
 use crate::graph_builder::{build_graph, BuildStats};
 use crate::partition_phase::{run_partition_phase, run_partition_phase_warm, PartitionPhase};
 use crate::validate::{validate, Validation};
+use schism_par::{resolve_threads, Pool};
 use schism_router::{
     BitArrayBackend, HashScheme, IndexBackend, LookupBackend, LookupScheme, MissPolicy,
     PartitionSet, ReplicationScheme, RowKey, Scheme,
@@ -111,11 +112,16 @@ impl Schism {
         // transactions and discard explanations that degrade the graph
         // solution" — compare the range scheme against the fine-grained
         // lookup scheme on the *training* trace.
-        let lookup = build_lookup_scheme(workload, train, &phase.assignment, cfg.k);
-        let lookup_train =
-            schism_router::evaluate(&lookup, train, &*workload.db).distributed_fraction();
-        let range_train = schism_router::evaluate(&explanation.scheme, train, &*workload.db)
-            .distributed_fraction();
+        // The two costs share nothing, so they run side by side.
+        let db = &*workload.db;
+        let ((lookup, lookup_train), range_train) = Pool::new(resolve_threads(cfg.threads)).join(
+            || {
+                let lookup = build_lookup_scheme(workload, train, &phase.assignment, cfg.k);
+                let cost = schism_router::evaluate(&lookup, train, db).distributed_fraction();
+                (lookup, cost)
+            },
+            || schism_router::evaluate(&explanation.scheme, train, db).distributed_fraction(),
+        );
         explanation.trusted = range_train <= lookup_train * 1.5 + 0.02;
 
         // Step 5: validate.
@@ -133,7 +139,7 @@ impl Schism {
             replicated_tuples: phase.replicated_tuples,
             graph_build_time,
             partition_time: phase.partition_time,
-            explanation: rebuild_explanation(explanation),
+            explanation,
             validation,
             total_time: t0.elapsed(),
         }
@@ -207,12 +213,6 @@ impl Schism {
         ));
         out
     }
-}
-
-// `Explanation` holds the scheme we just boxed; rebuilding avoids a clone of
-// the per-table reports (they move through unchanged).
-fn rebuild_explanation(e: Explanation) -> Explanation {
-    e
 }
 
 /// Hash partitioning "on the most frequently used attributes" (§4.4).

@@ -20,6 +20,10 @@
 //!    conflict tie-break: one-sided proposals simply lose the round and
 //!    retry against the shrunken candidate set next round.
 //!
+//! A proposal outlives its round: the candidate set only shrinks, so a
+//! vertex rescans its partners only once the one it proposed to has been
+//! taken, which leaves the matching exactly what a full rescan would give.
+//!
 //! Rounds repeat until no pair matches; a sequential greedy **cleanup** pass
 //! in seeded random order then guarantees maximality (the leftover set is
 //! small, so this costs little), and the METIS-style **two-hop** pass pairs
@@ -124,7 +128,22 @@ pub fn heavy_matching<G: Incidence, R: Rng>(
         best.map_or(NO_PROPOSAL, |(_, _, u)| u)
     };
 
+    // `v`'s proposal given the one it made last (`None` before round one).
+    // Candidates only ever leave — a matched vertex stays matched — so a
+    // cached partner that is still unmatched is still the best one, and a
+    // vertex that had no candidate has none now; only a vertex whose
+    // partner was taken rescores.
+    let propose = |v: NodeId,
+                   cached: Option<NodeId>,
+                   mate: &[NodeId],
+                   s: &mut G::PartnerScratch| match cached {
+        Some(NO_PROPOSAL) => NO_PROPOSAL,
+        Some(u) if mate[u as usize] == UNMATCHED => u,
+        _ => best_partner(v, mate, s),
+    };
+
     let chunk = chunk_size(n, pool.threads());
+    let mut prop: Vec<NodeId> = Vec::new();
     for _ in 0..PROPOSE_ROUNDS {
         // Phase 1: propose against the frozen `mate` (parallel, pure).
         let proposals: Vec<Vec<NodeId>> = pool.scope_chunks_with(
@@ -136,13 +155,13 @@ pub fn heavy_matching<G: Incidence, R: Rng>(
                     if mate[v] != UNMATCHED {
                         NO_PROPOSAL
                     } else {
-                        best_partner(v as NodeId, &mate, s)
+                        propose(v as NodeId, prop.get(v).copied(), &mate, s)
                     }
                 })
                 .collect()
             },
         );
-        let prop: Vec<NodeId> = proposals.into_iter().flatten().collect();
+        prop = proposals.into_iter().flatten().collect();
 
         // Phase 2: deterministic conflict resolution — mutual proposals
         // match, everyone else retries next round.
@@ -171,7 +190,7 @@ pub fn heavy_matching<G: Incidence, R: Rng>(
         if mate[v as usize] != UNMATCHED {
             continue;
         }
-        let u = best_partner(v, &mate, &mut scratch);
+        let u = propose(v, prop.get(v as usize).copied(), &mate, &mut scratch);
         if u == NO_PROPOSAL {
             mate[v as usize] = v;
         } else {

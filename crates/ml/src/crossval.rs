@@ -10,6 +10,7 @@ use crate::tree::{DecisionTree, TreeConfig};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
+use schism_par::Pool;
 
 /// Splits row indices into `k` folds, stratified so each fold has roughly
 /// the same class mix (shuffle within class, deal round-robin).
@@ -34,44 +35,70 @@ pub fn stratified_folds(labels: &[u32], k: usize, seed: u64) -> Vec<Vec<u32>> {
 }
 
 /// Result of [`cross_validate`].
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Debug)]
 pub struct CvResult {
     /// Mean held-out accuracy across folds.
     pub accuracy: f64,
-    /// Accuracy of a tree trained on all data, evaluated on the same data
-    /// (the optimistic number the paper prints as 1 - pred.error).
+    /// Accuracy of [`CvResult::tree`] on the data it was trained on (the
+    /// optimistic number the paper prints as 1 - pred.error).
     pub training_accuracy: f64,
+    /// The tree trained on all of the data — the classifier the accuracies
+    /// describe, equal to [`DecisionTree::train`] on the same arguments.
+    pub tree: DecisionTree,
 }
 
 /// k-fold cross-validation of a decision tree configuration.
-pub fn cross_validate(ds: &Dataset, cfg: &TreeConfig, k: usize, seed: u64) -> CvResult {
+///
+/// The full-data tree and the `k` fold trees are `k + 1` independent tasks
+/// on `pool`. Each is a pure function of `(ds, cfg, seed)` and the fold
+/// accuracies are summed in fold order, so the result is bit-identical for
+/// every pool size.
+pub fn cross_validate(
+    ds: &Dataset,
+    cfg: &TreeConfig,
+    k: usize,
+    seed: u64,
+    pool: &Pool,
+) -> CvResult {
     let all: Vec<u32> = (0..ds.len() as u32).collect();
-    let full = DecisionTree::train(ds, cfg);
-    let training_accuracy = full.accuracy_on(ds, &all);
-    if ds.len() < k {
-        // Too few rows to cross-validate; report training accuracy only.
-        return CvResult {
-            accuracy: training_accuracy,
-            training_accuracy,
-        };
-    }
-    let folds = stratified_folds(ds.labels(), k, seed);
-    let mut acc_sum = 0.0;
-    let mut folds_used = 0usize;
-    for held in 0..k {
-        if folds[held].is_empty() {
-            continue;
-        }
-        let train_rows: Vec<u32> = folds
-            .iter()
-            .enumerate()
-            .filter(|&(i, _)| i != held)
-            .flat_map(|(_, f)| f.iter().copied())
-            .collect();
-        let tree = DecisionTree::train_on(ds, train_rows, cfg);
-        acc_sum += tree.accuracy_on(ds, &folds[held]);
-        folds_used += 1;
-    }
+    // Too few rows to cross-validate: no folds, training accuracy only.
+    let folds = if ds.len() < k {
+        Vec::new()
+    } else {
+        stratified_folds(ds.labels(), k, seed)
+    };
+    // Task 0 trains and scores on everything; task `held + 1` trains on all
+    // folds but `held` and scores on it (an empty fold scores nothing).
+    let mut scored = pool
+        .scope_chunks(folds.len() + 1, 1, |task| {
+            let Some(held) = task.start.checked_sub(1) else {
+                let tree = DecisionTree::train(ds, cfg);
+                let accuracy = tree.accuracy_on(ds, &all);
+                return Some((tree, accuracy));
+            };
+            if folds[held].is_empty() {
+                return None;
+            }
+            let train_rows: Vec<u32> = folds
+                .iter()
+                .enumerate()
+                .filter(|&(i, _)| i != held)
+                .flat_map(|(_, f)| f.iter().copied())
+                .collect();
+            let tree = DecisionTree::train_on(ds, train_rows, cfg);
+            let accuracy = tree.accuracy_on(ds, &folds[held]);
+            Some((tree, accuracy))
+        })
+        .into_iter();
+    let (tree, training_accuracy) = scored
+        .next()
+        .flatten()
+        .expect("task 0 always trains the full-data tree");
+    let (acc_sum, folds_used) = scored
+        .flatten()
+        .fold((0.0, 0usize), |(sum, n), (_, accuracy)| {
+            (sum + accuracy, n + 1)
+        });
     CvResult {
         accuracy: if folds_used == 0 {
             training_accuracy
@@ -79,6 +106,7 @@ pub fn cross_validate(ds: &Dataset, cfg: &TreeConfig, k: usize, seed: u64) -> Cv
             acc_sum / folds_used as f64
         },
         training_accuracy,
+        tree,
     }
 }
 
@@ -111,7 +139,7 @@ mod tests {
             b.row(&[i, (i * 7919) % 13], u32::from(i >= 100));
         }
         let ds = b.build();
-        let cv = cross_validate(&ds, &TreeConfig::default(), 5, 1);
+        let cv = cross_validate(&ds, &TreeConfig::default(), 5, 1, &Pool::new(1));
         assert!(cv.accuracy > 0.95, "cv accuracy {}", cv.accuracy);
         assert!(cv.training_accuracy >= cv.accuracy - 1e-9);
     }
@@ -141,7 +169,7 @@ mod tests {
             min_split: 2,
             max_depth: 1024,
         };
-        let cv = cross_validate(&ds, &cfg, 5, 2);
+        let cv = cross_validate(&ds, &cfg, 5, 2, &Pool::new(1));
         assert!(
             cv.accuracy < 0.7,
             "random labels should not generalize: {}",
@@ -154,13 +182,65 @@ mod tests {
         );
     }
 
+    /// Noisy two-attribute data: enough structure for a real tree, enough
+    /// noise that fold accuracies differ from one another.
+    fn noisy_dataset(rows: i64) -> Dataset {
+        let mut b = DatasetBuilder::new().numeric("x").numeric("y");
+        for i in 0..rows {
+            let noise = (i * 7919) % 13;
+            b.row(&[i, noise], ((i / 40 + i64::from(noise == 0)) % 3) as u32);
+        }
+        b.build()
+    }
+
+    /// What `cross_validate` returns as the full-data tree must be the tree
+    /// `DecisionTree::train` builds, scored on its own training data.
+    fn assert_full_data_tree(ds: &Dataset, cfg: &TreeConfig, cv: &CvResult) {
+        let direct = DecisionTree::train(ds, cfg);
+        assert_eq!(
+            format!("{:?}", cv.tree.root()),
+            format!("{:?}", direct.root())
+        );
+        let all: Vec<u32> = (0..ds.len() as u32).collect();
+        assert_eq!(cv.training_accuracy, direct.accuracy_on(ds, &all));
+    }
+
     #[test]
     fn tiny_dataset_falls_back() {
         let mut b = DatasetBuilder::new().numeric("x");
         b.row(&[1], 0);
         b.row(&[2], 1);
         let ds = b.build();
-        let cv = cross_validate(&ds, &TreeConfig::default(), 10, 3);
-        assert!(cv.accuracy >= 0.0 && cv.accuracy <= 1.0);
+        let cfg = TreeConfig::default();
+        let cv = cross_validate(&ds, &cfg, 10, 3, &Pool::new(2));
+        assert_eq!(cv.accuracy, cv.training_accuracy, "no folds to hold out");
+        assert_full_data_tree(&ds, &cfg, &cv);
+    }
+
+    #[test]
+    fn returned_tree_is_the_full_data_tree() {
+        let ds = noisy_dataset(300);
+        let cfg = TreeConfig::default();
+        let cv = cross_validate(&ds, &cfg, 5, 3, &Pool::new(2));
+        assert!(cv.tree.num_leaves() > 1, "sanity: a real tree");
+        assert_full_data_tree(&ds, &cfg, &cv);
+    }
+
+    #[test]
+    fn identical_across_pool_sizes() {
+        let ds = noisy_dataset(400);
+        let run = |threads: usize| {
+            let cv = cross_validate(&ds, &TreeConfig::default(), 5, 9, &Pool::new(threads));
+            (
+                cv.accuracy.to_bits(),
+                cv.training_accuracy.to_bits(),
+                format!("{:?}", cv.tree.root()),
+            )
+        };
+        let base = run(1);
+        assert!(f64::from_bits(base.0) < 1.0, "sanity: folds disagree");
+        for threads in [2, 3, 8] {
+            assert_eq!(run(threads), base, "pool size {threads}");
+        }
     }
 }

@@ -74,6 +74,23 @@ impl Dataset {
         }
     }
 
+    /// Keeps only the attributes `keep` names (distinct indices), in that
+    /// order; their columns and the labels move, nothing is copied.
+    pub fn project(self, keep: &[usize]) -> Self {
+        let mut all: Vec<Option<(Attribute, Vec<i64>)>> =
+            self.attrs.into_iter().zip(self.columns).map(Some).collect();
+        let (attrs, columns) = keep
+            .iter()
+            .map(|&a| all[a].take().expect("attribute kept twice"))
+            .unzip();
+        Self {
+            attrs,
+            columns,
+            labels: self.labels,
+            num_classes: self.num_classes,
+        }
+    }
+
     /// Number of rows.
     pub fn len(&self) -> usize {
         self.labels.len()
@@ -217,6 +234,21 @@ mod tests {
         assert_eq!(ds.label(0), 0);
         assert_eq!(ds.class_counts(&[0, 1, 2]), vec![1, 2]);
         assert_eq!(ds.majority(&[0, 1, 2]), (1, 2));
+    }
+
+    #[test]
+    fn project_keeps_named_attributes_in_order() {
+        let mut b = DatasetBuilder::new()
+            .numeric("x")
+            .categorical("c", 3)
+            .numeric("y");
+        b.row(&[10, 0, 7], 0);
+        b.row(&[20, 1, 8], 1);
+        let ds = b.build().project(&[2, 0]);
+        let names: Vec<&str> = ds.attrs().iter().map(|a| a.name.as_str()).collect();
+        assert_eq!(names, ["y", "x"]);
+        assert_eq!((ds.column(0), ds.column(1)), (&[7, 8][..], &[10, 20][..]));
+        assert_eq!((ds.labels(), ds.num_classes()), (&[0, 1][..], 2));
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //!   [`crate::prune`]), controlled by a confidence factor
 
 use crate::dataset::{AttrKind, Dataset};
-use crate::entropy::{gain_ratio, info_gain};
+use crate::entropy::{entropy, gain_ratio, info_gain, split_entropy};
 
 /// Training knobs. Defaults mirror C4.5/J48 defaults; Schism cranks
 /// `min_leaf` up ("aggressive pruning ... to eliminate rules with little
@@ -334,7 +334,13 @@ fn best_numeric_split(
         .collect();
     pairs.sort_unstable_by_key(|&(v, _)| v);
     let n = pairs.len();
+    // `info_gain` and `gain_ratio` taken apart so that what does not depend
+    // on the threshold is computed once: the parent entropy, and the gain
+    // the ratio divides. Same operations on the same operands, so every
+    // float matches theirs to the bit.
+    let parent_entropy = entropy(parent_counts);
     let mut left = vec![0u32; nc];
+    let mut right = vec![0u32; nc];
     // Candidate thresholds with (gain, gain_ratio). Gain ratio alone favors
     // degenerate peel-one-row splits (the split-info denominator collapses),
     // so — like C4.5 — only candidates with at-least-average gain compete on
@@ -350,14 +356,17 @@ fn best_numeric_split(
         if left_n < cfg.min_leaf || right_n < cfg.min_leaf {
             continue;
         }
-        let right: Vec<u32> = parent_counts
-            .iter()
-            .zip(&left)
-            .map(|(&p, &l)| p - l)
-            .collect();
-        let gain = info_gain(parent_counts, &[&left, &right]);
+        for (r, (&p, &l)) in right.iter_mut().zip(parent_counts.iter().zip(&left)) {
+            *r = p - l;
+        }
+        let gain = parent_entropy - split_entropy(&[&left, &right]);
         if gain > 1e-10 {
-            let gr = gain_ratio(parent_counts, &[&left, &right]);
+            let split_info = entropy(&[left_n, right_n]);
+            let gr = if split_info <= f64::EPSILON {
+                0.0
+            } else {
+                gain / split_info
+            };
             candidates.push((gain, gr, pairs[i].0));
         }
     }
@@ -425,6 +434,7 @@ fn partition_in_place(rows: &mut [u32], pred: impl Fn(u32) -> bool) -> usize {
 mod tests {
     use super::*;
     use crate::dataset::DatasetBuilder;
+    use proptest::prelude::*;
 
     /// The paper's TPC-C stock example: label = partition, split on s_w_id.
     fn warehouse_dataset() -> Dataset {
@@ -556,6 +566,73 @@ mod tests {
         for (x, y) in [(0, 0), (0, 9), (9, 0), (9, 9), (4, 9), (5, 5)] {
             let want = u32::from(x >= 5 && y >= 5);
             assert_eq!(tree.predict(&[x, y]), want, "({x},{y})");
+        }
+    }
+
+    /// The split search as the formulas state it: `info_gain` and
+    /// `gain_ratio` evaluated from scratch at every boundary.
+    fn reference_numeric_split(
+        pairs: &[(i64, u32)],
+        parent: &[u32],
+        min_leaf: u32,
+    ) -> Option<(i64, f64)> {
+        let n = pairs.len();
+        let mut candidates = Vec::new();
+        for i in 0..n - 1 {
+            if pairs[i].0 == pairs[i + 1].0 || ((i + 1).min(n - i - 1) as u32) < min_leaf {
+                continue;
+            }
+            let mut left = vec![0u32; parent.len()];
+            let mut right = vec![0u32; parent.len()];
+            for (j, &(_, l)) in pairs.iter().enumerate() {
+                let side = if j <= i { &mut left } else { &mut right };
+                side[l as usize] += 1;
+            }
+            let gain = info_gain(parent, &[&left, &right]);
+            if gain > 1e-10 {
+                let ratio = gain_ratio(parent, &[&left, &right]);
+                candidates.push((gain, ratio, pairs[i].0));
+            }
+        }
+        let avg = candidates.iter().map(|c| c.0).sum::<f64>() / candidates.len() as f64;
+        candidates
+            .into_iter()
+            .filter(|c| c.0 + 1e-12 >= avg)
+            .max_by(|a, b| a.1.total_cmp(&b.1))
+            .map(|(_, ratio, threshold)| (threshold, ratio))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+        /// Hoisting the parent entropy and deriving the ratio from the gain
+        /// already computed changes no float: same threshold, same gain
+        /// ratio to the bit, on wide-range and heavily tied values alike.
+        #[test]
+        fn numeric_split_matches_reference_formulas(
+            rows in prop::collection::vec((0..40i64, 0..5u32), 2..120),
+            spread in 1..1_000i64,
+            min_leaf in 1..6u32,
+        ) {
+            let mut b = DatasetBuilder::new().numeric("x");
+            for &(v, label) in &rows {
+                b.row(&[v * spread], label);
+            }
+            let ds = b.build();
+            let all: Vec<u32> = (0..ds.len() as u32).collect();
+            let parent = ds.class_counts(&all);
+            let cfg = TreeConfig { min_leaf, ..Default::default() };
+            let got = best_numeric_split(&ds, &all, &parent, 0, parent.len(), &cfg).map(|s| {
+                match s.kind {
+                    SplitKind::Num { threshold } => (threshold, s.gain_ratio.to_bits()),
+                    SplitKind::Cat => unreachable!("numeric attribute"),
+                }
+            });
+            let mut pairs: Vec<(i64, u32)> = rows.iter().map(|&(v, l)| (v * spread, l)).collect();
+            pairs.sort_by_key(|&(v, _)| v);
+            let want = reference_numeric_split(&pairs, &parent, min_leaf)
+                .map(|(threshold, ratio)| (threshold, ratio.to_bits()));
+            prop_assert_eq!(got, want);
         }
     }
 

@@ -121,6 +121,29 @@ impl Pool {
         (Pool::new(outer), Pool::new(inner))
     }
 
+    /// Runs two independent closures and returns both results: `b` on a
+    /// scoped worker while `a` runs on the caller's thread, or `a` then `b`
+    /// inline on a pool of 1. For a pair of tasks whose result types differ;
+    /// homogeneous fan-outs use [`Pool::scope_chunks`].
+    pub fn join<A, B, FA, FB>(&self, a: FA, b: FB) -> (A, B)
+    where
+        B: Send,
+        FA: FnOnce() -> A,
+        FB: FnOnce() -> B + Send,
+    {
+        if self.threads <= 1 {
+            return (a(), b());
+        }
+        std::thread::scope(|s| {
+            let worker = s.spawn(b);
+            let ra = a();
+            let rb = worker
+                .join()
+                .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+            (ra, rb)
+        })
+    }
+
     /// Maps `f` over `0..len` in chunks of `chunk` consecutive indices and
     /// returns the per-chunk results **in chunk order**.
     ///
@@ -285,6 +308,15 @@ mod tests {
         let pool = Pool::new(4);
         let got = pool.scope_chunks(10, 3, |r| (r.start, r.end));
         assert_eq!(got, vec![(0, 3), (3, 6), (6, 9), (9, 10)]);
+    }
+
+    #[test]
+    fn join_returns_both_results_in_position() {
+        let words = ["left".to_owned(), "right".to_owned()];
+        for threads in [1, 2, 4] {
+            let got = Pool::new(threads).join(|| words[0].len(), || words[1].clone());
+            assert_eq!(got, (4, "right".to_owned()), "threads={threads}");
+        }
     }
 
     #[test]

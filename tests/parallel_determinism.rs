@@ -8,6 +8,7 @@
 //! never output; CI runs the whole suite at 1 and at 4 threads on top of
 //! these explicit pins.
 
+use schism_core::explain::explain;
 use schism_core::{
     build_graph, build_graph_source, run_partition_phase, run_partition_phase_warm, GraphBackend,
     SchismConfig,
@@ -165,15 +166,20 @@ fn tpcc_builder_graph() {
     assert!(p.edge_cut > 0, "sanity: non-trivial graph");
 }
 
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// One FNV-1a step per byte.
+fn fnv1a(h: &mut u64, bytes: &[u8]) {
+    for &b in bytes {
+        *h ^= b as u64;
+        *h = h.wrapping_mul(0x0100_0000_01b3);
+    }
+}
+
 /// FNV-1a over labels, cost and part weights.
 fn digest(p: &Partitioning) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    let mut eat = |x: u64| {
-        for b in x.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0100_0000_01b3);
-        }
-    };
+    let mut h = FNV_OFFSET;
+    let mut eat = |x: u64| fnv1a(&mut h, &x.to_le_bytes());
     p.assignment.iter().for_each(|&a| eat(a as u64));
     eat(p.edge_cut);
     p.part_weights.iter().for_each(|&w| eat(w));
@@ -418,4 +424,63 @@ fn partition_phase_and_warm_rerun() {
         ..TpccConfig::small(2)
     });
     partition_phase_identical_across_threads(&w, config(GraphBackend::Clique, 7));
+}
+
+/// FNV-1a over everything the explanation phase reports per table: rendered
+/// rules, both accuracies to the bit, the trust verdict and the executable
+/// policy.
+fn explanation_digest(e: &schism_core::Explanation) -> u64 {
+    let mut h = FNV_OFFSET;
+    let mut eat = |bytes: &[u8]| fnv1a(&mut h, bytes);
+    for t in &e.per_table {
+        eat(t.table_name.as_bytes());
+        t.rules_rendered.iter().for_each(|r| eat(r.as_bytes()));
+        eat(&t.cv_accuracy.to_bits().to_le_bytes());
+        eat(&t.training_accuracy.to_bits().to_le_bytes());
+        eat(&[u8::from(t.trusted)]);
+        eat(format!("{:?}", t.policy).as_bytes());
+    }
+    h
+}
+
+/// The explanation phase carries the same contract as build and partition:
+/// cross-validation folds run on the pool, and rules, accuracies and
+/// policies are bit-identical at every `threads` — and equal to what the
+/// serial trainer produced before the folds moved onto the pool and the
+/// split search stopped recomputing the parent entropy (recorded on the
+/// parent commit of that change).
+#[test]
+fn explanation_identical_across_threads_and_matches_golden() {
+    let w = small_tpcc();
+    for (name, backend, want) in [
+        ("clique", GraphBackend::Clique, 0xd703cc38d163a2b3u64),
+        (
+            "hypergraph",
+            GraphBackend::Hypergraph,
+            0xaf22b5b23d4fbbabu64,
+        ),
+    ] {
+        let mk = config(backend, 11);
+        let wg = build_graph(&w, &w.trace, &mk(1));
+        let phase = run_partition_phase(&wg, &mk(1));
+        let explained: Vec<schism_core::Explanation> = THREAD_COUNTS
+            .iter()
+            .map(|&t| explain(&w, &phase.assignment, &phase.access_counts, &mk(t)))
+            .collect();
+        let rules: usize = explained[0]
+            .per_table
+            .iter()
+            .map(|t| t.rules_rendered.len())
+            .sum();
+        assert!(rules > w.schema.num_tables(), "sanity: trees were trained");
+        let got = explanation_digest(&explained[0]);
+        for (e, t) in explained.iter().zip(THREAD_COUNTS).skip(1) {
+            assert_eq!(
+                explanation_digest(e),
+                got,
+                "{name}: threads={t} changed the explanation"
+            );
+        }
+        assert_eq!(got, want, "{name}: explanation digest = {got:#018x}");
+    }
 }
