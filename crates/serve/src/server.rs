@@ -1,14 +1,15 @@
-//! The serving front door: parse → classify → route → execute → gather.
+//! The serving front door: parse → classify → view → plan → scatter →
+//! gather → ack.
 //!
-//! One [`Server`] owns a worker thread per shard, each draining a bounded
-//! request queue against its shard of the [`ShardStore`] — the same
-//! shared-nothing execution model the work-sharing pool in `schism-par`
-//! uses, specialized to long-lived per-shard queues so shard-local
-//! execution never contends across shards. The front door classifies each
-//! statement ([`schism_sql::analyze::classify_routability`]), routes it
-//! through the active [`Scheme`] (a [`RouteDecision`] for scans, per-tuple
-//! [`Scheme::locate_tuple`]/[`Scheme::write_phases`] for key-pinned
-//! statements), scatters shard tasks, and gathers typed results.
+//! [`Server`] is the public API and one driver. Every statement attempt
+//! snapshots a view — the active [`Scheme`], the routing db and one
+//! [`HealthMap::view`] — asks `plan.rs` (pure routing, promotion and
+//! quorum rules over that view) what to send and what must come back,
+//! hands each phase to `scatter.rs` (the worker-per-shard queues: the only
+//! code that knows threads and channels), marks the shards that failed
+//! down, and checks the plan's acks. [`ServeError::Unavailable`] from any
+//! of those steps loops back to a fresh view — the one retry loop, bounded
+//! by `READ_RETRIES` / `WRITE_RETRIES`.
 //!
 //! ## Serving across a live migration
 //!
@@ -25,9 +26,8 @@
 //!   already contains it, or the phase-1 write lands on the destination
 //!   copy after it.
 //! - **Point reads** route to one owner and retry (bounded by
-//!   [`ServeConfig::read_retries`]) when a miss coincides with an
-//!   ownership change — the flip + post-flip-delete window between routing
-//!   and execution.
+//!   `READ_RETRIES`) when a miss coincides with an ownership change —
+//!   the flip + post-flip-delete window between routing and execution.
 //! - **Scans** fan out to the union route of both epochs; duplicate rows
 //!   from not-yet-flipped destination copies are resolved in the gather
 //!   step by preferring the shard that currently owns the tuple.
@@ -40,35 +40,17 @@
 //!
 //! ## Replication, quorums & failover
 //!
-//! Under a replicating scheme (e.g.
-//! [`ReplicatedScheme`](schism_router::ReplicatedScheme)) execution is
-//! asymmetric, STAR-style: writes reach the tuple's **leader** first,
-//! then every follower, and are acknowledged once the effective leader
-//! plus a **majority quorum** of the full replica set
-//! ([`ReplicaSet::quorum`](schism_router::ReplicaSet::quorum),
-//! `⌊n/2⌋ + 1`) have applied — a minority of slow or dying followers no
-//! longer blocks the ack, and with fewer than a quorum of live members
-//! the group refuses writes instead of acking against a minority.
-//! (Two-member groups cannot hold a majority after any failure, so they
-//! keep the perfect-failure-detector view-change rule: the survivor
-//! serves alone.) Point reads may be served by *any* live replica (a
-//! salted deterministic pick; [`Session`](crate::Session) varies the salt
-//! per statement so load spreads); multi-shard reads fan out to all live
-//! replicas and dedup per tuple in the gather step.
+//! Leader-first quorum-acked writes, salted any-live-replica reads and
+//! lowest-live-id promotion are the rules of `plan.rs`; its module docs
+//! state them. What this file adds is the failure handling around them.
+//! Detection is deterministic and timeout-free: a crashed worker drops
+//! its queue receiver (the next send fails) and a dropped task destroys
+//! its reply channel (the gather disconnects). Either signal comes back
+//! from the scatter as a failed shard, and the driver marks it **down**
+//! in the shared [`HealthMap`] before it checks any ack — the only write
+//! the request path makes to the map.
 //!
-//! Failure detection is deterministic and timeout-free: a crashed worker
-//! drops its queue receiver (the next send fails) and a dropped task
-//! destroys its reply channel (the gatherer's `recv` disconnects). Either
-//! signal marks the shard **down** in the shared [`HealthMap`]. Every
-//! member that fails mid-write is marked down in the same gather, so
-//! "every live replica holds every acknowledged write" stays invariant
-//! under quorum acks, and promotion keeps choosing from the acked
-//! frontier: the effective leader is the scheme leader if live, else the
-//! lowest-id live member of the tuple's replica set (never a new-epoch
-//! pre-copy, which lags until its batch is copied). With no live member,
-//! the statement fails [`ServeError::Unavailable`].
-//!
-//! Down is no longer terminal: [`Server::revive_shard`] respawns a dead
+//! Down is not terminal: [`Server::revive_shard`] respawns a dead
 //! shard's worker and moves it to **catching up** — it receives every
 //! foreground write from that point on (so it misses nothing new) but
 //! serves no reads, leads nothing, and counts toward no quorum until a
@@ -78,21 +60,30 @@
 //! deterministic revive schedules
 //! ([`revive_worker`](FaultPlan::revive_worker)).
 
-use crate::fault::{FaultPlan, WorkerFault};
-use crate::row::{decode_row, encode_row};
-use schism_router::{pick_any, statement_salt, PartitionSet, ReplicaSet, RouteDecision, Scheme};
+use crate::fault::FaultPlan;
+use crate::plan::{ask, Phase, Plan, View};
+use crate::row::encode_row;
+use crate::scatter::{first_copy, Gather, Workers};
+use schism_router::{statement_salt, PartitionSet, Scheme};
 use schism_sql::{
-    classify_routability, parse_statement, ColId, ColumnType, ParseError, Routability, Schema,
-    Statement, StatementKind, TableId, Value,
+    parse_statement, ColId, ColumnType, ParseError, Schema, Statement, StatementKind, TableId,
+    Value,
 };
-use schism_store::{HealthMap, ShardHealth, ShardId, ShardStore, StoreError};
+use schism_store::{HealthMap, ShardId, ShardStore, StoreError};
 use schism_workload::{TupleId, TupleValues};
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::HashSet;
 use std::fmt;
-use std::sync::mpsc::{channel, sync_channel, Receiver, Sender, SyncSender};
-use std::sync::{Arc, Mutex, RwLock};
-use std::thread::JoinHandle;
-use std::time::Instant;
+use std::sync::{Arc, RwLock};
+
+/// How many times a read re-resolves its owners and goes again: a missing
+/// point-read whose owner moved (a scheme flip landed between routing and
+/// execution), or any read that lost a shard mid-flight.
+const READ_RETRIES: u32 = 3;
+
+/// How many times a write statement redoes itself against the surviving
+/// replicas after a shard fails mid-write (puts and deletes are
+/// idempotent, so redoing the whole statement is safe).
+const WRITE_RETRIES: u32 = 2;
 
 /// Serving failure, typed by layer.
 #[derive(Clone, Debug, PartialEq)]
@@ -109,8 +100,6 @@ pub enum ServeError {
     /// A shard needed by this statement is down (crashed worker or every
     /// replica of a touched tuple gone) and retries were exhausted.
     Unavailable { shard: ShardId },
-    /// The server is shutting down; its shard workers are gone.
-    Shutdown,
 }
 
 impl fmt::Display for ServeError {
@@ -130,7 +119,6 @@ impl fmt::Display for ServeError {
                     "shard {shard} is down and no live replica can serve this statement"
                 )
             }
-            ServeError::Shutdown => write!(f, "server is shutting down"),
         }
     }
 }
@@ -149,24 +137,22 @@ impl From<StoreError> for ServeError {
     }
 }
 
-/// Server tuning knobs.
+impl ServeError {
+    pub(crate) fn unroutable(table: TableId, reason: &str) -> Self {
+        ServeError::Unroutable {
+            table,
+            reason: reason.to_owned(),
+        }
+    }
+}
+
+/// Server configuration.
 #[derive(Clone, Debug)]
 pub struct ServeConfig {
-    /// Bound of each per-shard request queue; senders block when a queue
-    /// is full (closed-loop backpressure instead of unbounded buffering).
-    pub queue_capacity: usize,
     /// Whether statements nothing can prune (blanket scans, predicates the
     /// scheme cannot use) execute as broadcasts or are rejected with
     /// [`ServeError::Unroutable`].
     pub allow_broadcast: bool,
-    /// How many times a missing point-read re-resolves its owner and
-    /// retries, absorbing scheme flips that land between routing and
-    /// execution. Retries stop early when the owner is unchanged.
-    pub read_retries: u32,
-    /// How many times a write statement redoes itself against the
-    /// surviving replicas after a shard fails mid-write (puts and deletes
-    /// are idempotent, so redoing the whole statement is safe).
-    pub write_retries: u32,
     /// Deterministic fault injection applied by the shard workers;
     /// `None` serves faithfully.
     pub faults: Option<Arc<FaultPlan>>,
@@ -179,21 +165,18 @@ pub struct ServeConfig {
 impl Default for ServeConfig {
     fn default() -> Self {
         Self {
-            queue_capacity: 1024,
             allow_broadcast: true,
-            read_retries: 3,
-            write_retries: 2,
             faults: None,
             health: None,
         }
     }
 }
 
-/// Per-call execution options ([`Server::execute_opts`]). A
-/// [`Session`](crate::Session) uses these to spread its replica picks and
-/// to pin reads of keys it has written to the leader (read-your-writes).
+/// Per-call execution options. A [`Session`](crate::Session) uses these
+/// to spread its replica picks and to pin reads of keys it has written to
+/// the leader (read-your-writes).
 #[derive(Clone, Copy, Debug, Default)]
-pub struct ExecOpts<'a> {
+pub(crate) struct ExecOpts<'a> {
     /// Replica-pick salt for point reads. `None` derives one from the
     /// statement text — stable, so a client repeating one hot statement
     /// rereads the same replica; sessions pass a counter-derived salt so
@@ -204,6 +187,13 @@ pub struct ExecOpts<'a> {
     /// Pin every read to the leader (the caller wrote through a statement
     /// it could not key-pin, so any key may be dirty).
     pub leader_all: bool,
+}
+
+impl ExecOpts<'_> {
+    /// Whether a read of `t` must be answered by its leader.
+    fn pins(&self, t: TupleId) -> bool {
+        self.leader_all || self.leader_keys.is_some_and(|keys| keys.contains(&t))
+    }
 }
 
 /// How a served statement was routed.
@@ -228,7 +218,8 @@ pub struct RequestMetrics {
     pub queue_us: u64,
     /// Longest shard-local execution time, microseconds.
     pub exec_us: u64,
-    /// Point-read retry rounds taken after an ownership change.
+    /// Rounds sent again after the first: a point read chasing an
+    /// ownership change, or any statement redone after a shard failed.
     pub retries: u32,
 }
 
@@ -279,13 +270,19 @@ fn pk_cols(schema: &Schema) -> Vec<Option<ColId>> {
         .collect()
 }
 
+/// The storable tuple id of primary-key value `v`: integers ≥ 0 only.
+fn key_tuple(table: TableId, v: &Value) -> Option<TupleId> {
+    let row = u64::try_from(v.as_int()?).ok()?;
+    Some(TupleId::new(table, row))
+}
+
 /// Loads `rows` into `store` under `scheme`: each row's tuple id is its
 /// primary-key value and every copy in the scheme's copy set receives the
 /// encoded payload. Returns physical rows written.
 ///
-/// # Panics
-/// Panics when `table` has no single integer primary key or a row's key
-/// value is not a non-negative integer — programming errors in the loader.
+/// A `table` without a single integer primary key, or a row whose key
+/// value is missing or not a non-negative integer, is
+/// [`ServeError::Unroutable`]; rows before the offending one stay loaded.
 pub fn load_table(
     store: &dyn ShardStore,
     scheme: &dyn Scheme,
@@ -293,18 +290,19 @@ pub fn load_table(
     schema: &Schema,
     table: TableId,
     rows: impl IntoIterator<Item = Vec<Value>>,
-) -> Result<u64, StoreError> {
+) -> Result<u64, ServeError> {
+    let refuse = |reason| ServeError::unroutable(table, reason);
     let key = pk_cols(schema)
         .get(table as usize)
         .copied()
         .flatten()
-        .expect("load_table requires a single integer primary key");
+        .ok_or_else(|| refuse("load_table requires a single integer primary key"))?;
     let mut written = 0u64;
     for row in rows {
-        let pk = row[key as usize]
-            .as_int()
-            .expect("primary key value must be an integer");
-        let t = TupleId::new(table, u64::try_from(pk).expect("pk must be non-negative"));
+        let t = row
+            .get(key as usize)
+            .and_then(|v| key_tuple(table, v))
+            .ok_or_else(|| refuse("a loaded row's primary key must be a non-negative integer"))?;
         let payload = encode_row(&row);
         for shard in scheme.locate_tuple(t, db).iter() {
             store.put(shard, t, payload.clone())?;
@@ -314,43 +312,18 @@ pub fn load_table(
     Ok(written)
 }
 
-/// What one shard returns for one task.
-#[derive(Default)]
-struct ShardOutput {
-    rows: Vec<(TupleId, Vec<Value>)>,
-    wrote: Vec<TupleId>,
-}
-
-struct ShardReply {
-    shard: ShardId,
-    queue_us: u64,
-    exec_us: u64,
-    result: Result<ShardOutput, ServeError>,
-}
-
-/// One unit of shard-local work.
-struct Task {
-    stmt: Arc<Statement>,
-    /// Tuples to touch on this shard; `None` scans the statement's table.
-    tuples: Option<Vec<TupleId>>,
-    enqueued: Instant,
-    resp: Sender<ShardReply>,
-}
-
 /// The serving front door. Dropping the server closes every shard queue
 /// and joins the workers (clean shutdown).
 pub struct Server {
     schema: Arc<Schema>,
+    // Guards one pointer clone or swap, neither of which can panic, so
+    // the `expect`s on this lock only trip on a bug in this file.
     scheme: RwLock<Arc<dyn Scheme>>,
     db: Arc<dyn TupleValues>,
-    cfg: ServeConfig,
+    allow_broadcast: bool,
     key_cols: Vec<Option<ColId>>,
     health: Arc<HealthMap>,
-    /// Kept so [`revive_shard`](Self::revive_shard) can respawn a worker
-    /// over the same backend.
-    store: Arc<dyn ShardStore>,
-    workers: RwLock<Vec<SyncSender<Task>>>,
-    handles: Mutex<Vec<JoinHandle<()>>>,
+    workers: Workers,
 }
 
 impl Server {
@@ -364,28 +337,14 @@ impl Server {
         db: Arc<dyn TupleValues>,
         cfg: ServeConfig,
     ) -> Self {
-        let key_cols = pk_cols(&schema);
-        let health = cfg
-            .health
-            .clone()
-            .unwrap_or_else(|| Arc::new(HealthMap::new()));
-        let mut workers = Vec::new();
-        let mut handles = Vec::new();
-        for shard in 0..store.num_shards() {
-            let (tx, handle) = spawn_worker(shard, &store, &schema, &cfg);
-            workers.push(tx);
-            handles.push(handle);
-        }
         Self {
+            key_cols: pk_cols(&schema),
+            workers: Workers::start(store, Arc::clone(&schema), cfg.faults),
             schema,
             scheme: RwLock::new(scheme),
             db,
-            cfg,
-            key_cols,
-            health,
-            store,
-            workers: RwLock::new(workers),
-            handles: Mutex::new(handles),
+            allow_broadcast: cfg.allow_broadcast,
+            health: cfg.health.unwrap_or_default(),
         }
     }
 
@@ -398,22 +357,11 @@ impl Server {
     /// [`HealthMap::mark_live`] to return it to full membership. Returns
     /// `false` (and spawns nothing) unless the shard is strictly down.
     pub fn revive_shard(&self, shard: ShardId) -> bool {
-        let n_workers = self.workers.read().expect("worker lock poisoned").len();
-        if shard as usize >= n_workers || !self.health.is_down(shard) {
-            return false;
-        }
-        let (tx, handle) = spawn_worker(shard, &self.store, &self.schema, &self.cfg);
-        {
-            // Swap the queue in before flipping health, so a write routed
-            // at the catching-up shard always finds the fresh worker.
-            let mut workers = self.workers.write().expect("worker lock poisoned");
-            workers[shard as usize] = tx;
-        }
-        self.handles
-            .lock()
-            .expect("handle lock poisoned")
-            .push(handle);
-        self.health.begin_catch_up(shard)
+        // The fresh queue is swapped in before health flips, so a write
+        // routed at the catching-up shard always finds the new worker.
+        self.health.is_down(shard)
+            && self.workers.respawn(shard)
+            && self.health.begin_catch_up(shard)
     }
 
     /// Atomically swaps the active scheme under live traffic. In-flight
@@ -437,7 +385,7 @@ impl Server {
     /// catch-up copies (`schism_migrate::catchup`) and chaos harnesses —
     /// a worker crash never loses the backend, only the worker.
     pub fn store(&self) -> &Arc<dyn ShardStore> {
-        &self.store
+        &self.workers.store
     }
 
     /// The attribute view routing consults (the `db` passed to
@@ -463,23 +411,12 @@ impl Server {
         self.health.rejoins()
     }
 
-    /// Snapshot of the shards currently marked strictly down.
-    pub fn down_shards(&self) -> PartitionSet {
-        self.health.down_set()
-    }
-
-    /// Snapshot of the shards currently catching up (revived, receiving
-    /// writes, not yet serving reads or counting toward quorums).
-    pub fn catching_up_shards(&self) -> PartitionSet {
-        self.health.catching_up_set()
-    }
-
     /// The shard leading `t` right now under the active scheme and
     /// failure state: the scheme's leader when live, else the promoted
     /// member ([`Unavailable`](ServeError::Unavailable) when the whole
     /// replica set is down).
     pub fn current_leader(&self, t: TupleId) -> Result<ShardId, ServeError> {
-        self.live_leader(&*self.scheme(), t)
+        self.view().leader(t)
     }
 
     /// Opens a client session: per-statement salted replica picks plus a
@@ -490,7 +427,7 @@ impl Server {
 
     /// Parses and executes one SQL statement.
     pub fn execute_sql(&self, sql: &str) -> Result<ServeOutcome, ServeError> {
-        self.execute_sql_opts(sql, ExecOpts::default())
+        self.execute(&parse_statement(&self.schema, sql)?)
     }
 
     /// Executes one already-parsed statement.
@@ -498,31 +435,31 @@ impl Server {
         self.execute_opts(stmt, ExecOpts::default())
     }
 
-    /// Parses and executes one SQL statement with explicit [`ExecOpts`].
-    pub fn execute_sql_opts(
-        &self,
-        sql: &str,
-        opts: ExecOpts<'_>,
-    ) -> Result<ServeOutcome, ServeError> {
-        let stmt = parse_statement(&self.schema, sql)?;
-        self.execute_opts(&stmt, opts)
-    }
-
     /// Executes one already-parsed statement with explicit [`ExecOpts`].
-    pub fn execute_opts(
+    pub(crate) fn execute_opts(
         &self,
         stmt: &Statement,
         opts: ExecOpts<'_>,
     ) -> Result<ServeOutcome, ServeError> {
-        let scheme = self.scheme();
         let pinned = self.pinned_tuples(stmt);
-        let stmt = Arc::new(stmt.clone());
+        if stmt.kind == StatementKind::Insert {
+            // One new row, placed at every copy the scheme assigns its key.
+            let refusal = match pinned.as_deref() {
+                Some([_]) => None,
+                None => Some("INSERT does not set an integer primary key"),
+                Some(_) => {
+                    Some("INSERT must pin exactly one non-negative integer primary key value")
+                }
+            };
+            if let Some(reason) = refusal {
+                return Err(ServeError::unroutable(stmt.table, reason));
+            }
+        }
+        let stmt = &Arc::new(stmt.clone());
         match (stmt.kind, pinned) {
-            (StatementKind::Insert, pin) => self.insert(&scheme, &stmt, pin),
-            (StatementKind::Select, Some(ts)) => self.point_read(scheme, &stmt, ts, opts),
-            (_, Some(ts)) => self.write_tuples(&scheme, &stmt, ts),
-            (StatementKind::Select, None) => self.scan_read(&scheme, &stmt, opts),
-            (_, None) => self.scan_write(&scheme, &stmt),
+            (StatementKind::Select, Some(tuples)) => self.point_read(stmt, tuples, opts),
+            (StatementKind::Select, None) => self.scan_read(stmt, opts),
+            (_, pinned) => self.write(stmt, pinned.as_deref()),
         }
     }
 
@@ -533,783 +470,167 @@ impl Server {
     pub(crate) fn pinned_tuples(&self, stmt: &Statement) -> Option<Vec<TupleId>> {
         let key = self.key_cols.get(stmt.table as usize).copied().flatten()?;
         let vals = stmt.predicate.pinned_values(key)?;
-        Some(to_tuples(stmt.table, &vals))
+        let mut tuples: Vec<TupleId> = vals
+            .iter()
+            .filter_map(|v| key_tuple(stmt.table, v))
+            .collect();
+        tuples.sort_unstable();
+        tuples.dedup();
+        Some(tuples)
     }
 
-    /// INSERT: place one new row at every copy the scheme assigns its key,
-    /// leader and old epoch before followers and pre-copies.
-    fn insert(
+    /// What one statement attempt decides against: the active scheme and
+    /// the liveness of every shard, each read exactly once.
+    fn view(&self) -> View<'_> {
+        View {
+            scheme: self.scheme(),
+            db: &*self.db,
+            health: self.health.view(),
+        }
+    }
+
+    /// The one retry loop. Every statement is a sequence of attempts, each
+    /// under a fresh [`View`] and told how many went before it. An attempt
+    /// that comes back [`ServeError::Unavailable`] — refused by the plan,
+    /// or a shard failed under it and is marked down by now — goes again
+    /// against the survivors until `limit` retries are spent; `Ok(None)`
+    /// asks for another round without having failed.
+    fn retry(
         &self,
-        scheme: &Arc<dyn Scheme>,
-        stmt: &Arc<Statement>,
-        pin: Option<Vec<TupleId>>,
+        limit: u32,
+        mut attempt: impl FnMut(&View<'_>, u32) -> Result<Option<ServeOutcome>, ServeError>,
     ) -> Result<ServeOutcome, ServeError> {
-        let unroutable = |reason: &str| ServeError::Unroutable {
-            table: stmt.table,
-            reason: reason.to_owned(),
-        };
-        let tuples = pin.ok_or_else(|| unroutable("INSERT does not set an integer primary key"))?;
-        if tuples.len() != 1 {
-            return Err(unroutable(
-                "INSERT must pin exactly one non-negative integer primary key value",
-            ));
-        }
-        self.write_tuples(scheme, stmt, tuples)
-    }
-
-    /// Key-pinned write: per-tuple ordered write phases, redone against
-    /// the survivors when a replica fails mid-write.
-    fn write_tuples(
-        &self,
-        scheme: &Arc<dyn Scheme>,
-        stmt: &Arc<Statement>,
-        tuples: Vec<TupleId>,
-    ) -> Result<ServeOutcome, ServeError> {
-        let mut scheme = Arc::clone(scheme);
-        let mut attempts = 0u32;
-        loop {
-            match self.try_write_tuples(&scheme, stmt, &tuples) {
-                Err(ServeError::Unavailable { .. }) if attempts < self.cfg.write_retries => {
-                    // A replica died mid-write, so the statement was not
-                    // acknowledged. Puts and deletes are idempotent:
-                    // redoing the whole statement against the survivors
-                    // (under a fresh scheme snapshot) is safe.
-                    attempts += 1;
-                    scheme = self.scheme();
-                }
-                Ok(mut out) => {
-                    out.metrics.retries += attempts;
-                    return Ok(out);
-                }
-                err => return err,
-            }
-        }
-    }
-
-    fn try_write_tuples(
-        &self,
-        scheme: &Arc<dyn Scheme>,
-        stmt: &Arc<Statement>,
-        tuples: &[TupleId],
-    ) -> Result<ServeOutcome, ServeError> {
-        let not_live = self.health.not_live_set();
-        let mut phases: Vec<BTreeMap<ShardId, Vec<TupleId>>> = Vec::new();
-        // Per-tuple ack rule, snapshotted before anything is written:
-        // (effective leader, live replica-set members, quorum size).
-        let mut acks: Vec<(TupleId, ShardId, PartitionSet, u32)> = Vec::new();
-        for &t in tuples {
-            let rs = scheme.replica_set(t, &*self.db);
-            let leader = self.live_leader(&**scheme, t)?;
-            let members = rs.all().difference(&not_live);
-            let need = write_quorum(&rs);
-            if members.len() < need {
-                // Fewer than a quorum of live members: refuse up front
-                // rather than leave a partially applied minority write.
-                return Err(ServeError::Unavailable { shard: rs.leader });
-            }
-            acks.push((t, leader, members, need));
-            for (i, p) in self.effective_phases(&**scheme, t)?.into_iter().enumerate() {
-                if phases.len() <= i {
-                    phases.push(BTreeMap::new());
-                }
-                for s in p.iter() {
-                    phases[i].entry(s).or_default().push(t);
-                }
-            }
-        }
-        let mut g = Gather::default();
-        // Phases stay ordered — the leader and old-epoch copies apply
-        // before followers and new-epoch pre-copies — but within a phase
-        // the scatter is lenient: a member that fails to apply is marked
-        // down without failing the statement. The quorum check below
-        // decides availability; because every failed member is down by
-        // then, an acked write is on every live member (the promotion
-        // frontier) even when the quorum is less than the whole group.
-        let mut applied = PartitionSet::empty();
-        for phase in phases {
-            applied.union_with(&self.scatter_lenient(stmt, pin_tasks(phase), &mut g)?);
-        }
-        for (_, leader, members, need) in &acks {
-            if !applied.contains(*leader) || applied.intersect(members).len() < *need {
-                // The leader died mid-write or too many members failed:
-                // nothing is acknowledged, and the statement-level retry
-                // redoes it against the survivors.
-                return Err(ServeError::Unavailable { shard: *leader });
-            }
-        }
-        Ok(g.into_write_outcome(0))
-    }
-
-    /// The ordered write phases for `t` under the current failure state:
-    /// with everything live, exactly the scheme's phases (zero overhead);
-    /// otherwise the (possibly promoted) live leader goes first, down
-    /// shards drop out of every phase, and catching-up shards stay in —
-    /// they must see every foreground write to converge, they just never
-    /// serve or count toward the quorum.
-    fn effective_phases(
-        &self,
-        scheme: &dyn Scheme,
-        t: TupleId,
-    ) -> Result<Vec<PartitionSet>, ServeError> {
-        let phases = scheme.write_phases(t, &*self.db);
-        if self.health.not_live_set().is_empty() {
-            return Ok(phases);
-        }
-        let down = self.health.down_set();
-        let lead = PartitionSet::single(self.live_leader(scheme, t)?);
-        let mut out = vec![lead];
-        for p in phases {
-            let p = p.difference(&down).difference(&lead);
-            if !p.is_empty() {
-                out.push(p);
-            }
-        }
-        Ok(out)
-    }
-
-    /// The shard a leader-pinned operation on `t` uses right now: the
-    /// scheme's leader when live, else the lowest-id live member of the
-    /// replica set. Every live member holds every acknowledged write (a
-    /// member that fails mid-write is marked down in the same gather, and
-    /// a rejoiner only turns live after a verified catch-up), so promotion
-    /// only needs to be deterministic — lowest id is, and every server
-    /// picks the same one. A catching-up member is never chosen.
-    fn live_leader(&self, scheme: &dyn Scheme, t: TupleId) -> Result<ShardId, ServeError> {
-        let rs = scheme.replica_set(t, &*self.db);
-        if self.health.is_live(rs.leader) {
-            return Ok(rs.leader);
-        }
-        rs.all()
-            .difference(&self.health.not_live_set())
-            .first()
-            .ok_or(ServeError::Unavailable { shard: rs.leader })
-    }
-
-    /// Key-pinned SELECT: each tuple reads one live currently-owning
-    /// replica (the leader, for read-your-writes-pinned keys), retrying
-    /// re-resolved owners when a miss coincides with a flip or a replica
-    /// fails mid-read.
-    fn point_read(
-        &self,
-        mut scheme: Arc<dyn Scheme>,
-        stmt: &Arc<Statement>,
-        mut pending: Vec<TupleId>,
-        opts: ExecOpts<'_>,
-    ) -> Result<ServeOutcome, ServeError> {
-        let salt = opts.salt.unwrap_or_else(|| statement_salt(stmt));
-        let pin =
-            |t: TupleId| opts.leader_all || opts.leader_keys.is_some_and(|ks| ks.contains(&t));
-        let mut g = Gather::default();
         let mut retries = 0u32;
         loop {
-            let mut plan: BTreeMap<ShardId, Vec<TupleId>> = BTreeMap::new();
-            let mut owner_of: HashMap<TupleId, ShardId> = HashMap::new();
-            for &t in &pending {
-                let shard = self.read_owner(&*scheme, t, salt, pin(t))?;
-                plan.entry(shard).or_default().push(t);
-                owner_of.insert(t, shard);
-            }
-            let before: HashSet<TupleId> = g.raw_rows.iter().map(|(_, t, _)| *t).collect();
-            let scatter_res = self.scatter(stmt, pin_tasks(plan), &mut g);
-            let got: HashSet<TupleId> = g.raw_rows.iter().map(|(_, t, _)| *t).collect();
-            pending.retain(|t| !got.contains(t) && !before.contains(t));
-            match scatter_res {
-                Ok(()) => {
-                    if pending.is_empty() || retries >= self.cfg.read_retries {
-                        break;
-                    }
-                    // A miss is retried only when the owner moved between
-                    // routing and execution (a flip landed); a stable owner
-                    // means the row is genuinely absent (or filtered).
-                    let fresh = self.scheme();
-                    pending.retain(|&t| {
-                        self.read_owner(&*fresh, t, salt, pin(t))
-                            .is_ok_and(|s| s != owner_of[&t])
-                    });
-                    scheme = fresh;
-                    if pending.is_empty() {
-                        break;
-                    }
-                }
-                Err(e @ ServeError::Unavailable { .. }) => {
-                    // A read replica died mid-read. Every tuple it still
-                    // owes is re-resolved against the survivors (no
-                    // owner-moved filter: the owner genuinely changed, to
-                    // a promoted or re-picked live copy).
-                    if pending.is_empty() {
-                        break;
-                    }
-                    if retries >= self.cfg.read_retries {
-                        return Err(e);
-                    }
-                    scheme = self.scheme();
-                }
+            match attempt(&self.view(), retries) {
+                Ok(Some(out)) => return Ok(out),
+                Ok(None) => {}
+                Err(ServeError::Unavailable { .. }) if retries < limit => {}
                 Err(e) => return Err(e),
             }
             retries += 1;
         }
-        let rank = |t, shard| self.copy_rank(&*scheme, opts, t, shard);
-        Ok(g.into_read_outcome(None, retries, rank))
     }
 
-    /// The replica a point read of `t` uses right now: the live leader
-    /// when the caller needs read-your-writes, else a deterministic pick
-    /// from the live members of the current copy set, salted per
-    /// statement and per key.
-    fn read_owner(
+    /// Scatters `plan`'s phases in order, each fully gathered into `g`
+    /// before the next is sent, marks every shard that failed under one
+    /// down, and checks the plan's acks against the shards that applied.
+    fn run(&self, stmt: &Arc<Statement>, mut plan: Plan, g: &mut Gather) -> Result<(), ServeError> {
+        let strict = plan.acks.is_none();
+        let mut applied = PartitionSet::empty();
+        for phase in plan.phases.drain(..) {
+            let round = self.workers.scatter(stmt, phase, g);
+            for shard in round.failed.iter() {
+                self.health.mark_down(shard);
+            }
+            applied.union_with(&round.into_applied(strict)?);
+        }
+        plan.acked(&applied)
+    }
+
+    /// UPDATE / DELETE / INSERT: per-tuple ordered write phases when the
+    /// statement pins keys, the scheme's statement-level phases when it
+    /// does not. A replica that dies mid-write leaves the statement
+    /// unacknowledged; puts and deletes are idempotent, so redoing the
+    /// whole statement against the survivors is safe.
+    fn write(
         &self,
-        scheme: &dyn Scheme,
-        t: TupleId,
-        salt: u64,
-        pin_leader: bool,
-    ) -> Result<ShardId, ServeError> {
-        if pin_leader {
-            return self.live_leader(scheme, t);
-        }
-        let copies = scheme.locate_tuple(t, &*self.db);
-        // Catching-up copies are excluded alongside down ones: a rejoiner
-        // is stale until its catch-up flip and must never serve a read.
-        let not_live = self.health.not_live_set();
-        let live = if not_live.is_empty() {
-            copies
-        } else {
-            copies.difference(&not_live)
-        };
-        pick_any(&live, salt ^ t.row.wrapping_mul(0x9E37_79B9_7F4A_7C15)).ok_or(
-            ServeError::Unavailable {
-                shard: copies.first().expect("copy set is never empty"),
-            },
-        )
+        stmt: &Arc<Statement>,
+        pinned: Option<&[TupleId]>,
+    ) -> Result<ServeOutcome, ServeError> {
+        self.retry(WRITE_RETRIES, |view, retries| {
+            let plan = match pinned {
+                Some(tuples) => view.write_tuples(tuples)?,
+                None => view.scan_write(stmt, self.allow_broadcast)?,
+            };
+            let mut g = Gather::default();
+            self.run(stmt, plan, &mut g)?;
+            Ok(Some(g.into_outcome(None, retries, first_copy)))
+        })
     }
 
-    /// Ranking for duplicate copies of one tuple in a read gather: a
-    /// read-your-writes-pinned tuple's leader copy outranks everything,
-    /// then shards that currently own the tuple outrank strays (stale
-    /// bytes on a not-yet-flipped migration destination).
-    fn copy_rank(&self, scheme: &dyn Scheme, opts: ExecOpts<'_>, t: TupleId, shard: ShardId) -> u8 {
-        let pinned = opts.leader_all || opts.leader_keys.is_some_and(|ks| ks.contains(&t));
-        if pinned && self.live_leader(scheme, t).is_ok_and(|l| l == shard) {
-            return 2;
-        }
-        u8::from(scheme.locate_tuple(t, &*self.db).contains(shard))
-    }
-
-    /// Unpinned SELECT: scatter a scan over the decision's target shards,
-    /// falling back to the scheme's coverage-preserving live fan-out when
-    /// shards are down, and retrying when one fails mid-scan.
+    /// Unpinned SELECT. A scan that lost a shard mid-flight may hold
+    /// partial rows, so every attempt gathers the whole scan afresh.
     fn scan_read(
         &self,
-        scheme: &Arc<dyn Scheme>,
         stmt: &Arc<Statement>,
         opts: ExecOpts<'_>,
     ) -> Result<ServeOutcome, ServeError> {
         let salt = opts.salt.unwrap_or_else(|| statement_salt(stmt));
-        let mut scheme = Arc::clone(scheme);
-        let mut retries = 0u32;
-        loop {
-            // Both down and catching-up shards are out of the read
-            // fan-out: neither holds servable state.
-            let not_live = self.health.not_live_set();
-            let (kind, targets) = if not_live.is_empty() {
-                let decision = scheme.route_predicate_salted(stmt, salt);
-                let kind = match decision {
-                    RouteDecision::Single(_) => RouteKind::Point,
-                    RouteDecision::Multi(_) => RouteKind::Multi,
-                    RouteDecision::Broadcast(_) => RouteKind::Broadcast,
-                };
-                (kind, decision.targets())
-            } else {
-                // Under failure the salted single-replica shortcut is off:
-                // only the scheme knows which live fan-out still covers
-                // every logical row (`None` = some row has no live copy).
-                let targets =
-                    scheme
-                        .route_read_fallback(stmt, &not_live)
-                        .ok_or(ServeError::Unavailable {
-                            shard: not_live.first().expect("non-empty not-live set"),
-                        })?;
-                let kind = if targets.len() >= scheme.k() {
-                    RouteKind::Broadcast
-                } else if targets.is_single() {
-                    RouteKind::Point
-                } else {
-                    RouteKind::Multi
-                };
-                (kind, targets)
-            };
-            if kind == RouteKind::Broadcast && !self.cfg.allow_broadcast {
-                return Err(self.broadcast_rejected(stmt));
-            }
-            let plan: BTreeMap<ShardId, Option<Vec<TupleId>>> =
-                targets.iter().map(|s| (s, None)).collect();
+        self.retry(READ_RETRIES, |view, retries| {
+            let plan = view.scan_read(stmt, salt, self.allow_broadcast)?;
+            let route = plan.route;
             let mut g = Gather::default();
-            match self.scatter(stmt, plan, &mut g) {
-                Ok(()) => {
-                    let rank = |t, shard| self.copy_rank(&*scheme, opts, t, shard);
-                    return Ok(g.into_read_outcome(Some(kind), retries, rank));
-                }
-                // A scan that lost a shard mid-flight may have partial
-                // rows; rerun the whole scan against the survivors.
-                Err(e @ ServeError::Unavailable { .. }) => {
-                    if retries >= self.cfg.read_retries {
-                        return Err(e);
-                    }
-                    retries += 1;
-                    scheme = self.scheme();
-                }
-                Err(e) => return Err(e),
-            }
-        }
+            self.run(stmt, plan, &mut g)?;
+            let rank = |t, shard| view.copy_rank(opts.pins(t), t, shard);
+            Ok(Some(g.into_outcome(route, retries, rank)))
+        })
     }
 
-    /// Unpinned UPDATE/DELETE: scan-write over the scheme's ordered
-    /// statement-level write phases, redone against the survivors when a
-    /// shard fails mid-write.
-    fn scan_write(
+    /// Key-pinned SELECT: each tuple is asked of one live currently-owning
+    /// replica (the leader, for read-your-writes-pinned keys) and leaves
+    /// `pending` once a row came back, so one gather spans every round and
+    /// never holds two copies of a tuple.
+    fn point_read(
         &self,
-        scheme: &Arc<dyn Scheme>,
         stmt: &Arc<Statement>,
+        tuples: Vec<TupleId>,
+        opts: ExecOpts<'_>,
     ) -> Result<ServeOutcome, ServeError> {
-        let mut scheme = Arc::clone(scheme);
-        let mut attempts = 0u32;
-        loop {
-            match self.try_scan_write(&scheme, stmt) {
-                Err(ServeError::Unavailable { .. }) if attempts < self.cfg.write_retries => {
-                    attempts += 1;
-                    scheme = self.scheme();
-                }
-                Ok(mut out) => {
-                    out.metrics.retries += attempts;
-                    return Ok(out);
-                }
-                err => return err,
-            }
-        }
-    }
-
-    fn try_scan_write(
-        &self,
-        scheme: &Arc<dyn Scheme>,
-        stmt: &Arc<Statement>,
-    ) -> Result<ServeOutcome, ServeError> {
-        let phases = scheme.route_write_phases(stmt);
-        let total = phases
-            .iter()
-            .fold(PartitionSet::empty(), |acc, p| acc.union(p));
-        if total.len() >= scheme.k() && !self.cfg.allow_broadcast {
-            return Err(self.broadcast_rejected(stmt));
-        }
-        // Coverage gate: a scan-write must still reach every logical row
-        // it matches — reuse the read-coverage rule (over everything not
-        // live, since a catching-up copy is not authoritative), which
-        // answers exactly "does every touched tuple keep a live copy".
-        let not_live = self.health.not_live_set();
-        if !not_live.is_empty() && scheme.route_read_fallback(stmt, &not_live).is_none() {
-            return Err(ServeError::Unavailable {
-                shard: not_live.first().expect("non-empty not-live set"),
-            });
-        }
-        // Write targets exclude only the strictly-down shards: a
-        // catching-up shard still applies every foreground write. (Its
-        // predicate sees its own — possibly stale — bytes, which is fine:
-        // every key it holds is re-copied from a live source before it
-        // turns live again.)
-        let down = self.health.down_set();
+        let salt = opts.salt.unwrap_or_else(|| statement_salt(stmt));
+        // Each unanswered tuple, with the owner that last answered "no
+        // such row" (`None`: not asked yet, or the shard asked failed).
+        let mut pending: Vec<(TupleId, Option<ShardId>)> =
+            tuples.into_iter().map(|t| (t, None)).collect();
         let mut g = Gather::default();
-        for p in phases {
-            let p = p.difference(&down);
-            if p.is_empty() {
-                continue;
-            }
-            let scan: BTreeMap<ShardId, Option<Vec<TupleId>>> =
-                p.iter().map(|s| (s, None)).collect();
-            self.scatter(stmt, scan, &mut g)?;
-        }
-        Ok(g.into_write_outcome(0))
-    }
-
-    fn broadcast_rejected(&self, stmt: &Statement) -> ServeError {
-        let reason = match classify_routability(stmt) {
-            Routability::Blanket => {
-                "blanket scan (no WHERE constraints) with broadcasts disallowed"
-            }
-            Routability::RangeOnly(_) => {
-                "only range constraints, which this scheme cannot prune; broadcasts disallowed"
-            }
-            Routability::Pinned(_) => {
-                "pinned columns are not the scheme's partitioning attributes; broadcasts disallowed"
-            }
-        };
-        ServeError::Unroutable {
-            table: stmt.table,
-            reason: reason.to_owned(),
-        }
-    }
-
-    /// Sends one task per shard in `plan` and gathers every reply. The
-    /// first error wins, but all replies are drained either way so worker
-    /// queues never hold dangling response channels.
-    ///
-    /// Failure detection is channel-structural, never timed: a crashed
-    /// worker's queue rejects the send, and a worker that dies with (or
-    /// drops) a task destroys its reply sender, so the gather loop below
-    /// terminates with that shard missing from `replied`. Either way the
-    /// shard is marked down and the caller sees
-    /// [`ServeError::Unavailable`].
-    fn scatter(
-        &self,
-        stmt: &Arc<Statement>,
-        plan: BTreeMap<ShardId, Option<Vec<TupleId>>>,
-        g: &mut Gather,
-    ) -> Result<(), ServeError> {
-        self.scatter_impl(stmt, plan, g, true).map(|_| ())
-    }
-
-    /// [`scatter`](Self::scatter) for quorum writes: a shard that fails
-    /// (rejected send or no reply) is marked down but does **not** fail
-    /// the round — the returned applied-set lets the caller count the
-    /// quorum itself. Hard errors (store/corruption) still fail.
-    fn scatter_lenient(
-        &self,
-        stmt: &Arc<Statement>,
-        plan: BTreeMap<ShardId, Option<Vec<TupleId>>>,
-        g: &mut Gather,
-    ) -> Result<PartitionSet, ServeError> {
-        self.scatter_impl(stmt, plan, g, false)
-    }
-
-    fn scatter_impl(
-        &self,
-        stmt: &Arc<Statement>,
-        plan: BTreeMap<ShardId, Option<Vec<TupleId>>>,
-        g: &mut Gather,
-        strict: bool,
-    ) -> Result<PartitionSet, ServeError> {
-        if plan.is_empty() {
-            return Ok(PartitionSet::empty());
-        }
-        let (tx, rx) = channel();
-        let mut sent: Vec<ShardId> = Vec::new();
-        let mut first_err: Option<ServeError> = None;
-        {
-            let workers = self.workers.read().expect("worker lock poisoned");
-            for (shard, tuples) in plan {
-                let worker = match workers.get(shard as usize) {
-                    Some(w) => w,
-                    None => {
-                        first_err.get_or_insert(ServeError::Store(StoreError::NoSuchShard(shard)));
-                        continue;
-                    }
+        self.retry(READ_RETRIES, |view, retries| {
+            let mut phase = Phase::new();
+            let mut asked = Vec::with_capacity(pending.len());
+            for &(t, missed_at) in &pending {
+                let owner = match view.read_owner(t, salt, opts.pins(t)) {
+                    Ok(owner) if missed_at != Some(owner) => owner,
+                    Err(e) if missed_at.is_none() => return Err(e),
+                    // A miss is retried only when the owner moved between
+                    // routing and execution (a flip landed); a stable
+                    // owner means the row is genuinely absent (or
+                    // filtered out by the predicate).
+                    _ => continue,
                 };
-                let task = Task {
-                    stmt: Arc::clone(stmt),
-                    tuples,
-                    enqueued: Instant::now(),
-                    resp: tx.clone(),
-                };
-                if worker.send(task).is_err() {
-                    self.note_shard_failure(shard, strict, &mut first_err);
-                    continue;
-                }
-                sent.push(shard);
+                ask(&mut phase, owner, t);
+                asked.push((t, owner));
             }
-        }
-        drop(tx);
-        let mut applied = PartitionSet::empty();
-        let mut replied: HashSet<ShardId> = HashSet::new();
-        // Terminates when every task-held sender clone is gone — replied
-        // to, or destroyed by a crashed / message-dropping worker.
-        for reply in rx.iter() {
-            replied.insert(reply.shard);
-            g.shards.insert(reply.shard);
-            g.queue_us = g.queue_us.max(reply.queue_us);
-            g.exec_us = g.exec_us.max(reply.exec_us);
-            match reply.result {
-                Ok(out) => {
-                    applied.insert(reply.shard);
-                    g.raw_rows
-                        .extend(out.rows.into_iter().map(|(t, r)| (reply.shard, t, r)));
-                    g.wrote.extend(out.wrote);
-                }
-                Err(e) => {
-                    first_err.get_or_insert(e);
-                }
+            if phase.is_empty() {
+                // Nothing left to ask: what is gathered is the answer,
+                // and this attempt sent no retry round.
+                let sent = retries.saturating_sub(1);
+                return Ok(Some(
+                    std::mem::take(&mut g).into_outcome(None, sent, first_copy),
+                ));
             }
-        }
-        for shard in sent {
-            if !replied.contains(&shard) {
-                self.note_shard_failure(shard, strict, &mut first_err);
-            }
-        }
-        match first_err {
-            Some(e) => Err(e),
-            None => Ok(applied),
-        }
+            let round = self.run(stmt, Plan::strict(phase, None), &mut g);
+            let answered = g.answered();
+            asked.retain(|(t, _)| !answered.contains(t));
+            // Every tuple a failed round still owes is re-resolved against
+            // the survivors without the owner-moved filter: its owner
+            // genuinely changes, to a promoted or re-picked live copy.
+            pending = asked
+                .into_iter()
+                .map(|(t, owner)| (t, round.is_ok().then_some(owner)))
+                .collect();
+            round?;
+            let done = pending.is_empty() || retries >= READ_RETRIES;
+            Ok(done.then(|| std::mem::take(&mut g).into_outcome(None, retries, first_copy)))
+        })
     }
-
-    /// Records a deterministic failure signal for `shard`: marks it down
-    /// for all future routing and — in strict mode — folds an
-    /// [`Unavailable`](ServeError::Unavailable) into this request's error
-    /// slot so the statement-level retry loops re-resolve. Lenient
-    /// (quorum) gathers only mark the shard down; the quorum count
-    /// decides availability.
-    fn note_shard_failure(&self, shard: ShardId, strict: bool, first_err: &mut Option<ServeError>) {
-        self.health.mark_down(shard);
-        if strict {
-            first_err.get_or_insert(ServeError::Unavailable { shard });
-        }
-    }
-}
-
-impl Drop for Server {
-    fn drop(&mut self) {
-        // Closing the queues lets each worker drain and exit; joining
-        // makes shutdown observable (no detached threads left behind).
-        self.workers
-            .get_mut()
-            .expect("worker lock poisoned")
-            .clear();
-        for h in self
-            .handles
-            .get_mut()
-            .expect("handle lock poisoned")
-            .drain(..)
-        {
-            let _ = h.join();
-        }
-    }
-}
-
-/// The ack requirement for one tuple's replica set. Groups of three or
-/// more require a strict majority of the **full** set
-/// ([`ReplicaSet::quorum`]) — Spinnaker's rule, which both tolerates a
-/// minority of failed members and refuses to ack against one. A
-/// two-member group cannot hold a majority after any failure (every
-/// failure is exactly half), so it keeps the perfect-failure-detector
-/// view-change rule of the pre-quorum design: the effective leader alone
-/// suffices, and safety comes from every failed member being marked down
-/// in the same gather.
-fn write_quorum(rs: &ReplicaSet) -> u32 {
-    if rs.all().len() >= 3 {
-        rs.quorum()
-    } else {
-        1
-    }
-}
-
-/// Spawns one shard worker and returns its queue sender and join handle.
-fn spawn_worker(
-    shard: ShardId,
-    store: &Arc<dyn ShardStore>,
-    schema: &Arc<Schema>,
-    cfg: &ServeConfig,
-) -> (SyncSender<Task>, JoinHandle<()>) {
-    let (tx, rx) = sync_channel(cfg.queue_capacity.max(1));
-    let store = Arc::clone(store);
-    let schema = Arc::clone(schema);
-    let faults = cfg.faults.clone();
-    let handle = std::thread::Builder::new()
-        .name(format!("serve-shard-{shard}"))
-        .spawn(move || run_worker(shard, &*store, &schema, &rx, faults))
-        .expect("spawn shard worker");
-    (tx, handle)
-}
-
-/// Builds the per-shard scatter plan for key-pinned tasks.
-fn pin_tasks(plan: BTreeMap<ShardId, Vec<TupleId>>) -> BTreeMap<ShardId, Option<Vec<TupleId>>> {
-    plan.into_iter().map(|(s, ts)| (s, Some(ts))).collect()
-}
-
-/// Maps pinned key values to tuple ids; non-integer and negative values
-/// address no storable row and drop out. Sorted and deduplicated.
-fn to_tuples(table: TableId, vals: &[Value]) -> Vec<TupleId> {
-    let mut out: Vec<TupleId> = vals
-        .iter()
-        .filter_map(|v| v.as_int())
-        .filter_map(|i| u64::try_from(i).ok())
-        .map(|row| TupleId::new(table, row))
-        .collect();
-    out.sort_unstable();
-    out.dedup();
-    out
-}
-
-/// Scatter-gather accumulator across one or more scatter rounds.
-#[derive(Default)]
-struct Gather {
-    raw_rows: Vec<(ShardId, TupleId, Vec<Value>)>,
-    wrote: HashSet<TupleId>,
-    shards: BTreeSet<ShardId>,
-    queue_us: u64,
-    exec_us: u64,
-}
-
-impl Gather {
-    fn metrics(&self, route: RouteKind, retries: u32) -> RequestMetrics {
-        RequestMetrics {
-            route,
-            shards_touched: self.shards.len() as u32,
-            queue_us: self.queue_us,
-            exec_us: self.exec_us,
-            retries,
-        }
-    }
-
-    fn point_kind(&self) -> RouteKind {
-        if self.shards.len() <= 1 {
-            RouteKind::Point
-        } else {
-            RouteKind::Multi
-        }
-    }
-
-    fn into_write_outcome(self, retries: u32) -> ServeOutcome {
-        ServeOutcome {
-            metrics: self.metrics(self.point_kind(), retries),
-            affected: self.wrote.len() as u64,
-            rows: Vec::new(),
-        }
-    }
-
-    /// Resolves duplicate copies of a tuple (replicas, or a not-yet-flipped
-    /// migration pre-copy) by keeping the highest-`rank` copy (first one
-    /// wins ties) — see [`Server::copy_rank`] for the ordering.
-    fn into_read_outcome(
-        self,
-        kind: Option<RouteKind>,
-        retries: u32,
-        rank: impl Fn(TupleId, ShardId) -> u8,
-    ) -> ServeOutcome {
-        let kind = kind.unwrap_or_else(|| self.point_kind());
-        let metrics = self.metrics(kind, retries);
-        let mut best: BTreeMap<TupleId, (u8, Vec<Value>)> = BTreeMap::new();
-        for (shard, t, row) in self.raw_rows {
-            let r = rank(t, shard);
-            match best.get(&t) {
-                Some((held, _)) if *held >= r => {}
-                _ => {
-                    best.insert(t, (r, row));
-                }
-            }
-        }
-        ServeOutcome {
-            rows: best.into_iter().map(|(t, (_, row))| (t, row)).collect(),
-            affected: 0,
-            metrics,
-        }
-    }
-}
-
-fn run_worker(
-    shard: ShardId,
-    store: &dyn ShardStore,
-    schema: &Schema,
-    rx: &Receiver<Task>,
-    faults: Option<Arc<FaultPlan>>,
-) {
-    while let Ok(task) = rx.recv() {
-        match faults
-            .as_deref()
-            .map_or(WorkerFault::None, |f| f.on_dequeue(shard))
-        {
-            WorkerFault::None => {}
-            // Returning drops `rx` (future sends to this shard fail) and
-            // `task` (its reply sender disconnects) — the two structural
-            // signals the gatherer turns into a down mark.
-            WorkerFault::Crash => return,
-            // Dropping the task without replying reads as a failed shard.
-            WorkerFault::Drop => continue,
-            WorkerFault::Delay(d) => std::thread::sleep(d),
-        }
-        let queue_us = task.enqueued.elapsed().as_micros() as u64;
-        let started = Instant::now();
-        let result = execute_on_shard(shard, store, schema, &task.stmt, task.tuples.as_deref());
-        let exec_us = started.elapsed().as_micros() as u64;
-        // A gatherer that gave up (error elsewhere) may have dropped the
-        // receiver; that is not the worker's problem.
-        let _ = task.resp.send(ShardReply {
-            shard,
-            queue_us,
-            exec_us,
-            result,
-        });
-    }
-}
-
-/// Shard-local execution of one statement over either a routed tuple list
-/// or a table scan.
-fn execute_on_shard(
-    shard: ShardId,
-    store: &dyn ShardStore,
-    schema: &Schema,
-    stmt: &Statement,
-    tuples: Option<&[TupleId]>,
-) -> Result<ShardOutput, ServeError> {
-    let width = schema.table(stmt.table).columns.len();
-    let mut out = ShardOutput::default();
-    if stmt.kind == StatementKind::Insert {
-        let row = insert_row(schema, stmt);
-        let payload = encode_row(&row);
-        for &t in tuples.unwrap_or(&[]) {
-            store.put(shard, t, payload.clone())?;
-            out.wrote.push(t);
-        }
-        return Ok(out);
-    }
-    let candidates: Vec<(TupleId, Vec<u8>)> = match tuples {
-        Some(ts) => {
-            let mut v = Vec::with_capacity(ts.len());
-            for &t in ts {
-                if let Some(bytes) = store.get(shard, t)? {
-                    v.push((t, bytes));
-                }
-            }
-            v
-        }
-        None => store.scan_range(shard, stmt.table, 0..u64::MAX)?,
-    };
-    for (t, bytes) in candidates {
-        let row = match decode_row(&bytes) {
-            Some(r) if r.len() == width => r,
-            _ => return Err(ServeError::Corrupt { shard, tuple: t }),
-        };
-        if !stmt.predicate.matches(&row) {
-            continue;
-        }
-        match stmt.kind {
-            StatementKind::Select => out.rows.push((t, row)),
-            StatementKind::Update => {
-                let mut row = row;
-                for (c, v) in &stmt.set {
-                    row[*c as usize] = v.clone();
-                }
-                store.put(shard, t, encode_row(&row))?;
-                out.wrote.push(t);
-            }
-            StatementKind::Delete => {
-                store.delete(shard, t)?;
-                out.wrote.push(t);
-            }
-            StatementKind::Insert => unreachable!("handled above"),
-        }
-    }
-    Ok(out)
-}
-
-/// Materializes an INSERT's full-width row: unset columns are NULL.
-fn insert_row(schema: &Schema, stmt: &Statement) -> Vec<Value> {
-    let mut row = vec![Value::Null; schema.table(stmt.table).columns.len()];
-    for (c, v) in stmt.insert_values() {
-        row[c as usize] = v;
-    }
-    row
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::row::decode_row;
     use schism_router::{HashScheme, ReplicatedScheme, ReplicationScheme};
     use schism_store::MemStore;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     fn schema() -> Arc<Schema> {
         let mut s = Schema::new();
@@ -1613,7 +934,7 @@ mod tests {
         assert_eq!(out.affected, 1);
         assert!(out.metrics.retries >= 1, "write retried after the crash");
         assert_eq!(server.failovers(), 1);
-        assert!(server.down_shards().contains(rs.leader));
+        assert!(server.health().down_set().contains(rs.leader));
         let promoted = server.current_leader(t).unwrap();
         assert_ne!(promoted, rs.leader);
         assert!(rs.followers.contains(promoted));
@@ -1694,7 +1015,7 @@ mod tests {
             .unwrap();
         assert_eq!(out.rows.len(), 24, "no row lost to the dead shard");
         assert!(out.metrics.retries >= 1);
-        assert!(server.down_shards().contains(1));
+        assert!(server.health().down_set().contains(1));
         // Point reads of the dead shard's keys reroute to replicas too.
         for id in 0..24 {
             let r = server
@@ -1729,5 +1050,158 @@ mod tests {
         // Sanity only: timers are monotonic micros, not guaranteed > 0.
         assert!(out.metrics.exec_us < 10_000_000);
         assert_eq!(out.metrics.retries, 0);
+    }
+
+    #[test]
+    fn load_table_rejects_unroutable_input_without_panicking() {
+        let schema = schema();
+        let store = MemStore::new(2);
+        let scheme = HashScheme::by_attrs(2, vec![Some(0)]);
+        let db = PkValues::from_schema(&schema);
+        let load = |schema: &Schema, row: Vec<Value>| {
+            load_table(&store, &scheme, &db, schema, 0, std::iter::once(row))
+        };
+        let rest = || [Value::Str("x".into()), Value::Int(1)];
+        let bad_rows = [
+            vec![],
+            [Value::Int(-1)].into_iter().chain(rest()).collect(),
+            [Value::Str("7".into())].into_iter().chain(rest()).collect(),
+            [Value::Null].into_iter().chain(rest()).collect(),
+        ];
+        for row in bad_rows {
+            let err = load(&schema, row.clone()).unwrap_err();
+            assert!(
+                matches!(err, ServeError::Unroutable { table: 0, .. }),
+                "{row:?}: {err}"
+            );
+        }
+        // No single integer primary key: string pk, composite pk, no table.
+        let mut keyless = Schema::new();
+        keyless.add_table("s", &[("name", ColumnType::Str)], &["name"]);
+        keyless.add_table(
+            "c",
+            &[("a", ColumnType::Int), ("b", ColumnType::Int)],
+            &["a", "b"],
+        );
+        for table in 0..3 {
+            let rows = std::iter::once(vec![Value::Int(1), Value::Int(2)]);
+            let err = load_table(&store, &scheme, &db, &keyless, table, rows).unwrap_err();
+            assert!(matches!(err, ServeError::Unroutable { .. }), "{err}");
+        }
+        assert_eq!(
+            store.stats(0).unwrap().rows + store.stats(1).unwrap().rows,
+            0
+        );
+        // A good row after all that still loads.
+        let good = [Value::Int(7)].into_iter().chain(rest()).collect();
+        assert_eq!(load(&schema, good), Ok(1));
+    }
+
+    #[test]
+    fn a_miss_under_a_stable_owner_is_not_a_retry() {
+        let (server, _, _) = fixture(4, 8);
+        let miss = server
+            .execute_sql("SELECT * FROM account WHERE id = 999")
+            .unwrap();
+        assert!(miss.rows.is_empty());
+        assert_eq!(miss.metrics.shards_touched, 1);
+        assert_eq!(miss.metrics.retries, 0);
+        // A key that addresses no storable row asks no shard at all.
+        let none = server
+            .execute_sql("SELECT * FROM account WHERE id = -4")
+            .unwrap();
+        assert!(none.rows.is_empty());
+        assert_eq!(none.metrics.shards_touched, 0);
+        assert_eq!(none.metrics.retries, 0);
+    }
+
+    /// Delegates to an inner scheme, counting every call the server makes.
+    struct Counting {
+        inner: Arc<dyn Scheme>,
+        calls: AtomicU64,
+    }
+
+    impl Counting {
+        fn count<T>(&self, call: impl FnOnce(&dyn Scheme) -> T) -> T {
+            self.calls.fetch_add(1, Ordering::Relaxed);
+            call(&*self.inner)
+        }
+    }
+
+    impl Scheme for Counting {
+        fn name(&self) -> String {
+            self.inner.name()
+        }
+        fn k(&self) -> u32 {
+            self.inner.k()
+        }
+        fn complexity(&self) -> schism_router::Complexity {
+            self.inner.complexity()
+        }
+        fn locate_tuple(&self, t: TupleId, db: &dyn TupleValues) -> PartitionSet {
+            self.count(|s| s.locate_tuple(t, db))
+        }
+        fn route_statement(&self, stmt: &Statement) -> schism_router::Route {
+            self.count(|s| s.route_statement(stmt))
+        }
+        fn route_predicate_salted(
+            &self,
+            stmt: &Statement,
+            salt: u64,
+        ) -> schism_router::RouteDecision {
+            self.count(|s| s.route_predicate_salted(stmt, salt))
+        }
+        fn replica_set(&self, t: TupleId, db: &dyn TupleValues) -> schism_router::ReplicaSet {
+            self.count(|s| s.replica_set(t, db))
+        }
+        fn route_read_fallback(
+            &self,
+            stmt: &Statement,
+            down: &PartitionSet,
+        ) -> Option<PartitionSet> {
+            self.count(|s| s.route_read_fallback(stmt, down))
+        }
+        fn write_phases(&self, t: TupleId, db: &dyn TupleValues) -> Vec<PartitionSet> {
+            self.count(|s| s.write_phases(t, db))
+        }
+        fn route_write_phases(&self, stmt: &Statement) -> Vec<PartitionSet> {
+            self.count(|s| s.route_write_phases(stmt))
+        }
+    }
+
+    #[test]
+    fn key_pinned_statements_route_each_tuple_once() {
+        let (server, _, scheme) = replicated_fixture(4, 2, 16, None);
+        let counting = Arc::new(Counting {
+            inner: scheme,
+            calls: Default::default(),
+        });
+        server.install_scheme(Arc::clone(&counting) as Arc<dyn Scheme>);
+        let calls_of = |sql: &str, rows: usize| {
+            let before = counting.calls.load(Ordering::Relaxed);
+            let out = server.execute_sql(sql).unwrap();
+            assert_eq!(out.rows.len() + out.affected as usize, rows, "{sql}");
+            counting.calls.load(Ordering::Relaxed) - before
+        };
+        let select = calls_of("SELECT * FROM account WHERE id = 3", 1);
+        assert_eq!(select, 1, "one-key SELECT: locate_tuple");
+        let update = calls_of("UPDATE account SET bal = 1 WHERE id = 3", 1);
+        assert_eq!(update, 2, "one-key UPDATE: replica_set + write_phases");
+        let multi = calls_of("SELECT * FROM account WHERE id IN (1, 2, 3)", 3);
+        assert_eq!(multi, 3, "three-key IN: one locate_tuple per key");
+        // A miss re-resolves its owner once (did a flip move it?) and a
+        // session's read-your-writes read asks for the leader: one call each
+        // on top of the first.
+        assert_eq!(calls_of("SELECT * FROM account WHERE id = 999", 0), 2);
+        let mut session = server.session(1);
+        session
+            .execute_sql("UPDATE account SET bal = 2 WHERE id = 3")
+            .unwrap();
+        let before = counting.calls.load(Ordering::Relaxed);
+        session
+            .execute_sql("SELECT * FROM account WHERE id = 3")
+            .unwrap();
+        let pinned = counting.calls.load(Ordering::Relaxed) - before;
+        assert_eq!(pinned, 1, "leader-pinned SELECT: replica_set");
     }
 }

@@ -1,38 +1,23 @@
-//! Deterministic fault injection and shard-liveness plumbing for the
-//! storage layer.
+//! Deterministic fault injection for the storage layer.
 //!
-//! Two small pieces live here because every tier above the store needs
-//! them:
+//! [`FaultHook`] + [`FaultStore`]: an injectable [`ShardStore`] wrapper
+//! that fires a hook at **named sync points** before delegating each
+//! operation. The serving layer's `FaultPlan` implements the hook to
+//! stall a backend mid-operation (seeded and replayable); [`LogStore`]
+//! additionally fires [`sync_points::LOG_SYNC`] between writing a commit
+//! record and `fdatasync`ing it, so tests can pin that a stalled flush
+//! never acknowledges a batch early.
 //!
-//! - [`FaultHook`] + [`FaultStore`]: an injectable [`ShardStore`] wrapper
-//!   that fires a hook at **named sync points** before delegating each
-//!   operation. The serving layer's `FaultPlan` implements the hook to
-//!   stall a backend mid-operation (seeded and replayable); [`LogStore`]
-//!   additionally fires [`sync_points::LOG_SYNC`] between writing a commit
-//!   record and `fdatasync`ing it, so tests can pin that a stalled flush
-//!   never acknowledges a batch early.
-//! - [`ShardHealth`] + [`HealthMap`]: the shared liveness view. The server
-//!   marks a shard down when its worker stops answering; the migration
-//!   executor consults the same map so a copy source is always a *live*
-//!   replica holding the acked-write frontier. A downed shard is not
-//!   stuck forever: once its worker is respawned it transitions through
-//!   [`HealthState::CatchingUp`] — receiving all foreground writes but
-//!   serving no reads and counting toward no quorum — until a catch-up
-//!   copy verifies it against a live replica and flips it back to
-//!   [`HealthState::Live`]. Because a shard only re-enters the read/quorum
-//!   set *after* that verified copy, "every live copy has every
-//!   acknowledged write" stays an invariant instead of becoming a race.
+//! Shard liveness (which workers have stopped answering) is state, not
+//! injection, and lives in [`health`](crate::health).
 //!
 //! [`LogStore`]: crate::LogStore
 
 use crate::{ShardId, ShardStats, ShardStore, StoreError, WriteOp};
-use schism_router::PartitionSet;
 use schism_sql::TableId;
 use schism_workload::TupleId;
-use std::collections::BTreeMap;
 use std::ops::Range;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::Arc;
 
 /// The named sync points [`FaultStore`] and [`LogStore`](crate::LogStore)
 /// fire. The full map (which operation, fired when) is documented in the
@@ -128,177 +113,11 @@ impl ShardStore for FaultStore {
     }
 }
 
-/// Liveness view shared between the serving layer and the migration
-/// executor: which shards' workers have stopped answering.
-pub trait ShardHealth: Send + Sync {
-    /// Whether `shard` is strictly [`HealthState::Down`] (its worker is
-    /// dead and no recovery has started).
-    fn is_down(&self, shard: ShardId) -> bool;
-
-    /// Whether `shard` is fully [`HealthState::Live`] — i.e. it holds the
-    /// acked-write frontier and may serve reads, lead, and count toward
-    /// write quorums. A catching-up shard is neither down nor live.
-    fn is_live(&self, shard: ShardId) -> bool {
-        !self.is_down(shard)
-    }
-}
-
-/// Per-shard liveness state. Absent from the [`HealthMap`] means `Live`.
-///
-/// ```text
-///            mark_down                begin_catch_up
-///   Live ───────────────► Down ───────────────────► CatchingUp
-///    ▲                     ▲                             │
-///    │      mark_live      │         mark_down           │
-///    └─────────────────────┼─────────────────────────────┤
-///                          └─────────────────────────────┘
-/// ```
-///
-/// `CatchingUp` is the rejoin window: the shard's worker is back and the
-/// serving layer targets it with every foreground write (so it misses
-/// nothing new), but it serves no reads, leads no replica set, and counts
-/// toward no write quorum until a catch-up copy (copy → verify against a
-/// live replica) flips it `Live`. If the catch-up fails or the worker dies
-/// again, `mark_down` sends it back to `Down`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum HealthState {
-    /// Holds the acked-write frontier; full read/write/quorum member.
-    Live,
-    /// Worker dead; receives nothing, serves nothing.
-    Down,
-    /// Worker back up and receiving writes, but stale until its catch-up
-    /// copy verifies — excluded from reads, leadership, and quorums.
-    CatchingUp,
-}
-
-/// Shared shard-liveness map. `mark_down` is the only transition the data
-/// path takes on its own (structural failure detection); the recovery
-/// transitions `begin_catch_up` and `mark_live` are driven by whoever runs
-/// the rejoin (the re-replication scanner or a chaos/bench harness), and
-/// `mark_live` must only be called after a verified catch-up copy — the
-/// map itself cannot know whether the shard's store is current.
-#[derive(Debug, Default)]
-pub struct HealthMap {
-    states: RwLock<BTreeMap<ShardId, HealthState>>,
-    /// Counts *new* failures (transitions into `Down`) — the serving
-    /// layer's failover counter.
-    failures: AtomicU64,
-    /// Counts completed rejoins (transitions `CatchingUp` → `Live`).
-    rejoins: AtomicU64,
-}
-
-impl HealthMap {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Current state of `shard`.
-    pub fn state(&self, shard: ShardId) -> HealthState {
-        self.states
-            .read()
-            .expect("health lock poisoned")
-            .get(&shard)
-            .copied()
-            .unwrap_or(HealthState::Live)
-    }
-
-    /// Marks `shard` failed (from any state). Returns whether it was newly
-    /// marked — re-marking an already-down shard is not a new failure, but
-    /// killing a catching-up shard is.
-    pub fn mark_down(&self, shard: ShardId) -> bool {
-        let newly = self
-            .states
-            .write()
-            .expect("health lock poisoned")
-            .insert(shard, HealthState::Down)
-            != Some(HealthState::Down);
-        if newly {
-            self.failures.fetch_add(1, Ordering::SeqCst);
-        }
-        newly
-    }
-
-    /// Transitions `shard` from `Down` to `CatchingUp`. Call *after* its
-    /// worker is respawned, so foreground writes targeted at the
-    /// catching-up shard land instead of failing. Returns `false` (no-op)
-    /// unless the shard is currently `Down`.
-    pub fn begin_catch_up(&self, shard: ShardId) -> bool {
-        let mut states = self.states.write().expect("health lock poisoned");
-        match states.get(&shard) {
-            Some(HealthState::Down) => {
-                states.insert(shard, HealthState::CatchingUp);
-                true
-            }
-            _ => false,
-        }
-    }
-
-    /// Transitions `shard` from `CatchingUp` to `Live`. Only valid after a
-    /// verified catch-up copy; returns `false` (no-op) unless the shard is
-    /// currently `CatchingUp`.
-    pub fn mark_live(&self, shard: ShardId) -> bool {
-        let mut states = self.states.write().expect("health lock poisoned");
-        match states.get(&shard) {
-            Some(HealthState::CatchingUp) => {
-                states.remove(&shard);
-                self.rejoins.fetch_add(1, Ordering::SeqCst);
-                true
-            }
-            _ => false,
-        }
-    }
-
-    fn set_of(&self, pred: impl Fn(HealthState) -> bool) -> PartitionSet {
-        self.states
-            .read()
-            .expect("health lock poisoned")
-            .iter()
-            .filter(|(_, &s)| pred(s))
-            .map(|(&shard, _)| shard)
-            .collect()
-    }
-
-    /// Snapshot of the strictly-`Down` shards as a [`PartitionSet`].
-    pub fn down_set(&self) -> PartitionSet {
-        self.set_of(|s| s == HealthState::Down)
-    }
-
-    /// Snapshot of the `CatchingUp` shards.
-    pub fn catching_up_set(&self) -> PartitionSet {
-        self.set_of(|s| s == HealthState::CatchingUp)
-    }
-
-    /// Snapshot of everything that is not `Live` (`Down` ∪ `CatchingUp`):
-    /// the set to exclude from reads, leader choice, and quorum counting.
-    pub fn not_live_set(&self) -> PartitionSet {
-        self.set_of(|s| s != HealthState::Live)
-    }
-
-    /// Number of failures (transitions into `Down`) recorded so far.
-    pub fn failures(&self) -> u64 {
-        self.failures.load(Ordering::SeqCst)
-    }
-
-    /// Number of completed rejoins (`CatchingUp` → `Live`) so far.
-    pub fn rejoins(&self) -> u64 {
-        self.rejoins.load(Ordering::SeqCst)
-    }
-}
-
-impl ShardHealth for HealthMap {
-    fn is_down(&self, shard: ShardId) -> bool {
-        self.state(shard) == HealthState::Down
-    }
-
-    fn is_live(&self, shard: ShardId) -> bool {
-        self.state(shard) == HealthState::Live
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::MemStore;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     /// Counts invocations per sync point (no sleeping).
     #[derive(Default)]
@@ -334,61 +153,5 @@ mod tests {
         assert_eq!(store.num_shards(), 2);
         assert_eq!(store.stats(0).unwrap().rows, 1);
         assert!(store.checksum(0, t).unwrap().is_some());
-    }
-
-    #[test]
-    fn health_map_counts_new_failures_once() {
-        let h = HealthMap::new();
-        assert!(!h.is_down(3));
-        assert!(h.is_live(3));
-        assert!(h.down_set().is_empty());
-        assert!(h.mark_down(3));
-        assert!(!h.mark_down(3), "re-marking is not a new failure");
-        assert!(h.mark_down(1));
-        assert!(h.is_down(3) && h.is_down(1) && !h.is_down(0));
-        assert_eq!(h.failures(), 2);
-        let set = h.down_set();
-        assert_eq!(set.len(), 2);
-        assert!(set.contains(1) && set.contains(3));
-    }
-
-    #[test]
-    fn health_state_machine_walks_down_catching_up_live() {
-        let h = HealthMap::new();
-        // Recovery transitions are no-ops from the wrong state.
-        assert!(!h.begin_catch_up(2), "cannot catch up a live shard");
-        assert!(!h.mark_live(2), "cannot re-mark a live shard");
-
-        assert!(h.mark_down(2));
-        assert_eq!(h.state(2), HealthState::Down);
-        assert!(!h.mark_live(2), "down shard must catch up first");
-
-        assert!(h.begin_catch_up(2));
-        assert!(!h.begin_catch_up(2), "already catching up");
-        assert_eq!(h.state(2), HealthState::CatchingUp);
-        // Catching up is neither down nor live: excluded from reads and
-        // quorums, but no longer treated as failed for routing.
-        assert!(!h.is_down(2) && !h.is_live(2));
-        assert!(h.down_set().is_empty());
-        assert!(h.catching_up_set().contains(2));
-        assert!(h.not_live_set().contains(2));
-
-        assert!(h.mark_live(2));
-        assert_eq!(h.state(2), HealthState::Live);
-        assert!(h.is_live(2));
-        assert!(h.not_live_set().is_empty());
-        assert_eq!(h.rejoins(), 1);
-        assert_eq!(h.failures(), 1);
-    }
-
-    #[test]
-    fn killing_a_catching_up_shard_is_a_new_failure() {
-        let h = HealthMap::new();
-        assert!(h.mark_down(5));
-        assert!(h.begin_catch_up(5));
-        assert!(h.mark_down(5), "dying mid-catch-up is a fresh failure");
-        assert_eq!(h.state(5), HealthState::Down);
-        assert_eq!(h.failures(), 2);
-        assert_eq!(h.rejoins(), 0);
     }
 }

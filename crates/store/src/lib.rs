@@ -31,7 +31,7 @@
 //! | [`load_assignment`] | seed a store from a per-tuple placement, one deterministic row per copy |
 //! | [`seed_row`] / [`fnv1a`] | deterministic row payloads and the checksum used by copy verification |
 //! | [`FaultStore`] / [`FaultHook`] | injectable wrapper firing hooks at named sync points (deterministic fault injection) |
-//! | [`HealthMap`] / [`ShardHealth`] | per-shard `Live / Down / CatchingUp` state machine shared by the server and the migration executor |
+//! | [`HealthMap`] / [`HealthView`] | per-shard `Live / Down / CatchingUp` state machine shared by the server and the migration executor, and its one-lock snapshot |
 //! | [`tempdir::TempDir`] | self-cleaning scratch directories for tests and benches |
 //!
 //! Backends are shared by reference (`&dyn ShardStore`) between the
@@ -64,11 +64,13 @@
 //! ```
 
 pub mod fault;
+pub mod health;
 pub mod log;
 pub mod mem;
 pub mod tempdir;
 
-pub use fault::{sync_points, FaultHook, FaultStore, HealthMap, HealthState, ShardHealth};
+pub use fault::{sync_points, FaultHook, FaultStore};
+pub use health::{HealthMap, HealthState, HealthView};
 pub use log::{LogStore, LogStoreConfig};
 pub use mem::MemStore;
 

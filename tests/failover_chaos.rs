@@ -27,7 +27,7 @@ use schism_router::{
 };
 use schism_serve::{load_table, FaultPlan, PkValues, ServeConfig, ServeError, Server};
 use schism_sql::{ColumnType, Schema, Value};
-use schism_store::{HealthMap, MemStore, ShardHealth, ShardStore};
+use schism_store::{HealthMap, MemStore, ShardStore};
 use schism_workload::{TupleId, TupleValues};
 use std::collections::HashMap;
 use std::sync::Arc;
