@@ -17,6 +17,10 @@
 //! 4. **Move gains**: the gain of moving `v` from `a` to `b` is
 //!    `Σ_e w(e)·[Λ(e,a)=1] − w(e)·[Λ(e,b)=0]` where `Λ(e,p)` counts `e`'s
 //!    pins in part `p`, with the cut-net change as the second objective.
+//!    Λ is kept per level as a [`NetTally`] — one row of `(part, pins)`
+//!    per net, counted once and recounted only for the nets of a vertex
+//!    that moved — so weighing a vertex reads its nets' rows instead of
+//!    their pins.
 //! 5. **The schedule** is longer: two more V-cycles after the cold descent,
 //!    then the cut-net-primary final stage.
 //!
@@ -71,6 +75,54 @@ pub fn connectivity_cost(hg: &HyperGraph, assignment: &[u32]) -> u64 {
     cost
 }
 
+/// Λ for one level: for every net of at most [`GAIN_PIN_CAP`] pins, how
+/// many of its pins each part holds under the current assignment.
+///
+/// A net's row lists the parts it spans as `(part, pins in part)` **in the
+/// order its pins first reach them** — the order a walk over the pins
+/// discovers the parts, which fixes the order `pull` first touches a part
+/// and so how the refiner breaks a full tie. The row lives in the net's
+/// own pin span (a net spans at most as many parts as it has pins), so the
+/// table costs 8 B per pin plus 4 B per net and never `k × nets`; the
+/// spans of wider nets stay unused. Cells past a row's end are zero, so two
+/// tallies of the same assignment compare equal.
+#[derive(Debug, PartialEq)]
+pub struct NetTally {
+    /// `cells[hg.pin_span(e)][..spanned[e]]` is net `e`'s row.
+    cells: Vec<(u32, u32)>,
+    /// λ(e): the number of parts net `e` spans, i.e. its row's length.
+    spanned: Vec<u32>,
+    /// Counting scratch: 1 + the row position of each part the net being
+    /// counted has reached so far. All zero between nets.
+    slot: Vec<u32>,
+}
+
+impl NetTally {
+    /// Counts net `e`'s pins per part from scratch.
+    fn recount(&mut self, hg: &HyperGraph, e: u32, assignment: &[u32]) {
+        let row = &mut self.cells[hg.pin_span(e)];
+        let mut len = 0usize;
+        for &u in hg.pins(e) {
+            let p = assignment[u as usize];
+            match self.slot[p as usize] {
+                0 => {
+                    row[len] = (p, 1);
+                    len += 1;
+                    self.slot[p as usize] = len as u32;
+                }
+                at => row[at as usize - 1].1 += 1,
+            }
+        }
+        for &(p, _) in &row[..len] {
+            self.slot[p as usize] = 0;
+        }
+        let before = std::mem::replace(&mut self.spanned[e as usize], len as u32) as usize;
+        if before > len {
+            row[len..before].fill((0, 0));
+        }
+    }
+}
+
 /// Per-worker scratch for heavy-pin match scoring: `score[u]` is valid when
 /// `stamp[u]` equals the vertex currently being scored.
 pub struct ScoreScratch {
@@ -83,6 +135,7 @@ impl Incidence for HyperGraph {
     const COLD_VCYCLES: usize = 2;
     const CUT_NET_STAGE: bool = true;
     type PartnerScratch = ScoreScratch;
+    type Tally = NetTally;
 
     fn num_vertices(&self) -> usize {
         self.num_vertices()
@@ -158,6 +211,20 @@ impl Incidence for HyperGraph {
         Cow::Owned(clique_expand(self))
     }
 
+    fn tally(&self, assignment: &[u32], k: u32) -> NetTally {
+        let mut tally = NetTally {
+            cells: vec![(0, 0); self.num_pins()],
+            spanned: vec![0; self.num_nets()],
+            slot: vec![0; k as usize],
+        };
+        for e in 0..self.num_nets() as u32 {
+            if self.pins(e).len() <= GAIN_PIN_CAP {
+                tally.recount(self, e, assignment);
+            }
+        }
+        tally
+    }
+
     /// Accumulates, over `v`'s nets (up to [`GAIN_PIN_CAP`]), the
     /// ingredients of every (λ−1) move gain: `base` (weight of nets where
     /// `v` is the last pin in its own part — moving `v` anywhere un-spans
@@ -171,53 +238,73 @@ impl Incidence for HyperGraph {
     /// transactions a placement produces: `uncut[p]` (nets un-cut by moving
     /// `v` to `p`) and the returned `interior` (weight of nets fully inside
     /// `own` with more pins than `v` — any move newly cuts them).
-    fn pull(&self, assignment: &[u32], v: NodeId, s: &mut MoveScratch) -> (i64, i64) {
+    ///
+    /// Every net contributes through its tally row alone: the parts it
+    /// spans, in first-pin order, and how many pins `own` holds.
+    fn pull(
+        &self,
+        tally: &NetTally,
+        assignment: &[u32],
+        v: NodeId,
+        s: &mut MoveScratch,
+    ) -> (i64, i64) {
         let own = assignment[v as usize];
         s.touched.clear();
         let mut base = 0i64;
         let mut total = 0i64;
         let mut interior = 0i64;
         for &e in self.nets(v) {
-            let ps = self.pins(e);
-            if ps.len() > GAIN_PIN_CAP {
+            let span = self.pin_span(e);
+            if span.len() > GAIN_PIN_CAP {
                 continue;
             }
             let w = self.net_weight(e) as i64;
-            s.net_parts.clear();
-            for &u in ps {
-                let p = assignment[u as usize];
-                if s.net_cnt[p as usize] == 0 {
-                    s.net_parts.push(p);
+            let row = &tally.cells[span.start..span.start + tally.spanned[e as usize] as usize];
+            let mut own_pins = 0;
+            for &(p, pins) in row {
+                if p == own {
+                    own_pins = pins;
+                    continue;
                 }
-                s.net_cnt[p as usize] += 1;
+                if s.toward[p as usize] == 0 {
+                    s.touched.push(p);
+                }
+                s.toward[p as usize] += w as u64;
             }
-            if s.net_cnt[own as usize] == 1 {
+            if own_pins == 1 {
                 base += w;
-                if s.net_parts.len() == 2 {
+                if let [(a, _), (b, _)] = *row {
                     // Span is exactly {own, q}: landing on q un-cuts the net.
-                    let q = if s.net_parts[0] == own {
-                        s.net_parts[1]
-                    } else {
-                        s.net_parts[0]
-                    };
+                    let q = if a == own { b } else { a };
                     s.uncut[q as usize] += w as u64;
                 }
-            } else if s.net_parts.len() == 1 {
+            } else if row.len() == 1 {
                 // Fully internal with other pins in `own`: any move cuts it.
                 interior += w;
             }
             total += w;
-            for &p in &s.net_parts {
-                if p != own {
-                    if s.toward[p as usize] == 0 {
-                        s.touched.push(p);
-                    }
-                    s.toward[p as usize] += w as u64;
-                }
-                s.net_cnt[p as usize] = 0;
-            }
         }
         (total - base, interior)
+    }
+
+    /// Recounts the rows of `v`'s nets — as many pin visits as one counting
+    /// pull of `v`, paid once per move — and reports their pins: a co-pin's
+    /// pull reads those rows, and even a row whose counts it ignores can
+    /// change its first-pin order.
+    fn moved(
+        &self,
+        tally: &mut NetTally,
+        assignment: &[u32],
+        v: NodeId,
+        mut report: impl FnMut(NodeId),
+    ) {
+        for &e in self.nets(v) {
+            let pins = self.pins(e);
+            if pins.len() <= GAIN_PIN_CAP {
+                tally.recount(self, e, assignment);
+                pins.iter().for_each(|&u| report(u));
+            }
+        }
     }
 
     fn cost(&self, assignment: &[u32]) -> u64 {
@@ -312,12 +399,109 @@ fn clique_expand(hg: &HyperGraph) -> CsrGraph {
     b.build()
 }
 
+/// The pull as it was before there was a tally: every net's pins counted
+/// per part on every call. The reference the tally-backed
+/// [`Incidence::pull`] is tested against.
+#[cfg(test)]
+pub(crate) fn recounting_pull(
+    hg: &HyperGraph,
+    assignment: &[u32],
+    v: NodeId,
+    s: &mut MoveScratch,
+) -> (i64, i64) {
+    let own = assignment[v as usize];
+    let mut net_cnt = vec![0u32; s.toward.len()];
+    let mut net_parts: Vec<u32> = Vec::new();
+    s.touched.clear();
+    let mut base = 0i64;
+    let mut total = 0i64;
+    let mut interior = 0i64;
+    for &e in hg.nets(v) {
+        let ps = hg.pins(e);
+        if ps.len() > GAIN_PIN_CAP {
+            continue;
+        }
+        let w = hg.net_weight(e) as i64;
+        net_parts.clear();
+        for &u in ps {
+            let p = assignment[u as usize];
+            if net_cnt[p as usize] == 0 {
+                net_parts.push(p);
+            }
+            net_cnt[p as usize] += 1;
+        }
+        if net_cnt[own as usize] == 1 {
+            base += w;
+            if net_parts.len() == 2 {
+                let q = if net_parts[0] == own {
+                    net_parts[1]
+                } else {
+                    net_parts[0]
+                };
+                s.uncut[q as usize] += w as u64;
+            }
+        } else if net_parts.len() == 1 {
+            interior += w;
+        }
+        total += w;
+        for &p in &net_parts {
+            if p != own {
+                if s.toward[p as usize] == 0 {
+                    s.touched.push(p);
+                }
+                s.toward[p as usize] += w as u64;
+            }
+            net_cnt[p as usize] = 0;
+        }
+    }
+    (total - base, interior)
+}
+
+/// A random hypergraph for the differential tests here and in
+/// [`crate::refine`]: `nets` nets of 2–40 pins with weights 1–3 (so equal
+/// gains abound), `wide` nets above [`GAIN_PIN_CAP`], vertex weights 1–4.
+#[cfg(test)]
+pub(crate) fn random_hypergraph(
+    rng: &mut rand::rngs::StdRng,
+    n: usize,
+    nets: usize,
+    wide: usize,
+) -> HyperGraph {
+    use rand::Rng;
+    assert!(wide == 0 || n > GAIN_PIN_CAP + 8);
+    let mut b = HyperGraphBuilder::new(n);
+    for v in 0..n as NodeId {
+        b.set_vertex_weight(v, rng.gen_range(1..=4));
+    }
+    for _ in 0..nets {
+        // Pins cluster around a centre so that nets overlap.
+        let len = rng.gen_range(2..=40usize);
+        let centre = rng.gen_range(0..n);
+        let pins: Vec<NodeId> = (0..len)
+            .map(|_| ((centre + rng.gen_range(0..2 * len)) % n) as NodeId)
+            .collect();
+        b.add_net(&pins, rng.gen_range(1..=3));
+    }
+    for _ in 0..wide {
+        // Distinct by construction: duplicates would shrink it under the cap.
+        let first = rng.gen_range(0..n);
+        let pins: Vec<NodeId> = (0..GAIN_PIN_CAP + 1 + rng.gen_range(0..8usize))
+            .map(|i| ((first + i) % n) as NodeId)
+            .collect();
+        b.add_net(&pins, rng.gen_range(1..=3));
+    }
+    b.build()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::metrics::part_weights;
     use crate::partition::{partition, partition_warm, PartitionerConfig};
     use crate::refine::{enforce_balance, kway_greedy_refine};
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     /// Two clusters of `size` vertices each: every consecutive triple inside
     /// a cluster is a net of weight 5, plus one 2-pin bridge net of weight 1.
@@ -532,5 +716,70 @@ mod tests {
         enforce_balance(&hg, &mut assignment, 2, cap, &Pool::new(1));
         let w = part_weights(&hg, &assignment, 2);
         assert!(w[0] <= cap && w[1] <= cap, "still overweight: {w:?}");
+    }
+
+    /// Everything `pull` hands the refiner, `touched` in order.
+    type Pulled = ((i64, i64), Vec<(u32, u64, u64)>);
+
+    fn pulled(s: &mut MoveScratch, stay_interior: (i64, i64)) -> Pulled {
+        let per_part = s
+            .touched
+            .iter()
+            .map(|&p| (p, s.toward[p as usize], s.uncut[p as usize]))
+            .collect();
+        s.reset();
+        (stay_interior, per_part)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
+
+        /// The tally-backed pull is the recounting pull — `stay`,
+        /// `interior`, every `toward[p]` / `uncut[p]`, and `touched` in
+        /// order — on a random assignment and after every one of a random
+        /// sequence of moves; and a vertex `moved` does not report pulls
+        /// what it pulled before the move.
+        #[test]
+        fn tally_pull_matches_recounting_pull(
+            seed in 0..u64::MAX,
+            k in 2..=16u32,
+            wide in 0..3usize,
+            nets in 1..120usize,
+            moves in 1..24usize,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let n = if wide > 0 { GAIN_PIN_CAP + 40 } else { rng.gen_range(8..160) };
+            let hg = random_hypergraph(&mut rng, n, nets, wide);
+            hg.validate().unwrap();
+            let mut assignment: Vec<u32> = (0..n).map(|_| rng.gen_range(0..k)).collect();
+            let mut tally = hg.tally(&assignment, k);
+            let mut s = MoveScratch::new(k as usize);
+            let reference = |assignment: &[u32], s: &mut MoveScratch| -> Vec<Pulled> {
+                (0..n as NodeId)
+                    .map(|v| {
+                        let out = recounting_pull(&hg, assignment, v, s);
+                        pulled(s, out)
+                    })
+                    .collect()
+            };
+            let mut want = reference(&assignment, &mut s);
+            for step in 0..=moves {
+                for v in 0..n as NodeId {
+                    let out = hg.pull(&tally, &assignment, v, &mut s);
+                    prop_assert_eq!(&pulled(&mut s, out), &want[v as usize], "vertex {}, step {}", v, step);
+                }
+                let v = rng.gen_range(0..n);
+                assignment[v] = (assignment[v] + rng.gen_range(1..k)) % k;
+                let mut reported = vec![false; n];
+                hg.moved(&mut tally, &assignment, v as NodeId, |u| reported[u as usize] = true);
+                reported[v] = true;
+                prop_assert!(tally == hg.tally(&assignment, k), "tally drifted at step {}", step);
+                let after = reference(&assignment, &mut s);
+                for u in (0..n).filter(|&u| !reported[u]) {
+                    prop_assert_eq!(&after[u], &want[u], "unreported vertex {} changed at step {}", u, step);
+                }
+                want = after;
+            }
+        }
     }
 }

@@ -153,8 +153,14 @@ impl HyperGraph {
 
     /// Pins of net `e`, sorted and unique.
     pub fn pins(&self, e: u32) -> &[NodeId] {
+        &self.pins[self.pin_span(e)]
+    }
+
+    /// Where net `e`'s pins sit among all [`HyperGraph::num_pins`] pins:
+    /// the index range a per-pin side table uses for the net.
+    pub(crate) fn pin_span(&self, e: u32) -> std::ops::Range<usize> {
         let e = e as usize;
-        &self.pins[self.exadj[e] as usize..self.exadj[e + 1] as usize]
+        self.exadj[e] as usize..self.exadj[e + 1] as usize
     }
 
     /// Weight of net `e`.

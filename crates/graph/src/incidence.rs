@@ -13,6 +13,15 @@
 //! away, how a matching contracts, which plain graph seeds the coarsest
 //! level, how strongly a vertex is pulled toward each part, and the cost.
 //!
+//! Refinement evaluates the same vertex many times per level, so the pull
+//! comes with a per-level **tally** ([`Incidence::Tally`]): whatever the
+//! implementation wants to compute once per level and per *move* instead
+//! of once per *evaluation*. [`Incidence::pull`] reads it,
+//! [`Incidence::moved`] brings it up to date after a move and names every
+//! vertex whose pull that move can have changed — which is what lets the
+//! refiner skip the vertices nothing happened to. A plain graph's pull is
+//! already one walk over the adjacency, so its tally is `()`.
+//!
 //! The trait is `pub` only so the generic entry points can name it in their
 //! bounds; the module is private, so it cannot be named or implemented
 //! outside this crate.
@@ -22,9 +31,9 @@ use schism_par::Pool;
 use std::borrow::Cow;
 
 /// Per-worker scratch for weighing the moves of one vertex: the output of
-/// [`Incidence::pull`] plus the working space an implementation needs to
-/// produce it. All vectors are `O(k)`; [`MoveScratch::reset`] re-zeroes
-/// only the touched entries so one scratch serves a whole vertex chunk.
+/// [`Incidence::pull`]. All vectors are `O(k)`; [`MoveScratch::reset`]
+/// re-zeroes only the touched entries so one scratch serves a whole vertex
+/// chunk.
 pub struct MoveScratch {
     /// `toward[p]`: how strongly the vertex is attracted to part `p` (edge
     /// weight into `p`; weight of nets that already have a pin in `p`).
@@ -35,10 +44,6 @@ pub struct MoveScratch {
     pub(crate) uncut: Vec<u64>,
     /// Parts with an entry in `toward`, in first-seen order.
     pub(crate) touched: Vec<u32>,
-    /// Working space for per-net pin counts (zero between nets).
-    pub(crate) net_cnt: Vec<u32>,
-    /// Working space: the parts one net spans.
-    pub(crate) net_parts: Vec<u32>,
 }
 
 impl MoveScratch {
@@ -47,8 +52,6 @@ impl MoveScratch {
             toward: vec![0; k],
             uncut: vec![0; k],
             touched: Vec::with_capacity(16),
-            net_cnt: vec![0; k],
-            net_parts: Vec::with_capacity(16),
         }
     }
 
@@ -70,6 +73,9 @@ pub trait Incidence: Sized + Sync {
     const CUT_NET_STAGE: bool;
     /// Per-worker scratch for [`Incidence::for_each_partner`].
     type PartnerScratch;
+    /// What refinement remembers about one level under the current
+    /// assignment; see [`Incidence::tally`].
+    type Tally: PartialEq + Sync;
 
     fn num_vertices(&self) -> usize;
     fn vertex_weight(&self, v: NodeId) -> u32;
@@ -93,12 +99,37 @@ pub trait Incidence: Sized + Sync {
     /// The plain graph recursive bisection seeds the coarsest level on.
     fn seed_graph(&self) -> Cow<'_, CsrGraph>;
 
+    /// The tally of `assignment` (labels in `0..k`): a pure function of
+    /// the two, so a tally kept current through [`Incidence::moved`] always
+    /// equals a fresh one.
+    fn tally(&self, assignment: &[u32], k: u32) -> Self::Tally;
+
     /// Fills `s.toward` / `s.uncut` / `s.touched` for `v` under
     /// `assignment` and returns `(stay, interior)`: the attraction of `v`'s
     /// own part (a move to `p` gains `toward[p] − stay`) and the weight of
     /// nets any move newly cuts (a move to `p` un-cuts `uncut[p] −
-    /// interior`). The caller calls [`MoveScratch::reset`] afterwards.
-    fn pull(&self, assignment: &[u32], v: NodeId, s: &mut MoveScratch) -> (i64, i64);
+    /// interior`). `tally` must be current for `assignment`. The caller
+    /// calls [`MoveScratch::reset`] afterwards.
+    fn pull(
+        &self,
+        tally: &Self::Tally,
+        assignment: &[u32],
+        v: NodeId,
+        s: &mut MoveScratch,
+    ) -> (i64, i64);
+
+    /// Brings `tally` up to date after `assignment[v]` changed and calls
+    /// `report(u)` at least once for every other vertex whose
+    /// [`Incidence::pull`] reads `v`'s label (`v` itself may be among the
+    /// reported). A vertex that is neither `v` nor reported pulls exactly
+    /// as it did before the move.
+    fn moved(
+        &self,
+        tally: &mut Self::Tally,
+        assignment: &[u32],
+        v: NodeId,
+        report: impl FnMut(NodeId),
+    );
 
     /// The objective reported as [`crate::Partitioning::edge_cut`].
     fn cost(&self, assignment: &[u32]) -> u64;
@@ -108,6 +139,7 @@ impl Incidence for CsrGraph {
     const COLD_VCYCLES: usize = 0;
     const CUT_NET_STAGE: bool = false;
     type PartnerScratch = ();
+    type Tally = ();
 
     fn num_vertices(&self) -> usize {
         self.num_vertices()
@@ -153,7 +185,9 @@ impl Incidence for CsrGraph {
         Cow::Borrowed(self)
     }
 
-    fn pull(&self, assignment: &[u32], v: NodeId, s: &mut MoveScratch) -> (i64, i64) {
+    fn tally(&self, _: &[u32], _: u32) {}
+
+    fn pull(&self, _: &(), assignment: &[u32], v: NodeId, s: &mut MoveScratch) -> (i64, i64) {
         let own = assignment[v as usize];
         s.touched.clear();
         let mut stay = 0i64;
@@ -169,6 +203,10 @@ impl Incidence for CsrGraph {
             s.toward[p as usize] += w as u64;
         }
         (stay, 0)
+    }
+
+    fn moved(&self, _: &mut (), _: &[u32], v: NodeId, report: impl FnMut(NodeId)) {
+        self.neighbors(v).iter().copied().for_each(report);
     }
 
     fn cost(&self, assignment: &[u32]) -> u64 {

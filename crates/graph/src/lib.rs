@@ -29,8 +29,8 @@
 //! | matching ([`matching`]) | seed draw + shuffle, 8 propose / mutual-accept rounds, seeded-order cleanup, two-hop pass, pair-weight cap, label restriction | score = edge weight; two hops over edges | score = `w·256/(|e|−1)` over nets ≤ 64 pins; two hops over shared nets |
 //! | contraction ([`coarsen`]) | coarse ids, checked coarse weights, the level struct | merged adjacency, stitched in coarse-id order | remapped + deduplicated pins, merged identical nets |
 //! | coarsest seed ([`initial`]) | recursive bisection | on the level itself | on its clique expansion |
-//! | refinement ([`refine`]) | parallel frozen scan → `(Reverse(gain), v)` sort → sequential live re-validation; admissibility, take rule, tie to the lighter part | pull = edge weight into each part | pull = weight of nets already spanning each part (nets ≤ 512 pins), plus the cut-net tie-break |
-//! | balance ([`refine::enforce_balance`]) | 4 sweeps, cheapest damage first, destination re-chosen live | same pull | same pull |
+//! | refinement ([`refine`]) | parallel frozen scan of the active set (first pass: every vertex; later passes: whoever a move reported, plus whoever only the part weights held back) → `(Reverse(gain), v)` sort → sequential live re-validation; admissibility, take rule, tie to the lighter part | pull = edge weight into each part; nothing to remember; a move reports the neighbours | pull = weight of nets already spanning each part (nets ≤ 512 pins), plus the cut-net tie-break, read off a per-level tally Λ of pins per net and part; a move recounts its nets' rows and reports their pins |
+//! | balance ([`refine::enforce_balance`]) | 4 sweeps, cheapest damage first, destination re-chosen live; on the way up a level it shares one tally with refinement | same pull | same pull |
 //! | reported cost | [`Partitioning::edge_cut`] | [`edge_cut()`] | [`connectivity_cost`] |
 //!
 //! All phases run data-parallel over a [`schism_par::Pool`] sized by
@@ -40,7 +40,9 @@
 //! propose/mutual-accept rounds with a sequential tie-break pass,
 //! contraction stitches chunk-built structure in a canonical order, and
 //! refinement scans the boundary in parallel but serializes only the
-//! conflict set of candidate moves.
+//! conflict set of candidate moves. What refinement skips — vertices no
+//! move touched since they last came out unmovable under any part weights
+//! — it skips exactly: the result is the one a full rescan gives.
 //!
 //! ```
 //! use schism_graph::{gen, partition, HyperGraphBuilder, PartitionerConfig};

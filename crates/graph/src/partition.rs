@@ -34,7 +34,7 @@ use crate::incidence::Incidence;
 use crate::initial::recursive_bisection;
 use crate::matching::{heavy_matching, matched_pairs};
 use crate::metrics::part_weights;
-use crate::refine::{enforce_balance, kway_greedy_refine};
+use crate::refine::{self, kway_greedy_refine};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use schism_par::Pool;
@@ -325,8 +325,7 @@ fn vcycle<G: Incidence>(
         recursive_bisection(&seed_graph, k, cfg.epsilon, cfg.init_tries, rng, pool)
     });
     let settle = |level: &G, assignment: &mut Vec<u32>| {
-        enforce_balance(level, assignment, k, max_part, pool);
-        kway_greedy_refine(
+        refine::settle(
             level,
             assignment,
             k,
@@ -334,7 +333,7 @@ fn vcycle<G: Incidence>(
             cfg.refine_passes,
             cut_primary,
             pool,
-        );
+        )
     };
     settle(coarsest, &mut assignment);
 

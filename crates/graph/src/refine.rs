@@ -26,6 +26,15 @@
 //! already spanning the part, and the same difference is the (λ−1)
 //! connectivity reduction — moving the last pin out of a part stops the net
 //! spanning it; moving into a part the net doesn't touch extends it.
+//!
+//! Neither recomputes what no move changed. A level is balanced and refined
+//! over one `Incidence::Tally` — for a hypergraph the pins each net has in
+//! each part, so a pull reads a row per net instead of the net's pins —
+//! which every move brings up to date (`Incidence::moved`), and the refiner
+//! rescans only the vertices a move can have affected (see
+//! [`kway_greedy_refine`]). Both are exact: partitions are what recounting
+//! everything on every evaluation and rescanning everyone on every pass
+//! would give, bit for bit, which the differential tests below pin.
 
 use crate::csr::{CsrGraph, NodeId};
 use crate::incidence::{Incidence, MoveScratch};
@@ -157,9 +166,9 @@ pub fn fm_bisection(
     cut
 }
 
-/// A candidate move weighed against a (frozen or live) state: the gain and
-/// destination of `v`'s best admissible move, or `None` for interior /
-/// immovable vertices.
+/// `v`'s best admissible move against a (frozen or live) state — its gain
+/// and destination, or `None` for interior / immovable vertices — and
+/// whether `v` is **awake**.
 ///
 /// Two objectives rank a move to `p`: the connectivity gain `toward[p] −
 /// stay` and the cut-net gain `uncut[p] − interior` (nets un-cut minus nets
@@ -167,19 +176,27 @@ pub fn fm_bisection(
 /// on a plain graph). `cut_primary` picks which one leads; the other breaks
 /// ties, so the refiner keeps lowering the distributed fraction on
 /// connectivity plateaus.
+///
+/// A vertex is awake when some part it touches offers `(gain, tie) ≥
+/// (0, 0)`: a move the objectives would take, whether or not the part
+/// weights admit it right now. One that is not awake yields `None` under
+/// *any* weights, and stays that way until its pull changes.
+#[allow(clippy::too_many_arguments)]
 fn weigh_move<G: Incidence>(
     g: &G,
+    tally: &G::Tally,
     assignment: &[u32],
     weights: &[u64],
     max_part_weight: u64,
     v: NodeId,
     s: &mut MoveScratch,
     cut_primary: bool,
-) -> Option<(i64, u32)> {
+) -> (Option<(i64, u32)>, bool) {
     let own = assignment[v as usize] as usize;
-    let (stay, interior) = g.pull(assignment, v, s);
+    let (stay, interior) = g.pull(tally, assignment, v, s);
     let vw = g.vertex_weight(v) as u64;
     let mut best: Option<(i64, i64, u32)> = None;
+    let mut awake = false;
     for &p in &s.touched {
         let conn_gain = s.toward[p as usize] as i64 - stay;
         let cut_gain = s.uncut[p as usize] as i64 - interior;
@@ -188,6 +205,13 @@ fn weigh_move<G: Incidence>(
         } else {
             (conn_gain, cut_gain)
         };
+        // No move that loses — and no zero-gain move may pay the secondary
+        // objective, not even for balance: balance is already capped by
+        // epsilon, the objectives are not.
+        if (gain, tie) < (0, 0) {
+            continue;
+        }
+        awake = true;
         let landing = weights[p as usize] + vw;
         let fits = landing <= max_part_weight;
         let improves_balance = landing < weights[own];
@@ -195,9 +219,8 @@ fn weigh_move<G: Incidence>(
         if !(fits || rebalances) {
             continue;
         }
-        // Zero-gain moves must not pay the secondary objective for balance:
-        // balance is already capped by epsilon, the objectives are not.
-        let take = gain > 0 || (gain == 0 && (tie > 0 || (tie == 0 && improves_balance)));
+        // A move that changes neither objective is taken only for balance.
+        let take = (gain, tie) > (0, 0) || improves_balance;
         // Best objective pair wins; equal pairs go to the lighter part.
         if take
             && best.is_none_or(|(bg, bt, bp)| {
@@ -209,13 +232,13 @@ fn weigh_move<G: Incidence>(
         }
     }
     s.reset();
-    best.map(|(gain, _, p)| (gain, p))
+    (best.map(|(gain, _, p)| (gain, p)), awake)
 }
 
 /// Greedy k-way boundary refinement (the METIS "greedy refinement" variant),
 /// parallelized as scan/apply passes over `pool`.
 ///
-/// Each pass first scans every vertex **in parallel** against the frozen
+/// Each pass first scans vertices **in parallel** against the frozen
 /// pass-start state, collecting candidate moves with positive gain (or
 /// zero gain that improves the secondary objective or balance). The
 /// candidates — the conflict set — are then ordered deterministically
@@ -223,6 +246,16 @@ fn weigh_move<G: Incidence>(
 /// sequentially against the live assignment before applying, so stale gains
 /// never corrupt the objective and the result is independent of the pool
 /// size. Returns the number of moves performed.
+///
+/// Only the first pass scans every vertex. A later pass scans the **active
+/// set**: the vertices the previous apply phase reported (`Incidence::moved`
+/// — everyone whose pull a move changed) plus those that were awake when
+/// last scanned (see `weigh_move` — the part weights alone decide about
+/// them, and those changed). Every other vertex pulls what it pulled when
+/// it last came out `None` for every possible weight vector, so scanning it
+/// again could only repeat that; and since the candidates are totally
+/// ordered before they are applied, neither the order of the active list
+/// nor how it is chunked can show in the result.
 ///
 /// With `cut_primary` the **cut-net metric leads** — the weight of nets
 /// spanning more than one part, i.e. exactly the distributed transactions
@@ -239,73 +272,10 @@ pub fn kway_greedy_refine<G: Incidence>(
     cut_primary: bool,
     pool: &Pool,
 ) -> usize {
-    let n = g.num_vertices();
-    let kk = k as usize;
-    let mut weights = part_weights(g, assignment, k);
-    let chunk = chunk_size(n, pool.threads());
-    let mut live = MoveScratch::new(kk);
-    let mut total_moves = 0usize;
-
-    for _pass in 0..passes {
-        // --- Scan (parallel, frozen state): the boundary + its gains. ---
-        let frozen_assignment: &[u32] = assignment;
-        let frozen_weights: &[u64] = &weights;
-        let candidates: Vec<Vec<(i64, NodeId)>> = pool.scope_chunks_with(
-            n,
-            chunk,
-            || MoveScratch::new(kk),
-            |s, range| {
-                range
-                    .filter_map(|v| {
-                        weigh_move(
-                            g,
-                            frozen_assignment,
-                            frozen_weights,
-                            max_part_weight,
-                            v as NodeId,
-                            s,
-                            cut_primary,
-                        )
-                        .map(|(gain, _)| (gain, v as NodeId))
-                    })
-                    .collect()
-            },
-        );
-        let mut cands: Vec<(i64, NodeId)> = candidates.into_iter().flatten().collect();
-        if cands.is_empty() {
-            break;
-        }
-        // Deterministic application order: best frozen gain first; vertex id
-        // breaks ties into a total order.
-        cands.sort_unstable_by_key(|&(gain, v)| (std::cmp::Reverse(gain), v));
-
-        // --- Apply (sequential): re-validate each candidate live. ---
-        let mut moves = 0usize;
-        for (_, v) in cands {
-            let Some((_, p)) = weigh_move(
-                g,
-                assignment,
-                &weights,
-                max_part_weight,
-                v,
-                &mut live,
-                cut_primary,
-            ) else {
-                continue;
-            };
-            let own = assignment[v as usize];
-            let vw = g.vertex_weight(v) as u64;
-            weights[own as usize] -= vw;
-            weights[p as usize] += vw;
-            assignment[v as usize] = p;
-            moves += 1;
-        }
-        total_moves += moves;
-        if moves == 0 {
-            break;
-        }
-    }
-    total_moves
+    let mut level = Level::new(g, assignment, k, max_part_weight);
+    let moves = level.refine(passes, cut_primary, pool);
+    level.finish();
+    moves
 }
 
 /// Forces every partition under `max_part_weight` (if at all possible) by
@@ -329,70 +299,234 @@ pub fn enforce_balance<G: Incidence>(
     max_part_weight: u64,
     pool: &Pool,
 ) {
-    let n = g.num_vertices();
-    let kk = k as usize;
-    let mut weights = part_weights(g, assignment, k);
-    let chunk = chunk_size(n, pool.threads());
-    let mut live = MoveScratch::new(kk);
-    // Bounded sweeps: stale scores self-correct next sweep, and the bound
-    // avoids thrashing on impossible instances (e.g. one vertex heavier
-    // than the cap).
-    for _ in 0..4 {
-        if !weights.iter().any(|&w| w > max_part_weight) {
-            break;
+    // Nothing overweight is the common case; it needs no tally.
+    if part_weights(g, assignment, k)
+        .iter()
+        .any(|&w| w > max_part_weight)
+    {
+        let mut level = Level::new(g, assignment, k, max_part_weight);
+        level.balance(pool);
+        level.finish();
+    }
+}
+
+/// What the driver does to every level on the way up: [`enforce_balance`],
+/// then [`kway_greedy_refine`], over one shared tally.
+pub(crate) fn settle<G: Incidence>(
+    g: &G,
+    assignment: &mut [u32],
+    k: u32,
+    max_part_weight: u64,
+    passes: usize,
+    cut_primary: bool,
+    pool: &Pool,
+) {
+    let mut level = Level::new(g, assignment, k, max_part_weight);
+    level.balance(pool);
+    level.refine(passes, cut_primary, pool);
+    level.finish();
+}
+
+/// One level being balanced and refined: the assignment with everything
+/// derived from it — part weights and the implementation's tally — kept
+/// current move by move.
+struct Level<'a, G: Incidence> {
+    g: &'a G,
+    assignment: &'a mut [u32],
+    k: usize,
+    max_part_weight: u64,
+    weights: Vec<u64>,
+    tally: G::Tally,
+}
+
+impl<'a, G: Incidence> Level<'a, G> {
+    fn new(g: &'a G, assignment: &'a mut [u32], k: u32, max_part_weight: u64) -> Self {
+        Self {
+            weights: part_weights(g, assignment, k),
+            tally: g.tally(assignment, k),
+            g,
+            assignment,
+            k: k as usize,
+            max_part_weight,
         }
-        // Score every vertex of an overweight partition. The destination is
-        // re-chosen at move time against fresh weights.
-        let frozen_assignment: &[u32] = assignment;
-        let frozen_weights: &[u64] = &weights;
-        let scored: Vec<Vec<(i64, NodeId)>> = pool.scope_chunks_with(
-            n,
-            chunk,
-            || MoveScratch::new(kk),
-            |s, range| {
-                range
-                    .filter_map(|v| {
-                        let own = frozen_assignment[v] as usize;
-                        if frozen_weights[own] <= max_part_weight {
-                            return None;
-                        }
-                        let (stay, _) = g.pull(frozen_assignment, v as NodeId, s);
-                        let best_other = s.touched.iter().map(|&p| s.toward[p as usize]).max();
-                        s.reset();
-                        Some((stay - best_other.unwrap_or(0) as i64, v as NodeId))
-                    })
-                    .collect()
-            },
+    }
+
+    /// Moves `v` to `p` and reports who pulls differently for it.
+    fn apply(&mut self, v: NodeId, p: u32, report: impl FnMut(NodeId)) {
+        let vw = self.g.vertex_weight(v) as u64;
+        self.weights[self.assignment[v as usize] as usize] -= vw;
+        self.weights[p as usize] += vw;
+        self.assignment[v as usize] = p;
+        self.g.moved(&mut self.tally, self.assignment, v, report);
+    }
+
+    /// The maintained tally must be the one a fresh count would give.
+    fn finish(self) {
+        debug_assert!(
+            self.tally == self.g.tally(self.assignment, self.k as u32),
+            "tally drifted from the assignment"
         );
-        let mut cands: Vec<(i64, NodeId)> = scored.into_iter().flatten().collect();
-        if cands.is_empty() {
-            break;
-        }
-        // Cheapest damage first; heavier vertex first on ties (fewer moves).
-        cands.sort_unstable_by_key(|&(delta, v)| (delta, std::cmp::Reverse(g.vertex_weight(v)), v));
-        let mut moved = false;
-        for (_, v) in cands {
-            let own = assignment[v as usize] as usize;
-            if weights[own] <= max_part_weight {
-                continue; // partition already fixed this sweep
+    }
+
+    fn refine(&mut self, passes: usize, cut_primary: bool, pool: &Pool) -> usize {
+        let g = self.g;
+        let n = g.num_vertices();
+        let mut live = MoveScratch::new(self.k);
+        let mut total_moves = 0usize;
+        // The vertices this pass scans, and (`queued`) whether a vertex is
+        // already on the next pass's list.
+        let mut active: Vec<NodeId> = (0..n as NodeId).collect();
+        let mut queued = vec![false; n];
+
+        for _pass in 0..passes {
+            // --- Scan (parallel, frozen state): the boundary + its gains. ---
+            let (tally, assignment, weights) = (&self.tally, &*self.assignment, &self.weights);
+            let (k, max_part_weight) = (self.k, self.max_part_weight);
+            let scanned = pool.scope_chunks_with(
+                active.len(),
+                chunk_size(active.len(), pool.threads()),
+                || MoveScratch::new(k),
+                |s, range| {
+                    let mut cands: Vec<(i64, NodeId)> = Vec::new();
+                    let mut awake: Vec<NodeId> = Vec::new();
+                    for &v in &active[range] {
+                        let (best, is_awake) = weigh_move(
+                            g,
+                            tally,
+                            assignment,
+                            weights,
+                            max_part_weight,
+                            v,
+                            s,
+                            cut_primary,
+                        );
+                        if let Some((gain, _)) = best {
+                            cands.push((gain, v));
+                        }
+                        if is_awake {
+                            awake.push(v);
+                        }
+                    }
+                    (cands, awake)
+                },
+            );
+            let mut cands = Vec::new();
+            active.clear();
+            for (chunk_cands, chunk_awake) in scanned {
+                cands.extend(chunk_cands);
+                active.extend(chunk_awake);
             }
-            let vw = g.vertex_weight(v) as u64;
-            g.pull(assignment, v, &mut live);
-            // Feasible destination with the strongest pull; break ties
-            // toward the lightest load.
-            let dest = (0..kk)
-                .filter(|&p| p != own && weights[p] + vw <= max_part_weight)
-                .max_by_key(|&p| (live.toward[p], std::cmp::Reverse(weights[p])));
-            live.reset();
-            if let Some(p) = dest {
-                weights[own] -= vw;
-                weights[p] += vw;
-                assignment[v as usize] = p as u32;
-                moved = true;
+            if cands.is_empty() {
+                break;
+            }
+            for &v in &active {
+                queued[v as usize] = true;
+            }
+            // Deterministic application order: best frozen gain first; vertex id
+            // breaks ties into a total order.
+            cands.sort_unstable_by_key(|&(gain, v)| (std::cmp::Reverse(gain), v));
+
+            // --- Apply (sequential): re-validate each candidate live. ---
+            let mut moves = 0usize;
+            for (_, v) in cands {
+                let (Some((_, p)), _) = weigh_move(
+                    g,
+                    &self.tally,
+                    self.assignment,
+                    &self.weights,
+                    max_part_weight,
+                    v,
+                    &mut live,
+                    cut_primary,
+                ) else {
+                    continue;
+                };
+                // A candidate is awake, so `v` itself is queued already.
+                self.apply(v, p, |u| {
+                    if !std::mem::replace(&mut queued[u as usize], true) {
+                        active.push(u);
+                    }
+                });
+                moves += 1;
+            }
+            total_moves += moves;
+            if moves == 0 {
+                break;
+            }
+            for &v in &active {
+                queued[v as usize] = false;
             }
         }
-        if !moved {
-            break;
+        total_moves
+    }
+
+    fn balance(&mut self, pool: &Pool) {
+        let g = self.g;
+        let n = g.num_vertices();
+        let chunk = chunk_size(n, pool.threads());
+        let mut live = MoveScratch::new(self.k);
+        // Bounded sweeps: stale scores self-correct next sweep, and the bound
+        // avoids thrashing on impossible instances (e.g. one vertex heavier
+        // than the cap).
+        for _ in 0..4 {
+            let max_part_weight = self.max_part_weight;
+            if !self.weights.iter().any(|&w| w > max_part_weight) {
+                break;
+            }
+            // Score every vertex of an overweight partition. The destination is
+            // re-chosen at move time against fresh weights.
+            let (tally, assignment, weights, k) =
+                (&self.tally, &*self.assignment, &self.weights, self.k);
+            let scored: Vec<Vec<(i64, NodeId)>> = pool.scope_chunks_with(
+                n,
+                chunk,
+                || MoveScratch::new(k),
+                |s, range| {
+                    range
+                        .filter_map(|v| {
+                            let own = assignment[v] as usize;
+                            if weights[own] <= max_part_weight {
+                                return None;
+                            }
+                            let (stay, _) = g.pull(tally, assignment, v as NodeId, s);
+                            let best_other = s.touched.iter().map(|&p| s.toward[p as usize]).max();
+                            s.reset();
+                            Some((stay - best_other.unwrap_or(0) as i64, v as NodeId))
+                        })
+                        .collect()
+                },
+            );
+            let mut cands: Vec<(i64, NodeId)> = scored.into_iter().flatten().collect();
+            if cands.is_empty() {
+                break;
+            }
+            // Cheapest damage first; heavier vertex first on ties (fewer moves).
+            cands.sort_unstable_by_key(|&(delta, v)| {
+                (delta, std::cmp::Reverse(g.vertex_weight(v)), v)
+            });
+            let mut moved = false;
+            for (_, v) in cands {
+                let own = self.assignment[v as usize] as usize;
+                if self.weights[own] <= max_part_weight {
+                    continue; // partition already fixed this sweep
+                }
+                let vw = g.vertex_weight(v) as u64;
+                g.pull(&self.tally, self.assignment, v, &mut live);
+                // Feasible destination with the strongest pull; break ties
+                // toward the lightest load.
+                let weights = &self.weights;
+                let dest = (0..self.k)
+                    .filter(|&p| p != own && weights[p] + vw <= max_part_weight)
+                    .max_by_key(|&p| (live.toward[p], std::cmp::Reverse(weights[p])));
+                live.reset();
+                if let Some(p) = dest {
+                    self.apply(v, p as u32, |_| {});
+                    moved = true;
+                }
+            }
+            if !moved {
+                break;
+            }
         }
     }
 }
@@ -400,10 +534,198 @@ pub fn enforce_balance<G: Incidence>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::builder::GraphBuilder;
     use crate::gen;
+    use crate::hpartition::random_hypergraph;
     use crate::metrics::imbalance;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
+
+    /// The refiner before it remembered anything: every pass weighs every
+    /// vertex, and every evaluation reads a tally counted from the
+    /// assignment as it stands.
+    fn full_rescan_refine<G: Incidence>(
+        g: &G,
+        assignment: &mut [u32],
+        k: u32,
+        max_part_weight: u64,
+        passes: usize,
+        cut_primary: bool,
+    ) -> usize {
+        let mut weights = part_weights(g, assignment, k);
+        let mut s = MoveScratch::new(k as usize);
+        let mut total_moves = 0;
+        for _ in 0..passes {
+            let mut tally = g.tally(assignment, k);
+            let mut cands: Vec<(i64, NodeId)> = Vec::new();
+            for v in 0..g.num_vertices() as NodeId {
+                let weighed = weigh_move(
+                    g,
+                    &tally,
+                    assignment,
+                    &weights,
+                    max_part_weight,
+                    v,
+                    &mut s,
+                    cut_primary,
+                );
+                if let (Some((gain, _)), _) = weighed {
+                    cands.push((gain, v));
+                }
+            }
+            cands.sort_unstable_by_key(|&(gain, v)| (std::cmp::Reverse(gain), v));
+            let mut moves = 0;
+            for (_, v) in cands {
+                let weighed = weigh_move(
+                    g,
+                    &tally,
+                    assignment,
+                    &weights,
+                    max_part_weight,
+                    v,
+                    &mut s,
+                    cut_primary,
+                );
+                if let (Some((_, p)), _) = weighed {
+                    let vw = g.vertex_weight(v) as u64;
+                    weights[assignment[v as usize] as usize] -= vw;
+                    weights[p as usize] += vw;
+                    assignment[v as usize] = p;
+                    tally = g.tally(assignment, k);
+                    moves += 1;
+                }
+            }
+            total_moves += moves;
+            if moves == 0 {
+                break;
+            }
+        }
+        total_moves
+    }
+
+    /// [`enforce_balance`] with a tally counted afresh after every move.
+    fn recounting_balance<G: Incidence>(
+        g: &G,
+        assignment: &mut [u32],
+        k: u32,
+        max_part_weight: u64,
+    ) {
+        let kk = k as usize;
+        let mut weights = part_weights(g, assignment, k);
+        let mut s = MoveScratch::new(kk);
+        for _ in 0..4 {
+            if !weights.iter().any(|&w| w > max_part_weight) {
+                break;
+            }
+            let mut tally = g.tally(assignment, k);
+            let mut cands: Vec<(i64, NodeId)> = Vec::new();
+            for v in 0..g.num_vertices() as NodeId {
+                if weights[assignment[v as usize] as usize] > max_part_weight {
+                    let (stay, _) = g.pull(&tally, assignment, v, &mut s);
+                    let best_other = s.touched.iter().map(|&p| s.toward[p as usize]).max();
+                    s.reset();
+                    cands.push((stay - best_other.unwrap_or(0) as i64, v));
+                }
+            }
+            cands.sort_unstable_by_key(|&(delta, v)| {
+                (delta, std::cmp::Reverse(g.vertex_weight(v)), v)
+            });
+            let mut moved = false;
+            for (_, v) in cands {
+                let own = assignment[v as usize] as usize;
+                if weights[own] <= max_part_weight {
+                    continue;
+                }
+                let vw = g.vertex_weight(v) as u64;
+                g.pull(&tally, assignment, v, &mut s);
+                let dest = (0..kk)
+                    .filter(|&p| p != own && weights[p] + vw <= max_part_weight)
+                    .max_by_key(|&p| (s.toward[p], std::cmp::Reverse(weights[p])));
+                s.reset();
+                if let Some(p) = dest {
+                    weights[own] -= vw;
+                    weights[p] += vw;
+                    assignment[v as usize] = p as u32;
+                    tally = g.tally(assignment, k);
+                    moved = true;
+                }
+            }
+            if !moved {
+                break;
+            }
+        }
+    }
+
+    /// Refinement and balancing against their oracles, from a random start
+    /// (skewed toward the low parts, so some start overweight) and from
+    /// everything on part 0, at pools of 1, 2 and 4.
+    fn matches_oracles<G: Incidence>(g: &G, k: u32, rng: &mut StdRng) {
+        let n = g.num_vertices();
+        let cap = (g.total_vertex_weight() as f64 * 1.05 / k as f64).ceil() as u64;
+        let start: Vec<u32> = (0..n)
+            .map(|_| rng.gen_range(0..k).min(rng.gen_range(0..k)))
+            .collect();
+        for cut_primary in [false, true] {
+            let mut want = start.clone();
+            let want_moves = full_rescan_refine(g, &mut want, k, cap, 6, cut_primary);
+            for threads in [1, 2, 4] {
+                let mut got = start.clone();
+                let pool = Pool::new(threads);
+                let moves = kway_greedy_refine(g, &mut got, k, cap, 6, cut_primary, &pool);
+                assert_eq!(moves, want_moves, "moves, cut_primary {cut_primary}");
+                assert!(
+                    got == want,
+                    "labels, cut_primary {cut_primary}, pool {threads}"
+                );
+            }
+        }
+        let mut want = vec![0u32; n];
+        recounting_balance(g, &mut want, k, cap);
+        for threads in [1, 2, 4] {
+            let mut got = vec![0u32; n];
+            enforce_balance(g, &mut got, k, cap, &Pool::new(threads));
+            assert!(got == want, "balance, pool {threads}");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 16, ..ProptestConfig::default() })]
+
+        /// Large enough (over 1 024 vertices) that a pool of 2 or 4 really
+        /// splits the scan, with a few nets too wide to be tallied.
+        #[test]
+        fn hypergraph_refiner_and_balancer_match_full_rescan(
+            seed in 0..u64::MAX,
+            k in 2..=16u32,
+            n in 1_100..1_400usize,
+            wide in 0..3usize,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let hg = random_hypergraph(&mut rng, n, n / 3, wide);
+            matches_oracles(&hg, k, &mut rng);
+        }
+
+        #[test]
+        fn graph_refiner_and_balancer_match_full_rescan(
+            seed in 0..u64::MAX,
+            k in 2..=16u32,
+            n in 1_100..1_500usize,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut b = GraphBuilder::new(n);
+            for v in 0..n as NodeId {
+                b.set_vertex_weight(v, rng.gen_range(1..=4));
+            }
+            for _ in 0..3 * n {
+                // Mostly short-range edges, weights 1–3: clustered, with ties.
+                let u = rng.gen_range(0..n);
+                let v = (u + rng.gen_range(1..24usize)) % n;
+                b.add_edge(u as NodeId, v as NodeId, rng.gen_range(1..=3));
+            }
+            matches_oracles(&b.build(), k, &mut rng);
+        }
+    }
 
     #[test]
     fn fm_fixes_a_bad_bisection() {
