@@ -84,7 +84,10 @@ pub trait Incidence: Sized + Sync {
     fn partner_scratch(&self) -> Self::PartnerScratch;
 
     /// Calls `f(u, score)` once per candidate matching partner of `v`, in a
-    /// deterministic order; a higher score is a stronger attraction.
+    /// deterministic order; a higher score is a stronger attraction. Scores
+    /// must be **symmetric** — `v` is told `(u, s)` iff `u` is told
+    /// `(v, s)` — because matching ranks the *edge* `{v, u}` and needs its
+    /// two ends to agree on the rank.
     fn for_each_partner(&self, v: NodeId, s: &mut Self::PartnerScratch, f: impl FnMut(NodeId, u64));
 
     /// Walks `v`'s bounded two-hop neighbourhood and returns the first

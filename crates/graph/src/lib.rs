@@ -26,7 +26,7 @@
 //! | | shared (written once) | graph | hypergraph |
 //! |---|---|---|---|
 //! | schedule ([`partition`](mod@partition)) | `ncuts` fan-out + best-of, cold descent, warm start, label-respecting V-cycle, level projection, balance cap, result | no extra stages | 2 more cold V-cycles, then a cut-net-primary V-cycle + flat polish |
-//! | matching ([`matching`]) | seed draw + shuffle, 8 propose / mutual-accept rounds, seeded-order cleanup, two-hop pass, pair-weight cap, label restriction | score = edge weight; two hops over edges | score = `w·256/(|e|−1)` over nets ≤ 64 pins; two hops over shared nets |
+//! | matching ([`matching`]) | seed draw + shuffle, at most 8 propose / mutual-accept rounds over a strict order on candidate *edges* — `(score, tie(seed, {v,u}))`, the same from both ends, so a round matches every locally dominant edge — seeded-order cleanup, two-hop pass, pair-weight cap, label restriction | symmetric score = edge weight; two hops over edges | symmetric score = `w·256/(|e|−1)` over shared nets ≤ 64 pins; two hops over shared nets |
 //! | contraction ([`coarsen`]) | coarse ids, checked coarse weights, the level struct | merged adjacency, stitched in coarse-id order | remapped + deduplicated pins, merged identical nets |
 //! | coarsest seed ([`initial`]) | recursive bisection | on the level itself | on its clique expansion |
 //! | refinement ([`refine`]) | parallel frozen scan of the active set (first pass: every vertex; later passes: whoever a move reported, plus whoever only the part weights held back) → `(Reverse(gain), v)` sort → sequential live re-validation; admissibility, take rule, tie to the lighter part | pull = edge weight into each part; nothing to remember; a move reports the neighbours | pull = weight of nets already spanning each part (nets ≤ 512 pins), plus the cut-net tie-break, read off a per-level tally Λ of pins per net and part; a move recounts its nets' rows and reports their pins |

@@ -212,10 +212,13 @@ fn golden_row<G>(
     ]
 }
 
-/// Same-seed output, bit for bit, as recorded before the clique and
-/// hypergraph pipelines were folded onto one driver (PR 12). A change that
-/// is meant to alter partitions re-records these; one that is not must
-/// leave them alone.
+/// Same-seed output, bit for bit: recorded before the clique and hypergraph
+/// pipelines were folded onto one driver (PR 12), and re-recorded once since,
+/// when matching started ordering candidate edges instead of candidate
+/// targets (PR 21 — a different, equally valid matching; three of the
+/// planted digests did not move because that graph's optimum is found either
+/// way). A change that is meant to alter partitions re-records these; one
+/// that is not must leave them alone.
 #[test]
 fn same_seed_output_matches_golden_digests() {
     let check = |name: &str, got: [u64; 4], want: [u64; 4]| {
@@ -236,7 +239,7 @@ fn same_seed_output_matches_golden_digests() {
             0x72001ebc2a90209f,
             0x72001ebc2a90209f,
             0xb1e15427e081409f,
-            0xb1e15427e081409f,
+            0x5b90ec68a269909f,
         ],
     );
     let g = gen::grid(24, 24);
@@ -244,10 +247,10 @@ fn same_seed_output_matches_golden_digests() {
         "grid",
         golden_row(&g, g.num_vertices(), 4, 9, partition, partition_warm),
         [
-            0x62c786a74b7a24ad,
-            0xe59291bbbc48b9f6,
-            0x0685386231112fef,
-            0xa4e4df690b309014,
+            0xc9f02d0a0ba035a3,
+            0xce67ccfa001d153f,
+            0x50e44056b540247e,
+            0x4b2bba4638e8132c,
         ],
     );
     let w = small_tpcc();
@@ -257,10 +260,10 @@ fn same_seed_output_matches_golden_digests() {
         "tpcc clique",
         golden_row(g, g.num_vertices(), 4, 3, partition, partition_warm),
         [
-            0xb6e8d87eb8b4fd5c,
-            0xb69353a6e4247d5c,
-            0x6525f3ee09825421,
-            0x884df98e0c1391da,
+            0xb9ff663f1a3ca1e7,
+            0x68c2b43fda8e7c9c,
+            0x73ba94a998036307,
+            0x636f5d4fe4b91cfb,
         ],
     );
     let wg = build_graph(&w, &w.trace, &hypergraph_config(4));
@@ -269,10 +272,10 @@ fn same_seed_output_matches_golden_digests() {
         "tpcc hypergraph",
         golden_row(hg, hg.num_vertices(), 4, 3, partition, partition_warm),
         [
-            0x4da1a58d967f2dc8,
-            0x9c4490c05c926aef,
-            0x26c0228e477ae808,
-            0xd0f0b78b0a7097ec,
+            0x5f63d043aacc3d71,
+            0xd7ede421dfa59032,
+            0xdaf05ee640fe6bae,
+            0xabe8cab87e715b54,
         ],
     );
     let hg = two_hyper_clusters(200);
@@ -280,10 +283,10 @@ fn same_seed_output_matches_golden_digests() {
         "two_hyper_clusters",
         golden_row(&hg, hg.num_vertices(), 4, 9, partition, partition_warm),
         [
-            0x42e2353a2945b8b0,
-            0x42e2353a2945b8b0,
-            0xb3851b112daab702,
-            0xb1d6958c15abd2d5,
+            0xe1dc38e862e6b8b0,
+            0xe1dc38e862e6b8b0,
+            0x88c259183e378722,
+            0x1e6ac1ef604a471c,
         ],
     );
     let hg = wide_net_hypergraph();
@@ -291,10 +294,10 @@ fn same_seed_output_matches_golden_digests() {
         "wide nets",
         golden_row(&hg, hg.num_vertices(), 6, 5, partition, partition_warm),
         [
-            0xf5944343a24946e0,
-            0xf5944343a24946e0,
-            0x0d0d81d47fc15296,
-            0xaa6ac5ae403a46ea,
+            0x69e4c37ea3ce3399,
+            0x69e4c37ea3ce3399,
+            0xbdfa428916751094,
+            0x7d484c3f709bfe9b,
         ],
     );
 }
@@ -448,16 +451,17 @@ fn explanation_digest(e: &schism_core::Explanation) -> u64 {
 /// policies are bit-identical at every `threads` — and equal to what the
 /// serial trainer produced before the folds moved onto the pool and the
 /// split search stopped recomputing the parent entropy (recorded on the
-/// parent commit of that change).
+/// parent commit of that change; re-recorded with the partition digests
+/// above when PR 21 changed the placements the trees are trained on).
 #[test]
 fn explanation_identical_across_threads_and_matches_golden() {
     let w = small_tpcc();
     for (name, backend, want) in [
-        ("clique", GraphBackend::Clique, 0xd703cc38d163a2b3u64),
+        ("clique", GraphBackend::Clique, 0xf56ee4c53f2f966au64),
         (
             "hypergraph",
             GraphBackend::Hypergraph,
-            0xaf22b5b23d4fbbabu64,
+            0x4ff6f5e78611f7b2u64,
         ),
     ] {
         let mk = config(backend, 11);
