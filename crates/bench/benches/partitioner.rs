@@ -5,7 +5,7 @@
 //! before/after of its own.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use schism_core::{build_graph, GraphBackend, SchismConfig, WorkloadGraph};
+use schism_core::{build_graph, CoAccess, GraphBackend, SchismConfig, WorkloadGraph};
 use schism_graph::{gen, partition, partition_warm, PartitionerConfig, Partitioning};
 use schism_workload::tpcc::{self, TpccConfig};
 
@@ -91,7 +91,9 @@ fn bench_partition_hyper(c: &mut Criterion) {
         ..TpccConfig::full(50)
     };
     let wg = training_graph(&tpcc, &cfg);
-    let hg = wg.hgraph.as_ref().expect("hypergraph backend");
+    let CoAccess::Hyper(hg) = &wg.graph else {
+        panic!("hypergraph backend expected");
+    };
     bench_cold_and_warm(
         c,
         "hyper",
@@ -118,13 +120,15 @@ fn bench_partition_clique(c: &mut Criterion) {
         seed: 7,
         ..TpccConfig::full(16)
     };
-    let g = training_graph(&tpcc, &cfg).graph;
+    let CoAccess::Clique(g) = &training_graph(&tpcc, &cfg).graph else {
+        panic!("clique backend expected");
+    };
     bench_cold_and_warm(
         c,
         "clique",
         &cfg,
-        |p| partition(&g, p),
-        |from, p| partition_warm(&g, from, p),
+        |p| partition(g, p),
+        |from, p| partition_warm(g, from, p),
     );
 }
 

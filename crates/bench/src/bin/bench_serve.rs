@@ -54,7 +54,7 @@ use schism_router::{
 use schism_serve::{load_table, FaultPlan, PkValues, RouteKind, ServeConfig, Server};
 use schism_sql::{ColumnType, Schema, Value};
 use schism_store::{tempdir::TempDir, ShardStore};
-use schism_workload::{TupleId, TupleValues};
+use schism_workload::{splitmix64, TupleId, TupleValues};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -65,10 +65,7 @@ const SHARDS: u32 = 8;
 const VICTIM: u32 = 3;
 
 fn splitmix(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    splitmix64(x.wrapping_add(0x9E37_79B9_7F4A_7C15))
 }
 
 /// Minimal deterministic per-client RNG (no external crates in bins).

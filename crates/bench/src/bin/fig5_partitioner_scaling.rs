@@ -22,8 +22,9 @@
 //! `--threads N` sizes the partitioner's worker pool for the k sweep
 //! (0/absent = auto via `SCHISM_THREADS` or hardware) **and** enables the
 //! thread-scaling measurement: the largest graph is partitioned at every
-//! power-of-two thread count up to `N`, wall-clocks and speedup ratios are
-//! printed, and the result is recorded together with the host's core count
+//! power-of-two thread count up to `N` (and at `N` itself), wall-clocks and
+//! speedup ratios are printed, and the result is recorded together with the
+//! host's core count
 //! (speedups are only meaningful when the host actually has that many
 //! cores). Partitions are asserted bit-identical across thread counts
 //! while measuring — the determinism contract, enforced where the speedup
@@ -32,7 +33,9 @@
 //! `--speedup-only` skips the k sweep (CI smoke).
 
 use schism_bench::table::Table;
-use schism_core::{build_graph, run_partition_phase, GraphBackend, SchismConfig, WorkloadGraph};
+use schism_core::{
+    build_graph, run_partition_phase, CoAccess, GraphBackend, SchismConfig, WorkloadGraph,
+};
 use schism_workload::epinions::{self, EpinionsConfig};
 use schism_workload::tpcc::{self, TpccConfig};
 use schism_workload::tpce::{self, TpceConfig};
@@ -51,9 +54,9 @@ impl Built {
     /// Structure size: edges for the clique graph, pins for the hypergraph
     /// — the quantity partitioning time actually scales with.
     fn structure_size(&self) -> usize {
-        match &self.wg.hgraph {
-            Some(h) => h.num_pins(),
-            None => self.wg.graph.num_edges(),
+        match &self.wg.graph {
+            CoAccess::Hyper(h) => h.num_pins(),
+            CoAccess::Clique(g) => g.num_edges(),
         }
     }
 
@@ -111,9 +114,9 @@ fn build(name: &str, full: bool, backend: GraphBackend) -> (String, Built) {
         other => panic!("unknown graph {other}"),
     };
     let wg = build_graph(&workload, &workload.trace, &cfg);
-    let structure = match &wg.hgraph {
-        Some(h) => format!("{} nets / {} pins", h.num_nets(), h.num_pins()),
-        None => format!("{} edges", wg.graph.num_edges()),
+    let structure = match &wg.graph {
+        CoAccess::Hyper(h) => format!("{} nets / {} pins", h.num_nets(), h.num_pins()),
+        CoAccess::Clique(g) => format!("{} edges", g.num_edges()),
     };
     (
         format!("{label}: {} nodes, {structure}", wg.num_nodes()),
@@ -121,16 +124,13 @@ fn build(name: &str, full: bool, backend: GraphBackend) -> (String, Built) {
     )
 }
 
-/// Partition the largest graph at 1, 2, ..., `max_threads` (powers of two)
-/// and record wall-clocks + speedups. Panics if any thread count changes
-/// the labels or cut — thread scaling is only worth reporting if the
-/// determinism contract holds on the graph being timed. Returns this
-/// backend's one-line section for BENCH_partition.json.
+/// Partition the largest graph at every [`schism_bench::thread_counts`]
+/// of `max_threads` and record wall-clocks + speedups. Panics if any
+/// thread count changes the labels or cut — thread scaling is only worth
+/// reporting if the determinism contract holds on the graph being timed.
+/// Returns this backend's one-line section for BENCH_partition.json.
 fn thread_scaling(built: &Built, label: &str, k: u32, max_threads: usize, full: bool) -> String {
-    let mut counts = vec![1usize];
-    while counts.last().unwrap() * 2 <= max_threads {
-        counts.push(counts.last().unwrap() * 2);
-    }
+    let counts = schism_bench::thread_counts(max_threads);
     let host_cores = schism_par::available_parallelism();
     println!("=== thread scaling on the largest graph ({label}), k={k} ===");
     println!("host cores: {host_cores}\n");
@@ -162,13 +162,7 @@ fn thread_scaling(built: &Built, label: &str, k: u32, max_threads: usize, full: 
         ]);
     }
     println!("{}", table.render());
-    if host_cores < max_threads {
-        println!(
-            "note: host has only {host_cores} core(s); speedups at > {host_cores} threads \
-             measure scheduling overhead, not scaling. Re-run on a {max_threads}-core host \
-             for the real curve."
-        );
-    }
+    let note = schism_bench::host_note(host_cores, max_threads);
 
     let entries: Vec<String> = rows
         .iter()
@@ -176,14 +170,6 @@ fn thread_scaling(built: &Built, label: &str, k: u32, max_threads: usize, full: 
             format!("{{ \"threads\": {t}, \"wall_s\": {dt:.3}, \"speedup_vs_1\": {sp:.3} }}")
         })
         .collect();
-    let note = if host_cores < max_threads {
-        format!(
-            "host has {host_cores} core(s) for {max_threads} threads: ratios measure \
-             oversubscription overhead, not scaling; re-measure on a >= {max_threads}-core host"
-        )
-    } else {
-        "speedups measured with dedicated cores per thread".to_string()
-    };
     format!(
         "{{ \"graph\": \"{label}\", \"nodes\": {nodes}, \"structure_size\": {size}, \
          \"cut_metric\": \"{metric}\", \"cut\": {cut}, \"k\": {k}, \"full\": {full}, \
@@ -195,42 +181,6 @@ fn thread_scaling(built: &Built, label: &str, k: u32, max_threads: usize, full: 
         cut = baseline.as_ref().unwrap().1.edge_cut,
         runs = entries.join(", "),
     )
-}
-
-fn bench_json_path() -> &'static str {
-    if std::path::Path::new("crates/bench").is_dir() {
-        "crates/bench/BENCH_partition.json"
-    } else {
-        "BENCH_partition.json"
-    }
-}
-
-/// Writes BENCH_partition.json: one line per backend section, honest host
-/// core count. The backend not measured this run is carried over from the
-/// existing file.
-fn write_bench_json(backend: GraphBackend, section: String) {
-    let path = bench_json_path();
-    let mut sections: Vec<(&str, String)> = Vec::new();
-    for b in [GraphBackend::Clique, GraphBackend::Hypergraph] {
-        let name = backend_name(b);
-        let body = if b == backend {
-            section.clone()
-        } else {
-            schism_bench::existing_section(path, name).unwrap_or_else(|| "null".into())
-        };
-        sections.push((name, body));
-    }
-    let body = sections
-        .iter()
-        .map(|(name, s)| format!("  \"{name}\": {s}"))
-        .collect::<Vec<_>>()
-        .join(",\n");
-    let json = format!(
-        "{{\n  \"bench\": \"fig5_partitioner_scaling\",\n  \"host_cores\": {},\n{body}\n}}\n",
-        schism_par::available_parallelism(),
-    );
-    std::fs::write(path, &json).expect("write BENCH_partition.json");
-    println!("wrote {path}");
 }
 
 fn main() {
@@ -298,6 +248,12 @@ fn main() {
             .max_by_key(|(_, b)| b.structure_size())
             .expect("at least one graph");
         let section = thread_scaling(built, label, 8, max_threads.max(2), full);
-        write_bench_json(backend, section);
+        // One section per backend; the one not measured is carried over.
+        schism_bench::write_sections(
+            "BENCH_partition.json",
+            "fig5_partitioner_scaling",
+            &["clique", "hypergraph"],
+            Some((backend_name(backend), section)),
+        );
     }
 }

@@ -84,13 +84,7 @@ fn tpcc_cfg(full: bool) -> TpccConfig {
 /// streaming source, asserting every build digests identically. Returns
 /// the `"scaling"` section for BENCH_graph.json.
 fn thread_scaling(w: &Workload, wcfg: &TpccConfig, full: bool, max_threads: usize) -> String {
-    let mut counts = vec![1usize];
-    while counts.last().unwrap() * 2 <= max_threads {
-        counts.push(counts.last().unwrap() * 2);
-    }
-    if *counts.last().unwrap() != max_threads {
-        counts.push(max_threads); // non-power-of-two budgets are measured too
-    }
+    let counts = schism_bench::thread_counts(max_threads);
     let host_cores = schism_par::available_parallelism();
 
     let mut cfg = SchismConfig::new(10);
@@ -161,13 +155,7 @@ fn thread_scaling(w: &Workload, wcfg: &TpccConfig, full: bool, max_threads: usiz
         wg.stats.edges.to_string(),
     ]);
     println!("{}", table.render());
-    if host_cores < max_threads {
-        println!(
-            "note: host has only {host_cores} core(s); speedups at > {host_cores} threads \
-             measure scheduling overhead, not scaling. Re-run on a {max_threads}-core host \
-             for the real curve."
-        );
-    }
+    let note = schism_bench::host_note(host_cores, max_threads);
 
     let entries: Vec<String> = rows
         .iter()
@@ -175,14 +163,6 @@ fn thread_scaling(w: &Workload, wcfg: &TpccConfig, full: bool, max_threads: usiz
             format!("{{ \"run\": \"{label}\", \"wall_s\": {dt:.3}, \"speedup_vs_1\": {sp:.3} }}")
         })
         .collect();
-    let note = if host_cores < max_threads {
-        format!(
-            "host has {host_cores} core(s) for {max_threads} threads: ratios measure \
-             oversubscription overhead, not scaling; re-measure on a >= {max_threads}-core host"
-        )
-    } else {
-        "speedups measured with dedicated cores per thread".to_string()
-    };
     let stats = stats.expect("at least one build ran");
     format!(
         "{{ \"threads\": {max_threads}, \"workload\": \"tpcc-50w (5% tuples)\", \
@@ -393,39 +373,14 @@ fn sqllog_round_trip(threads: usize) {
     );
 }
 
-fn bench_json_path() -> &'static str {
-    if std::path::Path::new("crates/bench").is_dir() {
-        "crates/bench/BENCH_graph.json"
-    } else {
-        "BENCH_graph.json"
-    }
-}
-
-const SECTIONS: [&str; 4] = ["scaling", "huge", "huge_hyper", "backends"];
-
-/// Writes BENCH_graph.json: one line per section (`"scaling"`, `"huge"`,
-/// `"huge_hyper"`, `"backends"`), honest host core count. `fresh` holds the
-/// section this run measured; every other section is carried over from the
-/// existing file.
+/// Writes BENCH_graph.json; `fresh` holds the section this run measured.
 fn write_bench_json(fresh: Option<(&str, String)>) {
-    let path = bench_json_path();
-    let body = SECTIONS
-        .iter()
-        .map(|&name| {
-            let section = match &fresh {
-                Some((n, s)) if *n == name => Some(s.clone()),
-                _ => schism_bench::existing_section(path, name),
-            };
-            format!("  \"{name}\": {}", section.unwrap_or_else(|| "null".into()))
-        })
-        .collect::<Vec<_>>()
-        .join(",\n");
-    let json = format!(
-        "{{\n  \"bench\": \"table1_graph_sizes\",\n  \"host_cores\": {},\n{body}\n}}\n",
-        schism_par::available_parallelism(),
+    schism_bench::write_sections(
+        "BENCH_graph.json",
+        "table1_graph_sizes",
+        &["scaling", "huge", "huge_hyper", "backends"],
+        fresh,
     );
-    std::fs::write(path, &json).expect("write BENCH_graph.json");
-    println!("wrote {path}");
 }
 
 /// One `--probe` subprocess: build + partition + placement scoring for a

@@ -96,13 +96,76 @@ pub fn open_backend(
     }
 }
 
+/// The thread counts a scaling run measures: 1, 2, 4, ... up to `max`
+/// (powers of two), plus `max` itself when it is not one.
+pub fn thread_counts(max: usize) -> Vec<usize> {
+    let mut counts = vec![1usize];
+    let mut next = 2;
+    while next <= max {
+        counts.push(next);
+        next *= 2;
+    }
+    if next / 2 != max {
+        counts.push(max);
+    }
+    counts
+}
+
+/// The `"note"` a scaling section records about the host it ran on. On a
+/// host with fewer cores than `max_threads` it also prints the warning
+/// that belongs under the scaling table.
+pub fn host_note(host_cores: usize, max_threads: usize) -> String {
+    if host_cores >= max_threads {
+        return "speedups measured with dedicated cores per thread".to_string();
+    }
+    println!(
+        "note: host has only {host_cores} core(s); speedups at > {host_cores} threads \
+         measure scheduling overhead, not scaling. Re-run on a {max_threads}-core host \
+         for the real curve."
+    );
+    format!(
+        "host has {host_cores} core(s) for {max_threads} threads: ratios measure \
+         oversubscription overhead, not scaling; re-measure on a >= {max_threads}-core host"
+    )
+}
+
+/// Writes the sectioned BENCH file `file` (under `crates/bench/` when run
+/// from the workspace root): the bench name, the honest host core count,
+/// then one line per section of `order`. `fresh` is the section this run
+/// measured; every other section is carried over from the existing file
+/// (`null` if it was never measured).
+pub fn write_sections(file: &str, bench: &str, order: &[&str], fresh: Option<(&str, String)>) {
+    let path = if std::path::Path::new("crates/bench").is_dir() {
+        format!("crates/bench/{file}")
+    } else {
+        file.to_string()
+    };
+    let body = order
+        .iter()
+        .map(|&name| {
+            let section = match &fresh {
+                Some((n, s)) if *n == name => Some(s.clone()),
+                _ => existing_section(&path, name),
+            };
+            format!("  \"{name}\": {}", section.unwrap_or_else(|| "null".into()))
+        })
+        .collect::<Vec<_>>()
+        .join(",\n");
+    let json = format!(
+        "{{\n  \"bench\": \"{bench}\",\n  \"host_cores\": {},\n{body}\n}}\n",
+        schism_par::available_parallelism(),
+    );
+    std::fs::write(&path, &json).unwrap_or_else(|e| panic!("write {path}: {e}"));
+    println!("wrote {path}");
+}
+
 /// Pulls one single-line section (e.g. `"scaling"`, `"huge"`, a backend
 /// name) out of an existing sectioned BENCH json at `path`, so a run that
 /// measures only one section carries the others over instead of clobbering
 /// them. Sections are written one per line as `"name": { ... },` — this is
 /// a line parser, not a JSON parser, by design: the bench files are
 /// hand-formatted to keep it trivial.
-pub fn existing_section(path: &str, name: &str) -> Option<String> {
+fn existing_section(path: &str, name: &str) -> Option<String> {
     let text = std::fs::read_to_string(path).ok()?;
     let prefix = format!("\"{name}\": ");
     for line in text.lines() {

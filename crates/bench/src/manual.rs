@@ -4,15 +4,7 @@
 use schism_router::{Complexity, PartitionSet, Route, Scheme};
 use schism_sql::Statement;
 use schism_workload::tpcc::{self, TpccConfig};
-use schism_workload::{TupleId, TupleValues};
-
-fn splitmix(mut x: u64) -> u64 {
-    x ^= x >> 30;
-    x = x.wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x ^= x >> 27;
-    x = x.wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
+use schism_workload::{splitmix64, TupleId, TupleValues};
 
 /// The expert TPC-C strategy (\[21\], §5.2): partition every table by
 /// warehouse (warehouses spread evenly over partitions) and replicate the
@@ -79,7 +71,7 @@ impl ManualEpinions {
     }
 
     fn item_partition(&self, item: u64) -> u32 {
-        (splitmix(item) % self.k as u64) as u32
+        (splitmix64(item) % self.k as u64) as u32
     }
 }
 

@@ -48,19 +48,6 @@ pub struct SchismConfig {
     /// results are combined in task order (an ordered reduce) — so this
     /// knob only trades wall-clock, never output.
     pub threads: usize,
-    /// Edge-buffer compaction threshold for the streaming graph build: once
-    /// buffered (pre-merge) edge insertions exceed this count, duplicates
-    /// are eagerly merged to bound peak memory. One buffered insertion is
-    /// 12 bytes, so the default of `1 << 23` (~8.4M) means ~100 MiB of
-    /// buffered edges. Chunk buffers — all of which are held until the
-    /// stitch consumes them — each compact at `compact_every / n_chunks`,
-    /// keeping the *aggregate* ceiling near `compact_every` as the build
-    /// fans out. The ceiling is soft: a buffer whose deduplicated edge set
-    /// exceeds its share keeps it (and then only re-compacts after
-    /// doubling, to avoid quadratic re-sorting). Purely a memory/speed
-    /// trade — any value produces the identical graph (duplicate-edge
-    /// merging is associative), smaller values re-sort more often.
-    pub compact_every: usize,
 
     // --- graph representation (§4.1) ---
     /// Co-access representation: clique expansion (the paper's §4.1) or one
@@ -72,51 +59,39 @@ pub struct SchismConfig {
     pub graph_backend: GraphBackend,
     /// Enable tuple-level replication via star explosion.
     pub replication: bool,
-    /// Only explode tuples accessed by at least this many transactions
-    /// (singletons gain nothing from a star).
-    pub replication_min_accesses: u32,
-    /// Vertex weighting for the balance constraint.
+    /// Vertex weighting for the balance constraint. Under
+    /// [`NodeWeight::DataSize`] the graph's total vertex weight is exactly
+    /// the surviving tuples' total bytes: a replicated group's bytes are
+    /// split over the replica nodes its transactions allocated.
     pub node_weight: NodeWeight,
 
     // --- scalability heuristics (§5.1) ---
     /// Transaction-level sampling: fraction of training transactions
     /// represented in the graph.
     pub txn_sample: f64,
-    /// Tuple-level sampling: fraction of tuples kept as graph nodes.
+    /// Tuple-level sampling: fraction of tuples kept as graph nodes,
+    /// access-weighted (a tuple survives with probability
+    /// `min(1, tuple_sample * accesses)`) — which is also how rarely-touched
+    /// tuples are dropped (§5.1's relevance filtering).
     pub tuple_sample: f64,
     /// Blanket-statement filtering: scan statements touching more than this
     /// many tuples contribute no edges.
     pub blanket_threshold: usize,
-    /// Relevance filtering: drop tuples accessed fewer than this many times
-    /// (1 keeps every accessed tuple).
-    pub min_tuple_accesses: u32,
     /// Tuple coalescing: merge tuples that are always accessed together.
     pub coalesce: bool,
-    /// Drift detection over Count-Min sketches instead of exact per-tuple
-    /// histograms when this configuration drives a
-    /// `schism_migrate::MigrationController`: fixed memory regardless of
-    /// how many distinct tuples the monitored windows touch. Sketch tuning
-    /// lives in the controller's own config (the sketch types are not
-    /// visible from this crate).
-    pub sketch_drift: bool,
 
     // --- graph partitioning (§4.2) ---
+    /// Balance tolerance (`epsilon`) and independent runs (`ncuts`). Its
+    /// `k`, `seed` and `threads` are **not** read: the partitioning phase
+    /// overwrites them with this struct's [`k`](Self::k),
+    /// [`seed`](Self::seed) and [`threads`](Self::threads) at use.
     pub partitioner: PartitionerConfig,
 
     // --- explanation (§4.3, §5.2) ---
-    /// An attribute must appear in at least this fraction of a table's
-    /// statements to be a split candidate.
-    pub min_attr_frequency: f64,
     /// Decision-tree training knobs (pruning aggressiveness etc.).
     pub tree: TreeConfig,
     /// Cap on training tuples per table for the classifier.
     pub explain_sample_per_table: usize,
-    /// Cross-validation folds.
-    pub cv_folds: usize,
-    /// Explanations whose cross-validated accuracy falls below this are
-    /// flagged as overfit (the validation phase will usually discard the
-    /// range scheme then).
-    pub min_cv_accuracy: f64,
 
     // --- final validation (§4.4) ---
     /// Fraction of the trace used for training (rest is the test set the
@@ -133,26 +108,19 @@ impl SchismConfig {
             k,
             seed: 0,
             threads: 0,
-            compact_every: 1 << 23,
             graph_backend: GraphBackend::Clique,
             replication: true,
-            replication_min_accesses: 2,
             node_weight: NodeWeight::Workload,
             txn_sample: 1.0,
             tuple_sample: 1.0,
             blanket_threshold: 64,
-            min_tuple_accesses: 1,
             coalesce: true,
-            sketch_drift: false,
             partitioner: PartitionerConfig::with_k(k),
-            min_attr_frequency: 0.25,
             tree: TreeConfig {
                 min_leaf: 4,
                 ..TreeConfig::default()
             },
             explain_sample_per_table: 10_000,
-            cv_folds: 5,
-            min_cv_accuracy: 0.75,
             train_fraction: 0.8,
             selection: crate::validate::SelectionRules::default(),
         }
@@ -169,7 +137,6 @@ mod tests {
         assert_eq!(cfg.k, 8);
         assert_eq!(cfg.partitioner.k, 8);
         assert_eq!(cfg.graph_backend, GraphBackend::Clique);
-        assert!(!cfg.sketch_drift);
         assert!(cfg.replication);
         assert!((0.0..=1.0).contains(&cfg.train_fraction));
     }

@@ -119,7 +119,7 @@ pub fn explain(
             writes[tid as usize] as f64 / tot as f64
         };
         if exp.training_tuples >= TINY_TABLE_ROWS
-            && exp.cv_accuracy < cfg.min_cv_accuracy
+            && exp.cv_accuracy < MIN_CV_ACCURACY
             && write_frac < 0.05
             && k > 1
         {
@@ -207,7 +207,7 @@ fn explain_table(
     // Candidate attributes: frequently queried (§4.3 requirement (i)).
     let candidates: Vec<ColId> = workload
         .attr_stats
-        .frequent_attributes(table, cfg.min_attr_frequency);
+        .frequent_attributes(table, MIN_ATTR_FREQUENCY);
 
     // Fetch attribute values; tuples with unavailable values are skipped.
     // Each tuple contributes one training row per (capped) trace access, so
@@ -322,13 +322,7 @@ fn explain_table(
         tree_cfg.min_leaf = tree_cfg.min_leaf.max(floor as u32);
         tree_cfg.min_split = tree_cfg.min_split.max(tree_cfg.min_leaf * 2);
     }
-    let cv = cross_validate(
-        &proj,
-        &tree_cfg,
-        cfg.cv_folds.max(2),
-        cfg.seed ^ 0xC0FFEE,
-        pool,
-    );
+    let cv = cross_validate(&proj, &tree_cfg, CV_FOLDS, cfg.seed ^ 0xC0FFEE, pool);
     let rules = extract_rules(&cv.tree, &proj);
 
     // Rules -> executable policy.
@@ -395,9 +389,9 @@ fn explain_table(
     };
 
     let trusted = if tiny {
-        cv.training_accuracy >= cfg.min_cv_accuracy
+        cv.training_accuracy >= MIN_CV_ACCURACY
     } else {
-        cv.accuracy >= cfg.min_cv_accuracy
+        cv.accuracy >= MIN_CV_ACCURACY
     };
     TableExplanation {
         table,
@@ -416,6 +410,18 @@ fn explain_table(
 /// are gated on training accuracy and get proportionally relaxed leaf
 /// support.
 const TINY_TABLE_ROWS: usize = 100;
+
+/// An attribute must appear in at least this fraction of a table's
+/// statements to be a split candidate (§4.3 requirement (i)).
+const MIN_ATTR_FREQUENCY: f64 = 0.25;
+
+/// Cross-validation folds.
+const CV_FOLDS: usize = 5;
+
+/// Explanations whose cross-validated accuracy falls below this are
+/// flagged as overfit (the validation phase will usually discard the
+/// range scheme then).
+const MIN_CV_ACCURACY: f64 = 0.75;
 
 #[cfg(test)]
 mod tests {

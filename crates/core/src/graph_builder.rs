@@ -35,28 +35,20 @@
 //! groups, CSR edges, weights, [`BuildStats`] — is bit-identical for every
 //! thread count and for chunked vs. whole-trace ingestion (pinned by
 //! `tests/parallel_determinism.rs` and [`WorkloadGraph::digest`]).
-//! [`SchismConfig::threads`] and [`SchismConfig::compact_every`] trade
-//! wall-clock and memory only, never output.
+//! [`SchismConfig::threads`] trades wall-clock only, never output — and
+//! neither does the edge-buffer compaction threshold (`COMPACT_EVERY`).
 
 use crate::config::{GraphBackend, NodeWeight, SchismConfig};
 use schism_graph::{
     CsrGraph, EdgeBuffer, GraphBuilder, HyperEdgeBuffer, HyperGraph, HyperGraphBuilder, NodeId,
 };
 use schism_par::{chunk_size, resolve_threads, Pool};
-use schism_workload::{Trace, TraceSource, TupleId, Workload};
+use schism_workload::{splitmix64, Trace, TraceSource, TupleId, Workload};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
-fn splitmix(mut x: u64) -> u64 {
-    x ^= x >> 30;
-    x = x.wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x ^= x >> 27;
-    x = x.wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
 fn tuple_hash(t: TupleId) -> u64 {
-    splitmix(t.row ^ (t.table as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
+    splitmix64(t.row ^ (t.table as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
 }
 
 /// Deterministic access-weighted sampling decision for a tuple: keep with
@@ -71,7 +63,7 @@ fn keep_tuple(t: TupleId, p: f64, accesses: u32, seed: u64) -> bool {
     if p_eff >= 1.0 {
         return true;
     }
-    let h = splitmix(tuple_hash(t) ^ seed);
+    let h = splitmix64(tuple_hash(t) ^ seed);
     (h as f64 / u64::MAX as f64) < p_eff
 }
 
@@ -80,7 +72,7 @@ fn keep_txn(idx: usize, p: f64, seed: u64) -> bool {
     if p >= 1.0 {
         return true;
     }
-    let h = splitmix((idx as u64).wrapping_mul(0x2545_F491_4F6C_DD1D) ^ seed);
+    let h = splitmix64((idx as u64).wrapping_mul(0x2545_F491_4F6C_DD1D) ^ seed);
     (h as f64 / u64::MAX as f64) < p
 }
 
@@ -109,7 +101,7 @@ impl TupleStats {
 /// The per-access signature contribution of transaction `idx` accessing a
 /// tuple as a read (`write = false`) or write.
 fn access_token(idx: usize, write: bool) -> u64 {
-    splitmix(((idx as u64) << 1 | u64::from(write)).wrapping_mul(0x9E37_79B9_7F4A_7C15))
+    splitmix64(((idx as u64) << 1 | u64::from(write)).wrapping_mul(0x9E37_79B9_7F4A_7C15))
 }
 
 /// The pass-1 merge shard a tuple's stats live in. Must be a pure function
@@ -122,6 +114,26 @@ fn shard_of(t: TupleId, shards: usize) -> usize {
 /// Pass-1 merge shards per worker: enough that the parallel merge keeps
 /// the whole pool busy even when shard sizes skew.
 const MERGE_SHARDS_PER_THREAD: usize = 4;
+
+/// Only groups accessed by at least this many transactions get a replica
+/// star (a singleton gains nothing from one).
+const REPLICATION_MIN_ACCESSES: u32 = 2;
+
+/// Edge-buffer compaction threshold: once buffered (pre-merge) edge or pin
+/// insertions exceed this count, duplicates are eagerly merged to bound
+/// peak memory. One buffered edge is 12 bytes, so `1 << 23` means ~100 MiB.
+/// Chunk buffers — all held until the stitch consumes them — each compact
+/// at `COMPACT_EVERY / n_chunks` (floored at [`CHUNK_COMPACT_FLOOR`]),
+/// keeping the *aggregate* ceiling near `COMPACT_EVERY` as the build fans
+/// out. The ceiling is soft: a buffer whose deduplicated content exceeds
+/// its share keeps it, and then only re-compacts after doubling, to avoid
+/// quadratic re-sorting. Any value produces the identical graph
+/// (duplicate merging is associative); smaller values re-sort more often.
+const COMPACT_EVERY: usize = 1 << 23;
+
+/// Per-chunk compaction thresholds are not divided below this (or below
+/// the aggregate threshold itself, when that is smaller).
+const CHUNK_COMPACT_FLOOR: usize = 1 << 16;
 
 fn visit_tuple(map: &mut HashMap<TupleId, TupleStats>, t: TupleId, write: bool, idx: usize) {
     let e = map.entry(t).or_default();
@@ -139,34 +151,42 @@ struct Pass1Partial {
     dropped_scans: usize,
 }
 
-/// The merged, filtered pass-1 stats, still hash-sharded (the shard layout
-/// is an implementation detail of the merge; lookups go through [`get`]).
-///
-/// [`get`]: ShardedStats::get
-struct ShardedStats {
-    shards: Vec<HashMap<TupleId, TupleStats>>,
-}
-
-impl ShardedStats {
-    fn get(&self, t: TupleId) -> &TupleStats {
-        &self.shards[shard_of(t, self.shards.len())][&t]
-    }
-}
-
-/// One chunk's share of pass 2: clique edges *or* transaction nets
-/// (depending on [`SchismConfig::graph_backend`]) with chunk-locally
+/// One chunk's share of pass 2: its co-access buffer with chunk-locally
 /// encoded replica ids, plus the allocation log that resolves them.
 struct Pass2Partial {
     /// Group of the `i`-th chunk-local replica allocation; edge endpoints /
     /// net pins `>= num_groups` encode an index into this log.
     alloc: Vec<NodeId>,
-    /// Clique backend: transaction-clique edges (empty under hypergraph).
-    edges: EdgeBuffer,
-    /// Hypergraph backend: one net per transaction (empty under clique).
-    nets: HyperEdgeBuffer,
+    buffer: ChunkBuffer,
     /// Widest transaction seen: maximum distinct-group member count after
     /// dedup and blanket filtering.
     widest: usize,
+    /// Mid-stream compactions of `buffer` (the final one not counted).
+    compactions: usize,
+}
+
+/// A chunk's buffered co-access under [`SchismConfig::graph_backend`]:
+/// transaction-clique edges, or one net per transaction.
+enum ChunkBuffer {
+    Clique(EdgeBuffer),
+    Hyper(HyperEdgeBuffer),
+}
+
+impl ChunkBuffer {
+    /// Buffered pre-merge units (edges or pins) for the doubling guard.
+    fn len(&self) -> usize {
+        match self {
+            ChunkBuffer::Clique(edges) => edges.len(),
+            ChunkBuffer::Hyper(nets) => nets.pin_count(),
+        }
+    }
+
+    fn compact(&mut self) {
+        match self {
+            ChunkBuffer::Clique(edges) => edges.compact(),
+            ChunkBuffer::Hyper(nets) => nets.compact(),
+        }
+    }
 }
 
 /// The stitch-side accumulator for whichever backend is active. Both
@@ -213,15 +233,21 @@ impl BuildSink {
     }
 }
 
+/// The co-access representation [`SchismConfig::graph_backend`] built. Both
+/// describe the same node set with the same vertex weights.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum CoAccess {
+    /// Transaction cliques plus weighted replica-star edges (§4.1).
+    Clique(CsrGraph),
+    /// One net per transaction plus 2-pin replica-star nets.
+    Hyper(HyperGraph),
+}
+
 /// The workload graph plus everything needed to map a partitioning back to
 /// tuples.
 pub struct WorkloadGraph {
-    /// Clique backend: the co-access graph ([`CsrGraph::empty`] when the
-    /// hypergraph backend was selected).
-    pub graph: CsrGraph,
-    /// Hypergraph backend: one net per transaction plus 2-pin replica-star
-    /// nets, over the same node ids; `None` under the clique backend.
-    pub hgraph: Option<HyperGraph>,
+    /// The co-access structure over the node ids below.
+    pub graph: CoAccess,
     /// Distinct surviving tuples.
     tuples: Vec<TupleId>,
     /// `group_of[i]` = group (base node) of `tuples[i]`.
@@ -273,14 +299,10 @@ impl WorkloadGraph {
         &self.tuples
     }
 
-    /// Node count of whichever representation was built (group centers plus
-    /// planned replica nodes — identical for both backends at equal
-    /// configuration).
+    /// Node count: group centers plus planned replica nodes, whichever
+    /// representation was built.
     pub fn num_nodes(&self) -> usize {
-        match &self.hgraph {
-            Some(h) => h.num_vertices(),
-            None => self.graph.num_vertices(),
-        }
+        self.num_groups + self.replica_owner.len()
     }
 
     /// Resolves a graph partitioning into per-tuple partition sets: the set
@@ -310,11 +332,6 @@ impl WorkloadGraph {
             .collect()
     }
 
-    /// Write count of the group containing tuple index `i` (diagnostics).
-    pub fn group_write_count(&self, i: usize) -> u32 {
-        self.group_writes[self.group_of[i] as usize]
-    }
-
     /// `(tuple, access count)` for every tuple in the graph.
     pub fn tuple_access_counts(&self) -> impl Iterator<Item = (TupleId, u32)> + '_ {
         self.tuples
@@ -342,7 +359,7 @@ impl WorkloadGraph {
     /// across thread counts and ingestion modes.
     pub fn digest(&self) -> u64 {
         let mut h = 0x53_43_48_49_53_4D_47_52u64;
-        let mut put = |x: u64| h = splitmix(h.rotate_left(1) ^ x);
+        let mut put = |x: u64| h = splitmix64(h.rotate_left(1) ^ x);
         put(self.num_groups as u64);
         for t in &self.tuples {
             put(t.table as u64);
@@ -378,20 +395,24 @@ impl WorkloadGraph {
         ] {
             put(x as u64);
         }
-        for v in 0..self.graph.num_vertices() {
-            put(u64::from(self.graph.vertex_weight(v as NodeId)));
-            for (u, w) in self.graph.edges(v as NodeId) {
-                put((u64::from(u)) << 32 | u64::from(w));
+        match &self.graph {
+            CoAccess::Clique(g) => {
+                for v in 0..g.num_vertices() as NodeId {
+                    put(u64::from(g.vertex_weight(v)));
+                    for (u, w) in g.edges(v) {
+                        put((u64::from(u)) << 32 | u64::from(w));
+                    }
+                }
             }
-        }
-        if let Some(hg) = &self.hgraph {
-            for v in 0..hg.num_vertices() as NodeId {
-                put(u64::from(hg.vertex_weight(v)));
-            }
-            for e in 0..hg.num_nets() as u32 {
-                put(u64::from(hg.net_weight(e)));
-                for &p in hg.pins(e) {
-                    put(u64::from(p));
+            CoAccess::Hyper(hg) => {
+                for v in 0..hg.num_vertices() as NodeId {
+                    put(u64::from(hg.vertex_weight(v)));
+                }
+                for e in 0..hg.num_nets() as u32 {
+                    put(u64::from(hg.net_weight(e)));
+                    for &p in hg.pins(e) {
+                        put(u64::from(p));
+                    }
                 }
             }
         }
@@ -441,57 +462,44 @@ impl WorkloadGraph {
         }
 
         // Label propagation for unseen groups: a group co-accessed with
-        // placed groups belongs with them. Under the clique backend the
-        // vote weight is the incident edge weight; under the hypergraph
-        // backend each net votes `net weight × labeled pins with that
-        // label` onto its unlabeled pins — the same co-access evidence the
-        // clique expansion would have spread over pairwise edges.
+        // placed groups belongs with them. Each net — or clique edge, as a
+        // 2-pin net — votes `weight × labeled pins with that label` onto its
+        // unlabeled pins, so both representations spread the same co-access
+        // evidence.
         let mut pass = 0;
         while unlabeled > 0 && pass < 3 {
             pass += 1;
             let mut gains: HashMap<usize, HashMap<u32, u64>> = HashMap::new();
-            if let Some(hg) = &self.hgraph {
-                let mut label_w: HashMap<u32, u64> = HashMap::new();
-                let mut open: Vec<usize> = Vec::new();
-                for e in 0..hg.num_nets() as u32 {
-                    label_w.clear();
-                    open.clear();
-                    let w = u64::from(hg.net_weight(e));
-                    for &p in hg.pins(e) {
-                        let Some(g) = self.node_group(p as usize) else {
-                            continue;
-                        };
-                        if labels[g] == u32::MAX {
-                            open.push(g);
-                        } else {
-                            *label_w.entry(labels[g]).or_insert(0) += w;
-                        }
-                    }
-                    if label_w.is_empty() {
-                        continue;
-                    }
-                    for &g in &open {
-                        let vote = gains.entry(g).or_default();
-                        for (&l, &lw) in &label_w {
-                            *vote.entry(l).or_insert(0) += lw;
-                        }
+            let mut placed: Vec<(u32, u64)> = Vec::new();
+            let mut open: Vec<usize> = Vec::new();
+            let mut vote = |pins: &[NodeId], w: u32| {
+                placed.clear();
+                open.clear();
+                for g in pins.iter().filter_map(|&p| self.node_group(p as usize)) {
+                    if labels[g] == u32::MAX {
+                        open.push(g);
+                    } else if let Some((_, lw)) = placed.iter_mut().find(|(l, _)| *l == labels[g]) {
+                        *lw += u64::from(w);
+                    } else {
+                        placed.push((labels[g], u64::from(w)));
                     }
                 }
-            } else {
-                for node in 0..self.graph.num_vertices() {
-                    let Some(gu) = self.node_group(node) else {
-                        continue;
-                    };
-                    if labels[gu] == u32::MAX {
-                        continue;
+                for &g in &open {
+                    for &(l, lw) in &placed {
+                        *gains.entry(g).or_default().entry(l).or_insert(0) += lw;
                     }
-                    let label = labels[gu];
-                    for (v, w) in self.graph.edges(node as NodeId) {
-                        let Some(gv) = self.node_group(v as usize) else {
-                            continue;
-                        };
-                        if labels[gv] == u32::MAX {
-                            *gains.entry(gv).or_default().entry(label).or_insert(0) += u64::from(w);
+                }
+            };
+            match &self.graph {
+                CoAccess::Hyper(hg) => {
+                    for e in 0..hg.num_nets() as u32 {
+                        vote(hg.pins(e), hg.net_weight(e));
+                    }
+                }
+                CoAccess::Clique(g) => {
+                    for v in 0..g.num_vertices() as NodeId {
+                        for (u, w) in g.edges(v).filter(|&(u, _)| v < u) {
+                            vote(&[v, u], w);
                         }
                     }
                 }
@@ -586,6 +594,22 @@ pub fn build_graph_source<S>(workload: &Workload, source: &S, cfg: &SchismConfig
 where
     S: TraceSource + ?Sized,
 {
+    build_graph_inner(workload, source, cfg, COMPACT_EVERY).0
+}
+
+/// [`build_graph_source`] with the compaction threshold as a parameter —
+/// the seam the compaction tests drive; everything else passes
+/// [`COMPACT_EVERY`]. Also returns how many mid-stream compactions ran in
+/// `(chunk buffers, the stitch sink)`.
+fn build_graph_inner<S>(
+    workload: &Workload,
+    source: &S,
+    cfg: &SchismConfig,
+    compact_every: usize,
+) -> (WorkloadGraph, (usize, usize))
+where
+    S: TraceSource + ?Sized,
+{
     let db = &*workload.db;
     let seed = cfg.seed ^ 0x5C41_53A7;
     let n_txns = source.len();
@@ -633,8 +657,8 @@ where
     // result is independent of the chunk decomposition *and* of the shard
     // count: a tuple's contributions always meet inside its one shard, and
     // `shards == 1` reproduces the old single-map reduce exactly. Tuple
-    // sampling (access-weighted) and the relevance filter run per shard in
-    // the same parallel step.
+    // sampling (access-weighted, so it keeps every tuple at
+    // `tuple_sample >= 1`) runs per shard in the same parallel step.
     let mut sampled_txns = 0usize;
     let mut dropped_scans = 0usize;
     let shard_parts: Vec<Vec<HashMap<TupleId, TupleStats>>> = partials
@@ -676,30 +700,23 @@ where
         .collect();
     pool.scope_chunks(filter_slots.len(), 1, |range| {
         let mut m = filter_slots[range.start].lock().expect("shard poisoned");
-        m.retain(|&t, s| {
-            s.accesses >= cfg.min_tuple_accesses
-                && (cfg.tuple_sample >= 1.0 || keep_tuple(t, cfg.tuple_sample, s.accesses, seed))
-        });
+        m.retain(|&t, s| keep_tuple(t, cfg.tuple_sample, s.accesses, seed));
     });
-    let stats = ShardedStats {
-        shards: filter_slots
-            .into_iter()
-            .map(|m| m.into_inner().expect("shard poisoned"))
-            .collect(),
-    };
+    // The merged, filtered stats stay hash-sharded: tuple `t`'s live in
+    // `stats[shard_of(t, shards)]`.
+    let stats: Vec<HashMap<TupleId, TupleStats>> = filter_slots
+        .into_iter()
+        .map(|m| m.into_inner().expect("shard poisoned"))
+        .collect();
 
     // --- Grouping (tuple coalescing). ---
-    let mut tuples: Vec<TupleId> = stats
-        .shards
-        .iter()
-        .flat_map(|m| m.keys().copied())
-        .collect();
+    let mut tuples: Vec<TupleId> = stats.iter().flat_map(|m| m.keys().copied()).collect();
     tuples.sort_unstable();
     let mut group_of = vec![0 as NodeId; tuples.len()];
     let mut group_key: HashMap<(u64, u32), NodeId> = HashMap::new();
     let mut groups: Vec<(u32, u32, u64)> = Vec::new(); // (accesses, writes, weight_bytes)
     for (i, &t) in tuples.iter().enumerate() {
-        let s = stats.get(t);
+        let s = &stats[shard_of(t, shards)][&t];
         let bytes = db.tuple_bytes(t.table) as u64;
         let gid = if cfg.coalesce {
             *group_key
@@ -729,7 +746,7 @@ where
     // what lets pass 2 run without cross-chunk coordination.
     let exploded: Vec<bool> = groups
         .iter()
-        .map(|g| cfg.replication && g.0 >= cfg.replication_min_accesses)
+        .map(|g| cfg.replication && g.0 >= REPLICATION_MIN_ACCESSES)
         .collect();
     let exploded_groups = exploded.iter().filter(|&&e| e).count();
     let mut replica_base = vec![0 as NodeId; num_groups];
@@ -756,12 +773,10 @@ where
         tuples.iter().enumerate().map(|(i, &t)| (t, i)).collect();
     let num_groups_u32 = num_groups as NodeId;
     // Every chunk buffer is retained until the stitch consumes it, so the
-    // per-buffer threshold divides `compact_every` by the chunk count to
-    // keep the *aggregate* buffered-edge ceiling near `compact_every`
-    // (soft: a chunk whose deduplicated edges exceed its share keeps
-    // them). Compaction never changes the final graph — only peak memory.
+    // per-buffer threshold is this chunk's share of `compact_every`.
     let n_chunks = n_txns.div_ceil(chunk);
-    let local_compact = (cfg.compact_every / n_chunks.max(1)).max(1 << 16);
+    let local_compact =
+        (compact_every / n_chunks.max(1)).max(CHUNK_COMPACT_FLOOR.min(compact_every));
     let parts = pool.scope_chunks_with(
         n_txns,
         chunk,
@@ -769,9 +784,12 @@ where
         |members, range| {
             let mut out = Pass2Partial {
                 alloc: Vec::new(),
-                edges: EdgeBuffer::new(),
-                nets: HyperEdgeBuffer::new(),
+                buffer: match cfg.graph_backend {
+                    GraphBackend::Clique => ChunkBuffer::Clique(EdgeBuffer::new()),
+                    GraphBackend::Hypergraph => ChunkBuffer::Hyper(HyperEdgeBuffer::new()),
+                },
                 widest: 0,
+                compactions: 0,
             };
             // Length after the last compaction: once the deduplicated edge
             // set itself exceeds the threshold, re-compact only after the
@@ -818,30 +836,29 @@ where
                         *m = local;
                     }
                 }
-                match cfg.graph_backend {
+                match &mut out.buffer {
                     // Transaction clique (§4.1; Appendix B prefers cliques
                     // over stars for transactions).
-                    GraphBackend::Clique => {
+                    ChunkBuffer::Clique(edges) => {
                         for i in 0..members.len() {
                             for j in i + 1..members.len() {
-                                out.edges.push(members[i], members[j], 1);
+                                edges.push(members[i], members[j], 1);
                             }
                         }
                     }
                     // One net per transaction: O(|members|) memory where
                     // the clique costs O(|members|²), so no width is ever
                     // too expensive to represent.
-                    GraphBackend::Hypergraph => out.nets.push(members, 1),
+                    ChunkBuffer::Hyper(nets) => nets.push(members, 1),
                 }
-                let buffered = out.edges.len() + out.nets.pin_count();
+                let buffered = out.buffer.len();
                 if buffered > local_compact && buffered >= 2 * compacted_len {
-                    out.edges.compact();
-                    out.nets.compact();
-                    compacted_len = out.edges.len() + out.nets.pin_count();
+                    out.buffer.compact();
+                    out.compactions += 1;
+                    compacted_len = out.buffer.len();
                 }
             });
-            out.edges.compact();
-            out.nets.compact();
+            out.buffer.compact();
             out
         },
     );
@@ -874,7 +891,9 @@ where
     let mut map_local: Vec<NodeId> = Vec::new();
     let mut net_scratch: Vec<NodeId> = Vec::new();
     let mut sink_compacted_len = 0usize;
+    let mut compactions = (0usize, 0usize);
     for part in parts {
+        compactions.0 += part.compactions;
         map_local.clear();
         map_local.reserve(part.alloc.len());
         for &gid in &part.alloc {
@@ -884,11 +903,6 @@ where
                 let node = replica_base[g] + alloc_count[g];
                 alloc_count[g] += 1;
                 replica_used[node as usize - num_groups] = true;
-                let weight = match cfg.node_weight {
-                    NodeWeight::Workload => 1u64,
-                    NodeWeight::DataSize => (grp.2 / grp.0.max(1) as u64).max(1),
-                };
-                sink.set_vertex_weight(node, weight.clamp(1, u32::MAX as u64) as u32);
                 // Star edge to the center, weighted by the update cost
                 // (§4.1: the number of transactions that update the tuple).
                 // The floor of 1 mirrors METIS's requirement of positive
@@ -912,55 +926,76 @@ where
                 map_local[(e - num_groups_u32) as usize]
             }
         };
-        match &mut sink {
-            BuildSink::Clique(gb) => gb.append_edges(
-                part.edges
+        match (&mut sink, part.buffer) {
+            (BuildSink::Clique(gb), ChunkBuffer::Clique(edges)) => gb.append_edges(
+                edges
                     .into_edges()
                     .into_iter()
                     .map(|(u, v, w)| (resolve(u), resolve(v), w)),
             ),
-            BuildSink::Hyper(hb) => {
-                for (pins, w) in part.nets.nets() {
+            (BuildSink::Hyper(hb), ChunkBuffer::Hyper(nets)) => {
+                for (pins, w) in nets.nets() {
                     net_scratch.clear();
                     net_scratch.extend(pins.iter().map(|&p| resolve(p)));
                     hb.add_net(&net_scratch, w);
                 }
             }
+            _ => unreachable!("sink and chunk buffers both follow cfg.graph_backend"),
         }
         // Same doubling guard as the chunk buffers: once the merged edge
         // (or pin) set exceeds the threshold, only re-compact after 2x
         // growth.
-        if sink.pending() > cfg.compact_every && sink.pending() >= 2 * sink_compacted_len {
+        if sink.pending() > compact_every && sink.pending() >= 2 * sink_compacted_len {
             sink.compact();
+            compactions.1 += 1;
             sink_compacted_len = sink.pending();
         }
     }
 
-    // Replicas may be fewer than planned if sampling hid some accesses;
-    // unused planned ids simply stay isolated with weight 1.
-    let (graph, hgraph) = match sink {
-        BuildSink::Clique(gb) => (gb.build(), None),
-        BuildSink::Hyper(hb) => (CsrGraph::empty(), Some(hb.build())),
+    // Replicas may be fewer than planned (a transaction that reads and
+    // writes a tuple counts two accesses but allocates once); unused planned
+    // ids stay isolated. Under workload weighting every planned slot keeps
+    // the builder's unit weight, so a group's star weighs its access count.
+    // Under data-size weighting the group's bytes are split exactly over
+    // the replicas that were allocated and unused slots hold nothing, so
+    // the graph's total weight is the surviving tuples' total bytes.
+    if cfg.node_weight == NodeWeight::DataSize {
+        for (ri, &g) in replica_owner.iter().enumerate() {
+            let node = (num_groups + ri) as NodeId;
+            let n = u64::from(node - replica_base[g as usize]);
+            let (used, bytes) = (u64::from(alloc_count[g as usize]), groups[g as usize].2);
+            let share = if n < used {
+                bytes / used + u64::from(n < bytes % used)
+            } else {
+                0
+            };
+            sink.set_vertex_weight(node, share.min(u32::MAX as u64) as u32);
+        }
+    }
+    let graph = match sink {
+        BuildSink::Clique(gb) => CoAccess::Clique(gb.build()),
+        BuildSink::Hyper(hb) => CoAccess::Hyper(hb.build()),
+    };
+    let (edges, hyperedges, pins) = match &graph {
+        CoAccess::Clique(g) => (g.num_edges(), 0, 0),
+        CoAccess::Hyper(h) => (0, h.num_nets(), h.num_pins()),
     };
     let stats = BuildStats {
         sampled_txns,
         distinct_tuples: tuples.len(),
         groups: num_groups,
         exploded_groups,
-        nodes: hgraph
-            .as_ref()
-            .map_or(graph.num_vertices(), |h| h.num_vertices()),
-        edges: graph.num_edges(),
-        hyperedges: hgraph.as_ref().map_or(0, |h| h.num_nets()),
-        pins: hgraph.as_ref().map_or(0, |h| h.num_pins()),
+        nodes: n_nodes,
+        edges,
+        hyperedges,
+        pins,
         widest_txn,
         dropped_scans,
     };
     let group_writes: Vec<u32> = groups.iter().map(|g| g.1).collect();
     let group_accesses: Vec<u32> = groups.iter().map(|g| g.0).collect();
-    WorkloadGraph {
+    let wg = WorkloadGraph {
         graph,
-        hgraph,
         tuples,
         group_of,
         num_groups,
@@ -969,7 +1004,8 @@ where
         group_writes,
         group_accesses,
         stats,
-    }
+    };
+    (wg, compactions)
 }
 
 #[cfg(test)]
@@ -981,6 +1017,20 @@ mod tests {
 
     fn base_cfg() -> SchismConfig {
         SchismConfig::new(2)
+    }
+
+    fn clique(g: &WorkloadGraph) -> &CsrGraph {
+        let CoAccess::Clique(c) = &g.graph else {
+            panic!("clique backend expected");
+        };
+        c
+    }
+
+    fn hyper(g: &WorkloadGraph) -> &HyperGraph {
+        let CoAccess::Hyper(h) = &g.graph else {
+            panic!("hypergraph backend expected");
+        };
+        h
     }
 
     #[test]
@@ -997,10 +1047,10 @@ mod tests {
         cfg.replication = false;
         cfg.coalesce = false;
         let g = build_graph(&w, &w.trace, &cfg);
-        assert!(g.graph.num_edges() > 0);
+        assert!(clique(&g).num_edges() > 0);
         assert_eq!(g.stats.sampled_txns, 300);
         assert_eq!(g.stats.nodes, g.stats.groups);
-        g.graph.validate().unwrap();
+        clique(&g).validate().unwrap();
     }
 
     #[test]
@@ -1015,7 +1065,7 @@ mod tests {
         let g = build_graph(&w, &w.trace, &cfg);
         assert!(g.stats.exploded_groups > 0, "zipfian head must explode");
         assert!(g.stats.nodes > g.stats.groups, "replica nodes expected");
-        g.graph.validate().unwrap();
+        clique(&g).validate().unwrap();
     }
 
     #[test]
@@ -1033,7 +1083,7 @@ mod tests {
         lax.blanket_threshold = 100;
         let g_lax = build_graph(&w, &w.trace, &lax);
         assert!(g_strict.stats.dropped_scans > 0);
-        assert!(g_strict.graph.num_edges() < g_lax.graph.num_edges());
+        assert!(clique(&g_strict).num_edges() < clique(&g_lax).num_edges());
     }
 
     #[test]
@@ -1085,12 +1135,12 @@ mod tests {
         assert_eq!(coalesced.stats.distinct_tuples, 40);
         assert_eq!(coalesced.stats.groups, 20, "pairs must merge");
         // Edges all interior to groups -> none survive.
-        assert_eq!(coalesced.graph.num_edges(), 0);
+        assert_eq!(clique(&coalesced).num_edges(), 0);
         let mut no_coalesce = cfg.clone();
         no_coalesce.coalesce = false;
         let plain = build_graph(&w, &trace, &no_coalesce);
         assert_eq!(plain.stats.groups, 40);
-        assert_eq!(plain.graph.num_edges(), 20);
+        assert_eq!(clique(&plain).num_edges(), 20);
     }
 
     #[test]
@@ -1118,19 +1168,31 @@ mod tests {
         }
     }
 
-    #[test]
-    fn compact_threshold_never_changes_the_graph() {
-        let w = ycsb::generate(&YcsbConfig {
-            records: 500,
-            num_txns: 1_000,
-            ..YcsbConfig::workload_a()
+    /// Builds a multi-tuple trace (3 chunks) under a compaction threshold
+    /// small enough that chunk buffers and the stitch sink both compact
+    /// mid-stream — repeatedly, so the doubling guard runs too — and
+    /// checks the graph against the never-compacting default.
+    fn compaction_never_changes_the_graph(backend: GraphBackend) {
+        use schism_workload::drifting::{self, DriftingConfig};
+        let w = drifting::generate(&DriftingConfig {
+            num_txns: 3_000,
+            ..Default::default()
         });
-        let base = build_graph(&w, &w.trace, &base_cfg());
-        let mut tiny = base_cfg();
-        tiny.compact_every = 1; // compacts constantly (floored per chunk)
-        let compacted = build_graph(&w, &w.trace, &tiny);
+        let mut cfg = base_cfg();
+        cfg.graph_backend = backend;
+        cfg.threads = 3;
+        let (base, never) = build_graph_inner(&w, &w.trace, &cfg, COMPACT_EVERY);
+        assert_eq!(never, (0, 0), "the default threshold is out of reach");
+        let (compacted, (in_chunks, in_sink)) = build_graph_inner(&w, &w.trace, &cfg, 32);
+        assert!(in_chunks >= 6, "{in_chunks} chunk-buffer compactions");
+        assert!(in_sink >= 1, "{in_sink} sink compactions");
         assert_eq!(base.digest(), compacted.digest());
         assert_eq!(base.graph, compacted.graph);
+    }
+
+    #[test]
+    fn compact_threshold_never_changes_the_graph() {
+        compaction_never_changes_the_graph(GraphBackend::Clique);
     }
 
     #[test]
@@ -1146,7 +1208,7 @@ mod tests {
         assert!(g.stats.nodes > g.stats.groups, "need replica nodes");
         // Groups with used replicas, found by probing: primaries -> 0,
         // replica nodes -> 1, then any tuple spanning both is hot.
-        let probe: Vec<u32> = (0..g.graph.num_vertices())
+        let probe: Vec<u32> = (0..g.num_nodes())
             .map(|v| u32::from(v >= g.stats.groups))
             .collect();
         let hot: std::collections::HashSet<TupleId> = g
@@ -1195,7 +1257,7 @@ mod tests {
         cfg.graph_backend = GraphBackend::Hypergraph;
         cfg.blanket_threshold = usize::MAX; // linear memory: keep every scan
         let g = build_graph(&w, &w.trace, &cfg);
-        let hg = g.hgraph.as_ref().expect("hypergraph built");
+        let hg = hyper(&g);
         hg.validate().unwrap();
         assert_eq!(g.stats.edges, 0);
         assert!(g.stats.hyperedges > 0);
@@ -1221,10 +1283,10 @@ mod tests {
         assert_eq!(cg.tuples(), hg.tuples());
         assert_eq!(cg.num_nodes(), hg.num_nodes());
         assert_eq!(cg.stats.widest_txn, hg.stats.widest_txn);
-        let hyper = hg.hgraph.as_ref().unwrap();
+        let hyper = hyper(&hg);
         for v in 0..cg.num_nodes() {
             assert_eq!(
-                cg.graph.vertex_weight(v as NodeId),
+                clique(&cg).vertex_weight(v as NodeId),
                 hyper.vertex_weight(v as NodeId),
                 "vertex {v} weight"
             );
@@ -1249,25 +1311,13 @@ mod tests {
             let from_trace = build_graph(&w, &whole, &cfg);
             assert_eq!(from_source.stats, from_trace.stats);
             assert_eq!(from_source.digest(), from_trace.digest());
-            assert_eq!(from_source.hgraph, from_trace.hgraph);
+            assert_eq!(from_source.graph, from_trace.graph);
         }
     }
 
     #[test]
     fn hypergraph_compact_threshold_never_changes_the_graph() {
-        let w = ycsb::generate(&YcsbConfig {
-            records: 500,
-            num_txns: 1_000,
-            ..YcsbConfig::workload_a()
-        });
-        let mut cfg = base_cfg();
-        cfg.graph_backend = GraphBackend::Hypergraph;
-        let base = build_graph(&w, &w.trace, &cfg);
-        let mut tiny = cfg.clone();
-        tiny.compact_every = 1;
-        let compacted = build_graph(&w, &w.trace, &tiny);
-        assert_eq!(base.digest(), compacted.digest());
-        assert_eq!(base.hgraph, compacted.hgraph);
+        compaction_never_changes_the_graph(GraphBackend::Hypergraph);
     }
 
     #[test]
@@ -1333,7 +1383,7 @@ mod tests {
         let cfg = base_cfg();
         let g = build_graph(&w, &w.trace, &cfg);
         // Fake assignment: alternate partitions by node id.
-        let assignment: Vec<u32> = (0..g.graph.num_vertices() as u32).map(|v| v % 2).collect();
+        let assignment: Vec<u32> = (0..g.num_nodes() as u32).map(|v| v % 2).collect();
         let parts = g.tuple_partitions(&assignment);
         assert_eq!(parts.len(), g.tuples().len());
         for (_, ps) in &parts {

@@ -168,11 +168,6 @@ impl HyperGraph {
         self.ewgt[e as usize]
     }
 
-    /// Sum of all net weights.
-    pub fn total_net_weight(&self) -> u64 {
-        self.ewgt.iter().map(|&w| w as u64).sum()
-    }
-
     /// Structural sanity checks; used by tests and debug assertions.
     pub fn validate(&self) -> Result<(), String> {
         let n = self.num_vertices();

@@ -628,7 +628,7 @@ mod tests {
     /// it last proposed to is not.
     #[test]
     fn tpcc_level0_rounds_evaluate_two_scans_and_leave_the_cleanup_nothing() {
-        use schism_core::{build_graph, SchismConfig};
+        use schism_core::{build_graph, CoAccess, SchismConfig};
         use schism_workload::tpcc::{self, TpccConfig};
 
         let workload = tpcc::generate(&TpccConfig {
@@ -643,7 +643,9 @@ mod tests {
         let mut cfg = SchismConfig::new(8);
         cfg.tuple_sample = 0.05;
         let (train, _test) = workload.trace.split(cfg.train_fraction, cfg.seed ^ 0x7E57);
-        let built = build_graph(&workload, &train, &cfg).graph;
+        let CoAccess::Clique(built) = build_graph(&workload, &train, &cfg).graph else {
+            panic!("clique backend expected");
+        };
         // The advisor links the library build of this crate, whose
         // `CsrGraph` is another type to this test build's: copy it over.
         let n = built.num_vertices();

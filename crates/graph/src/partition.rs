@@ -51,13 +51,6 @@ pub struct PartitionerConfig {
     /// RNG seed; the partitioner is fully deterministic given a seed,
     /// whatever `threads` is.
     pub seed: u64,
-    /// Stop coarsening when at most this many vertices remain.
-    /// `0` means auto (`max(128, 24 * k)`).
-    pub coarsen_target: usize,
-    /// Independent greedy-growing attempts per bisection.
-    pub init_tries: usize,
-    /// Maximum refinement passes per uncoarsening level.
-    pub refine_passes: usize,
     /// Full independent partitioning runs; the best cut wins (METIS's
     /// `ncuts`). Multilevel partitioning has run-to-run variance on hub-
     /// heavy graphs; two runs cut the tail risk dramatically.
@@ -75,9 +68,6 @@ impl Default for PartitionerConfig {
             k: 2,
             epsilon: 0.05,
             seed: 0,
-            coarsen_target: 0,
-            init_tries: 4,
-            refine_passes: 6,
             ncuts: 2,
             threads: 0,
         }
@@ -92,14 +82,16 @@ impl PartitionerConfig {
             ..Self::default()
         }
     }
+}
 
-    pub(crate) fn effective_coarsen_target(&self) -> usize {
-        if self.coarsen_target > 0 {
-            self.coarsen_target
-        } else {
-            (24 * self.k as usize).max(128)
-        }
-    }
+/// Independent greedy-growing attempts per bisection of the coarsest level.
+const INIT_TRIES: usize = 4;
+/// Maximum refinement passes per uncoarsening level.
+const REFINE_PASSES: usize = 6;
+
+/// The cold descent stops coarsening once at most this many vertices remain.
+fn cold_target(k: u32) -> usize {
+    (24 * k as usize).max(128)
 }
 
 /// The result of [`partition`].
@@ -247,15 +239,7 @@ fn polish<G: Incidence>(
     if G::CUT_NET_STAGE {
         labels = vcycle(g, Some(labels), cfg, true, rng, pool);
         let max_part = max_part_weight(g.total_vertex_weight(), cfg.k, cfg.epsilon);
-        kway_greedy_refine(
-            g,
-            &mut labels,
-            cfg.k,
-            max_part,
-            cfg.refine_passes,
-            true,
-            pool,
-        );
+        kway_greedy_refine(g, &mut labels, cfg.k, max_part, REFINE_PASSES, true, pool);
     }
     labels
 }
@@ -284,7 +268,7 @@ fn vcycle<G: Incidence>(
     let max_pair = max_pair_weight(max_part);
     let target = match labels {
         Some(_) => k as usize,
-        None => cfg.effective_coarsen_target(),
+        None => cold_target(k),
     };
 
     // --- Coarsening ---
@@ -322,7 +306,7 @@ fn vcycle<G: Incidence>(
     // --- Coarsest level: seed (cold) or inherit the labels (warm) ---
     let mut assignment = labels.unwrap_or_else(|| {
         let seed_graph = coarsest.seed_graph();
-        recursive_bisection(&seed_graph, k, cfg.epsilon, cfg.init_tries, rng, pool)
+        recursive_bisection(&seed_graph, k, cfg.epsilon, INIT_TRIES, rng, pool)
     });
     let settle = |level: &G, assignment: &mut Vec<u32>| {
         refine::settle(
@@ -330,7 +314,7 @@ fn vcycle<G: Incidence>(
             assignment,
             k,
             max_part,
-            cfg.refine_passes,
+            REFINE_PASSES,
             cut_primary,
             pool,
         )

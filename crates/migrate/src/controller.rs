@@ -3,8 +3,8 @@
 //!
 //! [`MigrationController`] owns the pieces the rest of the crate provides —
 //! a drift monitor rebased on every repartition (the exact
-//! [`DriftDetector`], or the fixed-memory [`SketchDriftDetector`] when
-//! [`SchismConfig::sketch_drift`] is set), the current per-tuple
+//! [`DriftDetector`], or the fixed-memory [`SketchDriftDetector`], per
+//! [`DriftMonitor`]), the current per-tuple
 //! placement, and the planner budgets — and exposes a single
 //! [`observe`](MigrationController::observe) entry point per window. The
 //! caller executes the returned plan at its own pace: build a
@@ -30,12 +30,7 @@ use std::collections::HashMap;
 pub struct ControllerConfig {
     pub schism: SchismConfig,
     pub drift: DriftConfig,
-    /// Sketch sizing, used only when
-    /// [`SchismConfig::sketch_drift`](schism_core::SchismConfig) is set —
-    /// the controller then monitors windows through a fixed-memory
-    /// [`SketchDriftDetector`] instead of exact per-tuple histograms, so
-    /// drift detection stops scaling with the hot-set size.
-    pub sketch: SketchConfig,
+    pub monitor: DriftMonitor,
     pub plan: PlanConfig,
     /// Defaults for executors built via [`MigrationOutcome::executor`].
     pub executor: ExecutorConfig,
@@ -46,17 +41,28 @@ impl ControllerConfig {
         Self {
             schism: SchismConfig::new(k),
             drift: DriftConfig::default(),
-            sketch: SketchConfig::default(),
+            monitor: DriftMonitor::default(),
             plan: PlanConfig::default(),
             executor: ExecutorConfig::default(),
         }
     }
 }
 
-/// The drift monitor behind the controller: exact per-tuple histograms by
-/// default, count-min sketches behind [`SchismConfig::sketch_drift`]. Both
-/// expose the same observe/rebase surface, so the loop below is oblivious
-/// to which one is running.
+/// How the controller monitors windows for drift.
+#[derive(Clone, Copy, Debug, Default)]
+pub enum DriftMonitor {
+    /// Exact per-tuple histograms ([`DriftDetector`]): memory grows with
+    /// the distinct tuples a window touches.
+    #[default]
+    Exact,
+    /// Count-Min sketches of this sizing ([`SketchDriftDetector`]): fixed
+    /// memory, so drift detection stops scaling with the hot-set size.
+    Sketch(SketchConfig),
+}
+
+/// The monitor [`DriftMonitor`] selected. Both expose the same
+/// observe/rebase surface, so the loop below is oblivious to which one is
+/// running.
 enum Detector {
     Exact(DriftDetector),
     Sketch(SketchDriftDetector),
@@ -64,14 +70,13 @@ enum Detector {
 
 impl Detector {
     fn new(cfg: &ControllerConfig, reference: &Trace) -> Self {
-        if cfg.schism.sketch_drift {
-            Detector::Sketch(SketchDriftDetector::new(
-                cfg.drift.clone(),
-                cfg.sketch,
-                reference,
-            ))
-        } else {
-            Detector::Exact(DriftDetector::new(cfg.drift.clone(), reference))
+        match cfg.monitor {
+            DriftMonitor::Exact => {
+                Detector::Exact(DriftDetector::new(cfg.drift.clone(), reference))
+            }
+            DriftMonitor::Sketch(scfg) => {
+                Detector::Sketch(SketchDriftDetector::new(cfg.drift.clone(), scfg, reference))
+            }
         }
     }
 
@@ -248,7 +253,7 @@ mod tests {
         };
         let w0 = drifting::window(&dcfg, 0);
         let mut cfg = controller_cfg(4);
-        cfg.schism.sketch_drift = true;
+        cfg.monitor = DriftMonitor::Sketch(SketchConfig::default());
         let mut ctl = MigrationController::bootstrap(&w0, cfg);
         let same = drifting::generate(&DriftingConfig { seed: 777, ..dcfg });
         match ctl.observe(&same) {

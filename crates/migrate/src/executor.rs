@@ -231,10 +231,6 @@ impl<'a> MigrationExecutor<'a> {
         self.paused = false;
     }
 
-    pub fn is_paused(&self) -> bool {
-        self.paused
-    }
-
     /// Aborts the migration at the current batch boundary: all remaining
     /// batches are marked [`BatchState::Aborted`] and will never execute.
     /// Already-flipped batches stay flipped (the new placement owns them);

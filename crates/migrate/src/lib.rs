@@ -54,7 +54,7 @@ pub mod sketch;
 pub use catchup::{
     catch_up_plan, run_catch_up, scan_under_replicated, CatchUpReport, UnderReplicated,
 };
-pub use controller::{ControllerConfig, MigrationController, MigrationOutcome, Tick};
+pub use controller::{ControllerConfig, DriftMonitor, MigrationController, MigrationOutcome, Tick};
 pub use drift::{
     split_windows, AccessHistogram, DistanceMetric, DriftConfig, DriftDetector, DriftReport,
 };

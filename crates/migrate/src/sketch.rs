@@ -33,19 +33,11 @@
 //! (4 × 8192 counters + 1024 heavy hitters) fit in ~300 KiB.
 
 use crate::drift::{DistanceMetric, DriftConfig, DriftReport};
-use schism_workload::{TraceSource, TupleId};
+use schism_workload::{splitmix64, TraceSource, TupleId};
 use std::collections::{BTreeSet, HashMap};
 
-fn splitmix(mut x: u64) -> u64 {
-    x ^= x >> 30;
-    x = x.wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x ^= x >> 27;
-    x = x.wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
 fn tuple_hash(t: TupleId) -> u64 {
-    splitmix(t.row ^ (t.table as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
+    splitmix64(t.row ^ (t.table as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
 }
 
 /// Sketch sizing. All three knobs trade accuracy for (fixed) memory; none
@@ -105,7 +97,7 @@ impl SketchHistogram {
         self.total += 1;
         let h = tuple_hash(t);
         for row in 0..self.cfg.depth {
-            let idx = (splitmix(h ^ (row as u64).wrapping_mul(0xA076_1D64_78BD_642F))
+            let idx = (splitmix64(h ^ (row as u64).wrapping_mul(0xA076_1D64_78BD_642F))
                 % self.cfg.width as u64) as usize;
             self.counters[row * self.cfg.width + idx] += 1;
         }
@@ -162,7 +154,7 @@ impl SketchHistogram {
         let h = tuple_hash(t);
         let mut best = u64::MAX;
         for row in 0..self.cfg.depth {
-            let idx = (splitmix(h ^ (row as u64).wrapping_mul(0xA076_1D64_78BD_642F))
+            let idx = (splitmix64(h ^ (row as u64).wrapping_mul(0xA076_1D64_78BD_642F))
                 % self.cfg.width as u64) as usize;
             best = best.min(self.counters[row * self.cfg.width + idx]);
         }
@@ -321,10 +313,6 @@ impl SketchDriftDetector {
 
     pub fn config(&self) -> &DriftConfig {
         &self.cfg
-    }
-
-    pub fn sketch_config(&self) -> &SketchConfig {
-        &self.scfg
     }
 
     /// The reference sketch (for error-bound introspection).

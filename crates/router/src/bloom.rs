@@ -2,6 +2,8 @@
 //! the paper evaluates (Appendix C.1). False positives cost extra
 //! participants at run time but never break correctness.
 
+use schism_workload::splitmix64;
+
 /// A Bloom filter over `u64` keys with double hashing.
 #[derive(Clone, Debug)]
 pub struct BloomFilter {
@@ -31,8 +33,8 @@ impl BloomFilter {
 
     fn hashes(&self, key: u64) -> (u64, u64) {
         // splitmix64 twice with different increments.
-        let h1 = splitmix(key.wrapping_add(0x9E37_79B9_7F4A_7C15));
-        let h2 = splitmix(key.wrapping_add(0xD1B5_4A32_D192_ED03)) | 1; // odd stride
+        let h1 = splitmix64(key.wrapping_add(0x9E37_79B9_7F4A_7C15));
+        let h2 = splitmix64(key.wrapping_add(0xD1B5_4A32_D192_ED03)) | 1; // odd stride
         (h1, h2)
     }
 
@@ -63,14 +65,6 @@ impl BloomFilter {
     pub fn num_hashes(&self) -> u32 {
         self.num_hashes
     }
-}
-
-fn splitmix(mut x: u64) -> u64 {
-    x ^= x >> 30;
-    x = x.wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x ^= x >> 27;
-    x = x.wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
 }
 
 #[cfg(test)]

@@ -6,7 +6,7 @@
 use crate::pset::PartitionSet;
 use crate::scheme::{Complexity, Route, Scheme};
 use schism_sql::{ColId, Statement, TableId, Value};
-use schism_workload::{TupleId, TupleValues};
+use schism_workload::{splitmix64, TupleId, TupleValues};
 
 /// What to hash.
 #[derive(Clone, Debug)]
@@ -22,14 +22,6 @@ pub enum HashBy {
 pub struct HashScheme {
     k: u32,
     by: HashBy,
-}
-
-fn splitmix(mut x: u64) -> u64 {
-    x ^= x >> 30;
-    x = x.wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x ^= x >> 27;
-    x = x.wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
 }
 
 impl HashScheme {
@@ -52,11 +44,12 @@ impl HashScheme {
     }
 
     fn bucket_value(&self, v: i64) -> u32 {
-        (splitmix(v as u64) % self.k as u64) as u32
+        (splitmix64(v as u64) % self.k as u64) as u32
     }
 
     fn bucket_row(&self, table: TableId, row: u64) -> u32 {
-        (splitmix(row ^ (table as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)) % self.k as u64) as u32
+        (splitmix64(row ^ (table as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)) % self.k as u64)
+            as u32
     }
 
     fn hash_attr(&self, table: TableId) -> Option<ColId> {

@@ -8,15 +8,7 @@
 
 use crate::pset::PartitionSet;
 use crate::scheme::Scheme;
-use schism_workload::{Transaction, TupleValues};
-
-fn splitmix(mut x: u64) -> u64 {
-    x ^= x >> 30;
-    x = x.wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x ^= x >> 27;
-    x = x.wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
+use schism_workload::{splitmix64, Transaction, TupleValues};
 
 /// Participants of one transaction under a scheme.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -76,7 +68,7 @@ pub fn route_transaction(
         }
         let (&best, _) = counts
             .iter()
-            .max_by_key(|&(p, &c)| (c, splitmix(*p as u64 ^ salt)))
+            .max_by_key(|&(p, &c)| (c, splitmix64(*p as u64 ^ salt)))
             .expect("flexible non-empty");
         participants.insert(best);
         flexible.retain(|p| !p.contains(best));

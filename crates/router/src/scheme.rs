@@ -4,7 +4,7 @@
 use crate::pset::PartitionSet;
 use crate::replica::ReplicaSet;
 use schism_sql::Statement;
-use schism_workload::{TupleId, TupleValues};
+use schism_workload::{splitmix64, TupleId, TupleValues};
 
 /// Scheme complexity, for the validation phase's tie-break (§4.4): "we
 /// prefer hash partitioning or replication over predicate-based
@@ -47,21 +47,13 @@ impl RouteDecision {
     }
 }
 
-fn splitmix(mut x: u64) -> u64 {
-    x ^= x >> 30;
-    x = x.wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x ^= x >> 27;
-    x = x.wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
 /// Deterministic member choice for any-one routes: the member minimizing
 /// a salted splitmix, so the pick is stable for one statement but spreads
 /// across members as the salt varies (per key, per statement).
 pub fn pick_any(targets: &PartitionSet, salt: u64) -> Option<u32> {
     targets
         .iter()
-        .min_by_key(|&p| splitmix(u64::from(p) ^ salt))
+        .min_by_key(|&p| splitmix64(u64::from(p) ^ salt))
 }
 
 /// Replica-pick salt derived from a statement's table, constrained
@@ -73,11 +65,11 @@ pub fn statement_salt(stmt: &Statement) -> u64 {
     cols.sort_unstable();
     cols.dedup();
     for c in cols {
-        h = splitmix(h ^ u64::from(c));
+        h = splitmix64(h ^ u64::from(c));
         if let Some(vs) = stmt.predicate.pinned_values(c) {
             for v in vs {
                 if let Some(i) = v.as_int() {
-                    h = splitmix(h ^ i as u64);
+                    h = splitmix64(h ^ i as u64);
                 }
             }
         }
@@ -360,7 +352,7 @@ mod tests {
         let read = Statement::select(0, Predicate::Eq(0, Value::Int(7)));
         let picks: std::collections::HashSet<u32> = (0..64u64)
             .map(
-                |salt| match s.route_predicate_salted(&read, splitmix(salt)) {
+                |salt| match s.route_predicate_salted(&read, splitmix64(salt)) {
                     RouteDecision::Single(p) => p,
                     other => panic!("expected Single, got {other:?}"),
                 },

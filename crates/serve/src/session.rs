@@ -16,7 +16,7 @@
 
 use crate::server::{ExecOpts, ServeError, ServeOutcome, Server};
 use schism_sql::{parse_statement, Statement};
-use schism_workload::TupleId;
+use schism_workload::{splitmix64, TupleId};
 use std::collections::HashSet;
 
 /// One client's view of a [`Server`]: salted replica picks plus
@@ -76,9 +76,6 @@ impl<'a> Session<'a> {
 
 /// splitmix64: decorrelates `seed ^ counter` into a well-mixed salt, so
 /// consecutive statements land on effectively independent replica picks.
-fn splitmix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
+fn splitmix(x: u64) -> u64 {
+    splitmix64(x.wrapping_add(0x9E37_79B9_7F4A_7C15))
 }

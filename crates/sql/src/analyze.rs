@@ -106,23 +106,6 @@ impl AttributeStats {
     }
 }
 
-/// Statement-shape fingerprint: kind, table, and the ordered set of
-/// WHERE-clause columns. Blanket-statement detection and workload summaries
-/// group statements by this key.
-pub fn statement_shape(stmt: &Statement) -> (u8, TableId, Vec<ColId>) {
-    let kind = match stmt.kind {
-        crate::statement::StatementKind::Select => 0u8,
-        crate::statement::StatementKind::Update => 1,
-        crate::statement::StatementKind::Insert => 2,
-        crate::statement::StatementKind::Delete => 3,
-    };
-    let mut cols = Vec::new();
-    stmt.predicate.collect_columns(&mut cols);
-    cols.sort_unstable();
-    cols.dedup();
-    (kind, stmt.table, cols)
-}
-
 /// How much routing signal a statement's WHERE clause carries, judged
 /// from the predicate alone (before any scheme is consulted).
 ///

@@ -26,7 +26,7 @@
 //!
 //! Overwrites and deletes strand dead records in the segment; when a
 //! segment exceeds [`LogStoreConfig::compact_min_bytes`] and its dead
-//! fraction crosses [`LogStoreConfig::compact_dead_ratio`], the shard is
+//! fraction reaches one half (`COMPACT_DEAD_RATIO`), the shard is
 //! rewritten live-records-only into a sibling `.tmp` file which is
 //! fsynced and atomically renamed over the segment.
 //!
@@ -56,6 +56,9 @@ const MAX_BODY: u32 = 1 << 30;
 pub const MAX_VALUE_LEN: u64 = MAX_BODY as u64 - PUT_FIXED;
 /// Ops per commit record during compaction (bounds staged-replay memory).
 const COMPACT_OPS_PER_COMMIT: u32 = 1 << 20;
+/// A segment of at least [`LogStoreConfig::compact_min_bytes`] compacts
+/// when `1 - live_record_bytes / segment_bytes` reaches this fraction.
+const COMPACT_DEAD_RATIO: f64 = 0.5;
 
 const TAG_PUT: u8 = 0x01;
 const TAG_DELETE: u8 = 0x02;
@@ -67,9 +70,6 @@ pub struct LogStoreConfig {
     /// Segments smaller than this never compact (avoids churn on tiny
     /// shards where the rewrite costs more than the space).
     pub compact_min_bytes: u64,
-    /// Compact when `1 - live_record_bytes / segment_bytes` reaches this
-    /// fraction.
-    pub compact_dead_ratio: f64,
     /// `fdatasync` after every commit record. Off by default: the store's
     /// crash model in tests and benches is process kill (OS page cache
     /// survives), and the executor's verify pass re-reads what it wrote.
@@ -80,7 +80,6 @@ impl Default for LogStoreConfig {
     fn default() -> Self {
         Self {
             compact_min_bytes: 1 << 20,
-            compact_dead_ratio: 0.5,
             sync_commits: false,
         }
     }
@@ -328,7 +327,7 @@ impl ShardLog {
     /// Whether the dead fraction warrants a rewrite.
     fn needs_compaction(&self, cfg: &LogStoreConfig) -> bool {
         self.tail >= cfg.compact_min_bytes
-            && (self.tail - self.live_record) as f64 >= cfg.compact_dead_ratio * self.tail as f64
+            && (self.tail - self.live_record) as f64 >= COMPACT_DEAD_RATIO * self.tail as f64
     }
 
     /// Rewrites the segment live-records-only: stream every indexed row
@@ -848,7 +847,6 @@ mod tests {
         let dir = TempDir::new("logstore-compact").unwrap();
         let cfg = LogStoreConfig {
             compact_min_bytes: 512,
-            compact_dead_ratio: 0.5,
             sync_commits: false,
         };
         let s = LogStore::with_config(dir.path(), 1, cfg).unwrap();

@@ -84,14 +84,6 @@ impl MemStore {
         *guard = Shard::default();
         Ok(())
     }
-
-    /// Snapshot of one shard's full contents, in key order (tests and
-    /// debugging; rebuilding a shard's state elsewhere goes through
-    /// [`ShardStore::scan_range`]).
-    pub fn dump(&self, shard: ShardId) -> Result<Vec<(TupleId, Vec<u8>)>, StoreError> {
-        let guard = self.shard(shard)?.read().expect("shard lock poisoned");
-        Ok(guard.rows.iter().map(|(&t, v)| (t, v.clone())).collect())
-    }
 }
 
 impl ShardStore for MemStore {

@@ -39,5 +39,5 @@ pub mod ycsb;
 pub use dist::{ScrambledZipfian, Zipfian};
 pub use sqllog::{render_log, SqlLogError, SqlLogOptions, SqlLogSource, SqlLogStats};
 pub use trace::{Trace, TraceSource, Workload};
-pub use tuple::{MaterializedDb, TupleId, TupleValues};
+pub use tuple::{splitmix64, MaterializedDb, TupleId, TupleValues};
 pub use txn::{Transaction, TxnBuilder};

@@ -10,7 +10,7 @@
 //!   count (4× the thread count) × ingestion path digests identically.
 
 use proptest::prelude::*;
-use schism_core::{build_graph, build_graph_source, GraphBackend, SchismConfig};
+use schism_core::{build_graph, build_graph_source, CoAccess, GraphBackend, SchismConfig};
 use schism_workload::drifting::{self, DriftingConfig};
 use schism_workload::ycsb::{self, YcsbConfig};
 use schism_workload::TraceSource;
@@ -140,15 +140,17 @@ proptest! {
 
         prop_assert_eq!(clique.tuples(), hyper.tuples());
         prop_assert_eq!(clique.num_nodes(), hyper.num_nodes());
-        let hg = hyper.hgraph.as_ref().expect("hypergraph built");
+        let (CoAccess::Clique(cg), CoAccess::Hyper(hg)) = (&clique.graph, &hyper.graph) else {
+            panic!("each build must emit its backend's representation");
+        };
         prop_assert!(hg.validate().is_ok());
         let total_clique: u64 = (0..clique.num_nodes() as u32)
-            .map(|v| u64::from(clique.graph.vertex_weight(v)))
+            .map(|v| u64::from(cg.vertex_weight(v)))
             .sum();
         prop_assert_eq!(total_clique, hg.total_vertex_weight());
         for v in 0..clique.num_nodes() as u32 {
             prop_assert_eq!(
-                clique.graph.vertex_weight(v),
+                cg.vertex_weight(v),
                 hg.vertex_weight(v),
                 "vertex {} weight diverged between backends",
                 v

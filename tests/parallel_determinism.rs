@@ -10,8 +10,8 @@
 
 use schism_core::explain::explain;
 use schism_core::{
-    build_graph, build_graph_source, run_partition_phase, run_partition_phase_warm, GraphBackend,
-    SchismConfig,
+    build_graph, build_graph_source, run_partition_phase, run_partition_phase_warm, CoAccess,
+    GraphBackend, SchismConfig,
 };
 use schism_graph::{
     gen, partition, partition_warm, HyperGraph, HyperGraphBuilder, PartitionerConfig, Partitioning,
@@ -162,7 +162,10 @@ fn tpcc_builder_graph() {
     // hypergraph rides `hypergraph_backend_identical_across_threads_and_ingestion`.)
     let w = small_tpcc();
     let wg = build_graph(&w, &w.trace, &SchismConfig::new(4));
-    let p = cold_and_warm_identical("tpcc clique", &wg.graph, 4, 3, partition, partition_warm);
+    let CoAccess::Clique(g) = &wg.graph else {
+        panic!("clique backend expected");
+    };
+    let p = cold_and_warm_identical("tpcc clique", g, 4, 3, partition, partition_warm);
     assert!(p.edge_cut > 0, "sanity: non-trivial graph");
 }
 
@@ -255,7 +258,9 @@ fn same_seed_output_matches_golden_digests() {
     );
     let w = small_tpcc();
     let wg = build_graph(&w, &w.trace, &SchismConfig::new(4));
-    let g = &wg.graph;
+    let CoAccess::Clique(g) = &wg.graph else {
+        panic!("clique backend expected");
+    };
     check(
         "tpcc clique",
         golden_row(g, g.num_vertices(), 4, 3, partition, partition_warm),
@@ -267,7 +272,9 @@ fn same_seed_output_matches_golden_digests() {
         ],
     );
     let wg = build_graph(&w, &w.trace, &hypergraph_config(4));
-    let hg = wg.hgraph.as_ref().expect("hypergraph built");
+    let CoAccess::Hyper(hg) = &wg.graph else {
+        panic!("hypergraph backend expected");
+    };
     check(
         "tpcc hypergraph",
         golden_row(hg, hg.num_vertices(), 4, 3, partition, partition_warm),
@@ -329,13 +336,15 @@ fn build_identical_across_threads_and_ingestion(mk: impl Fn(usize) -> SchismConf
         ("drifting", &drift_w),
     ] {
         let base = build_graph(w, &w.trace, &mk(1));
-        base.graph.validate().unwrap();
-        match &base.hgraph {
-            Some(hg) => {
+        match &base.graph {
+            CoAccess::Hyper(hg) => {
                 hg.validate().unwrap();
                 assert!(base.stats.hyperedges > 0, "{name}: no nets emitted");
             }
-            None => assert!(base.stats.edges > 0, "{name}: no edges emitted"),
+            CoAccess::Clique(g) => {
+                g.validate().unwrap();
+                assert!(base.stats.edges > 0, "{name}: no edges emitted");
+            }
         }
         for t in THREAD_COUNTS.into_iter().skip(1) {
             let g = build_graph(w, &w.trace, &mk(t));
@@ -348,8 +357,10 @@ fn build_identical_across_threads_and_ingestion(mk: impl Fn(usize) -> SchismConf
                 base.digest(),
                 "{name}: threads={t} changed the workload graph"
             );
-            assert_eq!(g.graph, base.graph, "{name}: threads={t} changed the CSR");
-            assert_eq!(g.hgraph, base.hgraph, "{name}: threads={t} changed nets");
+            assert_eq!(
+                g.graph, base.graph,
+                "{name}: threads={t} changed the structure"
+            );
         }
     }
 

@@ -107,7 +107,7 @@ proptest! {
         let log = LogStore::with_config(
             dir.path(),
             SHARDS,
-            LogStoreConfig { compact_min_bytes: 2_048, compact_dead_ratio: 0.5, sync_commits: false },
+            LogStoreConfig { compact_min_bytes: 2_048, sync_commits: false },
         ).unwrap();
         for _ in 0..60 {
             let shard = (splitmix(&mut st) % u64::from(SHARDS + 1)) as u32; // sometimes out of range
@@ -234,7 +234,6 @@ proptest! {
         let cfg = LogStoreConfig {
             compact_min_bytes: u64::MAX,
             sync_commits: true,
-            ..LogStoreConfig::default()
         };
         let mut snapshots: Vec<ShardContents> = Vec::new();
         let mut boundaries: Vec<u64> = Vec::new(); // synced committed end after batch i
