@@ -532,6 +532,14 @@ fn rotated_scheme(old: &dyn Scheme, db: &dyn TupleValues, rows: u64) -> Arc<dyn 
 }
 
 fn main() {
+    schism_bench::reject_unknown_args(&[
+        "--smoke",
+        "--faults",
+        "--full",
+        "--backend",
+        "--clients",
+        "--seconds",
+    ]);
     let smoke = schism_bench::flag("--smoke");
     let faults_on = schism_bench::flag("--faults");
     let full = schism_bench::full_scale();

@@ -10,14 +10,13 @@
 //!
 //! ```text
 //! cargo run --release -p schism-bench --bin drift_migration \
-//!     [--full] [--threads N] [--inject-every N]
+//!     [--full] [--threads N]
 //! ```
 //!
 //! `--full` uses more windows and a bigger trace (slower; same shapes).
 //! `--threads N` sizes the partitioner's worker pool for both the warm and
 //! cold re-runs (0/absent = auto via `SCHISM_THREADS` or hardware); the
-//! partitions are bit-identical whatever the value. `--inject-every N`
-//! sets the plan's copy-stream pacing (`PlanConfig::inject_every`).
+//! partitions are bit-identical whatever the value.
 
 use schism_bench::table::Table;
 use schism_core::{build_graph, run_partition_phase, Schism, SchismConfig};
@@ -26,6 +25,7 @@ use schism_migrate::{plan_migration, DriftConfig, DriftDetector, PlanConfig};
 use schism_workload::drifting::{self, DriftingConfig};
 
 fn main() {
+    schism_bench::reject_unknown_args(&["--full", "--threads"]);
     let full = schism_bench::full_scale();
     let k = 8u32;
     let windows = if full { 8u64 } else { 4 };
@@ -41,12 +41,6 @@ fn main() {
     cfg.threads = schism_bench::arg_value("--threads")
         .map(|v| v.parse().expect("--threads takes a non-negative integer"))
         .unwrap_or(0);
-    let plan_cfg = PlanConfig {
-        inject_every: schism_bench::arg_value("--inject-every")
-            .map(|v| v.parse().expect("--inject-every takes a positive integer"))
-            .unwrap_or(1),
-        ..PlanConfig::default()
-    };
     let schism = Schism::new(cfg.clone());
 
     let w0 = drifting::window(&dcfg, 0);
@@ -60,7 +54,7 @@ fn main() {
         phase.imbalance
     );
 
-    let mut detector = DetectorShim::new(&w0);
+    let mut detector = DriftDetector::new(DriftConfig::default(), &w0.trace);
     let mut prev = phase.assignment;
     let mut table = Table::new(&[
         "window",
@@ -79,7 +73,7 @@ fn main() {
 
     for w in 1..=windows {
         let wl = drifting::window(&dcfg, w);
-        let report = detector.observe(&wl);
+        let drift = detector.observe(&wl.trace).distance;
 
         let inc = rerun_incremental(&schism, &wl, &wl.trace, &prev);
         let scratch_cfg = Schism::new(SchismConfig {
@@ -91,7 +85,7 @@ fn main() {
         let (train, test) = wl.trace.split(0.8, w ^ 42);
         let dist_inc = distributed_fraction(&wl, &train, &test, &inc.assignment, k);
         let dist_scr = distributed_fraction(&wl, &train, &test, &scr.assignment, k);
-        let plan = plan_migration(&prev, &inc.assignment, &*wl.db, &plan_cfg);
+        let plan = plan_migration(&prev, &inc.assignment, &*wl.db, &PlanConfig::default());
 
         let ratio = if scr.relabeling.moved > 0 {
             inc.relabeling.moved as f64 / scr.relabeling.moved as f64
@@ -100,7 +94,7 @@ fn main() {
         };
         table.row(vec![
             format!("{w}"),
-            format!("{:.3}", report),
+            format!("{drift:.3}"),
             format!("{}", inc.relabeling.moved),
             format!("{}", scr.relabeling.moved),
             format!("{:.2}", ratio),
@@ -113,39 +107,17 @@ fn main() {
             format!("{}", scr.wall_time.as_millis()),
         ]);
 
-        detector.rebase(&wl);
+        detector.rebase(&wl.trace);
         prev = inc.assignment;
     }
 
     println!("{}", table.render());
     println!(
-        "partitioner threads: {} ({}); plan throttle: 1 move per {} foreground txns",
+        "partitioner threads: {} ({})",
         schism_par::resolve_threads(cfg.threads),
         if cfg.threads == 0 { "auto" } else { "explicit" },
-        plan_cfg.inject_every
     );
     println!("moved(x): tuples whose primary partition changes, after relabeling");
     println!("ratio   : moved(inc) / moved(scr) — the acceptance bar is < 0.50");
     println!("dist(x) : distributed-txn fraction on a held-out slice of the window");
-}
-
-/// Tiny wrapper so the main loop reads as the production loop would.
-struct DetectorShim {
-    inner: DriftDetector,
-}
-
-impl DetectorShim {
-    fn new(w: &schism_workload::Workload) -> Self {
-        Self {
-            inner: DriftDetector::new(DriftConfig::default(), &w.trace),
-        }
-    }
-
-    fn observe(&self, w: &schism_workload::Workload) -> f64 {
-        self.inner.observe(&w.trace).distance
-    }
-
-    fn rebase(&mut self, w: &schism_workload::Workload) {
-        self.inner.rebase(&w.trace);
-    }
 }

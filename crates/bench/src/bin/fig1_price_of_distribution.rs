@@ -17,6 +17,7 @@ use schism_sim::{run, PoolSource, SimConfig, SimTxn};
 use schism_workload::simplecount::{self, AccessMode, SimpleCountConfig};
 
 fn main() {
+    schism_bench::reject_unknown_args(&["--full"]);
     let full = schism_bench::full_scale();
     let num_txn_pool = if full { 20_000 } else { 5_000 };
 

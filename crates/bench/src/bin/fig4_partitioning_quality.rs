@@ -187,6 +187,7 @@ fn stripes_scheme(records: u64, k: u32) -> schism_router::RangeScheme {
 }
 
 fn main() {
+    schism_bench::reject_unknown_args(&["--full"]);
     let full = schism_bench::full_scale();
     println!(
         "=== Figure 4: % distributed transactions per workload and strategy ({}) ===\n",

@@ -184,6 +184,7 @@ fn thread_scaling(built: &Built, label: &str, k: u32, max_threads: usize, full: 
 }
 
 fn main() {
+    schism_bench::reject_unknown_args(&["--full", "--threads", "--speedup-only", "--backend"]);
     let full = schism_bench::full_scale();
     let threads: usize = schism_bench::arg_value("--threads")
         .map(|v| v.parse().expect("--threads takes a non-negative integer"))

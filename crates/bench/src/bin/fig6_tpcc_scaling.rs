@@ -32,6 +32,7 @@ fn tpcc_pool(warehouses: u32, servers: u32, num_txns: usize) -> Vec<SimTxn> {
 }
 
 fn main() {
+    schism_bench::reject_unknown_args(&["--full"]);
     let full = schism_bench::full_scale();
     let pool_txns = if full { 20_000 } else { 6_000 };
     let servers_list = [1u32, 2, 4, 8];

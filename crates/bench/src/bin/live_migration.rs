@@ -9,9 +9,10 @@
 //! 1. **standalone executor** — the plan runs back to back (one tick = one
 //!    batch lifecycle: copy, verify, flip); per-batch wall-clock gives copy
 //!    throughput in rows/s and MiB/s.
-//! 2. **in-simulation** — the same plan's copy traffic is injected into
-//!    the discrete-event cluster, gated on executor acknowledgements, and
-//!    compared against a quiet run of the same foreground workload.
+//! 2. **in-simulation** — the same plan's copy traffic (each move rendered
+//!    by [`SimTxn::copy`]) is injected into the discrete-event cluster,
+//!    gated on executor acknowledgements, and compared against a quiet run
+//!    of the same foreground workload.
 //! 3. **calibration** (`--calibrate`) — the timed batches from (1) are fit
 //!    into a [`MigrationCostModel`]; the fit is validated on held-out
 //!    batches (predicted vs measured must stay within 2×), mapped back
@@ -23,8 +24,9 @@
 //!     [--full] [--backend mem|log] [--calibrate] [--inject-every N]
 //! ```
 //!
-//! `--inject-every N` paces the copy stream at one move per `N` foreground
-//! transactions (the `PlanConfig::inject_every` QoS knob; default 1).
+//! `--inject-every N` paces the simulated copy stream at one move per `N`
+//! foreground transactions (the rate [`MigrationSource::batched`] takes;
+//! default 1, the aggressive end — worst-case mid-migration tax).
 //!
 //! `--backend log` runs every store in this benchmark on the persistent
 //! [`LogStore`](schism_store::LogStore) (segment files under a temp dir,
@@ -34,17 +36,19 @@
 
 use schism_bench::table::Table;
 use schism_core::{build_graph, build_lookup_scheme, run_partition_phase, SchismConfig};
-use schism_migrate::{ControllerConfig, MigrationController, PlanConfig, StepOutcome, Tick};
-use schism_router::{Scheme, VersionedScheme};
-use schism_sim::{
-    run, CostSample, MigrationCostModel, MigrationSource, PoolSource, SimConfig, SimTxn,
+use schism_migrate::{
+    ControllerConfig, CostSample, MigrationController, MigrationCostModel, PlanConfig, StepOutcome,
+    Tick,
 };
+use schism_router::{Scheme, VersionedScheme};
+use schism_sim::{run, MigrationSource, PoolSource, SimConfig, SimTxn};
 use schism_store::{load_assignment, tempdir::TempDir};
 use schism_workload::drifting::{self, DriftingConfig};
 use std::sync::Arc;
 use std::time::Instant;
 
 fn main() {
+    schism_bench::reject_unknown_args(&["--full", "--backend", "--calibrate", "--inject-every"]);
     let full = schism_bench::full_scale();
     let backend = schism_bench::backend_kind();
     let calibrate = schism_bench::flag("--calibrate");
@@ -72,12 +76,6 @@ fn main() {
     // ticks (one tick = one copy/verify/flip lifecycle).
     let mut ccfg = ControllerConfig::new(k);
     ccfg.plan.max_rows_per_batch = if full { 256 } else { 64 };
-    // Copy-stream pacing: one move per foreground txn (the aggressive end
-    // of the throttle — worst-case mid-migration tax). Overridable now
-    // that it is a PlanConfig knob instead of a constant in the source.
-    ccfg.plan.inject_every = schism_bench::arg_value("--inject-every")
-        .map(|v| v.parse().expect("--inject-every takes a positive integer"))
-        .unwrap_or(1);
     let mut ctl = MigrationController::with_assignment(&w0, placement.clone(), ccfg);
     let w3 = drifting::window(&dcfg, 3);
     let outcome = match ctl.observe(&w3) {
@@ -151,7 +149,9 @@ fn main() {
     );
 
     // ---- 2. Mid-migration QoS in the simulator. ----
-    let inject_every = outcome.inject_every;
+    let inject_every: u32 = schism_bench::arg_value("--inject-every")
+        .map(|v| v.parse().expect("--inject-every takes a positive integer"))
+        .unwrap_or(1);
     let sim_cfg = SimConfig {
         num_servers: k,
         num_clients: if full { 160 } else { 80 },
@@ -167,7 +167,18 @@ fn main() {
     // acknowledged-batch copy stream is in flight for the whole measured
     // interval — these percentiles are *mid-migration*, not diluted by a
     // long post-drain tail.
-    let copy_txns: usize = outcome.plan.sim_txn_batches().iter().map(Vec::len).sum();
+    let copy_batches: Vec<Vec<SimTxn>> = outcome
+        .plan
+        .batches
+        .iter()
+        .map(|b| {
+            b.moves
+                .iter()
+                .filter_map(|m| SimTxn::copy(m.tuple, m.from.first()?, m.copies_added()))
+                .collect()
+        })
+        .collect();
+    let copy_txns: usize = copy_batches.iter().map(Vec::len).sum();
     let span_us = (copy_txns as f64 * (1.0 + inject_every as f64) / quiet.throughput.max(1.0)
         * 1_000_000.0) as u64;
     let mid_cfg = SimConfig {
@@ -186,7 +197,7 @@ fn main() {
         let mut exec = outcome.executor(&*store, &vs);
         let mut source = MigrationSource::batched(
             PoolSource::new(pool.clone()),
-            outcome.plan.sim_txn_batches(),
+            copy_batches.clone(),
             inject_every,
             Some(Box::new(|_| matches!(exec.step(), StepOutcome::Flipped(_)))),
         );

@@ -551,6 +551,16 @@ fn backends_compare(smoke: bool, threads: usize) -> String {
 }
 
 fn main() {
+    schism_bench::reject_unknown_args(&[
+        "--full",
+        "--threads",
+        "--scaling-only",
+        "--probe",
+        "--backend",
+        "--smoke",
+        "--backends",
+        "--huge",
+    ]);
     let full = schism_bench::full_scale();
     let threads: usize = schism_bench::arg_value("--threads")
         .map(|v| v.parse().expect("--threads takes a non-negative integer"))

@@ -8,7 +8,9 @@
 //! cargo run --release -p schism-bench --bin fig1_price_of_distribution
 //! ```
 //!
-//! Every binary accepts `--full` to use paper-scale parameters (slower).
+//! Every binary accepts `--full` to use paper-scale parameters (slower),
+//! and exits with status 2 on an argument it does not know
+//! ([`reject_unknown_args`]).
 
 pub mod manual;
 pub mod table;
@@ -35,6 +37,27 @@ pub fn arg_value(name: &str) -> Option<String> {
         }
     }
     None
+}
+
+/// Exits with status 2, naming the offenders and `known` on stderr, if the
+/// command line holds a `--name` (bare, or as `--name=value`) the bin never
+/// asks [`flag`] / [`arg_value`] about. Call it first thing in `main`: a
+/// mistyped or stale flag would otherwise run the defaults and overwrite a
+/// committed `BENCH_*.json` with them.
+pub fn reject_unknown_args(known: &[&str]) {
+    let unknown = unknown_args(std::env::args().skip(1), known);
+    if !unknown.is_empty() {
+        eprintln!("unknown argument(s): {}", unknown.join(" "));
+        eprintln!("known: {}", known.join(" "));
+        std::process::exit(2);
+    }
+}
+
+/// The `--name`s among `args` that `known` does not list. Anything not
+/// starting with `--` is some flag's value and passes.
+fn unknown_args(args: impl Iterator<Item = String>, known: &[&str]) -> Vec<String> {
+    args.filter(|a| a.starts_with("--") && !known.contains(&a.split('=').next().unwrap_or(a)))
+        .collect()
 }
 
 /// Peak resident set size of this process in bytes (`VmHWM` from
@@ -300,6 +323,23 @@ mod tests {
         assert_eq!(json_num(frag, "cut"), Some(1200.0));
         assert_eq!(json_num(frag, "frac"), Some(-0.5));
         assert_eq!(json_num(frag, "missing"), None);
+    }
+
+    #[test]
+    fn unknown_args_names_what_no_flag_reads() {
+        let known = ["--full", "--threads", "--backend"];
+        let check = |line: &str| unknown_args(line.split_whitespace().map(String::from), &known);
+        assert!(check("").is_empty());
+        assert!(check("--full --threads 2 --backend=log").is_empty());
+        assert!(check("--threads=2 --backend log --full").is_empty());
+        // A typo, a stale flag in both forms, a prefix of a known name.
+        assert_eq!(check("--thread 2 --full"), ["--thread"]);
+        assert_eq!(check("--full --inject-every=4"), ["--inject-every=4"]);
+        assert_eq!(check("--inject-every 4 --ful"), ["--inject-every", "--ful"]);
+        assert_eq!(
+            check("--threadsx=2 --thread=2"),
+            ["--threadsx=2", "--thread=2"]
+        );
     }
 
     #[test]

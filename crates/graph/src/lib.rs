@@ -62,7 +62,6 @@
 
 pub mod builder;
 pub mod coarsen;
-pub mod components;
 pub mod csr;
 pub mod gen;
 mod hpartition;
@@ -75,7 +74,6 @@ pub mod partition;
 pub mod refine;
 
 pub use builder::{EdgeBuffer, GraphBuilder};
-pub use components::{connected_components, UnionFind};
 pub use csr::{CsrGraph, NodeId};
 pub use hpartition::connectivity_cost;
 pub use hypergraph::{HyperEdgeBuffer, HyperGraph, HyperGraphBuilder};

@@ -116,11 +116,6 @@ pub struct MigrationOutcome {
     pub plan: MigrationPlan,
     /// Executor defaults inherited from the controller's config.
     pub executor_cfg: ExecutorConfig,
-    /// Copy-stream pacing ([`PlanConfig::inject_every`]) inherited from the
-    /// controller's plan config: callers injecting this outcome's plan into
-    /// live traffic (e.g. [`schism_sim::MigrationSource::batched`]) should
-    /// pass it through rather than hardcode a rate.
-    pub inject_every: u32,
 }
 
 impl MigrationOutcome {
@@ -204,7 +199,6 @@ impl MigrationController {
             repartition,
             plan,
             executor_cfg: self.cfg.executor.clone(),
-            inject_every: self.cfg.plan.inject_every,
         })
     }
 }

@@ -16,9 +16,9 @@
 //! against a real backend ([`schism-store`'s `LogStore`]) and fits the
 //! model to the measurements with [`MigrationCostModel::fit`]; the fitted
 //! rates are recorded in `crates/bench/BENCH_store.json` and mapped back
-//! onto planner budgets via `PlanConfig::for_target_batch_duration` in
-//! `schism-migrate`. The calibration loop is documented end to end in
-//! `docs/ARCHITECTURE.md`.
+//! onto planner budgets via
+//! [`PlanConfig::for_target_batch_duration`](crate::PlanConfig::for_target_batch_duration).
+//! The calibration loop is documented end to end in `docs/ARCHITECTURE.md`.
 //!
 //! [`schism-store`'s `LogStore`]: https://docs.rs/schism-store
 //!
@@ -76,27 +76,6 @@ impl MigrationCostModel {
             1e6 / per_row
         } else {
             0.0
-        }
-    }
-
-    /// Steady-state copy bandwidth in bytes/sec for rows of `row_bytes`
-    /// payload.
-    pub fn bytes_per_sec(&self, row_bytes: u32) -> f64 {
-        self.rows_per_sec(row_bytes) * f64::from(row_bytes)
-    }
-
-    /// Builds a model from externally measured steady rates plus an
-    /// assumed per-batch constant (the inverse of calibration, for when
-    /// only aggregate rates are known).
-    pub fn from_rates(rows_per_sec: f64, batch_fixed_us: f64) -> Self {
-        Self {
-            batch_fixed_us: batch_fixed_us.max(0.0),
-            row_us: if rows_per_sec > 0.0 {
-                1e6 / rows_per_sec
-            } else {
-                0.0
-            },
-            byte_us: 0.0,
         }
     }
 
@@ -315,11 +294,9 @@ mod tests {
             byte_us: 0.0625, // 64 B rows → 4 + 4 = 8 us/row
         };
         assert!((m.rows_per_sec(64) - 125_000.0).abs() < 1e-6);
-        assert!((m.bytes_per_sec(64) - 8_000_000.0).abs() < 1e-3);
-        let inv = MigrationCostModel::from_rates(125_000.0, 100.0);
-        assert!(
-            (inv.predict_batch_us(1_000, 64_000) - m.predict_batch_us(1_000, 64_000)).abs() < 1e-6
-        );
+        // 1 000 rows at that rate, plus the per-batch constant.
+        let at_rate = 100.0 + 1_000.0 * 1e6 / m.rows_per_sec(64);
+        assert!((m.predict_batch_us(1_000, 64_000) - at_rate).abs() < 1e-6);
     }
 
     #[test]

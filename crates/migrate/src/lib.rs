@@ -13,6 +13,7 @@
 //! | [`incremental`] | warm-started re-partition and the from-scratch baseline |
 //! | [`relabel`](mod@relabel) | Hungarian matching of new→old partition ids to minimize movement |
 //! | [`plan`] | diff two placements into throttled, batched tuple moves |
+//! | [`cost`] | linear batch-duration model fitted to timed batches; [`PlanConfig::for_target_batch_duration`] inverts it into budgets |
 //! | [`executor`] | run a plan against [`schism_store`] shards: copy → verify → flip per batch |
 //! | [`controller`] | the loop: state, trigger, repartition, plan hand-off |
 //! | [`catchup`] | shard rejoin: catch-up copy plans over the same executor, plus the under-replication scanner |
@@ -21,10 +22,13 @@
 //! [`schism_router::VersionedScheme`] (old/new scheme pair + moved-set);
 //! the [`executor`] owns each batch's copy/verify lifecycle against a
 //! [`schism_store::ShardStore`] and advances that moved-set only on
-//! acknowledgement ([`schism_router::VersionedScheme::flip_batch`]). The
-//! migration's throughput tax is simulated by feeding the plan's batches
-//! into [`schism_sim::MigrationSource`], whose injection is gated on the
-//! same acknowledgements.
+//! acknowledgement ([`schism_router::VersionedScheme::flip_batch`]).
+//! Nothing here knows about the simulator: a plan is plain data
+//! ([`MigrationPlan::batches`]), and whoever wants its throughput tax
+//! priced renders each move with the simulator crate's `SimTxn::copy` and
+//! feeds the batches to its `MigrationSource` — this crate's own
+//! integration test does, gating injection on the executor's
+//! acknowledgements.
 //!
 //! ```
 //! use schism_migrate::controller::{ControllerConfig, MigrationController, Tick};
@@ -44,6 +48,7 @@
 
 pub mod catchup;
 pub mod controller;
+pub mod cost;
 pub mod drift;
 pub mod executor;
 pub mod incremental;
@@ -55,6 +60,7 @@ pub use catchup::{
     catch_up_plan, run_catch_up, scan_under_replicated, CatchUpReport, UnderReplicated,
 };
 pub use controller::{ControllerConfig, DriftMonitor, MigrationController, MigrationOutcome, Tick};
+pub use cost::{CostSample, MigrationCostModel};
 pub use drift::{
     split_windows, AccessHistogram, DistanceMetric, DriftConfig, DriftDetector, DriftReport,
 };

@@ -7,16 +7,15 @@
 //! under per-batch row *and* byte budgets — the executor's throttle unit:
 //! one batch is what a live system copies, then marks moved in the
 //! [`schism_router::VersionedScheme`], before yielding to foreground
-//! traffic ([`MigrationPlan::sim_txns`] turns the same plan into simulator
-//! transactions so the tax shows up in simulated throughput).
+//! traffic.
 //!
 //! Only tuples present in **both** assignments generate moves: a tuple seen
 //! for the first time has no authoritative copy to relocate (the lookup
 //! scheme's miss policy places it), and a tuple that vanished from the
 //! trace keeps its old home until a later plan touches it.
 
+use crate::cost::MigrationCostModel;
 use schism_router::PartitionSet;
-use schism_sim::{SimOp, SimTxn};
 use schism_workload::{TupleId, TupleValues};
 use std::collections::HashMap;
 
@@ -42,8 +41,7 @@ impl TupleMove {
     }
 }
 
-/// Throttle budgets for one batch, plus the injection-rate QoS knob for
-/// executing the plan against live traffic.
+/// Throttle budgets for one batch.
 #[derive(Clone, Copy, Debug)]
 pub struct PlanConfig {
     /// Maximum tuples per batch.
@@ -51,14 +49,6 @@ pub struct PlanConfig {
     /// Maximum payload bytes per batch (a tuple's bytes count once per
     /// receiving partition).
     pub max_bytes_per_batch: u64,
-    /// Copy-stream pacing when the plan runs alongside foreground traffic:
-    /// one migration move is issued per `inject_every` foreground
-    /// transactions (`1` alternates move/foreground; larger values tax the
-    /// cluster less but stretch the migration). This is the knob
-    /// [`schism_sim::MigrationSource`] previously hardcoded; surfacing it
-    /// here is the first step of the adaptive-QoS roadmap item — a future
-    /// controller can raise it when simulated p99 degrades. Must be `>= 1`.
-    pub inject_every: u32,
 }
 
 impl Default for PlanConfig {
@@ -66,7 +56,6 @@ impl Default for PlanConfig {
         Self {
             max_rows_per_batch: 1_000,
             max_bytes_per_batch: 16 << 20,
-            inject_every: 1,
         }
     }
 }
@@ -85,7 +74,7 @@ impl PlanConfig {
     /// above the target) fall back to a 1-row budget rather than an
     /// unbounded one.
     pub fn for_target_batch_duration(
-        model: &schism_sim::MigrationCostModel,
+        model: &MigrationCostModel,
         target_us: f64,
         avg_row_bytes: u32,
     ) -> Self {
@@ -101,7 +90,6 @@ impl PlanConfig {
         Self {
             max_rows_per_batch: max_rows,
             max_bytes_per_batch: max_bytes,
-            ..Self::default()
         }
     }
 }
@@ -131,74 +119,13 @@ impl MigrationPlan {
     pub fn moves(&self) -> impl Iterator<Item = &TupleMove> + '_ {
         self.batches.iter().flat_map(|b| b.moves.iter())
     }
-
-    /// Renders the plan as simulator transactions: each move reads the
-    /// tuple on its current primary and writes it on every partition that
-    /// gains a copy — a distributed transaction whenever the two differ,
-    /// which is precisely the migration's 2PC tax on the cluster.
-    pub fn sim_txns(&self) -> Vec<SimTxn> {
-        self.batches
-            .iter()
-            .flat_map(|b| txns_for(&b.moves))
-            .collect()
-    }
-
-    /// The same rendering, preserving batch boundaries: element `i` holds
-    /// batch `i`'s copy transactions (possibly empty for drop-only
-    /// batches). This is the shape [`schism_sim::MigrationSource::batched`]
-    /// takes, so the simulator's injection gates on exactly the batches the
-    /// executor acknowledges.
-    pub fn sim_txn_batches(&self) -> Vec<Vec<SimTxn>> {
-        self.batches.iter().map(|b| txns_for(&b.moves)).collect()
-    }
-}
-
-/// Copy transactions for one batch's moves (drop-only moves render to
-/// nothing: no bytes cross the wire).
-///
-/// Ops are emitted in ascending server order — the same per-key order
-/// foreground replica writes use ([`SimTxn::from_transaction`] fans a
-/// write out over `pset.iter()`, which ascends) — so a copy and a
-/// foreground write to the same tuple can never acquire its per-server
-/// locks in opposite orders. Emitting the source read first looks natural
-/// but deadlocks: a copy holding `S key@3` waiting on `X key@1` while a
-/// replica write holds `X key@1` waiting on `key@3` is a cycle the
-/// simulator can only break by lock timeout, and it re-forms on exactly
-/// the hot tuples a drifted plan moves.
-fn txns_for(moves: &[TupleMove]) -> Vec<SimTxn> {
-    moves
-        .iter()
-        .filter_map(|m| {
-            let added = m.copies_added();
-            if added.is_empty() {
-                return None;
-            }
-            let src = m.from.first()?;
-            let key = (m.tuple.table, m.tuple.row);
-            let mut ops: Vec<SimOp> = added
-                .iter()
-                .map(|dst| SimOp {
-                    server: dst,
-                    key,
-                    write: true,
-                })
-                .collect();
-            ops.push(SimOp {
-                server: src,
-                key,
-                write: false,
-            });
-            ops.sort_unstable_by_key(|o| o.server);
-            Some(SimTxn { ops })
-        })
-        .collect()
 }
 
 /// Diffs `old` against `new` and packs the changed tuples into batches.
 ///
 /// Deterministic: moves are emitted in `TupleId` order regardless of map
 /// iteration order, so the same pair of assignments always yields the same
-/// plan (and the same simulated traffic).
+/// plan.
 pub fn plan_migration(
     old: &HashMap<TupleId, PartitionSet>,
     new: &HashMap<TupleId, PartitionSet>,
@@ -207,7 +134,6 @@ pub fn plan_migration(
 ) -> MigrationPlan {
     assert!(cfg.max_rows_per_batch >= 1);
     assert!(cfg.max_bytes_per_batch >= 1);
-    assert!(cfg.inject_every >= 1, "inject_every must be >= 1");
     let mut moves: Vec<TupleMove> = new
         .iter()
         .filter_map(|(&t, &to)| {
@@ -221,9 +147,8 @@ pub fn plan_migration(
     let mut batch = MigrationBatch::default();
     for m in moves {
         // Payload is copy bandwidth only: a drop-only move (replication
-        // shrink) transfers no bytes, matching the traffic `sim_txns`
-        // renders; it still occupies a row slot in its batch because the
-        // executor must process (and mark) it.
+        // shrink) transfers no bytes; it still occupies a row slot in its
+        // batch because the executor must process (and mark) it.
         let payload = u64::from(db.tuple_bytes(m.tuple.table)) * u64::from(m.copies_added().len());
         let would_overflow = !batch.moves.is_empty()
             && (batch.moves.len() >= cfg.max_rows_per_batch
@@ -288,7 +213,6 @@ mod tests {
         let cfg = PlanConfig {
             max_rows_per_batch: 1_000,
             max_bytes_per_batch: 250,
-            ..Default::default()
         };
         let plan = plan_migration(&old, &new, &db, &cfg);
         for b in &plan.batches {
@@ -336,55 +260,10 @@ mod tests {
         let m = plan.moves().next().unwrap();
         assert!(m.copies_added().is_empty());
         assert_eq!(m.copies_dropped().iter().collect::<Vec<_>>(), vec![1]);
-        assert!(plan.sim_txns().is_empty(), "no copy traffic for drops");
-    }
-
-    #[test]
-    fn sim_txns_are_cross_server_copies() {
-        let old = asg(&[(0, 0), (1, 1)]);
-        let new = asg(&[(0, 2), (1, 1)]);
-        let plan = plan_migration(&old, &new, &MaterializedDb::new(), &PlanConfig::default());
-        let txns = plan.sim_txns();
-        assert_eq!(txns.len(), 1);
-        assert_eq!(
-            txns[0].ops,
-            vec![
-                SimOp {
-                    server: 0,
-                    key: (0, 0),
-                    write: false
-                },
-                SimOp {
-                    server: 2,
-                    key: (0, 0),
-                    write: true
-                },
-            ]
-        );
-        assert!(txns[0].is_distributed());
-    }
-
-    #[test]
-    fn sim_txn_batches_align_with_plan_batches() {
-        let old = asg(&(0..5).map(|r| (r, 0)).collect::<Vec<_>>());
-        let new = asg(&(0..5).map(|r| (r, 1)).collect::<Vec<_>>());
-        let cfg = PlanConfig {
-            max_rows_per_batch: 2,
-            ..Default::default()
-        };
-        let plan = plan_migration(&old, &new, &MaterializedDb::new(), &cfg);
-        let batched = plan.sim_txn_batches();
-        assert_eq!(batched.len(), plan.batches.len());
-        for (b, txns) in plan.batches.iter().zip(&batched) {
-            assert_eq!(b.moves.len(), txns.len());
-        }
-        let flat: Vec<SimTxn> = batched.into_iter().flatten().collect();
-        assert_eq!(flat.len(), plan.sim_txns().len());
     }
 
     #[test]
     fn target_duration_budgets_bound_predicted_batch_time() {
-        use schism_sim::MigrationCostModel;
         let model = MigrationCostModel {
             batch_fixed_us: 1_000.0,
             row_us: 5.0,
@@ -418,6 +297,5 @@ mod tests {
         let plan = plan_migration(&a, &a, &MaterializedDb::new(), &PlanConfig::default());
         assert!(plan.is_empty());
         assert!(plan.batches.is_empty());
-        assert!(plan.sim_txns().is_empty());
     }
 }

@@ -4,7 +4,7 @@
 //! batch acknowledgements, never ahead of them.
 
 use schism_core::{build_graph, run_partition_phase, SchismConfig};
-use schism_migrate::{ControllerConfig, MigrationController, StepOutcome, Tick};
+use schism_migrate::{ControllerConfig, MigrationController, MigrationPlan, StepOutcome, Tick};
 use schism_router::{Scheme, VersionedScheme};
 use schism_sim::{run, MigrationSource, PoolSource, SimConfig, SimTxn};
 use schism_store::{load_assignment, MemStore, ShardStore};
@@ -12,6 +12,20 @@ use schism_workload::drifting::{self, DriftingConfig};
 use std::sync::Arc;
 
 const K: u32 = 4;
+
+/// The plan's copy traffic as the simulator sees it, batch for batch
+/// (drop-only moves render to nothing: no bytes cross the wire).
+fn copy_batches(plan: &MigrationPlan) -> Vec<Vec<SimTxn>> {
+    plan.batches
+        .iter()
+        .map(|b| {
+            b.moves
+                .iter()
+                .filter_map(|m| SimTxn::copy(m.tuple, m.from.first()?, m.copies_added()))
+                .collect()
+        })
+        .collect()
+}
 
 fn controller_at_window0(dcfg: &DriftingConfig) -> MigrationController {
     let w0 = drifting::window(dcfg, 0);
@@ -48,7 +62,7 @@ fn migration_traffic_costs_throughput_then_recovers() {
     // own queue drains in a fraction of the run, so cycle it into a
     // sustained stream that outlives the measurement window — modeling a
     // long-running migration at this throttle.
-    let moves = outcome.plan.sim_txns();
+    let moves: Vec<SimTxn> = copy_batches(&outcome.plan).into_iter().flatten().collect();
     assert!(!moves.is_empty(), "plan must induce copy transactions");
     assert!(
         moves.iter().all(SimTxn::is_distributed),
@@ -179,7 +193,7 @@ fn moved_set_never_leads_acknowledged_batches() {
     // Foreground traffic routed through the versioned scheme (the live
     // epoch), plus the plan's copy batches gated on executor progress.
     let pool = SimTxn::from_trace(&w3.trace, &vs, &*w3.db);
-    let batches = outcome.plan.sim_txn_batches();
+    let batches = copy_batches(&outcome.plan);
     let total_batches = batches.len();
     let mut source = MigrationSource::batched(
         PoolSource::new(pool),

@@ -12,17 +12,6 @@
 /// Simulated time in microseconds.
 pub type Micros = u64;
 
-/// A server outage window: any statement routed to `server` inside
-/// `[start, end)` aborts its transaction, which is counted unavailable
-/// (post-warmup) and retried once the window lifts — the simulator-level
-/// mirror of the serving stack's crash-and-failover experiments.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Outage {
-    pub server: u32,
-    pub start: Micros,
-    pub end: Micros,
-}
-
 /// Simulation parameters.
 #[derive(Clone, Debug)]
 pub struct SimConfig {
@@ -45,8 +34,6 @@ pub struct SimConfig {
     pub warmup: Micros,
     pub duration: Micros,
     pub seed: u64,
-    /// Scheduled server outages (empty = fault-free run).
-    pub outages: Vec<Outage>,
 }
 
 impl Default for SimConfig {
@@ -63,7 +50,6 @@ impl Default for SimConfig {
             warmup: 2_000_000,
             duration: 12_000_000,
             seed: 0,
-            outages: Vec::new(),
         }
     }
 }

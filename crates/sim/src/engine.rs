@@ -45,9 +45,6 @@ struct ActiveTxn {
     phase: Phase,
     attempt: u32,
     waiting: bool,
-    /// End of the latest outage window that refused this transaction, for
-    /// the recovery-lag sample taken when it finally commits.
-    refused_until: Option<Micros>,
 }
 
 impl ActiveTxn {
@@ -70,15 +67,6 @@ pub fn run(cfg: &SimConfig, source: &mut dyn TxnSource) -> SimReport {
     let mut sim = Sim::new(cfg);
     sim.bootstrap(source);
     sim.run_loop(source);
-    sim.stats.scheduled_downtime = cfg
-        .outages
-        .iter()
-        .map(|o| {
-            o.end
-                .min(cfg.duration)
-                .saturating_sub(o.start.max(cfg.warmup))
-        })
-        .sum();
     SimReport::from_stats(sim.stats, cfg.duration - cfg.warmup)
 }
 
@@ -165,31 +153,13 @@ impl<'a> Sim<'a> {
                 phase: Phase::Executing,
                 attempt: 0,
                 waiting: false,
-                refused_until: None,
             },
         );
         let at = self.clock + self.cfg.rtt / 2;
         self.push(at, Event::OpArrive(id));
     }
 
-    /// The end of the outage window covering `server` at `at`, if any.
-    fn outage_until(&self, server: u32, at: Micros) -> Option<Micros> {
-        self.cfg
-            .outages
-            .iter()
-            .filter(|o| o.server == server && at >= o.start && at < o.end)
-            .map(|o| o.end)
-            .max()
-    }
-
     fn op_arrive(&mut self, id: TxnId) {
-        if let Some(t) = self.active.get(&id) {
-            let server = t.txn.ops[t.next_op].server;
-            if let Some(until) = self.outage_until(server, self.clock) {
-                self.fail_unavailable(id, until);
-                return;
-            }
-        }
         let Some(t) = self.active.get_mut(&id) else {
             return;
         };
@@ -297,43 +267,11 @@ impl<'a> Sim<'a> {
         let latency = finish - t.first_start;
         let distributed = t.txn.is_distributed();
         let client = t.client;
-        let refused_until = t.refused_until.take();
         if finish >= self.cfg.warmup {
             self.stats.record(latency, distributed);
-            if let Some(until) = refused_until {
-                self.stats.recovery_lags.push(finish.saturating_sub(until));
-            }
         }
         self.active.remove(&id);
         self.push(finish, Event::ClientStart(client));
-    }
-
-    /// A statement hit a server inside an outage window: abort the
-    /// transaction (releasing everything it holds anywhere), count the
-    /// refused attempt, and retry from scratch once the window lifts.
-    fn fail_unavailable(&mut self, id: TxnId, until: Micros) {
-        let Some(t) = self.active.get(&id) else {
-            return;
-        };
-        let touched = t.touched_servers();
-        for s in touched {
-            let woken = self.locks[s as usize].release_all(id);
-            self.wake(woken, s);
-        }
-        if self.clock >= self.cfg.warmup {
-            self.stats.unavailable += 1;
-        }
-        let Some(t) = self.active.get_mut(&id) else {
-            return;
-        };
-        t.next_op = 0;
-        t.attempt += 1; // invalidates any pending lock timeout
-        t.waiting = false;
-        t.phase = Phase::Executing;
-        t.pending_acks = 0;
-        t.refused_until = Some(until.max(self.clock)); // latest refusal wins
-        let at = until.max(self.clock) + self.cfg.retry_backoff + self.cfg.rtt / 2;
-        self.push(at, Event::OpArrive(id));
     }
 
     fn lock_timeout(&mut self, id: TxnId, attempt: u32) {
@@ -526,58 +464,6 @@ mod tests {
         };
         let rep = run(&cfg, &mut PoolSource::new(pool));
         assert!(rep.completed > 100, "completed {}", rep.completed);
-    }
-
-    #[test]
-    fn outage_costs_availability_and_recovers() {
-        use crate::config::Outage;
-        let cfg = SimConfig {
-            num_clients: 60,
-            outages: vec![Outage {
-                server: 1,
-                start: 4_000_000,
-                end: 6_000_000,
-            }],
-            ..SimConfig::figure1(2)
-        };
-        let faulted = run(&cfg, &mut point_read_pool(2, false));
-        let clean = run(
-            &SimConfig {
-                outages: Vec::new(),
-                ..cfg.clone()
-            },
-            &mut point_read_pool(2, false),
-        );
-        assert!(faulted.unavailable > 0, "outage window must refuse work");
-        assert!(faulted.availability < 1.0);
-        assert!(
-            faulted.availability > 0.9,
-            "refused attempts park until the window lifts, they do not spin: {}",
-            faulted.availability
-        );
-        assert_eq!(clean.unavailable, 0);
-        assert!((clean.availability - 1.0).abs() < 1e-12);
-        // Server 1's clients sit out 2 of the 10 measured seconds.
-        assert!(
-            faulted.completed < clean.completed,
-            "{} vs {}",
-            faulted.completed,
-            clean.completed
-        );
-        assert!(faulted.throughput > 0.5 * clean.throughput);
-        // Recovery accounting: refused transactions commit after the
-        // window lifts (retry backoff + queue drain), and the scheduled
-        // downtime is the window's overlap with the measured interval.
-        assert!(faulted.recovered > 0, "refused work must eventually land");
-        assert!(
-            faulted.recovered <= faulted.unavailable,
-            "one sample per txn"
-        );
-        assert!(faulted.max_recovery_ms > 0.0);
-        assert!((faulted.downtime_ms - 2_000.0).abs() < 1e-9);
-        assert_eq!(clean.recovered, 0);
-        assert_eq!(clean.max_recovery_ms, 0.0);
-        assert_eq!(clean.downtime_ms, 0.0);
     }
 
     #[test]

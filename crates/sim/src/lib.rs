@@ -14,14 +14,12 @@
 //! Table 2 substitution.
 
 pub mod config;
-pub mod cost;
 pub mod engine;
 pub mod locks;
 pub mod metrics;
 pub mod txn;
 
-pub use config::{Micros, Outage, SimConfig};
-pub use cost::{CostSample, MigrationCostModel};
+pub use config::{Micros, SimConfig};
 pub use engine::run;
 pub use locks::{Key, LockManager, LockMode, LockResult};
 pub use metrics::{SimReport, SimStats};

@@ -8,17 +8,7 @@ pub struct SimStats {
     pub completed: u64,
     pub distributed_completed: u64,
     pub aborts: u64,
-    /// Transaction attempts refused because a statement's server was
-    /// inside an [`Outage`](crate::config::Outage) window (post-warmup).
-    pub unavailable: u64,
     pub latencies: Vec<Micros>,
-    /// One sample per refused-then-completed transaction: simulated time
-    /// from the refusing outage window's end to the transaction's eventual
-    /// commit — how long the outage's damage outlived the outage.
-    pub recovery_lags: Vec<Micros>,
-    /// Scheduled server-microseconds of downtime inside the measurement
-    /// window (sum of per-outage overlaps with `[warmup, duration]`).
-    pub scheduled_downtime: Micros,
 }
 
 impl SimStats {
@@ -46,20 +36,6 @@ pub struct SimReport {
     pub completed: u64,
     pub aborts: u64,
     pub distributed_fraction: f64,
-    /// Attempts refused by an outage window (post-warmup).
-    pub unavailable: u64,
-    /// `completed / (completed + unavailable)` — the fraction of measured
-    /// attempts the cluster actually served; 1.0 on a fault-free run.
-    pub availability: f64,
-    /// Refused transactions that eventually committed — recovery is only
-    /// complete when the backlog drains, not when the outage window lifts.
-    pub recovered: u64,
-    /// Worst observed lag from an outage window's end to a refused
-    /// transaction's commit, in milliseconds (0 on a fault-free run).
-    pub max_recovery_ms: f64,
-    /// Scheduled server downtime inside the measurement window, in
-    /// milliseconds.
-    pub downtime_ms: f64,
 }
 
 impl SimReport {
@@ -91,16 +67,6 @@ impl SimReport {
             } else {
                 stats.distributed_completed as f64 / stats.completed as f64
             },
-            unavailable: stats.unavailable,
-            availability: if stats.completed + stats.unavailable == 0 {
-                1.0
-            } else {
-                stats.completed as f64 / (stats.completed + stats.unavailable) as f64
-            },
-            recovered: stats.recovery_lags.len() as u64,
-            max_recovery_ms: stats.recovery_lags.iter().max().copied().unwrap_or(0) as f64
-                / 1_000.0,
-            downtime_ms: stats.scheduled_downtime as f64 / 1_000.0,
         }
     }
 }
@@ -116,19 +82,11 @@ mod tests {
             s.record(l, l >= 3_000);
         }
         s.aborts = 2;
-        s.unavailable = 1;
-        s.recovery_lags = vec![500, 12_000];
-        s.scheduled_downtime = 250_000;
         let r = SimReport::from_stats(s, 2_000_000);
         assert!((r.throughput - 2.0).abs() < 1e-9);
         assert!((r.mean_latency_ms - 2.5).abs() < 1e-9);
         assert!((r.distributed_fraction - 0.5).abs() < 1e-9);
         assert_eq!(r.aborts, 2);
-        assert_eq!(r.unavailable, 1);
-        assert!((r.availability - 0.8).abs() < 1e-9);
-        assert_eq!(r.recovered, 2);
-        assert!((r.max_recovery_ms - 12.0).abs() < 1e-9);
-        assert!((r.downtime_ms - 250.0).abs() < 1e-9);
         assert!((r.p99_latency_ms - 4.0).abs() < 1e-9);
         assert!(r.p99_latency_ms >= r.p95_latency_ms);
     }

@@ -4,8 +4,8 @@
 use crate::locks::Key;
 use rand::rngs::StdRng;
 use rand::Rng;
-use schism_router::Scheme;
-use schism_workload::{Trace, Transaction, TupleValues};
+use schism_router::{PartitionSet, Scheme};
+use schism_workload::{Trace, Transaction, TupleId, TupleValues};
 
 /// One statement-level operation: a read or write of one row on one server.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -51,7 +51,7 @@ impl SimTxn {
         db: &dyn TupleValues,
     ) -> SimTxn {
         // Merge accesses into (tuple, write) with write winning duplicates.
-        let mut accesses: Vec<(schism_workload::TupleId, bool)> = txn
+        let mut accesses: Vec<(TupleId, bool)> = txn
             .writes
             .iter()
             .map(|&t| (t, true))
@@ -111,6 +111,42 @@ impl SimTxn {
             .filter(|t| !t.ops.is_empty())
             .collect()
     }
+
+    /// One migration copy: read `tuple` on `src`, write it on every server
+    /// of `added` (which excludes `src`) — a distributed transaction, which
+    /// is the migration's 2PC tax on the cluster. `None` when nothing gains
+    /// a copy (a drop-only move puts no bytes on the wire).
+    ///
+    /// Ops ascend by server — the per-key order foreground replica writes
+    /// use ([`from_transaction`](Self::from_transaction) fans a write out
+    /// over `pset.iter()`, which ascends) — so a copy and a foreground
+    /// write to the same tuple can never acquire its per-server locks in
+    /// opposite orders. Emitting the source read first looks natural but
+    /// deadlocks: a copy holding `S key@3` waiting on `X key@1` while a
+    /// replica write holds `X key@1` waiting on `key@3` is a cycle the
+    /// engine can only break by lock timeout, and it re-forms on exactly
+    /// the hot tuples a drifted plan moves.
+    pub fn copy(tuple: TupleId, src: u32, added: PartitionSet) -> Option<SimTxn> {
+        if added.is_empty() {
+            return None;
+        }
+        let key = (tuple.table, tuple.row);
+        let mut ops: Vec<SimOp> = added
+            .iter()
+            .map(|server| SimOp {
+                server,
+                key,
+                write: true,
+            })
+            .collect();
+        ops.push(SimOp {
+            server: src,
+            key,
+            write: false,
+        });
+        ops.sort_unstable_by_key(|o| o.server);
+        Some(SimTxn { ops })
+    }
 }
 
 /// Supplies transactions to closed-loop clients.
@@ -152,9 +188,8 @@ pub type BatchAckFn<'a> = Box<dyn FnMut(usize) -> bool + 'a>;
 /// move is a read on the source server plus a write on each destination
 /// server — a distributed transaction whenever source and destination
 /// differ, which is exactly how the throttled copy traffic of a migration
-/// plan taxes the cluster. The rate is a caller-supplied QoS knob — plans
-/// produced by `schism-migrate` carry it as `PlanConfig::inject_every`
-/// rather than hardcoding a constant here.
+/// plan taxes the cluster. The rate is the caller's: it is an argument of
+/// the two constructors and read nowhere else.
 ///
 /// Batches gate on acknowledgements: when batch `k`'s last move has been
 /// issued, the `on_batch_issued` callback fires with `k` — this is where
@@ -287,8 +322,8 @@ impl<S: TxnSource> TxnSource for MigrationSource<'_, S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use schism_router::{HashScheme, PartitionSet, ReplicationScheme};
-    use schism_workload::{MaterializedDb, TupleId, TxnBuilder};
+    use schism_router::{HashScheme, ReplicationScheme};
+    use schism_workload::{MaterializedDb, TxnBuilder};
 
     #[test]
     fn replicated_write_fans_out() {
@@ -329,6 +364,53 @@ mod tests {
         // Read of the written tuple lands on the same server.
         assert!(st.ops.iter().all(|o| o.server == w_server));
         let _ = b;
+    }
+
+    /// The lock-order rule (a copy's source read used to come first, and
+    /// mid-migration p99 sat at the lock timeout): for every source and
+    /// every set of receivers over four servers, a copy takes servers in
+    /// strictly ascending order with its one read on the source — and a
+    /// replicated foreground write to the same key takes the servers the
+    /// two share in that same order.
+    #[test]
+    fn copy_ascends_by_server_like_a_replica_write() {
+        const K: u32 = 4;
+        let tuple = TupleId::new(0, 7);
+        let mut w = TxnBuilder::new(false);
+        w.write(tuple);
+        let write = SimTxn::from_transaction(
+            &w.finish(),
+            &ReplicationScheme::new(K),
+            &MaterializedDb::new(),
+        );
+        let write_order: Vec<u32> = write.ops.iter().map(|o| o.server).collect();
+        assert_eq!(write_order, (0..K).collect::<Vec<_>>());
+
+        for src in 0..K {
+            assert!(SimTxn::copy(tuple, src, PartitionSet::empty()).is_none());
+            for mask in 1u32..1 << K {
+                if mask & (1 << src) != 0 {
+                    continue;
+                }
+                let added: PartitionSet = (0..K).filter(|s| mask & (1 << s) != 0).collect();
+                let copy = SimTxn::copy(tuple, src, added).expect("something gains a copy");
+                let servers: Vec<u32> = copy.ops.iter().map(|o| o.server).collect();
+                assert!(servers.windows(2).all(|p| p[0] < p[1]), "{servers:?}");
+                assert_eq!(servers.len() as u32, added.len() + 1);
+                assert!(copy.is_distributed());
+                for op in &copy.ops {
+                    assert_eq!(op.key, (tuple.table, tuple.row));
+                    assert_eq!(op.write, op.server != src, "one read, on the source");
+                    assert!(op.server == src || added.contains(op.server));
+                }
+                let common: Vec<u32> = write_order
+                    .iter()
+                    .copied()
+                    .filter(|s| servers.contains(s))
+                    .collect();
+                assert_eq!(common, servers, "src {src} added {added:?}");
+            }
+        }
     }
 
     #[test]
