@@ -13,7 +13,7 @@
 //!    the run must finish with zero routing/serving errors.
 //!
 //! 3. **failover** (`--faults`) — the mix runs over a replication-factor-2
-//!    scheme while a seeded [`FaultPlan`] crashes one shard worker
+//!    scheme while a count-triggered [`FaultPlan`] crashes one shard worker
 //!    mid-run; the driver records availability (served / attempted),
 //!    the longest client-observed success gap, and p99 inside the
 //!    one-second window after the kill.
@@ -51,9 +51,9 @@ use schism_router::{
     HashScheme, IndexBackend, LookupBackend, LookupScheme, MissPolicy, PartitionSet,
     ReplicatedScheme, RowKey, Scheme, VersionedScheme,
 };
-use schism_serve::{load_table, FaultPlan, PkValues, RouteKind, ServeConfig, Server};
+use schism_serve::{load_table, PkValues, RouteKind, ServeConfig, Server};
 use schism_sql::{ColumnType, Schema, Value};
-use schism_store::{tempdir::TempDir, ShardStore};
+use schism_store::{tempdir::TempDir, FaultPlan, ShardStore};
 use schism_workload::{splitmix64, TupleId, TupleValues};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -622,7 +622,7 @@ fn main() {
         load_table(&*store3, &*rep, &db, &schema, 0, table_rows(rows))
             .expect("load failover store");
         let after = if smoke { 200 } else { 2_000 };
-        let plan = Arc::new(FaultPlan::new(0xFA11).crash_worker(VICTIM, after));
+        let plan = Arc::new(FaultPlan::default().crash_worker(VICTIM, after));
         let r = run_scenario(
             "failover",
             store3,
@@ -658,7 +658,7 @@ fn main() {
         let rep3: Arc<dyn Scheme> = Arc::new(ReplicatedScheme::new(3, Arc::clone(&old)));
         load_table(&*store4, &*rep3, &db, &schema, 0, table_rows(rows)).expect("load rejoin store");
         let after = if smoke { 200 } else { 2_000 };
-        let plan = Arc::new(FaultPlan::new(0x2E10).crash_worker(VICTIM, after));
+        let plan = Arc::new(FaultPlan::default().crash_worker(VICTIM, after));
         let outage = Duration::from_secs_f64(seconds * 0.15);
         let r = run_scenario(
             "kill-rejoin",
@@ -788,11 +788,7 @@ fn main() {
          \"backend\": \"{backend}\",\n  \"full\": {full},\n  \"host_cores\": {host_cores},\n  \
          \"note\": \"{note}\",\n  \"errors\": {total_errors},\n  \"runs\": [\n{runs}\n  ]\n}}\n"
     );
-    let out = if std::path::Path::new("crates/bench").is_dir() {
-        "crates/bench/BENCH_serve.json"
-    } else {
-        "BENCH_serve.json"
-    };
-    std::fs::write(out, &json).expect("write BENCH_serve.json");
+    let out = schism_bench::bench_path("BENCH_serve.json");
+    std::fs::write(&out, &json).expect("write BENCH_serve.json");
     println!("wrote {out}");
 }

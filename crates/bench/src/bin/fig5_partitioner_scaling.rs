@@ -61,10 +61,7 @@ impl Built {
     }
 
     fn cut_metric(&self) -> &'static str {
-        match self.cfg.graph_backend {
-            GraphBackend::Clique => "edge-cut",
-            GraphBackend::Hypergraph => "connectivity(lambda-1)",
-        }
+        schism_bench::graph_backend_names(self.cfg.graph_backend).1
     }
 
     /// The partitioning phase at `k` parts on `threads` workers (default
@@ -74,13 +71,6 @@ impl Built {
         cfg.k = k;
         cfg.threads = threads;
         run_partition_phase(&self.wg, &cfg)
-    }
-}
-
-fn backend_name(b: GraphBackend) -> &'static str {
-    match b {
-        GraphBackend::Clique => "clique",
-        GraphBackend::Hypergraph => "hypergraph",
     }
 }
 
@@ -191,6 +181,7 @@ fn main() {
         .unwrap_or(0);
     let speedup_only = schism_bench::flag("--speedup-only");
     let backend = schism_bench::graph_backend_arg();
+    let (backend_name, _) = schism_bench::graph_backend_names(backend);
 
     // The k sweep needs all three evaluation graphs; the thread-scaling
     // measurement only times the largest (tpce), so the smoke path skips
@@ -201,7 +192,7 @@ fn main() {
         &["epinions", "tpcc-50w", "tpce"]
     };
     let graphs: Vec<(String, Built)> = names.iter().map(|n| build(n, full, backend)).collect();
-    println!("backend: {}", backend_name(backend));
+    println!("backend: {backend_name}");
     for (label, _) in &graphs {
         println!("graph {label}");
     }
@@ -239,22 +230,18 @@ fn main() {
     // so a plain Figure-5 reproduction never overwrites the committed
     // record as a side effect.
     if threads > 1 || speedup_only {
-        let max_threads = if threads > 0 {
-            threads
-        } else {
-            schism_par::resolve_threads(0)
-        };
         let (label, built) = graphs
             .iter()
             .max_by_key(|(_, b)| b.structure_size())
             .expect("at least one graph");
-        let section = thread_scaling(built, label, 8, max_threads.max(2), full);
+        let max_threads = schism_par::resolve_threads(threads).max(2);
+        let section = thread_scaling(built, label, 8, max_threads, full);
         // One section per backend; the one not measured is carried over.
         schism_bench::write_sections(
             "BENCH_partition.json",
             "fig5_partitioner_scaling",
             &["clique", "hypergraph"],
-            Some((backend_name(backend), section)),
+            Some((backend_name, section)),
         );
     }
 }

@@ -17,7 +17,10 @@
 //!    into a [`MigrationCostModel`]; the fit is validated on held-out
 //!    batches (predicted vs measured must stay within 2×), mapped back
 //!    onto planner budgets via `PlanConfig::for_target_batch_duration`,
-//!    and recorded in `crates/bench/BENCH_store.json`.
+//!    and recorded in `crates/bench/BENCH_store.json`. A batch whose step
+//!    compacted a `LogStore` segment is printed with its ratio but neither
+//!    fit nor judged (`"compaction_batches"` in the JSON): the model
+//!    prices copies, not segment rewrites.
 //!
 //! ```text
 //! cargo run --release -p schism-bench --bin live_migration \
@@ -29,7 +32,7 @@
 //! default 1, the aggressive end — worst-case mid-migration tax).
 //!
 //! `--backend log` runs every store in this benchmark on the persistent
-//! [`LogStore`](schism_store::LogStore) (segment files under a temp dir,
+//! [`LogStore`] (segment files under a temp dir,
 //! honoring `TMPDIR`), so
 //! the measured copy rates include real record framing, checksums, and
 //! file appends — those are the numbers worth calibrating against.
@@ -42,7 +45,9 @@ use schism_migrate::{
 };
 use schism_router::{Scheme, VersionedScheme};
 use schism_sim::{run, MigrationSource, PoolSource, SimConfig, SimTxn};
-use schism_store::{load_assignment, tempdir::TempDir};
+use schism_store::{
+    load_assignment, tempdir::TempDir, BackendKind, LogStore, MemStore, ShardStore,
+};
 use schism_workload::drifting::{self, DriftingConfig};
 use std::sync::Arc;
 use std::time::Instant;
@@ -97,13 +102,27 @@ fn main() {
     };
 
     // ---- 1. Standalone executor throughput (one tick = one batch). ----
-    let store = schism_bench::open_backend(backend, k, &store_dir, "standalone");
-    load_assignment(&*store, &placement, &*w3.db).expect("seed shards");
+    // A `LogStore` is opened concretely so each step can be checked for a
+    // segment compaction, which the per-batch cost model does not price.
+    let log_store = (backend == BackendKind::Log).then(|| {
+        LogStore::open(store_dir.path().join("standalone"), k)
+            .expect("open LogStore under temp dir")
+    });
+    let mem_store = MemStore::new(k);
+    let store: &dyn ShardStore = match &log_store {
+        Some(log) => log,
+        None => &mem_store,
+    };
+    let compactions = || log_store.as_ref().map_or(0, LogStore::compactions);
+    load_assignment(store, &placement, &*w3.db).expect("seed shards");
     let vs = VersionedScheme::new(old_scheme(), new_scheme());
-    let mut exec = outcome.executor(&*store, &vs);
+    let mut exec = outcome.executor(store, &vs);
     let mut samples: Vec<CostSample> = Vec::new();
+    // Indices into `samples` of the batches whose step compacted a segment.
+    let mut compacted: Vec<usize> = Vec::new();
     let t0 = Instant::now();
     loop {
+        let c0 = compactions();
         let b0 = Instant::now();
         match exec.step() {
             StepOutcome::Flipped(b) => samples.push(CostSample {
@@ -113,6 +132,9 @@ fn main() {
             }),
             StepOutcome::Done => break,
             other => panic!("unexpected executor outcome: {other:?}"),
+        }
+        if compactions() > c0 {
+            compacted.push(samples.len() - 1);
         }
     }
     let wall = t0.elapsed();
@@ -247,20 +269,28 @@ fn main() {
     if !calibrate {
         return;
     }
-    // Fit on even-indexed batches, judge on all: the 2× gate below is not
-    // allowed to lean on in-sample flattery alone.
-    let train: Vec<CostSample> = if samples.len() >= 4 {
-        samples.iter().copied().step_by(2).collect()
+    // A batch whose step compacted a segment also paid for rewriting it,
+    // which the model does not price: such batches are shown, not fit or
+    // judged. Of the rest, fit on even-indexed batches and judge on all:
+    // the 2× gate below is not allowed to lean on in-sample flattery alone.
+    let judged: Vec<CostSample> = (0..samples.len())
+        .filter(|i| !compacted.contains(i))
+        .map(|i| samples[i])
+        .collect();
+    let train: Vec<CostSample> = if judged.len() >= 4 {
+        judged.iter().copied().step_by(2).collect()
     } else {
-        samples.clone()
+        judged.clone()
     };
-    let model = MigrationCostModel::fit(&train).expect("at least one timed batch");
-    let max_ratio = model.max_ratio(&samples);
+    let model = MigrationCostModel::fit(&train).expect("at least one batch that did not compact");
+    let ratio = |s: &CostSample| model.max_ratio(std::slice::from_ref(s));
+    let max_ratio = model.max_ratio(&judged);
     let avg_row_bytes = (report.bytes_copied / report.rows_copied.max(1)).max(1) as u32;
 
     println!(
-        "\ncalibration[{backend}] over {} timed batches ({} train):",
+        "\ncalibration[{backend}] over {} timed batches ({} judged, {} train):",
         samples.len(),
+        judged.len(),
         train.len()
     );
     println!(
@@ -283,16 +313,19 @@ fn main() {
             format!("{:.1}", s.bytes as f64 / 1024.0),
             format!("{:.3}", s.wall_us / 1e3),
             format!("{:.3}", pred / 1e3),
-            format!(
-                "{:.2}",
-                (pred / s.wall_us.max(1e-9)).max(s.wall_us / pred.max(1e-9))
-            ),
+            format!("{:.2}", ratio(s)),
         ]);
     }
     println!("{}", cal.render());
+    for &i in &compacted {
+        println!(
+            "  batch {i} compacted a segment: ratio {:.2}x, not judged",
+            ratio(&samples[i])
+        );
+    }
     let plan_pred_us = model.predict_plan_us(samples.iter().map(|s| (s.rows, s.bytes)));
     println!(
-        "  plan total: predicted {:.1} ms vs measured {:.1} ms; worst per-batch ratio {max_ratio:.2}x ({})",
+        "  plan total: predicted {:.1} ms vs measured {:.1} ms; worst judged per-batch ratio {max_ratio:.2}x ({})",
         plan_pred_us / 1e3,
         wall.as_secs_f64() * 1e3,
         if max_ratio <= 2.0 { "within 2x gate" } else { "EXCEEDS 2x gate" },
@@ -314,7 +347,7 @@ fn main() {
     );
 
     let json = format!(
-        "{{\n  \"bench\": \"live_migration --calibrate\",\n  \"backend\": \"{backend}\",\n  \"full\": {full},\n  \"shards\": {k},\n  \"batches\": {batches},\n  \"rows_copied\": {rows},\n  \"bytes_copied\": {bytes},\n  \"wall_ms\": {wall_ms:.3},\n  \"rows_per_sec\": {rps:.0},\n  \"mib_per_sec\": {mibs:.2},\n  \"model\": {{\n    \"batch_fixed_us\": {fixed:.3},\n    \"row_us\": {row:.5},\n    \"byte_us\": {byte:.7}\n  }},\n  \"worst_batch_ratio\": {ratio:.3},\n  \"target_batch_us\": {target:.0},\n  \"fed_back_plan_config\": {{\n    \"max_rows_per_batch\": {fr},\n    \"max_bytes_per_batch\": {fb}\n  }}\n}}\n",
+        "{{\n  \"bench\": \"live_migration --calibrate\",\n  \"backend\": \"{backend}\",\n  \"full\": {full},\n  \"shards\": {k},\n  \"batches\": {batches},\n  \"rows_copied\": {rows},\n  \"bytes_copied\": {bytes},\n  \"wall_ms\": {wall_ms:.3},\n  \"rows_per_sec\": {rps:.0},\n  \"mib_per_sec\": {mibs:.2},\n  \"model\": {{\n    \"batch_fixed_us\": {fixed:.3},\n    \"row_us\": {row:.5},\n    \"byte_us\": {byte:.7}\n  }},\n  \"worst_batch_ratio\": {ratio:.3},\n  \"compaction_batches\": {compacted:?},\n  \"target_batch_us\": {target:.0},\n  \"fed_back_plan_config\": {{\n    \"max_rows_per_batch\": {fr},\n    \"max_bytes_per_batch\": {fb}\n  }}\n}}\n",
         batches = report.batches_flipped,
         rows = report.rows_copied,
         bytes = report.bytes_copied,
@@ -329,11 +362,7 @@ fn main() {
         fr = fed.max_rows_per_batch,
         fb = fed.max_bytes_per_batch,
     );
-    let out = if std::path::Path::new("crates/bench").is_dir() {
-        "crates/bench/BENCH_store.json"
-    } else {
-        "BENCH_store.json"
-    };
-    std::fs::write(out, &json).expect("write BENCH_store.json");
+    let out = schism_bench::bench_path("BENCH_store.json");
+    std::fs::write(&out, &json).expect("write BENCH_store.json");
     println!("  wrote {out}");
 }

@@ -221,17 +221,14 @@ fn huge(smoke: bool, threads: usize, backend: GraphBackend) -> String {
     // trace, exactly what a fixed-memory run must exclude. The paper's
     // levers for this scale (§5.1) are sampling/filtering, not replication.
     cfg.replication = false;
+    let (backend_name, cut_metric) = schism_bench::graph_backend_names(backend);
 
     println!(
-        "=== --huge{}: streamed drifting trace, {} txns over {} keys, {} thread(s), {} backend ===",
+        "=== --huge{}: streamed drifting trace, {} txns over {} keys, {} thread(s), {backend_name} backend ===",
         if smoke { " --smoke" } else { "" },
         wcfg.num_txns,
         wcfg.records,
         threads,
-        match backend {
-            GraphBackend::Clique => "clique",
-            GraphBackend::Hypergraph => "hypergraph",
-        },
     );
     let t0 = Instant::now();
     let wg = schism_core::build_graph_source(&meta, &src, &cfg);
@@ -318,10 +315,6 @@ fn huge(smoke: bool, threads: usize, backend: GraphBackend) -> String {
         "peak RSS {peak_mib} MiB exceeds the fixed-memory ceiling {ceiling_mib} MiB"
     );
 
-    let (backend_name, cut_metric) = match backend {
-        GraphBackend::Clique => ("clique", "edge-cut"),
-        GraphBackend::Hypergraph => ("hypergraph", "connectivity(lambda-1)"),
-    };
     format!(
         "{{ \"workload\": \"ycsb-drift streamed\", \"smoke\": {smoke}, \
          \"backend\": \"{backend_name}\", \
@@ -442,10 +435,7 @@ fn probe(name: &str, backend: GraphBackend, smoke: bool, threads: usize) {
     // resulting routing scheme.
     let frac = distributed_fraction(&w, &w.trace, &w.trace, &phase.assignment, k);
 
-    let (backend_name, cut_metric) = match backend {
-        GraphBackend::Clique => ("clique", "edge-cut"),
-        GraphBackend::Hypergraph => ("hypergraph", "connectivity(lambda-1)"),
-    };
+    let (backend_name, cut_metric) = schism_bench::graph_backend_names(backend);
     println!(
         "PROBE_JSON {{ \"workload\": \"{name}\", \"backend\": \"{backend_name}\", \
          \"txns\": {txns}, \"nodes\": {nodes}, \"edges\": {edges}, \
@@ -567,13 +557,6 @@ fn main() {
         .unwrap_or(0);
     let scaling_only = schism_bench::flag("--scaling-only");
     let scale = |small: usize, paper: usize| if full { paper } else { small };
-    let resolved = |threads: usize| {
-        if threads > 0 {
-            threads
-        } else {
-            schism_par::resolve_threads(0)
-        }
-    };
 
     // A `--probe` child of the `--backends` comparison: one (workload,
     // backend) measurement in a fresh process, then exit.
@@ -582,7 +565,7 @@ fn main() {
             &wname,
             schism_bench::graph_backend_arg(),
             schism_bench::flag("--smoke"),
-            resolved(threads),
+            schism_par::resolve_threads(threads),
         );
         return;
     }
@@ -592,7 +575,7 @@ fn main() {
     // must not overwrite a full-scale record with smoke-sized numbers.
     if schism_bench::flag("--backends") {
         let smoke = schism_bench::flag("--smoke");
-        let section = backends_compare(smoke, resolved(threads));
+        let section = backends_compare(smoke, schism_par::resolve_threads(threads));
         write_bench_json(if smoke {
             None
         } else {
@@ -607,7 +590,7 @@ fn main() {
     if schism_bench::flag("--huge") {
         let smoke = schism_bench::flag("--smoke");
         let backend = schism_bench::graph_backend_arg();
-        let section = huge(smoke, resolved(threads), backend);
+        let section = huge(smoke, schism_par::resolve_threads(threads), backend);
         let name = match backend {
             GraphBackend::Clique => "huge",
             GraphBackend::Hypergraph => "huge_hyper",
@@ -690,11 +673,7 @@ fn main() {
     // single-run baseline) or `--scaling-only`, so a plain Table-1
     // reproduction never overwrites the committed record as a side effect.
     if threads > 0 || scaling_only {
-        let max_threads = if threads > 0 {
-            threads
-        } else {
-            schism_par::resolve_threads(0)
-        };
+        let max_threads = schism_par::resolve_threads(threads);
         let section = thread_scaling(&tpcc_w, &tpcc_wcfg, full, max_threads);
         write_bench_json(Some(("scaling", section)));
     }

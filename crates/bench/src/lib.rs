@@ -92,6 +92,15 @@ pub fn graph_backend_arg() -> schism_core::GraphBackend {
     }
 }
 
+/// A graph backend's `--backend` name and the cut metric its partitions
+/// report, as the graph benches print and record them.
+pub fn graph_backend_names(b: schism_core::GraphBackend) -> (&'static str, &'static str) {
+    match b {
+        schism_core::GraphBackend::Clique => ("clique", "edge-cut"),
+        schism_core::GraphBackend::Hypergraph => ("hypergraph", "connectivity(lambda-1)"),
+    }
+}
+
 /// Parses `--backend mem|log` (default `mem`), panicking with the usage
 /// string on an unknown value — bench binaries want loud misconfiguration.
 pub fn backend_kind() -> schism_store::BackendKind {
@@ -152,17 +161,23 @@ pub fn host_note(host_cores: usize, max_threads: usize) -> String {
     )
 }
 
-/// Writes the sectioned BENCH file `file` (under `crates/bench/` when run
-/// from the workspace root): the bench name, the honest host core count,
-/// then one line per section of `order`. `fresh` is the section this run
-/// measured; every other section is carried over from the existing file
-/// (`null` if it was never measured).
-pub fn write_sections(file: &str, bench: &str, order: &[&str], fresh: Option<(&str, String)>) {
-    let path = if std::path::Path::new("crates/bench").is_dir() {
+/// Where the BENCH file `file` lives: under `crates/bench/` when run from
+/// the workspace root, else in the working directory.
+pub fn bench_path(file: &str) -> String {
+    if std::path::Path::new("crates/bench").is_dir() {
         format!("crates/bench/{file}")
     } else {
         file.to_string()
-    };
+    }
+}
+
+/// Writes the sectioned BENCH file `file` (at [`bench_path`]): the bench
+/// name, the honest host core count, then one line per section of
+/// `order`. `fresh` is the section this run measured; every other section
+/// is carried over from the existing file (`null` if it was never
+/// measured).
+pub fn write_sections(file: &str, bench: &str, order: &[&str], fresh: Option<(&str, String)>) {
+    let path = bench_path(file);
     let body = order
         .iter()
         .map(|&name| {

@@ -194,7 +194,7 @@ pub fn scan_under_replicated(
     candidates: impl IntoIterator<Item = TupleId>,
     health: &HealthMap,
 ) -> Vec<UnderReplicated> {
-    let not_live = health.not_live_set();
+    let not_live = health.view().not_live();
     if not_live.is_empty() {
         return Vec::new();
     }

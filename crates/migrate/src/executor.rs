@@ -377,7 +377,7 @@ impl<'a> MigrationExecutor<'a> {
     /// is stale until its own copy verifies.
     fn live_source(&self, m: &TupleMove) -> Result<ShardId, ExecError> {
         let from = match &self.cfg.health {
-            Some(h) => m.from.difference(&h.not_live_set()),
+            Some(h) => m.from.difference(&h.view().not_live()),
             None => m.from,
         };
         from.first().ok_or(ExecError::MissingSource(m.tuple))

@@ -16,7 +16,6 @@
 //! | `plan` (private) | the pure routing / promotion / quorum rules over that view: who leads, which ordered phases apply a write, who must ack, which replica a read uses, which fan-out still covers a scan |
 //! | `scatter` (private) | the worker-per-shard queues — the only code that knows threads and channels — and the one function that sends tasks and gathers replies |
 //! | [`session`] | per-client replica-spreading salts and read-your-writes |
-//! | [`fault`] | [`FaultPlan`]: seeded, replayable crashes, drops, delays and store stalls |
 //! | [`row`] | the stored-row codec |
 //!
 //! The serving contract during a migration (details in [`server`]):
@@ -31,20 +30,20 @@
 //! deterministic failover: crashed shards are detected structurally
 //! (failed sends, disconnected reply channels — never timeouts), marked
 //! down in a sticky [`HealthMap`](schism_store::HealthMap), and statements
-//! retry against the promoted survivors. The failure model all of this
-//! assumes is listed in `docs/ARCHITECTURE.md` ("Replication & failover").
+//! retry against the promoted survivors. Crashes are injected by the
+//! storage crate's [`FaultPlan`](schism_store::FaultPlan), handed in
+//! through [`ServeConfig::faults`]. The failure model all of this assumes
+//! is listed in `docs/ARCHITECTURE.md` ("Replication & failover").
 //!
 //! [`Scheme`]: schism_router::Scheme
 //! [`ShardStore`]: schism_store::ShardStore
 
-pub mod fault;
 mod plan;
 pub mod row;
 mod scatter;
 pub mod server;
 pub mod session;
 
-pub use fault::{FaultPlan, WorkerFault};
 pub use row::{decode_row, encode_row};
 pub use server::{
     load_table, PkValues, RequestMetrics, RouteKind, ServeConfig, ServeError, ServeOutcome, Server,

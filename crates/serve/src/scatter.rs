@@ -10,20 +10,19 @@
 //! every reply folded into a [`Gather`].
 //!
 //! Failure detection is channel-structural, never timed: a crashed
-//! worker's queue rejects the send, and a worker that dies with (or drops)
-//! a task destroys its reply sender, so the gather loop terminates with
+//! worker's queue rejects the send, and a worker that dies with a task
+//! destroys its reply sender, so the gather loop terminates with
 //! that shard missing from the replies. `scatter` only *reports* both as
 //! [`Scattered::failed`]; what a failure means — mark the shard down, fail
 //! the statement or count a quorum without it — is the caller's decision
 //! (`server.rs` and the ack rules in `plan.rs`).
 
-use crate::fault::{FaultPlan, WorkerFault};
 use crate::plan::Phase;
 use crate::row::{decode_row, encode_row};
 use crate::server::{RequestMetrics, RouteKind, ServeError, ServeOutcome};
 use schism_router::PartitionSet;
 use schism_sql::{Schema, Statement, StatementKind, Value};
-use schism_store::{ShardId, ShardStore, StoreError};
+use schism_store::{FaultPlan, ShardId, ShardStore, StoreError};
 use schism_workload::TupleId;
 use std::collections::{BTreeMap, HashSet};
 use std::sync::mpsc::{channel, sync_channel, Receiver, Sender, SyncSender};
@@ -176,7 +175,7 @@ impl Workers {
         drop(tx);
         let mut replied = PartitionSet::empty();
         // Terminates when every task-held sender clone is gone — replied
-        // to, or destroyed by a crashed / message-dropping worker.
+        // to, or destroyed by a crashed worker.
         for reply in rx.iter() {
             replied.insert(reply.shard);
             g.queue_us = g.queue_us.max(reply.queue_us);
@@ -307,18 +306,11 @@ fn run_worker(
     faults: Option<Arc<FaultPlan>>,
 ) {
     while let Ok(task) = rx.recv() {
-        match faults
-            .as_deref()
-            .map_or(WorkerFault::None, |f| f.on_dequeue(shard))
-        {
-            WorkerFault::None => {}
-            // Returning drops `rx` (future sends to this shard fail) and
-            // `task` (its reply sender disconnects) — the two structural
-            // signals the gatherer reports as a failed shard.
-            WorkerFault::Crash => return,
-            // Dropping the task without replying reads as a failed shard.
-            WorkerFault::Drop => continue,
-            WorkerFault::Delay(d) => std::thread::sleep(d),
+        // A crash returns, dropping `rx` (future sends to this shard fail)
+        // and `task` (its reply sender disconnects) — the two structural
+        // signals the gatherer reports as a failed shard.
+        if faults.as_deref().is_some_and(|f| f.on_dequeue(shard)) {
+            return;
         }
         let queue_us = task.enqueued.elapsed().as_micros() as u64;
         let started = Instant::now();

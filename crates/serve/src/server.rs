@@ -44,8 +44,8 @@
 //! lowest-live-id promotion are the rules of `plan.rs`; its module docs
 //! state them. What this file adds is the failure handling around them.
 //! Detection is deterministic and timeout-free: a crashed worker drops
-//! its queue receiver (the next send fails) and a dropped task destroys
-//! its reply channel (the gather disconnects). Either signal comes back
+//! its queue receiver (the next send fails) and the task it dies with
+//! destroys its reply channel (the gather disconnects). Either signal comes back
 //! from the scatter as a failed shard, and the driver marks it **down**
 //! in the shared [`HealthMap`] before it checks any ack — the only write
 //! the request path makes to the map.
@@ -60,7 +60,6 @@
 //! deterministic revive schedules
 //! ([`revive_worker`](FaultPlan::revive_worker)).
 
-use crate::fault::FaultPlan;
 use crate::plan::{ask, Phase, Plan, View};
 use crate::row::encode_row;
 use crate::scatter::{first_copy, Gather, Workers};
@@ -69,7 +68,7 @@ use schism_sql::{
     parse_statement, ColId, ColumnType, ParseError, Schema, Statement, StatementKind, TableId,
     Value,
 };
-use schism_store::{HealthMap, ShardId, ShardStore, StoreError};
+use schism_store::{FaultPlan, HealthMap, ShardId, ShardStore, StoreError};
 use schism_workload::{TupleId, TupleValues};
 use std::collections::HashSet;
 use std::fmt;
@@ -153,8 +152,8 @@ pub struct ServeConfig {
     /// scheme cannot use) execute as broadcasts or are rejected with
     /// [`ServeError::Unroutable`].
     pub allow_broadcast: bool,
-    /// Deterministic fault injection applied by the shard workers;
-    /// `None` serves faithfully.
+    /// Deterministic worker crashes: each shard worker asks the plan on
+    /// every dequeue whether to exit. `None` serves faithfully.
     pub faults: Option<Arc<FaultPlan>>,
     /// Shared failure registry. Pass the map a concurrently running
     /// `MigrationExecutor` consults so serving-detected crashes reroute
@@ -926,7 +925,7 @@ mod tests {
         ));
         let t = TupleId::new(0, 5);
         let rs = probe.replica_set(t, &db);
-        let plan = Arc::new(FaultPlan::new(11).crash_worker(rs.leader, 1));
+        let plan = Arc::new(FaultPlan::default().crash_worker(rs.leader, 1));
         let (server, _, _) = replicated_fixture(4, 2, 16, Some(plan));
         let out = server
             .execute_sql("UPDATE account SET bal = 777 WHERE id = 5")
@@ -934,7 +933,7 @@ mod tests {
         assert_eq!(out.affected, 1);
         assert!(out.metrics.retries >= 1, "write retried after the crash");
         assert_eq!(server.failovers(), 1);
-        assert!(server.health().down_set().contains(rs.leader));
+        assert!(server.health().view().down.contains(rs.leader));
         let promoted = server.current_leader(t).unwrap();
         assert_ne!(promoted, rs.leader);
         assert!(rs.followers.contains(promoted));
@@ -949,7 +948,7 @@ mod tests {
     fn session_salts_spread_replica_reads() {
         // rf = k = 3: every shard holds every key, so the dequeue counters
         // are a clean per-replica request histogram.
-        let plan = Arc::new(FaultPlan::new(0));
+        let plan = Arc::new(FaultPlan::default());
         let (server, _, _) = replicated_fixture(3, 3, 8, Some(Arc::clone(&plan)));
         let mut session = server.session(42);
         for _ in 0..300 {
@@ -1008,14 +1007,14 @@ mod tests {
         // Shard 1 crashes on its first dequeue; rf = 2 keeps every tuple
         // covered by a ring neighbour, so the broadcast scan still sees
         // every row after one retry.
-        let plan = Arc::new(FaultPlan::new(3).crash_worker(1, 1));
+        let plan = Arc::new(FaultPlan::default().crash_worker(1, 1));
         let (server, _, _) = replicated_fixture(4, 2, 24, Some(plan));
         let out = server
             .execute_sql("SELECT * FROM account WHERE bal >= 100")
             .unwrap();
         assert_eq!(out.rows.len(), 24, "no row lost to the dead shard");
         assert!(out.metrics.retries >= 1);
-        assert!(server.health().down_set().contains(1));
+        assert!(server.health().view().down.contains(1));
         // Point reads of the dead shard's keys reroute to replicas too.
         for id in 0..24 {
             let r = server
@@ -1027,7 +1026,7 @@ mod tests {
 
     #[test]
     fn statement_fails_unavailable_when_every_replica_is_down() {
-        let plan = Arc::new(FaultPlan::new(5).crash_worker(0, 1).crash_worker(1, 1));
+        let plan = Arc::new(FaultPlan::default().crash_worker(0, 1).crash_worker(1, 1));
         let (server, _, _) = replicated_fixture(2, 2, 4, Some(plan));
         let err = server
             .execute_sql("UPDATE account SET bal = 1 WHERE id = 0")

@@ -13,9 +13,11 @@
 //! acknowledged write" stays an invariant instead of becoming a race.
 //!
 //! Liveness is state, not fault injection: nothing here fires a fault.
-//! Injection lives in [`fault`](crate::fault); readers that must decide
-//! several things against one consistent liveness state take a
-//! [`HealthView`] ([`HealthMap::view`], one lock) and decide from that.
+//! The fault schedule lives in [`fault`](crate::fault)
+//! ([`FaultPlan`](crate::FaultPlan)). Every reader takes liveness one
+//! way: a single shard's [`HealthMap::state`], or a [`HealthView`]
+//! ([`HealthMap::view`], one lock) when several decisions must agree on
+//! one consistent liveness state.
 
 use crate::ShardId;
 use schism_router::PartitionSet;
@@ -110,13 +112,6 @@ impl HealthMap {
         self.state(shard) == HealthState::Down
     }
 
-    /// Whether `shard` is fully [`HealthState::Live`] — i.e. it holds the
-    /// acked-write frontier and may serve reads, lead, and count toward
-    /// write quorums. A catching-up shard is neither down nor live.
-    pub fn is_live(&self, shard: ShardId) -> bool {
-        self.state(shard) == HealthState::Live
-    }
-
     /// Marks `shard` failed (from any state). Returns whether it was newly
     /// marked — re-marking an already-down shard is not a new failure, but
     /// killing a catching-up shard is.
@@ -177,21 +172,6 @@ impl HealthMap {
         view
     }
 
-    /// Snapshot of the strictly-`Down` shards as a [`PartitionSet`].
-    pub fn down_set(&self) -> PartitionSet {
-        self.view().down
-    }
-
-    /// Snapshot of the `CatchingUp` shards.
-    pub fn catching_up_set(&self) -> PartitionSet {
-        self.view().catching_up
-    }
-
-    /// Snapshot of everything that is not `Live` (`Down` ∪ `CatchingUp`).
-    pub fn not_live_set(&self) -> PartitionSet {
-        self.view().not_live()
-    }
-
     /// Number of failures (transitions into `Down`) recorded so far.
     pub fn failures(&self) -> u64 {
         self.failures.load(Ordering::SeqCst)
@@ -211,14 +191,14 @@ mod tests {
     fn health_map_counts_new_failures_once() {
         let h = HealthMap::new();
         assert!(!h.is_down(3));
-        assert!(h.is_live(3));
-        assert!(h.down_set().is_empty());
+        assert_eq!(h.state(3), HealthState::Live);
+        assert!(h.view().down.is_empty());
         assert!(h.mark_down(3));
         assert!(!h.mark_down(3), "re-marking is not a new failure");
         assert!(h.mark_down(1));
         assert!(h.is_down(3) && h.is_down(1) && !h.is_down(0));
         assert_eq!(h.failures(), 2);
-        let set = h.down_set();
+        let set = h.view().down;
         assert_eq!(set.len(), 2);
         assert!(set.contains(1) && set.contains(3));
     }
@@ -239,15 +219,15 @@ mod tests {
         assert_eq!(h.state(2), HealthState::CatchingUp);
         // Catching up is neither down nor live: excluded from reads and
         // quorums, but no longer treated as failed for routing.
-        assert!(!h.is_down(2) && !h.is_live(2));
-        assert!(h.down_set().is_empty());
-        assert!(h.catching_up_set().contains(2));
-        assert!(h.not_live_set().contains(2));
+        assert!(!h.is_down(2) && h.state(2) != HealthState::Live);
+        assert!(h.view().down.is_empty());
+        assert!(h.view().catching_up.contains(2));
+        assert!(h.view().not_live().contains(2));
 
         assert!(h.mark_live(2));
         assert_eq!(h.state(2), HealthState::Live);
-        assert!(h.is_live(2));
-        assert!(h.not_live_set().is_empty());
+        assert_eq!(h.state(2), HealthState::Live);
+        assert!(h.view().not_live().is_empty());
         assert_eq!(h.rejoins(), 1);
         assert_eq!(h.failures(), 1);
     }

@@ -30,7 +30,7 @@
 //! | [`MemStore`] / [`LogStore`] | the two backends; [`BackendKind`] parses `--backend mem\|log` |
 //! | [`load_assignment`] | seed a store from a per-tuple placement, one deterministic row per copy |
 //! | [`seed_row`] / [`fnv1a`] | deterministic row payloads and the checksum used by copy verification |
-//! | [`FaultStore`] / [`FaultHook`] | injectable wrapper firing hooks at named sync points (deterministic fault injection) |
+//! | [`FaultPlan`] / [`FaultHook`] | the one count-triggered fault schedule (worker crashes, revivals, sync-point stalls) and the hook a store fires at a named sync point |
 //! | [`HealthMap`] / [`HealthView`] | per-shard `Live / Down / CatchingUp` state machine shared by the server and the migration executor, and its one-lock snapshot |
 //! | [`tempdir::TempDir`] | self-cleaning scratch directories for tests and benches |
 //!
@@ -69,7 +69,7 @@ pub mod log;
 pub mod mem;
 pub mod tempdir;
 
-pub use fault::{sync_points, FaultHook, FaultStore};
+pub use fault::{sync_points, FaultHook, FaultPlan};
 pub use health::{HealthMap, HealthState, HealthView};
 pub use log::{LogStore, LogStoreConfig};
 pub use mem::MemStore;

@@ -25,9 +25,9 @@ use schism_router::{
     HashScheme, IndexBackend, LookupBackend, LookupScheme, MissPolicy, PartitionSet,
     ReplicatedScheme, RowKey, Scheme, VersionedScheme,
 };
-use schism_serve::{load_table, FaultPlan, PkValues, ServeConfig, ServeError, Server};
+use schism_serve::{load_table, PkValues, ServeConfig, ServeError, Server};
 use schism_sql::{ColumnType, Schema, Value};
-use schism_store::{HealthMap, MemStore, ShardStore};
+use schism_store::{FaultPlan, HealthMap, MemStore, ShardStore};
 use schism_workload::{TupleId, TupleValues};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -78,10 +78,7 @@ struct Fixture {
 /// next shard. `victim`'s worker crashes on its `kill_after`-th dequeue;
 /// the serve path and the executor share one [`HealthMap`].
 fn fixture(victim: u32, kill_after: u64) -> Fixture {
-    fixture_rf(
-        RF,
-        FaultPlan::new(victim as u64 ^ kill_after).crash_worker(victim, kill_after),
-    )
+    fixture_rf(RF, FaultPlan::default().crash_worker(victim, kill_after))
 }
 
 /// The same topology at an arbitrary replication factor and fault plan —
@@ -423,7 +420,7 @@ fn chaos_rejoin_case(seed: u64) {
     let kill1 = 1 + rng.next() % 30;
     let revive_total = 60 + rng.next() % 60;
     let kill2 = kill1 + 40 + rng.next() % 40;
-    let faults = FaultPlan::new(seed)
+    let faults = FaultPlan::default()
         .crash_worker(victim, kill1)
         .crash_worker(victim, kill2)
         .revive_worker(victim, revive_total);
@@ -530,7 +527,7 @@ fn chaos_seeded_kill_rejoin_kill_again() {
 /// write lost across kill → rejoin → kill-again.
 #[test]
 fn rf3_two_failures_in_one_group_gate_writes_on_majority() {
-    let f = fixture_rf(RF3, FaultPlan::new(0xBEEF));
+    let f = fixture_rf(RF3, FaultPlan::default());
     let db = PkValues::from_schema(f.server.schema());
     let t = TupleId::new(0, 0);
     let rs = f.vs.replica_set(t, &db);

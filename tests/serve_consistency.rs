@@ -28,7 +28,7 @@ use schism_router::{
 };
 use schism_serve::{encode_row, load_table, PkValues, ServeConfig, ServeError, Server};
 use schism_sql::{ColumnType, Schema, Value};
-use schism_store::{HealthMap, MemStore, ShardStore};
+use schism_store::{HealthMap, HealthState, MemStore, ShardStore};
 use schism_workload::{TupleId, TupleValues};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -381,7 +381,7 @@ proptest! {
                 0..=4 => {
                     let t = TupleId::new(0, key);
                     let group = f.scheme.locate_tuple(t, &db);
-                    let live = group.difference(&f.health.not_live_set());
+                    let live = group.difference(&f.health.view().not_live());
                     let res = f
                         .server
                         .execute_sql(&format!("UPDATE account SET bal = {val} WHERE id = {key}"));
@@ -412,16 +412,16 @@ proptest! {
                     // Crash a live shard, capped at two non-live shards so
                     // every 3-member group keeps at least one live copy.
                     let victim = (key % u64::from(K)) as u32;
-                    if f.health.is_live(victim) && f.health.not_live_set().len() < 2 {
+                    if f.health.state(victim) == HealthState::Live && f.health.view().not_live().len() < 2 {
                         f.health.mark_down(victim);
                     }
                 }
                 _ => {
                     // Finish one in-flight catch-up, else revive one down
                     // shard with a poisoned store.
-                    if let Some(s) = f.health.catching_up_set().first() {
+                    if let Some(s) = f.health.view().catching_up.first() {
                         catch_up(s);
-                    } else if let Some(s) = f.health.down_set().first() {
+                    } else if let Some(s) = f.health.view().down.first() {
                         for r in 0..n_keys {
                             let t = TupleId::new(0, r);
                             if f.scheme.locate_tuple(t, &db).contains(s) {
@@ -444,15 +444,15 @@ proptest! {
             }
         }
         // Heal everything and verify byte-identical replicas.
-        for s in f.health.catching_up_set().iter() {
+        for s in f.health.view().catching_up.iter() {
             catch_up(s);
         }
-        for s in f.health.down_set().iter() {
+        for s in f.health.view().down.iter() {
             f.store.wipe_shard(s).unwrap();
             prop_assert!(f.server.revive_shard(s));
             catch_up(s);
         }
-        prop_assert!(f.health.not_live_set().is_empty());
+        prop_assert!(f.health.view().not_live().is_empty());
         for k in 0..n_keys {
             let t = TupleId::new(0, k);
             let copies: Vec<u32> = f.scheme.locate_tuple(t, &db).iter().collect();

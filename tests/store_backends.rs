@@ -417,8 +417,7 @@ fn error_surface_matches_across_backends() {
 /// same batch (differential check).
 #[test]
 fn stalled_log_sync_never_acks_early() {
-    use schism_serve::FaultPlan;
-    use schism_store::{sync_points, FaultHook};
+    use schism_store::{sync_points, FaultHook, FaultPlan};
     use std::time::{Duration, Instant};
 
     const STALL: Duration = Duration::from_millis(200);
@@ -437,7 +436,7 @@ fn stalled_log_sync_never_acks_early() {
     let mem = MemStore::new(SHARDS);
     let mut state = 0xFEED_u64;
     let ops = rand_ops(&mut state, 12);
-    let plan = Arc::new(FaultPlan::new(7).stall(sync_points::LOG_SYNC, Some(0), STALL, 1));
+    let plan = Arc::new(FaultPlan::default().stall(sync_points::LOG_SYNC, Some(0), STALL, 1));
     log.set_fault_hook(Some(Arc::clone(&plan) as Arc<dyn FaultHook>));
 
     let (tx, rx) = std::sync::mpsc::channel();
@@ -477,4 +476,66 @@ fn stalled_log_sync_never_acks_early() {
         started.elapsed() < STALL / 2,
         "stall with times=1 must not throttle later commits"
     );
+}
+
+/// The stall holds no lock while it sleeps: with shard 0's commit sync
+/// stalled, a synced batch on shard 1 from another thread acks at its own
+/// pace instead of queueing behind the stall.
+#[test]
+fn stalled_log_sync_does_not_hold_up_other_shards() {
+    use schism_store::{sync_points, FaultHook, FaultPlan, ShardId};
+    use std::sync::mpsc::{channel, Sender};
+    use std::time::{Duration, Instant};
+
+    /// Reports each sync-point hit, then lets the plan stall it.
+    struct Reporting(FaultPlan, Sender<ShardId>);
+    impl FaultHook for Reporting {
+        fn at(&self, point: &'static str, shard: ShardId) {
+            let _ = self.1.send(shard);
+            self.0.at(point, shard);
+        }
+    }
+
+    const STALL: Duration = Duration::from_millis(300);
+    let dir = TempDir::new("schism-stall-other").unwrap();
+    let log = Arc::new(
+        LogStore::with_config(
+            dir.path(),
+            SHARDS,
+            LogStoreConfig {
+                sync_commits: true,
+                ..LogStoreConfig::default()
+            },
+        )
+        .unwrap(),
+    );
+    let (hit_tx, hit_rx) = channel();
+    let plan = FaultPlan::default().stall(sync_points::LOG_SYNC, Some(0), STALL, 1);
+    log.set_fault_hook(Some(Arc::new(Reporting(plan, hit_tx))));
+    let mut state = 0x0DD5_u64;
+    let ops = rand_ops(&mut state, 12);
+
+    let stalled = {
+        let (log, ops) = (Arc::clone(&log), ops.clone());
+        std::thread::spawn(move || log.apply_batch(0, &ops).unwrap())
+    };
+    assert_eq!(hit_rx.recv().unwrap(), 0, "shard 0 reached its sync point");
+    let other = {
+        let log = Arc::clone(&log);
+        std::thread::spawn(move || {
+            let started = Instant::now();
+            log.apply_batch(1, &ops).unwrap();
+            started.elapsed()
+        })
+    };
+    let acked_in = other.join().unwrap();
+    assert!(
+        acked_in < Duration::from_millis(100),
+        "shard 1's synced batch took {acked_in:?} behind shard 0's {STALL:?} stall"
+    );
+    assert!(
+        !stalled.is_finished(),
+        "shard 0 must still be stalled when shard 1 acks"
+    );
+    stalled.join().unwrap();
 }
