@@ -5,20 +5,18 @@
 //! throughput. Three scenarios:
 //!
 //! 1. **steady** — a static hash scheme; the baseline serving cost of
-//!    parse → route → shard-queue → execute → gather.
-//! 2. **mid-migration** — the same workload over a
-//!    [`VersionedScheme`] while a
-//!    [`MigrationExecutor`] copies,
-//!    verifies, and flips every key to a new placement under the clients;
-//!    the run must finish with zero routing/serving errors.
+//!    parse → route → shard-queue → execute → gather, and the fault runs'
+//!    same-process, fault-free reference. It must finish with zero
+//!    serving errors. (Serving through a live migration is the
+//!    benchmark's `serve_migrate` workload.)
 //!
-//! 3. **failover** (`--faults`) — the mix runs over a replication-factor-2
+//! 2. **failover** (`--faults`) — the mix runs over a replication-factor-2
 //!    scheme while a count-triggered [`FaultPlan`] crashes one shard worker
 //!    mid-run; the driver records availability (served / attempted),
 //!    the longest client-observed success gap, and p99 inside the
 //!    one-second window after the kill.
 //!
-//! 4. **kill-rejoin** (`--faults`) — the mix over a replication-factor-3
+//! 3. **kill-rejoin** (`--faults`) — the mix over a replication-factor-3
 //!    scheme, where writes are acked by a majority quorum of the full
 //!    replica set. A seeded kill takes one shard down mid-run; after a
 //!    short outage the driver revives it (`Down → CatchingUp`) and runs
@@ -27,9 +25,7 @@
 //!    duration, and p99 of ops issued while the shard was catching up.
 //!
 //! The op mix is point-heavy OLTP: 70% point SELECT, 25% point UPDATE, 5%
-//! three-key IN SELECT (no DELETEs in the mix; mid-plan DELETEs now pass
-//! through the executor as tombstones, so that is a mix choice, not a
-//! limitation).
+//! three-key IN SELECT, no DELETEs.
 //! Every client runs a [`schism_serve::Session`], so repeated hot statements spread
 //! across replicas instead of re-picking the same salted replica.
 //!
@@ -38,24 +34,19 @@
 //!     [--smoke] [--full] [--faults] [--clients N] [--seconds S] [--backend mem|log]
 //! ```
 //!
-//! `--smoke` runs a short CI-sized pass and skips the JSON report;
-//! otherwise results land in `crates/bench/BENCH_serve.json`. Latency
-//! percentiles exclude a 10% warm-up ramp. `host_cores` is recorded
-//! honestly: on a 1-core container the client count measures
-//! oversubscribed queueing, not parallel speedup, and the JSON says so.
+//! `--smoke` runs a short CI-sized pass and records nothing; otherwise
+//! each scenario run lands as its own section (`steady`, `failover`,
+//! `kill_rejoin`) of `crates/bench/BENCH_serve.json`. Latency percentiles
+//! exclude a 10% warm-up ramp. With more clients than host cores the
+//! latencies measure oversubscribed queueing, not parallel speedup, and
+//! each section's note says so.
 
-use schism_migrate::{
-    plan_migration, run_catch_up, ExecutorConfig, MigrationExecutor, PlanConfig, StepOutcome,
-};
-use schism_router::{
-    HashScheme, IndexBackend, LookupBackend, LookupScheme, MissPolicy, PartitionSet,
-    ReplicatedScheme, RowKey, Scheme, VersionedScheme,
-};
+use schism_migrate::{run_catch_up, PlanConfig};
+use schism_router::{HashScheme, ReplicatedScheme, Scheme};
 use schism_serve::{load_table, PkValues, RouteKind, ServeConfig, Server};
 use schism_sql::{ColumnType, Schema, Value};
 use schism_store::{tempdir::TempDir, FaultPlan, ShardStore};
-use schism_workload::{splitmix64, TupleId, TupleValues};
-use std::collections::HashMap;
+use schism_workload::{splitmix64, TupleId};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -198,7 +189,6 @@ fn run_client(
 }
 
 struct RunResult {
-    name: &'static str,
     ops: u64,
     errors: u64,
     throughput: f64,
@@ -208,8 +198,6 @@ struct RunResult {
     point: u64,
     multi: u64,
     broadcast: u64,
-    batches_flipped: usize,
-    rows_migrated: usize,
     /// successes / attempts over the whole run (1.0 on fault-free runs).
     availability: f64,
     /// Longest client-observed gap between consecutive successes.
@@ -226,6 +214,41 @@ struct RunResult {
     p99_catchup_us: u64,
 }
 
+impl RunResult {
+    /// This run's one-line section of BENCH_serve.json; `setup` holds the
+    /// fields every run of one invocation shares.
+    fn section(&self, setup: &str) -> String {
+        let mut s = format!(
+            "{{ {setup}, \"ops\": {}, \"throughput_ops_s\": {:.0}, \"p50_us\": {}, \
+             \"p95_us\": {}, \"p99_us\": {}, \"point\": {}, \"multi\": {}, \"broadcast\": {}, \
+             \"errors\": {}",
+            self.ops,
+            self.throughput,
+            self.p50_us,
+            self.p95_us,
+            self.p99_us,
+            self.point,
+            self.multi,
+            self.broadcast,
+            self.errors
+        );
+        if self.failovers > 0 {
+            s += &format!(
+                ", \"availability\": {:.4}, \"max_gap_us\": {}, \"p99_kill_us\": {}, \
+                 \"failovers\": {}",
+                self.availability, self.max_gap_us, self.p99_kill_us, self.failovers
+            );
+        }
+        if self.rejoins > 0 {
+            s += &format!(
+                ", \"rejoins\": {}, \"catch_up_us\": {}, \"p99_catchup_us\": {}",
+                self.rejoins, self.catch_up_us, self.p99_catchup_us
+            );
+        }
+        s + " }"
+    }
+}
+
 fn percentile(sorted: &[u64], p: f64) -> u64 {
     if sorted.is_empty() {
         return 0;
@@ -236,10 +259,9 @@ fn percentile(sorted: &[u64], p: f64) -> u64 {
 
 #[allow(clippy::too_many_arguments)]
 fn run_scenario(
-    name: &'static str,
+    name: &str,
     store: Arc<dyn ShardStore>,
     serve_scheme: Arc<dyn Scheme>,
-    migration: Option<(&VersionedScheme, Arc<dyn Scheme>)>,
     schema: &Arc<Schema>,
     rows: u64,
     clients: u32,
@@ -247,13 +269,12 @@ fn run_scenario(
     faults: Option<Arc<FaultPlan>>,
     rejoin_delay: Option<Duration>,
 ) -> RunResult {
-    let db: Arc<dyn TupleValues> = Arc::new(PkValues::from_schema(schema));
     let exec_store = Arc::clone(&store);
     let server = Server::new(
         Arc::clone(schema),
         store,
         serve_scheme,
-        Arc::clone(&db),
+        Arc::new(PkValues::from_schema(schema)),
         ServeConfig {
             faults: faults.clone(),
             ..ServeConfig::default()
@@ -263,8 +284,6 @@ fn run_scenario(
     let rampup_until = start + Duration::from_secs_f64(seconds * 0.1);
     let deadline = start + Duration::from_secs_f64(seconds);
     let live_ops = AtomicU64::new(0);
-    let mut batches_flipped = 0usize;
-    let mut rows_migrated = 0usize;
     let fault_ctx = faults.as_ref().map(|_| FaultCtx {
         start,
         kill_at_us: AtomicU64::new(u64::MAX),
@@ -344,51 +363,13 @@ fn run_scenario(
                 })
             })
             .collect();
-        // The migration scenario flips every batch while the clients run,
-        // then cuts the server over to the finalized scheme.
-        let mig = migration.map(|(vs, new_scheme)| {
-            let (server, exec_store) = (&server, &exec_store);
-            s.spawn(move || {
-                let plan = build_plan(vs, &*db, rows);
-                let mut exec = MigrationExecutor::new(
-                    &plan,
-                    &**exec_store,
-                    vs,
-                    ExecutorConfig {
-                        // Foreground writes racing a batch copy fail its
-                        // checksum verification; each failure re-copies.
-                        max_retries: 1_000_000,
-                        ..ExecutorConfig::default()
-                    },
-                );
-                loop {
-                    match exec.step() {
-                        StepOutcome::Flipped(_) => {}
-                        StepOutcome::Paused => {}
-                        StepOutcome::Done => break,
-                        StepOutcome::Aborted { batch, error } => {
-                            panic!("migration aborted at batch {batch}: {error}")
-                        }
-                    }
-                }
-                server.install_scheme(new_scheme);
-                let r = exec.report();
-                (r.batches_flipped, r.tuples_moved)
-            })
-        });
         per_client = handles.into_iter().map(|h| h.join().unwrap()).collect();
-        if let Some(h) = mig {
-            let (b, t) = h.join().unwrap();
-            batches_flipped = b;
-            rows_migrated = t;
-        }
     });
     let measured_s = seconds * 0.9;
     let mut latencies: Vec<u64> = Vec::new();
     let mut ok_all = 0u64;
     let mut timeline: Vec<(u64, u64)> = Vec::new();
     let mut result = RunResult {
-        name,
         ops: 0,
         errors: 0,
         throughput: 0.0,
@@ -398,8 +379,6 @@ fn run_scenario(
         point: 0,
         multi: 0,
         broadcast: 0,
-        batches_flipped,
-        rows_migrated,
         availability: 1.0,
         max_gap_us: 0,
         p99_kill_us: 0,
@@ -465,9 +444,6 @@ fn run_scenario(
         result.broadcast,
         result.errors
     );
-    if batches_flipped > 0 {
-        println!("{name}: migration flipped {batches_flipped} batches, {rows_migrated} rows moved");
-    }
     if faults.is_some() {
         println!(
             "{name}: availability {:.4}, max success gap {}us, p99 in kill window {}us, \
@@ -482,53 +458,6 @@ fn run_scenario(
         );
     }
     result
-}
-
-/// A migration plan rotating every key's owner to the next shard.
-fn build_plan(
-    vs: &VersionedScheme,
-    db: &dyn TupleValues,
-    rows: u64,
-) -> schism_migrate::MigrationPlan {
-    let old_asg: HashMap<TupleId, PartitionSet> = (0..rows)
-        .map(|r| {
-            let t = TupleId::new(0, r);
-            (t, vs.old_scheme().locate_tuple(t, db))
-        })
-        .collect();
-    let new_asg: HashMap<TupleId, PartitionSet> = (0..rows)
-        .map(|r| {
-            let t = TupleId::new(0, r);
-            (t, vs.new_scheme().locate_tuple(t, db))
-        })
-        .collect();
-    plan_migration(
-        &old_asg,
-        &new_asg,
-        db,
-        &PlanConfig {
-            max_rows_per_batch: 256,
-            ..PlanConfig::default()
-        },
-    )
-}
-
-/// The rotate-by-one lookup scheme every key migrates to.
-fn rotated_scheme(old: &dyn Scheme, db: &dyn TupleValues, rows: u64) -> Arc<dyn Scheme> {
-    let entries: Vec<(u64, PartitionSet)> = (0..rows)
-        .map(|r| {
-            let from = old.locate_tuple(TupleId::new(0, r), db).first().unwrap();
-            (r, PartitionSet::single((from + 1) % SHARDS))
-        })
-        .collect();
-    Arc::new(LookupScheme::new(
-        SHARDS,
-        vec![Some(
-            Box::new(IndexBackend::new(entries)) as Box<dyn LookupBackend>
-        )],
-        vec![Some(RowKey { col: 0, offset: 0 })],
-        MissPolicy::HashRow,
-    ))
 }
 
 fn main() {
@@ -560,7 +489,7 @@ fn main() {
     let schema = schema();
     let db = PkValues::from_schema(&schema);
     let dir = TempDir::new("schism-bench-serve").expect("temp dir for stores");
-    let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let host_cores = schism_par::available_parallelism();
     println!(
         "bench_serve: {rows} rows over {SHARDS} shards, {clients} closed-loop clients, \
          {seconds:.1}s per run, backend {backend}, {host_cores} host core(s)"
@@ -578,7 +507,6 @@ fn main() {
         "steady",
         store1,
         Arc::clone(&old),
-        None,
         &schema,
         rows,
         clients,
@@ -586,48 +514,24 @@ fn main() {
         None,
         None,
     );
+    assert_eq!(steady.errors, 0, "the steady run must complete error-free");
+    assert!(steady.ops > 0, "clients must make progress");
 
-    // Run 2: the same closed loop while every key migrates to a rotated
-    // placement; the server starts on the versioned scheme and is cut over
-    // to the finalized scheme when the executor finishes.
-    let store2: Arc<dyn ShardStore> = Arc::from(schism_bench::open_backend(
-        backend,
-        SHARDS,
-        &dir,
-        "migration",
-    ));
-    load_table(&*store2, &*old, &db, &schema, 0, table_rows(rows)).expect("load migration store");
-    let new = rotated_scheme(&*old, &db, rows);
-    let vs = Arc::new(VersionedScheme::new(Arc::clone(&old), Arc::clone(&new)));
-    let migration = run_scenario(
-        "mid-migration",
-        store2,
-        Arc::clone(&vs) as Arc<dyn Scheme>,
-        Some((&vs, new)),
-        &schema,
-        rows,
-        clients,
-        seconds,
-        None,
-        None,
-    );
-
-    // Run 3 (--faults): the mix over a replication-factor-2 scheme while a
+    // Run 2 (--faults): the mix over a replication-factor-2 scheme while a
     // seeded plan crashes one shard worker; the clients ride the failover.
     let failover = faults_on.then(|| {
-        let store3: Arc<dyn ShardStore> = Arc::from(schism_bench::open_backend(
+        let store2: Arc<dyn ShardStore> = Arc::from(schism_bench::open_backend(
             backend, SHARDS, &dir, "failover",
         ));
         let rep: Arc<dyn Scheme> = Arc::new(ReplicatedScheme::new(2, Arc::clone(&old)));
-        load_table(&*store3, &*rep, &db, &schema, 0, table_rows(rows))
+        load_table(&*store2, &*rep, &db, &schema, 0, table_rows(rows))
             .expect("load failover store");
         let after = if smoke { 200 } else { 2_000 };
         let plan = Arc::new(FaultPlan::default().crash_worker(VICTIM, after));
         let r = run_scenario(
             "failover",
-            store3,
+            store2,
             rep,
-            None,
             &schema,
             rows,
             clients,
@@ -647,24 +551,23 @@ fn main() {
         r
     });
 
-    // Run 4 (--faults): the mix over a replication-factor-3 scheme with
+    // Run 3 (--faults): the mix over a replication-factor-3 scheme with
     // quorum-acked writes. The seeded kill takes one shard down; after a
     // short outage the watcher revives it and runs the catch-up copy under
     // the live clients, so the run measures the whole down → catching-up →
     // live arc, not just the failover.
     let rejoin = faults_on.then(|| {
-        let store4: Arc<dyn ShardStore> =
+        let store3: Arc<dyn ShardStore> =
             Arc::from(schism_bench::open_backend(backend, SHARDS, &dir, "rejoin"));
         let rep3: Arc<dyn Scheme> = Arc::new(ReplicatedScheme::new(3, Arc::clone(&old)));
-        load_table(&*store4, &*rep3, &db, &schema, 0, table_rows(rows)).expect("load rejoin store");
+        load_table(&*store3, &*rep3, &db, &schema, 0, table_rows(rows)).expect("load rejoin store");
         let after = if smoke { 200 } else { 2_000 };
         let plan = Arc::new(FaultPlan::default().crash_worker(VICTIM, after));
         let outage = Duration::from_secs_f64(seconds * 0.15);
         let r = run_scenario(
-            "kill-rejoin",
-            store4,
+            "kill_rejoin",
+            store3,
             rep3,
-            None,
             &schema,
             rows,
             clients,
@@ -692,103 +595,28 @@ fn main() {
         r
     });
 
-    let total_errors = steady.errors + migration.errors;
-    assert_eq!(total_errors, 0, "a serving run must complete error-free");
-    assert!(
-        steady.ops > 0 && migration.ops > 0,
-        "clients must make progress"
-    );
-    assert!(
-        migration.batches_flipped > 0,
-        "the migration scenario must flip at least one batch under load"
-    );
-
+    let mut runs = vec![("steady", steady)];
+    runs.extend(failover.map(|r| ("failover", r)));
+    runs.extend(rejoin.map(|r| ("kill_rejoin", r)));
     if smoke {
-        match (&failover, &rejoin) {
-            (Some(f), Some(r)) => println!(
-                "smoke OK: all scenarios served; failover availability {:.4}, \
-                 kill-rejoin availability {:.4} (catch-up {}us)",
-                f.availability, r.availability, r.catch_up_us
-            ),
-            (Some(f), None) => println!(
-                "smoke OK: all scenarios served; failover availability {:.4}",
-                f.availability
-            ),
-            _ => println!("smoke OK: both scenarios served with zero errors"),
-        }
+        let served: Vec<String> = runs
+            .iter()
+            .map(|(name, r)| format!("{name} availability {:.4}", r.availability))
+            .collect();
+        println!("smoke OK: {}", served.join(", "));
         return;
     }
-
-    let note = if host_cores < clients as usize {
-        format!(
-            "host has {host_cores} core(s) for {clients} clients: latencies measure \
-             oversubscribed closed-loop queueing, not parallel scaling; re-measure on a \
-             >= {clients}-core host"
-        )
-    } else {
-        "clients measured with dedicated cores".to_string()
-    };
-    let mut run_refs = vec![&steady, &migration];
-    if let Some(f) = &failover {
-        run_refs.push(f);
-    }
-    if let Some(r) = &rejoin {
-        run_refs.push(r);
-    }
-    let runs = run_refs
-        .iter()
-        .map(|r| {
-            let mig = if r.batches_flipped > 0 {
-                format!(
-                    ", \"batches_flipped\": {}, \"rows_migrated\": {}",
-                    r.batches_flipped, r.rows_migrated
-                )
-            } else {
-                String::new()
-            };
-            let fo = if r.failovers > 0 {
-                format!(
-                    ", \"availability\": {:.4}, \"max_gap_us\": {}, \"p99_kill_us\": {}, \
-                     \"failovers\": {}, \"errors\": {}",
-                    r.availability, r.max_gap_us, r.p99_kill_us, r.failovers, r.errors
-                )
-            } else {
-                String::new()
-            };
-            let rj = if r.rejoins > 0 {
-                format!(
-                    ", \"rejoins\": {}, \"catch_up_us\": {}, \"p99_catchup_us\": {}",
-                    r.rejoins, r.catch_up_us, r.p99_catchup_us
-                )
-            } else {
-                String::new()
-            };
-            format!(
-                "    {{ \"run\": \"{}\", \"ops\": {}, \"throughput_ops_s\": {:.0}, \
-                 \"p50_us\": {}, \"p95_us\": {}, \"p99_us\": {}, \"point\": {}, \
-                 \"multi\": {}, \"broadcast\": {}{mig}{fo}{rj} }}",
-                r.name,
-                r.ops,
-                r.throughput,
-                r.p50_us,
-                r.p95_us,
-                r.p99_us,
-                r.point,
-                r.multi,
-                r.broadcast
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",\n");
-    let fault_arg = if faults_on { " --faults" } else { "" };
-    let json = format!(
-        "{{\n  \"bench\": \"bench_serve --clients {clients} --seconds {seconds}{fault_arg}\",\n  \
-         \"workload\": \"point-heavy SQL (70% point SELECT, 25% point UPDATE, 5% 3-key IN)\",\n  \
-         \"rows\": {rows},\n  \"shards\": {SHARDS},\n  \"clients\": {clients},\n  \
-         \"backend\": \"{backend}\",\n  \"full\": {full},\n  \"host_cores\": {host_cores},\n  \
-         \"note\": \"{note}\",\n  \"errors\": {total_errors},\n  \"runs\": [\n{runs}\n  ]\n}}\n"
+    let note = schism_bench::host_note(host_cores, clients as usize);
+    let setup = format!(
+        "\"mix\": \"70% point SELECT, 25% point UPDATE, 5% 3-key IN\", \"rows\": {rows}, \
+         \"shards\": {SHARDS}, \"clients\": {clients}, \"seconds\": {seconds}, \
+         \"backend\": \"{backend}\", \"full\": {full}, \"note\": \"{note}\""
     );
-    let out = schism_bench::bench_path("BENCH_serve.json");
-    std::fs::write(&out, &json).expect("write BENCH_serve.json");
-    println!("wrote {out}");
+    let fresh: Vec<(&str, String)> = runs.iter().map(|(n, r)| (*n, r.section(&setup))).collect();
+    schism_bench::write_sections(
+        "BENCH_serve.json",
+        "bench_serve",
+        &["steady", "failover", "kill_rejoin"],
+        &fresh,
+    );
 }

@@ -17,7 +17,7 @@
 //! records its thread-scaling run under its own section of
 //! `crates/bench/BENCH_partition.json`, so the two can be compared
 //! head-to-head; a run refreshes its own section and carries the other
-//! over.
+//! over if it was measured on a host with as many cores.
 //!
 //! `--threads N` sizes the partitioner's worker pool for the k sweep
 //! (0/absent = auto via `SCHISM_THREADS` or hardware) **and** enables the
@@ -241,7 +241,7 @@ fn main() {
             "BENCH_partition.json",
             "fig5_partitioner_scaling",
             &["clique", "hypergraph"],
-            Some((backend_name, section)),
+            &[(backend_name, section)],
         );
     }
 }

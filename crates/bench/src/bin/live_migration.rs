@@ -17,7 +17,8 @@
 //!    into a [`MigrationCostModel`]; the fit is validated on held-out
 //!    batches (predicted vs measured must stay within 2×), mapped back
 //!    onto planner budgets via `PlanConfig::for_target_batch_duration`,
-//!    and recorded in `crates/bench/BENCH_store.json`. A batch whose step
+//!    and recorded as the `"calibrate"` section of
+//!    `crates/bench/BENCH_store.json`. A batch whose step
 //!    compacted a `LogStore` segment is printed with its ratio but neither
 //!    fit nor judged (`"compaction_batches"` in the JSON): the model
 //!    prices copies, not segment rewrites.
@@ -346,23 +347,28 @@ fn main() {
         avg_row_bytes,
     );
 
-    let json = format!(
-        "{{\n  \"bench\": \"live_migration --calibrate\",\n  \"backend\": \"{backend}\",\n  \"full\": {full},\n  \"shards\": {k},\n  \"batches\": {batches},\n  \"rows_copied\": {rows},\n  \"bytes_copied\": {bytes},\n  \"wall_ms\": {wall_ms:.3},\n  \"rows_per_sec\": {rps:.0},\n  \"mib_per_sec\": {mibs:.2},\n  \"model\": {{\n    \"batch_fixed_us\": {fixed:.3},\n    \"row_us\": {row:.5},\n    \"byte_us\": {byte:.7}\n  }},\n  \"worst_batch_ratio\": {ratio:.3},\n  \"compaction_batches\": {compacted:?},\n  \"target_batch_us\": {target:.0},\n  \"fed_back_plan_config\": {{\n    \"max_rows_per_batch\": {fr},\n    \"max_bytes_per_batch\": {fb}\n  }}\n}}\n",
+    let section = format!(
+        "{{ \"backend\": \"{backend}\", \"full\": {full}, \"shards\": {k}, \
+         \"batches\": {batches}, \"rows_copied\": {rows}, \"bytes_copied\": {bytes}, \
+         \"wall_ms\": {wall_ms:.3}, \"rows_per_sec\": {rows_per_sec:.0}, \
+         \"mib_per_sec\": {mib_per_sec:.2}, \"model\": {{ \"batch_fixed_us\": {fixed:.3}, \
+         \"row_us\": {row:.5}, \"byte_us\": {byte:.7} }}, \"worst_batch_ratio\": {max_ratio:.3}, \
+         \"compaction_batches\": {compacted:?}, \"target_batch_us\": {target_us:.0}, \
+         \"fed_back_plan_config\": {{ \"max_rows_per_batch\": {fr}, \"max_bytes_per_batch\": {fb} }} }}",
         batches = report.batches_flipped,
         rows = report.rows_copied,
         bytes = report.bytes_copied,
         wall_ms = wall.as_secs_f64() * 1e3,
-        rps = rows_per_sec,
-        mibs = mib_per_sec,
         fixed = model.batch_fixed_us,
         row = model.row_us,
         byte = model.byte_us,
-        ratio = max_ratio,
-        target = target_us,
         fr = fed.max_rows_per_batch,
         fb = fed.max_bytes_per_batch,
     );
-    let out = schism_bench::bench_path("BENCH_store.json");
-    std::fs::write(&out, &json).expect("write BENCH_store.json");
-    println!("  wrote {out}");
+    schism_bench::write_sections(
+        "BENCH_store.json",
+        "live_migration",
+        &["calibrate"],
+        &[("calibrate", section)],
+    );
 }

@@ -44,10 +44,11 @@
 //!
 //! Results land in `crates/bench/BENCH_graph.json` as independent
 //! `"scaling"` / `"huge"` / `"huge_hyper"` / `"backends"` sections (a run
-//! refreshes its own section and carries the others over), together with
-//! the host's core count — speedups are only meaningful when the host
-//! actually has that many cores; a 1-core container measures
-//! oversubscription, not scaling, and the JSON says so.
+//! refreshes its own section and carries the others over only from a file
+//! measured on a host with as many cores), together with the host's core
+//! count — speedups are only meaningful when the host actually has that
+//! many cores; past them a run measures oversubscription, not scaling, and
+//! the JSON says so. `--smoke` runs record nothing.
 
 use schism_bench::table::Table;
 use schism_core::{GraphBackend, SchismConfig};
@@ -366,13 +367,13 @@ fn sqllog_round_trip(threads: usize) {
     );
 }
 
-/// Writes BENCH_graph.json; `fresh` holds the section this run measured.
-fn write_bench_json(fresh: Option<(&str, String)>) {
+/// Writes the section this run measured into BENCH_graph.json.
+fn write_bench_json(name: &str, section: String) {
     schism_bench::write_sections(
         "BENCH_graph.json",
         "table1_graph_sizes",
         &["scaling", "huge", "huge_hyper", "backends"],
-        fresh,
+        &[(name, section)],
     );
 }
 
@@ -572,15 +573,13 @@ fn main() {
 
     // The backend head-to-head, recorded as the `"backends"` section. The
     // smoke run still *asserts* (the criteria hold at CI scale too) but
-    // must not overwrite a full-scale record with smoke-sized numbers.
+    // records nothing: its numbers are not the full-scale measurement.
     if schism_bench::flag("--backends") {
         let smoke = schism_bench::flag("--smoke");
         let section = backends_compare(smoke, schism_par::resolve_threads(threads));
-        write_bench_json(if smoke {
-            None
-        } else {
-            Some(("backends", section))
-        });
+        if !smoke {
+            write_bench_json("backends", section);
+        }
         return;
     }
 
@@ -595,9 +594,11 @@ fn main() {
             GraphBackend::Clique => "huge",
             GraphBackend::Hypergraph => "huge_hyper",
         };
-        // A smoke run validates the path but must not overwrite the real
-        // 1e8 record with 1e6-sized numbers.
-        write_bench_json(if smoke { None } else { Some((name, section)) });
+        // A smoke run validates the path and records nothing: its
+        // 1e6-sized numbers are not the 1e8 measurement.
+        if !smoke {
+            write_bench_json(name, section);
+        }
         return;
     }
 
@@ -675,7 +676,7 @@ fn main() {
     if threads > 0 || scaling_only {
         let max_threads = schism_par::resolve_threads(threads);
         let section = thread_scaling(&tpcc_w, &tpcc_wcfg, full, max_threads);
-        write_bench_json(Some(("scaling", section)));
+        write_bench_json("scaling", section);
     }
 }
 

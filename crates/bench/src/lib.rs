@@ -77,7 +77,12 @@ pub fn peak_rss_bytes() -> Option<u64> {
 /// where the kernel interface is unavailable — callers should then treat
 /// the next reading as a whole-process upper bound.
 pub fn reset_peak_rss() -> bool {
-    std::fs::write("/proc/self/clear_refs", "5").is_ok()
+    use std::io::Write;
+    std::fs::OpenOptions::new()
+        .write(true)
+        .open("/proc/self/clear_refs")
+        .and_then(|mut f| f.write_all(b"5"))
+        .is_ok()
 }
 
 /// Parses `--backend clique|hypergraph` (default `clique`) for the graph
@@ -171,40 +176,69 @@ pub fn bench_path(file: &str) -> String {
     }
 }
 
-/// Writes the sectioned BENCH file `file` (at [`bench_path`]): the bench
-/// name, the honest host core count, then one line per section of
-/// `order`. `fresh` is the section this run measured; every other section
-/// is carried over from the existing file (`null` if it was never
-/// measured).
-pub fn write_sections(file: &str, bench: &str, order: &[&str], fresh: Option<(&str, String)>) {
+/// Writes the sectioned BENCH file `file` (at [`bench_path`]) — the only
+/// writer of a BENCH file: the bench name, this host's core count, then
+/// one line per section of `order`. `fresh` holds the sections this run
+/// measured; with none, the file is left untouched. Any other section is
+/// carried over only if the existing file states this host's core count,
+/// so every number in the file was measured on the host its header names;
+/// otherwise it is written as `null`, and the run says which it dropped.
+pub fn write_sections(file: &str, bench: &str, order: &[&str], fresh: &[(&str, String)]) {
+    if fresh.is_empty() {
+        return;
+    }
     let path = bench_path(file);
-    let body = order
-        .iter()
-        .map(|&name| {
-            let section = match &fresh {
-                Some((n, s)) if *n == name => Some(s.clone()),
-                _ => existing_section(&path, name),
-            };
-            format!("  \"{name}\": {}", section.unwrap_or_else(|| "null".into()))
-        })
-        .collect::<Vec<_>>()
-        .join(",\n");
-    let json = format!(
-        "{{\n  \"bench\": \"{bench}\",\n  \"host_cores\": {},\n{body}\n}}\n",
-        schism_par::available_parallelism(),
-    );
+    let existing = std::fs::read_to_string(&path).unwrap_or_default();
+    let host_cores = schism_par::available_parallelism();
+    let (json, dropped) = render_sections(&existing, bench, host_cores, order, fresh);
+    if !dropped.is_empty() {
+        println!(
+            "not carried over from {path}, whose host_cores is not this host's {host_cores}: \
+             {} (written as null; re-run to measure them here)",
+            dropped.join(", ")
+        );
+    }
     std::fs::write(&path, &json).unwrap_or_else(|e| panic!("write {path}: {e}"));
     println!("wrote {path}");
 }
 
+/// The text [`write_sections`] writes over `existing`, and the sections it
+/// dropped for a different host (a section never measured is `null` too,
+/// but not dropped).
+fn render_sections<'a>(
+    existing: &str,
+    bench: &str,
+    host_cores: usize,
+    order: &[&'a str],
+    fresh: &[(&str, String)],
+) -> (String, Vec<&'a str>) {
+    let same_host = json_num(existing, "host_cores") == Some(host_cores as f64);
+    let mut dropped = Vec::new();
+    let mut lines = Vec::new();
+    for &name in order {
+        let measured = fresh.iter().find(|f| f.0 == name).map(|f| f.1.clone());
+        let carried = existing_section(existing, name);
+        if measured.is_none() && carried.is_some() && !same_host {
+            dropped.push(name);
+        }
+        let section = measured.or(carried.filter(|_| same_host));
+        let section = section.unwrap_or_else(|| "null".into());
+        lines.push(format!("  \"{name}\": {section}"));
+    }
+    let json = format!(
+        "{{\n  \"bench\": \"{bench}\",\n  \"host_cores\": {host_cores},\n{}\n}}\n",
+        lines.join(",\n")
+    );
+    (json, dropped)
+}
+
 /// Pulls one single-line section (e.g. `"scaling"`, `"huge"`, a backend
-/// name) out of an existing sectioned BENCH json at `path`, so a run that
-/// measures only one section carries the others over instead of clobbering
-/// them. Sections are written one per line as `"name": { ... },` — this is
-/// a line parser, not a JSON parser, by design: the bench files are
-/// hand-formatted to keep it trivial.
-fn existing_section(path: &str, name: &str) -> Option<String> {
-    let text = std::fs::read_to_string(path).ok()?;
+/// name) out of the text of an existing sectioned BENCH json, so a run
+/// that measures only some sections can carry the others over instead of
+/// clobbering them. Sections are written one per line as
+/// `"name": { ... },` — this is a line parser, not a JSON parser, by
+/// design: the bench files are hand-formatted to keep it trivial.
+fn existing_section(text: &str, name: &str) -> Option<String> {
     let prefix = format!("\"{name}\": ");
     for line in text.lines() {
         if let Some(rest) = line.trim_start().strip_prefix(&prefix) {
@@ -338,6 +372,81 @@ mod tests {
         assert_eq!(json_num(frag, "cut"), Some(1200.0));
         assert_eq!(json_num(frag, "frac"), Some(-0.5));
         assert_eq!(json_num(frag, "missing"), None);
+    }
+
+    const ORDER: [&str; 3] = ["a", "b", "c"];
+
+    fn section(name: &'static str, x: u32) -> (&'static str, String) {
+        (name, format!("{{ \"x\": {x} }}"))
+    }
+
+    #[test]
+    fn fresh_sections_are_written_in_order() {
+        let fresh = [section("c", 3), section("a", 1)];
+        let (json, dropped) = render_sections("", "bin", 2, &ORDER, &fresh);
+        assert_eq!(
+            json,
+            "{\n  \"bench\": \"bin\",\n  \"host_cores\": 2,\n  \"a\": { \"x\": 1 },\n  \
+             \"b\": null,\n  \"c\": { \"x\": 3 }\n}\n"
+        );
+        assert!(dropped.is_empty(), "never measured is not dropped");
+    }
+
+    #[test]
+    fn sections_carry_over_only_from_the_same_host() {
+        let (old, _) = render_sections("", "bin", 2, &ORDER, &[section("a", 1), section("b", 2)]);
+        let fresh = [section("b", 20)];
+        let (same, dropped) = render_sections(&old, "bin", 2, &ORDER, &fresh);
+        assert!(same.contains("\"a\": { \"x\": 1 },\n  \"b\": { \"x\": 20 },\n  \"c\": null\n"));
+        assert!(dropped.is_empty());
+        let (other, dropped) = render_sections(&old, "bin", 4, &ORDER, &fresh);
+        assert!(other.contains("\"host_cores\": 4,\n  \"a\": null,\n  \"b\": { \"x\": 20 },"));
+        assert_eq!(dropped, ["a"]);
+    }
+
+    #[test]
+    fn a_run_that_measured_nothing_leaves_the_file_alone() {
+        let dir = schism_store::tempdir::TempDir::new("schism-bench-sections").unwrap();
+        let path = dir.path().join("BENCH_t.json");
+        let file = path.to_str().unwrap();
+        write_sections(file, "bin", &ORDER, &[section("a", 1)]);
+        let committed = std::fs::read_to_string(&path).unwrap();
+        assert!(committed.contains("\"a\": { \"x\": 1 },"));
+        write_sections(file, "other", &ORDER, &[]);
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), committed);
+    }
+
+    /// Every committed BENCH file is what [`write_sections`] writes: the
+    /// bench, the host its numbers were measured on, then one measured
+    /// section per line.
+    #[test]
+    fn committed_bench_files_state_their_host_and_have_no_null_section() {
+        let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+        let mut files = 0;
+        for entry in std::fs::read_dir(dir).unwrap() {
+            let path = entry.unwrap().path();
+            let name = path.file_name().unwrap().to_string_lossy().into_owned();
+            if !(name.starts_with("BENCH_") && name.ends_with(".json")) {
+                continue;
+            }
+            files += 1;
+            let text = std::fs::read_to_string(&path).unwrap();
+            let lines: Vec<&str> = text.lines().collect();
+            let [first, bench, host, sections @ .., last] = &lines[..] else {
+                panic!("{name}: no header");
+            };
+            assert_eq!((*first, *last), ("{", "}"), "{name}");
+            assert!(bench.starts_with("  \"bench\": \""), "{name}: {bench}");
+            assert!(json_num(host, "host_cores").is_some(), "{name}: {host}");
+            assert!(!sections.is_empty(), "{name}: no section");
+            for line in sections {
+                let line = line.trim_end_matches(',');
+                let value = line.split_once("\": ").map_or("", |kv| kv.1);
+                let ok = line.starts_with("  \"") && value.starts_with('{') && value.ends_with('}');
+                assert!(ok, "{name}: not one measured section: {line}");
+            }
+        }
+        assert!(files >= 4, "{files} BENCH files in {dir:?}");
     }
 
     #[test]

@@ -1,6 +1,5 @@
 //! Shard rejoin: catch-up copies that stream a recovering shard back to
-//! the live leaders' state, plus the re-replication scanner that finds
-//! groups running below their replication factor.
+//! the live leaders' state.
 //!
 //! A shard that crashed and was revived re-enters as
 //! [`CatchingUp`](schism_store::HealthState::CatchingUp): it receives
@@ -31,13 +30,9 @@
 //! and any key deleted while it was down, which the tombstone pass-through
 //! removes — matches the leader's current state before the shard goes
 //! Live.
-//!
-//! [`scan_under_replicated`] is the standing repair loop's detector: it
-//! reports, per non-live shard, how many tuples currently route a copy at
-//! it, i.e. how many keys are one failure away from losing redundancy.
 
 use crate::executor::{ExecError, ExecutorConfig, MigrationExecutor, StepOutcome};
-use crate::plan::{MigrationBatch, MigrationPlan, PlanConfig, TupleMove};
+use crate::plan::{pack, MigrationPlan, PlanConfig, TupleMove};
 use schism_router::{PartitionSet, Scheme, VersionedScheme};
 use schism_store::{HealthMap, ShardId, ShardStore};
 use schism_workload::{TupleId, TupleValues};
@@ -57,16 +52,6 @@ pub struct CatchUpReport {
     pub retries: u32,
 }
 
-/// One under-replicated membership: a shard that is not
-/// [`Live`](schism_store::HealthState::Live) while `stale_tuples` keys
-/// still route a copy at it — each of those keys is running one replica
-/// short until the shard rejoins (or a future plan moves the copy away).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct UnderReplicated {
-    pub shard: ShardId,
-    pub stale_tuples: usize,
-}
-
 /// Builds the rejoin plan for `shard`: one move per candidate tuple whose
 /// copy set (under `scheme`) contains `shard`, copying from the set's
 /// *other* members onto `shard` alone. Tuples whose only copy lives on
@@ -83,40 +68,14 @@ pub fn catch_up_plan(
     shard: ShardId,
     cfg: &PlanConfig,
 ) -> MigrationPlan {
-    assert!(cfg.max_rows_per_batch >= 1);
-    assert!(cfg.max_bytes_per_batch >= 1);
     let only = PartitionSet::single(shard);
-    let mut plan = MigrationPlan::default();
-    let mut batch = MigrationBatch::default();
-    for t in candidates {
-        let copies = scheme.locate_tuple(t, db);
-        if !copies.contains(shard) {
-            continue;
-        }
-        let from = copies.difference(&only);
-        if from.is_empty() {
-            continue; // sole owner: nothing to catch up from
-        }
-        let payload = u64::from(db.tuple_bytes(t.table));
-        if !batch.moves.is_empty()
-            && (batch.moves.len() >= cfg.max_rows_per_batch
-                || batch.bytes + payload > cfg.max_bytes_per_batch)
-        {
-            plan.batches.push(std::mem::take(&mut batch));
-        }
-        batch.moves.push(TupleMove {
-            tuple: t,
-            from,
-            to: copies,
-        });
-        batch.bytes += payload;
-        plan.total_moves += 1;
-        plan.total_bytes += payload;
-    }
-    if !batch.moves.is_empty() {
-        plan.batches.push(batch);
-    }
-    plan
+    let moves = candidates.into_iter().filter_map(|t| {
+        let to = scheme.locate_tuple(t, db);
+        let from = to.difference(&only);
+        // Not a member, or the sole owner: nothing to catch up from.
+        (to.contains(shard) && !from.is_empty()).then_some(TupleMove { tuple: t, from, to })
+    });
+    pack(moves, db, cfg)
 }
 
 /// Streams `shard` up to the live members' state and flips it Live.
@@ -179,43 +138,6 @@ pub fn run_catch_up(
         bytes_copied: r.bytes_copied,
         retries: r.retries,
     })
-}
-
-/// The re-replication detector: for every shard that is currently Down or
-/// CatchingUp, counts the candidate tuples whose copy set still routes a
-/// copy at it. A non-empty result means some replica groups are running
-/// under their replication factor; the repair loop's response is to
-/// revive the shard and [`run_catch_up`] (counts for a shard already
-/// catching up show the copy still in flight). Shards holding no
-/// candidate tuples are omitted — their death cost no redundancy.
-pub fn scan_under_replicated(
-    scheme: &dyn Scheme,
-    db: &dyn TupleValues,
-    candidates: impl IntoIterator<Item = TupleId>,
-    health: &HealthMap,
-) -> Vec<UnderReplicated> {
-    let not_live = health.view().not_live();
-    if not_live.is_empty() {
-        return Vec::new();
-    }
-    let mut counts: Vec<usize> = Vec::new();
-    for t in candidates {
-        for shard in scheme.locate_tuple(t, db).intersect(&not_live).iter() {
-            if counts.len() <= shard as usize {
-                counts.resize(shard as usize + 1, 0);
-            }
-            counts[shard as usize] += 1;
-        }
-    }
-    counts
-        .iter()
-        .enumerate()
-        .filter(|&(_, &n)| n > 0)
-        .map(|(s, &n)| UnderReplicated {
-            shard: s as u32,
-            stale_tuples: n,
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -350,26 +272,5 @@ mod tests {
             schism_store::HealthState::CatchingUp,
             "a failed catch-up leaves the shard catching up for retry"
         );
-    }
-
-    #[test]
-    fn scanner_counts_stale_memberships_per_dead_shard() {
-        let scheme = rf3();
-        let db = MaterializedDb::new();
-        let health = HealthMap::new();
-        assert!(scan_under_replicated(&*scheme, &db, keys(), &health).is_empty());
-        health.mark_down(1);
-        health.mark_down(3);
-        health.begin_catch_up(3);
-        let report = scan_under_replicated(&*scheme, &db, keys(), &health);
-        assert_eq!(report.len(), 2, "both non-live shards hold memberships");
-        for u in &report {
-            let expect = keys()
-                .filter(|&t| scheme.locate_tuple(t, &db).contains(u.shard))
-                .count();
-            assert_eq!(u.stale_tuples, expect);
-            assert!(u.stale_tuples > 0);
-        }
-        assert!(report.windows(2).all(|w| w[0].shard < w[1].shard));
     }
 }

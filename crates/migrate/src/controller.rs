@@ -32,8 +32,6 @@ pub struct ControllerConfig {
     pub drift: DriftConfig,
     pub monitor: DriftMonitor,
     pub plan: PlanConfig,
-    /// Defaults for executors built via [`MigrationOutcome::executor`].
-    pub executor: ExecutorConfig,
 }
 
 impl ControllerConfig {
@@ -43,7 +41,6 @@ impl ControllerConfig {
             drift: DriftConfig::default(),
             monitor: DriftMonitor::default(),
             plan: PlanConfig::default(),
-            executor: ExecutorConfig::default(),
         }
     }
 }
@@ -114,8 +111,6 @@ pub struct MigrationOutcome {
     pub report: DriftReport,
     pub repartition: RepartitionOutcome,
     pub plan: MigrationPlan,
-    /// Executor defaults inherited from the controller's config.
-    pub executor_cfg: ExecutorConfig,
 }
 
 impl MigrationOutcome {
@@ -127,7 +122,7 @@ impl MigrationOutcome {
         store: &'a dyn ShardStore,
         scheme: &'a VersionedScheme,
     ) -> MigrationExecutor<'a> {
-        MigrationExecutor::new(&self.plan, store, scheme, self.executor_cfg.clone())
+        MigrationExecutor::new(&self.plan, store, scheme, ExecutorConfig::default())
     }
 }
 
@@ -198,7 +193,6 @@ impl MigrationController {
             report,
             repartition,
             plan,
-            executor_cfg: self.cfg.executor.clone(),
         })
     }
 }

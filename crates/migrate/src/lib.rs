@@ -16,7 +16,7 @@
 //! | [`cost`] | linear batch-duration model fitted to timed batches; [`PlanConfig::for_target_batch_duration`] inverts it into budgets |
 //! | [`executor`] | run a plan against [`schism_store`] shards: copy → verify → flip per batch |
 //! | [`controller`] | the loop: state, trigger, repartition, plan hand-off |
-//! | [`catchup`] | shard rejoin: catch-up copy plans over the same executor, plus the under-replication scanner |
+//! | [`catchup`] | shard rejoin: catch-up copy plans over the same executor |
 //!
 //! Mid-migration routing correctness lives in
 //! [`schism_router::VersionedScheme`] (old/new scheme pair + moved-set);
@@ -56,9 +56,7 @@ pub mod plan;
 pub mod relabel;
 pub mod sketch;
 
-pub use catchup::{
-    catch_up_plan, run_catch_up, scan_under_replicated, CatchUpReport, UnderReplicated,
-};
+pub use catchup::{catch_up_plan, run_catch_up, CatchUpReport};
 pub use controller::{ControllerConfig, DriftMonitor, MigrationController, MigrationOutcome, Tick};
 pub use cost::{CostSample, MigrationCostModel};
 pub use drift::{

@@ -132,8 +132,6 @@ pub fn plan_migration(
     db: &dyn TupleValues,
     cfg: &PlanConfig,
 ) -> MigrationPlan {
-    assert!(cfg.max_rows_per_batch >= 1);
-    assert!(cfg.max_bytes_per_batch >= 1);
     let mut moves: Vec<TupleMove> = new
         .iter()
         .filter_map(|(&t, &to)| {
@@ -142,7 +140,19 @@ pub fn plan_migration(
         })
         .collect();
     moves.sort_unstable_by_key(|m| m.tuple);
+    pack(moves, db, cfg)
+}
 
+/// Packs `moves`, in the order given, into batches under `cfg`'s row and
+/// byte budgets — the one packer behind every plan (a migration's and a
+/// rejoin's catch-up).
+pub(crate) fn pack(
+    moves: impl IntoIterator<Item = TupleMove>,
+    db: &dyn TupleValues,
+    cfg: &PlanConfig,
+) -> MigrationPlan {
+    assert!(cfg.max_rows_per_batch >= 1);
+    assert!(cfg.max_bytes_per_batch >= 1);
     let mut plan = MigrationPlan::default();
     let mut batch = MigrationBatch::default();
     for m in moves {

@@ -76,7 +76,8 @@ impl HealthView {
 /// Shared shard-liveness map. `mark_down` is the only transition the data
 /// path takes on its own (structural failure detection); the recovery
 /// transitions `begin_catch_up` and `mark_live` are driven by whoever runs
-/// the rejoin (the re-replication scanner or a chaos/bench harness), and
+/// the rejoin (`Server::revive_shard` plus a catch-up copy, as the chaos
+/// and bench harnesses do), and
 /// `mark_live` must only be called after a verified catch-up copy — the
 /// map itself cannot know whether the shard's store is current.
 #[derive(Debug, Default)]
