@@ -23,7 +23,11 @@
 //!   buffers in chunk order, resolving each allocation to
 //!   `replica_base[group] + n` where `n` counts prior allocations of that
 //!   group — exactly the ids a sequential trace walk would hand out — and
-//!   the `GraphBuilder` merge/CSR path dedups the concatenated edges.
+//!   hands each resolved buffer, uncopied and unmerged, to the
+//!   [`GraphBuilder`]. Its CSR assembly merges duplicates per vertex range
+//!   on the same pool: every copy of an edge lands in one range, and rows
+//!   are laid out by vertex id, so neither the range split nor the pool
+//!   size can change a row (`schism_graph`'s `builder` module docs).
 //!   Under [`SchismConfig::graph_backend`]` = Hypergraph` the same pass
 //!   emits **one net per transaction** into a chunk-local
 //!   [`HyperEdgeBuffer`] instead of the O(width²) clique — memory linear in
@@ -161,7 +165,7 @@ struct Pass2Partial {
     /// Widest transaction seen: maximum distinct-group member count after
     /// dedup and blanket filtering.
     widest: usize,
-    /// Mid-stream compactions of `buffer` (the final one not counted).
+    /// Mid-stream compactions of `buffer`.
     compactions: usize,
 }
 
@@ -858,19 +862,23 @@ where
                     compacted_len = out.buffer.len();
                 }
             });
-            out.buffer.compact();
             out
         },
     );
 
-    // --- Stitch: resolve allocations and concatenate buffers in chunk
-    // order. A replica allocation's global id is `replica_base[g] + n`
+    // --- Stitch: resolve allocations and hand the buffers to the sink in
+    // chunk order. A replica allocation's global id is `replica_base[g] + n`
     // where `n` counts the group's prior allocations across all earlier
     // chunks (and earlier transactions of this chunk) — exactly the rank a
     // sequential walk would assign, so the graph is chunking-independent.
     let widest_txn = parts.iter().map(|p| p.widest).max().unwrap_or(0);
     let mut sink = match cfg.graph_backend {
-        GraphBackend::Clique => BuildSink::Clique(GraphBuilder::new(n_nodes)),
+        // The sink takes the chunk buffers over whole; what it buffers
+        // itself is at most one star edge per allocation.
+        GraphBackend::Clique => BuildSink::Clique(GraphBuilder::with_edge_capacity(
+            n_nodes,
+            parts.iter().map(|p| p.alloc.len()).sum(),
+        )),
         GraphBackend::Hypergraph => BuildSink::Hyper(HyperGraphBuilder::new(n_nodes)),
     };
     // Node weights. Exploded groups spread their weight over replicas; the
@@ -927,12 +935,7 @@ where
             }
         };
         match (&mut sink, part.buffer) {
-            (BuildSink::Clique(gb), ChunkBuffer::Clique(edges)) => gb.append_edges(
-                edges
-                    .into_edges()
-                    .into_iter()
-                    .map(|(u, v, w)| (resolve(u), resolve(v), w)),
-            ),
+            (BuildSink::Clique(gb), ChunkBuffer::Clique(edges)) => gb.append_edges(edges, resolve),
             (BuildSink::Hyper(hb), ChunkBuffer::Hyper(nets)) => {
                 for (pins, w) in nets.nets() {
                     net_scratch.clear();
@@ -973,7 +976,7 @@ where
         }
     }
     let graph = match sink {
-        BuildSink::Clique(gb) => CoAccess::Clique(gb.build()),
+        BuildSink::Clique(gb) => CoAccess::Clique(gb.build_on(&pool)),
         BuildSink::Hyper(hb) => CoAccess::Hyper(hb.build()),
     };
     let (edges, hyperedges, pins) = match &graph {

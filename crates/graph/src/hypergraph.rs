@@ -430,8 +430,8 @@ impl HyperEdgeBuffer {
         compact_nets(&mut self.pin_buf, &mut self.nets);
     }
 
-    /// Iterates the buffered nets as `(pins, weight)` in canonical
-    /// (post-compaction) order.
+    /// Iterates the buffered nets as `(pins, weight)`, in canonical order up
+    /// to the last [`HyperEdgeBuffer::compact`] and in push order after it.
     pub fn nets(&self) -> impl Iterator<Item = (&[NodeId], u32)> {
         self.nets
             .iter()

@@ -313,8 +313,14 @@ fn same_seed_output_matches_golden_digests() {
 /// backend `mk` selects: the built representation, its digest and
 /// `BuildStats` are bit-identical at threads 1/2/4, and streaming a
 /// generator source chunk by chunk equals building from its materialized
-/// whole trace.
-fn build_identical_across_threads_and_ingestion(mk: impl Fn(usize) -> SchismConfig) {
+/// whole trace. Comparing thread counts with each other cannot catch a
+/// change that moves every count alike, so the one-thread digests must also
+/// equal `golden` (ycsb-e, tpcc, drifting), recorded before the clique CSR
+/// stopped being assembled by one global sort.
+fn build_identical_across_threads_and_ingestion(
+    mk: impl Fn(usize) -> SchismConfig,
+    golden: [u64; 3],
+) {
     // Generated (YCSB-E: scans exercise the blanket filter), TPC-C (cliques
     // or nets, stars, coalesced groups), and drifting (hot-block clusters)
     // traces.
@@ -330,12 +336,21 @@ fn build_identical_across_threads_and_ingestion(mk: impl Fn(usize) -> SchismConf
     };
     let drift_w = drifting::generate(&drift_cfg);
 
-    for (name, w) in [
+    for ((name, w), want) in [
         ("ycsb-e", &ycsb_w),
         ("tpcc", &tpcc_w),
         ("drifting", &drift_w),
-    ] {
+    ]
+    .into_iter()
+    .zip(golden)
+    {
         let base = build_graph(w, &w.trace, &mk(1));
+        assert_eq!(
+            base.digest(),
+            want,
+            "{name}: digest {:#018x} is not the golden one",
+            base.digest()
+        );
         match &base.graph {
             CoAccess::Hyper(hg) => {
                 hg.validate().unwrap();
@@ -420,14 +435,20 @@ fn config(backend: GraphBackend, seed: u64) -> impl Fn(usize) -> SchismConfig {
 
 #[test]
 fn build_graph_identical_across_threads_and_ingestion() {
-    build_identical_across_threads_and_ingestion(config(GraphBackend::Clique, 11));
+    build_identical_across_threads_and_ingestion(
+        config(GraphBackend::Clique, 11),
+        [0x1d1818517ce68262, 0x0ab4b201c0eaa2e3, 0x0a87db2e82181dea],
+    );
 }
 
 /// The hypergraph backend carries the identical contract, build and
 /// partition phase alike.
 #[test]
 fn hypergraph_backend_identical_across_threads_and_ingestion() {
-    build_identical_across_threads_and_ingestion(config(GraphBackend::Hypergraph, 11));
+    build_identical_across_threads_and_ingestion(
+        config(GraphBackend::Hypergraph, 11),
+        [0x2275921b2f823d05, 0x5851e93126a47805, 0x3b13fd3d03f3aa74],
+    );
     partition_phase_identical_across_threads(&small_tpcc(), config(GraphBackend::Hypergraph, 11));
 }
 
