@@ -2,7 +2,7 @@
 //! second of simulated point-read traffic.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use schism_sim::{run, PoolSource, SimConfig, SimOp, SimTxn};
+use schism_sim::{run, SimConfig, SimOp, SimTxn};
 
 fn pool(servers: u32) -> Vec<SimTxn> {
     (0..256u64)
@@ -33,9 +33,7 @@ fn bench_sim(c: &mut Criterion) {
         duration: 1_000_000,
         ..SimConfig::figure1(4)
     };
-    group.bench_function("4srv-100cli", |b| {
-        b.iter(|| run(&cfg, &mut PoolSource::new(pool(4))))
-    });
+    group.bench_function("4srv-100cli", |b| b.iter(|| run(&cfg, &pool(4))));
     group.finish();
 }
 

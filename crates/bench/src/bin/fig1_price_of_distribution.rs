@@ -13,7 +13,7 @@
 
 use schism_bench::table::Table;
 use schism_router::{PartitionSet, RangeRule, RangeScheme, TablePolicy};
-use schism_sim::{run, PoolSource, SimConfig, SimTxn};
+use schism_sim::{run, SimConfig, SimTxn};
 use schism_workload::simplecount::{self, AccessMode, SimpleCountConfig};
 
 fn main() {
@@ -69,7 +69,7 @@ fn main() {
             );
             let pool = SimTxn::from_trace(&w.trace, &scheme, &*w.db);
             let cfg = SimConfig::figure1(servers);
-            let report = run(&cfg, &mut PoolSource::new(pool));
+            let report = run(&cfg, &pool);
             per_mode.push(report);
         }
         let (single, dist) = (&per_mode[0], &per_mode[1]);

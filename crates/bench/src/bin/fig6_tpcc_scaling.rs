@@ -15,7 +15,7 @@
 
 use schism_bench::manual::ManualTpcc;
 use schism_bench::table::Table;
-use schism_sim::{run, PoolSource, SimConfig, SimTxn};
+use schism_sim::{run, SimConfig, SimTxn};
 use schism_workload::tpcc::{self, TpccConfig};
 
 fn tpcc_pool(warehouses: u32, servers: u32, num_txns: usize) -> Vec<SimTxn> {
@@ -52,12 +52,12 @@ fn main() {
         // Scale-out: constant 16 warehouses.
         let pool = tpcc_pool(16, servers, pool_txns);
         let cfg = SimConfig::figure6(servers, 22 * servers);
-        let fixed = run(&cfg, &mut PoolSource::new(pool));
+        let fixed = run(&cfg, &pool);
 
         // Scale-up: 16 warehouses per machine.
         let pool = tpcc_pool(16 * servers, servers, pool_txns);
         let cfg = SimConfig::figure6(servers, 22 * servers);
-        let grow = run(&cfg, &mut PoolSource::new(pool));
+        let grow = run(&cfg, &pool);
 
         if servers == 1 {
             base_fixed = fixed.throughput;

@@ -1,19 +1,16 @@
 //! **Live-migration executor benchmark** — the full `drift → detect →
 //! plan → execute → flip` loop against real shard stores, reporting
 //! *executed* migration throughput (rows/bytes actually copied and
-//! verified, per tick) and the foreground latency tax while batches are in
-//! flight (mid-migration p99).
+//! verified, per tick). What a migration in flight costs foreground
+//! statements is the benchmark's `serve_migrate` workload, measured on the
+//! real server.
 //!
-//! Three measurements:
+//! Two measurements:
 //!
 //! 1. **standalone executor** — the plan runs back to back (one tick = one
 //!    batch lifecycle: copy, verify, flip); per-batch wall-clock gives copy
 //!    throughput in rows/s and MiB/s.
-//! 2. **in-simulation** — the same plan's copy traffic (each move rendered
-//!    by [`SimTxn::copy`]) is injected into the discrete-event cluster,
-//!    gated on executor acknowledgements, and compared against a quiet run
-//!    of the same foreground workload.
-//! 3. **calibration** (`--calibrate`) — the timed batches from (1) are fit
+//! 2. **calibration** (`--calibrate`) — the timed batches from (1) are fit
 //!    into a [`MigrationCostModel`]; the fit is validated on held-out
 //!    batches (predicted vs measured must stay within 2×), mapped back
 //!    onto planner budgets via `PlanConfig::for_target_batch_duration`,
@@ -25,12 +22,8 @@
 //!
 //! ```text
 //! cargo run --release -p schism-bench --bin live_migration \
-//!     [--full] [--backend mem|log] [--calibrate] [--inject-every N]
+//!     [--full] [--backend mem|log] [--calibrate]
 //! ```
-//!
-//! `--inject-every N` paces the simulated copy stream at one move per `N`
-//! foreground transactions (the rate [`MigrationSource::batched`] takes;
-//! default 1, the aggressive end — worst-case mid-migration tax).
 //!
 //! `--backend log` runs every store in this benchmark on the persistent
 //! [`LogStore`] (segment files under a temp dir,
@@ -44,8 +37,7 @@ use schism_migrate::{
     ControllerConfig, CostSample, MigrationController, MigrationCostModel, PlanConfig, StepOutcome,
     Tick,
 };
-use schism_router::{Scheme, VersionedScheme};
-use schism_sim::{run, MigrationSource, PoolSource, SimConfig, SimTxn};
+use schism_router::VersionedScheme;
 use schism_store::{
     load_assignment, tempdir::TempDir, BackendKind, LogStore, MemStore, ShardStore,
 };
@@ -54,7 +46,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 fn main() {
-    schism_bench::reject_unknown_args(&["--full", "--backend", "--calibrate", "--inject-every"]);
+    schism_bench::reject_unknown_args(&["--full", "--backend", "--calibrate"]);
     let full = schism_bench::full_scale();
     let backend = schism_bench::backend_kind();
     let calibrate = schism_bench::flag("--calibrate");
@@ -96,12 +88,6 @@ fn main() {
         outcome.plan.total_bytes as f64 / 1024.0
     );
 
-    let old_scheme =
-        || -> Arc<dyn Scheme> { Arc::new(build_lookup_scheme(&w0, &w0.trace, &placement, k)) };
-    let new_scheme = || -> Arc<dyn Scheme> {
-        Arc::new(build_lookup_scheme(&w3, &w3.trace, ctl.assignment(), k))
-    };
-
     // ---- 1. Standalone executor throughput (one tick = one batch). ----
     // A `LogStore` is opened concretely so each step can be checked for a
     // segment compaction, which the per-batch cost model does not price.
@@ -116,7 +102,10 @@ fn main() {
     };
     let compactions = || log_store.as_ref().map_or(0, LogStore::compactions);
     load_assignment(store, &placement, &*w3.db).expect("seed shards");
-    let vs = VersionedScheme::new(old_scheme(), new_scheme());
+    let vs = VersionedScheme::new(
+        Arc::new(build_lookup_scheme(&w0, &w0.trace, &placement, k)),
+        Arc::new(build_lookup_scheme(&w3, &w3.trace, ctl.assignment(), k)),
+    );
     let mut exec = outcome.executor(store, &vs);
     let mut samples: Vec<CostSample> = Vec::new();
     // Indices into `samples` of the batches whose step compacted a segment.
@@ -171,102 +160,7 @@ fn main() {
         mib_per_sec,
     );
 
-    // ---- 2. Mid-migration QoS in the simulator. ----
-    let inject_every: u32 = schism_bench::arg_value("--inject-every")
-        .map(|v| v.parse().expect("--inject-every takes a positive integer"))
-        .unwrap_or(1);
-    let sim_cfg = SimConfig {
-        num_servers: k,
-        num_clients: if full { 160 } else { 80 },
-        duration: if full { 8_000_000 } else { 4_000_000 },
-        warmup: 1_000_000,
-        ..SimConfig::default()
-    };
-    let fg_scheme = new_scheme();
-    let pool = SimTxn::from_trace(&w3.trace, &*fg_scheme, &*w3.db);
-    let quiet = run(&sim_cfg, &mut PoolSource::new(pool.clone()));
-
-    // Mid-migration window: sized (from quiet throughput) so the
-    // acknowledged-batch copy stream is in flight for the whole measured
-    // interval — these percentiles are *mid-migration*, not diluted by a
-    // long post-drain tail.
-    let copy_batches: Vec<Vec<SimTxn>> = outcome
-        .plan
-        .batches
-        .iter()
-        .map(|b| {
-            b.moves
-                .iter()
-                .filter_map(|m| SimTxn::copy(m.tuple, m.from.first()?, m.copies_added()))
-                .collect()
-        })
-        .collect();
-    let copy_txns: usize = copy_batches.iter().map(Vec::len).sum();
-    let span_us = (copy_txns as f64 * (1.0 + inject_every as f64) / quiet.throughput.max(1.0)
-        * 1_000_000.0) as u64;
-    let mid_cfg = SimConfig {
-        warmup: (span_us / 4).max(50_000),
-        duration: (span_us * 3 / 4).max(100_000),
-        ..sim_cfg.clone()
-    };
-    // Same short window without the migration: the fair p99 baseline.
-    let quiet_mid = run(&mid_cfg, &mut PoolSource::new(pool.clone()));
-    let run_migrating = |cfg: &SimConfig, run_name: &str| {
-        // Fresh store/scheme pair per run: the executor re-runs inside the
-        // sim, its acknowledgements gating each batch's copy traffic.
-        let store = schism_bench::open_backend(backend, k, &store_dir, run_name);
-        load_assignment(&*store, &placement, &*w3.db).expect("seed shards");
-        let vs = VersionedScheme::new(old_scheme(), new_scheme());
-        let mut exec = outcome.executor(&*store, &vs);
-        let mut source = MigrationSource::batched(
-            PoolSource::new(pool.clone()),
-            copy_batches.clone(),
-            inject_every,
-            Some(Box::new(|_| matches!(exec.step(), StepOutcome::Flipped(_)))),
-        );
-        let report = run(cfg, &mut source);
-        let issued = source.batches_issued();
-        drop(source);
-        assert_eq!(
-            vs.flipped_batches(),
-            issued as u64,
-            "moved-set must track acknowledged batches exactly"
-        );
-        (report, issued)
-    };
-    let (mid, mid_issued) = run_migrating(&mid_cfg, "sim-mid");
-    let (drained, drained_issued) = run_migrating(&sim_cfg, "sim-full");
-
-    let mut qos = Table::new(&["run", "thr (txn/s)", "mean ms", "p95 ms", "p99 ms", "acked"]);
-    let total = outcome.plan.batches.len();
-    for (name, r, acked) in [
-        ("quiet (mid window)", &quiet_mid, None),
-        ("mid-migration", &mid, Some(mid_issued)),
-        ("quiet (full window)", &quiet, None),
-        ("full-run", &drained, Some(drained_issued)),
-    ] {
-        qos.row(vec![
-            name.to_string(),
-            format!("{:.0}", r.throughput),
-            format!("{:.2}", r.mean_latency_ms),
-            format!("{:.2}", r.p95_latency_ms),
-            format!("{:.2}", r.p99_latency_ms),
-            match acked {
-                Some(a) => format!("{a}/{total}"),
-                None => "-".to_string(),
-            },
-        ]);
-    }
-    println!("{}", qos.render());
-    println!(
-        "mid-migration p99 {:.2} ms vs same-window quiet {:.2} ms ({:+.0}%); full run recovers to {:.0} txn/s with {drained_issued}/{total} batches acknowledged",
-        mid.p99_latency_ms,
-        quiet_mid.p99_latency_ms,
-        100.0 * (mid.p99_latency_ms / quiet_mid.p99_latency_ms.max(1e-9) - 1.0),
-        drained.throughput,
-    );
-
-    // ---- 3. Calibration: measured batches → cost model → planner. ----
+    // ---- 2. Calibration: measured batches → cost model → planner. ----
     if !calibrate {
         return;
     }

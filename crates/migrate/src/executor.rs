@@ -153,7 +153,7 @@ pub struct ExecutorReport {
 /// in a [`VersionedScheme`] one acknowledged batch at a time.
 ///
 /// The executor is deliberately synchronous and single-stepped: callers
-/// (the simulator loop, the bench bin, a future real server) own the
+/// (the bench bin, a serving loop beside a live server) own the
 /// pacing, interleaving foreground work between steps and pausing,
 /// resuming, or aborting at batch boundaries.
 pub struct MigrationExecutor<'a> {

@@ -23,12 +23,9 @@
 //! the [`executor`] owns each batch's copy/verify lifecycle against a
 //! [`schism_store::ShardStore`] and advances that moved-set only on
 //! acknowledgement ([`schism_router::VersionedScheme::flip_batch`]).
-//! Nothing here knows about the simulator: a plan is plain data
-//! ([`MigrationPlan::batches`]), and whoever wants its throughput tax
-//! priced renders each move with the simulator crate's `SimTxn::copy` and
-//! feeds the batches to its `MigrationSource` — this crate's own
-//! integration test does, gating injection on the executor's
-//! acknowledgements.
+//! A plan is plain data ([`MigrationPlan::batches`]); what executing one
+//! costs foreground statements is measured on the real server (the
+//! benchmark's `serve_migrate` workload), not modelled here.
 //!
 //! ```
 //! use schism_migrate::controller::{ControllerConfig, MigrationController, Tick};

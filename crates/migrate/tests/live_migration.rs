@@ -1,104 +1,29 @@
-//! End-to-end: a drifting workload drives the controller, the resulting
-//! plan is executed against in-memory shard stores while the simulator
-//! shows the migration's throughput tax — with routing flips driven by
-//! batch acknowledgements, never ahead of them.
+//! End-to-end: a drifting workload drives the controller, and the
+//! resulting plan is executed against in-memory shard stores until store
+//! contents and routing both match the new placement — with routing flips
+//! driven by batch acknowledgements, never ahead of them.
 
-use schism_core::{build_graph, run_partition_phase, SchismConfig};
-use schism_migrate::{ControllerConfig, MigrationController, MigrationPlan, StepOutcome, Tick};
-use schism_router::{Scheme, VersionedScheme};
-use schism_sim::{run, MigrationSource, PoolSource, SimConfig, SimTxn};
+use schism_core::{build_graph, build_lookup_scheme, run_partition_phase, SchismConfig};
+use schism_migrate::{ControllerConfig, MigrationController, MigrationOutcome, StepOutcome, Tick};
+use schism_router::{PartitionSet, Scheme, VersionedScheme};
 use schism_store::{load_assignment, MemStore, ShardStore};
 use schism_workload::drifting::{self, DriftingConfig};
+use schism_workload::{TupleId, Workload};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 const K: u32 = 4;
 
-/// The plan's copy traffic as the simulator sees it, batch for batch
-/// (drop-only moves render to nothing: no bytes cross the wire).
-fn copy_batches(plan: &MigrationPlan) -> Vec<Vec<SimTxn>> {
-    plan.batches
-        .iter()
-        .map(|b| {
-            b.moves
-                .iter()
-                .filter_map(|m| SimTxn::copy(m.tuple, m.from.first()?, m.copies_added()))
-                .collect()
-        })
-        .collect()
-}
-
-fn controller_at_window0(dcfg: &DriftingConfig) -> MigrationController {
-    let w0 = drifting::window(dcfg, 0);
-    MigrationController::bootstrap(&w0, ControllerConfig::new(K))
-}
-
-#[test]
-fn migration_traffic_costs_throughput_then_recovers() {
-    let dcfg = DriftingConfig {
-        num_txns: 2_000,
-        ..Default::default()
-    };
-    let mut ctl = controller_at_window0(&dcfg);
-    let w2 = drifting::window(&dcfg, 2);
-    let outcome = match ctl.observe(&w2) {
-        Tick::Migrate(m) => m,
-        Tick::Stable(r) => panic!("drift missed: {}", r.distance),
-    };
-    assert!(!outcome.plan.is_empty());
-
-    // Foreground: the drifted window routed through the *new* placement.
-    let scheme = schism_core::build_lookup_scheme(&w2, &w2.trace, ctl.assignment(), K);
-    let pool = SimTxn::from_trace(&w2.trace, &scheme, &*w2.db);
-    let sim_cfg = SimConfig {
-        num_servers: K,
-        num_clients: 40,
-        duration: 4_000_000,
-        warmup: 1_000_000,
-        ..SimConfig::default()
-    };
-    let quiet = run(&sim_cfg, &mut PoolSource::new(pool.clone()));
-
-    // Same foreground plus copy traffic, one move per 2 txns. The plan's
-    // own queue drains in a fraction of the run, so cycle it into a
-    // sustained stream that outlives the measurement window — modeling a
-    // long-running migration at this throttle.
-    let moves: Vec<SimTxn> = copy_batches(&outcome.plan).into_iter().flatten().collect();
-    assert!(!moves.is_empty(), "plan must induce copy transactions");
-    assert!(
-        moves.iter().all(SimTxn::is_distributed),
-        "copies cross servers"
-    );
-    let sustained: Vec<SimTxn> = moves.iter().cloned().cycle().take(60_000).collect();
-    let mut source = MigrationSource::new(PoolSource::new(pool), sustained, 2);
-    let busy = run(&sim_cfg, &mut source);
-    assert!(
-        !source.drained(),
-        "copy stream must outlive the run for the tax to be measurable"
-    );
-
-    assert!(
-        busy.throughput < 0.9 * quiet.throughput,
-        "migration traffic must cost throughput: {} vs {}",
-        busy.throughput,
-        quiet.throughput
-    );
-    assert!(
-        busy.p99_latency_ms > 0.0 && busy.p99_latency_ms >= busy.p95_latency_ms,
-        "mid-migration p99 must be reported: {busy:?}"
-    );
-}
-
-type Placement = std::collections::HashMap<schism_workload::TupleId, schism_router::PartitionSet>;
 type Fixture = (
-    schism_migrate::MigrationOutcome,
-    Placement,
+    MigrationOutcome,
+    HashMap<TupleId, PartitionSet>,
     Arc<dyn Scheme>,
     Arc<dyn Scheme>,
-    schism_workload::Workload,
+    Workload,
 );
 
-/// Builds the drift → plan fixture: outcome, pre-migration placement, and
-/// the old/new lookup schemes.
+/// Drift → plan: bootstrap on window 0, observe window 3. Returns the
+/// outcome, the pre-migration placement, and the old/new lookup schemes.
 fn drifted_fixture(num_txns: usize) -> Fixture {
     let dcfg = DriftingConfig {
         num_txns,
@@ -108,21 +33,14 @@ fn drifted_fixture(num_txns: usize) -> Fixture {
     let cfg = SchismConfig::new(K);
     let wg = build_graph(&w0, &w0.trace, &cfg);
     let prev = run_partition_phase(&wg, &cfg).assignment;
-
     let mut ctl = MigrationController::with_assignment(&w0, prev.clone(), ControllerConfig::new(K));
     let w3 = drifting::window(&dcfg, 3);
     let outcome = match ctl.observe(&w3) {
         Tick::Migrate(m) => m,
         Tick::Stable(r) => panic!("drift missed: {}", r.distance),
     };
-
-    let old: Arc<dyn Scheme> = Arc::new(schism_core::build_lookup_scheme(&w0, &w0.trace, &prev, K));
-    let new: Arc<dyn Scheme> = Arc::new(schism_core::build_lookup_scheme(
-        &w3,
-        &w3.trace,
-        ctl.assignment(),
-        K,
-    ));
+    let old: Arc<dyn Scheme> = Arc::new(build_lookup_scheme(&w0, &w0.trace, &prev, K));
+    let new: Arc<dyn Scheme> = Arc::new(build_lookup_scheme(&w3, &w3.trace, ctl.assignment(), K));
     (outcome, prev, old, new, w3)
 }
 
@@ -177,59 +95,52 @@ fn executed_plan_converges_store_and_router() {
     assert_eq!(finalized.name(), new.name());
 }
 
-/// Regression for the optimistic moved-set advance: with the
-/// acknowledgement-gated source, routing flips happen *inside* the batch
-/// acknowledgement, so the moved-set can never lead the copy traffic the
-/// cluster has actually absorbed.
+/// Routing flips happen inside the batch acknowledgement: after each step
+/// the moved-set holds exactly the acknowledged batches' tuples, and every
+/// tuple of a batch not yet acknowledged still routes by the old placement.
 #[test]
 fn moved_set_never_leads_acknowledged_batches() {
     let (outcome, prev, old, new, w3) = drifted_fixture(1_000);
+    let plan = &outcome.plan;
+    assert!(!plan.is_empty());
 
     let store = MemStore::new(K);
     load_assignment(&store, &prev, &*w3.db).expect("seed store");
-    let vs = VersionedScheme::new(old, new);
+    let vs = VersionedScheme::new(old.clone(), new);
     let mut exec = outcome.executor(&store, &vs);
 
-    // Foreground traffic routed through the versioned scheme (the live
-    // epoch), plus the plan's copy batches gated on executor progress.
-    let pool = SimTxn::from_trace(&w3.trace, &vs, &*w3.db);
-    let batches = copy_batches(&outcome.plan);
-    let total_batches = batches.len();
-    let mut source = MigrationSource::batched(
-        PoolSource::new(pool),
-        batches,
-        1,
-        Some(Box::new(|b| {
-            // The invariant under test: when batch b's traffic has just
-            // been issued, exactly b batches have been acknowledged.
-            assert_eq!(
-                vs.flipped_batches(),
-                b as u64,
-                "moved-set led the acknowledgement at batch {b}"
-            );
-            let flipped = matches!(exec.step(), StepOutcome::Flipped(_));
-            assert!(flipped, "batch {b} must execute cleanly");
-            assert_eq!(vs.flipped_batches(), b as u64 + 1);
-            true
-        })),
-    );
-    let sim_cfg = SimConfig {
-        num_servers: K,
-        num_clients: 40,
-        duration: 8_000_000,
-        warmup: 500_000,
-        ..SimConfig::default()
-    };
-    let report = run(&sim_cfg, &mut source);
-    assert!(report.completed > 0);
+    let mut acknowledged_tuples = 0;
+    for (b, batch) in plan.batches.iter().enumerate() {
+        // A paused executor acknowledges nothing, so nothing flips.
+        exec.pause();
+        assert_eq!(exec.step(), StepOutcome::Paused);
+        exec.resume();
 
-    // However far the run got, flips equal acknowledged batches exactly.
-    let issued = source.batches_issued();
-    assert_eq!(vs.flipped_batches(), issued as u64);
-    assert!(
-        issued > 0,
-        "sim run must make migration progress (plan has {total_batches} batches)"
-    );
-    drop(source);
-    assert_eq!(exec.progress().0, issued);
+        assert_eq!(
+            vs.flipped_batches(),
+            b as u64,
+            "moved-set led the acknowledgement at batch {b}"
+        );
+        assert_eq!(vs.moved_count(), acknowledged_tuples);
+        for m in plan.batches[b..].iter().flat_map(|later| &later.moves) {
+            assert!(!vs.is_moved(m.tuple), "tuple {} moved early", m.tuple);
+            assert_eq!(
+                vs.locate_tuple(m.tuple, &*w3.db),
+                old.locate_tuple(m.tuple, &*w3.db)
+            );
+        }
+
+        match exec.step() {
+            StepOutcome::Flipped(r) => assert_eq!(r.batch, b),
+            other => panic!("batch {b} must execute cleanly: {other:?}"),
+        }
+        acknowledged_tuples += batch.moves.len();
+        assert_eq!(vs.flipped_batches(), b as u64 + 1);
+        assert_eq!(vs.moved_count(), acknowledged_tuples);
+        assert!(batch.moves.iter().all(|m| vs.is_moved(m.tuple)));
+        assert_eq!(exec.progress().0, b + 1);
+    }
+    assert_eq!(exec.step(), StepOutcome::Done);
+    assert_eq!(vs.flipped_batches(), plan.batches.len() as u64);
+    assert_eq!(vs.moved_count(), plan.total_moves);
 }

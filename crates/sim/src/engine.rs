@@ -11,9 +11,9 @@
 use crate::config::{Micros, SimConfig};
 use crate::locks::{LockManager, LockMode, LockResult};
 use crate::metrics::{SimReport, SimStats};
-use crate::txn::{SimTxn, TxnSource};
+use crate::txn::SimTxn;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 
@@ -63,15 +63,20 @@ impl ActiveTxn {
 }
 
 /// Runs one simulation to completion and reports the measurement window.
-pub fn run(cfg: &SimConfig, source: &mut dyn TxnSource) -> SimReport {
-    let mut sim = Sim::new(cfg);
-    sim.bootstrap(source);
-    sim.run_loop(source);
+///
+/// Each client draws its next transaction uniformly (with replacement)
+/// from `pool`, so the offered mix is stationary for the whole run.
+pub fn run(cfg: &SimConfig, pool: &[SimTxn]) -> SimReport {
+    assert!(!pool.is_empty(), "empty transaction pool");
+    let mut sim = Sim::new(cfg, pool);
+    sim.bootstrap();
+    sim.run_loop();
     SimReport::from_stats(sim.stats, cfg.duration - cfg.warmup)
 }
 
 struct Sim<'a> {
     cfg: &'a SimConfig,
+    pool: &'a [SimTxn],
     clock: Micros,
     seq: u64,
     events: BinaryHeap<Reverse<(Micros, u64, Event)>>,
@@ -84,9 +89,10 @@ struct Sim<'a> {
 }
 
 impl<'a> Sim<'a> {
-    fn new(cfg: &'a SimConfig) -> Self {
+    fn new(cfg: &'a SimConfig, pool: &'a [SimTxn]) -> Self {
         Self {
             cfg,
+            pool,
             clock: 0,
             seq: 0,
             events: BinaryHeap::new(),
@@ -113,21 +119,21 @@ impl<'a> Sim<'a> {
         start + work
     }
 
-    fn bootstrap(&mut self, _source: &mut dyn TxnSource) {
+    fn bootstrap(&mut self) {
         for c in 0..self.cfg.num_clients {
             // Staggered start to avoid a synchronized thundering herd.
             self.push((c as Micros) * 137 % 10_000, Event::ClientStart(c));
         }
     }
 
-    fn run_loop(&mut self, source: &mut dyn TxnSource) {
+    fn run_loop(&mut self) {
         while let Some(Reverse((at, _, ev))) = self.events.pop() {
             if at > self.cfg.duration {
                 break;
             }
             self.clock = at;
             match ev {
-                Event::ClientStart(c) => self.client_start(c, source),
+                Event::ClientStart(c) => self.client_start(c),
                 Event::OpArrive(id) => self.op_arrive(id),
                 Event::OpDone(id) => self.op_done(id),
                 Event::PrepareDone(id, s) => self.prepare_done(id, s),
@@ -137,8 +143,8 @@ impl<'a> Sim<'a> {
         }
     }
 
-    fn client_start(&mut self, client: u32, source: &mut dyn TxnSource) {
-        let txn = source.next_txn(client, &mut self.rng);
+    fn client_start(&mut self, client: u32) {
+        let txn = self.pool[self.rng.gen_range(0..self.pool.len())].clone();
         debug_assert!(!txn.ops.is_empty());
         let id = self.next_id;
         self.next_id += 1;
@@ -306,9 +312,9 @@ impl<'a> Sim<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::txn::{PoolSource, SimOp};
+    use crate::txn::SimOp;
 
-    fn point_read_pool(servers: u32, distributed: bool) -> PoolSource {
+    fn point_read_pool(servers: u32, distributed: bool) -> Vec<SimTxn> {
         // Two point reads per txn over distinct keys; either colocated or
         // forced across two servers (the §3 experiment).
         let mut pool = Vec::new();
@@ -337,7 +343,7 @@ mod tests {
                 ],
             });
         }
-        PoolSource::new(pool)
+        pool
     }
 
     #[test]
@@ -347,8 +353,8 @@ mod tests {
             num_clients: 90,
             ..SimConfig::figure1(3)
         };
-        let local = run(&cfg, &mut point_read_pool(3, false));
-        let dist = run(&cfg, &mut point_read_pool(3, true));
+        let local = run(&cfg, &point_read_pool(3, false));
+        let dist = run(&cfg, &point_read_pool(3, true));
         assert!(local.throughput > 0.0 && dist.throughput > 0.0);
         let ratio = local.throughput / dist.throughput;
         assert!(
@@ -372,14 +378,14 @@ mod tests {
                 num_clients: 60,
                 ..SimConfig::figure1(1)
             },
-            &mut point_read_pool(1, false),
+            &point_read_pool(1, false),
         );
         let t4 = run(
             &SimConfig {
                 num_clients: 240,
                 ..SimConfig::figure1(4)
             },
-            &mut point_read_pool(4, false),
+            &point_read_pool(4, false),
         );
         let speedup = t4.throughput / t1.throughput;
         assert!(
@@ -427,8 +433,8 @@ mod tests {
             num_clients: 40,
             ..SimConfig::figure1(1)
         };
-        let hot_rep = run(&cfg, &mut PoolSource::new(vec![hot]));
-        let cold_rep = run(&cfg, &mut PoolSource::new(cold_pool));
+        let hot_rep = run(&cfg, &[hot]);
+        let cold_rep = run(&cfg, &cold_pool);
         assert!(
             hot_rep.throughput < 0.6 * cold_rep.throughput,
             "contention must cost throughput: hot {} vs cold {}",
@@ -462,7 +468,7 @@ mod tests {
             num_clients: 16,
             ..SimConfig::figure1(1)
         };
-        let rep = run(&cfg, &mut PoolSource::new(pool));
+        let rep = run(&cfg, &pool);
         assert!(rep.completed > 100, "completed {}", rep.completed);
     }
 
@@ -472,9 +478,46 @@ mod tests {
             num_clients: 30,
             ..SimConfig::figure1(2)
         };
-        let a = run(&cfg, &mut point_read_pool(2, true));
-        let b = run(&cfg, &mut point_read_pool(2, true));
+        let a = run(&cfg, &point_read_pool(2, true));
+        let b = run(&cfg, &point_read_pool(2, true));
         assert_eq!(a.completed, b.completed);
         assert!((a.mean_latency_ms - b.mean_latency_ms).abs() < 1e-12);
+    }
+
+    #[test]
+    fn draws_uniformly_from_the_pool() {
+        let local = SimTxn {
+            ops: vec![SimOp {
+                server: 0,
+                key: (0, 1),
+                write: false,
+            }],
+        };
+        let distributed = SimTxn {
+            ops: vec![
+                SimOp {
+                    server: 0,
+                    key: (0, 2),
+                    write: false,
+                },
+                SimOp {
+                    server: 1,
+                    key: (0, 3),
+                    write: false,
+                },
+            ],
+        };
+        let cfg = SimConfig {
+            warmup: 200_000,
+            duration: 1_200_000,
+            ..SimConfig::figure1(2)
+        };
+        let rep = run(&cfg, &[local, distributed]);
+        assert!(
+            (0.45..=0.55).contains(&rep.distributed_fraction),
+            "{} of {} completed were distributed",
+            rep.distributed_fraction,
+            rep.completed
+        );
     }
 }

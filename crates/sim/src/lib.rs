@@ -12,6 +12,10 @@
 //! contention; 16 warehouses/server scales near-linearly). Absolute numbers
 //! depend on calibration constants in [`SimConfig`], documented as the
 //! Table 2 substitution.
+//!
+//! It models no data movement: what a live migration costs foreground
+//! statements is measured on the real server, by the benchmark's
+//! `serve_migrate` workload.
 
 pub mod config;
 pub mod engine;
@@ -23,4 +27,4 @@ pub use config::{Micros, SimConfig};
 pub use engine::run;
 pub use locks::{Key, LockManager, LockMode, LockResult};
 pub use metrics::{SimReport, SimStats};
-pub use txn::{BatchAckFn, MigrationSource, PoolSource, SimOp, SimTxn, TxnSource};
+pub use txn::{SimOp, SimTxn};

@@ -1,4 +1,4 @@
-//! Simulation output: throughput, latency distribution, aborts.
+//! Simulation output: throughput, mean latency, aborts.
 
 use crate::config::Micros;
 
@@ -8,7 +8,8 @@ pub struct SimStats {
     pub completed: u64,
     pub distributed_completed: u64,
     pub aborts: u64,
-    pub latencies: Vec<Micros>,
+    /// Sum of the completed transactions' latencies.
+    pub latency_sum: Micros,
 }
 
 impl SimStats {
@@ -17,7 +18,7 @@ impl SimStats {
         if distributed {
             self.distributed_completed += 1;
         }
-        self.latencies.push(latency);
+        self.latency_sum += latency;
     }
 }
 
@@ -28,38 +29,22 @@ pub struct SimReport {
     pub throughput: f64,
     /// Mean latency in milliseconds.
     pub mean_latency_ms: f64,
-    /// 95th percentile latency in milliseconds.
-    pub p95_latency_ms: f64,
-    /// 99th percentile latency in milliseconds — the number a live
-    /// migration's QoS is judged on.
-    pub p99_latency_ms: f64,
     pub completed: u64,
     pub aborts: u64,
     pub distributed_fraction: f64,
 }
 
 impl SimReport {
-    pub fn from_stats(mut stats: SimStats, window: Micros) -> Self {
-        stats.latencies.sort_unstable();
-        let n = stats.latencies.len();
+    pub fn from_stats(stats: SimStats, window: Micros) -> Self {
+        let n = stats.completed;
         let mean = if n == 0 {
             0.0
         } else {
-            stats.latencies.iter().sum::<u64>() as f64 / n as f64 / 1_000.0
+            stats.latency_sum as f64 / n as f64 / 1_000.0
         };
-        let pct = |q: f64| {
-            if n == 0 {
-                0.0
-            } else {
-                stats.latencies[(n as f64 * q) as usize % n] as f64 / 1_000.0
-            }
-        };
-        let (p95, p99) = (pct(0.95), pct(0.99));
         SimReport {
             throughput: stats.completed as f64 / (window as f64 / 1_000_000.0),
             mean_latency_ms: mean,
-            p95_latency_ms: p95,
-            p99_latency_ms: p99,
             completed: stats.completed,
             aborts: stats.aborts,
             distributed_fraction: if stats.completed == 0 {
@@ -87,8 +72,6 @@ mod tests {
         assert!((r.mean_latency_ms - 2.5).abs() < 1e-9);
         assert!((r.distributed_fraction - 0.5).abs() < 1e-9);
         assert_eq!(r.aborts, 2);
-        assert!((r.p99_latency_ms - 4.0).abs() < 1e-9);
-        assert!(r.p99_latency_ms >= r.p95_latency_ms);
     }
 
     #[test]

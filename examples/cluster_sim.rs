@@ -8,7 +8,7 @@
 //! ```
 
 use schism_router::{HashScheme, PartitionSet, RangeRule, RangeScheme, TablePolicy};
-use schism_sim::{run, PoolSource, SimConfig, SimTxn};
+use schism_sim::{run, SimConfig, SimTxn};
 use schism_workload::simplecount::{self, AccessMode, SimpleCountConfig};
 
 fn main() {
@@ -55,14 +55,8 @@ fn main() {
         "simulating {} servers, {} clients, 10 simulated seconds each...\n",
         servers, sim_cfg.num_clients
     );
-    let a = run(
-        &sim_cfg,
-        &mut PoolSource::new(SimTxn::from_trace(&w.trace, &aligned, &*w.db)),
-    );
-    let b = run(
-        &sim_cfg,
-        &mut PoolSource::new(SimTxn::from_trace(&w.trace, &hashed, &*w.db)),
-    );
+    let a = run(&sim_cfg, &SimTxn::from_trace(&w.trace, &aligned, &*w.db));
+    let b = run(&sim_cfg, &SimTxn::from_trace(&w.trace, &hashed, &*w.db));
 
     println!(
         "aligned ranges : {:>7.0} txn/s, {:>5.2} ms mean latency, {:>4.1}% distributed",

@@ -115,8 +115,14 @@ proptest! {
 
         let mut exec = MigrationExecutor::new(&plan, &store, &vs, ExecutorConfig::default());
         let stop_after = stop_pick % (plan.batches.len() + 1);
-        for _ in 0..stop_after {
-            prop_assert!(matches!(exec.step(), StepOutcome::Flipped(_)));
+        // The moved-set advances with each acknowledged batch, never ahead.
+        for i in 0..stop_after {
+            match exec.step() {
+                StepOutcome::Flipped(b) => prop_assert_eq!(b.batch, i),
+                other => prop_assert!(false, "batch {} did not flip: {:?}", i, other),
+            }
+            prop_assert_eq!(vs.flipped_batches(), i as u64 + 1);
+            prop_assert_eq!(exec.progress().0, i + 1);
         }
         exec.abort();
         prop_assert_eq!(exec.step(), StepOutcome::Done);

@@ -1,5 +1,5 @@
 //! The crate map, pinned: what a deployment links names nothing that
-//! exists to model or measure it, and a manifest lists a dependency only
+//! exists to model or measure it, nor do its crates' tests, and a manifest lists a dependency only
 //! if the crate's own source uses it. Read straight off the
 //! `crates/*/Cargo.toml` files, so an edge cannot drift back unnoticed.
 
@@ -26,13 +26,14 @@ fn crates_dir() -> PathBuf {
         .to_path_buf()
 }
 
-/// The package names in the `[dependencies]` table of `crates/<krate>`.
-fn dependencies(krate: &Path) -> Vec<String> {
+/// The package names in the `table` section (`"[dependencies]"`,
+/// `"[dev-dependencies]"`) of `crates/<krate>`'s manifest.
+fn dependencies(krate: &Path, table: &str) -> Vec<String> {
     let path = krate.join("Cargo.toml");
     let manifest = fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
     manifest
         .lines()
-        .skip_while(|l| l.trim() != "[dependencies]")
+        .skip_while(|l| l.trim() != table)
         .skip(1)
         .take_while(|l| !l.starts_with('['))
         .map(|l| l.split(['.', '=', ' ']).next().unwrap_or_default())
@@ -58,11 +59,20 @@ fn source_under(dir: &Path) -> String {
 #[test]
 fn product_crates_name_no_simulator_or_test_tooling() {
     for krate in PRODUCT {
-        let deps = dependencies(&crates_dir().join(krate));
+        let deps = dependencies(&crates_dir().join(krate), "[dependencies]");
         for banned in NOT_FOR_PRODUCT {
             assert!(
                 !deps.iter().any(|d| d == banned),
                 "crates/{krate} [dependencies] names {banned}"
+            );
+        }
+        // A product crate's tests check the product, not a model or a
+        // measurement of it (`proptest` is test tooling, and is allowed).
+        let dev_deps = dependencies(&crates_dir().join(krate), "[dev-dependencies]");
+        for banned in ["schism-sim", "schism-bench"] {
+            assert!(
+                !dev_deps.iter().any(|d| d == banned),
+                "crates/{krate} [dev-dependencies] names {banned}"
             );
         }
     }
@@ -74,7 +84,7 @@ fn every_listed_dependency_is_used_by_the_crates_source() {
     for entry in fs::read_dir(crates_dir()).expect("crates/") {
         let krate = entry.expect("dir entry").path();
         let source = source_under(&krate.join("src"));
-        for dep in dependencies(&krate) {
+        for dep in dependencies(&krate, "[dependencies]") {
             seen += 1;
             assert!(
                 source.contains(&dep.replace('-', "_")),

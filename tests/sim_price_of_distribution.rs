@@ -3,7 +3,7 @@
 //! latency versus single-partition execution of the same work.
 
 use schism_router::{PartitionSet, RangeRule, RangeScheme, TablePolicy};
-use schism_sim::{run, PoolSource, SimConfig, SimTxn};
+use schism_sim::{run, SimConfig, SimTxn};
 use schism_workload::simplecount::{self, AccessMode, SimpleCountConfig};
 
 fn stripes(rows: u64, servers: u32) -> RangeScheme {
@@ -51,7 +51,7 @@ fn distributed_transactions_halve_throughput() {
             duration: 6_000_000,
             ..SimConfig::figure1(servers)
         };
-        results.push(run(&cfg, &mut PoolSource::new(pool)));
+        results.push(run(&cfg, &pool));
     }
     let (single, dist) = (&results[0], &results[1]);
     assert!(
