@@ -16,19 +16,30 @@
 //! Mutations are *staged* in the log and take effect only at a `COMMIT`
 //! record whose `ops` count matches the staged run — `apply_batch`
 //! appends all of its op records plus the commit marker in a single
-//! write, so a crash anywhere inside the batch leaves a tail that replay
-//! refuses to apply. On open, each segment is scanned record by record;
-//! the first torn record (short read, checksum mismatch, bad tag, or a
-//! commit whose count disagrees) ends the committed prefix and the file
-//! is truncated back to it. Acknowledged batches survive; torn tails are
-//! discarded — exactly the all-or-nothing contract [`MemStore`] provides
-//! in memory.
+//! positioned write at the committed tail, so a crash anywhere inside the
+//! batch leaves a tail that replay refuses to apply. On open, each
+//! segment is scanned record by record; the first torn record (short
+//! read, checksum mismatch, bad tag, or a commit whose count disagrees)
+//! ends the committed prefix and the file is truncated back to it.
+//! Acknowledged batches survive; torn tails are discarded — exactly the
+//! all-or-nothing contract [`MemStore`] provides in memory.
+//!
+//! With [`LogStoreConfig::sync_commits`] on, a commit that would run past
+//! the file's length first grows the file, sparsely, to the next multiple
+//! of [`EXTENT`]. That commit's `fdatasync` carries the one size change;
+//! the commits after it land inside the file and flush only data, where
+//! an append past EOF would make every `fdatasync` journal a new inode
+//! size too. The unwritten rest of the extent reads as zeros, and a zero
+//! header (`len` 0, `crc` 0) fails its checksum, so replay ends there
+//! like at any torn record and `open` truncates it away. Without syncing,
+//! the file is exactly the committed records.
 //!
 //! Overwrites and deletes strand dead records in the segment; when a
 //! segment exceeds [`LogStoreConfig::compact_min_bytes`] and its dead
 //! fraction reaches one half (`COMPACT_DEAD_RATIO`), the shard is
 //! rewritten live-records-only into a sibling `.tmp` file which is
-//! fsynced and atomically renamed over the segment.
+//! fsynced and atomically renamed over the segment, and the directory is
+//! fsynced so the rename itself survives a power loss.
 //!
 //! [`MemStore`]: crate::MemStore
 
@@ -38,8 +49,9 @@ use schism_sql::TableId;
 use schism_workload::TupleId;
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::{Read, Write};
 use std::ops::Range;
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, RwLock};
 
@@ -59,6 +71,16 @@ const COMPACT_OPS_PER_COMMIT: u32 = 1 << 20;
 /// A segment of at least [`LogStoreConfig::compact_min_bytes`] compacts
 /// when `1 - live_record_bytes / segment_bytes` reaches this fraction.
 const COMPACT_DEAD_RATIO: f64 = 0.5;
+/// Under [`LogStoreConfig::sync_commits`], segments grow in sparse steps
+/// of this many bytes, so one commit's `fdatasync` in ~3 000 (at ~90-byte
+/// records) journals a size change instead of every one of them.
+pub const EXTENT: u64 = 256 << 10;
+/// Every shard and fault lock is held only across index and accounting
+/// updates that cannot fail and file I/O whose failures return
+/// [`StoreError::Io`]. A poisoned lock therefore means a panic (a bug, or
+/// a panicking [`FaultHook`]) interrupted a mutation, after which the
+/// index may disagree with the segment: refusing to go on is the answer.
+const POISONED: &str = "LogStore lock poisoned by a panic mid-mutation";
 
 const TAG_PUT: u8 = 0x01;
 const TAG_DELETE: u8 = 0x02;
@@ -73,6 +95,7 @@ pub struct LogStoreConfig {
     /// `fdatasync` after every commit record. Off by default: the store's
     /// crash model in tests and benches is process kill (OS page cache
     /// survives), and the executor's verify pass re-reads what it wrote.
+    /// When on, segments grow in sparse [`EXTENT`]s (see the module docs).
     pub sync_commits: bool,
 }
 
@@ -104,8 +127,11 @@ struct ShardLog {
     file: File,
     path: PathBuf,
     index: BTreeMap<TupleId, ValueRef>,
-    /// Committed end of the segment (= file length after open/truncate).
+    /// Committed end of the segment: where the next commit is written.
     tail: u64,
+    /// File length: `tail`, plus under `sync_commits` the unwritten rest
+    /// of the last [`EXTENT`].
+    len: u64,
     /// Sum of `vlen` over the index — what [`ShardStats::bytes`] reports.
     live_payload: u64,
     /// Sum of `record_len` over the index; `tail - live_record` is the
@@ -182,7 +208,10 @@ fn parse_body(body: &[u8]) -> Option<Rec> {
             let vlen = u32::from_le_bytes(body.get(11..15)?.try_into().ok()?);
             (body.len() as u64 == PUT_FIXED + u64::from(vlen)).then_some(Rec::Put { t, vlen })
         }
-        TAG_DELETE => (body.len() == 11).then(|| Rec::Delete(tuple(body).unwrap())),
+        TAG_DELETE => {
+            let t = tuple(body)?;
+            (body.len() == 11).then_some(Rec::Delete(t))
+        }
         TAG_COMMIT => {
             let ops = u32::from_le_bytes(body.get(1..5)?.try_into().ok()?);
             (body.len() == 5).then_some(Rec::Commit(ops))
@@ -211,6 +240,7 @@ impl ShardLog {
             path,
             index: BTreeMap::new(),
             tail: 0,
+            len: 0,
             live_payload: 0,
             live_record: 0,
             compactions: 0,
@@ -222,32 +252,36 @@ impl ShardLog {
                 .map_err(|e| io_err("truncate torn tail of", &log.path, e))?;
         }
         log.tail = committed;
+        log.len = committed;
         Ok(log)
     }
 
-    /// Scans records from the start of the file, applying staged ops at
-    /// each valid commit. Returns the end offset of the committed prefix.
+    /// Scans records from the start of the just-opened file (every other
+    /// access is positioned, so the cursor is still at 0), applying staged
+    /// ops at each valid commit. Returns the end offset of the committed
+    /// prefix.
     fn replay(&mut self, file_len: u64) -> Result<u64, StoreError> {
-        self.file
-            .seek(SeekFrom::Start(0))
-            .map_err(|e| io_err("seek", &self.path, e))?;
-        let mut reader = std::io::BufReader::new(&mut self.file);
+        let mut reader = std::io::BufReader::new(&self.file);
         let mut pos = 0u64;
         let mut committed = 0u64;
         let mut staged: Vec<Staged> = Vec::new();
         loop {
-            let mut header = [0u8; HEADER_LEN as usize];
-            if pos + HEADER_LEN > file_len || reader.read_exact(&mut header).is_err() {
+            let (mut len, mut crc) = ([0u8; 4], [0u8; 8]);
+            if pos + HEADER_LEN > file_len
+                || reader
+                    .read_exact(&mut len)
+                    .and_then(|()| reader.read_exact(&mut crc))
+                    .is_err()
+            {
                 break; // clean EOF or torn header
             }
-            let len = u32::from_le_bytes(header[0..4].try_into().unwrap());
-            let crc = u64::from_le_bytes(header[4..12].try_into().unwrap());
+            let (len, crc) = (u32::from_le_bytes(len), u64::from_le_bytes(crc));
             if len > MAX_BODY || pos + HEADER_LEN + u64::from(len) > file_len {
                 break; // body would run past EOF: torn
             }
             let mut body = vec![0u8; len as usize];
             if reader.read_exact(&mut body).is_err() || fnv1a(&body) != crc {
-                break; // torn or bit-rotted body
+                break; // torn or bit-rotted body, or the zeros of an extent
             }
             let rec_end = pos + HEADER_LEN + u64::from(len);
             match parse_body(&body) {
@@ -282,11 +316,15 @@ impl ShardLog {
         Ok(committed)
     }
 
-    /// Appends `buf` (op records + their commit) at the committed tail.
-    /// `fault` fires [`sync_points::LOG_SYNC`](crate::fault::sync_points)
-    /// after the write but before the `fdatasync` — the commit is not
-    /// acknowledged until the hook returns *and* the sync completes, so an
-    /// injected stall delays the ack rather than letting it race ahead of
+    /// Writes `buf` (op records + their commit) at the committed tail.
+    /// With `sync` on, a write that would cross the file's length first
+    /// grows it, sparsely, to the next multiple of [`EXTENT`], so this
+    /// commit's `fdatasync` carries the size change and the next ones
+    /// flush only data. `fault` fires
+    /// [`sync_points::LOG_SYNC`](crate::fault::sync_points) after the
+    /// write but before the `fdatasync` — the commit is not acknowledged
+    /// until the hook returns *and* the sync completes, so an injected
+    /// stall delays the ack rather than letting it race ahead of
     /// durability.
     fn append(
         &mut self,
@@ -294,11 +332,16 @@ impl ShardLog {
         sync: bool,
         fault: Option<(&dyn FaultHook, ShardId)>,
     ) -> Result<(), StoreError> {
+        let end = self.tail + buf.len() as u64;
+        if sync && end > self.len {
+            let len = end.div_ceil(EXTENT) * EXTENT;
+            self.file
+                .set_len(len)
+                .map_err(|e| io_err("extend", &self.path, e))?;
+            self.len = len;
+        }
         self.file
-            .seek(SeekFrom::Start(self.tail))
-            .map_err(|e| io_err("seek", &self.path, e))?;
-        self.file
-            .write_all(buf)
+            .write_all_at(buf, self.tail)
             .map_err(|e| io_err("append to", &self.path, e))?;
         if sync {
             if let Some((hook, shard)) = fault {
@@ -308,18 +351,16 @@ impl ShardLog {
                 .sync_data()
                 .map_err(|e| io_err("sync", &self.path, e))?;
         }
-        self.tail += buf.len() as u64;
+        self.tail = end;
+        self.len = self.len.max(end);
         Ok(())
     }
 
     /// Reads one live value out of the segment.
-    fn read_value(&mut self, vref: ValueRef) -> Result<Vec<u8>, StoreError> {
-        self.file
-            .seek(SeekFrom::Start(vref.offset))
-            .map_err(|e| io_err("seek", &self.path, e))?;
+    fn read_value(&self, vref: ValueRef) -> Result<Vec<u8>, StoreError> {
         let mut value = vec![0u8; vref.vlen as usize];
         self.file
-            .read_exact(&mut value)
+            .read_exact_at(&mut value, vref.offset)
             .map_err(|e| io_err("read value from", &self.path, e))?;
         Ok(value)
     }
@@ -332,7 +373,8 @@ impl ShardLog {
 
     /// Rewrites the segment live-records-only: stream every indexed row
     /// into `<segment>.tmp` (committing every [`COMPACT_OPS_PER_COMMIT`]
-    /// ops), fsync, then atomically rename over the segment.
+    /// ops), fsync, atomically rename over the segment, then fsync the
+    /// directory so the rename outlives a power loss.
     fn compact(&mut self) -> Result<(), StoreError> {
         let tmp_path = {
             let mut os = self.path.clone().into_os_string();
@@ -345,8 +387,7 @@ impl ShardLog {
         let mut new_tail = 0u64;
         let mut pending = 0u32;
         let mut buf = Vec::new();
-        let entries: Vec<(TupleId, ValueRef)> = self.index.iter().map(|(&t, &v)| (t, v)).collect();
-        for (t, vref) in entries {
+        for (&t, &vref) in &self.index {
             let value = self.read_value(vref)?;
             buf.clear();
             encode_put(&mut buf, t, &value);
@@ -392,9 +433,23 @@ impl ShardLog {
         self.live_payload = new_index.values().map(|v| u64::from(v.vlen)).sum();
         self.index = new_index;
         self.tail = new_tail;
+        self.len = new_tail;
         self.compactions += 1;
-        Ok(())
+        sync_dir(self.path.parent().unwrap_or(Path::new(".")))
     }
+}
+
+/// Makes the entries of `dir` durable: a created segment or `MANIFEST`, or
+/// a compacted segment renamed over its original.
+fn sync_dir(dir: &Path) -> Result<(), StoreError> {
+    let dir = if dir.as_os_str().is_empty() {
+        Path::new(".")
+    } else {
+        dir
+    };
+    File::open(dir)
+        .and_then(|d| d.sync_all())
+        .map_err(|e| io_err("sync directory", dir, e))
 }
 
 /// Applies one committed mutation to the index, keeping the live
@@ -454,6 +509,9 @@ impl LogStore {
         let dir = dir.as_ref().to_path_buf();
         std::fs::create_dir_all(&dir).map_err(|e| io_err("create store dir", &dir, e))?;
         let manifest = dir.join("MANIFEST");
+        // Whether this open made a directory entry: then the directory is
+        // synced before the store acknowledges anything.
+        let mut created = false;
         match std::fs::read_to_string(&manifest) {
             Ok(text) => {
                 let found = text
@@ -474,12 +532,20 @@ impl LogStore {
                     format!("schism-logstore v1\nshards={num_shards}\n"),
                 )
                 .map_err(|e| io_err("write", &manifest, e))?;
+                created = true;
             }
             Err(e) => return Err(io_err("read", &manifest, e)),
         }
         let shards = (0..num_shards)
-            .map(|s| ShardLog::open(Self::segment_path_in(&dir, s)).map(Mutex::new))
+            .map(|s| {
+                let path = Self::segment_path_in(&dir, s);
+                created |= !path.exists();
+                ShardLog::open(path).map(Mutex::new)
+            })
             .collect::<Result<Vec<_>, _>>()?;
+        if created {
+            sync_dir(&dir)?;
+        }
         Ok(Self {
             dir,
             cfg,
@@ -494,11 +560,11 @@ impl LogStore {
     /// commit. Only meaningful with
     /// [`sync_commits`](LogStoreConfig::sync_commits) enabled.
     pub fn set_fault_hook(&self, hook: Option<Arc<dyn FaultHook>>) {
-        *self.fault.write().expect("fault lock poisoned") = hook;
+        *self.fault.write().expect(POISONED) = hook;
     }
 
     fn fault_hook(&self) -> Option<Arc<dyn FaultHook>> {
-        self.fault.read().expect("fault lock poisoned").clone()
+        self.fault.read().expect(POISONED).clone()
     }
 
     fn segment_path_in(dir: &Path, shard: ShardId) -> PathBuf {
@@ -523,34 +589,36 @@ impl LogStore {
     }
 
     fn locked(&self, shard: ShardId) -> Result<std::sync::MutexGuard<'_, ShardLog>, StoreError> {
-        Ok(self.shard(shard)?.lock().expect("shard lock poisoned"))
+        Ok(self.shard(shard)?.lock().expect(POISONED))
+    }
+
+    /// `f` summed over every shard.
+    fn sum_shards(&self, f: impl Fn(&ShardLog) -> u64) -> u64 {
+        self.shards
+            .iter()
+            .map(|s| f(&s.lock().expect(POISONED)))
+            .sum()
     }
 
     /// Total compaction rewrites across all shards since open.
     pub fn compactions(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.lock().expect("shard lock poisoned").compactions)
-            .sum()
+        self.sum_shards(|log| log.compactions)
     }
 
-    /// Current on-disk size of `shard`'s segment in bytes.
+    /// Committed size of `shard`'s segment in bytes. Under `sync_commits`
+    /// the file can be longer: the sparse rest of its last [`EXTENT`].
     pub fn segment_bytes(&self, shard: ShardId) -> Result<u64, StoreError> {
         Ok(self.locked(shard)?.tail)
     }
 
     /// Total live rows across all shards.
     pub fn total_rows(&self) -> u64 {
-        (0..self.num_shards())
-            .map(|s| self.stats(s).expect("shard in range").rows)
-            .sum()
+        self.sum_shards(|log| log.index.len() as u64)
     }
 
     /// Total live payload bytes across all shards.
     pub fn total_bytes(&self) -> u64 {
-        (0..self.num_shards())
-            .map(|s| self.stats(s).expect("shard in range").bytes)
-            .sum()
+        self.sum_shards(|log| log.live_payload)
     }
 
     /// Forces `fdatasync` on every segment (epoch boundaries; tests).
@@ -620,7 +688,7 @@ impl ShardStore for LogStore {
     }
 
     fn get(&self, shard: ShardId, t: TupleId) -> Result<Option<Vec<u8>>, StoreError> {
-        let mut guard = self.locked(shard)?;
+        let guard = self.locked(shard)?;
         match guard.index.get(&t).copied() {
             Some(vref) => Ok(Some(guard.read_value(vref)?)),
             None => Ok(None),
@@ -663,17 +731,14 @@ impl ShardStore for LogStore {
         table: TableId,
         rows: Range<u64>,
     ) -> Result<Vec<(TupleId, Vec<u8>)>, StoreError> {
-        let mut guard = self.locked(shard)?;
+        let guard = self.locked(shard)?;
         if rows.start >= rows.end {
             return Ok(Vec::new()); // BTreeMap::range panics on start > end
         }
-        let refs: Vec<(TupleId, ValueRef)> = guard
+        guard
             .index
             .range(TupleId::new(table, rows.start)..TupleId::new(table, rows.end))
-            .map(|(&t, &v)| (t, v))
-            .collect();
-        refs.into_iter()
-            .map(|(t, vref)| Ok((t, guard.read_value(vref)?)))
+            .map(|(&t, &vref)| Ok((t, guard.read_value(vref)?)))
             .collect()
     }
 
@@ -844,45 +909,77 @@ mod tests {
 
     #[test]
     fn compaction_reclaims_dead_space_and_preserves_rows() {
-        let dir = TempDir::new("logstore-compact").unwrap();
-        let cfg = LogStoreConfig {
-            compact_min_bytes: 512,
-            sync_commits: false,
-        };
-        let s = LogStore::with_config(dir.path(), 1, cfg).unwrap();
-        // Overwrite the same few keys many times: almost all records dead.
-        for round in 0..50u64 {
+        for sync_commits in [false, true] {
+            let dir = TempDir::new("logstore-compact").unwrap();
+            let cfg = LogStoreConfig {
+                compact_min_bytes: 512,
+                sync_commits,
+            };
+            let s = LogStore::with_config(dir.path(), 1, cfg).unwrap();
+            // Overwrite the same few keys many times: almost all records dead.
+            for round in 0..50u64 {
+                for row in 0..4u64 {
+                    s.put(0, t(row), vec![round as u8; 64]).unwrap();
+                }
+            }
+            assert!(s.compactions() > 0, "dead-ratio trigger fired");
+            let seg = s.segment_bytes(0).unwrap();
+            assert!(
+                seg < 4 * (put_record_len(64) + commit_record_len()) + 512,
+                "segment stays near live size, got {seg}"
+            );
             for row in 0..4u64 {
-                s.put(0, t(row), vec![round as u8; 64]).unwrap();
+                assert_eq!(s.get(0, t(row)).unwrap(), Some(vec![49; 64]));
             }
-        }
-        assert!(s.compactions() > 0, "dead-ratio trigger fired");
-        let seg = s.segment_bytes(0).unwrap();
-        assert!(
-            seg < 4 * (put_record_len(64) + commit_record_len()) + 512,
-            "segment stays near live size, got {seg}"
-        );
-        for row in 0..4u64 {
-            assert_eq!(s.get(0, t(row)).unwrap(), Some(vec![49; 64]));
-        }
-        assert_eq!(
-            s.stats(0).unwrap(),
-            ShardStats {
+            let live = ShardStats {
                 rows: 4,
-                bytes: 256
+                bytes: 256,
+            };
+            assert_eq!(s.stats(0).unwrap(), live);
+            // Compacted segment replays cleanly.
+            drop(s);
+            let s = LogStore::with_config(dir.path(), 1, cfg).unwrap();
+            assert_eq!(s.stats(0).unwrap(), live, "sync_commits {sync_commits}");
+            assert_eq!(s.get(0, t(2)).unwrap(), Some(vec![49; 64]));
+        }
+    }
+
+    #[test]
+    fn only_synced_segments_grow_past_the_committed_end() {
+        for sync_commits in [false, true] {
+            let dir = TempDir::new("logstore-extent").unwrap();
+            let cfg = LogStoreConfig {
+                sync_commits,
+                ..LogStoreConfig::default()
+            };
+            let s = LogStore::with_config(dir.path(), 1, cfg).unwrap();
+            let file_len = || std::fs::metadata(s.segment_path(0)).unwrap().len();
+            s.put(0, t(1), vec![1; 100]).unwrap();
+            let committed = s.segment_bytes(0).unwrap();
+            if sync_commits {
+                assert_eq!(file_len(), EXTENT, "one sparse extent");
+            } else {
+                assert_eq!(file_len(), committed, "byte-for-byte the records");
             }
-        );
-        // Compacted segment replays cleanly.
-        drop(s);
-        let s = LogStore::open(dir.path(), 1).unwrap();
-        assert_eq!(
-            s.stats(0).unwrap(),
-            ShardStats {
-                rows: 4,
-                bytes: 256
+            // Cross the first extent: a synced segment grows by one more.
+            let big = vec![2; EXTENT as usize];
+            s.put(0, t(2), big.clone()).unwrap();
+            let committed = s.segment_bytes(0).unwrap();
+            if sync_commits {
+                assert_eq!(file_len(), committed.div_ceil(EXTENT) * EXTENT);
+            } else {
+                assert_eq!(file_len(), committed);
             }
-        );
-        assert_eq!(s.get(0, t(2)).unwrap(), Some(vec![49; 64]));
+            // Reopening truncates the sparse rest; the rows are intact.
+            drop(s);
+            let s = LogStore::with_config(dir.path(), 1, cfg).unwrap();
+            assert_eq!(
+                std::fs::metadata(s.segment_path(0)).unwrap().len(),
+                committed
+            );
+            assert_eq!(s.get(0, t(1)).unwrap(), Some(vec![1; 100]));
+            assert_eq!(s.get(0, t(2)).unwrap(), Some(big));
+        }
     }
 
     #[test]

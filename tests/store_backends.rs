@@ -16,11 +16,12 @@ use schism_router::{
     IndexBackend, LookupBackend, LookupScheme, MissPolicy, PartitionSet, Scheme, VersionedScheme,
 };
 use schism_store::{
-    load_assignment, tempdir::TempDir, LogStore, LogStoreConfig, MemStore, ShardStats, ShardStore,
-    StoreError, WriteOp,
+    load_assignment, log::EXTENT, tempdir::TempDir, LogStore, LogStoreConfig, MemStore, ShardStats,
+    ShardStore, StoreError, WriteOp,
 };
 use schism_workload::{MaterializedDb, TupleId};
 use std::collections::HashMap;
+use std::io::Write;
 use std::sync::Arc;
 
 const TABLES: u16 = 3;
@@ -218,13 +219,17 @@ proptest! {
     /// Torn-write recovery under `sync_commits = true` (the ROADMAP
     /// durability item's missing test): with per-commit fdatasync, every
     /// batch whose commit record was fully appended is a *synced committed
-    /// prefix* the store has promised to keep. Kill the process at every
-    /// byte offset of the segment (simulated by truncation — the on-disk
-    /// state an interrupted append leaves behind) and reopen: recovery
-    /// must restore exactly the last synced commit at or under the cut —
-    /// a torn tail batch never half-applies, and no synced batch is ever
-    /// rolled back. The recovered store must also still accept (synced)
-    /// writes.
+    /// prefix* the store has promised to keep. A synced segment grows in
+    /// sparse `EXTENT`s, so a kill leaves one of two images at every byte
+    /// offset of the committed records: the truncated one (killed before
+    /// the extent grew) and the preallocated one (killed inside an extent:
+    /// the written prefix, then zeros up to the file's length). Reopen
+    /// both: recovery must restore exactly the last synced commit at or
+    /// under the cut — a torn tail batch never half-applies, and no synced
+    /// batch is ever rolled back. Where the records themselves hold zero
+    /// bytes just past the cut, the preallocated image is byte-identical
+    /// to a longer cut's, so it is judged at the end of that zero run. The
+    /// recovered store must also still accept (synced) writes.
     #[test]
     fn logstore_sync_commits_survive_torn_writes(seed in 0u64..u64::MAX) {
         let mut st = seed;
@@ -250,29 +255,41 @@ proptest! {
             s.segment_path(0)
         };
         let full = std::fs::read(&seg).unwrap();
-        prop_assert_eq!(*boundaries.last().unwrap() as usize, full.len());
-        for cut in 0..=full.len() {
-            std::fs::write(&seg, &full[..cut]).unwrap();
-            let s = LogStore::with_config(dir.path(), 1, cfg).unwrap();
-            let expect = boundaries.iter().rposition(|&b| b <= cut as u64).unwrap();
-            prop_assert_eq!(
-                contents(&s),
-                snapshots[expect].clone(),
-                "sync_commits cut at {} must recover synced snapshot {}", cut, expect
-            );
-            // A cut at a synced boundary is a clean kill: nothing may be
-            // missing. (Cuts between boundaries are torn tails; the
-            // rposition check above already pins them to the prior commit.)
-            if cut > 0 && boundaries.contains(&(cut as u64)) {
+        let committed = *boundaries.last().unwrap() as usize;
+        prop_assert_eq!(full.len() as u64 % EXTENT, 0, "the file grows in whole extents");
+        prop_assert!(full.len() >= committed);
+        prop_assert!(full[committed..].iter().all(|&b| b == 0), "the extent's rest reads zero");
+        for cut in 0..=committed {
+            // The preallocated image reads the record's bytes up to the
+            // first nonzero one past the cut.
+            let zeros_from_cut = full[cut..committed].iter().take_while(|&&b| b == 0).count();
+            for (image_len, reach) in [(cut, cut), (full.len(), cut + zeros_from_cut)] {
+                let file = std::fs::File::create(&seg).unwrap();
+                (&file).write_all(&full[..cut]).unwrap();
+                file.set_len(image_len as u64).unwrap();
+                drop(file);
+                let s = LogStore::with_config(dir.path(), 1, cfg).unwrap();
+                let expect = boundaries.iter().rposition(|&b| b <= reach as u64).unwrap();
                 prop_assert_eq!(
                     contents(&s),
-                    snapshots[boundaries.iter().position(|&b| b == cut as u64).unwrap()].clone()
+                    snapshots[expect].clone(),
+                    "sync_commits cut at {} (file {} bytes) must recover synced snapshot {}",
+                    cut, image_len, expect
                 );
-            }
-            // And the truncated store still accepts synced writes.
-            if cut == full.len() / 2 {
-                s.put(0, TupleId::new(0, 999), vec![4, 5, 6]).unwrap();
-                prop_assert_eq!(s.get(0, TupleId::new(0, 999)).unwrap(), Some(vec![4, 5, 6]));
+                // A cut at a synced boundary is a clean kill: nothing may be
+                // missing. (Cuts between boundaries are torn tails; the
+                // rposition check above already pins them to the prior commit.)
+                if cut > 0 && boundaries.contains(&(cut as u64)) {
+                    prop_assert_eq!(
+                        contents(&s),
+                        snapshots[boundaries.iter().position(|&b| b == cut as u64).unwrap()].clone()
+                    );
+                }
+                // And the truncated store still accepts synced writes.
+                if cut == committed / 2 {
+                    s.put(0, TupleId::new(0, 999), vec![4, 5, 6]).unwrap();
+                    prop_assert_eq!(s.get(0, TupleId::new(0, 999)).unwrap(), Some(vec![4, 5, 6]));
+                }
             }
         }
     }
