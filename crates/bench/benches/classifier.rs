@@ -3,8 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use schism_ml::{
-    cfs_select, cross_validate, AttrKind, Attribute, Dataset, DatasetBuilder, DecisionTree,
-    TreeConfig,
+    cfs_select, cross_validate, Attribute, Dataset, DatasetBuilder, DecisionTree, TreeConfig,
 };
 use schism_par::Pool;
 
@@ -48,7 +47,6 @@ fn noisy_item_dataset() -> Dataset {
     }
     let attr = Attribute {
         name: "i_id".to_owned(),
-        kind: AttrKind::Numeric,
     };
     Dataset::new(vec![attr], vec![ids], labels, 9)
 }

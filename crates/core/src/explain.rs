@@ -3,9 +3,7 @@
 //! table, restricted to frequently-queried attributes.
 
 use crate::config::SchismConfig;
-use schism_ml::{
-    cfs_select, cross_validate, extract_rules, AttrKind, Attribute, Dataset, TreeConfig,
-};
+use schism_ml::{cfs_select, cross_validate, extract_rules, Attribute, Dataset, TreeConfig};
 use schism_par::{resolve_threads, Pool};
 use schism_router::{PartitionSet, RangeRule, RangeScheme, TablePolicy};
 use schism_sql::{ColId, TableId};
@@ -181,8 +179,10 @@ fn explain_table(
             *set_freq.entry(*pset).or_insert(0) += 1;
         }
     }
+    // Most frequent first; ties go to the set whose sorted member list is
+    // smaller, so no tie is left to the map's (per-instance random) order.
     let mut multi_sets: Vec<(PartitionSet, usize)> = set_freq.into_iter().collect();
-    multi_sets.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.first().cmp(&b.0.first())));
+    multi_sets.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.iter().cmp(b.0.iter())));
     multi_sets.truncate(MAX_VIRTUAL_LABELS);
     let virtual_of = |pset: &PartitionSet| -> u32 {
         if let Some(p) = pset.first().filter(|_| pset.is_single()) {
@@ -248,21 +248,8 @@ fn explain_table(
             .max_by_key(|&(_, &c)| c)
             .map(|(l, _)| l as u32)
             .unwrap_or(0);
-        let pset = label_set(best);
-        if pset.len() == k && k > 1 {
-            (TablePolicy::Replicate, "<empty>: replicate".to_owned())
-        } else if pset.is_single() {
-            let p = pset.first().expect("singleton");
-            (TablePolicy::Single(p), format!("<empty>: partition {p}"))
-        } else {
-            (
-                TablePolicy::Rules {
-                    rules: Vec::new(),
-                    default: pset,
-                },
-                format!("<empty>: partitions {pset:?}"),
-            )
-        }
+        let (policy, target) = whole_table(label_set(best), k);
+        (policy, format!("<empty>: {target}"))
     };
 
     if candidates.is_empty() || training_tuples < 2 {
@@ -286,7 +273,6 @@ fn explain_table(
         .iter()
         .map(|&c| Attribute {
             name: workload.schema.table(table).column(c).name.clone(),
-            kind: AttrKind::Numeric,
         })
         .collect();
     let ds = Dataset::new(attrs_meta, columns, labels, num_labels);
@@ -323,21 +309,14 @@ fn explain_table(
         tree_cfg.min_split = tree_cfg.min_split.max(tree_cfg.min_leaf * 2);
     }
     let cv = cross_validate(&proj, &tree_cfg, CV_FOLDS, cfg.seed ^ 0xC0FFEE, pool);
-    let rules = extract_rules(&cv.tree, &proj);
+    let rules = extract_rules(&cv.tree);
 
     // Rules -> executable policy.
     let names: Vec<&str> = proj.attrs().iter().map(|a| a.name.as_str()).collect();
     let rendered: Vec<String> = rules
         .iter()
         .map(|r| {
-            let pset = label_set(r.label);
-            let target = if pset.len() == k && k > 1 {
-                "replicate".to_owned()
-            } else if pset.is_single() {
-                format!("partition {}", pset.first().expect("singleton"))
-            } else {
-                format!("partitions {pset:?}")
-            };
+            let (_, target) = whole_table(label_set(r.label), k);
             let lhs = r.render(&names);
             let lhs = lhs.split(": label").next().unwrap_or(&lhs).to_owned();
             format!(
@@ -350,17 +329,7 @@ fn explain_table(
 
     // Single empty rule = whole-table decision (the paper's item table).
     let policy = if rules.len() == 1 && rules[0].conds.is_empty() {
-        let pset = label_set(rules[0].label);
-        if pset.len() == k && k > 1 {
-            TablePolicy::Replicate
-        } else if pset.is_single() {
-            TablePolicy::Single(pset.first().expect("singleton"))
-        } else {
-            TablePolicy::Rules {
-                rules: Vec::new(),
-                default: pset,
-            }
-        }
+        whole_table(label_set(rules[0].label), k).0
     } else {
         let range_rules: Vec<RangeRule> = rules
             .iter()
@@ -368,10 +337,7 @@ fn explain_table(
                 conds: r
                     .conds
                     .iter()
-                    .map(|c| match *c {
-                        schism_ml::Cond::NumRange { attr, lo, hi } => (selected_cols[attr], lo, hi),
-                        schism_ml::Cond::CatEq { attr, code } => (selected_cols[attr], code, code),
-                    })
+                    .map(|c| (selected_cols[c.attr], c.lo, c.hi))
                     .collect(),
                 partitions: label_set(r.label),
             })
@@ -403,6 +369,23 @@ fn explain_table(
         trusted,
         rules_rendered: rendered,
         training_tuples,
+    }
+}
+
+/// The policy that sends a whole table to `pset`, and its rendered target:
+/// every partition of `k > 1` is replication, one partition is a pin, and
+/// any other set is a rule-less default.
+fn whole_table(pset: PartitionSet, k: u32) -> (TablePolicy, String) {
+    if pset.len() == k && k > 1 {
+        (TablePolicy::Replicate, "replicate".to_owned())
+    } else if let Some(p) = pset.first().filter(|_| pset.is_single()) {
+        (TablePolicy::Single(p), format!("partition {p}"))
+    } else {
+        let policy = TablePolicy::Rules {
+            rules: Vec::new(),
+            default: pset,
+        };
+        (policy, format!("partitions {pset:?}"))
     }
 }
 
@@ -467,6 +450,38 @@ mod tests {
                 }
             }
             other => panic!("expected rules, got {other:?}"),
+        }
+    }
+
+    /// More replication sets than virtual labels, tied on count and on
+    /// first partition: which sets keep a label of their own, and each
+    /// label's id, must not depend on a hash map's iteration order.
+    #[test]
+    fn tied_replication_sets_label_the_same_way_every_call() {
+        let w = simplecount::generate(&SimpleCountConfig {
+            clients: 9,
+            rows_per_client: 100,
+            servers: 1,
+            num_txns: 1_000,
+            ..Default::default()
+        });
+        // Stripe j of 100 rows lives on {0, j + 1}: nine sets, all with
+        // count 100 and first partition 0, each an id range.
+        let assignment: HashMap<TupleId, PartitionSet> = (0..900u64)
+            .map(|row| {
+                let set = [0, (row / 100) as u32 + 1].into_iter().collect();
+                (TupleId::new(0, row), set)
+            })
+            .collect();
+        let cfg = SchismConfig::new(10);
+        let run = || {
+            let e = &explain(&w, &assignment, &HashMap::new(), &cfg).per_table[0];
+            (e.rules_rendered.clone(), format!("{:?}", e.policy))
+        };
+        let first = run();
+        assert!(first.0.len() >= 8, "stripes are learnable: {:?}", first.0);
+        for _ in 0..10 {
+            assert_eq!(run(), first);
         }
     }
 

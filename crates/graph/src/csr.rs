@@ -133,11 +133,6 @@ impl CsrGraph {
             .zip(self.edge_weights(v).iter().copied())
     }
 
-    /// Sum of the weights of all edges incident to `v`.
-    pub fn weighted_degree(&self, v: NodeId) -> u64 {
-        self.edge_weights(v).iter().map(|&w| w as u64).sum()
-    }
-
     /// Total weight of all undirected edges.
     pub fn total_edge_weight(&self) -> u64 {
         self.adjwgt.iter().map(|&w| w as u64).sum::<u64>() / 2
@@ -201,7 +196,6 @@ mod tests {
         assert_eq!(g.num_vertices(), 3);
         assert_eq!(g.num_edges(), 3);
         assert_eq!(g.degree(1), 2);
-        assert_eq!(g.weighted_degree(1), 12);
         assert_eq!(g.total_edge_weight(), 13);
         assert_eq!(g.total_vertex_weight(), 3); // default unit weights
         let mut nbrs: Vec<_> = g.edges(0).collect();

@@ -2,10 +2,8 @@
 //! relabel, and emit a migration plan.
 //!
 //! [`MigrationController`] owns the pieces the rest of the crate provides —
-//! a drift monitor rebased on every repartition (the exact
-//! [`DriftDetector`], or the fixed-memory [`SketchDriftDetector`], per
-//! [`DriftMonitor`]), the current per-tuple
-//! placement, and the planner budgets — and exposes a single
+//! an exact [`DriftDetector`] rebased on every repartition, the current
+//! per-tuple placement, and the planner budgets — and exposes a single
 //! [`observe`](MigrationController::observe) entry point per window. The
 //! caller executes the returned plan at its own pace: build a
 //! [`MigrationExecutor`] via [`MigrationOutcome::executor`] over the live
@@ -13,16 +11,20 @@
 //! then [`step`](MigrationExecutor::step) it between foreground work.
 //! Routing flips only on each batch's verified-copy acknowledgement, so
 //! traffic keeps being served correctly for the whole migration.
+//!
+//! Windows arrive as materialized [`Workload`]s, so the exact detector's
+//! per-tuple histogram is bounded by data the caller already holds. A
+//! source too large to materialize is watched with the fixed-memory
+//! [`SketchDriftDetector`](crate::SketchDriftDetector) directly.
 
 use crate::drift::{DriftConfig, DriftDetector, DriftReport};
 use crate::executor::{ExecutorConfig, MigrationExecutor};
 use crate::incremental::{rerun_incremental, RepartitionOutcome};
 use crate::plan::{plan_migration, MigrationPlan, PlanConfig};
-use crate::sketch::{SketchConfig, SketchDriftDetector};
 use schism_core::{build_graph, run_partition_phase, Schism, SchismConfig};
 use schism_router::{PartitionSet, VersionedScheme};
 use schism_store::ShardStore;
-use schism_workload::{Trace, TupleId, Workload};
+use schism_workload::{TupleId, Workload};
 use std::collections::HashMap;
 
 /// Everything the controller needs to run the loop.
@@ -30,7 +32,6 @@ use std::collections::HashMap;
 pub struct ControllerConfig {
     pub schism: SchismConfig,
     pub drift: DriftConfig,
-    pub monitor: DriftMonitor,
     pub plan: PlanConfig,
 }
 
@@ -39,55 +40,7 @@ impl ControllerConfig {
         Self {
             schism: SchismConfig::new(k),
             drift: DriftConfig::default(),
-            monitor: DriftMonitor::default(),
             plan: PlanConfig::default(),
-        }
-    }
-}
-
-/// How the controller monitors windows for drift.
-#[derive(Clone, Copy, Debug, Default)]
-pub enum DriftMonitor {
-    /// Exact per-tuple histograms ([`DriftDetector`]): memory grows with
-    /// the distinct tuples a window touches.
-    #[default]
-    Exact,
-    /// Count-Min sketches of this sizing ([`SketchDriftDetector`]): fixed
-    /// memory, so drift detection stops scaling with the hot-set size.
-    Sketch(SketchConfig),
-}
-
-/// The monitor [`DriftMonitor`] selected. Both expose the same
-/// observe/rebase surface, so the loop below is oblivious to which one is
-/// running.
-enum Detector {
-    Exact(DriftDetector),
-    Sketch(SketchDriftDetector),
-}
-
-impl Detector {
-    fn new(cfg: &ControllerConfig, reference: &Trace) -> Self {
-        match cfg.monitor {
-            DriftMonitor::Exact => {
-                Detector::Exact(DriftDetector::new(cfg.drift.clone(), reference))
-            }
-            DriftMonitor::Sketch(scfg) => {
-                Detector::Sketch(SketchDriftDetector::new(cfg.drift.clone(), scfg, reference))
-            }
-        }
-    }
-
-    fn observe(&self, window: &Trace) -> DriftReport {
-        match self {
-            Detector::Exact(d) => d.observe(window),
-            Detector::Sketch(d) => d.observe(window),
-        }
-    }
-
-    fn rebase(&mut self, reference: &Trace) {
-        match self {
-            Detector::Exact(d) => d.rebase(reference),
-            Detector::Sketch(d) => d.rebase(reference),
         }
     }
 }
@@ -130,7 +83,7 @@ impl MigrationOutcome {
 /// across windows.
 pub struct MigrationController {
     cfg: ControllerConfig,
-    detector: Detector,
+    detector: DriftDetector,
     assignment: HashMap<TupleId, PartitionSet>,
 }
 
@@ -140,7 +93,7 @@ impl MigrationController {
     pub fn bootstrap(workload: &Workload, cfg: ControllerConfig) -> Self {
         let wg = build_graph(workload, &workload.trace, &cfg.schism);
         let phase = run_partition_phase(&wg, &cfg.schism);
-        let detector = Detector::new(&cfg, &workload.trace);
+        let detector = DriftDetector::new(cfg.drift.clone(), &workload.trace);
         Self {
             cfg,
             detector,
@@ -155,7 +108,7 @@ impl MigrationController {
         assignment: HashMap<TupleId, PartitionSet>,
         cfg: ControllerConfig,
     ) -> Self {
-        let detector = Detector::new(&cfg, &reference.trace);
+        let detector = DriftDetector::new(cfg.drift.clone(), &reference.trace);
         Self {
             cfg,
             detector,
@@ -229,35 +182,6 @@ mod tests {
             Tick::Migrate(m) => panic!("spurious migration, distance {}", m.report.distance),
         }
         assert_eq!(ctl.assignment().len(), before.len(), "state untouched");
-    }
-
-    #[test]
-    fn sketch_detector_matches_exact_loop() {
-        // The same windows through a sketch-backed controller: stable stays
-        // stable, drift still triggers, and rebase still takes.
-        let dcfg = DriftingConfig {
-            num_txns: 2_000,
-            ..Default::default()
-        };
-        let w0 = drifting::window(&dcfg, 0);
-        let mut cfg = controller_cfg(4);
-        cfg.monitor = DriftMonitor::Sketch(SketchConfig::default());
-        let mut ctl = MigrationController::bootstrap(&w0, cfg);
-        let same = drifting::generate(&DriftingConfig { seed: 777, ..dcfg });
-        match ctl.observe(&same) {
-            Tick::Stable(r) => assert!(!r.drifted),
-            Tick::Migrate(m) => panic!("spurious migration, distance {}", m.report.distance),
-        }
-        let w3 = drifting::window(&dcfg, 3);
-        let outcome = match ctl.observe(&w3) {
-            Tick::Migrate(m) => m,
-            Tick::Stable(r) => panic!("sketch missed drift, distance {}", r.distance),
-        };
-        assert!(outcome.report.drifted);
-        match ctl.observe(&w3) {
-            Tick::Stable(r) => assert!(!r.drifted, "rebase failed: {}", r.distance),
-            Tick::Migrate(_) => panic!("same window migrated twice"),
-        }
     }
 
     #[test]

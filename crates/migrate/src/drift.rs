@@ -199,31 +199,6 @@ impl DriftDetector {
     }
 }
 
-/// Chops a trace into back-to-back windows of `window_txns` transactions
-/// (the last window keeps the remainder if it is at least half-full,
-/// otherwise it is merged into the previous one).
-pub fn split_windows(trace: &Trace, window_txns: usize) -> Vec<Trace> {
-    assert!(window_txns > 0);
-    let mut out: Vec<Trace> = Vec::new();
-    let mut cur = Vec::with_capacity(window_txns);
-    for t in &trace.transactions {
-        cur.push(t.clone());
-        if cur.len() == window_txns {
-            out.push(Trace {
-                transactions: std::mem::take(&mut cur),
-            });
-        }
-    }
-    if !cur.is_empty() {
-        if cur.len() * 2 >= window_txns || out.is_empty() {
-            out.push(Trace { transactions: cur });
-        } else if let Some(last) = out.last_mut() {
-            last.transactions.extend(cur);
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -321,16 +296,5 @@ mod tests {
         assert!(d.observe(&far).drifted);
         d.rebase(&far);
         assert!(!d.observe(&far).drifted);
-    }
-
-    #[test]
-    fn split_windows_covers_trace() {
-        let t = point_trace(&(0..25).collect::<Vec<_>>());
-        let ws = split_windows(&t, 10);
-        assert_eq!(ws.len(), 3, "10 + 10 + 5 (remainder >= half keeps its own)");
-        assert_eq!(ws.iter().map(Trace::len).sum::<usize>(), 25);
-        let tiny = split_windows(&point_trace(&(0..23).collect::<Vec<_>>()), 10);
-        assert_eq!(tiny.len(), 2, "3-txn remainder merges into the last window");
-        assert_eq!(tiny[1].len(), 13);
     }
 }

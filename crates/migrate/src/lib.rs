@@ -54,11 +54,9 @@ pub mod relabel;
 pub mod sketch;
 
 pub use catchup::{catch_up_plan, run_catch_up, CatchUpReport};
-pub use controller::{ControllerConfig, DriftMonitor, MigrationController, MigrationOutcome, Tick};
+pub use controller::{ControllerConfig, MigrationController, MigrationOutcome, Tick};
 pub use cost::{CostSample, MigrationCostModel};
-pub use drift::{
-    split_windows, AccessHistogram, DistanceMetric, DriftConfig, DriftDetector, DriftReport,
-};
+pub use drift::{AccessHistogram, DistanceMetric, DriftConfig, DriftDetector, DriftReport};
 pub use executor::{
     BatchReport, BatchState, ExecError, ExecutorConfig, ExecutorReport, MigrationExecutor,
     StepOutcome,

@@ -286,16 +286,9 @@ impl SketchDriftDetector {
     where
         S: TraceSource + ?Sized,
     {
-        self.observe_histogram(
-            &SketchHistogram::from_source(self.scfg, window),
-            window.len(),
-        )
-    }
-
-    /// Scores an already-sketched window (callers that feed
-    /// [`SketchHistogram::observe`] incrementally as accesses arrive).
-    pub fn observe_histogram(&self, hist: &SketchHistogram, window_txns: usize) -> DriftReport {
-        let distance = hist.distance(&self.reference, self.cfg.metric);
+        let distance = SketchHistogram::from_source(self.scfg, window)
+            .distance(&self.reference, self.cfg.metric);
+        let window_txns = window.len();
         DriftReport {
             distance,
             drifted: window_txns >= self.cfg.min_transactions && distance > self.cfg.threshold,

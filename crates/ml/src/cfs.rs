@@ -12,11 +12,11 @@
 //! where `su` is symmetric uncertainty. Greedy forward selection adds the
 //! feature that maximizes merit until no addition improves it.
 
-use crate::dataset::{AttrKind, Dataset};
+use crate::dataset::Dataset;
 use crate::discretize;
 use crate::entropy::symmetric_uncertainty;
 
-/// Default number of bins when discretizing numeric attributes.
+/// Default number of bins when discretizing an attribute.
 pub const DEFAULT_BINS: usize = 16;
 
 /// Precomputed discrete view of a dataset for correlation estimates.
@@ -30,21 +30,12 @@ struct DiscreteView {
 
 impl DiscreteView {
     fn new(ds: &Dataset, bins: usize) -> Self {
-        let mut codes = Vec::with_capacity(ds.num_attrs());
-        let mut arity = Vec::with_capacity(ds.num_attrs());
-        for a in 0..ds.num_attrs() {
-            match ds.attr(a).kind {
-                AttrKind::Categorical { arity: ar } => {
-                    codes.push(ds.column(a).iter().map(|&v| v as u32).collect());
-                    arity.push(ar as usize);
-                }
-                AttrKind::Numeric => {
-                    let (c, d) = discretize::codes(ds.column(a), bins);
-                    arity.push(d.num_bins());
-                    codes.push(c);
-                }
-            }
-        }
+        let (codes, arity) = (0..ds.num_attrs())
+            .map(|a| {
+                let (c, d) = discretize::codes(ds.column(a), bins);
+                (c, d.num_bins())
+            })
+            .unzip();
         Self {
             codes,
             arity,

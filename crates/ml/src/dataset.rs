@@ -1,25 +1,15 @@
 //! Labelled training data for the classifiers.
 //!
-//! Values are stored column-major as `i64`: numeric attributes hold the raw
-//! value, categorical attributes hold a non-negative category code. Labels
-//! are dense `u32` class ids — in Schism these are partition numbers plus
-//! virtual replication labels (§4.3).
+//! Values are stored column-major as `i64`, the one value type a tuple
+//! attribute has here (`TupleValues::value`), and every attribute is
+//! ordered: the tree splits it at a threshold. Labels are dense `u32` class
+//! ids — in Schism these are partition numbers plus virtual replication
+//! labels (§4.3).
 
-/// Attribute kind.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum AttrKind {
-    /// Ordered numeric attribute; splits are `value <= threshold`.
-    Numeric,
-    /// Unordered categorical attribute with codes in `[0, arity)`; splits
-    /// are multiway on the code.
-    Categorical { arity: u32 },
-}
-
-/// Attribute metadata.
+/// Attribute metadata: the column's name, for rendering rules.
 #[derive(Clone, Debug)]
 pub struct Attribute {
     pub name: String,
-    pub kind: AttrKind,
 }
 
 /// A labelled dataset, column-major.
@@ -36,8 +26,7 @@ impl Dataset {
     /// Creates a dataset from attribute metadata, column vectors, and labels.
     ///
     /// # Panics
-    /// Panics if the shapes disagree, a categorical code is out of range, or
-    /// a label is `>= num_classes`.
+    /// Panics if the shapes disagree or a label is `>= num_classes`.
     pub fn new(
         attrs: Vec<Attribute>,
         columns: Vec<Vec<i64>>,
@@ -51,17 +40,6 @@ impl Dataset {
                 labels.len(),
                 "all columns must match label count"
             );
-        }
-        for (a, col) in attrs.iter().zip(&columns) {
-            if let AttrKind::Categorical { arity } = a.kind {
-                for &v in col {
-                    assert!(
-                        v >= 0 && (v as u64) < arity as u64,
-                        "category code {v} out of range for {}",
-                        a.name
-                    );
-                }
-            }
         }
         for &l in &labels {
             assert!(l < num_classes, "label {l} >= num_classes {num_classes}");
@@ -180,18 +158,7 @@ impl DatasetBuilder {
     }
 
     pub fn numeric(mut self, name: &str) -> Self {
-        self.attrs.push(Attribute {
-            name: name.into(),
-            kind: AttrKind::Numeric,
-        });
-        self
-    }
-
-    pub fn categorical(mut self, name: &str, arity: u32) -> Self {
-        self.attrs.push(Attribute {
-            name: name.into(),
-            kind: AttrKind::Categorical { arity },
-        });
+        self.attrs.push(Attribute { name: name.into() });
         self
     }
 
@@ -221,7 +188,7 @@ mod tests {
 
     #[test]
     fn build_and_access() {
-        let mut b = DatasetBuilder::new().numeric("x").categorical("c", 3);
+        let mut b = DatasetBuilder::new().numeric("x").numeric("c");
         b.row(&[10, 0], 0);
         b.row(&[20, 1], 1);
         b.row(&[30, 2], 1);
@@ -238,10 +205,7 @@ mod tests {
 
     #[test]
     fn project_keeps_named_attributes_in_order() {
-        let mut b = DatasetBuilder::new()
-            .numeric("x")
-            .categorical("c", 3)
-            .numeric("y");
+        let mut b = DatasetBuilder::new().numeric("x").numeric("c").numeric("y");
         b.row(&[10, 0, 7], 0);
         b.row(&[20, 1, 8], 1);
         let ds = b.build().project(&[2, 0]);
@@ -258,13 +222,5 @@ mod tests {
         b.row(&[2], 1);
         let ds = b.build();
         assert_eq!(ds.majority(&[0, 1]), (0, 1));
-    }
-
-    #[test]
-    #[should_panic(expected = "category code")]
-    fn rejects_out_of_range_category() {
-        let mut b = DatasetBuilder::new().categorical("c", 2);
-        b.row(&[5], 0);
-        b.build();
     }
 }

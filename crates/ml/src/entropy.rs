@@ -1,5 +1,7 @@
 //! Information-theoretic split criteria (entropy, information gain, gain
-//! ratio) shared by the decision tree and CFS feature selection.
+//! ratio) shared by the decision tree and CFS feature selection. The tree's
+//! split search computes gain and gain ratio incrementally; [`info_gain`]
+//! and [`gain_ratio`] state the formulas it is tested against to the bit.
 
 /// Shannon entropy (bits) of a class histogram.
 pub fn entropy(counts: &[u32]) -> f64 {

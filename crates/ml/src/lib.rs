@@ -7,7 +7,10 @@
 //! The explanation phase of Schism (§4.3, §5.2) trains a decision tree that
 //! maps tuple attribute values to partition labels, prunes it aggressively,
 //! validates it with cross-validation, and reads the leaves back as range
-//! predicates:
+//! predicates. Every attribute value reaches it as an `i64`, so every
+//! attribute is ordered: a split is a threshold and a rule is a conjunction
+//! of inclusive ranges. J48's multiway splits on nominal attributes have no
+//! input here and are not implemented.
 //!
 //! ```
 //! use schism_ml::{DatasetBuilder, DecisionTree, TreeConfig, extract_rules};
@@ -19,7 +22,7 @@
 //! }
 //! let ds = b.build();
 //! let tree = DecisionTree::train(&ds, &TreeConfig::default());
-//! let rules = extract_rules(&tree, &ds);
+//! let rules = extract_rules(&tree);
 //! assert_eq!(rules.len(), 2); // "s_w_id <= 1 -> 0", "s_w_id >= 2 -> 1"
 //! ```
 
@@ -34,6 +37,6 @@ pub mod tree;
 
 pub use cfs::{cfs_select, CfsResult};
 pub use crossval::{cross_validate, stratified_folds, CvResult};
-pub use dataset::{AttrKind, Attribute, Dataset, DatasetBuilder};
+pub use dataset::{Attribute, Dataset, DatasetBuilder};
 pub use rules::{extract_rules, Cond, Rule};
 pub use tree::{DecisionTree, Node, NodeStats, TreeConfig};

@@ -8,7 +8,7 @@
 //! pruning. Schism prunes aggressively to drop "rules with little support"
 //! (§4.3).
 
-use crate::tree::{Node, NodeStats};
+use crate::tree::Node;
 
 /// Prunes `node` in place with confidence factor `cf`.
 pub fn prune(node: &mut Node, cf: f64) {
@@ -21,29 +21,17 @@ fn prune_rec(node: &mut Node, z: f64) -> f64 {
     match node {
         Node::Leaf { .. } => upper_error(stats.n, stats.errors, z),
         Node::Num { left, right, .. } => {
-            let subtree = prune_rec(left, z) + prune_rec(right, z);
-            maybe_replace(node, stats, subtree, z)
+            let subtree_errors = prune_rec(left, z) + prune_rec(right, z);
+            let as_leaf = upper_error(stats.n, stats.errors, z);
+            // C4.5 replaces when the collapsed leaf is no worse (plus a
+            // small slack in favour of the simpler model).
+            if as_leaf <= subtree_errors + 0.1 {
+                *node = Node::Leaf { stats };
+                as_leaf
+            } else {
+                subtree_errors
+            }
         }
-        Node::Cat { children, .. } => {
-            let subtree: f64 = children
-                .iter_mut()
-                .filter_map(|c| c.as_deref_mut())
-                .map(|c| prune_rec(c, z))
-                .sum();
-            maybe_replace(node, stats, subtree, z)
-        }
-    }
-}
-
-fn maybe_replace(node: &mut Node, stats: NodeStats, subtree_errors: f64, z: f64) -> f64 {
-    let as_leaf = upper_error(stats.n, stats.errors, z);
-    // C4.5 replaces when the collapsed leaf is no worse (plus a small slack
-    // in favour of the simpler model).
-    if as_leaf <= subtree_errors + 0.1 {
-        *node = Node::Leaf { stats };
-        as_leaf
-    } else {
-        subtree_errors
     }
 }
 

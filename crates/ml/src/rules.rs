@@ -1,26 +1,21 @@
 //! Rule extraction: flattens a decision tree into the predicate rules the
 //! paper shows, e.g. `s_w_id <= 1 -> partition 1 (pred. error 1.49%)`.
 
-use crate::dataset::Dataset;
 use crate::tree::{DecisionTree, Node};
 
-/// One condition on one attribute.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum Cond {
-    /// `lo <= value <= hi` on an integer-valued numeric attribute. The
-    /// bounds are inclusive; unconstrained ends use `i64::MIN` / `i64::MAX`.
-    NumRange { attr: usize, lo: i64, hi: i64 },
-    /// `value == code` on a categorical attribute.
-    CatEq { attr: usize, code: i64 },
+/// One condition on one attribute: `lo <= value <= hi`. The bounds are
+/// inclusive; unconstrained ends use `i64::MIN` / `i64::MAX`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Cond {
+    pub attr: usize,
+    pub lo: i64,
+    pub hi: i64,
 }
 
 impl Cond {
     /// Whether `row` satisfies the condition.
     pub fn matches(&self, row: &[i64]) -> bool {
-        match *self {
-            Cond::NumRange { attr, lo, hi } => (lo..=hi).contains(&row[attr]),
-            Cond::CatEq { attr, code } => row[attr] == code,
-        }
+        (self.lo..=self.hi).contains(&row[self.attr])
     }
 }
 
@@ -45,18 +40,13 @@ impl Rule {
     /// Renders like the paper: `s_w_id <= 1: partition 0 (err 1.5%)`.
     pub fn render(&self, attr_names: &[&str]) -> String {
         let mut parts: Vec<String> = Vec::new();
-        for c in &self.conds {
-            match *c {
-                Cond::NumRange { attr, lo, hi } => {
-                    let name = attr_names[attr];
-                    match (lo == i64::MIN, hi == i64::MAX) {
-                        (true, true) => {}
-                        (true, false) => parts.push(format!("{name} <= {hi}")),
-                        (false, true) => parts.push(format!("{name} >= {lo}")),
-                        (false, false) => parts.push(format!("{lo} <= {name} <= {hi}")),
-                    }
-                }
-                Cond::CatEq { attr, code } => parts.push(format!("{} = {code}", attr_names[attr])),
+        for &Cond { attr, lo, hi } in &self.conds {
+            let name = attr_names[attr];
+            match (lo == i64::MIN, hi == i64::MAX) {
+                (true, true) => {}
+                (true, false) => parts.push(format!("{name} <= {hi}")),
+                (false, true) => parts.push(format!("{name} >= {lo}")),
+                (false, false) => parts.push(format!("{lo} <= {name} <= {hi}")),
             }
         }
         let lhs = if parts.is_empty() {
@@ -73,10 +63,9 @@ impl Rule {
     }
 }
 
-/// Extracts one rule per leaf. Numeric conditions accumulated along a path
-/// are merged into a single inclusive range per attribute.
-pub fn extract_rules(tree: &DecisionTree, ds: &Dataset) -> Vec<Rule> {
-    let _ = ds; // kept for API symmetry with training; rules are tree-only
+/// Extracts one rule per leaf. Conditions accumulated along a path are
+/// merged into a single inclusive range per attribute.
+pub fn extract_rules(tree: &DecisionTree) -> Vec<Rule> {
     let mut rules = Vec::new();
     let mut path: Vec<Cond> = Vec::new();
     walk(tree.root(), &mut path, &mut rules);
@@ -106,7 +95,7 @@ fn walk(node: &Node, path: &mut Vec<Cond>, out: &mut Vec<Rule>) {
             right,
             ..
         } => {
-            path.push(Cond::NumRange {
+            path.push(Cond {
                 attr: *attr,
                 lo: i64::MIN,
                 hi: *threshold,
@@ -114,7 +103,7 @@ fn walk(node: &Node, path: &mut Vec<Cond>, out: &mut Vec<Rule>) {
             walk(left, path, out);
             path.pop();
             let lo = threshold.saturating_add(1);
-            path.push(Cond::NumRange {
+            path.push(Cond {
                 attr: *attr,
                 lo,
                 hi: i64::MAX,
@@ -122,45 +111,19 @@ fn walk(node: &Node, path: &mut Vec<Cond>, out: &mut Vec<Rule>) {
             walk(right, path, out);
             path.pop();
         }
-        Node::Cat { attr, children, .. } => {
-            for (code, child) in children.iter().enumerate() {
-                if let Some(child) = child {
-                    path.push(Cond::CatEq {
-                        attr: *attr,
-                        code: code as i64,
-                    });
-                    walk(child, path, out);
-                    path.pop();
-                }
-            }
-        }
     }
 }
 
-/// Intersects all numeric ranges per attribute; categorical equalities pass
-/// through (duplicates collapse).
+/// Intersects the ranges on each attribute, in first-seen attribute order.
 fn merge_conditions(path: &[Cond]) -> Vec<Cond> {
     let mut out: Vec<Cond> = Vec::new();
-    for c in path {
-        match *c {
-            Cond::NumRange { attr, lo, hi } => {
-                if let Some(Cond::NumRange {
-                    lo: elo, hi: ehi, ..
-                }) = out
-                    .iter_mut()
-                    .find(|e| matches!(e, Cond::NumRange { attr: a, .. } if *a == attr))
-                {
-                    *elo = (*elo).max(lo);
-                    *ehi = (*ehi).min(hi);
-                } else {
-                    out.push(c.clone());
-                }
+    for &c in path {
+        match out.iter_mut().find(|e| e.attr == c.attr) {
+            Some(e) => {
+                e.lo = e.lo.max(c.lo);
+                e.hi = e.hi.min(c.hi);
             }
-            Cond::CatEq { .. } => {
-                if !out.contains(c) {
-                    out.push(c.clone());
-                }
-            }
+            None => out.push(c),
         }
     }
     out
@@ -182,7 +145,7 @@ mod tests {
         }
         let ds = b.build();
         let tree = DecisionTree::train(&ds, &TreeConfig::default());
-        let rules = extract_rules(&tree, &ds);
+        let rules = extract_rules(&tree);
         assert_eq!(rules.len(), 2);
         let names = ["s_i_id", "s_w_id"];
         let rendered: Vec<String> = rules.iter().map(|r| r.render(&names)).collect();
@@ -232,16 +195,11 @@ mod tests {
                 ..Default::default()
             },
         );
-        let rules = extract_rules(&tree, &ds);
+        let rules = extract_rules(&tree);
         assert_eq!(rules.len(), 3);
         let middle = rules.iter().find(|r| r.label == 1).expect("class 1 rule");
         assert_eq!(middle.conds.len(), 1, "ranges must merge into one cond");
-        match middle.conds[0] {
-            Cond::NumRange { lo, hi, .. } => {
-                assert_eq!((lo, hi), (11, 20));
-            }
-            ref other => panic!("unexpected cond {other:?}"),
-        }
+        assert_eq!((middle.conds[0].lo, middle.conds[0].hi), (11, 20));
     }
 
     #[test]
@@ -252,7 +210,7 @@ mod tests {
         }
         let ds = b.build();
         let tree = DecisionTree::train(&ds, &TreeConfig::default());
-        let rules = extract_rules(&tree, &ds);
+        let rules = extract_rules(&tree);
         assert_eq!(rules.len(), 1);
         assert!(rules[0].conds.is_empty());
         assert!(rules[0].render(&["x"]).starts_with("<empty>: label 0"));
@@ -278,7 +236,7 @@ mod tests {
                 ..Default::default()
             },
         );
-        let rules = extract_rules(&tree, &ds);
+        let rules = extract_rules(&tree);
         for x in 0..10i64 {
             for y in 0..10i64 {
                 let hits = rules.iter().filter(|r| r.matches(&[x, y])).count();

@@ -1,15 +1,14 @@
 //! C4.5-style decision tree (the algorithm behind Weka's J48, which Schism
 //! uses for its explanation phase, §5.2).
 //!
-//! - numeric attributes: binary splits `value <= threshold`
-//! - categorical attributes: multiway splits on the category code
+//! - every attribute is an ordered `i64`: binary splits `value <= threshold`
 //! - split criterion: gain ratio
 //! - stopping: purity, `min_split`, `min_leaf`, `max_depth`
 //! - pruning: pessimistic error-based subtree replacement (see
 //!   [`crate::prune`]), controlled by a confidence factor
 
-use crate::dataset::{AttrKind, Dataset};
-use crate::entropy::{entropy, gain_ratio, info_gain, split_entropy};
+use crate::dataset::Dataset;
+use crate::entropy::{entropy, split_entropy};
 
 /// Training knobs. Defaults mirror C4.5/J48 defaults; Schism cranks
 /// `min_leaf` up ("aggressive pruning ... to eliminate rules with little
@@ -18,7 +17,7 @@ use crate::entropy::{entropy, gain_ratio, info_gain, split_entropy};
 pub struct TreeConfig {
     /// Maximum tree depth.
     pub max_depth: usize,
-    /// Minimum rows on each side of a numeric split / in a leaf.
+    /// Minimum rows on each side of a split / in a leaf.
     pub min_leaf: u32,
     /// Minimum rows required to attempt any split.
     pub min_split: u32,
@@ -55,7 +54,7 @@ pub enum Node {
     Leaf {
         stats: NodeStats,
     },
-    /// Binary numeric split: `value <= threshold` goes left.
+    /// Binary split: `value <= threshold` goes left.
     Num {
         stats: NodeStats,
         attr: usize,
@@ -63,19 +62,12 @@ pub enum Node {
         left: Box<Node>,
         right: Box<Node>,
     },
-    /// Multiway categorical split; `children[code]` may be absent when no
-    /// training row had that code (prediction falls back to the majority).
-    Cat {
-        stats: NodeStats,
-        attr: usize,
-        children: Vec<Option<Box<Node>>>,
-    },
 }
 
 impl Node {
     pub fn stats(&self) -> NodeStats {
         match self {
-            Node::Leaf { stats } | Node::Num { stats, .. } | Node::Cat { stats, .. } => *stats,
+            Node::Leaf { stats } | Node::Num { stats, .. } => *stats,
         }
     }
 }
@@ -136,17 +128,6 @@ impl DecisionTree {
                         right
                     };
                 }
-                Node::Cat {
-                    stats,
-                    attr,
-                    children,
-                } => {
-                    let code = row[*attr];
-                    match usize::try_from(code).ok().and_then(|c| children.get(c)) {
-                        Some(Some(child)) => node = child,
-                        _ => return stats.majority,
-                    }
-                }
             }
         }
     }
@@ -175,9 +156,6 @@ impl DecisionTree {
             match n {
                 Node::Leaf { .. } => 1,
                 Node::Num { left, right, .. } => walk(left) + walk(right),
-                Node::Cat { children, .. } => {
-                    children.iter().map(|c| c.as_deref().map_or(0, walk)).sum()
-                }
             }
         }
         walk(&self.root)
@@ -189,13 +167,6 @@ impl DecisionTree {
             match n {
                 Node::Leaf { .. } => 1,
                 Node::Num { left, right, .. } => 1 + walk(left).max(walk(right)),
-                Node::Cat { children, .. } => {
-                    1 + children
-                        .iter()
-                        .map(|c| c.as_deref().map_or(0, walk))
-                        .max()
-                        .unwrap_or(0)
-                }
             }
         }
         walk(&self.root)
@@ -225,12 +196,7 @@ fn stats_of(counts: &[u32]) -> NodeStats {
 struct BestSplit {
     attr: usize,
     gain_ratio: f64,
-    kind: SplitKind,
-}
-
-enum SplitKind {
-    Num { threshold: i64 },
-    Cat,
+    threshold: i64,
 }
 
 fn build(ds: &Dataset, rows: &mut [u32], depth_left: usize, cfg: &TreeConfig) -> Node {
@@ -247,50 +213,20 @@ fn build(ds: &Dataset, rows: &mut [u32], depth_left: usize, cfg: &TreeConfig) ->
         _ => return Node::Leaf { stats },
     };
 
-    match best.kind {
-        SplitKind::Num { threshold } => {
-            // Partition rows in place: `<= threshold` first.
-            let mid = partition_in_place(rows, |r| ds.value(best.attr, r as usize) <= threshold);
-            if mid == 0 || mid == rows.len() {
-                return Node::Leaf { stats };
-            }
-            let (l, r) = rows.split_at_mut(mid);
-            let left = build(ds, l, depth_left - 1, cfg);
-            let right = build(ds, r, depth_left - 1, cfg);
-            Node::Num {
-                stats,
-                attr: best.attr,
-                threshold,
-                left: Box::new(left),
-                right: Box::new(right),
-            }
-        }
-        SplitKind::Cat => {
-            let arity = match ds.attr(best.attr).kind {
-                AttrKind::Categorical { arity } => arity as usize,
-                AttrKind::Numeric => unreachable!("cat split on numeric attr"),
-            };
-            // Bucket rows per code.
-            let mut buckets: Vec<Vec<u32>> = vec![Vec::new(); arity];
-            for &r in rows.iter() {
-                buckets[ds.value(best.attr, r as usize) as usize].push(r);
-            }
-            let children: Vec<Option<Box<Node>>> = buckets
-                .into_iter()
-                .map(|mut b| {
-                    if b.is_empty() {
-                        None
-                    } else {
-                        Some(Box::new(build(ds, &mut b, depth_left - 1, cfg)))
-                    }
-                })
-                .collect();
-            Node::Cat {
-                stats,
-                attr: best.attr,
-                children,
-            }
-        }
+    // Partition rows in place: `<= threshold` first.
+    let mid = partition_in_place(rows, |r| ds.value(best.attr, r as usize) <= best.threshold);
+    if mid == 0 || mid == rows.len() {
+        return Node::Leaf { stats };
+    }
+    let (l, r) = rows.split_at_mut(mid);
+    let left = build(ds, l, depth_left - 1, cfg);
+    let right = build(ds, r, depth_left - 1, cfg);
+    Node::Num {
+        stats,
+        attr: best.attr,
+        threshold: best.threshold,
+        left: Box::new(left),
+        right: Box::new(right),
     }
 }
 
@@ -303,13 +239,7 @@ fn find_best_split(
     let mut best: Option<BestSplit> = None;
     let nc = ds.num_classes() as usize;
     for attr in 0..ds.num_attrs() {
-        let candidate = match ds.attr(attr).kind {
-            AttrKind::Numeric => best_numeric_split(ds, rows, parent_counts, attr, nc, cfg),
-            AttrKind::Categorical { arity } => {
-                best_categorical_split(ds, rows, parent_counts, attr, arity as usize, nc)
-            }
-        };
-        if let Some(c) = candidate {
+        if let Some(c) = best_numeric_split(ds, rows, parent_counts, attr, nc, cfg) {
             match &best {
                 Some(b) if b.gain_ratio >= c.gain_ratio => {}
                 _ => best = Some(c),
@@ -382,39 +312,8 @@ fn best_numeric_split(
         .map(|(_, gr, threshold)| BestSplit {
             attr,
             gain_ratio: gr,
-            kind: SplitKind::Num { threshold },
+            threshold,
         })
-}
-
-fn best_categorical_split(
-    ds: &Dataset,
-    rows: &[u32],
-    parent_counts: &[u32],
-    attr: usize,
-    arity: usize,
-    nc: usize,
-) -> Option<BestSplit> {
-    let mut hist = vec![vec![0u32; nc]; arity];
-    for &r in rows {
-        hist[ds.value(attr, r as usize) as usize][ds.label(r as usize) as usize] += 1;
-    }
-    let non_empty: Vec<&[u32]> = hist
-        .iter()
-        .filter(|h| h.iter().any(|&c| c > 0))
-        .map(|h| h.as_slice())
-        .collect();
-    if non_empty.len() < 2 {
-        return None;
-    }
-    let gain = info_gain(parent_counts, &non_empty);
-    if gain <= 1e-10 {
-        return None;
-    }
-    Some(BestSplit {
-        attr,
-        gain_ratio: gain_ratio(parent_counts, &non_empty),
-        kind: SplitKind::Cat,
-    })
 }
 
 /// Stable-ish in-place partition; returns the number of rows satisfying the
@@ -434,6 +333,7 @@ fn partition_in_place(rows: &mut [u32], pred: impl Fn(u32) -> bool) -> usize {
 mod tests {
     use super::*;
     use crate::dataset::DatasetBuilder;
+    use crate::entropy::{gain_ratio, info_gain};
     use proptest::prelude::*;
 
     /// The paper's TPC-C stock example: label = partition, split on s_w_id.
@@ -480,48 +380,6 @@ mod tests {
     }
 
     #[test]
-    fn categorical_split() {
-        let mut b = DatasetBuilder::new().categorical("color", 3);
-        for _ in 0..5 {
-            b.row(&[0], 0);
-            b.row(&[1], 1);
-            b.row(&[2], 2);
-        }
-        let ds = b.build();
-        let tree = DecisionTree::train(
-            &ds,
-            &TreeConfig {
-                min_leaf: 1,
-                ..Default::default()
-            },
-        );
-        assert_eq!(tree.predict(&[0]), 0);
-        assert_eq!(tree.predict(&[1]), 1);
-        assert_eq!(tree.predict(&[2]), 2);
-    }
-
-    #[test]
-    fn unseen_category_falls_back_to_majority() {
-        let mut b = DatasetBuilder::new().categorical("c", 4);
-        for _ in 0..6 {
-            b.row(&[0], 0);
-        }
-        for _ in 0..3 {
-            b.row(&[1], 1);
-        }
-        let ds = b.build();
-        let tree = DecisionTree::train(
-            &ds,
-            &TreeConfig {
-                min_leaf: 1,
-                ..Default::default()
-            },
-        );
-        // Code 3 never seen in training; majority overall is class 0.
-        assert_eq!(tree.predict(&[3]), 0);
-    }
-
-    #[test]
     fn min_leaf_blocks_tiny_splits() {
         // One stray row of class 1 among 20 of class 0: with min_leaf 5 no
         // leaf smaller than 5 rows exists, so the stray row can never be
@@ -541,7 +399,7 @@ mod tests {
         assert_eq!(tree.predict(&[100]), 0, "stray row must not get a rule");
         assert_eq!(tree.predict(&[0]), 0);
         // Any leaves that do exist carry >= min_leaf support.
-        let rules = crate::rules::extract_rules(&tree, &ds);
+        let rules = crate::rules::extract_rules(&tree);
         assert!(rules.iter().all(|r| r.support >= 5), "{rules:?}");
     }
 
@@ -622,12 +480,8 @@ mod tests {
             let all: Vec<u32> = (0..ds.len() as u32).collect();
             let parent = ds.class_counts(&all);
             let cfg = TreeConfig { min_leaf, ..Default::default() };
-            let got = best_numeric_split(&ds, &all, &parent, 0, parent.len(), &cfg).map(|s| {
-                match s.kind {
-                    SplitKind::Num { threshold } => (threshold, s.gain_ratio.to_bits()),
-                    SplitKind::Cat => unreachable!("numeric attribute"),
-                }
-            });
+            let got = best_numeric_split(&ds, &all, &parent, 0, parent.len(), &cfg)
+                .map(|s| (s.threshold, s.gain_ratio.to_bits()));
             let mut pairs: Vec<(i64, u32)> = rows.iter().map(|&(v, l)| (v * spread, l)).collect();
             pairs.sort_by_key(|&(v, _)| v);
             let want = reference_numeric_split(&pairs, &parent, min_leaf)

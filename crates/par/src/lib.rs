@@ -17,8 +17,9 @@
 //! - Workers *share* work dynamically (an atomic cursor hands out the next
 //!   chunk), but each chunk's result is stored in a slot keyed by chunk
 //!   index, so scheduling order is invisible to the caller.
-//! - [`Pool::reduce_chunks`] folds the slots **in chunk order** — an
-//!   ordered reduce — so even non-commutative combines are stable.
+//! - [`Pool::scope_chunks`] returns the slots **in chunk order**, so a
+//!   caller that folds them in that order (an ordered reduce) gets a stable
+//!   result even from a non-commutative combine.
 //! - [`Pool::scope_chunks_with`] adds reusable per-worker scratch buffers
 //!   (allocated once per worker, not once per chunk) without weakening the
 //!   contract: results must stay pure functions of the chunk range.
@@ -32,16 +33,14 @@
 //! use schism_par::Pool;
 //!
 //! // A non-commutative fold (string concatenation) over 1000 items comes
-//! // out identical on 1 thread and 4 threads, because the reduce is
-//! // performed in chunk order regardless of which worker ran which chunk.
+//! // out identical on 1 thread and 4 threads, because the chunk results
+//! // arrive in chunk order regardless of which worker ran which chunk.
 //! let render = |pool: &Pool| {
-//!     pool.reduce_chunks(
-//!         1000,
-//!         64,
-//!         |range| range.map(|i| i.to_string()).collect::<Vec<_>>().join(","),
-//!         String::new(),
-//!         |acc, part| acc + &part + ";",
-//!     )
+//!     pool.scope_chunks(1000, 64, |range| {
+//!         range.map(|i| i.to_string()).collect::<Vec<_>>().join(",")
+//!     })
+//!     .into_iter()
+//!     .fold(String::new(), |acc, part| acc + &part + ";")
 //! };
 //! assert_eq!(render(&Pool::new(1)), render(&Pool::new(4)));
 //! ```
@@ -218,21 +217,6 @@ impl Pool {
             .collect()
     }
 
-    /// [`Pool::scope_chunks`] followed by an **ordered reduce**: the chunk
-    /// results are folded left-to-right in chunk index order, so the
-    /// combine need not be commutative (first-wins tie-breaks, "best by
-    /// earliest seed" selections, and concatenations all stay exact).
-    pub fn reduce_chunks<T, A, F, R>(&self, len: usize, chunk: usize, map: F, init: A, fold: R) -> A
-    where
-        T: Send,
-        F: Fn(Range<usize>) -> T + Sync,
-        R: FnMut(A, T) -> A,
-    {
-        self.scope_chunks(len, chunk, map)
-            .into_iter()
-            .fold(init, fold)
-    }
-
     /// **Sharded reduce**: folds chunk partials that were pre-split into
     /// `S` shards, one independent ordered fold per shard, with distinct
     /// shards folding **in parallel**.
@@ -332,16 +316,12 @@ mod tests {
         // is sensitive to any reordering.
         let run = |threads: usize| {
             let pool = Pool::new(threads);
-            pool.reduce_chunks(
-                10_000,
-                97,
-                |r| {
-                    r.map(|i| (i as u64).wrapping_mul(0x9E3779B97F4A7C15))
-                        .fold(0u64, u64::wrapping_add)
-                },
-                0u64,
-                |acc, s| acc.rotate_left(7) ^ s,
-            )
+            pool.scope_chunks(10_000, 97, |r| {
+                r.map(|i| (i as u64).wrapping_mul(0x9E3779B97F4A7C15))
+                    .fold(0u64, u64::wrapping_add)
+            })
+            .into_iter()
+            .fold(0u64, |acc, s| acc.rotate_left(7) ^ s)
         };
         let base = run(1);
         for t in [2, 3, 4, 8] {

@@ -40,11 +40,6 @@ impl RouteDecision {
             RouteDecision::Multi(s) | RouteDecision::Broadcast(s) => *s,
         }
     }
-
-    /// Number of partitions involved.
-    pub fn shard_count(&self) -> u32 {
-        self.targets().len()
-    }
 }
 
 /// Deterministic member choice for any-one routes: the member minimizing
@@ -370,9 +365,8 @@ mod tests {
     fn route_decision_accessors() {
         let d = RouteDecision::Single(3);
         assert_eq!(d.targets(), PartitionSet::single(3));
-        assert_eq!(d.shard_count(), 1);
         let set: PartitionSet = [0u32, 2].into_iter().collect();
-        assert_eq!(RouteDecision::Multi(set).shard_count(), 2);
+        assert_eq!(RouteDecision::Multi(set).targets(), set);
         assert_eq!(RouteDecision::Broadcast(set).targets(), set);
     }
 }

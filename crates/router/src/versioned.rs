@@ -156,11 +156,6 @@ impl VersionedScheme {
         self.new
     }
 
-    /// The old (pre-migration) scheme.
-    pub fn old_scheme(&self) -> &Arc<dyn Scheme> {
-        &self.old
-    }
-
     /// The new (post-migration) scheme.
     pub fn new_scheme(&self) -> &Arc<dyn Scheme> {
         &self.new

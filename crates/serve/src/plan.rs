@@ -35,7 +35,7 @@
 
 use crate::server::{RouteKind, ServeError};
 use schism_router::{pick_any, PartitionSet, ReplicaSet, Scheme};
-use schism_sql::{classify_routability, Routability, Statement};
+use schism_sql::Statement;
 use schism_store::{HealthView, ShardId};
 use schism_workload::{TupleId, TupleValues};
 use std::collections::BTreeMap;
@@ -236,12 +236,7 @@ impl View<'_> {
     /// knows which live fan-out still covers every logical row (`None` =
     /// some row has no live copy). Down and catching-up shards are both
     /// out: neither holds servable state.
-    pub fn scan_read(
-        &self,
-        stmt: &Statement,
-        salt: u64,
-        allow_broadcast: bool,
-    ) -> Result<Plan, ServeError> {
+    pub fn scan_read(&self, stmt: &Statement, salt: u64) -> Result<Plan, ServeError> {
         let not_live = self.health.not_live();
         let targets = match not_live.first() {
             None => self.scheme.route_predicate_salted(stmt, salt).targets(),
@@ -257,22 +252,13 @@ impl View<'_> {
         } else {
             RouteKind::Multi
         };
-        if route == RouteKind::Broadcast && !allow_broadcast {
-            return Err(broadcast_rejected(stmt));
-        }
         Ok(Plan::strict(scan(&targets), Some(route)))
     }
 
     /// Unpinned UPDATE/DELETE: a scan-write over the scheme's ordered
     /// statement-level write phases.
-    pub fn scan_write(&self, stmt: &Statement, allow_broadcast: bool) -> Result<Plan, ServeError> {
+    pub fn scan_write(&self, stmt: &Statement) -> Result<Plan, ServeError> {
         let phases = self.scheme.route_write_phases(stmt);
-        let total = phases
-            .iter()
-            .fold(PartitionSet::empty(), |acc, p| acc.union(p));
-        if total.len() >= self.scheme.k() && !allow_broadcast {
-            return Err(broadcast_rejected(stmt));
-        }
         // Coverage gate: a scan-write must still reach every logical row
         // it matches — reuse the read-coverage rule (over everything not
         // live, since a catching-up copy is not authoritative), which
@@ -317,19 +303,6 @@ fn promote(rs: &ReplicaSet, members: &PartitionSet) -> Result<ShardId, ServeErro
     members
         .first()
         .ok_or(ServeError::Unavailable { shard: rs.leader })
-}
-
-fn broadcast_rejected(stmt: &Statement) -> ServeError {
-    let reason = match classify_routability(stmt) {
-        Routability::Blanket => "blanket scan (no WHERE constraints) with broadcasts disallowed",
-        Routability::RangeOnly(_) => {
-            "only range constraints, which this scheme cannot prune; broadcasts disallowed"
-        }
-        Routability::Pinned(_) => {
-            "pinned columns are not the scheme's partitioning attributes; broadcasts disallowed"
-        }
-    };
-    ServeError::unroutable(stmt.table, reason)
 }
 
 #[cfg(test)]
@@ -442,11 +415,11 @@ mod tests {
                 plan.phases.iter().flatten().map(|(shard, _)| *shard).collect()
             };
             let scan = "SELECT * FROM account WHERE bal >= 0";
-            if let Ok(plan) = view.scan_read(&parse_statement(&schema, scan).unwrap(), salt, true) {
+            if let Ok(plan) = view.scan_read(&parse_statement(&schema, scan).unwrap(), salt) {
                 prop_assert!(shards(&plan).intersect(&not_live).is_empty());
             }
             let update = "UPDATE account SET bal = 1 WHERE bal >= 0";
-            if let Ok(plan) = view.scan_write(&parse_statement(&schema, update).unwrap(), true) {
+            if let Ok(plan) = view.scan_write(&parse_statement(&schema, update).unwrap()) {
                 prop_assert!(shards(&plan).intersect(&health.down).is_empty());
                 prop_assert!(plan.phases.iter().all(|p| !p.is_empty()));
             }

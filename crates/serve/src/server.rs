@@ -89,8 +89,10 @@ const WRITE_RETRIES: u32 = 2;
 pub enum ServeError {
     /// The SQL text did not parse.
     Parse(ParseError),
-    /// The statement cannot be routed under the server's policy (blanket
-    /// scan with broadcasts disallowed, INSERT without a usable key, ...).
+    /// There is no row to place: an INSERT that does not pin exactly one
+    /// integer key, or a [`load_table`] table or row without a usable
+    /// primary key. Statements nothing can prune are not refused; they
+    /// broadcast.
     Unroutable { table: TableId, reason: String },
     /// The storage layer failed.
     Store(StoreError),
@@ -145,13 +147,10 @@ impl ServeError {
     }
 }
 
-/// Server configuration.
-#[derive(Clone, Debug)]
+/// Server configuration. A statement nothing can prune (a blanket scan, a
+/// predicate the scheme cannot use) always executes as a broadcast.
+#[derive(Clone, Debug, Default)]
 pub struct ServeConfig {
-    /// Whether statements nothing can prune (blanket scans, predicates the
-    /// scheme cannot use) execute as broadcasts or are rejected with
-    /// [`ServeError::Unroutable`].
-    pub allow_broadcast: bool,
     /// Deterministic worker crashes: each shard worker asks the plan on
     /// every dequeue whether to exit. `None` serves faithfully.
     pub faults: Option<Arc<FaultPlan>>,
@@ -159,16 +158,6 @@ pub struct ServeConfig {
     /// `MigrationExecutor` consults so serving-detected crashes reroute
     /// its copy sources too; `None` creates a private map.
     pub health: Option<Arc<HealthMap>>,
-}
-
-impl Default for ServeConfig {
-    fn default() -> Self {
-        Self {
-            allow_broadcast: true,
-            faults: None,
-            health: None,
-        }
-    }
 }
 
 /// Per-call execution options. A [`Session`](crate::Session) uses these
@@ -319,7 +308,6 @@ pub struct Server {
     // the `expect`s on this lock only trip on a bug in this file.
     scheme: RwLock<Arc<dyn Scheme>>,
     db: Arc<dyn TupleValues>,
-    allow_broadcast: bool,
     key_cols: Vec<Option<ColId>>,
     health: Arc<HealthMap>,
     workers: Workers,
@@ -342,7 +330,6 @@ impl Server {
             schema,
             scheme: RwLock::new(scheme),
             db,
-            allow_broadcast: cfg.allow_broadcast,
             health: cfg.health.unwrap_or_default(),
         }
     }
@@ -540,7 +527,7 @@ impl Server {
         self.retry(WRITE_RETRIES, |view, retries| {
             let plan = match pinned {
                 Some(tuples) => view.write_tuples(tuples)?,
-                None => view.scan_write(stmt, self.allow_broadcast)?,
+                None => view.scan_write(stmt)?,
             };
             let mut g = Gather::default();
             self.run(stmt, plan, &mut g)?;
@@ -557,7 +544,7 @@ impl Server {
     ) -> Result<ServeOutcome, ServeError> {
         let salt = opts.salt.unwrap_or_else(|| statement_salt(stmt));
         self.retry(READ_RETRIES, |view, retries| {
-            let plan = view.scan_read(stmt, salt, self.allow_broadcast)?;
+            let plan = view.scan_read(stmt, salt)?;
             let route = plan.route;
             let mut g = Gather::default();
             self.run(stmt, plan, &mut g)?;
@@ -758,32 +745,6 @@ mod tests {
             .execute_sql("SELECT * FROM account WHERE bal = 0")
             .unwrap();
         assert_eq!(check.rows.len(), 8);
-    }
-
-    #[test]
-    fn broadcast_policy_rejects_blanket_scans() {
-        let schema = schema();
-        let store = Arc::new(MemStore::new(2));
-        let scheme: Arc<dyn Scheme> = Arc::new(HashScheme::by_attrs(2, vec![Some(0)]));
-        let server = Server::new(
-            schema.clone(),
-            store as Arc<dyn ShardStore>,
-            scheme,
-            Arc::new(PkValues::from_schema(&schema)),
-            ServeConfig {
-                allow_broadcast: false,
-                ..ServeConfig::default()
-            },
-        );
-        let err = server.execute_sql("SELECT * FROM account").unwrap_err();
-        assert!(
-            matches!(err, ServeError::Unroutable { table: 0, .. }),
-            "{err}"
-        );
-        // Key-pinned statements still serve.
-        assert!(server
-            .execute_sql("SELECT * FROM account WHERE id = 1")
-            .is_ok());
     }
 
     #[test]

@@ -175,7 +175,7 @@ impl<'a> Sim<'a> {
         } else {
             LockMode::Shared
         };
-        match self.locks[op.server as usize].acquire(id, op.key, mode, self.clock) {
+        match self.locks[op.server as usize].acquire(id, op.key, mode) {
             LockResult::Granted => {
                 let done = self.cpu(op.server, self.clock, self.cfg.stmt_cpu);
                 self.push(done, Event::OpDone(id));

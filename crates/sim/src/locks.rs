@@ -4,7 +4,6 @@
 //! stop scaling: payment's exclusive warehouse-row lock serializes
 //! transactions when only two warehouses live on a server.
 
-use crate::config::Micros;
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
 
@@ -26,7 +25,7 @@ struct LockState {
     /// Current holders; all `Shared`, or exactly one `Exclusive`.
     holders: Vec<(TxnId, LockMode)>,
     /// FIFO queue of waiters.
-    waiters: VecDeque<(TxnId, LockMode, Micros)>,
+    waiters: VecDeque<(TxnId, LockMode)>,
 }
 
 impl LockState {
@@ -42,7 +41,7 @@ impl LockState {
         match mode {
             LockMode::Shared => {
                 self.holders.iter().all(|&(_, m)| m == LockMode::Shared)
-                    && self.waiters.iter().all(|&(_, m, _)| m == LockMode::Shared)
+                    && self.waiters.iter().all(|&(_, m)| m == LockMode::Shared)
                 // FIFO fairness: a shared request behind a queued exclusive
                 // waits (no starvation of writers).
             }
@@ -81,17 +80,17 @@ impl LockManager {
         Self::default()
     }
 
-    /// Requests `key` in `mode` at time `now`. `Queued` means the caller
-    /// must park the transaction until [`LockManager::release_all`] wakes
-    /// it via the returned grant list.
-    pub fn acquire(&mut self, txn: TxnId, key: Key, mode: LockMode, now: Micros) -> LockResult {
+    /// Requests `key` in `mode`. `Queued` means the caller must park the
+    /// transaction until [`LockManager::release_all`] wakes it via the
+    /// returned grant list.
+    pub fn acquire(&mut self, txn: TxnId, key: Key, mode: LockMode) -> LockResult {
         let state = self.locks.entry(key).or_default();
         if state.compatible(txn, mode) {
             state.grant(txn, mode);
             self.held.entry(txn).or_default().push(key);
             LockResult::Granted
         } else {
-            state.waiters.push_back((txn, mode, now));
+            state.waiters.push_back((txn, mode));
             LockResult::Queued
         }
     }
@@ -113,7 +112,7 @@ impl LockManager {
         }
         // Remove txn from any wait queues (abort path).
         self.locks.retain(|_, s| {
-            s.waiters.retain(|&(t, _, _)| t != txn);
+            s.waiters.retain(|&(t, _)| t != txn);
             !(s.holders.is_empty() && s.waiters.is_empty())
         });
         woken
@@ -126,7 +125,7 @@ impl LockManager {
         key: Key,
     ) {
         // Grant from the queue head: one exclusive, or a run of shareds.
-        while let Some(&(t, m, _)) = state.waiters.front() {
+        while let Some(&(t, m)) = state.waiters.front() {
             let ok = match m {
                 LockMode::Exclusive => state.holders.is_empty(),
                 LockMode::Shared => state.holders.iter().all(|&(_, hm)| hm == LockMode::Shared),
@@ -143,22 +142,6 @@ impl LockManager {
             }
         }
     }
-
-    /// Longest current wait across all queues (deadlock detection input).
-    pub fn oldest_wait(&self, now: Micros) -> Option<(TxnId, Micros)> {
-        self.locks
-            .values()
-            .flat_map(|s| s.waiters.iter())
-            .map(|&(t, _, since)| (t, now.saturating_sub(since)))
-            .max_by_key(|&(_, age)| age)
-    }
-
-    /// Whether `txn` currently waits on any lock.
-    pub fn is_waiting(&self, txn: TxnId) -> bool {
-        self.locks
-            .values()
-            .any(|s| s.waiters.iter().any(|&(t, _, _)| t == txn))
-    }
 }
 
 #[cfg(test)]
@@ -170,19 +153,16 @@ mod tests {
     #[test]
     fn shared_locks_coexist() {
         let mut lm = LockManager::new();
-        assert_eq!(lm.acquire(1, K, LockMode::Shared, 0), LockResult::Granted);
-        assert_eq!(lm.acquire(2, K, LockMode::Shared, 0), LockResult::Granted);
-        assert_eq!(lm.acquire(3, K, LockMode::Exclusive, 0), LockResult::Queued);
+        assert_eq!(lm.acquire(1, K, LockMode::Shared), LockResult::Granted);
+        assert_eq!(lm.acquire(2, K, LockMode::Shared), LockResult::Granted);
+        assert_eq!(lm.acquire(3, K, LockMode::Exclusive), LockResult::Queued);
     }
 
     #[test]
     fn exclusive_is_exclusive() {
         let mut lm = LockManager::new();
-        assert_eq!(
-            lm.acquire(1, K, LockMode::Exclusive, 0),
-            LockResult::Granted
-        );
-        assert_eq!(lm.acquire(2, K, LockMode::Shared, 0), LockResult::Queued);
+        assert_eq!(lm.acquire(1, K, LockMode::Exclusive), LockResult::Granted);
+        assert_eq!(lm.acquire(2, K, LockMode::Shared), LockResult::Queued);
         let woken = lm.release_all(1);
         assert_eq!(woken, vec![2]);
     }
@@ -190,10 +170,10 @@ mod tests {
     #[test]
     fn fifo_prevents_writer_starvation() {
         let mut lm = LockManager::new();
-        lm.acquire(1, K, LockMode::Shared, 0);
-        assert_eq!(lm.acquire(2, K, LockMode::Exclusive, 1), LockResult::Queued);
+        lm.acquire(1, K, LockMode::Shared);
+        assert_eq!(lm.acquire(2, K, LockMode::Exclusive), LockResult::Queued);
         // A later shared request must queue behind the exclusive.
-        assert_eq!(lm.acquire(3, K, LockMode::Shared, 2), LockResult::Queued);
+        assert_eq!(lm.acquire(3, K, LockMode::Shared), LockResult::Queued);
         let woken = lm.release_all(1);
         assert_eq!(woken, vec![2], "writer first");
         let woken = lm.release_all(2);
@@ -203,9 +183,9 @@ mod tests {
     #[test]
     fn shared_run_granted_together() {
         let mut lm = LockManager::new();
-        lm.acquire(1, K, LockMode::Exclusive, 0);
-        lm.acquire(2, K, LockMode::Shared, 1);
-        lm.acquire(3, K, LockMode::Shared, 1);
+        lm.acquire(1, K, LockMode::Exclusive);
+        lm.acquire(2, K, LockMode::Shared);
+        lm.acquire(3, K, LockMode::Shared);
         let woken = lm.release_all(1);
         assert_eq!(woken, vec![2, 3], "both shared waiters wake");
     }
@@ -213,26 +193,19 @@ mod tests {
     #[test]
     fn reacquire_and_upgrade() {
         let mut lm = LockManager::new();
-        assert_eq!(lm.acquire(1, K, LockMode::Shared, 0), LockResult::Granted);
-        assert_eq!(lm.acquire(1, K, LockMode::Shared, 0), LockResult::Granted);
+        assert_eq!(lm.acquire(1, K, LockMode::Shared), LockResult::Granted);
+        assert_eq!(lm.acquire(1, K, LockMode::Shared), LockResult::Granted);
         // Sole holder upgrades.
-        assert_eq!(
-            lm.acquire(1, K, LockMode::Exclusive, 0),
-            LockResult::Granted
-        );
-        assert_eq!(lm.acquire(2, K, LockMode::Shared, 0), LockResult::Queued);
+        assert_eq!(lm.acquire(1, K, LockMode::Exclusive), LockResult::Granted);
+        assert_eq!(lm.acquire(2, K, LockMode::Shared), LockResult::Queued);
     }
 
     #[test]
     fn abort_removes_from_queues() {
         let mut lm = LockManager::new();
-        lm.acquire(1, K, LockMode::Exclusive, 0);
-        lm.acquire(2, K, LockMode::Exclusive, 5);
-        assert!(lm.is_waiting(2));
-        let (t, age) = lm.oldest_wait(25).unwrap();
-        assert_eq!((t, age), (2, 20));
+        lm.acquire(1, K, LockMode::Exclusive);
+        lm.acquire(2, K, LockMode::Exclusive);
         lm.release_all(2); // abort path: just dequeues
-        assert!(!lm.is_waiting(2));
         let woken = lm.release_all(1);
         assert!(woken.is_empty());
     }
@@ -241,15 +214,15 @@ mod tests {
     fn independent_keys_do_not_interact() {
         let mut lm = LockManager::new();
         assert_eq!(
-            lm.acquire(1, (0, 1), LockMode::Exclusive, 0),
+            lm.acquire(1, (0, 1), LockMode::Exclusive),
             LockResult::Granted
         );
         assert_eq!(
-            lm.acquire(2, (0, 2), LockMode::Exclusive, 0),
+            lm.acquire(2, (0, 2), LockMode::Exclusive),
             LockResult::Granted
         );
         assert_eq!(
-            lm.acquire(3, (1, 1), LockMode::Exclusive, 0),
+            lm.acquire(3, (1, 1), LockMode::Exclusive),
             LockResult::Granted
         );
     }

@@ -6,7 +6,7 @@
 //! set* the explanation phase is allowed to split on.
 
 use crate::predicate::Predicate;
-use crate::schema::{ColId, Schema, TableId};
+use crate::schema::{ColId, TableId};
 use crate::statement::Statement;
 use std::collections::HashMap;
 
@@ -92,28 +92,15 @@ impl AttributeStats {
         cols.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
         cols.into_iter().map(|(c, _)| c).collect()
     }
-
-    /// Frequent attribute sets for every table in `schema`.
-    pub fn frequent_attributes_all(
-        &self,
-        schema: &Schema,
-        min_frequency: f64,
-    ) -> HashMap<TableId, Vec<ColId>> {
-        schema
-            .tables()
-            .map(|(id, _)| (id, self.frequent_attributes(id, min_frequency)))
-            .collect()
-    }
 }
 
 /// How much routing signal a statement's WHERE clause carries, judged
 /// from the predicate alone (before any scheme is consulted).
 ///
-/// The serving layer uses this to reject or flag statements that can only
-/// broadcast, instead of discovering that one scheme at a time; Appendix
-/// C.2's middleware "extracts predicates ... and compares the attributes
-/// to the partitioning scheme" — this is the extraction half, shared by
-/// every scheme.
+/// Appendix C.2's middleware "extracts predicates ... and compares the
+/// attributes to the partitioning scheme"; this is the extraction half,
+/// shared by every scheme. Routing itself never refuses a statement: one
+/// nothing can prune broadcasts.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Routability {
     /// At least one column is pinned to a finite value set (equality,
@@ -128,21 +115,6 @@ pub enum Routability {
     /// No column constraints at all (blanket scan): every scheme must
     /// broadcast.
     Blanket,
-}
-
-impl Routability {
-    /// Whether the statement is a blanket scan.
-    pub fn is_blanket(&self) -> bool {
-        matches!(self, Routability::Blanket)
-    }
-
-    /// The columns pinned to finite value sets (empty unless `Pinned`).
-    pub fn pinned_cols(&self) -> &[ColId] {
-        match self {
-            Routability::Pinned(cols) => cols,
-            _ => &[],
-        }
-    }
 }
 
 /// Classifies how routable `stmt` is from its WHERE clause alone.
@@ -181,26 +153,10 @@ pub fn is_blanket(p: &Predicate) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schema::ColumnType;
     use crate::value::Value;
-
-    fn schema() -> Schema {
-        let mut s = Schema::new();
-        s.add_table(
-            "stock",
-            &[
-                ("s_i_id", ColumnType::Int),
-                ("s_w_id", ColumnType::Int),
-                ("s_qty", ColumnType::Int),
-            ],
-            &["s_i_id", "s_w_id"],
-        );
-        s
-    }
 
     #[test]
     fn frequency_counting() {
-        let s = schema();
         let stmts = vec![
             Statement::select(
                 0,
@@ -222,8 +178,6 @@ mod tests {
         // s_w_id qualifies at 50% threshold; s_i_id does not.
         assert_eq!(stats.frequent_attributes(0, 0.5), vec![1]);
         assert_eq!(stats.frequent_attributes(0, 0.2), vec![1, 0]);
-        let all = stats.frequent_attributes_all(&s, 0.5);
-        assert_eq!(all[&0], vec![1]);
     }
 
     #[test]
@@ -250,8 +204,6 @@ mod tests {
     fn routability_blanket_when_nothing_constrained() {
         let r = classify_routability(&Statement::select(0, Predicate::True));
         assert_eq!(r, Routability::Blanket);
-        assert!(r.is_blanket());
-        assert!(r.pinned_cols().is_empty());
         assert_eq!(
             classify_routability(&Statement::delete(0, Predicate::And(vec![]))),
             Routability::Blanket
@@ -270,8 +222,6 @@ mod tests {
         );
         let r = classify_routability(&stmt);
         assert_eq!(r, Routability::RangeOnly(vec![0, 2]));
-        assert!(!r.is_blanket());
-        assert!(r.pinned_cols().is_empty());
     }
 
     #[test]

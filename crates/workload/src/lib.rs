@@ -21,7 +21,7 @@
 //! Traces can also be consumed without materializing them: [`TraceSource`]
 //! is the chunked-iteration abstraction the streaming graph builder
 //! ingests, implemented by the in-memory [`Trace`] and by the streaming
-//! generator paths (`drifting::stream`, `ycsb::stream`, `tpcc::stream`).
+//! generator paths (`drifting::stream`, `tpcc::stream`).
 
 pub mod dist;
 pub mod drifting;
@@ -37,7 +37,7 @@ pub mod txn;
 pub mod ycsb;
 
 pub use dist::{ScrambledZipfian, Zipfian};
-pub use sqllog::{render_log, SqlLogError, SqlLogOptions, SqlLogSource, SqlLogStats};
+pub use sqllog::{render_log, SqlLogError, SqlLogSource, SqlLogStats};
 pub use trace::{Trace, TraceSource, Workload};
 pub use tuple::{splitmix64, MaterializedDb, TupleId, TupleValues};
 pub use txn::{Transaction, TxnBuilder};

@@ -21,18 +21,17 @@
 //! # Row resolution
 //!
 //! Read/write sets need *row ids*, but a log line only carries predicate
-//! values. Each table resolves through one integer **key column** — by
-//! default the table's primary key when it is a single column (composite
-//! keys have no log-recoverable mapping to dense row ids; see
-//! [`SqlLogOptions::key_cols`]). A statement whose predicate pins that
-//! column to a finite value set ([`schism_sql::Predicate::pinned_values`]:
-//! equalities,
-//! IN-lists, small BETWEEN ranges — also under conjunctions) contributes
-//! those rows; writes go to the write set, multi-row reads become one scan
-//! group (so blanket-statement filtering still sees them as one
-//! statement). Anything else — range scans, unpinned predicates, non-key
-//! tables — is *skipped and counted* in [`SqlLogStats::skipped_statements`];
-//! the source never guesses.
+//! values. Each table resolves through one integer **key column**: its
+//! primary key when that is a single column (a composite key has no
+//! log-recoverable mapping to dense row ids, so its table's statements are
+//! skipped). A statement whose predicate pins that column to a finite value
+//! set ([`schism_sql::Predicate::pinned_values`]: equalities, IN-lists,
+//! small BETWEEN ranges — also under conjunctions) contributes those rows;
+//! writes go to the write set, multi-row reads become one scan group (so
+//! blanket-statement filtering still sees them as one statement). Anything
+//! else — range scans, unpinned predicates, non-key tables — is *skipped
+//! and counted* in [`SqlLogStats::skipped_statements`]; the source never
+//! guesses.
 //!
 //! # Determinism
 //!
@@ -50,35 +49,6 @@ use std::io::{BufRead, Read, Seek, SeekFrom};
 use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
-
-/// How the log resolves statements into tuple accesses.
-#[derive(Clone, Debug)]
-pub struct SqlLogOptions {
-    /// Per-table key column (indexed by `TableId`): the integer column
-    /// whose pinned predicate values are the row ids. `None` marks a table
-    /// as unresolvable — its statements are counted skipped.
-    pub key_cols: Vec<Option<ColId>>,
-    /// Retain the parsed [`Statement`]s on each yielded transaction
-    /// (off by default: the graph builder only needs read/write sets).
-    pub keep_statements: bool,
-}
-
-impl SqlLogOptions {
-    /// Defaults for `schema`: each table's key column is its primary key
-    /// when that is a single column, unresolvable otherwise.
-    pub fn for_schema(schema: &Schema) -> Self {
-        Self {
-            key_cols: schema
-                .tables()
-                .map(|(_, t)| match t.primary_key.as_slice() {
-                    [pk] => Some(*pk),
-                    _ => None,
-                })
-                .collect(),
-            keep_statements: false,
-        }
-    }
-}
 
 /// What the index pass saw (fixed at construction).
 #[derive(Clone, Copy, Debug, Default)]
@@ -115,10 +85,16 @@ enum Backing {
     File(Mutex<std::fs::File>, PathBuf),
 }
 
-/// A SQL statement log as a chunked [`TraceSource`].
+/// A SQL statement log as a chunked [`TraceSource`]. The transactions it
+/// yields carry read/write sets only, no statements: the graph builder
+/// needs nothing else.
 pub struct SqlLogSource {
     schema: Arc<Schema>,
-    opts: SqlLogOptions,
+    /// Per-table key column (indexed by `TableId`): the integer column
+    /// whose pinned predicate values are the row ids — the primary key when
+    /// it is a single column. `None` marks a table as unresolvable: its
+    /// statements are counted skipped.
+    key_cols: Vec<Option<ColId>>,
     backing: Backing,
     /// Byte range of each transaction block (single statement line, or
     /// `BEGIN` through `COMMIT` inclusive).
@@ -153,60 +129,45 @@ fn is_noise(line: &str) -> bool {
 }
 
 impl SqlLogSource {
-    /// Indexes and validates an in-memory log with per-schema defaults.
-    pub fn from_string(schema: Arc<Schema>, log: impl Into<String>) -> Result<Self, SqlLogError> {
-        let opts = SqlLogOptions::for_schema(&schema);
-        Self::from_string_with(schema, log, opts)
-    }
-
     /// Indexes and validates an in-memory log.
-    pub fn from_string_with(
-        schema: Arc<Schema>,
-        log: impl Into<String>,
-        opts: SqlLogOptions,
-    ) -> Result<Self, SqlLogError> {
+    pub fn from_string(schema: Arc<Schema>, log: impl Into<String>) -> Result<Self, SqlLogError> {
         let log = log.into();
-        let mut s = Self {
-            schema,
-            opts,
-            backing: Backing::Text(String::new()),
-            blocks: Vec::new(),
-            stats: SqlLogStats::default(),
-        };
-        s.index(&mut log.as_bytes())?;
+        let mut s = Self::indexed(schema, &mut log.as_bytes())?;
         s.backing = Backing::Text(log);
         Ok(s)
     }
 
-    /// Indexes and validates a log file with per-schema defaults. The file
-    /// is scanned once now (O(1) memory) and re-read in chunk-sized pieces
-    /// during builds.
+    /// Indexes and validates a log file. The file is scanned once now
+    /// (O(1) memory) and re-read in chunk-sized pieces during builds.
     pub fn open(schema: Arc<Schema>, path: impl AsRef<Path>) -> Result<Self, SqlLogError> {
-        let opts = SqlLogOptions::for_schema(&schema);
-        Self::open_with(schema, path, opts)
-    }
-
-    /// Indexes and validates a log file.
-    pub fn open_with(
-        schema: Arc<Schema>,
-        path: impl AsRef<Path>,
-        opts: SqlLogOptions,
-    ) -> Result<Self, SqlLogError> {
         let path = path.as_ref().to_path_buf();
         let io_err = |e: std::io::Error| SqlLogError {
             line: 0,
             message: format!("{}: {e}", path.display()),
         };
         let file = std::fs::File::open(&path).map_err(io_err)?;
+        let mut s = Self::indexed(schema, &mut std::io::BufReader::new(&file))?;
+        s.backing = Backing::File(Mutex::new(file), path);
+        Ok(s)
+    }
+
+    /// Runs the index pass over `reader`; the caller sets the backing.
+    fn indexed(schema: Arc<Schema>, reader: &mut dyn BufRead) -> Result<Self, SqlLogError> {
+        let key_cols = schema
+            .tables()
+            .map(|(_, t)| match t.primary_key.as_slice() {
+                [pk] => Some(*pk),
+                _ => None,
+            })
+            .collect();
         let mut s = Self {
             schema,
-            opts,
+            key_cols,
             backing: Backing::Text(String::new()),
             blocks: Vec::new(),
             stats: SqlLogStats::default(),
         };
-        s.index(&mut std::io::BufReader::new(&file))?;
-        s.backing = Backing::File(Mutex::new(file), path);
+        s.index(reader)?;
         Ok(s)
     }
 
@@ -285,7 +246,7 @@ impl SqlLogSource {
     /// Rows a statement accesses, via the table's key column. `None` =
     /// unresolvable (see module docs).
     fn resolve(&self, stmt: &Statement) -> Option<Vec<TupleId>> {
-        let key = (*self.opts.key_cols.get(stmt.table as usize)?)?;
+        let key = (*self.key_cols.get(stmt.table as usize)?)?;
         let vals = stmt.predicate.pinned_values(key)?;
         let tuples: Vec<TupleId> = vals
             .iter()
@@ -320,7 +281,7 @@ impl SqlLogSource {
     /// Parses one indexed block back into a transaction. Infallible after
     /// validation: the index pass parsed these exact lines.
     fn parse_block(&self, block: &str) -> Transaction {
-        let mut b = TxnBuilder::new(self.opts.keep_statements);
+        let mut b = TxnBuilder::new(false);
         for line in block.lines() {
             if is_noise(line) || keyword(line, &["BEGIN", "START TRANSACTION", "COMMIT", "END"]) {
                 continue;
@@ -336,7 +297,6 @@ impl SqlLogSource {
                     b.scan(tuples);
                 }
             }
-            b.stmt(|| stmt);
         }
         b.finish()
     }

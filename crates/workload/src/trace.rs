@@ -33,9 +33,9 @@ use std::sync::Arc;
 /// - `len()` is the fixed number of transactions; out-of-range chunks are a
 ///   caller bug (implementations may panic).
 ///
-/// The in-memory [`Trace`] implements it by slicing; the drifting, YCSB and
-/// TPC-C generators implement it by regenerating transactions per index
-/// (see `drifting::stream`, `ycsb::stream`, `tpcc::stream`).
+/// The in-memory [`Trace`] implements it by slicing; the drifting and TPC-C
+/// generators implement it by regenerating transactions per index (see
+/// `drifting::stream`, `tpcc::stream`).
 pub trait TraceSource: Sync {
     /// Total number of transactions in the source.
     fn len(&self) -> usize;
@@ -59,8 +59,8 @@ pub trait TraceSource: Sync {
 }
 
 /// splitmix64 of `seed ^ f(idx)`: one independent RNG seed per transaction
-/// index. Shared by the streaming generator paths (`drifting::stream`,
-/// `ycsb::stream`) so any chunk regenerates its transactions in isolation.
+/// index, so `drifting::stream` regenerates any chunk's transactions in
+/// isolation.
 pub(crate) fn txn_stream_seed(seed: u64, idx: usize) -> u64 {
     let mut x = seed ^ (idx as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
     x ^= x >> 30;

@@ -46,11 +46,6 @@ impl Transaction {
         self.reads.len() + self.scans.iter().map(Vec::len).sum::<usize>() + self.writes.len()
     }
 
-    /// Whether the transaction writes `t`.
-    pub fn writes_tuple(&self, t: TupleId) -> bool {
-        self.writes.binary_search(&t).is_ok()
-    }
-
     /// Whether the transaction is read-only.
     pub fn is_read_only(&self) -> bool {
         self.writes.is_empty()
@@ -141,8 +136,6 @@ mod tests {
         assert_eq!(txn.reads, vec![t(0, 5)]); // (0,1) promoted to write; dup removed
         assert_eq!(txn.writes, vec![t(0, 1), t(1, 0)]);
         assert_eq!(txn.num_accesses(), 3);
-        assert!(txn.writes_tuple(t(0, 1)));
-        assert!(!txn.writes_tuple(t(0, 5)));
         assert!(!txn.is_read_only());
     }
 

@@ -8,13 +8,12 @@
 //!   updates. Scans defeat hash partitioning and reward ranges.
 
 use crate::dist::Zipfian;
-use crate::trace::{txn_stream_seed, Trace, TraceSource, Workload};
+use crate::trace::{Trace, Workload};
 use crate::tuple::{TupleId, TupleValues};
-use crate::txn::{Transaction, TxnBuilder};
+use crate::txn::TxnBuilder;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use schism_sql::{AttributeStats, ColumnType, Predicate, Schema, Statement, Value};
-use std::ops::Range;
 use std::sync::Arc;
 
 /// Which core YCSB workload to generate.
@@ -150,70 +149,6 @@ pub fn generate(cfg: &YcsbConfig) -> Workload {
     }
 }
 
-/// Streaming counterpart of [`generate`]: a [`TraceSource`] producing each
-/// transaction from an independent per-index RNG stream, so chunks can be
-/// generated on demand (and concurrently) without materializing the trace.
-///
-/// Same distributions as [`generate`] (Zipfian keys, the A/E operation
-/// mixes, uniform scan lengths) but a different sample — the batch
-/// generator draws from one sequential stream. No statements or attribute
-/// stats: the streaming path feeds graph building, which consumes only
-/// read/write sets.
-pub struct YcsbSource {
-    cfg: YcsbConfig,
-    zipf: Zipfian,
-}
-
-/// Builds the streaming source.
-pub fn stream(cfg: &YcsbConfig) -> YcsbSource {
-    YcsbSource {
-        zipf: Zipfian::new(cfg.records, cfg.theta),
-        cfg: cfg.clone(),
-    }
-}
-
-impl YcsbSource {
-    fn txn(&self, idx: usize) -> Transaction {
-        let cfg = &self.cfg;
-        let mut rng = StdRng::seed_from_u64(txn_stream_seed(cfg.seed, idx));
-        let mut tb = TxnBuilder::new(false);
-        match cfg.workload {
-            YcsbWorkload::A => {
-                let key = self.zipf.sample(&mut rng);
-                if rng.gen_bool(0.5) {
-                    tb.read(TupleId::new(0, key));
-                } else {
-                    tb.write(TupleId::new(0, key));
-                }
-            }
-            YcsbWorkload::E => {
-                if rng.gen_bool(0.95) {
-                    let start = self.zipf.sample(&mut rng);
-                    let len = rng.gen_range(0..=cfg.scan_max);
-                    let end = (start + len).min(cfg.records - 1);
-                    tb.scan((start..=end).map(|r| TupleId::new(0, r)).collect());
-                } else {
-                    tb.write(TupleId::new(0, self.zipf.sample(&mut rng)));
-                }
-            }
-        }
-        tb.finish()
-    }
-}
-
-impl TraceSource for YcsbSource {
-    fn len(&self) -> usize {
-        self.cfg.num_txns
-    }
-
-    fn for_chunk(&self, range: Range<usize>, visit: &mut dyn FnMut(usize, &Transaction)) {
-        for idx in range {
-            let t = self.txn(idx);
-            visit(idx, &t);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -276,40 +211,6 @@ mod tests {
             .filter(|t| t.row < 100)
             .count();
         assert!(hot > 1000, "zipfian head too cold: {hot}");
-    }
-
-    #[test]
-    fn stream_matches_distributions_and_rechunks_identically() {
-        let cfg = YcsbConfig {
-            records: 1_000,
-            num_txns: 1_000,
-            ..YcsbConfig::workload_e()
-        };
-        let src = stream(&cfg);
-        let whole = src.materialize();
-        assert_eq!(whole.len(), 1_000);
-        // Chunked re-streaming is byte-identical to the whole pass.
-        src.for_chunk(250..500, &mut |i, t| {
-            assert_eq!(t.reads, whole.transactions[i].reads);
-            assert_eq!(t.writes, whole.transactions[i].writes);
-            assert_eq!(t.scans, whole.transactions[i].scans);
-        });
-        // E-mix shape: mostly scans, a few single-tuple updates.
-        let scans: usize = whole.transactions.iter().map(|t| t.scans.len()).sum();
-        let writers = whole
-            .transactions
-            .iter()
-            .filter(|t| !t.writes.is_empty())
-            .count();
-        assert!(scans > 0);
-        assert!((10..=150).contains(&writers), "writers {writers}");
-        for t in &whole.transactions {
-            for s in &t.scans {
-                for win in s.windows(2) {
-                    assert_eq!(win[1].row, win[0].row + 1, "scan must be contiguous");
-                }
-            }
-        }
     }
 
     #[test]

@@ -103,3 +103,40 @@ fn whole_database_policy_is_warehouse_aligned() {
         }
     }
 }
+
+/// FNV-1a over what the explanation reports per table: name, rendered
+/// rules, the trust verdict and the cross-validated accuracy to the bit.
+fn explanation_digest(e: &schism_core::Explanation) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut eat = |bytes: &[u8]| {
+        for &b in bytes {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0100_0000_01b3);
+        }
+    };
+    for t in &e.per_table {
+        eat(t.table_name.as_bytes());
+        t.rules_rendered.iter().for_each(|r| eat(r.as_bytes()));
+        eat(&[u8::from(t.trusted)]);
+        eat(&t.cv_accuracy.to_bits().to_le_bytes());
+    }
+    h
+}
+
+/// The shape checks above pass for any rules that split on the warehouse;
+/// this pins the explanation itself, at two and at four warehouses (the
+/// latter trains replication sets as virtual labels). Recorded before the
+/// classifier lost its categorical branch; a change that rewrites TPC-C's
+/// rules must re-record it on purpose.
+#[test]
+fn explanation_matches_recorded_digest() {
+    for (warehouses, want) in [(2u32, 0x72ad_a752_3dd5_22beu64), (4, 0x16f7_3fe3_56e9_158b)] {
+        let w = tpcc::generate(&TpccConfig {
+            num_txns: 12_000,
+            ..TpccConfig::small(warehouses)
+        });
+        let rec = Schism::new(SchismConfig::new(warehouses)).run(&w);
+        let got = explanation_digest(&rec.explanation);
+        assert_eq!(got, want, "{warehouses} warehouses: digest {got:#018x}");
+    }
+}

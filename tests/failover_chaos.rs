@@ -143,7 +143,6 @@ fn fixture_rf(rf: u32, faults: FaultPlan) -> Fixture {
         ServeConfig {
             faults: Some(Arc::clone(&faults)),
             health: Some(Arc::clone(&health)),
-            ..ServeConfig::default()
         },
     );
     Fixture {

@@ -12,6 +12,7 @@
 use proptest::prelude::*;
 use schism_core::{build_graph, build_graph_source, CoAccess, GraphBackend, SchismConfig};
 use schism_workload::drifting::{self, DriftingConfig};
+use schism_workload::tpcc::{self, TpccConfig};
 use schism_workload::ycsb::{self, YcsbConfig};
 use schism_workload::TraceSource;
 use std::collections::HashSet;
@@ -84,21 +85,20 @@ proptest! {
     }
 
     /// Scan-dropping accounting survives chunking too: a strict blanket
-    /// threshold drops the same scans on both ingestion paths.
+    /// threshold drops the same scans (TPC-C's order-line and stock scans)
+    /// on both ingestion paths.
     #[test]
     fn blanket_filter_consistent_across_ingestion(
         seed in 0..10u64,
         threads in 1..=4usize,
     ) {
-        let ycfg = YcsbConfig {
-            records: 400,
+        let tcfg = TpccConfig {
             num_txns: 500,
             seed,
-            scan_max: 9,
-            ..YcsbConfig::workload_e()
+            ..TpccConfig::small(2)
         };
-        let w = ycsb::generate(&ycfg);
-        let src = ycsb::stream(&ycfg);
+        let w = tpcc::generate(&tcfg);
+        let src = tpcc::stream(&tcfg);
         let mut cfg = SchismConfig::new(2);
         cfg.seed = seed;
         cfg.threads = threads;

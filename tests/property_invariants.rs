@@ -137,7 +137,7 @@ proptest! {
         }
         let ds = b.build();
         let tree = DecisionTree::train(&ds, &TreeConfig { prune_cf: 1.0, ..Default::default() });
-        let rules = extract_rules(&tree, &ds);
+        let rules = extract_rules(&tree);
         for &(x, y, _) in &rows {
             let matched: Vec<_> = rules.iter().filter(|r| r.matches(&[x, y])).collect();
             prop_assert_eq!(matched.len(), 1, "row ({},{}) matched {} rules", x, y, matched.len());
