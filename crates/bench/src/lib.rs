@@ -446,7 +446,7 @@ mod tests {
                 assert!(ok, "{name}: not one measured section: {line}");
             }
         }
-        assert!(files >= 4, "{files} BENCH files in {dir:?}");
+        assert!(files >= 3, "{files} BENCH files in {dir:?}");
     }
 
     #[test]

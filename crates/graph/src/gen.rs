@@ -101,18 +101,6 @@ pub fn planted_partition(
     b.build()
 }
 
-/// Erdős–Rényi-style random graph with `m` edge draws.
-pub fn random_graph(n: usize, m: usize, seed: u64) -> CsrGraph {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut b = GraphBuilder::with_edge_capacity(n, m);
-    for _ in 0..m {
-        let u = rng.gen_range(0..n);
-        let v = rng.gen_range(0..n);
-        b.add_edge(u as NodeId, v as NodeId, 1);
-    }
-    b.build()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -141,12 +129,5 @@ mod tests {
             .count();
         assert!(crossing <= 10, "{crossing} inter-cluster edges");
         assert!(g.num_edges() > 20 * crossing.max(1));
-    }
-
-    #[test]
-    fn random_graph_is_valid() {
-        let g = random_graph(100, 400, 3);
-        g.validate().unwrap();
-        assert_eq!(g.num_vertices(), 100);
     }
 }

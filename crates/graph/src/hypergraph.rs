@@ -415,11 +415,6 @@ impl HyperEdgeBuffer {
         self.pin_buf.len()
     }
 
-    /// Number of buffered (pre-merge) nets.
-    pub fn net_count(&self) -> usize {
-        self.nets.len()
-    }
-
     /// Whether nothing is buffered.
     pub fn is_empty(&self) -> bool {
         self.nets.is_empty()
@@ -561,14 +556,14 @@ mod tests {
             buf.push(&[1, 0], 1);
             buf.push(&[2, 3, 4], 2);
         }
-        assert_eq!(buf.net_count(), 20);
+        assert_eq!(buf.nets().count(), 20);
         buf.compact();
-        assert_eq!(buf.net_count(), 2);
+        assert_eq!(buf.nets().count(), 2);
         assert_eq!(buf.pin_count(), 5);
         let got: Vec<(Vec<NodeId>, u32)> = buf.nets().map(|(pins, w)| (pins.to_vec(), w)).collect();
         assert_eq!(got, vec![(vec![0, 1], 10), (vec![2, 3, 4], 20)]);
         buf.compact();
-        assert_eq!(buf.net_count(), 2);
+        assert_eq!(buf.nets().count(), 2);
     }
 
     #[test]

@@ -13,7 +13,6 @@
 //! | [`incremental`] | warm-started re-partition and the from-scratch baseline |
 //! | [`relabel`](mod@relabel) | Hungarian matching of new→old partition ids to minimize movement |
 //! | [`plan`] | diff two placements into throttled, batched tuple moves |
-//! | [`cost`] | linear batch-duration model fitted to timed batches; [`PlanConfig::for_target_batch_duration`] inverts it into budgets |
 //! | [`executor`] | run a plan against [`schism_store`] shards: copy → verify → flip per batch |
 //! | [`controller`] | the loop: state, trigger, repartition, plan hand-off |
 //! | [`catchup`] | shard rejoin: catch-up copy plans over the same executor |
@@ -45,7 +44,6 @@
 
 pub mod catchup;
 pub mod controller;
-pub mod cost;
 pub mod drift;
 pub mod executor;
 pub mod incremental;
@@ -55,7 +53,6 @@ pub mod sketch;
 
 pub use catchup::{catch_up_plan, run_catch_up, CatchUpReport};
 pub use controller::{ControllerConfig, MigrationController, MigrationOutcome, Tick};
-pub use cost::{CostSample, MigrationCostModel};
 pub use drift::{AccessHistogram, DistanceMetric, DriftConfig, DriftDetector, DriftReport};
 pub use executor::{
     BatchReport, BatchState, ExecError, ExecutorConfig, ExecutorReport, MigrationExecutor,

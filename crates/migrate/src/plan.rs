@@ -14,7 +14,6 @@
 //! scheme's miss policy places it), and a tuple that vanished from the
 //! trace keeps its old home until a later plan touches it.
 
-use crate::cost::MigrationCostModel;
 use schism_router::PartitionSet;
 use schism_workload::{TupleId, TupleValues};
 use std::collections::HashMap;
@@ -56,40 +55,6 @@ impl Default for PlanConfig {
         Self {
             max_rows_per_batch: 1_000,
             max_bytes_per_batch: 16 << 20,
-        }
-    }
-}
-
-impl PlanConfig {
-    /// Sizes batch budgets from a **calibrated** cost model so that every
-    /// planned batch's predicted duration stays at or under `target_us` —
-    /// the feedback edge of the calibration loop (`live_migration
-    /// --calibrate` fits the model from measured batches; this maps it
-    /// back onto the planner's throttle).
-    ///
-    /// `avg_row_bytes` converts between the two budgets: the row budget
-    /// assumes rows of that payload, the byte budget is the row budget's
-    /// payload equivalent, so whichever budget trips first the prediction
-    /// holds. Degenerate models (zero marginal cost, or a fixed cost at or
-    /// above the target) fall back to a 1-row budget rather than an
-    /// unbounded one.
-    pub fn for_target_batch_duration(
-        model: &MigrationCostModel,
-        target_us: f64,
-        avg_row_bytes: u32,
-    ) -> Self {
-        let budget_us = (target_us - model.batch_fixed_us).max(0.0);
-        let per_row_us = model.row_us + model.byte_us * f64::from(avg_row_bytes);
-        let max_rows = if per_row_us > 0.0 {
-            (budget_us / per_row_us).floor() as usize
-        } else {
-            0
-        }
-        .max(1);
-        let max_bytes = (max_rows as u64 * u64::from(avg_row_bytes)).max(1);
-        Self {
-            max_rows_per_batch: max_rows,
-            max_bytes_per_batch: max_bytes,
         }
     }
 }
@@ -270,35 +235,6 @@ mod tests {
         let m = plan.moves().next().unwrap();
         assert!(m.copies_added().is_empty());
         assert_eq!(m.copies_dropped().iter().collect::<Vec<_>>(), vec![1]);
-    }
-
-    #[test]
-    fn target_duration_budgets_bound_predicted_batch_time() {
-        let model = MigrationCostModel {
-            batch_fixed_us: 1_000.0,
-            row_us: 5.0,
-            byte_us: 0.125, // 64 B rows → 5 + 8 = 13 us/row
-        };
-        let cfg = PlanConfig::for_target_batch_duration(&model, 14_000.0, 64);
-        assert_eq!(cfg.max_rows_per_batch, 1_000); // (14000-1000)/13
-        assert_eq!(cfg.max_bytes_per_batch, 64_000);
-        // Plan under those budgets: every batch's prediction ≤ target.
-        let old = asg(&(0..2_500).map(|r| (r, 0)).collect::<Vec<_>>());
-        let new = asg(&(0..2_500).map(|r| (r, 1)).collect::<Vec<_>>());
-        let plan = plan_migration(&old, &new, &MaterializedDb::new(), &cfg);
-        assert!(plan.batches.len() >= 3);
-        for b in &plan.batches {
-            let pred = model.predict_batch_us(b.moves.len() as u64, b.bytes);
-            assert!(pred <= 14_000.0 + 1e-6, "batch predicted {pred} us");
-        }
-        // Degenerate models clamp instead of exploding.
-        let flat = MigrationCostModel {
-            batch_fixed_us: 50_000.0,
-            row_us: 0.0,
-            byte_us: 0.0,
-        };
-        let cfg = PlanConfig::for_target_batch_duration(&flat, 14_000.0, 64);
-        assert_eq!(cfg.max_rows_per_batch, 1);
     }
 
     #[test]

@@ -1,12 +1,14 @@
 //! End-to-end: a drifting workload drives the controller, and the
-//! resulting plan is executed against in-memory shard stores until store
-//! contents and routing both match the new placement — with routing flips
-//! driven by batch acknowledgements, never ahead of them.
+//! resulting plan is executed against shard stores — in memory and on disk
+//! — until store contents and routing both match the new placement, with
+//! routing flips driven by batch acknowledgements, never ahead of them.
 
 use schism_core::{build_graph, build_lookup_scheme, run_partition_phase, SchismConfig};
-use schism_migrate::{ControllerConfig, MigrationController, MigrationOutcome, StepOutcome, Tick};
+use schism_migrate::{
+    ControllerConfig, MigrationController, MigrationOutcome, MigrationPlan, StepOutcome, Tick,
+};
 use schism_router::{PartitionSet, Scheme, VersionedScheme};
-use schism_store::{load_assignment, MemStore, ShardStore};
+use schism_store::{load_assignment, tempdir::TempDir, LogStore, MemStore, ShardStore};
 use schism_workload::drifting::{self, DriftingConfig};
 use schism_workload::{TupleId, Workload};
 use std::collections::HashMap;
@@ -44,17 +46,37 @@ fn drifted_fixture(num_txns: usize) -> Fixture {
     (outcome, prev, old, new, w3)
 }
 
-#[test]
-fn executed_plan_converges_store_and_router() {
-    let (outcome, prev, old, new, w3) = drifted_fixture(1_500);
+fn total_rows(store: &dyn ShardStore) -> u64 {
+    (0..K).map(|s| store.stats(s).unwrap().rows).sum()
+}
+
+/// Every migrated tuple's row lives on exactly the shards the new
+/// placement names, nowhere else.
+fn assert_rows_on_new_shards(store: &dyn ShardStore, plan: &MigrationPlan) {
+    for m in plan.moves() {
+        for shard in 0..K {
+            assert_eq!(
+                store.get(shard, m.tuple).unwrap().is_some(),
+                m.to.contains(shard),
+                "tuple {} on shard {shard}",
+                m.tuple
+            );
+        }
+    }
+}
+
+/// Runs the fixture's plan to completion on `store` (seeded with the
+/// pre-migration placement) and checks that store contents and routing
+/// both land on the new placement.
+fn assert_plan_converges(store: &dyn ShardStore, fixture: &Fixture) {
+    let (outcome, prev, old, new, w3) = fixture;
 
     // Physical shards hold the pre-migration placement.
-    let store = MemStore::new(K);
-    load_assignment(&store, &prev, &*w3.db).expect("seed store");
-    let rows_before = store.total_rows();
+    load_assignment(store, prev, &*w3.db).expect("seed store");
+    let rows_before = total_rows(store);
 
-    let vs = VersionedScheme::new(old, new.clone());
-    let mut exec = outcome.executor(&store, &vs);
+    let vs = VersionedScheme::new(old.clone(), new.clone());
+    let mut exec = outcome.executor(store, &vs);
     assert_eq!(exec.run_to_completion(), StepOutcome::Done);
     assert!(exec.is_complete());
 
@@ -65,23 +87,15 @@ fn executed_plan_converges_store_and_router() {
     assert_eq!(vs.moved_count(), outcome.plan.total_moves);
     assert_eq!(vs.flipped_batches(), outcome.plan.batches.len() as u64);
 
-    // Store contents and routing agree for every migrated tuple: the row
-    // lives on exactly the shards the new placement names, nowhere else,
-    // and the versioned scheme resolves to the new epoch.
+    // Store contents and routing agree for every migrated tuple, and the
+    // versioned scheme resolves to the new epoch.
     for m in outcome.plan.moves() {
         assert_eq!(
             vs.locate_tuple(m.tuple, &*w3.db),
             new.locate_tuple(m.tuple, &*w3.db)
         );
-        for shard in 0..K {
-            assert_eq!(
-                store.get(shard, m.tuple).unwrap().is_some(),
-                m.to.contains(shard),
-                "tuple {} on shard {shard}",
-                m.tuple
-            );
-        }
     }
+    assert_rows_on_new_shards(store, &outcome.plan);
     // Single-primary placements: copies added == copies dropped, so the
     // store's total row count is preserved by a completed migration.
     let copies_delta: i64 = outcome
@@ -89,10 +103,27 @@ fn executed_plan_converges_store_and_router() {
         .moves()
         .map(|m| i64::from(m.copies_added().len()) - i64::from(m.copies_dropped().len()))
         .sum();
-    assert_eq!(store.total_rows() as i64, rows_before as i64 + copies_delta);
+    assert_eq!(total_rows(store) as i64, rows_before as i64 + copies_delta);
 
     let finalized = vs.finalize();
     assert_eq!(finalized.name(), new.name());
+}
+
+/// The controller's plan converges on both backends, and on the
+/// persistent one the moved rows survive a reopen from disk.
+#[test]
+fn executed_plan_converges_store_and_router() {
+    let fixture = drifted_fixture(1_500);
+    assert!(!fixture.0.plan.is_empty());
+    assert_plan_converges(&MemStore::new(K), &fixture);
+
+    let dir = TempDir::new("schism-live-migration").expect("temp dir");
+    {
+        let log = LogStore::open(dir.path(), K).expect("open LogStore");
+        assert_plan_converges(&log, &fixture);
+    }
+    let reopened = LogStore::open(dir.path(), K).expect("reopen LogStore");
+    assert_rows_on_new_shards(&reopened, &fixture.0.plan);
 }
 
 /// Routing flips happen inside the batch acknowledgement: after each step

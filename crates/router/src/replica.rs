@@ -28,14 +28,6 @@ pub struct ReplicaSet {
 }
 
 impl ReplicaSet {
-    /// A set with no followers.
-    pub fn solo(leader: u32) -> Self {
-        Self {
-            leader,
-            followers: PartitionSet::empty(),
-        }
-    }
-
     /// Splits an undifferentiated copy set: the first copy leads, the rest
     /// follow. Panics on an empty copy set (schemes never produce one).
     pub fn from_copies(copies: &PartitionSet) -> Self {
@@ -223,13 +215,17 @@ mod tests {
         assert_eq!(rs.followers, [5u32, 7].into_iter().collect());
         assert!(rs.is_replicated());
         assert_eq!(rs.all(), copies);
-        assert!(!ReplicaSet::solo(3).is_replicated());
-        assert_eq!(ReplicaSet::solo(3).all(), PartitionSet::single(3));
+        let solo = ReplicaSet::from_copies(&PartitionSet::single(3));
+        assert!(!solo.is_replicated());
+        assert_eq!(solo.all(), PartitionSet::single(3));
     }
 
     #[test]
     fn quorum_is_a_strict_majority_of_the_full_set() {
-        assert_eq!(ReplicaSet::solo(0).quorum(), 1);
+        assert_eq!(
+            ReplicaSet::from_copies(&PartitionSet::single(0)).quorum(),
+            1
+        );
         let rf2 = ReplicaSet::from_copies(&[0u32, 1].into_iter().collect());
         assert_eq!(rf2.quorum(), 2, "rf=2 tolerates no failure");
         let rf3 = ReplicaSet::from_copies(&[0u32, 1, 2].into_iter().collect());

@@ -155,11 +155,6 @@ impl VersionedScheme {
     pub fn finalize(self) -> Arc<dyn Scheme> {
         self.new
     }
-
-    /// The new (post-migration) scheme.
-    pub fn new_scheme(&self) -> &Arc<dyn Scheme> {
-        &self.new
-    }
 }
 
 impl Scheme for VersionedScheme {

@@ -21,15 +21,6 @@ pub struct AttributeStats {
 }
 
 impl AttributeStats {
-    /// Gathers statistics from a statement stream.
-    pub fn from_statements<'a>(stmts: impl IntoIterator<Item = &'a Statement>) -> Self {
-        let mut stats = Self::default();
-        for s in stmts {
-            stats.observe(s);
-        }
-        stats
-    }
-
     /// Records one statement.
     pub fn observe(&mut self, stmt: &Statement) {
         *self.table_counts.entry(stmt.table).or_insert(0) += 1;
@@ -157,7 +148,7 @@ mod tests {
 
     #[test]
     fn frequency_counting() {
-        let stmts = vec![
+        let stmts = [
             Statement::select(
                 0,
                 Predicate::And(vec![
@@ -169,7 +160,8 @@ mod tests {
             Statement::update(0, Predicate::Eq(1, Value::Int(3))),
             Statement::select(0, Predicate::True),
         ];
-        let stats = AttributeStats::from_statements(&stmts);
+        let mut stats = AttributeStats::default();
+        stmts.iter().for_each(|s| stats.observe(s));
         assert_eq!(stats.table_count(0), 4);
         assert_eq!(stats.count(0, 0), 1);
         assert_eq!(stats.count(0, 1), 3);
@@ -182,14 +174,15 @@ mod tests {
 
     #[test]
     fn duplicate_columns_in_one_statement_count_once() {
-        let stmts = vec![Statement::select(
+        let stmts = [Statement::select(
             0,
             Predicate::Or(vec![
                 Predicate::Eq(0, Value::Int(1)),
                 Predicate::Eq(0, Value::Int(2)),
             ]),
         )];
-        let stats = AttributeStats::from_statements(&stmts);
+        let mut stats = AttributeStats::default();
+        stmts.iter().for_each(|s| stats.observe(s));
         assert_eq!(stats.count(0, 0), 1);
     }
 

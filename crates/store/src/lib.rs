@@ -5,9 +5,7 @@
 //! *placements* (which partition owns which tuple); this crate holds the
 //! partitions themselves, so the migration executor in `schism-migrate`
 //! can copy real rows, verify them (count + checksum), and only then flip
-//! routing — and so the migration cost model is calibrated
-//! against measured copy rates instead of assumed ones (`live_migration
-//! --calibrate` in `schism-bench`).
+//! routing.
 //!
 //! Two backends implement the one [`ShardStore`] contract:
 //!

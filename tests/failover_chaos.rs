@@ -28,7 +28,7 @@ use schism_router::{
 use schism_serve::{load_table, PkValues, ServeConfig, ServeError, Server};
 use schism_sql::{ColumnType, Schema, Value};
 use schism_store::{FaultPlan, HealthMap, MemStore, ShardStore};
-use schism_workload::{TupleId, TupleValues};
+use schism_workload::{splitmix64, TupleId, TupleValues};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -37,19 +37,12 @@ const RF: u32 = 2;
 const RF3: u32 = 3;
 const N_KEYS: u64 = 32;
 
-fn splitmix(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 struct Rng(u64);
 
 impl Rng {
     fn next(&mut self) -> u64 {
         self.0 = self.0.wrapping_add(1);
-        splitmix(self.0)
+        splitmix64(self.0.wrapping_add(0x9E37_79B9_7F4A_7C15))
     }
 }
 

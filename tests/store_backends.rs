@@ -19,7 +19,7 @@ use schism_store::{
     load_assignment, log::EXTENT, tempdir::TempDir, LogStore, LogStoreConfig, MemStore, ShardStats,
     ShardStore, StoreError, WriteOp,
 };
-use schism_workload::{MaterializedDb, TupleId};
+use schism_workload::{splitmix64, MaterializedDb, TupleId};
 use std::collections::HashMap;
 use std::io::Write;
 use std::sync::Arc;
@@ -28,12 +28,10 @@ const TABLES: u16 = 3;
 const ROWS: u64 = 20;
 const SHARDS: u32 = 3;
 
+/// Advances `state` by the SplitMix64 increment and mixes it.
 fn splitmix(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
+    splitmix64(*state)
 }
 
 fn rand_tuple(state: &mut u64) -> TupleId {
@@ -294,63 +292,106 @@ proptest! {
         }
     }
 
-    /// The full migration executor behaves identically on both backends:
-    /// same step outcomes (including retries from injected corruption and
-    /// the final abort-with-rollback), same batch reports, same final
-    /// physical state.
+    /// The full migration executor behaves identically on both backends,
+    /// and on a `LogStore` that compacts segments mid-plan.
     #[test]
     fn executor_runs_identically_on_both_backends(seed in 0u64..u64::MAX) {
-        let mut st = seed;
-        let db = MaterializedDb::new();
-        let n_rows = 12 + splitmix(&mut st) % 20;
-        let old: HashMap<TupleId, PartitionSet> = (0..n_rows)
-            .map(|r| (TupleId::new(0, r), PartitionSet::single((splitmix(&mut st) % 3) as u32)))
-            .collect();
-        let new: HashMap<TupleId, PartitionSet> = old
-            .keys()
-            .map(|&t| (t, PartitionSet::single((splitmix(&mut st) % 3) as u32)))
-            .collect();
-        let plan = plan_migration(&old, &new, &db, &PlanConfig {
+        run_executor_on_every_backend(seed);
+    }
+}
+
+/// Runs one seeded random plan through the executor on a `MemStore`, a
+/// default `LogStore` and a `LogStore` that compacts any segment past 256
+/// bytes: same step outcomes (including retries from injected corruption
+/// and the final abort-with-rollback), same batch reports and totals, same
+/// final physical state. Returns how many compactions the compacting store
+/// ran while the plan executed.
+fn run_executor_on_every_backend(seed: u64) -> u64 {
+    let mut st = seed;
+    let db = MaterializedDb::new();
+    let n_rows = 12 + splitmix(&mut st) % 20;
+    let old: HashMap<TupleId, PartitionSet> = (0..n_rows)
+        .map(|r| {
+            let p = PartitionSet::single((splitmix(&mut st) % 3) as u32);
+            (TupleId::new(0, r), p)
+        })
+        .collect();
+    let new: HashMap<TupleId, PartitionSet> = old
+        .keys()
+        .map(|&t| (t, PartitionSet::single((splitmix(&mut st) % 3) as u32)))
+        .collect();
+    let plan = plan_migration(
+        &old,
+        &new,
+        &db,
+        &PlanConfig {
             max_rows_per_batch: 4,
             ..PlanConfig::default()
-        });
-        // Sometimes poison one batch persistently: both backends must
-        // retry, fail verification, roll back, and abort identically.
-        let cfg = if splitmix(&mut st).is_multiple_of(2) && !plan.batches.is_empty() {
-            let victim = (splitmix(&mut st) % plan.batches.len() as u64) as usize;
-            ExecutorConfig {
-                max_retries: 1,
-                corrupt_copies: vec![(victim, 0), (victim, 1)],
-                ..ExecutorConfig::default()
-            }
-        } else {
-            ExecutorConfig::default()
-        };
+        },
+    );
+    // Sometimes poison one batch persistently: every backend must retry,
+    // fail verification, roll back, and abort identically.
+    let cfg = if splitmix(&mut st).is_multiple_of(2) && !plan.batches.is_empty() {
+        let victim = (splitmix(&mut st) % plan.batches.len() as u64) as usize;
+        ExecutorConfig {
+            max_retries: 1,
+            corrupt_copies: vec![(victim, 0), (victim, 1)],
+            ..ExecutorConfig::default()
+        }
+    } else {
+        ExecutorConfig::default()
+    };
 
-        let dir = TempDir::new("schism-prop-exec").unwrap();
-        let run = |store: &dyn ShardStore| {
-            load_assignment(store, &old, &db).unwrap();
-            let vs = VersionedScheme::new(lookup_scheme(&old), lookup_scheme(&new));
-            let mut exec = MigrationExecutor::new(&plan, store, &vs, cfg.clone());
-            let mut outcomes = Vec::new();
-            loop {
-                let o = exec.step();
-                let done = matches!(o, StepOutcome::Done);
-                outcomes.push(o);
-                if done { break; }
-            }
-            (outcomes, exec.batch_reports().to_vec(), exec.report())
-        };
-        let mem = MemStore::new(SHARDS);
-        let log = LogStore::open(dir.path(), SHARDS).unwrap();
-        let (mo, mr, mtotal) = run(&mem);
-        let (lo, lr, ltotal) = run(&log);
-        prop_assert_eq!(mo, lo);
-        prop_assert_eq!(mr, lr);
-        prop_assert_eq!(mtotal, ltotal);
-        prop_assert_eq!(contents(&mem), contents(&log));
-        assert_accounting_exact(&log);
+    let dir = TempDir::new("schism-prop-exec").unwrap();
+    let mem = MemStore::new(SHARDS);
+    let log = LogStore::open(dir.path().join("default"), SHARDS).unwrap();
+    let compacting = LogStore::with_config(
+        dir.path().join("compacting"),
+        SHARDS,
+        LogStoreConfig {
+            compact_min_bytes: 256,
+            ..LogStoreConfig::default()
+        },
+    )
+    .unwrap();
+    for store in [&mem as &dyn ShardStore, &log, &compacting] {
+        load_assignment(store, &old, &db).unwrap();
     }
+    let compactions_before = compacting.compactions();
+    let run = |store: &dyn ShardStore| {
+        let vs = VersionedScheme::new(lookup_scheme(&old), lookup_scheme(&new));
+        let mut exec = MigrationExecutor::new(&plan, store, &vs, cfg.clone());
+        let mut outcomes = Vec::new();
+        loop {
+            let o = exec.step();
+            let done = matches!(o, StepOutcome::Done);
+            outcomes.push(o);
+            if done {
+                break;
+            }
+        }
+        (outcomes, exec.batch_reports().to_vec(), exec.report())
+    };
+    let (mo, mr, mtotal) = run(&mem);
+    for store in [&log as &dyn ShardStore, &compacting] {
+        let (o, r, total) = run(store);
+        assert_eq!(o, mo);
+        assert_eq!(r, mr);
+        assert_eq!(total, mtotal);
+        assert_eq!(contents(store), contents(&mem));
+        assert_accounting_exact(store);
+    }
+    compacting.compactions() - compactions_before
+}
+
+/// A fixed seed whose plan compacts a segment while it runs, so the
+/// executor's copy / verify / flip is checked across a compaction every
+/// run, not only when the proptest happens to draw one.
+#[test]
+fn executor_matches_memstore_across_a_compaction() {
+    // Seed 1 compacts three segments mid-plan.
+    let compactions = run_executor_on_every_backend(1);
+    assert!(compactions > 0, "no segment compacted during the plan");
 }
 
 fn lookup_scheme(asg: &HashMap<TupleId, PartitionSet>) -> Arc<dyn Scheme> {
