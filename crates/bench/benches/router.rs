@@ -3,8 +3,8 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use schism_router::{
-    route_transaction, BitArrayBackend, BloomBackend, BloomFilter, IndexBackend, LookupBackend,
-    LookupScheme, MissPolicy, PartitionSet,
+    route_transaction, BitArrayBackend, IndexBackend, LookupBackend, LookupScheme, MissPolicy,
+    PartitionSet,
 };
 use schism_workload::{MaterializedDb, TupleId, TxnBuilder};
 
@@ -21,9 +21,7 @@ fn bench_lookup_backends(c: &mut Criterion) {
     let mut group = c.benchmark_group("lookup/get");
     let index = IndexBackend::new(entries());
     let bits = BitArrayBackend::new(N, entries());
-    let bloom = BloomBackend::new(K, (N / K as u64) as usize, 0.01, entries());
-    let backends: Vec<(&str, &dyn LookupBackend)> =
-        vec![("index", &index), ("bit-array", &bits), ("bloom", &bloom)];
+    let backends: Vec<(&str, &dyn LookupBackend)> = vec![("index", &index), ("bit-array", &bits)];
     for (name, b) in backends {
         group.bench_with_input(BenchmarkId::from_parameter(name), &b, |bench, b| {
             let mut row = 0u64;
@@ -34,17 +32,6 @@ fn bench_lookup_backends(c: &mut Criterion) {
         });
     }
     group.finish();
-}
-
-fn bench_bloom_insert(c: &mut Criterion) {
-    c.bench_function("bloom/insert", |b| {
-        let mut filter = BloomFilter::new(N as usize, 0.01);
-        let mut key = 0u64;
-        b.iter(|| {
-            key = key.wrapping_add(0x9E37_79B9);
-            filter.insert(key);
-        })
-    });
 }
 
 fn bench_route_transaction(c: &mut Criterion) {
@@ -75,10 +62,5 @@ fn bench_route_transaction(c: &mut Criterion) {
     });
 }
 
-criterion_group!(
-    benches,
-    bench_lookup_backends,
-    bench_bloom_insert,
-    bench_route_transaction
-);
+criterion_group!(benches, bench_lookup_backends, bench_route_transaction);
 criterion_main!(benches);

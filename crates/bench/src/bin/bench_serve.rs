@@ -335,7 +335,6 @@ fn run_scenario(
                     server.health(),
                     &PlanConfig {
                         max_rows_per_batch: 256,
-                        ..PlanConfig::default()
                     },
                     // Foreground writes racing a batch copy fail its
                     // verification; each failure re-copies that batch.

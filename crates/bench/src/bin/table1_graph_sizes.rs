@@ -52,9 +52,7 @@
 
 use schism_bench::table::Table;
 use schism_core::{GraphBackend, SchismConfig};
-use schism_migrate::{
-    distributed_fraction, DistanceMetric, DriftConfig, SketchConfig, SketchDriftDetector,
-};
+use schism_migrate::{distributed_fraction, DistanceMetric, SketchConfig, SketchDriftDetector};
 use schism_workload::drifting::{self, DriftingConfig};
 use schism_workload::epinions::{self, EpinionsConfig};
 use schism_workload::tpcc::{self, TpccConfig};
@@ -284,14 +282,7 @@ fn huge(smoke: bool, threads: usize, backend: GraphBackend) -> String {
         }
     };
     let t0 = Instant::now();
-    let detector = SketchDriftDetector::new(
-        DriftConfig {
-            metric: DistanceMetric::TotalVariation,
-            ..DriftConfig::default()
-        },
-        scfg,
-        &reference,
-    );
+    let detector = SketchDriftDetector::new(DistanceMetric::TotalVariation, scfg, &reference);
     let report = detector.observe(&observed);
     let drift_s = t0.elapsed().as_secs_f64();
     println!(

@@ -1,16 +1,6 @@
 //! Configuration of the end-to-end Schism pipeline.
 
 use schism_graph::PartitionerConfig;
-use schism_ml::TreeConfig;
-
-/// How vertices are weighted for the balance constraint (§4.1): by access
-/// count (workload balancing) or by tuple size in bytes (data-size
-/// balancing).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum NodeWeight {
-    Workload,
-    DataSize,
-}
 
 /// Which co-access representation the graph build emits and the
 /// partitioning phase consumes.
@@ -24,12 +14,18 @@ pub enum GraphBackend {
     Clique,
     /// One hyperedge (net) per transaction, partitioned under the (λ−1)
     /// connectivity metric — the *exact* distributed-transaction count the
-    /// edge cut only approximates. Memory is linear in the sampled trace,
-    /// so wide transactions need no blanket-scan dropping.
+    /// edge cut only approximates. Memory is linear in the trace, so wide
+    /// transactions need no blanket-scan dropping.
     Hypergraph,
 }
 
 /// Pipeline configuration. Defaults reproduce the paper's standard setup.
+///
+/// Only what a caller varies is a field. The rest of §4–§5 is fixed: the
+/// graph represents every training transaction, tuples with the same
+/// access multiset always coalesce into one vertex, a vertex weighs its
+/// access count, and the decision tree trains with `explain`'s constant
+/// knobs.
 #[derive(Clone, Debug)]
 pub struct SchismConfig {
     /// Number of partitions.
@@ -52,23 +48,15 @@ pub struct SchismConfig {
     // --- graph representation (§4.1) ---
     /// Co-access representation: clique expansion (the paper's §4.1) or one
     /// hyperedge per transaction (linear memory, exact distributed-txn
-    /// metric). Both backends share pass 1, the sampling/filtering
-    /// heuristics, replication stars and coalescing; the partitioning phase
+    /// metric). Both backends share pass 1, tuple sampling, blanket
+    /// filtering, replication stars and coalescing; the partitioning phase
     /// dispatches on the built representation, so `Schism::run`/`rerun` and
     /// the migration path work unchanged under either.
     pub graph_backend: GraphBackend,
     /// Enable tuple-level replication via star explosion.
     pub replication: bool,
-    /// Vertex weighting for the balance constraint. Under
-    /// [`NodeWeight::DataSize`] the graph's total vertex weight is exactly
-    /// the surviving tuples' total bytes: a replicated group's bytes are
-    /// split over the replica nodes its transactions allocated.
-    pub node_weight: NodeWeight,
 
     // --- scalability heuristics (§5.1) ---
-    /// Transaction-level sampling: fraction of training transactions
-    /// represented in the graph.
-    pub txn_sample: f64,
     /// Tuple-level sampling: fraction of tuples kept as graph nodes,
     /// access-weighted (a tuple survives with probability
     /// `min(1, tuple_sample * accesses)`) — which is also how rarely-touched
@@ -77,8 +65,6 @@ pub struct SchismConfig {
     /// Blanket-statement filtering: scan statements touching more than this
     /// many tuples contribute no edges.
     pub blanket_threshold: usize,
-    /// Tuple coalescing: merge tuples that are always accessed together.
-    pub coalesce: bool,
 
     // --- graph partitioning (§4.2) ---
     /// Balance tolerance (`epsilon`) and independent runs (`ncuts`). Its
@@ -88,8 +74,6 @@ pub struct SchismConfig {
     pub partitioner: PartitionerConfig,
 
     // --- explanation (§4.3, §5.2) ---
-    /// Decision-tree training knobs (pruning aggressiveness etc.).
-    pub tree: TreeConfig,
     /// Cap on training tuples per table for the classifier.
     pub explain_sample_per_table: usize,
 
@@ -110,16 +94,9 @@ impl SchismConfig {
             threads: 0,
             graph_backend: GraphBackend::Clique,
             replication: true,
-            node_weight: NodeWeight::Workload,
-            txn_sample: 1.0,
             tuple_sample: 1.0,
             blanket_threshold: 64,
-            coalesce: true,
             partitioner: PartitionerConfig::with_k(k),
-            tree: TreeConfig {
-                min_leaf: 4,
-                ..TreeConfig::default()
-            },
             explain_sample_per_table: 10_000,
             train_fraction: 0.8,
             selection: crate::validate::SelectionRules::default(),

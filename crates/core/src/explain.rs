@@ -292,7 +292,10 @@ fn explain_table(
     // cross-validation is meaningless on a handful of rows — they are
     // gated on training accuracy instead.
     let tiny = training_tuples < TINY_TABLE_ROWS;
-    let mut tree_cfg: TreeConfig = cfg.tree.clone();
+    let mut tree_cfg = TreeConfig {
+        min_leaf: MIN_LEAF,
+        ..TreeConfig::default()
+    };
     if tiny {
         tree_cfg.min_leaf = tree_cfg.min_leaf.min((training_tuples as u32 / 4).max(1));
         tree_cfg.min_split = tree_cfg.min_split.min((training_tuples as u32 / 2).max(2));
@@ -393,6 +396,10 @@ fn whole_table(pset: PartitionSet, k: u32) -> (TablePolicy, String) {
 /// are gated on training accuracy and get proportionally relaxed leaf
 /// support.
 const TINY_TABLE_ROWS: usize = 100;
+
+/// Leaf-support floor the decision tree starts from (every other tree knob
+/// is `schism-ml`'s default) before `explain_table` scales it to the table.
+const MIN_LEAF: u32 = 4;
 
 /// An attribute must appear in at least this fraction of a table's
 /// statements to be a split candidate (§4.3 requirement (i)).

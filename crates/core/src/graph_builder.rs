@@ -6,8 +6,8 @@
 //! `Vec<Transaction>`, and both passes fan out over `schism-par`:
 //!
 //! - **Pass 1** (filter + count): each chunk builds partial
-//!   `TupleId → TupleStats` maps — transaction sampling, blanket-statement
-//!   filtering, access/write counts and the coalescing signature —
+//!   `TupleId → TupleStats` maps — blanket-statement filtering,
+//!   access/write counts and the coalescing signature —
 //!   **hash-sharded by tuple** into four independent maps per worker
 //!   thread. The shards merge in parallel (one ordered fold per
 //!   shard, [`schism_par::Pool::reduce_shards`]) instead of serializing the
@@ -16,7 +16,9 @@
 //!   (see `TupleStats::signature`), so the merged maps are independent of
 //!   both the chunking and the shard count. Tuple sampling and relevance
 //!   filtering then prune each shard (also in parallel), and coalescing
-//!   groups tuples over the globally sorted survivor list.
+//!   groups tuples over the globally sorted survivor list: tuples with the
+//!   same access multiset share one vertex, which weighs their access
+//!   count.
 //! - **Pass 2** (nodes + edges): each chunk emits its transaction-clique
 //!   edges into a chunk-local [`EdgeBuffer`], allocating replica-star nodes
 //!   *chunk-locally* (an encoded id per allocation). The stitch walks the
@@ -31,7 +33,7 @@
 //!   Under [`SchismConfig::graph_backend`]` = Hypergraph` the same pass
 //!   emits **one net per transaction** into a chunk-local
 //!   [`HyperEdgeBuffer`] instead of the O(width²) clique — memory linear in
-//!   the sampled trace, so wide transactions need no blanket-scan dropping
+//!   the trace, so wide transactions need no blanket-scan dropping
 //!   — and the stitch resolves pins through the identical allocation log
 //!   into a [`HyperGraphBuilder`] (replica stars become 2-pin nets).
 //!
@@ -42,7 +44,7 @@
 //! [`SchismConfig::threads`] trades wall-clock only, never output — and
 //! neither does the edge-buffer compaction threshold (`COMPACT_EVERY`).
 
-use crate::config::{GraphBackend, NodeWeight, SchismConfig};
+use crate::config::{GraphBackend, SchismConfig};
 use schism_graph::{
     CsrGraph, EdgeBuffer, GraphBuilder, HyperEdgeBuffer, HyperGraph, HyperGraphBuilder, NodeId,
 };
@@ -69,15 +71,6 @@ fn keep_tuple(t: TupleId, p: f64, accesses: u32, seed: u64) -> bool {
     }
     let h = splitmix64(tuple_hash(t) ^ seed);
     (h as f64 / u64::MAX as f64) < p_eff
-}
-
-/// Deterministic Bernoulli sampling decision for a transaction index.
-fn keep_txn(idx: usize, p: f64, seed: u64) -> bool {
-    if p >= 1.0 {
-        return true;
-    }
-    let h = splitmix64((idx as u64).wrapping_mul(0x2545_F491_4F6C_DD1D) ^ seed);
-    (h as f64 / u64::MAX as f64) < p
 }
 
 #[derive(Clone, Debug, Default)]
@@ -151,7 +144,6 @@ fn visit_tuple(map: &mut HashMap<TupleId, TupleStats>, t: TupleId, write: bool, 
 /// One chunk's share of pass 1: one partial stats map per merge shard.
 struct Pass1Partial {
     stats: Vec<HashMap<TupleId, TupleStats>>,
-    sampled_txns: usize,
     dropped_scans: usize,
 }
 
@@ -262,7 +254,7 @@ pub struct WorkloadGraph {
     /// Replica ids are clustered per group — group `g`'s star occupies the
     /// contiguous id range its access count reserved.
     replica_owner: Vec<NodeId>,
-    /// Whether the planned replica was actually allocated by a sampled
+    /// Whether the planned replica was actually allocated by a
     /// transaction (unused slots stay isolated with weight 1 and do not
     /// contribute to a tuple's partition set).
     replica_used: Vec<bool>,
@@ -278,6 +270,7 @@ pub struct WorkloadGraph {
 /// Size/shape accounting (reported in Table 1 style output).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct BuildStats {
+    /// Transactions the graph represents: every one the source holds.
     pub sampled_txns: usize,
     pub distinct_tuples: usize,
     pub groups: usize,
@@ -289,7 +282,7 @@ pub struct BuildStats {
     pub hyperedges: usize,
     /// Total pins across all nets (0 under the clique backend).
     pub pins: usize,
-    /// Widest sampled transaction: maximum distinct groups touched by one
+    /// Widest transaction: maximum distinct groups touched by one
     /// transaction after dedup and blanket filtering. Under the hypergraph
     /// backend with the blanket filter disabled this reports the scan
     /// widths the clique path would have had to drop.
@@ -593,12 +586,14 @@ pub fn build_graph(workload: &Workload, trace: &Trace, cfg: &SchismConfig) -> Wo
 /// transaction chunks across [`SchismConfig::threads`] workers.
 ///
 /// The output is bit-identical for every thread count and for any chunking
-/// of the source — see the module docs for how each pass earns that.
-pub fn build_graph_source<S>(workload: &Workload, source: &S, cfg: &SchismConfig) -> WorkloadGraph
+/// of the source — see the module docs for how each pass earns that. The
+/// graph is a function of the trace alone: no vertex weight or grouping
+/// reads the workload's database.
+pub fn build_graph_source<S>(_workload: &Workload, source: &S, cfg: &SchismConfig) -> WorkloadGraph
 where
     S: TraceSource + ?Sized,
 {
-    build_graph_inner(workload, source, cfg, COMPACT_EVERY).0
+    build_graph_inner(source, cfg, COMPACT_EVERY).0
 }
 
 /// [`build_graph_source`] with the compaction threshold as a parameter —
@@ -606,7 +601,6 @@ where
 /// [`COMPACT_EVERY`]. Also returns how many mid-stream compactions ran in
 /// `(chunk buffers, the stitch sink)`.
 fn build_graph_inner<S>(
-    workload: &Workload,
     source: &S,
     cfg: &SchismConfig,
     compact_every: usize,
@@ -614,7 +608,6 @@ fn build_graph_inner<S>(
 where
     S: TraceSource + ?Sized,
 {
-    let db = &*workload.db;
     let seed = cfg.seed ^ 0x5C41_53A7;
     let n_txns = source.len();
     let pool = Pool::new(resolve_threads(cfg.threads));
@@ -628,14 +621,9 @@ where
     let partials = pool.scope_chunks(n_txns, chunk, |range| {
         let mut p = Pass1Partial {
             stats: (0..shards).map(|_| HashMap::new()).collect(),
-            sampled_txns: 0,
             dropped_scans: 0,
         };
         source.for_chunk(range, &mut |idx, txn| {
-            if !keep_txn(idx, cfg.txn_sample, seed) {
-                return;
-            }
-            p.sampled_txns += 1;
             for &t in &txn.reads {
                 visit_tuple(&mut p.stats[shard_of(t, shards)], t, false, idx);
             }
@@ -663,12 +651,10 @@ where
     // `shards == 1` reproduces the old single-map reduce exactly. Tuple
     // sampling (access-weighted, so it keeps every tuple at
     // `tuple_sample >= 1`) runs per shard in the same parallel step.
-    let mut sampled_txns = 0usize;
     let mut dropped_scans = 0usize;
     let shard_parts: Vec<Vec<HashMap<TupleId, TupleStats>>> = partials
         .into_iter()
         .map(|p| {
-            sampled_txns += p.sampled_txns;
             dropped_scans += p.dropped_scans;
             p.stats
         })
@@ -718,26 +704,19 @@ where
     tuples.sort_unstable();
     let mut group_of = vec![0 as NodeId; tuples.len()];
     let mut group_key: HashMap<(u64, u32), NodeId> = HashMap::new();
-    let mut groups: Vec<(u32, u32, u64)> = Vec::new(); // (accesses, writes, weight_bytes)
+    let mut groups: Vec<(u32, u32)> = Vec::new(); // (accesses, writes)
     for (i, &t) in tuples.iter().enumerate() {
         let s = &stats[shard_of(t, shards)][&t];
-        let bytes = db.tuple_bytes(t.table) as u64;
-        let gid = if cfg.coalesce {
-            *group_key
-                .entry((s.signature, s.accesses))
-                .or_insert_with(|| {
-                    groups.push((0, 0, 0));
-                    (groups.len() - 1) as NodeId
-                })
-        } else {
-            groups.push((0, 0, 0));
-            (groups.len() - 1) as NodeId
-        };
+        let gid = *group_key
+            .entry((s.signature, s.accesses))
+            .or_insert_with(|| {
+                groups.push((0, 0));
+                (groups.len() - 1) as NodeId
+            });
         group_of[i] = gid;
         let g = &mut groups[gid as usize];
         g.0 = g.0.max(s.accesses); // identical within a group by construction
         g.1 = g.1.max(s.writes);
-        g.2 += bytes;
     }
     let num_groups = groups.len();
 
@@ -800,10 +779,7 @@ where
             // buffer doubles — compaction can no longer shrink it below the
             // threshold, and re-sorting per transaction would be O(n²).
             let mut compacted_len = 0usize;
-            source.for_chunk(range, &mut |idx, txn| {
-                if !keep_txn(idx, cfg.txn_sample, seed) {
-                    return;
-                }
+            source.for_chunk(range, &mut |_, txn| {
                 members.clear();
                 {
                     let mut add = |t: TupleId| {
@@ -881,18 +857,12 @@ where
         )),
         GraphBackend::Hypergraph => BuildSink::Hyper(HyperGraphBuilder::new(n_nodes)),
     };
-    // Node weights. Exploded groups spread their weight over replicas; the
+    // Node weights: a group weighs its access count (at least 1: every
+    // surviving tuple was accessed). Exploded groups spread it over their
+    // replicas (every planned slot keeps the builder's unit weight); the
     // center is a zero-weight anchor.
     for (gid, g) in groups.iter().enumerate() {
-        let weight = match cfg.node_weight {
-            NodeWeight::Workload => g.0 as u64,
-            NodeWeight::DataSize => g.2,
-        };
-        if exploded[gid] {
-            sink.set_vertex_weight(gid as NodeId, 0);
-        } else {
-            sink.set_vertex_weight(gid as NodeId, weight.clamp(1, u32::MAX as u64) as u32);
-        }
+        sink.set_vertex_weight(gid as NodeId, if exploded[gid] { 0 } else { g.0 });
     }
     let mut alloc_count = vec![0u32; num_groups];
     let mut replica_used = vec![false; total_replicas];
@@ -957,24 +927,7 @@ where
 
     // Replicas may be fewer than planned (a transaction that reads and
     // writes a tuple counts two accesses but allocates once); unused planned
-    // ids stay isolated. Under workload weighting every planned slot keeps
-    // the builder's unit weight, so a group's star weighs its access count.
-    // Under data-size weighting the group's bytes are split exactly over
-    // the replicas that were allocated and unused slots hold nothing, so
-    // the graph's total weight is the surviving tuples' total bytes.
-    if cfg.node_weight == NodeWeight::DataSize {
-        for (ri, &g) in replica_owner.iter().enumerate() {
-            let node = (num_groups + ri) as NodeId;
-            let n = u64::from(node - replica_base[g as usize]);
-            let (used, bytes) = (u64::from(alloc_count[g as usize]), groups[g as usize].2);
-            let share = if n < used {
-                bytes / used + u64::from(n < bytes % used)
-            } else {
-                0
-            };
-            sink.set_vertex_weight(node, share.min(u32::MAX as u64) as u32);
-        }
-    }
+    // ids stay isolated, and still weigh one unit each.
     let graph = match sink {
         BuildSink::Clique(gb) => CoAccess::Clique(gb.build_on(&pool)),
         BuildSink::Hyper(hb) => CoAccess::Hyper(hb.build()),
@@ -984,7 +937,7 @@ where
         CoAccess::Hyper(h) => (0, h.num_nets(), h.num_pins()),
     };
     let stats = BuildStats {
-        sampled_txns,
+        sampled_txns: n_txns,
         distinct_tuples: tuples.len(),
         groups: num_groups,
         exploded_groups,
@@ -1048,7 +1001,6 @@ mod tests {
         });
         let mut cfg = base_cfg();
         cfg.replication = false;
-        cfg.coalesce = false;
         let g = build_graph(&w, &w.trace, &cfg);
         assert!(clique(&g).num_edges() > 0);
         assert_eq!(g.stats.sampled_txns, 300);
@@ -1063,9 +1015,7 @@ mod tests {
             num_txns: 1_000,
             ..YcsbConfig::workload_a()
         });
-        let mut cfg = base_cfg();
-        cfg.coalesce = false;
-        let g = build_graph(&w, &w.trace, &cfg);
+        let g = build_graph(&w, &w.trace, &base_cfg());
         assert!(g.stats.exploded_groups > 0, "zipfian head must explode");
         assert!(g.stats.nodes > g.stats.groups, "replica nodes expected");
         clique(&g).validate().unwrap();
@@ -1139,11 +1089,6 @@ mod tests {
         assert_eq!(coalesced.stats.groups, 20, "pairs must merge");
         // Edges all interior to groups -> none survive.
         assert_eq!(clique(&coalesced).num_edges(), 0);
-        let mut no_coalesce = cfg.clone();
-        no_coalesce.coalesce = false;
-        let plain = build_graph(&w, &trace, &no_coalesce);
-        assert_eq!(plain.stats.groups, 40);
-        assert_eq!(clique(&plain).num_edges(), 20);
     }
 
     #[test]
@@ -1184,9 +1129,9 @@ mod tests {
         let mut cfg = base_cfg();
         cfg.graph_backend = backend;
         cfg.threads = 3;
-        let (base, never) = build_graph_inner(&w, &w.trace, &cfg, COMPACT_EVERY);
+        let (base, never) = build_graph_inner(&w.trace, &cfg, COMPACT_EVERY);
         assert_eq!(never, (0, 0), "the default threshold is out of reach");
-        let (compacted, (in_chunks, in_sink)) = build_graph_inner(&w, &w.trace, &cfg, 32);
+        let (compacted, (in_chunks, in_sink)) = build_graph_inner(&w.trace, &cfg, 32);
         assert!(in_chunks >= 6, "{in_chunks} chunk-buffer compactions");
         assert!(in_sink >= 1, "{in_sink} sink compactions");
         assert_eq!(base.digest(), compacted.digest());
@@ -1205,9 +1150,7 @@ mod tests {
             num_txns: 1_000,
             ..YcsbConfig::workload_a()
         });
-        let mut cfg = base_cfg();
-        cfg.coalesce = false; // one tuple per group: placements stay legible
-        let g = build_graph(&w, &w.trace, &cfg);
+        let g = build_graph(&w, &w.trace, &base_cfg());
         assert!(g.stats.nodes > g.stats.groups, "need replica nodes");
         // Groups with used replicas, found by probing: primaries -> 0,
         // replica nodes -> 1, then any tuple spanning both is hot.
@@ -1296,6 +1239,50 @@ mod tests {
         }
     }
 
+    /// The one weighting rule: a group weighs its access count. With
+    /// replication on, an exploded group's center is a zero-weight anchor
+    /// and its star holds one unit per planned slot, so on both backends
+    /// the graph's total vertex weight is the sum of its groups' accesses.
+    #[test]
+    fn vertex_weights_sum_to_group_accesses() {
+        let w = ycsb::generate(&YcsbConfig {
+            records: 400,
+            num_txns: 1_000,
+            ..YcsbConfig::workload_a()
+        });
+        for backend in [GraphBackend::Clique, GraphBackend::Hypergraph] {
+            let mut cfg = base_cfg();
+            cfg.graph_backend = backend;
+            assert!(cfg.replication);
+            let g = build_graph(&w, &w.trace, &cfg);
+            assert!(g.stats.exploded_groups > 0, "zipfian head must explode");
+            let weight = |v: usize| match &g.graph {
+                CoAccess::Clique(c) => u64::from(c.vertex_weight(v as NodeId)),
+                CoAccess::Hyper(h) => u64::from(h.vertex_weight(v as NodeId)),
+            };
+            let mut star = vec![0u64; g.num_groups];
+            let mut slots = vec![0u32; g.num_groups];
+            for (v, s) in star.iter_mut().enumerate() {
+                *s = weight(v);
+            }
+            for (ri, &owner) in g.replica_owner.iter().enumerate() {
+                assert_eq!(weight(g.num_groups + ri), 1, "{backend:?} slot {ri}");
+                star[owner as usize] += 1;
+                slots[owner as usize] += 1;
+            }
+            for (gid, &accesses) in g.group_accesses.iter().enumerate() {
+                assert_eq!(star[gid], u64::from(accesses), "{backend:?} group {gid}");
+                if slots[gid] > 0 {
+                    assert_eq!(slots[gid], accesses, "one planned slot per access");
+                    assert_eq!(weight(gid), 0, "an exploded center is an anchor");
+                }
+            }
+            let total: u64 = (0..g.num_nodes()).map(weight).sum();
+            let accesses: u64 = g.group_accesses.iter().map(|&a| u64::from(a)).sum();
+            assert_eq!(total, accesses, "{backend:?}");
+        }
+    }
+
     #[test]
     fn hypergraph_chunked_source_equals_whole_trace() {
         use schism_workload::drifting::{self, DriftingConfig};
@@ -1326,7 +1313,8 @@ mod tests {
     #[test]
     fn hypergraph_seed_assignment_propagates_labels() {
         // Hand-build a trace of co-access pairs so label propagation has
-        // unambiguous nets to vote over.
+        // unambiguous nets to vote over. Each odd row is also read once on
+        // its own, so no pair shares an access set and none coalesces.
         use schism_workload::{Trace, TupleId, TxnBuilder};
         let w = simplecount::generate(&SimpleCountConfig {
             clients: 1,
@@ -1344,12 +1332,17 @@ mod tests {
                 txns.push(b.finish());
             }
         }
+        for i in 0..4u64 {
+            let mut b = TxnBuilder::new(false);
+            b.read(TupleId::new(0, 2 * i + 1));
+            txns.push(b.finish());
+        }
         let trace = Trace { transactions: txns };
         let mut cfg = base_cfg();
         cfg.graph_backend = GraphBackend::Hypergraph;
         cfg.replication = false;
-        cfg.coalesce = false;
         let g = build_graph(&w, &trace, &cfg);
+        assert_eq!(g.stats.groups, 8, "every row is its own vertex");
         // Previous placement labels only the even rows; the odd partner of
         // each pair must follow its net-mate, not the load-balance
         // fallback.

@@ -10,9 +10,9 @@
 //!    sets ([`schism_workload::Trace`]).
 //! 2. **Graph creation** ([`graph_builder`]) — a node per tuple (or
 //!    coalesced tuple group), clique edges between co-accessed tuples,
-//!    star-shaped replication sub-graphs, with transaction sampling,
-//!    access-weighted tuple sampling (which is also the relevance filter)
-//!    and blanket-statement filtering (§5.1). The
+//!    star-shaped replication sub-graphs, with access-weighted tuple
+//!    sampling (which is also the relevance filter) and blanket-statement
+//!    filtering (§5.1). The
 //!    build streams the trace in chunks ([`build_graph_source`] over any
 //!    [`schism_workload::TraceSource`]) across [`SchismConfig::threads`]
 //!    workers, with bit-identical output for every thread count.
@@ -45,7 +45,7 @@ pub mod pipeline;
 pub mod report;
 pub mod validate;
 
-pub use config::{GraphBackend, NodeWeight, SchismConfig};
+pub use config::{GraphBackend, SchismConfig};
 pub use explain::{Explanation, TableExplanation};
 pub use graph_builder::{build_graph, build_graph_source, BuildStats, CoAccess, WorkloadGraph};
 pub use partition_phase::{run_partition_phase, run_partition_phase_warm, PartitionPhase};

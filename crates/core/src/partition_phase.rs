@@ -206,69 +206,6 @@ mod tests {
         );
     }
 
-    /// §4.1's data-size balancing, end to end on TPC-C (680-byte customers
-    /// and 320-byte stock rows beside 112-byte districts): vertex weights
-    /// carry exactly the surviving tuples' bytes, the partitioner balances
-    /// those bytes, and the placement does not depend on the thread count.
-    #[test]
-    fn data_size_weighting_balances_bytes() {
-        use crate::config::NodeWeight;
-        use schism_workload::tpcc::{self, TpccConfig};
-        let w = tpcc::generate(&TpccConfig {
-            num_txns: 4_000,
-            ..TpccConfig::small(4)
-        });
-        // Bytes each partition stores under a placement; a replicated tuple
-        // is stored once per partition hosting it.
-        let byte_imbalance = |phase: &PartitionPhase, k: u32| {
-            let mut bytes = vec![0u64; k as usize];
-            for (t, pset) in &phase.assignment {
-                for p in pset.iter() {
-                    bytes[p as usize] += u64::from(w.db.tuple_bytes(t.table));
-                }
-            }
-            schism_graph::imbalance(&bytes)
-        };
-        let run = |node_weight: NodeWeight, threads: usize| {
-            let mut cfg = SchismConfig::new(4);
-            cfg.node_weight = node_weight;
-            cfg.threads = threads;
-            let wg = build_graph(&w, &w.trace, &cfg);
-            let total_weight = match &wg.graph {
-                CoAccess::Clique(g) => g.total_vertex_weight(),
-                CoAccess::Hyper(h) => h.total_vertex_weight(),
-            };
-            let tuple_bytes: u64 = wg
-                .tuples()
-                .iter()
-                .map(|t| u64::from(w.db.tuple_bytes(t.table)))
-                .sum();
-            (
-                run_partition_phase(&wg, &cfg),
-                total_weight,
-                tuple_bytes,
-                cfg,
-            )
-        };
-        let (phase, total_weight, tuple_bytes, cfg) = run(NodeWeight::DataSize, 1);
-        assert_eq!(
-            total_weight, tuple_bytes,
-            "vertex weights must carry the bytes"
-        );
-        let bound = 1.0 + cfg.partitioner.epsilon + 0.02;
-        let by_size = byte_imbalance(&phase, cfg.k);
-        let by_workload = byte_imbalance(&run(NodeWeight::Workload, 1).0, cfg.k);
-        println!("byte imbalance: DataSize {by_size:.4}, Workload {by_workload:.4}");
-        assert!(
-            phase.imbalance <= bound,
-            "graph imbalance {}",
-            phase.imbalance
-        );
-        assert!(by_size <= bound, "byte imbalance {by_size} > {bound}");
-        let (phase4, ..) = run(NodeWeight::DataSize, 4);
-        assert_eq!(phase4.assignment, phase.assignment, "threads changed it");
-    }
-
     #[test]
     fn assignment_covers_all_observed_tuples() {
         let w = simplecount::generate(&SimpleCountConfig {

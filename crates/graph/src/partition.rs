@@ -538,7 +538,7 @@ mod tests {
 
     #[test]
     fn coarse_levels_keep_their_mass_under_data_size_weights() {
-        // 64 path vertices of weight 2^30 (NodeWeight::DataSize scale): half
+        // 64 path vertices of weight 2^30 (byte-sized weights): half
         // a part's capacity is ~2^34, so without the u32 clamp on pair
         // weights the third level would build 2^32-weight vertices, which a
         // u32 vertex weight cannot hold — the level would lose mass and

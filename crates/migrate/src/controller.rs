@@ -2,10 +2,10 @@
 //! relabel, and emit a migration plan.
 //!
 //! [`MigrationController`] owns the pieces the rest of the crate provides —
-//! an exact [`DriftDetector`] rebased on every repartition, the current
-//! per-tuple placement, and the planner budgets — and exposes a single
-//! [`observe`](MigrationController::observe) entry point per window. The
-//! caller executes the returned plan at its own pace: build a
+//! an exact Jensen–Shannon [`DriftDetector`] rebased on every repartition,
+//! the current per-tuple placement, and the planner budgets — and exposes
+//! a single [`observe`](MigrationController::observe) entry point per
+//! window. The caller executes the returned plan at its own pace: build a
 //! [`MigrationExecutor`] via [`MigrationOutcome::executor`] over the live
 //! [`schism_store::ShardStore`] and a [`schism_router::VersionedScheme`],
 //! then [`step`](MigrationExecutor::step) it between foreground work.
@@ -17,7 +17,7 @@
 //! source too large to materialize is watched with the fixed-memory
 //! [`SketchDriftDetector`](crate::SketchDriftDetector) directly.
 
-use crate::drift::{DriftConfig, DriftDetector, DriftReport};
+use crate::drift::{DistanceMetric, DriftDetector, DriftReport};
 use crate::executor::{ExecutorConfig, MigrationExecutor};
 use crate::incremental::{rerun_incremental, RepartitionOutcome};
 use crate::plan::{plan_migration, MigrationPlan, PlanConfig};
@@ -31,7 +31,6 @@ use std::collections::HashMap;
 #[derive(Clone, Debug)]
 pub struct ControllerConfig {
     pub schism: SchismConfig,
-    pub drift: DriftConfig,
     pub plan: PlanConfig,
 }
 
@@ -39,7 +38,6 @@ impl ControllerConfig {
     pub fn new(k: u32) -> Self {
         Self {
             schism: SchismConfig::new(k),
-            drift: DriftConfig::default(),
             plan: PlanConfig::default(),
         }
     }
@@ -93,7 +91,7 @@ impl MigrationController {
     pub fn bootstrap(workload: &Workload, cfg: ControllerConfig) -> Self {
         let wg = build_graph(workload, &workload.trace, &cfg.schism);
         let phase = run_partition_phase(&wg, &cfg.schism);
-        let detector = DriftDetector::new(cfg.drift.clone(), &workload.trace);
+        let detector = DriftDetector::new(DistanceMetric::JensenShannon, &workload.trace);
         Self {
             cfg,
             detector,
@@ -108,7 +106,7 @@ impl MigrationController {
         assignment: HashMap<TupleId, PartitionSet>,
         cfg: ControllerConfig,
     ) -> Self {
-        let detector = DriftDetector::new(cfg.drift.clone(), &reference.trace);
+        let detector = DriftDetector::new(DistanceMetric::JensenShannon, &reference.trace);
         Self {
             cfg,
             detector,
@@ -153,18 +151,7 @@ impl MigrationController {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::drift::DistanceMetric;
     use schism_workload::drifting::{self, DriftingConfig};
-
-    fn controller_cfg(k: u32) -> ControllerConfig {
-        let mut cfg = ControllerConfig::new(k);
-        cfg.drift = DriftConfig {
-            metric: DistanceMetric::JensenShannon,
-            threshold: 0.15,
-            min_transactions: 100,
-        };
-        cfg
-    }
 
     #[test]
     fn stable_windows_do_not_migrate() {
@@ -173,7 +160,7 @@ mod tests {
             ..Default::default()
         };
         let w0 = drifting::window(&dcfg, 0);
-        let mut ctl = MigrationController::bootstrap(&w0, controller_cfg(4));
+        let mut ctl = MigrationController::bootstrap(&w0, ControllerConfig::new(4));
         let before = ctl.assignment().clone();
         // A fresh sample of the same window distribution.
         let same = drifting::generate(&DriftingConfig { seed: 777, ..dcfg });
@@ -191,7 +178,7 @@ mod tests {
             ..Default::default()
         };
         let w0 = drifting::window(&dcfg, 0);
-        let mut ctl = MigrationController::bootstrap(&w0, controller_cfg(4));
+        let mut ctl = MigrationController::bootstrap(&w0, ControllerConfig::new(4));
         let w3 = drifting::window(&dcfg, 3);
         let outcome = match ctl.observe(&w3) {
             Tick::Migrate(m) => m,

@@ -3,8 +3,9 @@
 //! The detector keeps a *reference* access histogram — the distribution the
 //! current partitioning was computed from — and compares each incoming
 //! window's histogram against it with a distribution distance. When the
-//! distance crosses the configured threshold the workload has drifted
-//! enough that the placement is stale and a (warm) re-partition pays off.
+//! distance crosses [`THRESHOLD`] on a window of at least
+//! [`MIN_TRANSACTIONS`], the workload has drifted enough that the
+//! placement is stale and a (warm) re-partition pays off.
 //!
 //! Two distances are offered:
 //!
@@ -28,25 +29,11 @@ pub enum DistanceMetric {
     JensenShannon,
 }
 
-/// Detector configuration.
-#[derive(Clone, Debug)]
-pub struct DriftConfig {
-    pub metric: DistanceMetric,
-    /// Distance above which a window counts as drifted.
-    pub threshold: f64,
-    /// Windows with fewer transactions than this never trigger (too noisy).
-    pub min_transactions: usize,
-}
+/// Distance above which a window counts as drifted.
+pub const THRESHOLD: f64 = 0.15;
 
-impl Default for DriftConfig {
-    fn default() -> Self {
-        Self {
-            metric: DistanceMetric::JensenShannon,
-            threshold: 0.15,
-            min_transactions: 100,
-        }
-    }
-}
+/// Windows with fewer transactions than this never trigger (too noisy).
+pub const MIN_TRANSACTIONS: usize = 100;
 
 /// A normalized access histogram of one trace window.
 #[derive(Clone, Debug, Default)]
@@ -162,17 +149,29 @@ pub struct DriftReport {
     pub window_txns: usize,
 }
 
+impl DriftReport {
+    /// The trigger both detectors share: a window of `window_txns`
+    /// transactions at `distance` from the reference.
+    pub(crate) fn new(distance: f64, window_txns: usize) -> Self {
+        Self {
+            distance,
+            drifted: window_txns >= MIN_TRANSACTIONS && distance > THRESHOLD,
+            window_txns,
+        }
+    }
+}
+
 /// Windowed drift detector: reference histogram + threshold trigger.
 pub struct DriftDetector {
-    cfg: DriftConfig,
+    metric: DistanceMetric,
     reference: AccessHistogram,
 }
 
 impl DriftDetector {
     /// `reference` is the trace the current placement was computed from.
-    pub fn new(cfg: DriftConfig, reference: &Trace) -> Self {
+    pub fn new(metric: DistanceMetric, reference: &Trace) -> Self {
         Self {
-            cfg,
+            metric,
             reference: AccessHistogram::from_trace(reference),
         }
     }
@@ -180,22 +179,13 @@ impl DriftDetector {
     /// Scores one window against the reference.
     pub fn observe(&self, window: &Trace) -> DriftReport {
         let hist = AccessHistogram::from_trace(window);
-        let distance = hist.distance(&self.reference, self.cfg.metric);
-        DriftReport {
-            distance,
-            drifted: window.len() >= self.cfg.min_transactions && distance > self.cfg.threshold,
-            window_txns: window.len(),
-        }
+        DriftReport::new(hist.distance(&self.reference, self.metric), window.len())
     }
 
     /// Resets the reference after a repartition: future windows are judged
     /// against the distribution the *new* placement was computed from.
     pub fn rebase(&mut self, trace: &Trace) {
         self.reference = AccessHistogram::from_trace(trace);
-    }
-
-    pub fn config(&self) -> &DriftConfig {
-        &self.cfg
     }
 }
 
@@ -254,7 +244,7 @@ mod tests {
     fn detector_fires_on_real_drift_not_on_noise() {
         let cfg = DriftingConfig::default();
         let w0 = drifting::window(&cfg, 0);
-        let detector = DriftDetector::new(DriftConfig::default(), &w0.trace);
+        let detector = DriftDetector::new(DistanceMetric::JensenShannon, &w0.trace);
         // A fresh sample of the same distribution: below threshold.
         let same = drifting::generate(&DriftingConfig {
             seed: 1234,
@@ -271,28 +261,17 @@ mod tests {
 
     #[test]
     fn small_windows_never_trigger() {
-        let detector = DriftDetector::new(
-            DriftConfig {
-                min_transactions: 100,
-                ..Default::default()
-            },
-            &point_trace(&[1, 2, 3]),
-        );
+        let detector = DriftDetector::new(DistanceMetric::JensenShannon, &point_trace(&[1, 2, 3]));
         let r = detector.observe(&point_trace(&[50, 51, 52]));
         assert!(r.distance > 0.9, "disjoint windows are far apart");
-        assert!(!r.drifted, "3-txn window is below min_transactions");
+        assert!(!r.drifted, "3-txn window is below MIN_TRANSACTIONS");
     }
 
     #[test]
     fn rebase_resets_reference() {
-        let mut d = DriftDetector::new(
-            DriftConfig {
-                min_transactions: 1,
-                ..Default::default()
-            },
-            &point_trace(&[1, 2, 3]),
-        );
-        let far = point_trace(&[7, 8, 9]);
+        let rows = |from: u64| (from..from + MIN_TRANSACTIONS as u64).collect::<Vec<_>>();
+        let mut d = DriftDetector::new(DistanceMetric::JensenShannon, &point_trace(&rows(0)));
+        let far = point_trace(&rows(1_000));
         assert!(d.observe(&far).drifted);
         d.rebase(&far);
         assert!(!d.observe(&far).drifted);

@@ -521,7 +521,6 @@ mod tests {
             &db,
             &PlanConfig {
                 max_rows_per_batch: rows_per_batch,
-                ..Default::default()
             },
         );
         (store, vs, plan)

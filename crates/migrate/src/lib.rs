@@ -53,7 +53,7 @@ pub mod sketch;
 
 pub use catchup::{catch_up_plan, run_catch_up, CatchUpReport};
 pub use controller::{ControllerConfig, MigrationController, MigrationOutcome, Tick};
-pub use drift::{AccessHistogram, DistanceMetric, DriftConfig, DriftDetector, DriftReport};
+pub use drift::{AccessHistogram, DistanceMetric, DriftDetector, DriftReport};
 pub use executor::{
     BatchReport, BatchState, ExecError, ExecutorConfig, ExecutorReport, MigrationExecutor,
     StepOutcome,

@@ -40,21 +40,17 @@ impl TupleMove {
     }
 }
 
-/// Throttle budgets for one batch.
+/// Row budget for one batch; the byte budget is [`MAX_BYTES_PER_BATCH`].
 #[derive(Clone, Copy, Debug)]
 pub struct PlanConfig {
     /// Maximum tuples per batch.
     pub max_rows_per_batch: usize,
-    /// Maximum payload bytes per batch (a tuple's bytes count once per
-    /// receiving partition).
-    pub max_bytes_per_batch: u64,
 }
 
 impl Default for PlanConfig {
     fn default() -> Self {
         Self {
             max_rows_per_batch: 1_000,
-            max_bytes_per_batch: 16 << 20,
         }
     }
 }
@@ -108,16 +104,19 @@ pub fn plan_migration(
     pack(moves, db, cfg)
 }
 
-/// Packs `moves`, in the order given, into batches under `cfg`'s row and
-/// byte budgets — the one packer behind every plan (a migration's and a
-/// rejoin's catch-up).
+/// Maximum payload bytes per batch: a tuple's bytes count once per
+/// receiving partition.
+pub const MAX_BYTES_PER_BATCH: u64 = 16 << 20;
+
+/// Packs `moves`, in the order given, into batches under `cfg`'s row
+/// budget and [`MAX_BYTES_PER_BATCH`] — the one packer behind every plan (a
+/// migration's and a rejoin's catch-up).
 pub(crate) fn pack(
     moves: impl IntoIterator<Item = TupleMove>,
     db: &dyn TupleValues,
     cfg: &PlanConfig,
 ) -> MigrationPlan {
     assert!(cfg.max_rows_per_batch >= 1);
-    assert!(cfg.max_bytes_per_batch >= 1);
     let mut plan = MigrationPlan::default();
     let mut batch = MigrationBatch::default();
     for m in moves {
@@ -127,7 +126,7 @@ pub(crate) fn pack(
         let payload = u64::from(db.tuple_bytes(m.tuple.table)) * u64::from(m.copies_added().len());
         let would_overflow = !batch.moves.is_empty()
             && (batch.moves.len() >= cfg.max_rows_per_batch
-                || batch.bytes + payload > cfg.max_bytes_per_batch);
+                || batch.bytes + payload > MAX_BYTES_PER_BATCH);
         if would_overflow {
             plan.batches.push(std::mem::take(&mut batch));
         }
@@ -170,7 +169,6 @@ mod tests {
         let new = asg(&(0..25).map(|r| (r, 1)).collect::<Vec<_>>());
         let cfg = PlanConfig {
             max_rows_per_batch: 10,
-            ..Default::default()
         };
         let plan = plan_migration(&old, &new, &MaterializedDb::new(), &cfg);
         let sizes: Vec<usize> = plan.batches.iter().map(|b| b.moves.len()).collect();
@@ -180,20 +178,18 @@ mod tests {
 
     #[test]
     fn batches_respect_byte_budget() {
+        // Tuples of 40% of the budget: two fit a batch, a third would not.
+        let tuple_bytes = MAX_BYTES_PER_BATCH * 2 / 5;
         let mut db = MaterializedDb::new();
         let t = db.add_table(1);
-        db.set_tuple_bytes(t, 100);
+        db.set_tuple_bytes(t, u32::try_from(tuple_bytes).unwrap());
         let old = asg(&(0..10).map(|r| (r, 0)).collect::<Vec<_>>());
         let new = asg(&(0..10).map(|r| (r, 1)).collect::<Vec<_>>());
-        let cfg = PlanConfig {
-            max_rows_per_batch: 1_000,
-            max_bytes_per_batch: 250,
-        };
-        let plan = plan_migration(&old, &new, &db, &cfg);
+        let plan = plan_migration(&old, &new, &db, &PlanConfig::default());
         for b in &plan.batches {
-            assert!(b.bytes <= 250, "batch bytes {}", b.bytes);
+            assert!(b.bytes <= MAX_BYTES_PER_BATCH, "batch bytes {}", b.bytes);
         }
-        assert_eq!(plan.total_bytes, 1_000);
+        assert_eq!(plan.total_bytes, 10 * tuple_bytes);
         assert_eq!(plan.batches.len(), 5);
     }
 
@@ -224,11 +220,7 @@ mod tests {
             [0u32, 1].into_iter().collect::<PartitionSet>(),
         );
         let new = asg(&[(0, 0)]);
-        let cfg = PlanConfig {
-            max_bytes_per_batch: 1,
-            ..Default::default()
-        };
-        let plan = plan_migration(&old, &new, &MaterializedDb::new(), &cfg);
+        let plan = plan_migration(&old, &new, &MaterializedDb::new(), &PlanConfig::default());
         assert_eq!(plan.total_moves, 1);
         assert_eq!(plan.total_bytes, 0);
         assert_eq!(plan.batches.len(), 1);

@@ -32,7 +32,7 @@
 //! independent of the trace length and of the hot-set size. The defaults
 //! (4 × 8192 counters + 1024 heavy hitters) fit in ~300 KiB.
 
-use crate::drift::{DistanceMetric, DriftConfig, DriftReport};
+use crate::drift::{DistanceMetric, DriftReport};
 use schism_workload::{splitmix64, TraceSource, TupleId};
 use std::collections::{BTreeSet, HashMap};
 
@@ -262,7 +262,7 @@ impl SketchHistogram {
 /// sides and windows fed from any [`TraceSource`] — no materialized
 /// `Trace`, no per-tuple reference map.
 pub struct SketchDriftDetector {
-    cfg: DriftConfig,
+    metric: DistanceMetric,
     scfg: SketchConfig,
     reference: SketchHistogram,
 }
@@ -270,12 +270,12 @@ pub struct SketchDriftDetector {
 impl SketchDriftDetector {
     /// `reference` is the window the current placement was computed from
     /// (an in-memory `Trace` works too — it implements [`TraceSource`]).
-    pub fn new<S>(cfg: DriftConfig, scfg: SketchConfig, reference: &S) -> Self
+    pub fn new<S>(metric: DistanceMetric, scfg: SketchConfig, reference: &S) -> Self
     where
         S: TraceSource + ?Sized,
     {
         Self {
-            cfg,
+            metric,
             scfg,
             reference: SketchHistogram::from_source(scfg, reference),
         }
@@ -286,14 +286,9 @@ impl SketchDriftDetector {
     where
         S: TraceSource + ?Sized,
     {
-        let distance = SketchHistogram::from_source(self.scfg, window)
-            .distance(&self.reference, self.cfg.metric);
-        let window_txns = window.len();
-        DriftReport {
-            distance,
-            drifted: window_txns >= self.cfg.min_transactions && distance > self.cfg.threshold,
-            window_txns,
-        }
+        let distance =
+            SketchHistogram::from_source(self.scfg, window).distance(&self.reference, self.metric);
+        DriftReport::new(distance, window.len())
     }
 
     /// Resets the reference after a repartition.
@@ -302,10 +297,6 @@ impl SketchDriftDetector {
         S: TraceSource + ?Sized,
     {
         self.reference = SketchHistogram::from_source(self.scfg, reference);
-    }
-
-    pub fn config(&self) -> &DriftConfig {
-        &self.cfg
     }
 
     /// The reference sketch (for error-bound introspection).

@@ -2,12 +2,11 @@
 //!
 //! The routing middleware and partitioning-scheme runtime from §5.4 and
 //! Appendix C: partition sets, the [`Scheme`] abstraction, hash / range /
-//! lookup-table / full-replication schemes, the three physical lookup-table
-//! backends (index, bit-array, Bloom filters), replication-aware
+//! lookup-table / full-replication schemes, the two physical lookup-table
+//! backends (index, bit-array), replication-aware
 //! transaction routing, and the distributed-transaction cost evaluator that
 //! drives Schism's final validation.
 
-pub mod bloom;
 pub mod cost;
 pub mod hash;
 pub mod lookup;
@@ -18,12 +17,9 @@ pub mod router;
 pub mod scheme;
 pub mod versioned;
 
-pub use bloom::BloomFilter;
 pub use cost::{evaluate, CostReport};
 pub use hash::{HashBy, HashScheme};
-pub use lookup::{
-    BitArrayBackend, BloomBackend, IndexBackend, LookupBackend, LookupScheme, MissPolicy, RowKey,
-};
+pub use lookup::{BitArrayBackend, IndexBackend, LookupBackend, LookupScheme, MissPolicy, RowKey};
 pub use pset::{PartitionSet, MAX_PARTITIONS};
 pub use range::{RangeRule, RangeScheme, TablePolicy};
 pub use replica::{ReplicaSet, ReplicatedScheme};

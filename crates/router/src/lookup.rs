@@ -1,9 +1,9 @@
 //! Per-tuple lookup tables — the fine-grained output of the graph
-//! partitioner (§4.2, Appendix C.1), with the three physical backends the
-//! paper discusses: a traditional index (hash map), a dense bit-array (one
-//! byte per row id), and per-partition Bloom filters.
+//! partitioner (§4.2, Appendix C.1), with two of the physical backends the
+//! paper discusses: a traditional index (hash map) for sparse row ids and
+//! a dense bit-array (one byte per row id). The paper's third, per-partition
+//! Bloom filters, trades exactness for memory; no scheme here needs it.
 
-use crate::bloom::BloomFilter;
 use crate::pset::PartitionSet;
 use crate::scheme::{Complexity, Route, Scheme};
 use schism_sql::{ColId, Statement, Value};
@@ -100,52 +100,6 @@ impl LookupBackend for BitArrayBackend {
 
     fn size_bytes(&self) -> usize {
         self.slots.len() + self.overflow.len() * (8 + std::mem::size_of::<PartitionSet>())
-    }
-}
-
-/// Bloom-filter backend: one filter per partition; false positives add
-/// extra participants but never lose the true home.
-pub struct BloomBackend {
-    filters: Vec<BloomFilter>,
-}
-
-impl BloomBackend {
-    pub fn new(
-        k: u32,
-        expected_per_partition: usize,
-        fp_rate: f64,
-        entries: impl IntoIterator<Item = (u64, PartitionSet)>,
-    ) -> Self {
-        let mut filters: Vec<BloomFilter> = (0..k)
-            .map(|_| BloomFilter::new(expected_per_partition, fp_rate))
-            .collect();
-        for (row, pset) in entries {
-            for p in pset.iter() {
-                filters[p as usize].insert(row);
-            }
-        }
-        Self { filters }
-    }
-}
-
-impl LookupBackend for BloomBackend {
-    fn get(&self, row: u64) -> Option<PartitionSet> {
-        let hits: PartitionSet = self
-            .filters
-            .iter()
-            .enumerate()
-            .filter(|(_, f)| f.contains(row))
-            .map(|(p, _)| p as u32)
-            .collect();
-        if hits.is_empty() {
-            None
-        } else {
-            Some(hits)
-        }
-    }
-
-    fn size_bytes(&self) -> usize {
-        self.filters.iter().map(BloomFilter::size_bytes).sum()
     }
 }
 
@@ -283,8 +237,7 @@ mod tests {
         assert_eq!(b.get(1), Some(PartitionSet::single(1)));
         let two = b.get(2).expect("replicated entry present");
         assert!(two.contains(0) && two.contains(1));
-        // Row 50 was never inserted. Index/bit-array answer None exactly;
-        // bloom may false-positive, which is allowed.
+        // Row 50 was never inserted: both backends answer None exactly.
     }
 
     #[test]
@@ -301,18 +254,6 @@ mod tests {
         assert_eq!(b.get(50), None);
         assert_eq!(b.get(1_000_000), None); // out of range
         assert!(b.size_bytes() >= 100);
-    }
-
-    #[test]
-    fn bloom_backend_never_loses_home() {
-        let many: Vec<(u64, PartitionSet)> = (0..1000)
-            .map(|r| (r, PartitionSet::single((r % 4) as u32)))
-            .collect();
-        let b = BloomBackend::new(4, 300, 0.01, many.clone());
-        for (r, pset) in many {
-            let got = b.get(r).expect("present");
-            assert!(got.contains(pset.first().unwrap()), "lost home of {r}");
-        }
     }
 
     #[test]

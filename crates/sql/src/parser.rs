@@ -18,7 +18,8 @@
 //! ```
 //!
 //! Column names may be qualified (`table.col`); the table prefix is ignored
-//! after checking it matches the statement's table.
+//! after checking it matches the statement's table. Parentheses nest at
+//! most [`MAX_NESTING`] deep, so hostile input cannot exhaust the stack.
 
 use crate::lexer::{lex, LexError, Token};
 use crate::predicate::{CmpOp, Predicate};
@@ -49,6 +50,10 @@ impl From<LexError> for ParseError {
     }
 }
 
+/// Deepest parenthesis nesting [`parse_statement`] accepts; deeper input is
+/// a [`ParseError`].
+pub const MAX_NESTING: usize = 64;
+
 /// Parses one statement against `schema`.
 pub fn parse_statement(schema: &Schema, sql: &str) -> Result<Statement, ParseError> {
     let tokens = lex(sql)?;
@@ -56,6 +61,7 @@ pub fn parse_statement(schema: &Schema, sql: &str) -> Result<Statement, ParseErr
         schema,
         tokens,
         pos: 0,
+        depth: 0,
     };
     let stmt = p.statement()?;
     p.eat_optional_semicolon();
@@ -69,6 +75,8 @@ struct Parser<'a> {
     schema: &'a Schema,
     tokens: Vec<Token>,
     pos: usize,
+    /// Parentheses open around the current position.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -282,8 +290,13 @@ impl<'a> Parser<'a> {
 
     fn atom(&mut self, table: TableId) -> Result<Predicate, ParseError> {
         if matches!(self.peek(), Some(Token::LParen)) {
+            if self.depth == MAX_NESTING {
+                return Err(self.err(format!("parentheses nested deeper than {MAX_NESTING}")));
+            }
             self.pos += 1;
+            self.depth += 1;
             let inner = self.expr(table)?;
+            self.depth -= 1;
             self.expect(&Token::RParen)?;
             return Ok(inner);
         }
@@ -493,6 +506,26 @@ mod tests {
         let s = schema();
         assert!(parse_statement(&s, "INSERT INTO account (id, name) VALUES (1)").is_err());
         assert!(parse_statement(&s, "SELECT * FROM account WHERE id = 1 garbage").is_err());
+    }
+
+    /// `depth` parentheses around one comparison.
+    fn nested(depth: usize) -> String {
+        format!(
+            "SELECT * FROM account WHERE {}id = 1{}",
+            "(".repeat(depth),
+            ")".repeat(depth)
+        )
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let s = schema();
+        let stmt = parse_statement(&s, &nested(MAX_NESTING)).unwrap();
+        assert_eq!(stmt.predicate, Predicate::Eq(0, Value::Int(1)));
+        assert!(parse_statement(&s, &nested(MAX_NESTING + 1)).is_err());
+        // Deep enough to overflow a test thread's stack without the bound.
+        let err = parse_statement(&s, &nested(100_000)).unwrap_err();
+        assert!(err.message.contains("nested"), "{err}");
     }
 
     #[test]

@@ -483,6 +483,19 @@ SELECT * FROM orders WHERE oid > 100;
     }
 
     #[test]
+    fn deep_nesting_is_a_line_error() {
+        let deep = 100_000;
+        let line = format!(
+            "SELECT * FROM users WHERE {}id = 1{};",
+            "(".repeat(deep),
+            ")".repeat(deep)
+        );
+        let err = SqlLogSource::from_string(schema(), line).unwrap_err();
+        assert_eq!(err.line, 1);
+        assert!(err.message.contains("nested"), "{err}");
+    }
+
+    #[test]
     fn drifting_round_trip_preserves_access_sets() {
         let w = drifting::generate(&DriftingConfig {
             num_txns: 300,

@@ -26,8 +26,8 @@ impl std::fmt::Display for TupleId {
 /// The SplitMix64 finaliser (Steele, Lea & Flood 2014): a bijective 64-bit
 /// mixer. The one hash every layer derives its deterministic choices from
 /// — tuple sampling and the graph digest, hash routing and replica picks,
-/// Bloom probes, Count-Min rows — so outputs that must agree across crates
-/// (e.g. a tuple's hash shard) are computed by the same function.
+/// Count-Min rows — so outputs that must agree across crates (e.g. a
+/// tuple's hash shard) are computed by the same function.
 pub fn splitmix64(mut x: u64) -> u64 {
     x ^= x >> 30;
     x = x.wrapping_mul(0xBF58_476D_1CE4_E5B9);

@@ -13,7 +13,7 @@
 //!   batch construction from the materialized trace.
 
 use proptest::prelude::*;
-use schism_migrate::drift::{AccessHistogram, DistanceMetric, DriftConfig, DriftDetector};
+use schism_migrate::drift::{AccessHistogram, DistanceMetric, DriftDetector};
 use schism_migrate::sketch::{SketchConfig, SketchDriftDetector, SketchHistogram};
 use schism_workload::drifting::{self, DriftingConfig};
 use schism_workload::TraceSource;
@@ -107,13 +107,13 @@ proptest! {
         });
         let loud = drifting::window(&cfg, 3);
 
-        // The detector default (Jensen-Shannon) — total variation over
+        // The controller's metric (Jensen-Shannon) — total variation over
         // per-tuple histograms reads resampling noise as ~0.24 at this
-        // window size, which is exactly why JS is the default.
-        let dcfg = DriftConfig::default();
-        let exact = DriftDetector::new(dcfg.clone(), &reference.trace);
+        // window size, which is exactly why the controller uses JS.
+        let metric = DistanceMetric::JensenShannon;
+        let exact = DriftDetector::new(metric, &reference.trace);
         let sketched =
-            SketchDriftDetector::new(dcfg, SketchConfig::default(), &reference.trace);
+            SketchDriftDetector::new(metric, SketchConfig::default(), &reference.trace);
 
         let (eq, sq) = (exact.observe(&quiet.trace), sketched.observe(&quiet.trace));
         prop_assert!(!eq.drifted && !sq.drifted,

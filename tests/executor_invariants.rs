@@ -110,7 +110,6 @@ proptest! {
         let vs = VersionedScheme::new(lookup_scheme(&old, k), lookup_scheme(&new, k));
         let plan = plan_migration(&old, &new, &db, &PlanConfig {
             max_rows_per_batch: max_rows,
-            ..Default::default()
         });
 
         let mut exec = MigrationExecutor::new(&plan, &store, &vs, ExecutorConfig::default());
@@ -163,7 +162,6 @@ proptest! {
         let vs = VersionedScheme::new(lookup_scheme(&old, k), lookup_scheme(&new, k));
         let plan = plan_migration(&old, &new, &db, &PlanConfig {
             max_rows_per_batch: max_rows,
-            ..Default::default()
         });
         if plan.batches.is_empty() {
             return; // nothing changed placement; nothing to corrupt

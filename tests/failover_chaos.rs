@@ -122,7 +122,6 @@ fn fixture_rf(rf: u32, faults: FaultPlan) -> Fixture {
         &*db,
         &PlanConfig {
             max_rows_per_batch: 4,
-            ..PlanConfig::default()
         },
     );
     let vs = Arc::new(VersionedScheme::new(old, Arc::clone(&new)));

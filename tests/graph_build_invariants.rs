@@ -1,11 +1,12 @@
-//! Property pins for the streaming graph builder's sampling heuristics
-//! (§5.1) and its ingestion contract:
+//! Property pins for the streaming graph builder's filtering heuristics
+//! (§5.1: access-weighted tuple sampling, blanket-scan dropping) and its
+//! ingestion contract:
 //!
-//! - transaction/tuple sampling may only *shrink* the node set — every
-//!   tuple surviving a sampled build exists in the full build;
+//! - tuple sampling may only *shrink* the node set — every tuple surviving
+//!   a sampled build exists in the full build;
 //! - `BuildStats` bookkeeping (`sampled_txns`, `dropped_scans`) and the
 //!   whole graph are identical between chunked (streaming-source) and
-//!   whole-trace ingestion, for any sampling rate and seed;
+//!   whole-trace ingestion, for any tuple-sampling rate and seed;
 //! - the sharded pass-1 merge is invisible in the output: every shard
 //!   count (4× the thread count) × ingestion path digests identically.
 
@@ -21,10 +22,9 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 12, ..ProptestConfig::default() })]
 
     /// A sampled build's node set is a subset of the full build's, and the
-    /// sampled transaction count never exceeds the trace.
+    /// represented transaction count never exceeds the trace.
     #[test]
     fn sampling_yields_a_subset_of_the_full_node_set(
-        txn_pct in 20..=100u32,
         tuple_pct in 20..=100u32,
         seed in 0..20u64,
     ) {
@@ -39,7 +39,6 @@ proptest! {
         let full = build_graph(&w, &w.trace, &full_cfg);
 
         let mut sampled_cfg = full_cfg.clone();
-        sampled_cfg.txn_sample = f64::from(txn_pct) / 100.0;
         sampled_cfg.tuple_sample = f64::from(tuple_pct) / 100.0;
         let sampled = build_graph(&w, &w.trace, &sampled_cfg);
 
@@ -55,11 +54,10 @@ proptest! {
     }
 
     /// Chunked (streaming-source) and whole-trace ingestion agree on the
-    /// graph and on `BuildStats` — including under transaction sampling and
-    /// a blanket filter tight enough to drop scans.
+    /// graph and on `BuildStats` — including under tuple sampling.
     #[test]
     fn chunked_and_whole_trace_stats_are_consistent(
-        txn_pct in 30..=100u32,
+        tuple_pct in 30..=100u32,
         seed in 0..20u64,
         threads in 1..=4usize,
     ) {
@@ -74,7 +72,7 @@ proptest! {
         let mut cfg = SchismConfig::new(2);
         cfg.seed = seed;
         cfg.threads = threads;
-        cfg.txn_sample = f64::from(txn_pct) / 100.0;
+        cfg.tuple_sample = f64::from(tuple_pct) / 100.0;
 
         let chunked = build_graph_source(&w, &src, &cfg);
         let whole = build_graph(&w, &src.materialize(), &cfg);
@@ -117,7 +115,7 @@ proptest! {
     /// representation (clique edges vs transaction nets) differs.
     #[test]
     fn backends_agree_on_vertices_and_weights(
-        txn_pct in 40..=100u32,
+        tuple_pct in 40..=100u32,
         seed in 0..20u64,
         threads in 1..=4usize,
     ) {
@@ -132,7 +130,7 @@ proptest! {
         let mut cfg = SchismConfig::new(2);
         cfg.seed = seed;
         cfg.threads = threads;
-        cfg.txn_sample = f64::from(txn_pct) / 100.0;
+        cfg.tuple_sample = f64::from(tuple_pct) / 100.0;
         let clique = build_graph(&w, &w.trace, &cfg);
         let mut hcfg = cfg.clone();
         hcfg.graph_backend = GraphBackend::Hypergraph;
@@ -168,12 +166,12 @@ proptest! {
     /// The sharded pass-1 merge is invisible in the output: the builder
     /// shards 4× its thread count, so threads 1/2/3/4 merge through
     /// 4/8/12/16 shards — even and uneven counts — and both ingestion paths
-    /// must build the bit-identical graph at each, with sampling and
+    /// must build the bit-identical graph at each, with tuple sampling and
     /// coalescing on so the merge is exercised on every `TupleStats` field
     /// it folds.
     #[test]
     fn sharded_merge_is_bit_identical_across_shard_counts(
-        txn_pct in 50..=100u32,
+        tuple_pct in 50..=100u32,
         seed in 0..20u64,
     ) {
         let dcfg = DriftingConfig {
@@ -187,7 +185,7 @@ proptest! {
         let mut cfg = SchismConfig::new(2);
         cfg.seed = seed;
         cfg.threads = 1;
-        cfg.txn_sample = f64::from(txn_pct) / 100.0;
+        cfg.tuple_sample = f64::from(tuple_pct) / 100.0;
         let reference = build_graph_source(&w, &src, &cfg);
         prop_assert_eq!(
             build_graph(&w, &src.materialize(), &cfg).digest(),

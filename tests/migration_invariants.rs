@@ -54,7 +54,7 @@ proptest! {
         }
         let old = assignment(&old_pairs);
         let new = assignment(&new_pairs);
-        let cfg = PlanConfig { max_rows_per_batch: max_rows, ..Default::default() };
+        let cfg = PlanConfig { max_rows_per_batch: max_rows };
         let plan = plan_migration(&old, &new, &MaterializedDb::new(), &cfg);
 
         let changed: HashSet<TupleId> = new

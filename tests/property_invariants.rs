@@ -1,15 +1,17 @@
 //! Property-based invariants across the workspace's core data structures:
-//! the graph partitioner, partition sets, Bloom-backed lookup tables, the
-//! replication-aware router, and the decision tree.
+//! the graph partitioner, partition sets, the replication-aware router, the
+//! decision tree, and the SQL front door.
 
 use proptest::prelude::*;
 use schism_graph::{partition, GraphBuilder, PartitionerConfig};
 use schism_ml::{extract_rules, DatasetBuilder, DecisionTree, TreeConfig};
 use schism_router::{
-    route_transaction, BloomBackend, IndexBackend, LookupBackend, LookupScheme, MissPolicy,
-    PartitionSet,
+    route_transaction, IndexBackend, LookupBackend, LookupScheme, MissPolicy, PartitionSet,
 };
-use schism_workload::{MaterializedDb, TupleId, TxnBuilder};
+use schism_sql::{parse_statement, ColumnType, Schema};
+use schism_workload::sqllog::SqlLogSource;
+use schism_workload::{MaterializedDb, TraceSource, TupleId, TxnBuilder};
+use std::sync::Arc;
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
@@ -57,26 +59,6 @@ proptest! {
         prop_assert_eq!(inter, expect);
         for x in &a {
             prop_assert!(pa.contains(*x));
-        }
-    }
-
-    /// A Bloom-backed lookup table may add partitions (false positives) but
-    /// never loses a tuple's true home relative to the exact index.
-    #[test]
-    fn bloom_lookup_is_superset_of_index(
-        rows in prop::collection::vec(0..10_000u64, 1..200),
-        k in 2..8u32,
-    ) {
-        let entries: Vec<(u64, PartitionSet)> = rows
-            .iter()
-            .map(|&r| (r, PartitionSet::single((r % k as u64) as u32)))
-            .collect();
-        let index = IndexBackend::new(entries.clone());
-        let bloom = BloomBackend::new(k, entries.len(), 0.05, entries);
-        for &r in &rows {
-            let exact = index.get(r).expect("present in index");
-            let fuzzy = bloom.get(r).expect("present in bloom");
-            prop_assert_eq!(fuzzy.union(&exact), fuzzy, "bloom lost home of {}", r);
         }
     }
 
@@ -142,6 +124,123 @@ proptest! {
             let matched: Vec<_> = rules.iter().filter(|r| r.matches(&[x, y])).collect();
             prop_assert_eq!(matched.len(), 1, "row ({},{}) matched {} rules", x, y, matched.len());
             prop_assert_eq!(matched[0].label, tree.predict(&[x, y]));
+        }
+    }
+}
+
+/// Where a fuzzed string starts: nothing, or a valid statement prefix so
+/// the fragments after it reach the predicate and literal parsers.
+const SQL_PREFIXES: &[&str] = &[
+    "",
+    "SELECT * FROM account WHERE ",
+    "UPDATE account SET bal = ",
+    "INSERT INTO account (id, name, bal) VALUES (",
+    "DELETE FROM account WHERE ",
+    "BEGIN;\nSELECT id FROM account WHERE ",
+];
+
+/// Keywords and the fuzz schema's table and column names.
+const SQL_WORDS: &[&str] = &[
+    "SELECT",
+    "*",
+    "FROM",
+    "WHERE",
+    "UPDATE",
+    "SET",
+    "INSERT",
+    "INTO",
+    "VALUES",
+    "DELETE",
+    "AND",
+    "OR",
+    "BETWEEN",
+    "IN",
+    "BEGIN",
+    "COMMIT",
+    "END",
+    "account",
+    "id",
+    "name",
+    "bal",
+    "account.id",
+    "other.id",
+    "nowhere",
+];
+
+/// Operators, punctuation and separators.
+const SQL_OPS: &[&str] = &[
+    "=", "<", "<=", ">", ">=", "<>", "!=", ",", ";", "-", ".", "(", ")", " ", "\n", "--",
+];
+
+/// Appends one fragment of a SQL-shaped string, its kind picked by
+/// `kind` (comparisons and keywords most often, arbitrary chars rarely)
+/// and filled in from `x`.
+fn push_sql_fragment(out: &mut String, kind: u32, x: u64) {
+    let pick = |list: &[&'static str]| list[(x % list.len() as u64) as usize];
+    match kind {
+        0..=3 => out.push_str(pick(SQL_WORDS)),
+        // `col op literal`, the atom every predicate is built from.
+        4..=7 => {
+            let col = ["id", "bal", "name", "account.bal"][(x >> 8) as usize % 4];
+            let op = ["=", "<", ">=", "<>", "IN (", "BETWEEN"][(x >> 16) as usize % 6];
+            out.push_str(&format!("{col} {op} {}", x % 100));
+        }
+        // Integers: small, anywhere in i64, and past i64::MAX.
+        8..=9 => match x % 4 {
+            0 | 1 => out.push_str(&((x >> 2) % 1_000).to_string()),
+            2 => out.push_str(&(x as i64).to_string()),
+            _ => out.push_str(&(x | 1 << 63).to_string()),
+        },
+        // A string with `''` escapes; every fifth one is left unterminated.
+        10 => {
+            out.push('\'');
+            for i in 0..x % 6 {
+                out.push_str(if (x >> i) & 1 == 1 { "''" } else { "ab" });
+            }
+            if !x.is_multiple_of(5) {
+                out.push('\'');
+            }
+        }
+        // A run of up to 200 opening or closing parentheses.
+        11 => out.push_str(&(if x & 1 == 0 { "(" } else { ")" }).repeat((x >> 1) as usize % 201)),
+        12..=14 => out.push_str(pick(SQL_OPS)),
+        // Any char, ASCII half the time.
+        _ => {
+            let range = if x & 1 == 0 { 0x80 } else { 0x11_0000 };
+            out.push(char::from_u32(((x >> 1) % range) as u32).unwrap_or('\u{FFFD}'));
+        }
+    }
+    out.push(' ');
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 5_000, ..ProptestConfig::default() })]
+
+    /// Hostile text never panics or aborts the SQL front door: the parser
+    /// and the statement-log index pass return `Ok` or a typed error, and a
+    /// log that indexes also replays.
+    #[test]
+    fn sql_front_door_never_panics(
+        prefix in 0..SQL_PREFIXES.len(),
+        fragments in prop::collection::vec((0..16u32, 0..u64::MAX), 0..10),
+    ) {
+        let mut schema = Schema::new();
+        schema.add_table(
+            "account",
+            &[("id", ColumnType::Int), ("name", ColumnType::Str), ("bal", ColumnType::Int)],
+            &["id"],
+        );
+        let schema = Arc::new(schema);
+        let mut sql = SQL_PREFIXES[prefix].to_owned();
+        for &(kind, x) in &fragments {
+            push_sql_fragment(&mut sql, kind, x);
+        }
+        if let Err(e) = parse_statement(&schema, &sql) {
+            prop_assert!(!e.to_string().is_empty());
+        }
+        match SqlLogSource::from_string(Arc::clone(&schema), sql) {
+            Ok(log) => prop_assert_eq!(log.materialize().len(), log.len()),
+            Err(e) => prop_assert!(e.line >= 1, "{}", e),
         }
     }
 }

@@ -111,7 +111,6 @@ fn fixture(n_keys: u64, rows_per_batch: usize, extras: u64) -> Fixture {
         &*db,
         &PlanConfig {
             max_rows_per_batch: rows_per_batch,
-            ..PlanConfig::default()
         },
     );
     let vs = Arc::new(VersionedScheme::new(old, Arc::clone(&new)));

@@ -326,7 +326,6 @@ fn run_executor_on_every_backend(seed: u64) -> u64 {
         &db,
         &PlanConfig {
             max_rows_per_batch: 4,
-            ..PlanConfig::default()
         },
     );
     // Sometimes poison one batch persistently: every backend must retry,
