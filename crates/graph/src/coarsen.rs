@@ -1,14 +1,18 @@
-//! Contraction: collapse a matching into a coarser structure.
+//! Contraction: collapse one coarsening step's groups into a coarser
+//! structure.
 //!
-//! Matched pairs become a single coarse vertex whose weight is the sum of the
-//! pair's weights; the mapping from fine to coarse vertex ids is retained so
-//! partitions can be projected back during uncoarsening. Coarse ids and
-//! weights are computed here, once, for every `Incidence`; what the merge
-//! does to the structure itself is the implementation's business
-//! (`Incidence::contract`).
+//! A coarsening step (`Incidence::coarsen_step`: heavy matching for a plain
+//! graph, first-choice clustering for a hypergraph) decides only which
+//! vertices merge, as a [`Grouping`] — fine → coarse ids, numbered in
+//! first-member order. Everything here reads that map alone. Each group
+//! becomes a single coarse vertex whose weight is the sum of its members'
+//! weights, and the map is retained so partitions can be projected back
+//! during uncoarsening. Coarse weights are computed here, once, for every
+//! `Incidence`; what the merge does to the structure itself is the
+//! implementation's business (`Incidence::contract`).
 //!
 //! For a plain graph (`contract_adjacency`) parallel edges created by the
-//! contraction are merged with summed weights and edges interior to a pair
+//! contraction are merged with summed weights and edges interior to a group
 //! vanish. The expensive part — building the coarse adjacency, O(E) — is
 //! parallelized over *coarse* vertex ranges: each chunk accumulates its
 //! vertices' merged neighbor lists into private buffers with a private
@@ -31,41 +35,70 @@ pub struct CoarseLevel<G> {
     pub map: Vec<NodeId>,
 }
 
-/// Contracts `g` according to `mate` (as produced by
-/// [`crate::matching::heavy_matching`]), sharing the structure build across
-/// `pool`.
-///
-/// # Panics
-/// If a matched pair weighs more than `u32::MAX` — the driver caps pair
-/// weights below that, so a coarse level always carries the full mass of
-/// the level under it.
-pub fn contract<G: Incidence>(g: &G, mate: &[NodeId], pool: &Pool) -> CoarseLevel<G> {
-    let n = g.num_vertices();
-    debug_assert_eq!(mate.len(), n);
+/// Which vertices one coarsening step merges.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Grouping {
+    /// `map[v_fine] = v_coarse`, coarse ids numbered in the order of each
+    /// group's lowest-numbered member.
+    pub map: Vec<NodeId>,
+    /// Number of groups, i.e. of coarse vertices.
+    pub groups: usize,
+}
 
-    // Assign coarse ids: the lower-numbered endpoint of each pair owns the
-    // id. Sequential O(n) — a prefix-sum dependency not worth sharding.
-    let mut map = vec![NodeId::MAX; n];
-    let mut next: NodeId = 0;
-    for v in 0..n {
-        let m = mate[v] as usize;
-        if m >= v {
-            map[v] = next;
-            map[m] = next; // no-op when m == v
-            next += 1;
+impl Grouping {
+    /// Numbers the groups `rep` names — `rep[v]` is the same member for
+    /// every member `v` of a group, and `rep[rep[v]] == rep[v]` — in
+    /// first-member order. O(n), sequential: a prefix-sum dependency not
+    /// worth sharding.
+    pub(crate) fn from_reps(rep: &[NodeId]) -> Self {
+        // A representative's own slot holds its group's id from the group's
+        // first member on; by the time the scan reaches the representative,
+        // that is the id it needs.
+        let mut map = vec![NodeId::MAX; rep.len()];
+        let mut groups: NodeId = 0;
+        for v in 0..rep.len() {
+            let r = rep[v] as usize;
+            if map[r] == NodeId::MAX {
+                map[r] = groups;
+                groups += 1;
+            }
+            map[v] = map[r];
+        }
+        Self {
+            map,
+            groups: groups as usize,
         }
     }
 
-    let mut vwgt = vec![0u32; next as usize];
-    for v in 0..n {
-        let w = &mut vwgt[map[v] as usize];
+    /// The groups of a matching: `mate[v] == u` and `mate[u] == v` for a
+    /// pair, `mate[v] == v` for a vertex left single.
+    pub(crate) fn from_mate(mate: &[NodeId]) -> Self {
+        let rep: Vec<NodeId> = (0..mate.len() as NodeId)
+            .map(|v| v.min(mate[v as usize]))
+            .collect();
+        Self::from_reps(&rep)
+    }
+}
+
+/// Contracts `g` according to `grouping` (as produced by one coarsening
+/// step), sharing the structure build across `pool`.
+///
+/// # Panics
+/// If a group weighs more than `u32::MAX` — every coarsening step caps a
+/// group's weight below that, so a coarse level always carries the full
+/// mass of the level under it.
+pub fn contract<G: Incidence>(g: &G, grouping: Grouping, pool: &Pool) -> CoarseLevel<G> {
+    let Grouping { map, groups } = grouping;
+    debug_assert_eq!(map.len(), g.num_vertices());
+    let mut vwgt = vec![0u32; groups];
+    for (v, &c) in map.iter().enumerate() {
+        let w = &mut vwgt[c as usize];
         *w = w
             .checked_add(g.vertex_weight(v as NodeId))
-            .expect("matching caps a pair's weight at u32::MAX");
+            .expect("coarsening caps a group's weight at u32::MAX");
     }
-
     CoarseLevel {
-        graph: g.contract(mate, &map, vwgt, pool),
+        graph: g.contract(&map, vwgt, pool),
         map,
     }
 }
@@ -73,20 +106,26 @@ pub fn contract<G: Incidence>(g: &G, mate: &[NodeId], pool: &Pool) -> CoarseLeve
 /// The plain-graph half of [`contract`]: the merged coarse adjacency.
 pub(crate) fn contract_adjacency(
     g: &CsrGraph,
-    mate: &[NodeId],
     map: &[NodeId],
     vwgt: Vec<u32>,
     pool: &Pool,
 ) -> CsrGraph {
     let cn = vwgt.len();
 
-    // The owner (emitting) fine vertex of each coarse vertex — the lower
-    // endpoint of its pair.
-    let mut owner = vec![0 as NodeId; cn];
-    for v in 0..g.num_vertices() {
-        if mate[v] as usize >= v {
-            owner[map[v] as usize] = v as NodeId;
-        }
+    // Each coarse vertex's fine members, ascending: a counting sort of
+    // `map`. A coarse vertex emits its members' edges in that order.
+    let mut first = vec![0u32; cn + 1];
+    for &c in map {
+        first[c as usize + 1] += 1;
+    }
+    for c in 0..cn {
+        first[c + 1] += first[c];
+    }
+    let mut cursor = first.clone();
+    let mut members = vec![0 as NodeId; map.len()];
+    for (v, &c) in map.iter().enumerate() {
+        members[cursor[c as usize] as usize] = v as NodeId;
+        cursor[c as usize] += 1;
     }
 
     // Parallel adjacency build over coarse-vertex chunks. Each chunk owns
@@ -112,13 +151,14 @@ pub(crate) fn contract_adjacency(
             adjwgt: Vec::new(),
         };
         for cv in range {
-            let cv = cv as NodeId;
             let begin = out.adjncy.len();
-            let mut emit = |fine: NodeId| {
+            let span = first[cv] as usize..first[cv + 1] as usize;
+            let cv = cv as NodeId;
+            for &fine in &members[span] {
                 for (u, w) in g.edges(fine) {
                     let cu = map[u as usize];
                     if cu == cv {
-                        continue; // interior edge of the pair
+                        continue; // interior edge of the group
                     }
                     if stamp[cu as usize] == cv {
                         let s = slot[cu as usize] as usize;
@@ -130,12 +170,6 @@ pub(crate) fn contract_adjacency(
                         out.adjwgt.push(w);
                     }
                 }
-            };
-            let v = owner[cv as usize];
-            emit(v);
-            let m = mate[v as usize];
-            if m != v {
-                emit(m);
             }
             out.degrees.push((out.adjncy.len() - begin) as u32);
         }
@@ -178,7 +212,7 @@ mod tests {
         b.add_edge(3, 0, 1);
         let g = b.build();
         let mate = vec![1, 0, 3, 2];
-        let lvl = contract(&g, &mate, &Pool::new(1));
+        let lvl = contract(&g, Grouping::from_mate(&mate), &Pool::new(1));
         lvl.graph.validate().unwrap();
         assert_eq!(lvl.graph.num_vertices(), 2);
         assert_eq!(lvl.graph.num_edges(), 1);
@@ -193,7 +227,7 @@ mod tests {
         b.add_edge(0, 1, 1);
         let g = b.build();
         let mate = vec![1, 0, 2];
-        let lvl = contract(&g, &mate, &Pool::new(1));
+        let lvl = contract(&g, Grouping::from_mate(&mate), &Pool::new(1));
         assert_eq!(lvl.graph.num_vertices(), 2);
         assert_eq!(lvl.graph.num_edges(), 0);
         assert_eq!(lvl.graph.vertex_weight(lvl.map[2] as NodeId), 1);
@@ -211,7 +245,7 @@ mod tests {
         }
         let g = b.build();
         let mate = heavy_matching(&g, None, u64::MAX, &mut rng, &Pool::new(1));
-        let lvl = contract(&g, &mate, &Pool::new(1));
+        let lvl = contract(&g, Grouping::from_mate(&mate), &Pool::new(1));
         lvl.graph.validate().unwrap();
         assert_eq!(lvl.graph.total_vertex_weight(), g.total_vertex_weight());
         assert!(lvl.graph.num_vertices() < g.num_vertices());
@@ -243,10 +277,10 @@ mod tests {
         }
         let g = b.build();
         let mate = heavy_matching(&g, None, u64::MAX, &mut rng, &Pool::new(1));
-        let base = contract(&g, &mate, &Pool::new(1));
+        let base = contract(&g, Grouping::from_mate(&mate), &Pool::new(1));
         base.graph.validate().unwrap();
         for t in [2, 4] {
-            let lvl = contract(&g, &mate, &Pool::new(t));
+            let lvl = contract(&g, Grouping::from_mate(&mate), &Pool::new(t));
             assert_eq!(lvl.map, base.map, "pool size {t} changed the map");
             // CSR must be byte-identical: compare per-vertex adjacency.
             assert_eq!(lvl.graph.num_vertices(), base.graph.num_vertices());

@@ -5,10 +5,21 @@
 //! Each phase re-derives, for nets instead of edges, only the part that
 //! depends on the representation:
 //!
-//! 1. **Matching** scores partners by **heavy pins**: a vertex prefers the
-//!    partner it co-occurs with in heavy, small nets (each net scores its
-//!    pin pairs `w / (|e| − 1)`, so a 2-pin net counts like a full edge and
-//!    a wide scan contributes little).
+//! 1. **Coarsening** is **first-choice clustering** (the hMETIS / PaToH
+//!    scheme), not pair matching, in two phases per level. *Rate*
+//!    (parallel over vertex chunks, pure): every vertex picks the co-pin it
+//!    is most attracted to by **heavy pins** — co-occurrence in heavy, small
+//!    nets, each net scoring its pin pairs `w / (|e| − 1)`, so a 2-pin net
+//!    counts like a full edge and a wide scan contributes little — ranked
+//!    by the matching's key `(score, tie(seed, {v,u}))` among co-pins of
+//!    its label light enough to pair with it, taken or not. *Join*
+//!    (sequential, in the level's seeded shuffle): a vertex that has
+//!    neither joined a cluster nor been joined joins its target's cluster
+//!    if the cluster stays within a twentieth of a part; the vertex and its
+//!    target are then both taken. One co-pin scan per vertex per level, and
+//!    a hub's leaves gather around it in one level — where pair matching
+//!    pairs a few leaves per hub per level and stalls on TPC-C's
+//!    hub-and-leaf nets.
 //! 2. **Contraction** remaps and deduplicates pins per net, drops nets that
 //!    collapse to one pin and merges identical coarse pin sets.
 //! 3. **The coarsest-level seed** is a clique expansion (cheap at coarsest
@@ -30,13 +41,19 @@
 //! model's edge cut is only a quadratic proxy.
 
 use crate::builder::GraphBuilder;
+use crate::coarsen::Grouping;
 use crate::csr::{CsrGraph, NodeId};
 use crate::hypergraph::{HyperGraph, HyperGraphBuilder};
 use crate::incidence::{Incidence, MoveScratch};
+use crate::matching::tie;
+use crate::partition::max_cluster_weight;
+use rand::rngs::StdRng;
+use rand::seq::SliceRandom;
+use rand::Rng;
 use schism_par::{chunk_size, Pool};
 use std::borrow::Cow;
 
-/// Nets wider than this are skipped while *scoring* match candidates: a
+/// Nets wider than this are skipped while *scoring* cluster candidates: a
 /// wide net's per-pair weight `w / (|e| − 1)` is negligible, and skipping
 /// keeps the scoring pass linear in pins rather than quadratic.
 const SCORE_PIN_CAP: usize = 64;
@@ -53,8 +70,11 @@ const GAIN_PIN_CAP: usize = 512;
 /// hypergraph is converted for initial partitioning.
 const EXPAND_PIN_CAP: usize = 64;
 
-/// Fixed-point scale for heavy-pin match scores (`w·SCALE / (|e| − 1)`).
+/// Fixed-point scale for heavy-pin scores (`w·SCALE / (|e| − 1)`).
 const SCORE_SCALE: u64 = 256;
+
+/// "No eligible co-pin" in a rating.
+const NO_TARGET: NodeId = NodeId::MAX;
 
 /// The (λ−1) connectivity cost: `Σ_e w(e) · (parts_spanned(e) − 1)`.
 /// Zero iff every net is internal to one partition.
@@ -123,7 +143,7 @@ impl NetTally {
     }
 }
 
-/// Per-worker scratch for heavy-pin match scoring: `score[u]` is valid when
+/// Per-worker scratch for heavy-pin scoring: `score[u]` is valid when
 /// `stamp[u]` equals the vertex currently being scored.
 pub struct ScoreScratch {
     score: Vec<u64>,
@@ -185,25 +205,20 @@ impl Incidence for HyperGraph {
         }
     }
 
-    /// Another vertex reachable through a shared pin — the hypergraph
-    /// analog of the METIS star fix (replication stars leave every
-    /// replica's partner taken). Bounded scans keep hubs from making this
-    /// quadratic.
-    fn two_hop(&self, v: NodeId, mut accept: impl FnMut(NodeId) -> bool) -> Option<NodeId> {
-        let co_pins = self.nets(v).iter().flat_map(|&e| self.pins(e));
-        for &u in co_pins.filter(|&&u| u != v).take(16) {
-            for &e2 in self.nets(u).iter().take(8) {
-                for &w2 in self.pins(e2).iter().take(32) {
-                    if accept(w2) {
-                        return Some(w2);
-                    }
-                }
-            }
-        }
-        None
+    /// First-choice clustering, clusters at most a twentieth of a part.
+    fn coarsen_step(
+        &self,
+        labels: Option<&[u32]>,
+        k: u32,
+        _max_part: u64,
+        rng: &mut StdRng,
+        pool: &Pool,
+    ) -> Grouping {
+        let limit = max_cluster_weight(self.total_vertex_weight(), k);
+        first_choice(self, labels, limit, rng, pool)
     }
 
-    fn contract(&self, _mate: &[NodeId], map: &[NodeId], vwgt: Vec<u32>, pool: &Pool) -> Self {
+    fn contract(&self, map: &[NodeId], vwgt: Vec<u32>, pool: &Pool) -> Self {
         contract_nets(self, map, vwgt, pool)
     }
 
@@ -310,6 +325,98 @@ impl Incidence for HyperGraph {
     fn cost(&self, assignment: &[u32]) -> u64 {
         connectivity_cost(self, assignment)
     }
+}
+
+/// One level of first-choice clustering under the cluster weight cap
+/// `limit`: one seed draw and one shuffle — the same draws whatever
+/// `pool`'s size — then [`rate`] and [`join`].
+fn first_choice(
+    hg: &HyperGraph,
+    labels: Option<&[u32]>,
+    limit: u64,
+    rng: &mut StdRng,
+    pool: &Pool,
+) -> Grouping {
+    let seed: u64 = rng.gen();
+    let mut order: Vec<NodeId> = (0..hg.num_vertices() as NodeId).collect();
+    order.shuffle(rng);
+    let targets = rate(hg, labels, limit, seed, pool);
+    Grouping::from_reps(&join(hg, &targets, limit, &order))
+}
+
+/// Phase 1 of first-choice clustering: every vertex's target, the co-pin
+/// whose key `(heavy-pin score, tie(seed, {v,u}))` ranks highest among
+/// those of `v`'s label that weigh at most `limit` together with `v` —
+/// [`NO_TARGET`] if there is none. Whether the co-pin will be taken by then
+/// does not matter, so each vertex scans its co-pins once, in parallel, and
+/// the ratings are a pure function of `(hg, labels, limit, seed)`.
+fn rate(
+    hg: &HyperGraph,
+    labels: Option<&[u32]>,
+    limit: u64,
+    seed: u64,
+    pool: &Pool,
+) -> Vec<NodeId> {
+    let n = hg.num_vertices();
+    let chunks: Vec<Vec<NodeId>> = pool.scope_chunks_with(
+        n,
+        chunk_size(n, pool.threads()),
+        || hg.partner_scratch(),
+        |s, range| {
+            range
+                .map(|v| {
+                    let v = v as NodeId;
+                    let vw = hg.vertex_weight(v) as u64;
+                    let mut best: Option<((u64, u64), NodeId)> = None;
+                    hg.for_each_partner(v, s, |u, score| {
+                        if vw + hg.vertex_weight(u) as u64 > limit
+                            || labels.is_some_and(|l| l[u as usize] != l[v as usize])
+                        {
+                            return;
+                        }
+                        let key = (score, tie(seed, v, u));
+                        if best.is_none_or(|(b, _)| key > b) {
+                            best = Some((key, u));
+                        }
+                    });
+                    best.map_or(NO_TARGET, |(_, u)| u)
+                })
+                .collect()
+        },
+    );
+    chunks.concat()
+}
+
+/// Phase 2 of first-choice clustering, sequential in `order`: a vertex
+/// that has neither joined a cluster nor been joined joins the cluster of
+/// its target if that cluster still weighs at most `limit` with it; the
+/// vertex and its target are then both taken. Returns each vertex's
+/// cluster as a representative (the member whose cluster it first was).
+///
+/// A vertex that is not taken is alone in its cluster — whoever joins a
+/// cluster first takes its representative — so a join only ever moves a
+/// single vertex, and a representative is always its own.
+fn join(hg: &HyperGraph, targets: &[NodeId], limit: u64, order: &[NodeId]) -> Vec<NodeId> {
+    let n = hg.num_vertices();
+    let mut rep: Vec<NodeId> = (0..n as NodeId).collect();
+    // Indexed by representative; `limit` fits a u32.
+    let mut weight: Vec<u32> = hg.vertex_weights().to_vec();
+    let mut taken = vec![false; n];
+    for &v in order {
+        let t = targets[v as usize];
+        if taken[v as usize] || t == NO_TARGET {
+            continue;
+        }
+        let c = rep[t as usize] as usize;
+        let w = hg.vertex_weight(v);
+        if weight[c] as u64 + w as u64 <= limit {
+            weight[c] += w;
+            rep[v as usize] = c as NodeId;
+            taken[v as usize] = true;
+            taken[t as usize] = true;
+        }
+    }
+    rep
 }
 
 /// The hypergraph half of [`crate::coarsen::contract`]: pins are remapped
@@ -496,8 +603,11 @@ pub(crate) fn random_hypergraph(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::coarsen::contract;
     use crate::metrics::part_weights;
-    use crate::partition::{partition, partition_warm, PartitionerConfig};
+    use crate::partition::{
+        cold_target, max_part_weight, partition, partition_warm, PartitionerConfig,
+    };
     use crate::refine::{enforce_balance, kway_greedy_refine};
     use proptest::prelude::*;
     use rand::rngs::StdRng;
@@ -781,5 +891,254 @@ mod tests {
                 want = after;
             }
         }
+    }
+
+    /// The sequential oracle of [`first_choice`], written from its
+    /// definition: each target a brute-force argmax over everything
+    /// `for_each_partner` reports, then the join loop over explicit cluster
+    /// ids, a cluster's weight summed afresh at every turn. Returns the
+    /// grouping and the targets.
+    fn first_choice_oracle(
+        hg: &HyperGraph,
+        labels: Option<&[u32]>,
+        limit: u64,
+        rng: &mut StdRng,
+    ) -> (Grouping, Vec<NodeId>) {
+        let n = hg.num_vertices();
+        let seed: u64 = rng.gen();
+        let mut order: Vec<NodeId> = (0..n as NodeId).collect();
+        order.shuffle(rng);
+        let mut s = hg.partner_scratch();
+        let targets: Vec<NodeId> = (0..n as NodeId)
+            .map(|v| {
+                let mut candidates = Vec::new();
+                hg.for_each_partner(v, &mut s, |u, score| candidates.push((u, score)));
+                candidates
+                    .into_iter()
+                    .filter(|&(u, _)| eligible(hg, labels, limit, v, u))
+                    .max_by_key(|&(u, score)| (score, tie(seed, v, u)))
+                    .map_or(NO_TARGET, |(u, _)| u)
+            })
+            .collect();
+        let mut cluster: Vec<NodeId> = (0..n as NodeId).collect();
+        let mut taken = vec![false; n];
+        for &v in &order {
+            let t = targets[v as usize];
+            if taken[v as usize] || t == NO_TARGET {
+                continue;
+            }
+            let c = cluster[t as usize];
+            let weight: u64 = (0..n)
+                .filter(|&u| cluster[u] == c)
+                .map(|u| hg.vertex_weight(u as NodeId) as u64)
+                .sum();
+            if weight + hg.vertex_weight(v) as u64 <= limit {
+                cluster[v as usize] = c;
+                taken[v as usize] = true;
+                taken[t as usize] = true;
+            }
+        }
+        (Grouping::from_reps(&cluster), targets)
+    }
+
+    /// Whether `u` may be `v`'s target: a co-pin of `v`'s label that
+    /// weighs at most `limit` together with it.
+    fn eligible(hg: &HyperGraph, labels: Option<&[u32]>, limit: u64, v: NodeId, u: NodeId) -> bool {
+        hg.vertex_weight(v) as u64 + hg.vertex_weight(u) as u64 <= limit
+            && labels.is_none_or(|l| l[u as usize] == l[v as usize])
+    }
+
+    /// A random hypergraph of `n` vertices (weights 1–4) with random
+    /// labels or none and a cluster cap between 2 and a fifth of the total
+    /// weight, or none.
+    fn random_clustering_input(
+        rng: &mut StdRng,
+        n: usize,
+        wide: usize,
+    ) -> (HyperGraph, Option<Vec<u32>>, u64) {
+        let hg = random_hypergraph(rng, n, n / 3, wide);
+        let labels = rng
+            .gen_bool(0.5)
+            .then(|| (0..n).map(|_| rng.gen_range(0..3)).collect());
+        let limit = if rng.gen_bool(0.8) {
+            rng.gen_range(2..=(hg.total_vertex_weight() / 5).max(2))
+        } else {
+            u64::MAX
+        };
+        (hg, labels, limit)
+    }
+
+    /// Every property of one clustering level: the same grouping for
+    /// pools of 1, 2 and 4; equal to the oracle; every cluster a singleton
+    /// or within `limit`, none mixing labels, the coarse weights summing to
+    /// the fine total; and a vertex left single had no eligible target, or
+    /// its target's cluster had no room for it at its turn — weights only
+    /// grow, so no room at the end.
+    fn clustering_properties(hg: &HyperGraph, labels: Option<&[u32]>, limit: u64, seed: u64) {
+        let n = hg.num_vertices();
+        let cluster = |threads: usize| {
+            first_choice(
+                hg,
+                labels,
+                limit,
+                &mut StdRng::seed_from_u64(seed),
+                &Pool::new(threads),
+            )
+        };
+        let got = cluster(1);
+        for threads in [2, 4] {
+            assert!(
+                cluster(threads) == got,
+                "pool {threads} changed the clustering"
+            );
+        }
+        let (want, targets) =
+            first_choice_oracle(hg, labels, limit, &mut StdRng::seed_from_u64(seed));
+        assert!(
+            got == want,
+            "the clustering differs from the sequential oracle"
+        );
+
+        let mut members = vec![Vec::new(); got.groups];
+        for v in 0..n {
+            members[got.map[v] as usize].push(v as NodeId);
+        }
+        let weight = |c: NodeId| -> u64 {
+            members[c as usize]
+                .iter()
+                .map(|&u| hg.vertex_weight(u) as u64)
+                .sum()
+        };
+        for group in &members {
+            assert!(!group.is_empty(), "an unused coarse id");
+            if group.len() > 1 {
+                let c = got.map[group[0] as usize];
+                assert!(
+                    weight(c) <= limit,
+                    "cluster {c} weighs {} > {limit}",
+                    weight(c)
+                );
+                if let Some(l) = labels {
+                    let label = l[group[0] as usize];
+                    assert!(
+                        group.iter().all(|&u| l[u as usize] == label),
+                        "cluster {c} mixes labels"
+                    );
+                }
+            }
+        }
+        let level = contract(hg, got.clone(), &Pool::new(1));
+        level.graph.validate().unwrap();
+        assert_eq!(level.graph.total_vertex_weight(), hg.total_vertex_weight());
+        let mut s = hg.partner_scratch();
+        for v in 0..n as NodeId {
+            if members[got.map[v as usize] as usize].len() > 1 {
+                continue;
+            }
+            let t = targets[v as usize];
+            if t == NO_TARGET {
+                let mut any = false;
+                hg.for_each_partner(v, &mut s, |u, _| any |= eligible(hg, labels, limit, v, u));
+                assert!(!any, "single {v} had an eligible co-pin");
+            } else {
+                let room = weight(got.map[t as usize]) + hg.vertex_weight(v) as u64 <= limit;
+                assert!(!room, "single {v} had room in its target {t}'s cluster");
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
+
+        /// Over 4 096 vertices: below that, `chunk_size`'s 1 024-vertex
+        /// floor gives pools of 1, 2 and 4 the same chunks, and a rating
+        /// that depended on them would go unseen.
+        #[test]
+        fn first_choice_clustering_matches_its_oracle(
+            seed in 0..u64::MAX,
+            n in 4_200..4_600usize,
+            wide in 0..3usize,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let (hg, labels, limit) = random_clustering_input(&mut rng, n, wide);
+            clustering_properties(&hg, labels.as_deref(), limit, rng.gen());
+        }
+
+        /// Small hypergraphs, where whole neighbourhoods tie.
+        #[test]
+        fn small_clusterings_match_their_oracle(seed in 0..u64::MAX, n in 2..80usize) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let (hg, labels, limit) = random_clustering_input(&mut rng, n, 0);
+            clustering_properties(&hg, labels.as_deref(), limit, rng.gen());
+        }
+    }
+
+    /// The counted claim, on the hypergraph the repo benchmark's
+    /// `advisor_hyper` partitions at trace seed 7 (built as
+    /// `benches/partitioner.rs::bench_partition_hyper` builds it): the cold
+    /// descent stepped as `vcycle` steps it, level by level, with every
+    /// vertex's one co-pin scan per step counted.
+    #[test]
+    fn hyper_coarsening_counts() {
+        use schism_core::{build_graph, CoAccess, GraphBackend, SchismConfig};
+        use schism_workload::tpcc::{self, TpccConfig};
+
+        let mut cfg = SchismConfig::new(8);
+        cfg.tuple_sample = 1.0;
+        cfg.blanket_threshold = usize::MAX;
+        cfg.replication = false;
+        cfg.graph_backend = GraphBackend::Hypergraph;
+        let workload = tpcc::generate(&TpccConfig {
+            num_txns: 20_000,
+            seed: 7,
+            ..TpccConfig::full(50)
+        });
+        let (train, _test) = workload.trace.split(cfg.train_fraction, cfg.seed ^ 0x7E57);
+        let CoAccess::Hyper(built) = build_graph(&workload, &train, &cfg).graph else {
+            panic!("hypergraph backend expected");
+        };
+        // The advisor links the library build of this crate, whose
+        // `HyperGraph` is another type to this test build's: copy it over.
+        let mut b = HyperGraphBuilder::new(built.num_vertices());
+        for (v, &w) in built.vertex_weights().iter().enumerate() {
+            b.set_vertex_weight(v as NodeId, w);
+        }
+        for e in 0..built.num_nets() as u32 {
+            b.add_net(built.pins(e), built.net_weight(e));
+        }
+        let hg = b.build();
+
+        // Run 0's seed of `partition`, and `vcycle`'s cold loop.
+        let pcfg = PartitionerConfig {
+            k: cfg.k,
+            seed: cfg.seed,
+            epsilon: cfg.partitioner.epsilon,
+            ..PartitionerConfig::default()
+        };
+        let seed = pcfg.seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ pcfg.seed;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let max_part = max_part_weight(hg.total_vertex_weight(), pcfg.k, pcfg.epsilon);
+        let pool = Pool::new(2);
+        let (mut current, mut steps, mut scans) = (hg, 0usize, 0usize);
+        let mut sizes = vec![current.num_vertices()];
+        while current.num_vertices() > cold_target(pcfg.k) && steps <= 64 {
+            let n = current.num_vertices();
+            let grouping = current.coarsen_step(None, pcfg.k, max_part, &mut rng, &pool);
+            steps += 1;
+            scans += n;
+            if ((n - grouping.groups) as f64) < 0.02 * n as f64 {
+                break;
+            }
+            current = contract(&current, grouping, &pool).graph;
+            sizes.push(current.num_vertices());
+        }
+        let coarsest = current.num_vertices();
+        println!(
+            "advisor_hyper seed 7, cold descent: {steps} clustering steps, \
+             vertices per level {sizes:?}, {scans} partner scans"
+        );
+        assert!(steps <= 8, "{steps} clustering steps");
+        assert!(coarsest <= 1_500, "coarsest level of {coarsest} vertices");
+        assert!(scans <= 80_000, "{scans} partner scans");
     }
 }

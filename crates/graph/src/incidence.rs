@@ -1,17 +1,21 @@
 //! The incidence contract: everything the multilevel driver needs to know
 //! about the structure it partitions.
 //!
-//! [`crate::partition()`], [`crate::matching`], [`crate::coarsen`] and
-//! [`crate::refine`] are written once against [`Incidence`] and statically
-//! dispatched to its two implementations — [`CsrGraph`] (below; edge-cut
-//! objective) and [`crate::HyperGraph`] (in `hpartition.rs`; (λ−1)
-//! connectivity with a cut-net tie-break). A clique edge is a 2-pin net, so
-//! the *protocols* — propose/mutual-accept matching, frozen-scan /
-//! sorted-apply refinement, cheapest-damage eviction, the V-cycle schedule —
-//! are shared; an implementation only supplies what genuinely depends on
-//! the representation: how strongly two vertices attract, who is two hops
-//! away, how a matching contracts, which plain graph seeds the coarsest
-//! level, how strongly a vertex is pulled toward each part, and the cost.
+//! [`crate::partition()`], [`crate::coarsen`] and [`crate::refine`] are
+//! written once against [`Incidence`] and statically dispatched to its two
+//! implementations — [`CsrGraph`] (below; edge-cut objective) and
+//! [`crate::HyperGraph`] (in `hpartition.rs`; (λ−1) connectivity with a
+//! cut-net tie-break). A clique edge is a 2-pin net, so the *protocols* —
+//! the candidate key `(score, tie(seed, {v,u}))` both coarsening steps rank
+//! by, coarse ids and weights, frozen-scan / sorted-apply refinement,
+//! cheapest-damage eviction, the V-cycle schedule — are shared; an
+//! implementation only supplies what genuinely depends on the
+//! representation: how strongly two vertices attract, which vertices one
+//! coarsening step merges (a plain graph pairs them by heavy matching,
+//! [`crate::matching`]; a hypergraph clusters them first-choice, in
+//! `hpartition.rs`), how a grouping contracts, which plain graph seeds the
+//! coarsest level, how strongly a vertex is pulled toward each part, and
+//! the cost.
 //!
 //! Refinement evaluates the same vertex many times per level, so the pull
 //! comes with a per-level **tally** ([`Incidence::Tally`]): whatever the
@@ -26,7 +30,9 @@
 //! bounds; the module is private, so it cannot be named or implemented
 //! outside this crate.
 
+use crate::coarsen::Grouping;
 use crate::csr::{CsrGraph, NodeId};
+use rand::rngs::StdRng;
 use schism_par::Pool;
 use std::borrow::Cow;
 
@@ -83,21 +89,32 @@ pub trait Incidence: Sized + Sync {
 
     fn partner_scratch(&self) -> Self::PartnerScratch;
 
-    /// Calls `f(u, score)` once per candidate matching partner of `v`, in a
-    /// deterministic order; a higher score is a stronger attraction. Scores
-    /// must be **symmetric** — `v` is told `(u, s)` iff `u` is told
+    /// Calls `f(u, score)` once per candidate coarsening partner of `v`, in
+    /// a deterministic order; a higher score is a stronger attraction.
+    /// Scores must be **symmetric** — `v` is told `(u, s)` iff `u` is told
     /// `(v, s)` — because matching ranks the *edge* `{v, u}` and needs its
     /// two ends to agree on the rank.
     fn for_each_partner(&self, v: NodeId, s: &mut Self::PartnerScratch, f: impl FnMut(NodeId, u64));
 
-    /// Walks `v`'s bounded two-hop neighbourhood and returns the first
-    /// vertex `accept` takes.
-    fn two_hop(&self, v: NodeId, accept: impl FnMut(NodeId) -> bool) -> Option<NodeId>;
+    /// One coarsening step: which vertices merge into one coarse vertex.
+    /// Only vertices with equal `labels` merge, and no group outweighs the
+    /// implementation's cap — a fraction of `max_part`, the balance cap of
+    /// a `k`-way partition — so balance stays achievable. Draws the same
+    /// amount from `rng` and returns the same grouping whatever `pool`'s
+    /// size.
+    fn coarsen_step(
+        &self,
+        labels: Option<&[u32]>,
+        k: u32,
+        max_part: u64,
+        rng: &mut StdRng,
+        pool: &Pool,
+    ) -> Grouping;
 
-    /// The structure induced by merging every matched pair: `map` sends
-    /// fine to coarse ids and `vwgt` holds the coarse vertex weights. Must
-    /// be independent of `pool`'s size.
-    fn contract(&self, mate: &[NodeId], map: &[NodeId], vwgt: Vec<u32>, pool: &Pool) -> Self;
+    /// The structure induced by merging every group: `map` sends fine to
+    /// coarse ids and `vwgt` holds the coarse vertex weights. Must be
+    /// independent of `pool`'s size.
+    fn contract(&self, map: &[NodeId], vwgt: Vec<u32>, pool: &Pool) -> Self;
 
     /// The plain graph recursive bisection seeds the coarsest level on.
     fn seed_graph(&self) -> Cow<'_, CsrGraph>;
@@ -165,23 +182,22 @@ impl Incidence for CsrGraph {
         }
     }
 
-    /// METIS's fix for star/power-law graphs: leaves hanging off the same
-    /// hub are structurally near-duplicates, so pairing them is
-    /// quality-safe. Bounded scans keep huge hubs from making this
-    /// quadratic.
-    fn two_hop(&self, v: NodeId, mut accept: impl FnMut(NodeId) -> bool) -> Option<NodeId> {
-        for (u, _) in self.edges(v).take(16) {
-            for (w2, _) in self.edges(u).take(32) {
-                if accept(w2) {
-                    return Some(w2);
-                }
-            }
-        }
-        None
+    /// Heavy-edge matching: pairs, each at most half a part.
+    fn coarsen_step(
+        &self,
+        labels: Option<&[u32]>,
+        _k: u32,
+        max_part: u64,
+        rng: &mut StdRng,
+        pool: &Pool,
+    ) -> Grouping {
+        let max_pair = crate::partition::max_pair_weight(max_part);
+        let mate = crate::matching::heavy_matching(self, labels, max_pair, rng, pool);
+        Grouping::from_mate(&mate)
     }
 
-    fn contract(&self, mate: &[NodeId], map: &[NodeId], vwgt: Vec<u32>, pool: &Pool) -> Self {
-        crate::coarsen::contract_adjacency(self, mate, map, vwgt, pool)
+    fn contract(&self, map: &[NodeId], vwgt: Vec<u32>, pool: &Pool) -> Self {
+        crate::coarsen::contract_adjacency(self, map, vwgt, pool)
     }
 
     fn seed_graph(&self) -> Cow<'_, CsrGraph> {

@@ -8,7 +8,8 @@
 //! with a cut-net final stage).
 //!
 //! The partitioner follows the classic multilevel recipe: randomized
-//! heavy-matching coarsening, recursive-bisection initial partitioning
+//! coarsening (heavy matching for a graph, first-choice clustering for a
+//! hypergraph), recursive-bisection initial partitioning
 //! (greedy graph growing + Fiduccia–Mattheyses refinement), and greedy
 //! k-way boundary refinement during uncoarsening, optionally repeated as
 //! label-respecting V-cycles. It is deterministic for a fixed seed and
@@ -26,8 +27,8 @@
 //! | | shared (written once) | graph | hypergraph |
 //! |---|---|---|---|
 //! | schedule ([`partition`](mod@partition)) | `ncuts` fan-out + best-of, cold descent, warm start, label-respecting V-cycle, level projection, balance cap, result | no extra stages | 2 more cold V-cycles, then a cut-net-primary V-cycle + flat polish |
-//! | matching ([`matching`]) | seed draw + shuffle, at most 8 propose / mutual-accept rounds over a strict order on candidate *edges* — `(score, tie(seed, {v,u}))`, the same from both ends, so a round matches every locally dominant edge — seeded-order cleanup, two-hop pass, pair-weight cap, label restriction | symmetric score = edge weight; two hops over edges | symmetric score = `w·256/(|e|−1)` over shared nets ≤ 64 pins; two hops over shared nets |
-//! | contraction ([`coarsen`]) | coarse ids, checked coarse weights, the level struct | merged adjacency, stitched in coarse-id order | remapped + deduplicated pins, merged identical nets |
+//! | coarsening step | seed draw + shuffle, candidates ranked by `(score, tie(seed, {v,u}))` — the same from both ends — label restriction, the 2 % shrink floor and 64-level cap | [`matching`]: at most 8 propose / mutual-accept rounds, so a round matches every locally dominant edge, seeded-order cleanup, two-hop pass; pairs ≤ half a part; score = edge weight | first-choice clustering: every vertex rates its best co-pin once, in parallel, then joins its cluster in shuffle order, taken or not; clusters ≤ a twentieth of a part; score = `w·256/(|e|−1)` over shared nets ≤ 64 pins |
+//! | contraction ([`coarsen`]) | coarse ids in first-member order, checked coarse weights, the level struct | merged adjacency, stitched in coarse-id order | remapped + deduplicated pins, merged identical nets |
 //! | coarsest seed ([`initial`]) | recursive bisection | on the level itself | on its clique expansion |
 //! | refinement ([`refine`]) | parallel frozen scan of the active set (first pass: every vertex; later passes: whoever a move reported, plus whoever only the part weights held back) → `(Reverse(gain), v)` sort → sequential live re-validation; admissibility, take rule, tie to the lighter part | pull = edge weight into each part; nothing to remember; a move reports the neighbours | pull = weight of nets already spanning each part (nets ≤ 512 pins), plus the cut-net tie-break, read off a per-level tally Λ of pins per net and part; a move recounts its nets' rows and reports their pins |
 //! | balance ([`refine::enforce_balance`]) | 4 sweeps, cheapest damage first, destination re-chosen live; on the way up a level it shares one tally with refinement | same pull | same pull |
@@ -38,6 +39,7 @@
 //! hardware threads), with a hard determinism contract: partition labels
 //! and cost are **bit-identical for every thread count** — matching uses
 //! propose/mutual-accept rounds with a sequential tie-break pass,
+//! clustering rates in parallel and joins sequentially,
 //! contraction stitches chunk-built structure in a canonical order, and
 //! refinement scans the boundary in parallel but serializes only the
 //! conflict set of candidate moves. What refinement skips — vertices no

@@ -1,5 +1,4 @@
-//! Parallel heavy matching for the coarsening phase, generic over the
-//! `Incidence` being coarsened.
+//! Parallel heavy matching: the plain graph's coarsening step.
 //!
 //! The classic Karypis–Kumar heuristic ("A fast and high quality multilevel
 //! scheme for partitioning irregular graphs") visits vertices in random
@@ -29,10 +28,10 @@
 //! **Why the order is on edges, not on targets.** The key of the candidate
 //! edge `{v, u}` is the same whether `v` weighs it or `u` does: the score is
 //! symmetric (the precondition on `Incidence::for_each_partner`: it reports
-//! `(u, s)` for `v` iff it reports `(v, s)` for `u` — an edge weight, or a
-//! sum over shared nets) and `tie` hashes the *unordered* pair, a bijection
-//! of the packed 64-bit word, so no two edges of one call tie. An edge that
-//! outranks every other eligible edge at both of its endpoints — a *locally
+//! `(u, s)` for `v` iff it reports `(v, s)` for `u` — here an edge weight)
+//! and `tie` hashes the *unordered* pair, a bijection of the packed 64-bit
+//! word, so no two edges of one call tie. An edge that outranks every
+//! other eligible edge at both of its endpoints — a *locally
 //! dominant* edge — is therefore proposed from both sides and matches, and
 //! the best eligible edge overall always is one: a round matches every
 //! locally dominant edge there is, and where scores tie the hash decides
@@ -70,17 +69,19 @@
 //! structures — Schism's replication stars — that no direct matching can
 //! reduce.
 //!
-//! What a "candidate", its "score" and "two hops away" mean is the
-//! implementation's (`Incidence::for_each_partner`, `Incidence::two_hop`):
-//! a plain graph scores a neighbour by edge weight (heavy-edge matching), a
-//! hypergraph by co-membership in heavy, small nets (heavy-pin matching).
+//! Matching, and with it the two-hop pass, is the clique graph's: a
+//! neighbour's score is the weight of its edge (`Incidence::for_each_partner`).
+//! A hypergraph coarsens by first-choice clustering instead (`hpartition.rs`),
+//! which ranks candidates by the same key, `tie` included, but lets a
+//! vertex join a partner that is already taken — so a hub's leaves gather
+//! around it within one level, where pairs stall.
 //!
 //! Determinism contract: for a fixed `(structure, rng state)` the returned
 //! matching is bit-identical for every pool size, because the parallel
 //! phase is pure and every tie-break is a total order independent of
 //! scheduling.
 
-use crate::csr::NodeId;
+use crate::csr::{CsrGraph, NodeId};
 use crate::incidence::Incidence;
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -107,7 +108,7 @@ const PROPOSE_ROUNDS: usize = 8;
 /// Seeded per matching call so repeated levels explore different orders,
 /// like the shuffle used to.
 #[inline]
-fn tie(seed: u64, v: NodeId, u: NodeId) -> u64 {
+pub(crate) fn tie(seed: u64, v: NodeId, u: NodeId) -> u64 {
     let edge = (u64::from(v.min(u)) << 32) | u64::from(v.max(u));
     let mut z = seed.wrapping_add(edge.wrapping_mul(0x9E37_79B9_7F4A_7C15));
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -117,8 +118,8 @@ fn tie(seed: u64, v: NodeId, u: NodeId) -> u64 {
 
 /// What one matching call fixes for all of its phases: the structure, who
 /// may pair with whom, and the seed of the edge order.
-pub(crate) struct Matcher<'a, G> {
-    g: &'a G,
+pub(crate) struct Matcher<'a> {
+    g: &'a CsrGraph,
     labels: Option<&'a [u32]>,
     max_pair_weight: u64,
     seed: u64,
@@ -147,7 +148,7 @@ impl Rounds {
     }
 }
 
-impl<G: Incidence> Matcher<'_, G> {
+impl Matcher<'_> {
     /// Whether `v` (of weight `vw`) may pair with `u`, `u`'s matching state
     /// aside.
     fn pairable(&self, v: NodeId, u: NodeId, vw: u64) -> bool {
@@ -160,10 +161,10 @@ impl<G: Incidence> Matcher<'_, G> {
     /// strict total order on edges that `u` computes identically for
     /// `{u, v}`, so the proposal is unique and a locally dominant edge is
     /// proposed from both ends.
-    fn best_partner(&self, v: NodeId, mate: &[NodeId], s: &mut G::PartnerScratch) -> NodeId {
+    fn best_partner(&self, v: NodeId, mate: &[NodeId]) -> NodeId {
         let vw = self.g.vertex_weight(v) as u64;
         let mut best: Option<((u64, u64), NodeId)> = None;
-        self.g.for_each_partner(v, s, |u, score| {
+        self.g.for_each_partner(v, &mut (), |u, score| {
             if mate[u as usize] != UNMATCHED || !self.pairable(v, u, vw) {
                 return;
             }
@@ -180,17 +181,11 @@ impl<G: Incidence> Matcher<'_, G> {
     /// cached partner that is still unmatched is still the best one, and a
     /// vertex that had no candidate has none now; only a vertex whose
     /// partner was taken rescores.
-    fn propose(
-        &self,
-        v: NodeId,
-        cached: Option<NodeId>,
-        mate: &[NodeId],
-        s: &mut G::PartnerScratch,
-    ) -> NodeId {
+    fn propose(&self, v: NodeId, cached: Option<NodeId>, mate: &[NodeId]) -> NodeId {
         match cached {
             Some(NO_PROPOSAL) => NO_PROPOSAL,
             Some(u) if mate[u as usize] == UNMATCHED => u,
-            _ => self.best_partner(v, mate, s),
+            _ => self.best_partner(v, mate),
         }
     }
 
@@ -199,22 +194,18 @@ impl<G: Incidence> Matcher<'_, G> {
         let n = self.g.num_vertices();
         // Phase 1: propose against the frozen `mate` (parallel, pure).
         let (mate, prop) = (&r.mate, &r.prop);
-        let proposals: Vec<Vec<NodeId>> = pool.scope_chunks_with(
-            n,
-            chunk_size(n, pool.threads()),
-            || self.g.partner_scratch(),
-            |s, range| {
+        let proposals: Vec<Vec<NodeId>> =
+            pool.scope_chunks(n, chunk_size(n, pool.threads()), |range| {
                 range
                     .map(|v| {
                         if mate[v] != UNMATCHED {
                             NO_PROPOSAL
                         } else {
-                            self.propose(v as NodeId, prop.get(v).copied(), mate, s)
+                            self.propose(v as NodeId, prop.get(v).copied(), mate)
                         }
                     })
                     .collect()
-            },
-        );
+            });
         r.prop = proposals.into_iter().flatten().collect();
 
         // Phase 2: deterministic conflict resolution — mutual proposals
@@ -261,8 +252,8 @@ impl<G: Incidence> Matcher<'_, G> {
 /// move whole co-access clusters (which single-vertex moves on the fine
 /// structure cannot — evicting one member of a clique is always a
 /// negative-gain move).
-pub fn heavy_matching<G: Incidence, R: Rng>(
-    g: &G,
+pub fn heavy_matching<R: Rng>(
+    g: &CsrGraph,
     labels: Option<&[u32]>,
     max_pair_weight: u64,
     rng: &mut R,
@@ -287,12 +278,11 @@ pub fn heavy_matching<G: Incidence, R: Rng>(
     // Cleanup: greedy maximal matching over the remainder, in the seeded
     // random visit order the sequential algorithm used. Vertices with no
     // eligible partner self-match.
-    let mut scratch = g.partner_scratch();
     for &v in &order {
         if mate[v as usize] != UNMATCHED {
             continue;
         }
-        let u = m.propose(v, prop.get(v as usize).copied(), &mate, &mut scratch);
+        let u = m.propose(v, prop.get(v as usize).copied(), &mate);
         if u == NO_PROPOSAL {
             mate[v as usize] = v;
         } else {
@@ -304,13 +294,18 @@ pub fn heavy_matching<G: Incidence, R: Rng>(
     // Two-hop pass. Hub-and-spoke structures — Schism's replication stars
     // and hot-tuple cliques — leave most leaves self-matched because their
     // only neighbor (the hub) is taken, stalling coarsening; pair each such
-    // leftover with another one two hops away.
+    // leftover with another one two hops away: leaves hanging off the same
+    // hub are structurally near-duplicates, so pairing them is
+    // quality-safe (METIS's fix for star/power-law graphs). Bounded scans
+    // keep huge hubs from making this quadratic.
     for &v in &order {
         if mate[v as usize] != v {
             continue; // only self-matched leftovers
         }
         let vw = g.vertex_weight(v) as u64;
-        if let Some(w2) = g.two_hop(v, |w2| mate[w2 as usize] == w2 && m.pairable(v, w2, vw)) {
+        let two_hops = g.neighbors(v).iter().take(16);
+        let mut leaves = two_hops.flat_map(|&u| g.neighbors(u).iter().take(32));
+        if let Some(&w2) = leaves.find(|&&w2| mate[w2 as usize] == w2 && m.pairable(v, w2, vw)) {
             mate[v as usize] = w2;
             mate[w2 as usize] = v;
         }
@@ -318,19 +313,10 @@ pub fn heavy_matching<G: Incidence, R: Rng>(
     mate
 }
 
-/// Number of matched *pairs* in a matching produced by [`heavy_matching`].
-pub fn matched_pairs(mate: &[NodeId]) -> usize {
-    mate.iter()
-        .enumerate()
-        .filter(|&(v, &m)| (m as usize) > v)
-        .count()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::builder::GraphBuilder;
-    use crate::csr::CsrGraph;
     use crate::gen;
     use crate::hpartition::random_hypergraph;
     use proptest::prelude::*;
@@ -340,6 +326,14 @@ mod tests {
     /// Uncapped, unlabeled, single-threaded.
     fn heavy_edge_matching(g: &CsrGraph, rng: &mut StdRng) -> Vec<NodeId> {
         heavy_matching(g, None, u64::MAX, rng, &Pool::new(1))
+    }
+
+    /// Number of matched *pairs* in a matching.
+    fn matched_pairs(mate: &[NodeId]) -> usize {
+        mate.iter()
+            .enumerate()
+            .filter(|&(v, &m)| (m as usize) > v)
+            .count()
     }
 
     /// Everything `for_each_partner` reports for `v`.
@@ -352,13 +346,12 @@ mod tests {
     /// The oracle: every edge that may ever match, sorted by the proposal
     /// key, descending, and added greedily. `UNMATCHED` where no edge was
     /// taken.
-    fn greedy_by_edge_order<G: Incidence>(m: &Matcher<G>) -> Vec<NodeId> {
+    fn greedy_by_edge_order(m: &Matcher) -> Vec<NodeId> {
         let n = m.g.num_vertices();
         let mut edges: Vec<((u64, u64), NodeId, NodeId)> = Vec::new();
-        let mut s = m.g.partner_scratch();
         for v in 0..n as NodeId {
             let vw = m.g.vertex_weight(v) as u64;
-            for (u, score) in partners(m.g, &mut s, v) {
+            for (u, score) in partners(m.g, &mut (), v) {
                 if v < u && m.pairable(v, u, vw) {
                     edges.push(((score, tie(m.seed, v, u)), v, u));
                 }
@@ -380,16 +373,11 @@ mod tests {
         2 * r.pairs.iter().sum::<usize>()
     }
 
-    /// The differential property, on one structure under one eligibility:
+    /// The differential property, on one graph under one eligibility:
     /// rounds run to convergence are the oracle, capped rounds a subset of
     /// it, the finished matching valid, maximal and within cap and labels,
     /// and all of it the same for pools of 1, 2 and 4.
-    fn matches_oracle<G: Incidence>(
-        g: &G,
-        labels: Option<&[u32]>,
-        max_pair_weight: u64,
-        seed: u64,
-    ) {
+    fn matches_oracle(g: &CsrGraph, labels: Option<&[u32]>, max_pair_weight: u64, seed: u64) {
         let m = Matcher {
             g,
             labels,
@@ -428,7 +416,6 @@ mod tests {
             assert!(finish(&pool) == mate, "pool {threads} changed the matching");
         }
 
-        let mut s = g.partner_scratch();
         for v in 0..g.num_vertices() as NodeId {
             let u = mate[v as usize];
             assert_ne!(u, UNMATCHED, "every vertex must be resolved");
@@ -439,7 +426,7 @@ mod tests {
                 continue;
             }
             // Maximal: a vertex left alone has no eligible partner left alone.
-            for (w, _) in partners(g, &mut s, v) {
+            for (w, _) in partners(g, &mut (), v) {
                 assert!(
                     mate[w as usize] != w || !m.pairable(v, w, vw),
                     "{v} and {w} are both single and could have paired"
@@ -520,19 +507,7 @@ mod tests {
             matches_oracle(&g, labels.as_deref(), cap, rng.gen());
         }
 
-        #[test]
-        fn hypergraph_matching_is_greedy_by_edge_order(
-            seed in 0..u64::MAX,
-            n in 1_100..1_400usize,
-            wide in 0..3usize,
-        ) {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let hg = random_hypergraph(&mut rng, n, n / 3, wide);
-            let (labels, cap) = random_eligibility(&mut rng, n);
-            matches_oracle(&hg, labels.as_deref(), cap, rng.gen());
-        }
-
-        /// Small structures, where whole neighbourhoods tie.
+        /// Small graphs, where whole neighbourhoods tie.
         #[test]
         fn small_matchings_are_greedy_by_edge_order(
             seed in 0..u64::MAX,
@@ -542,8 +517,6 @@ mod tests {
             let g = random_graph(&mut rng, n);
             let (labels, cap) = random_eligibility(&mut rng, n);
             matches_oracle(&g, labels.as_deref(), cap, rng.gen());
-            let hg = random_hypergraph(&mut rng, n, 1 + n / 3, 0);
-            matches_oracle(&hg, labels.as_deref(), cap, rng.gen());
         }
 
         /// Both incidence implementations score symmetrically — what makes

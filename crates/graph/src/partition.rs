@@ -5,12 +5,13 @@
 //! Pipeline (Karypis–Kumar multilevel scheme, the algorithm family METIS
 //! implements), one **V** of which is `vcycle`:
 //!
-//! 1. **Coarsen** with randomized heavy matching until the structure is
+//! 1. **Coarsen** — randomized heavy matching for a plain graph,
+//!    first-choice clustering for a hypergraph — until the structure is
 //!    small (or stops shrinking), capping coarse vertex weights so balance
 //!    stays achievable.
 //! 2. **Initial partition** of the coarsest level by recursive bisection
 //!    (greedy graph growing + FM) — or, when the V starts from labels, the
-//!    labels themselves, which label-respecting matching has projected
+//!    labels themselves, which label-respecting coarsening has projected
 //!    exactly onto every level.
 //! 3. **Uncoarsen**: project the partition one level up and run greedy
 //!    k-way boundary refinement (with a balance-enforcement pre-pass).
@@ -20,7 +21,7 @@
 //! is two labeled Vs plus the same final stage.
 //!
 //! Every phase is parallelized over a [`schism_par::Pool`] sized by
-//! [`PartitionerConfig::threads`]: matching proposes partners over vertex
+//! [`PartitionerConfig::threads`]: coarsening rates partners over vertex
 //! chunks, contraction builds the coarse structure over chunks, refinement
 //! scans the boundary over vertex chunks, initial bisection runs its seeded
 //! attempts concurrently, and the `ncuts` independent runs execute side by
@@ -32,7 +33,6 @@
 use crate::coarsen::{contract, CoarseLevel};
 use crate::incidence::Incidence;
 use crate::initial::recursive_bisection;
-use crate::matching::{heavy_matching, matched_pairs};
 use crate::metrics::part_weights;
 use crate::refine::{self, kway_greedy_refine};
 use rand::rngs::StdRng;
@@ -90,7 +90,7 @@ const INIT_TRIES: usize = 4;
 const REFINE_PASSES: usize = 6;
 
 /// The cold descent stops coarsening once at most this many vertices remain.
-fn cold_target(k: u32) -> usize {
+pub(crate) fn cold_target(k: u32) -> usize {
     (24 * k as usize).max(128)
 }
 
@@ -157,9 +157,9 @@ pub fn partition<G: Incidence>(g: &G, cfg: &PartitionerConfig) -> Partitioning {
 /// incremental repartitioning (`schism-migrate`).
 ///
 /// This is a V-cycle in the ParMETIS adaptive-repartitioning mold: the
-/// structure is coarsened with *label-respecting* heavy matching (matched
-/// pairs never straddle the seed partitioning, so `initial` projects
-/// exactly onto every level), the seed is rebalanced and refined on the
+/// structure is coarsened *label-respecting* (merged vertices never
+/// straddle the seed partitioning, so `initial` projects exactly onto
+/// every level), the seed is rebalanced and refined on the
 /// coarsest level — where whole co-access clusters are single vertices and
 /// moving one is a cheap, often positive-gain move — and refinement runs
 /// again at each uncoarsening level. Plain fine-grained refinement cannot
@@ -248,13 +248,13 @@ fn polish<G: Incidence>(
 ///
 /// Without `labels` this is the cold descent: coarsen down to the
 /// configured target and seed the coarsest level by recursive bisection.
-/// With `labels` it is the warm V-cycle: matching never crosses a label
+/// With `labels` it is the warm V-cycle: coarsening never crosses a label
 /// boundary, so the labels are the coarsest level's assignment, and there
 /// is no vertex-count target — coarsening runs until label-respecting
-/// matching stalls, i.e. until every connected intra-label cluster is
-/// (close to) a single vertex. That is the granularity at which
-/// rebalancing a drifted seed is cheap — whole clusters move without
-/// cutting their interior.
+/// merging stalls, i.e. until every connected intra-label cluster is
+/// (close to) a single vertex or at its weight cap. That is the granularity
+/// at which rebalancing a drifted seed is cheap — whole clusters move
+/// without cutting their interior.
 fn vcycle<G: Incidence>(
     g: &G,
     mut labels: Option<Vec<u32>>,
@@ -265,7 +265,6 @@ fn vcycle<G: Incidence>(
 ) -> Vec<u32> {
     let k = cfg.k;
     let max_part = max_part_weight(g.total_vertex_weight(), k, cfg.epsilon);
-    let max_pair = max_pair_weight(max_part);
     let target = match labels {
         Some(_) => k as usize,
         None => cold_target(k),
@@ -282,14 +281,15 @@ fn vcycle<G: Incidence>(
         if current.num_vertices() <= target {
             break;
         }
-        let mate = heavy_matching(current, labels.as_deref(), max_pair, rng, pool);
+        let n = current.num_vertices();
+        let grouping = current.coarsen_step(labels.as_deref(), k, max_part, rng, pool);
         // Stop if the level stops shrinking meaningfully (< 2% reduction).
-        if (matched_pairs(&mate) as f64) < 0.02 * current.num_vertices() as f64 {
+        if ((n - grouping.groups) as f64) < 0.02 * n as f64 {
             break;
         }
-        let level = contract(current, &mate, pool);
+        let level = contract(current, grouping, pool);
         if let Some(fine) = &mut labels {
-            // Both members of a matched pair share a label by construction.
+            // All members of a group share a label by construction.
             let mut coarse = vec![0u32; level.graph.num_vertices()];
             for (v, &cv) in level.map.iter().enumerate() {
                 coarse[cv as usize] = fine[v];
@@ -299,8 +299,8 @@ fn vcycle<G: Incidence>(
         levels.push(level);
         // Depth cap. The 2% floor alone would allow ≈370 levels from 370k
         // vertices down to a 192-vertex target, every one held in `levels`
-        // until uncoarsening and paying a matching, a contraction and a
-        // refinement. Past 64 the current level is settled as it is.
+        // until uncoarsening and paying a coarsening step, a contraction and
+        // a refinement. Past 64 the current level is settled as it is.
         if levels.len() > 64 {
             break;
         }
@@ -343,15 +343,34 @@ fn vcycle<G: Incidence>(
 /// heaviest-vertex floor — a vertex heavier than the cap makes its part
 /// overweight, and balance enforcement gives up on it after its bounded
 /// sweeps.
-fn max_part_weight(total: u64, k: u32, epsilon: f64) -> u64 {
+pub(crate) fn max_part_weight(total: u64, k: u32, epsilon: f64) -> u64 {
     (((total as f64) * (1.0 + epsilon)) / k as f64).ceil() as u64
 }
 
 /// Cap on a matched pair's weight: half a partition's capacity, so initial
 /// partitioning always has room to balance — and never more than a `u32`
 /// vertex weight can hold, so a coarse level never loses mass.
-fn max_pair_weight(max_part: u64) -> u64 {
+pub(crate) fn max_pair_weight(max_part: u64) -> u64 {
     (max_part / 2).clamp(1, u32::MAX as u64)
+}
+
+/// Cap on a first-choice cluster's weight: a twentieth of a part,
+/// `total / (20·k)`, clamped like [`max_pair_weight`]. A pair at most
+/// doubles a vertex per level; a cluster can gather a hub's whole
+/// neighbourhood in one, so its cap is tighter.
+///
+/// The cap decides how sharply the placement separates TPC-C's old
+/// orders from new ones within a warehouse, and with it whether the
+/// explanation's attribute selection keeps `o_id` beside `o_w_id`. At a
+/// tenth of a part the `advisor_hyper` placement's `o_id` correlation
+/// straddles that bar, so the range scheme won on 11 of 20 workload
+/// seeds and hashing on the rest; at a twentieth it won on 59 of 60.
+/// The price is YCSB-E, whose hottest keys outweigh the cap and cannot
+/// cluster: over eight partitioner seeds of `table1_graph_sizes`' input
+/// the mean (λ−1) cost is 41 220, against 35 995 at a tenth, 40 746 at
+/// half a part and 39 538 under pair matching.
+pub(crate) fn max_cluster_weight(total: u64, k: u32) -> u64 {
+    (total / (20 * u64::from(k))).clamp(1, u32::MAX as u64)
 }
 
 fn finish<G: Incidence>(g: &G, assignment: Vec<u32>, k: u32) -> Partitioning {
@@ -557,11 +576,11 @@ mod tests {
         // The driver's coarsening loop, level by level.
         let pool = Pool::new(1);
         let mut rng = StdRng::seed_from_u64(0);
-        let max_pair = max_pair_weight(max_part_weight(total, 2, 0.05));
+        let max_part = max_part_weight(total, 2, 0.05);
         let mut current = g.clone();
         for _ in 0..8 {
-            let mate = heavy_matching(&current, None, max_pair, &mut rng, &pool);
-            current = contract(&current, &mate, &pool).graph;
+            let grouping = current.coarsen_step(None, 2, max_part, &mut rng, &pool);
+            current = contract(&current, grouping, &pool).graph;
             assert_eq!(current.total_vertex_weight(), total, "a level lost mass");
         }
         assert!(
