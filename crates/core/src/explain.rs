@@ -9,6 +9,7 @@ use schism_router::{PartitionSet, RangeRule, RangeScheme, TablePolicy};
 use schism_sql::{ColId, TableId};
 use schism_workload::{TupleId, Workload};
 use std::collections::HashMap;
+use std::hash::BuildHasher;
 
 /// What the classifier produced for one table.
 pub struct TableExplanation {
@@ -57,8 +58,8 @@ const MAX_TUPLE_WEIGHT: u32 = 32;
 /// [`SchismConfig::threads`] workers, bit-identical at any count.
 pub fn explain(
     workload: &Workload,
-    assignment: &HashMap<TupleId, PartitionSet>,
-    access_counts: &HashMap<TupleId, u32>,
+    assignment: &HashMap<TupleId, PartitionSet, impl BuildHasher>,
+    access_counts: &HashMap<TupleId, u32, impl BuildHasher + Sync>,
     cfg: &SchismConfig,
 ) -> Explanation {
     let k = cfg.k;
@@ -147,7 +148,7 @@ fn explain_table(
     table: TableId,
     table_name: &str,
     entries: &[(TupleId, PartitionSet)],
-    access_counts: &HashMap<TupleId, u32>,
+    access_counts: &HashMap<TupleId, u32, impl BuildHasher + Sync>,
     cfg: &SchismConfig,
     pool: &Pool,
 ) -> TableExplanation {

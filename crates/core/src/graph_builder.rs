@@ -9,8 +9,10 @@
 //!   `TupleId → TupleStats` maps — blanket-statement filtering,
 //!   access/write counts and the coalescing signature —
 //!   **hash-sharded by tuple** into four independent maps per worker
-//!   thread. The shards merge in parallel (one ordered fold per
-//!   shard, [`schism_par::Pool::reduce_shards`]) instead of serializing the
+//!   thread. The maps are [`TupleMap`]s, hashed by a keyed SplitMix
+//!   (one key per map) in place of std's SipHash. The shards merge in
+//!   parallel (one ordered fold per shard,
+//!   [`schism_par::Pool::reduce_shards`]) instead of serializing the
 //!   whole fan-in through a single map. Counts merge by addition; the
 //!   coalescing signature is a **commutative** sum of per-access hashes
 //!   (see `TupleStats::signature`), so the merged maps are independent of
@@ -18,9 +20,11 @@
 //!   filtering then prune each shard (also in parallel), and coalescing
 //!   groups tuples over the globally sorted survivor list: tuples with the
 //!   same access multiset share one vertex, which weighs their access
-//!   count.
-//! - **Pass 2** (nodes + edges): each chunk emits its transaction-clique
-//!   edges into a chunk-local [`EdgeBuffer`], allocating replica-star nodes
+//!   count. Grouping writes each survivor's group id into its stats.
+//! - **Pass 2** (nodes + edges): each chunk reads every accessed tuple's
+//!   group from its pass-1 stats shard (a tuple with none was dropped)
+//!   and emits its transaction-clique edges into a chunk-local
+//!   [`EdgeBuffer`], allocating replica-star nodes
 //!   *chunk-locally* (an encoded id per allocation). The stitch walks the
 //!   buffers in chunk order, resolving each allocation to
 //!   `replica_base[group] + n` where `n` counts prior allocations of that
@@ -49,9 +53,11 @@ use schism_graph::{
     CsrGraph, EdgeBuffer, GraphBuilder, HyperEdgeBuffer, HyperGraph, HyperGraphBuilder, NodeId,
 };
 use schism_par::{chunk_size, resolve_threads, Pool};
-use schism_workload::{splitmix64, Trace, TraceSource, TupleId, Workload};
+use schism_router::PartitionSet;
+use schism_workload::{splitmix64, Trace, TraceSource, TupleId, TupleMap, TupleState, Workload};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
+use std::hash::BuildHasher;
 
 fn tuple_hash(t: TupleId) -> u64 {
     splitmix64(t.row ^ (t.table as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
@@ -85,6 +91,9 @@ struct TupleStats {
     /// signatures merge associatively — duplicate accesses still count
     /// (`2h ≠ h`), unlike an XOR, which would cancel them.
     signature: u64,
+    /// The coalesced group (base node) of a surviving tuple, written by
+    /// grouping and read by pass 2; not merged.
+    group: NodeId,
 }
 
 impl TupleStats {
@@ -132,7 +141,7 @@ const COMPACT_EVERY: usize = 1 << 23;
 /// the aggregate threshold itself, when that is smaller).
 const CHUNK_COMPACT_FLOOR: usize = 1 << 16;
 
-fn visit_tuple(map: &mut HashMap<TupleId, TupleStats>, t: TupleId, write: bool, idx: usize) {
+fn visit_tuple(map: &mut TupleMap<TupleStats>, t: TupleId, write: bool, idx: usize) {
     let e = map.entry(t).or_default();
     e.accesses += 1;
     if write {
@@ -143,7 +152,7 @@ fn visit_tuple(map: &mut HashMap<TupleId, TupleStats>, t: TupleId, write: bool, 
 
 /// One chunk's share of pass 1: one partial stats map per merge shard.
 struct Pass1Partial {
-    stats: Vec<HashMap<TupleId, TupleStats>>,
+    stats: Vec<TupleMap<TupleStats>>,
     dropped_scans: usize,
 }
 
@@ -304,29 +313,26 @@ impl WorkloadGraph {
 
     /// Resolves a graph partitioning into per-tuple partition sets: the set
     /// of distinct partitions hosting the tuple's replicas (singleton when
-    /// the partitioner decided not to replicate, §4.2).
-    pub fn tuple_partitions(&self, assignment: &[u32]) -> Vec<(TupleId, Vec<u32>)> {
-        // Collect partitions per group: its base node plus every replica.
-        let mut per_group: Vec<Vec<u32>> = vec![Vec::new(); self.num_groups];
-        for g in 0..self.num_groups {
-            per_group[g].push(assignment[g]);
-        }
+    /// the partitioner decided not to replicate, §4.2). One set is built
+    /// per group, from its base node and every used replica, and each of
+    /// the group's tuples gets a copy.
+    pub fn tuple_partitions(
+        &self,
+        assignment: &[u32],
+    ) -> impl ExactSizeIterator<Item = (TupleId, PartitionSet)> + '_ {
+        let mut per_group: Vec<PartitionSet> = assignment[..self.num_groups]
+            .iter()
+            .map(|&p| PartitionSet::single(p))
+            .collect();
         for (ri, &g) in self.replica_owner.iter().enumerate() {
-            if !self.replica_used[ri] {
-                continue;
+            if self.replica_used[ri] {
+                per_group[g as usize].insert(assignment[self.num_groups + ri]);
             }
-            let node = self.num_groups + ri;
-            per_group[g as usize].push(assignment[node]);
-        }
-        for parts in &mut per_group {
-            parts.sort_unstable();
-            parts.dedup();
         }
         self.tuples
             .iter()
-            .enumerate()
-            .map(|(i, &t)| (t, per_group[self.group_of[i] as usize].clone()))
-            .collect()
+            .zip(&self.group_of)
+            .map(move |(&t, &g)| (t, per_group[g as usize]))
     }
 
     /// `(tuple, access count)` for every tuple in the graph.
@@ -434,23 +440,28 @@ impl WorkloadGraph {
     /// neighbors at all fall back to the currently lightest partition.
     pub fn seed_assignment(
         &self,
-        prev: &HashMap<TupleId, schism_router::PartitionSet>,
+        prev: &HashMap<TupleId, PartitionSet, impl BuildHasher>,
         k: u32,
     ) -> Vec<u32> {
         assert!(k >= 1);
-        // Majority vote per group over the previous placement.
-        let mut votes: Vec<HashMap<u32, u32>> = vec![HashMap::new(); self.num_groups];
-        for (i, t) in self.tuples.iter().enumerate() {
-            if let Some(p) = prev.get(t).and_then(|ps| ps.first()) {
-                *votes[self.group_of[i] as usize].entry(p % k).or_insert(0) += 1;
+        // Majority vote per group over the previous placement, counted in
+        // one flat row of `k` counters per group.
+        let width = k as usize;
+        let mut votes = vec![0u32; self.num_groups * width];
+        for (t, &g) in self.tuples.iter().zip(&self.group_of) {
+            if let Some(p) = prev.get(t).and_then(PartitionSet::first) {
+                votes[g as usize * width + (p % k) as usize] += 1;
             }
         }
-        let mut load = vec![0u64; k as usize];
+        let mut load = vec![0u64; width];
         let mut labels = vec![u32::MAX; self.num_groups];
         let mut unlabeled = 0usize;
-        for (g, v) in votes.iter().enumerate() {
+        for (g, v) in votes.chunks_exact(width).enumerate() {
             // Deterministic tie-break: highest count, then lowest partition.
-            if let Some((&p, _)) = v.iter().max_by_key(|&(&p, &c)| (c, std::cmp::Reverse(p))) {
+            if let Some(p) = (0..k)
+                .filter(|&p| v[p as usize] > 0)
+                .max_by_key(|&p| (v[p as usize], std::cmp::Reverse(p)))
+            {
                 labels[g] = p;
                 load[p as usize] += u64::from(self.group_accesses[g].max(1));
             } else {
@@ -528,27 +539,23 @@ impl WorkloadGraph {
         // primary), ordered by vote count then partition id, the group's
         // own label excluded — the partitions this group's replicas
         // should keep occupying.
-        let mut extra_votes: Vec<HashMap<u32, u32>> = vec![HashMap::new(); self.num_groups];
-        for (i, t) in self.tuples.iter().enumerate() {
+        votes.fill(0);
+        for (t, &g) in self.tuples.iter().zip(&self.group_of) {
             if let Some(ps) = prev.get(t) {
                 for p in ps.iter().skip(1) {
-                    *extra_votes[self.group_of[i] as usize]
-                        .entry(p % k)
-                        .or_insert(0) += 1;
+                    votes[g as usize * width + (p % k) as usize] += 1;
                 }
             }
         }
-        let extras: Vec<Vec<u32>> = extra_votes
-            .iter()
+        let extras: Vec<Vec<u32>> = votes
+            .chunks_exact(width)
             .enumerate()
             .map(|(g, v)| {
-                let mut ps: Vec<(u32, u32)> = v
-                    .iter()
-                    .filter(|&(&p, _)| p != labels[g])
-                    .map(|(&p, &c)| (p, c))
+                let mut ps: Vec<u32> = (0..k)
+                    .filter(|&p| v[p as usize] > 0 && p != labels[g])
                     .collect();
-                ps.sort_unstable_by_key(|&(p, c)| (std::cmp::Reverse(c), p));
-                ps.into_iter().map(|(p, _)| p).collect()
+                ps.sort_unstable_by_key(|&p| (std::cmp::Reverse(v[p as usize]), p));
+                ps
             })
             .collect();
 
@@ -620,7 +627,7 @@ where
     let shards = pool.threads() * MERGE_SHARDS_PER_THREAD;
     let partials = pool.scope_chunks(n_txns, chunk, |range| {
         let mut p = Pass1Partial {
-            stats: (0..shards).map(|_| HashMap::new()).collect(),
+            stats: (0..shards).map(|_| TupleMap::default()).collect(),
             dropped_scans: 0,
         };
         source.for_chunk(range, &mut |idx, txn| {
@@ -652,7 +659,7 @@ where
     // sampling (access-weighted, so it keeps every tuple at
     // `tuple_sample >= 1`) runs per shard in the same parallel step.
     let mut dropped_scans = 0usize;
-    let shard_parts: Vec<Vec<HashMap<TupleId, TupleStats>>> = partials
+    let shard_parts: Vec<Vec<TupleMap<TupleStats>>> = partials
         .into_iter()
         .map(|p| {
             dropped_scans += p.dropped_scans;
@@ -661,7 +668,7 @@ where
         .collect();
     let merged = pool.reduce_shards(
         shard_parts,
-        |_| None::<HashMap<TupleId, TupleStats>>,
+        |_| None::<TupleMap<TupleStats>>,
         |acc, part| match acc {
             None => Some(part),
             Some(map) => {
@@ -684,7 +691,7 @@ where
             }
         },
     );
-    let filter_slots: Vec<std::sync::Mutex<HashMap<TupleId, TupleStats>>> = merged
+    let filter_slots: Vec<std::sync::Mutex<TupleMap<TupleStats>>> = merged
         .into_iter()
         .map(|m| std::sync::Mutex::new(m.unwrap_or_default()))
         .collect();
@@ -694,7 +701,7 @@ where
     });
     // The merged, filtered stats stay hash-sharded: tuple `t`'s live in
     // `stats[shard_of(t, shards)]`.
-    let stats: Vec<HashMap<TupleId, TupleStats>> = filter_slots
+    let mut stats: Vec<TupleMap<TupleStats>> = filter_slots
         .into_iter()
         .map(|m| m.into_inner().expect("shard poisoned"))
         .collect();
@@ -703,10 +710,12 @@ where
     let mut tuples: Vec<TupleId> = stats.iter().flat_map(|m| m.keys().copied()).collect();
     tuples.sort_unstable();
     let mut group_of = vec![0 as NodeId; tuples.len()];
-    let mut group_key: HashMap<(u64, u32), NodeId> = HashMap::new();
+    let mut group_key: HashMap<(u64, u32), NodeId, TupleState> = HashMap::default();
     let mut groups: Vec<(u32, u32)> = Vec::new(); // (accesses, writes)
     for (i, &t) in tuples.iter().enumerate() {
-        let s = &stats[shard_of(t, shards)][&t];
+        let s = stats[shard_of(t, shards)]
+            .get_mut(&t)
+            .expect("every survivor has stats");
         let gid = *group_key
             .entry((s.signature, s.accesses))
             .or_insert_with(|| {
@@ -714,6 +723,7 @@ where
                 (groups.len() - 1) as NodeId
             });
         group_of[i] = gid;
+        s.group = gid;
         let g = &mut groups[gid as usize];
         g.0 = g.0.max(s.accesses); // identical within a group by construction
         g.1 = g.1.max(s.writes);
@@ -751,9 +761,8 @@ where
         }
     }
 
-    // --- Pass 2: edge emission into chunk-local buffers. ---
-    let tuple_index: HashMap<TupleId, usize> =
-        tuples.iter().enumerate().map(|(i, &t)| (t, i)).collect();
+    // --- Pass 2: edge emission into chunk-local buffers. A tuple's group
+    // is read from its pass-1 stats shard; a tuple with none was dropped.
     let num_groups_u32 = num_groups as NodeId;
     // Every chunk buffer is retained until the stitch consumes it, so the
     // per-buffer threshold is this chunk's share of `compact_every`.
@@ -783,8 +792,8 @@ where
                 members.clear();
                 {
                     let mut add = |t: TupleId| {
-                        if let Some(&ti) = tuple_index.get(&t) {
-                            members.push(group_of[ti]);
+                        if let Some(s) = stats[shard_of(t, shards)].get(&t) {
+                            members.push(s.group);
                         }
                     };
                     for &t in &txn.reads {
@@ -1159,7 +1168,6 @@ mod tests {
             .collect();
         let hot: std::collections::HashSet<TupleId> = g
             .tuple_partitions(&probe)
-            .into_iter()
             .filter(|(_, ps)| ps.len() == 2)
             .map(|(t, _)| t)
             .collect();
@@ -1176,17 +1184,17 @@ mod tests {
         let seeded = g.seed_assignment(&prev, 3);
         for (t, ps) in g.tuple_partitions(&seeded) {
             if hot.contains(&t) {
-                assert_eq!(ps[0], 0, "primary placement preserved");
+                assert_eq!(ps.first(), Some(0), "primary placement preserved");
                 assert!(
                     ps.len() >= 2,
                     "previously replicated tuple {t} must seed replicated"
                 );
                 assert!(
-                    ps[1..].iter().all(|p| [1, 2].contains(p)),
+                    ps.iter().skip(1).all(|p| [1, 2].contains(&p)),
                     "replicas must seed onto the previous extras, got {ps:?}"
                 );
             } else {
-                assert_eq!(ps, vec![0], "cold tuples stay single-homed");
+                assert_eq!(ps, PartitionSet::single(0), "cold tuples stay single-homed");
             }
         }
     }
@@ -1356,8 +1364,7 @@ mod tests {
         let seeded = g.seed_assignment(&prev, 2);
         let label_of: HashMap<TupleId, u32> = g
             .tuple_partitions(&seeded)
-            .into_iter()
-            .map(|(t, ps)| (t, ps[0]))
+            .map(|(t, ps)| (t, ps.first().expect("placed")))
             .collect();
         for i in 0..4u64 {
             assert_eq!(
@@ -1380,12 +1387,11 @@ mod tests {
         let g = build_graph(&w, &w.trace, &cfg);
         // Fake assignment: alternate partitions by node id.
         let assignment: Vec<u32> = (0..g.num_nodes() as u32).map(|v| v % 2).collect();
-        let parts = g.tuple_partitions(&assignment);
+        let parts: Vec<_> = g.tuple_partitions(&assignment).collect();
         assert_eq!(parts.len(), g.tuples().len());
         for (_, ps) in &parts {
             assert!(!ps.is_empty());
             assert!(ps.len() <= 2);
-            assert!(ps.windows(2).all(|w| w[0] < w[1]), "sorted dedup expected");
         }
         // At least one hot tuple must span both partitions under this
         // adversarial assignment.

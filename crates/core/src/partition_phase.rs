@@ -15,16 +15,15 @@ use crate::config::SchismConfig;
 use crate::graph_builder::{CoAccess, WorkloadGraph};
 use schism_graph::{partition, partition_warm};
 use schism_router::PartitionSet;
-use schism_workload::TupleId;
-use std::collections::HashMap;
+use schism_workload::{TupleMap, TupleState};
 use std::time::{Duration, Instant};
 
 /// Output of the partitioning phase.
 pub struct PartitionPhase {
     /// Partition set per observed tuple (singleton = not replicated).
-    pub assignment: HashMap<TupleId, PartitionSet>,
+    pub assignment: TupleMap<PartitionSet>,
     /// Trace access count per observed tuple (explanation weighting).
-    pub access_counts: HashMap<TupleId, u32>,
+    pub access_counts: TupleMap<u32>,
     /// Edge cut of the underlying graph partitioning.
     pub edge_cut: u64,
     /// Load imbalance of the graph partitioning (1.0 = perfect).
@@ -73,16 +72,14 @@ fn partition_and_resolve(
     };
     let partition_time = start.elapsed();
 
-    let mut assignment = HashMap::with_capacity(wg.tuples().len());
+    let mut assignment =
+        TupleMap::with_capacity_and_hasher(wg.tuples().len(), TupleState::default());
     let mut replicated = 0usize;
-    for (tuple, parts) in wg.tuple_partitions(&partitioning.assignment) {
-        if parts.len() > 1 {
-            replicated += 1;
-        }
-        let pset: PartitionSet = parts.into_iter().collect();
+    for (tuple, pset) in wg.tuple_partitions(&partitioning.assignment) {
+        replicated += usize::from(!pset.is_single());
         assignment.insert(tuple, pset);
     }
-    let access_counts: HashMap<TupleId, u32> = wg.tuple_access_counts().collect();
+    let access_counts: TupleMap<u32> = wg.tuple_access_counts().collect();
 
     PartitionPhase {
         assignment,

@@ -15,6 +15,7 @@ use schism_router::{
 use schism_sql::ColId;
 use schism_workload::{Trace, TupleId, Workload};
 use std::collections::HashMap;
+use std::hash::BuildHasher;
 use std::time::{Duration, Instant};
 
 /// Rows above which a table's lookup backend switches from the dense
@@ -166,7 +167,7 @@ impl Schism {
         &self,
         workload: &Workload,
         train: &Trace,
-        prev: &HashMap<TupleId, PartitionSet>,
+        prev: &HashMap<TupleId, PartitionSet, impl BuildHasher>,
     ) -> RerunOutcome {
         let cfg = &self.cfg;
         let t0 = Instant::now();
@@ -239,7 +240,7 @@ pub fn hash_on_frequent_attributes(workload: &Workload, k: u32) -> HashScheme {
 pub fn build_lookup_scheme(
     workload: &Workload,
     train: &Trace,
-    assignment: &HashMap<TupleId, PartitionSet>,
+    assignment: &HashMap<TupleId, PartitionSet, impl BuildHasher>,
     k: u32,
 ) -> LookupScheme {
     let num_tables = workload.schema.num_tables();

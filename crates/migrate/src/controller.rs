@@ -24,8 +24,7 @@ use crate::plan::{plan_migration, MigrationPlan, PlanConfig};
 use schism_core::{build_graph, run_partition_phase, Schism, SchismConfig};
 use schism_router::{PartitionSet, VersionedScheme};
 use schism_store::ShardStore;
-use schism_workload::{TupleId, Workload};
-use std::collections::HashMap;
+use schism_workload::{TupleMap, Workload};
 
 /// Everything the controller needs to run the loop.
 #[derive(Clone, Debug)]
@@ -82,7 +81,7 @@ impl MigrationOutcome {
 pub struct MigrationController {
     cfg: ControllerConfig,
     detector: DriftDetector,
-    assignment: HashMap<TupleId, PartitionSet>,
+    assignment: TupleMap<PartitionSet>,
 }
 
 impl MigrationController {
@@ -103,7 +102,7 @@ impl MigrationController {
     /// [`schism_core::Recommendation`]) instead of bootstrapping cold.
     pub fn with_assignment(
         reference: &Workload,
-        assignment: HashMap<TupleId, PartitionSet>,
+        assignment: TupleMap<PartitionSet>,
         cfg: ControllerConfig,
     ) -> Self {
         let detector = DriftDetector::new(DistanceMetric::JensenShannon, &reference.trace);
@@ -115,7 +114,7 @@ impl MigrationController {
     }
 
     /// The current authoritative placement.
-    pub fn assignment(&self) -> &HashMap<TupleId, PartitionSet> {
+    pub fn assignment(&self) -> &TupleMap<PartitionSet> {
         &self.assignment
     }
 

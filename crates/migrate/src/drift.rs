@@ -19,8 +19,7 @@
 //! key ranges first; the windowed API only assumes the histogram keys are
 //! comparable across windows.
 
-use schism_workload::{Trace, TraceSource, TupleId};
-use std::collections::HashMap;
+use schism_workload::{Trace, TraceSource, TupleId, TupleMap};
 
 /// Distribution distance used by the detector.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -38,7 +37,7 @@ pub const MIN_TRANSACTIONS: usize = 100;
 /// A normalized access histogram of one trace window.
 #[derive(Clone, Debug, Default)]
 pub struct AccessHistogram {
-    counts: HashMap<TupleId, u64>,
+    counts: TupleMap<u64>,
     total: u64,
 }
 

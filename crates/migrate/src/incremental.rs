@@ -22,15 +22,16 @@
 use crate::relabel::{apply_relabel, relabel, Relabeling};
 use schism_core::{build_graph, run_partition_phase, Schism};
 use schism_router::{evaluate, PartitionSet};
-use schism_workload::{Trace, TupleId, Workload};
+use schism_workload::{Trace, TupleId, TupleMap, Workload};
 use std::collections::HashMap;
+use std::hash::BuildHasher;
 use std::time::{Duration, Instant};
 
 /// A repartitioning outcome with ids aligned to the previous assignment.
 #[derive(Clone, Debug)]
 pub struct RepartitionOutcome {
     /// The relabeled new placement.
-    pub assignment: HashMap<TupleId, PartitionSet>,
+    pub assignment: TupleMap<PartitionSet>,
     /// How the new partition ids were matched onto the old ones.
     pub relabeling: Relabeling,
     /// Edge cut of the underlying graph partitioning.
@@ -53,7 +54,7 @@ pub fn rerun_incremental(
     schism: &Schism,
     workload: &Workload,
     train: &Trace,
-    prev: &HashMap<TupleId, PartitionSet>,
+    prev: &HashMap<TupleId, PartitionSet, impl BuildHasher>,
 ) -> RepartitionOutcome {
     let t0 = Instant::now();
     let outcome = schism.rerun(workload, train, prev);
@@ -72,7 +73,7 @@ pub fn rerun_scratch(
     schism: &Schism,
     workload: &Workload,
     train: &Trace,
-    prev: &HashMap<TupleId, PartitionSet>,
+    prev: &HashMap<TupleId, PartitionSet, impl BuildHasher>,
 ) -> RepartitionOutcome {
     let t0 = Instant::now();
     let wg = build_graph(workload, train, &schism.cfg);
@@ -88,8 +89,8 @@ pub fn rerun_scratch(
 }
 
 fn finish(
-    mut assignment: HashMap<TupleId, PartitionSet>,
-    prev: &HashMap<TupleId, PartitionSet>,
+    mut assignment: TupleMap<PartitionSet>,
+    prev: &HashMap<TupleId, PartitionSet, impl BuildHasher>,
     k: u32,
     edge_cut: u64,
     imbalance: f64,
@@ -112,7 +113,7 @@ pub fn distributed_fraction(
     workload: &Workload,
     train: &Trace,
     eval: &Trace,
-    assignment: &HashMap<TupleId, PartitionSet>,
+    assignment: &HashMap<TupleId, PartitionSet, impl BuildHasher>,
     k: u32,
 ) -> f64 {
     let scheme = schism_core::build_lookup_scheme(workload, train, assignment, k);

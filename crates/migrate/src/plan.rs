@@ -17,6 +17,7 @@
 use schism_router::PartitionSet;
 use schism_workload::{TupleId, TupleValues};
 use std::collections::HashMap;
+use std::hash::BuildHasher;
 
 /// One tuple's placement change.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -88,8 +89,8 @@ impl MigrationPlan {
 /// iteration order, so the same pair of assignments always yields the same
 /// plan.
 pub fn plan_migration(
-    old: &HashMap<TupleId, PartitionSet>,
-    new: &HashMap<TupleId, PartitionSet>,
+    old: &HashMap<TupleId, PartitionSet, impl BuildHasher>,
+    new: &HashMap<TupleId, PartitionSet, impl BuildHasher>,
     db: &dyn TupleValues,
     cfg: &PlanConfig,
 ) -> MigrationPlan {

@@ -18,6 +18,7 @@
 use schism_router::PartitionSet;
 use schism_workload::TupleId;
 use std::collections::HashMap;
+use std::hash::BuildHasher;
 
 /// Result of relabeling a new assignment against an old one.
 #[derive(Clone, Debug)]
@@ -48,8 +49,8 @@ impl Relabeling {
 
 /// Computes the best relabeling of `new` onto `prev`'s partition ids.
 pub fn relabel(
-    prev: &HashMap<TupleId, PartitionSet>,
-    new: &HashMap<TupleId, PartitionSet>,
+    prev: &HashMap<TupleId, PartitionSet, impl BuildHasher>,
+    new: &HashMap<TupleId, PartitionSet, impl BuildHasher>,
     k: u32,
 ) -> Relabeling {
     assert!(k >= 1);
@@ -88,7 +89,10 @@ pub fn relabel(
 
 /// Applies a relabeling in place: every partition id in every set is
 /// renamed through `mapping`.
-pub fn apply_relabel(assignment: &mut HashMap<TupleId, PartitionSet>, mapping: &[u32]) {
+pub fn apply_relabel(
+    assignment: &mut HashMap<TupleId, PartitionSet, impl BuildHasher>,
+    mapping: &[u32],
+) {
     if mapping.iter().enumerate().all(|(i, &m)| i as u32 == m) {
         return;
     }

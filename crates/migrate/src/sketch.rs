@@ -33,8 +33,8 @@
 //! (4 × 8192 counters + 1024 heavy hitters) fit in ~300 KiB.
 
 use crate::drift::{DistanceMetric, DriftReport};
-use schism_workload::{splitmix64, TraceSource, TupleId};
-use std::collections::{BTreeSet, HashMap};
+use schism_workload::{splitmix64, TraceSource, TupleId, TupleMap, TupleState};
+use std::collections::BTreeSet;
 
 fn tuple_hash(t: TupleId) -> u64 {
     splitmix64(t.row ^ (t.table as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
@@ -72,7 +72,7 @@ pub struct SketchHistogram {
     /// `depth` rows of `width` counters, flattened row-major.
     counters: Vec<u64>,
     /// SpaceSaving counts: tuple → upper-bound count.
-    heavy: HashMap<TupleId, u64>,
+    heavy: TupleMap<u64>,
     /// Mirror of `heavy` ordered by `(count, tuple)` for O(log K) min
     /// eviction with a deterministic tie-break.
     order: BTreeSet<(u64, TupleId)>,
@@ -84,7 +84,7 @@ impl SketchHistogram {
         assert!(cfg.width >= 2 && cfg.depth >= 1 && cfg.heavy_hitters >= 1);
         Self {
             counters: vec![0; cfg.width * cfg.depth],
-            heavy: HashMap::with_capacity(cfg.heavy_hitters + 1),
+            heavy: TupleMap::with_capacity_and_hasher(cfg.heavy_hitters + 1, TupleState::default()),
             order: BTreeSet::new(),
             total: 0,
             cfg,

@@ -10,15 +10,14 @@ use schism_migrate::{
 use schism_router::{PartitionSet, Scheme, VersionedScheme};
 use schism_store::{load_assignment, tempdir::TempDir, LogStore, MemStore, ShardStore};
 use schism_workload::drifting::{self, DriftingConfig};
-use schism_workload::{TupleId, Workload};
-use std::collections::HashMap;
+use schism_workload::{TupleMap, Workload};
 use std::sync::Arc;
 
 const K: u32 = 4;
 
 type Fixture = (
     MigrationOutcome,
-    HashMap<TupleId, PartitionSet>,
+    TupleMap<PartitionSet>,
     Arc<dyn Scheme>,
     Arc<dyn Scheme>,
     Workload,

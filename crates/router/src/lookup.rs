@@ -7,7 +7,7 @@
 use crate::pset::PartitionSet;
 use crate::scheme::{Complexity, Route, Scheme};
 use schism_sql::{ColId, Statement, Value};
-use schism_workload::{TupleId, TupleValues};
+use schism_workload::{TupleId, TupleState, TupleValues};
 use std::collections::HashMap;
 
 /// What to do for tuples absent from the lookup table (never accessed by
@@ -32,7 +32,7 @@ pub trait LookupBackend: Send + Sync {
 
 /// Hash-index backend: exact, works for sparse row ids.
 pub struct IndexBackend {
-    map: HashMap<u64, PartitionSet>,
+    map: HashMap<u64, PartitionSet, TupleState>,
 }
 
 impl IndexBackend {
@@ -60,7 +60,7 @@ pub struct BitArrayBackend {
     /// Partition id per row; `MISS` when absent, `MULTI` when in
     /// `overflow`.
     slots: Vec<u8>,
-    overflow: HashMap<u64, PartitionSet>,
+    overflow: HashMap<u64, PartitionSet, TupleState>,
 }
 
 impl BitArrayBackend {
@@ -72,7 +72,7 @@ impl BitArrayBackend {
     /// Partition ids must be `< 254`; larger ids go to the overflow map.
     pub fn new(num_rows: u64, entries: impl IntoIterator<Item = (u64, PartitionSet)>) -> Self {
         let mut slots = vec![Self::MISS; num_rows as usize];
-        let mut overflow = HashMap::new();
+        let mut overflow = HashMap::default();
         for (row, pset) in entries {
             debug_assert!((row as usize) < slots.len(), "row {row} out of range");
             if let Some(slot) = slots.get_mut(row as usize) {

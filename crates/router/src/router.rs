@@ -6,7 +6,7 @@
 //! partition that has already been accessed in the same transaction". The
 //! residual choice is a small set-cover problem solved greedily.
 
-use crate::pset::PartitionSet;
+use crate::pset::{PartitionSet, MAX_PARTITIONS};
 use crate::scheme::Scheme;
 use schism_workload::{splitmix64, Transaction, TupleValues};
 
@@ -53,6 +53,7 @@ pub fn route_transaction(
     // Count ties are broken by a per-transaction pseudo-random preference:
     // a fixed tie-break (e.g. lowest id) would route every fully-replicated
     // read-only transaction to the same partition and destroy load balance.
+    // `splitmix64` is a bijection, so no two partitions tie on the key.
     flexible.retain(|p| p.intersect(&participants).is_empty());
     let salt = txn
         .accessed()
@@ -60,15 +61,17 @@ pub fn route_transaction(
         .map(|t| t.row ^ (t.table as u64).rotate_left(32))
         .unwrap_or(0);
     while !flexible.is_empty() {
-        let mut counts = std::collections::HashMap::new();
+        let mut counts = [0u32; MAX_PARTITIONS as usize];
+        let mut candidates = PartitionSet::empty();
         for pset in &flexible {
+            candidates.union_with(pset);
             for p in pset.iter() {
-                *counts.entry(p).or_insert(0usize) += 1;
+                counts[p as usize] += 1;
             }
         }
-        let (&best, _) = counts
+        let best = candidates
             .iter()
-            .max_by_key(|&(p, &c)| (c, splitmix64(*p as u64 ^ salt)))
+            .max_by_key(|&p| (counts[p as usize], splitmix64(p as u64 ^ salt)))
             .expect("flexible non-empty");
         participants.insert(best);
         flexible.retain(|p| !p.contains(best));
@@ -86,7 +89,9 @@ mod tests {
     use super::*;
     use crate::lookup::{IndexBackend, LookupScheme, MissPolicy};
     use crate::scheme::ReplicationScheme;
+    use proptest::prelude::*;
     use schism_workload::{MaterializedDb, TupleId, TxnBuilder};
+    use std::collections::HashMap;
 
     fn lookup_scheme(entries: Vec<(u64, PartitionSet)>) -> LookupScheme {
         LookupScheme::new(
@@ -192,5 +197,101 @@ mod tests {
         let p = route_transaction(&b.finish(), &s, &db);
         assert_eq!(p.set.len(), 2);
         assert!(p.is_distributed());
+    }
+
+    /// The greedy cover as it was first written, counting into a map per
+    /// round: the oracle the counting array must reproduce.
+    fn route_with_map(
+        txn: &Transaction,
+        scheme: &dyn Scheme,
+        db: &dyn TupleValues,
+    ) -> PartitionSet {
+        let mut participants = PartitionSet::empty();
+        for &w in &txn.writes {
+            participants.union_with(&scheme.locate_tuple(w, db));
+        }
+        let mut flexible: Vec<PartitionSet> = Vec::new();
+        for r in txn.reads.iter().chain(txn.scans.iter().flatten()) {
+            let pset = scheme.locate_tuple(*r, db);
+            if pset.is_single() {
+                participants.union_with(&pset);
+            } else {
+                flexible.push(pset);
+            }
+        }
+        flexible.retain(|p| p.intersect(&participants).is_empty());
+        let salt = txn
+            .accessed()
+            .next()
+            .map(|t| t.row ^ (t.table as u64).rotate_left(32))
+            .unwrap_or(0);
+        while !flexible.is_empty() {
+            let mut counts = HashMap::new();
+            for pset in &flexible {
+                for p in pset.iter() {
+                    *counts.entry(p).or_insert(0usize) += 1;
+                }
+            }
+            let (&best, _) = counts
+                .iter()
+                .max_by_key(|&(p, &c)| (c, splitmix64(*p as u64 ^ salt)))
+                .expect("flexible non-empty");
+            participants.insert(best);
+            flexible.retain(|p| !p.contains(best));
+        }
+        if participants.is_empty() {
+            participants.insert(0);
+        }
+        participants
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+        /// Random copy sets over 1 to 256 partitions, random reads, scans
+        /// and writes: the counting array picks what the map picked.
+        #[test]
+        fn greedy_cover_matches_the_map_oracle(
+            (log_k, copies, reads, writes, seed) in (
+                0..=8u32,
+                1..=6u32,
+                prop::collection::vec(0..64u64, 0..24),
+                prop::collection::vec(0..64u64, 0..3),
+                0..u64::MAX,
+            ),
+        ) {
+            let k = (1u32 << log_k).min(MAX_PARTITIONS);
+            let entries = (0..64u64).map(|row| {
+                let h = splitmix64(seed ^ row);
+                let n = 1 + (h % u64::from(copies)) as u32;
+                let set = (0..n)
+                    .map(|i| (splitmix64(h.wrapping_add(u64::from(i))) % u64::from(k)) as u32)
+                    .collect();
+                (row, set)
+            });
+            let scheme = LookupScheme::new(
+                k,
+                vec![Some(Box::new(IndexBackend::new(entries)) as Box<_>)],
+                vec![None],
+                MissPolicy::HashRow,
+            );
+            let db = MaterializedDb::new();
+            let mut b = TxnBuilder::new(false);
+            let (scan, point) = reads.split_at(reads.len() / 3);
+            for &r in point {
+                b.read(TupleId::new(0, r));
+            }
+            if !scan.is_empty() {
+                b.scan(scan.iter().map(|&r| TupleId::new(0, r)).collect());
+            }
+            for &w in &writes {
+                b.write(TupleId::new(0, w));
+            }
+            let txn = b.finish();
+            prop_assert_eq!(
+                route_transaction(&txn, &scheme, &db).set,
+                route_with_map(&txn, &scheme, &db)
+            );
+        }
     }
 }

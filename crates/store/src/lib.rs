@@ -110,6 +110,7 @@ use schism_sql::TableId;
 use schism_workload::{TupleId, TupleValues};
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::BuildHasher;
 use std::ops::Range;
 
 /// Identifies one physical shard. Shard ids coincide with partition ids:
@@ -237,7 +238,7 @@ pub fn seed_row(t: TupleId, len: u32) -> Vec<u8> {
 /// shard in its copy set. Returns the number of rows written.
 pub fn load_assignment(
     store: &dyn ShardStore,
-    assignment: &HashMap<TupleId, PartitionSet>,
+    assignment: &HashMap<TupleId, PartitionSet, impl BuildHasher>,
     db: &dyn TupleValues,
 ) -> Result<u64, StoreError> {
     let mut written = 0u64;

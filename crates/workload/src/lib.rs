@@ -39,5 +39,7 @@ pub mod ycsb;
 pub use dist::{ScrambledZipfian, Zipfian};
 pub use sqllog::{render_log, SqlLogError, SqlLogSource, SqlLogStats};
 pub use trace::{Trace, TraceSource, Workload};
-pub use tuple::{splitmix64, MaterializedDb, TupleId, TupleValues};
+pub use tuple::{
+    splitmix64, MaterializedDb, TupleHasher, TupleId, TupleMap, TupleState, TupleValues,
+};
 pub use txn::{Transaction, TxnBuilder};

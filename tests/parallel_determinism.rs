@@ -11,7 +11,7 @@
 use schism_core::explain::explain;
 use schism_core::{
     build_graph, build_graph_source, run_partition_phase, run_partition_phase_warm, CoAccess,
-    GraphBackend, SchismConfig,
+    GraphBackend, Schism, SchismConfig,
 };
 use schism_graph::{
     gen, partition, partition_warm, HyperGraph, HyperGraphBuilder, PartitionerConfig, Partitioning,
@@ -527,4 +527,39 @@ fn explanation_identical_across_threads_and_matches_golden() {
         }
         assert_eq!(got, want, "{name}: explanation digest = {got:#018x}");
     }
+}
+
+/// Every map keyed by tuple draws its own hash key (`TupleState`), so two
+/// runs in one process hash every tuple differently and iterate every map
+/// in a different order. None of that may reach the output: on the
+/// `advisor_hyper` shape at smoke size (full-cardinality TPC-C, one net
+/// per transaction, no sampling, blanket filter or replication) two builds
+/// digest equal, and two pipeline runs choose at the same fraction and
+/// cut.
+#[test]
+fn map_hash_keys_never_reach_the_output() {
+    let w = tpcc::generate(&TpccConfig {
+        num_txns: 2_000,
+        ..TpccConfig::full(50)
+    });
+    let mut cfg = SchismConfig::new(8);
+    cfg.seed = 7;
+    cfg.tuple_sample = 1.0;
+    cfg.blanket_threshold = usize::MAX;
+    cfg.replication = false;
+    cfg.graph_backend = GraphBackend::Hypergraph;
+
+    let first = build_graph(&w, &w.trace, &cfg);
+    let second = build_graph(&w, &w.trace, &cfg);
+    assert_eq!(first.digest(), second.digest(), "rebuild changed the graph");
+
+    let schism = Schism::new(cfg);
+    let (a, b) = (schism.run(&w), schism.run(&w));
+    assert_eq!(a.edge_cut, b.edge_cut, "rerun changed the cut");
+    assert_eq!(
+        a.chosen_fraction().to_bits(),
+        b.chosen_fraction().to_bits(),
+        "rerun changed the chosen fraction"
+    );
+    assert_eq!(a.chosen(), b.chosen(), "rerun changed the chosen scheme");
 }
