@@ -73,7 +73,7 @@ fn bench_noisy_item(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new("cross_validate", threads),
             &pool,
-            |b, pool| b.iter(|| cross_validate(&ds, &cfg, 5, 7, pool)),
+            |b, pool| b.iter(|| cross_validate(&ds, &cfg, 7, pool)),
         );
     }
     group.finish();
@@ -93,7 +93,7 @@ fn bench_tree_train(c: &mut Criterion) {
 
 fn bench_cfs(c: &mut Criterion) {
     let ds = warehouse_dataset(5_000, 16);
-    c.bench_function("cfs/select", |b| b.iter(|| cfs_select(&ds, 16)));
+    c.bench_function("cfs/select", |b| b.iter(|| cfs_select(&ds)));
 }
 
 fn bench_predict(c: &mut Criterion) {

@@ -279,7 +279,7 @@ fn explain_table(
     let ds = Dataset::new(attrs_meta, columns, labels, num_labels);
 
     // Attribute selection (§5.2): CFS keeps label-correlated attributes.
-    let cfs = cfs_select(&ds, 16);
+    let cfs = cfs_select(&ds);
     let selected: Vec<usize> = if cfs.selected.is_empty() {
         (0..candidates.len()).collect()
     } else {
@@ -312,7 +312,7 @@ fn explain_table(
         tree_cfg.min_leaf = tree_cfg.min_leaf.max(floor as u32);
         tree_cfg.min_split = tree_cfg.min_split.max(tree_cfg.min_leaf * 2);
     }
-    let cv = cross_validate(&proj, &tree_cfg, CV_FOLDS, cfg.seed ^ 0xC0FFEE, pool);
+    let cv = cross_validate(&proj, &tree_cfg, cfg.seed ^ 0xC0FFEE, pool);
     let rules = extract_rules(&cv.tree);
 
     // Rules -> executable policy.
@@ -405,9 +405,6 @@ const MIN_LEAF: u32 = 4;
 /// An attribute must appear in at least this fraction of a table's
 /// statements to be a split candidate (§4.3 requirement (i)).
 const MIN_ATTR_FREQUENCY: f64 = 0.25;
-
-/// Cross-validation folds.
-const CV_FOLDS: usize = 5;
 
 /// Explanations whose cross-validated accuracy falls below this are
 /// flagged as overfit (the validation phase will usually discard the

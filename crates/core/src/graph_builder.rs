@@ -54,14 +54,12 @@ use schism_graph::{
 };
 use schism_par::{chunk_size, resolve_threads, Pool};
 use schism_router::PartitionSet;
-use schism_workload::{splitmix64, Trace, TraceSource, TupleId, TupleMap, TupleState, Workload};
+use schism_workload::{
+    splitmix64, tuple_hash, Trace, TraceSource, TupleId, TupleMap, TupleState, Workload,
+};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::hash::BuildHasher;
-
-fn tuple_hash(t: TupleId) -> u64 {
-    splitmix64(t.row ^ (t.table as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
-}
 
 /// Deterministic access-weighted sampling decision for a tuple: keep with
 /// probability `min(1, p * accesses)`. Plain uniform sampling at e.g. 3%

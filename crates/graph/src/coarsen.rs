@@ -1,15 +1,18 @@
-//! Contraction: collapse one coarsening step's groups into a coarser
-//! structure.
+//! What every coarsening step shares, and contraction: collapse one
+//! step's groups into a coarser structure.
 //!
 //! A coarsening step (`Incidence::coarsen_step`: heavy matching for a plain
-//! graph, first-choice clustering for a hypergraph) decides only which
-//! vertices merge, as a [`Grouping`] — fine → coarse ids, numbered in
-//! first-member order. Everything here reads that map alone. Each group
-//! becomes a single coarse vertex whose weight is the sum of its members'
-//! weights, and the map is retained so partitions can be projected back
-//! during uncoarsening. Coarse weights are computed here, once, for every
-//! `Incidence`; what the merge does to the structure itself is the
-//! implementation's business (`Incidence::contract`).
+//! graph, first-choice clustering for a hypergraph) scores its candidates
+//! its own way, but both draw the same from the V's rng (`draw_order`)
+//! and rank a candidate `u` of `v` by the same key, `(score, tie(seed,
+//! {v, u}))` (`tie`). A step decides only which vertices merge, as a
+//! [`Grouping`] — fine → coarse ids, numbered in first-member order.
+//! Contraction reads that map alone. Each group becomes a single coarse
+//! vertex whose weight is the sum of its members' weights, and the map is
+//! retained so partitions can be projected back during uncoarsening.
+//! Coarse weights are computed here, once, for every `Incidence`; what the
+//! merge does to the structure itself is the implementation's business
+//! (`Incidence::contract`).
 //!
 //! For a plain graph (`contract_adjacency`) parallel edges created by the
 //! contraction are merged with summed weights and edges interior to a group
@@ -24,7 +27,32 @@
 
 use crate::csr::{CsrGraph, NodeId};
 use crate::incidence::Incidence;
+use rand::seq::SliceRandom;
+use rand::Rng;
 use schism_par::Pool;
+
+/// The tie-break of the candidate pair `{v, u}`: the SplitMix64 finaliser
+/// over the packed *unordered* pair — a bijection of a 64-bit word, so both
+/// ends compute the same value and two pairs never tie under one seed.
+/// Seeded per step so repeated levels explore different orders.
+#[inline]
+pub(crate) fn tie(seed: u64, v: NodeId, u: NodeId) -> u64 {
+    let edge = (u64::from(v.min(u)) << 32) | u64::from(v.max(u));
+    let mut z = seed.wrapping_add(edge.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// All a coarsening step draws from `rng` over `n` vertices: the seed of
+/// [`tie`] and one shuffled visit order. The rng advances by the same
+/// amount whatever the pool's size, so the levels below see the same state.
+pub(crate) fn draw_order<R: Rng>(n: usize, rng: &mut R) -> (u64, Vec<NodeId>) {
+    let seed: u64 = rng.gen();
+    let mut order: Vec<NodeId> = (0..n as NodeId).collect();
+    order.shuffle(rng);
+    (seed, order)
+}
 
 /// One level of the multilevel hierarchy.
 #[derive(Clone, Debug)]

@@ -11,8 +11,8 @@
 //!    is most attracted to by **heavy pins** — co-occurrence in heavy, small
 //!    nets, each net scoring its pin pairs `w / (|e| − 1)`, so a 2-pin net
 //!    counts like a full edge and a wide scan contributes little — ranked
-//!    by the matching's key `(score, tie(seed, {v,u}))` among co-pins of
-//!    its label light enough to pair with it, taken or not. *Join*
+//!    by the shared key `(score, tie(seed, {v,u}))` among co-pins of its
+//!    label light enough to pair with it, taken or not. *Join*
 //!    (sequential, in the level's seeded shuffle): a vertex that has
 //!    neither joined a cluster nor been joined joins its target's cluster
 //!    if the cluster stays within a twentieth of a part; the vertex and its
@@ -20,8 +20,9 @@
 //!    a hub's leaves gather around it in one level — where pair matching
 //!    pairs a few leaves per hub per level and stalls on TPC-C's
 //!    hub-and-leaf nets.
-//! 2. **Contraction** remaps and deduplicates pins per net, drops nets that
-//!    collapse to one pin and merges identical coarse pin sets.
+//! 2. **Contraction** remaps each net's pins into a [`HyperEdgeBuffer`],
+//!    which deduplicates them and drops nets that collapse to one pin; the
+//!    builder merges identical coarse pin sets.
 //! 3. **The coarsest-level seed** is a clique expansion (cheap at coarsest
 //!    size; wide nets expand as paths to stay linear), so the plain-graph
 //!    recursive bisection is reused.
@@ -41,15 +42,11 @@
 //! model's edge cut is only a quadratic proxy.
 
 use crate::builder::GraphBuilder;
-use crate::coarsen::Grouping;
+use crate::coarsen::{draw_order, tie, Grouping};
 use crate::csr::{CsrGraph, NodeId};
-use crate::hypergraph::{HyperGraph, HyperGraphBuilder};
+use crate::hypergraph::{HyperEdgeBuffer, HyperGraph, HyperGraphBuilder};
 use crate::incidence::{Incidence, MoveScratch};
-use crate::matching::tie;
-use crate::partition::max_cluster_weight;
 use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::Rng;
 use schism_par::{chunk_size, Pool};
 use std::borrow::Cow;
 
@@ -145,31 +142,14 @@ impl NetTally {
 
 /// Per-worker scratch for heavy-pin scoring: `score[u]` is valid when
 /// `stamp[u]` equals the vertex currently being scored.
-pub struct ScoreScratch {
+struct ScoreScratch {
     score: Vec<u64>,
     stamp: Vec<NodeId>,
     touched: Vec<NodeId>,
 }
 
-impl Incidence for HyperGraph {
-    const COLD_VCYCLES: usize = 2;
-    const CUT_NET_STAGE: bool = true;
-    type PartnerScratch = ScoreScratch;
-    type Tally = NetTally;
-
-    fn num_vertices(&self) -> usize {
-        self.num_vertices()
-    }
-
-    fn vertex_weight(&self, v: NodeId) -> u32 {
-        self.vertex_weight(v)
-    }
-
-    fn total_vertex_weight(&self) -> u64 {
-        self.total_vertex_weight()
-    }
-
-    fn partner_scratch(&self) -> ScoreScratch {
+impl HyperGraph {
+    fn score_scratch(&self) -> ScoreScratch {
         let n = self.num_vertices();
         ScoreScratch {
             score: vec![0; n],
@@ -178,9 +158,11 @@ impl Incidence for HyperGraph {
         }
     }
 
-    /// Heavy-pin scoring: every net up to [`SCORE_PIN_CAP`] pins credits
-    /// each of `v`'s co-pins with `w·SCALE / (|e| − 1)`.
-    fn for_each_partner(&self, v: NodeId, s: &mut ScoreScratch, mut f: impl FnMut(NodeId, u64)) {
+    /// Heavy-pin scoring, first-choice clustering's scorer: calls `f(u,
+    /// score)` once per co-pin `u` of `v`, in first-seen order, where every
+    /// net up to [`SCORE_PIN_CAP`] pins credits each of `v`'s co-pins with
+    /// `w·SCALE / (|e| − 1)`.
+    fn heavy_pins(&self, v: NodeId, s: &mut ScoreScratch, mut f: impl FnMut(NodeId, u64)) {
         s.touched.clear();
         for &e in self.nets(v) {
             let ps = self.pins(e);
@@ -203,6 +185,24 @@ impl Incidence for HyperGraph {
         for &u in &s.touched {
             f(u, s.score[u as usize]);
         }
+    }
+}
+
+impl Incidence for HyperGraph {
+    const COLD_VCYCLES: usize = 2;
+    const CUT_NET_STAGE: bool = true;
+    type Tally = NetTally;
+
+    fn num_vertices(&self) -> usize {
+        self.num_vertices()
+    }
+
+    fn vertex_weight(&self, v: NodeId) -> u32 {
+        self.vertex_weight(v)
+    }
+
+    fn total_vertex_weight(&self) -> u64 {
+        self.total_vertex_weight()
     }
 
     /// First-choice clustering, clusters at most a twentieth of a part.
@@ -327,9 +327,27 @@ impl Incidence for HyperGraph {
     }
 }
 
+/// Cap on a first-choice cluster's weight: a twentieth of a part,
+/// `total / (20·k)`, clamped like `matching::max_pair_weight`. A pair at
+/// most doubles a vertex per level; a cluster can gather a hub's whole
+/// neighbourhood in one, so its cap is tighter.
+///
+/// The cap decides how sharply the placement separates TPC-C's old
+/// orders from new ones within a warehouse, and with it whether the
+/// explanation's attribute selection keeps `o_id` beside `o_w_id`. At a
+/// tenth of a part the `advisor_hyper` placement's `o_id` correlation
+/// straddles that bar, so the range scheme won on 11 of 20 workload
+/// seeds and hashing on the rest; at a twentieth it won on 59 of 60.
+/// The price is YCSB-E, whose hottest keys outweigh the cap and cannot
+/// cluster: over eight partitioner seeds of `table1_graph_sizes`' input
+/// the mean (λ−1) cost is 41 220, against 35 995 at a tenth, 40 746 at
+/// half a part and 39 538 under pair matching.
+fn max_cluster_weight(total: u64, k: u32) -> u64 {
+    (total / (20 * u64::from(k))).clamp(1, u32::MAX as u64)
+}
+
 /// One level of first-choice clustering under the cluster weight cap
-/// `limit`: one seed draw and one shuffle — the same draws whatever
-/// `pool`'s size — then [`rate`] and [`join`].
+/// `limit`: the step's draws ([`draw_order`]), then [`rate`] and [`join`].
 fn first_choice(
     hg: &HyperGraph,
     labels: Option<&[u32]>,
@@ -337,9 +355,7 @@ fn first_choice(
     rng: &mut StdRng,
     pool: &Pool,
 ) -> Grouping {
-    let seed: u64 = rng.gen();
-    let mut order: Vec<NodeId> = (0..hg.num_vertices() as NodeId).collect();
-    order.shuffle(rng);
+    let (seed, order) = draw_order(hg.num_vertices(), rng);
     let targets = rate(hg, labels, limit, seed, pool);
     Grouping::from_reps(&join(hg, &targets, limit, &order))
 }
@@ -361,14 +377,14 @@ fn rate(
     let chunks: Vec<Vec<NodeId>> = pool.scope_chunks_with(
         n,
         chunk_size(n, pool.threads()),
-        || hg.partner_scratch(),
+        || hg.score_scratch(),
         |s, range| {
             range
                 .map(|v| {
                     let v = v as NodeId;
                     let vw = hg.vertex_weight(v) as u64;
                     let mut best: Option<((u64, u64), NodeId)> = None;
-                    hg.for_each_partner(v, s, |u, score| {
+                    hg.heavy_pins(v, s, |u, score| {
                         if vw + hg.vertex_weight(u) as u64 > limit
                             || labels.is_some_and(|l| l[u as usize] != l[v as usize])
                         {
@@ -419,44 +435,21 @@ fn join(hg: &HyperGraph, targets: &[NodeId], limit: u64, order: &[NodeId]) -> Ve
     rep
 }
 
-/// The hypergraph half of [`crate::coarsen::contract`]: pins are remapped
-/// and deduplicated per net, nets collapsing to a single pin vanish, and
-/// identical coarse pin sets merge with summed weights (the builder's
-/// canonical form makes the result independent of chunk decomposition).
+/// The hypergraph half of [`crate::coarsen::contract`]: each net's pins
+/// are remapped into a [`HyperEdgeBuffer`] — which deduplicates them and
+/// drops a net that collapsed to a single pin — over net chunks (parallel,
+/// pure), and the buffers are stitched in chunk order; the builder merges
+/// identical coarse pin sets with summed weights, and its canonical form
+/// makes the result independent of chunk decomposition.
 fn contract_nets(hg: &HyperGraph, map: &[NodeId], vwgt: Vec<u32>, pool: &Pool) -> HyperGraph {
-    // Remap pins over net chunks (parallel, pure), then stitch in chunk
-    // order; the builder's final canonical sort makes the decomposition
-    // invisible.
-    struct ChunkNets {
-        pins: Vec<NodeId>,
-        nets: Vec<(u32, u32)>, // (len, weight)
-    }
     let m = hg.num_nets();
     let chunk = chunk_size(m, pool.threads());
-    let parts: Vec<ChunkNets> = pool.scope_chunks(m, chunk, |range| {
-        let mut out = ChunkNets {
-            pins: Vec::new(),
-            nets: Vec::new(),
-        };
-        for e in range {
-            let start = out.pins.len();
-            out.pins
-                .extend(hg.pins(e as u32).iter().map(|&p| map[p as usize]));
-            let tail = &mut out.pins[start..];
-            tail.sort_unstable();
-            let mut write = 0usize;
-            for read in 0..tail.len() {
-                if read == 0 || tail[read] != tail[read - 1] {
-                    tail[write] = tail[read];
-                    write += 1;
-                }
-            }
-            out.pins.truncate(start + write);
-            if write < 2 {
-                out.pins.truncate(start); // net collapsed into one vertex
-            } else {
-                out.nets.push((write as u32, hg.net_weight(e as u32)));
-            }
+    let parts: Vec<HyperEdgeBuffer> = pool.scope_chunks(m, chunk, |range| {
+        let (mut out, mut pins) = (HyperEdgeBuffer::new(), Vec::new());
+        for e in range.map(|e| e as u32) {
+            pins.clear();
+            pins.extend(hg.pins(e).iter().map(|&p| map[p as usize]));
+            out.push(&pins, hg.net_weight(e));
         }
         out
     });
@@ -465,12 +458,8 @@ fn contract_nets(hg: &HyperGraph, map: &[NodeId], vwgt: Vec<u32>, pool: &Pool) -
     for (cv, &w) in vwgt.iter().enumerate() {
         b.set_vertex_weight(cv as NodeId, w);
     }
-    for part in &parts {
-        let mut offset = 0usize;
-        for &(len, w) in &part.nets {
-            b.add_net(&part.pins[offset..offset + len as usize], w);
-            offset += len as usize;
-        }
+    for (pins, w) in parts.iter().flat_map(HyperEdgeBuffer::nets) {
+        b.add_net(pins, w);
     }
     b.build()
 }
@@ -813,7 +802,7 @@ mod tests {
         let mut assignment: Vec<u32> = (0..32).map(|v| v % 2).collect();
         let before = connectivity_cost(&hg, &assignment);
         let cap = ((hg.total_vertex_weight() as f64) * 1.05 / 2.0).ceil() as u64;
-        kway_greedy_refine(&hg, &mut assignment, 2, cap, 10, false, &Pool::new(1));
+        kway_greedy_refine(&hg, &mut assignment, 2, cap, false, &Pool::new(1));
         let after = connectivity_cost(&hg, &assignment);
         assert!(after < before, "refinement failed: {before} -> {after}");
     }
@@ -895,9 +884,9 @@ mod tests {
 
     /// The sequential oracle of [`first_choice`], written from its
     /// definition: each target a brute-force argmax over everything
-    /// `for_each_partner` reports, then the join loop over explicit cluster
-    /// ids, a cluster's weight summed afresh at every turn. Returns the
-    /// grouping and the targets.
+    /// `heavy_pins` reports, then the join loop over explicit cluster ids,
+    /// a cluster's weight summed afresh at every turn. Returns the grouping
+    /// and the targets.
     fn first_choice_oracle(
         hg: &HyperGraph,
         labels: Option<&[u32]>,
@@ -905,14 +894,12 @@ mod tests {
         rng: &mut StdRng,
     ) -> (Grouping, Vec<NodeId>) {
         let n = hg.num_vertices();
-        let seed: u64 = rng.gen();
-        let mut order: Vec<NodeId> = (0..n as NodeId).collect();
-        order.shuffle(rng);
-        let mut s = hg.partner_scratch();
+        let (seed, order) = draw_order(n, rng);
+        let mut s = hg.score_scratch();
         let targets: Vec<NodeId> = (0..n as NodeId)
             .map(|v| {
                 let mut candidates = Vec::new();
-                hg.for_each_partner(v, &mut s, |u, score| candidates.push((u, score)));
+                hg.heavy_pins(v, &mut s, |u, score| candidates.push((u, score)));
                 candidates
                     .into_iter()
                     .filter(|&(u, _)| eligible(hg, labels, limit, v, u))
@@ -1030,7 +1017,7 @@ mod tests {
         let level = contract(hg, got.clone(), &Pool::new(1));
         level.graph.validate().unwrap();
         assert_eq!(level.graph.total_vertex_weight(), hg.total_vertex_weight());
-        let mut s = hg.partner_scratch();
+        let mut s = hg.score_scratch();
         for v in 0..n as NodeId {
             if members[got.map[v as usize] as usize].len() > 1 {
                 continue;
@@ -1038,7 +1025,7 @@ mod tests {
             let t = targets[v as usize];
             if t == NO_TARGET {
                 let mut any = false;
-                hg.for_each_partner(v, &mut s, |u, _| any |= eligible(hg, labels, limit, v, u));
+                hg.heavy_pins(v, &mut s, |u, _| any |= eligible(hg, labels, limit, v, u));
                 assert!(!any, "single {v} had an eligible co-pin");
             } else {
                 let room = weight(got.map[t as usize]) + hg.vertex_weight(v) as u64 <= limit;

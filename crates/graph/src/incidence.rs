@@ -6,16 +6,18 @@
 //! implementations — [`CsrGraph`] (below; edge-cut objective) and
 //! [`crate::HyperGraph`] (in `hpartition.rs`; (λ−1) connectivity with a
 //! cut-net tie-break). A clique edge is a 2-pin net, so the *protocols* —
-//! the candidate key `(score, tie(seed, {v,u}))` both coarsening steps rank
-//! by, coarse ids and weights, frozen-scan / sorted-apply refinement,
+//! coarse ids and weights, frozen-scan / sorted-apply refinement,
 //! cheapest-damage eviction, the V-cycle schedule — are shared; an
 //! implementation only supplies what genuinely depends on the
-//! representation: how strongly two vertices attract, which vertices one
-//! coarsening step merges (a plain graph pairs them by heavy matching,
-//! [`crate::matching`]; a hypergraph clusters them first-choice, in
-//! `hpartition.rs`), how a grouping contracts, which plain graph seeds the
-//! coarsest level, how strongly a vertex is pulled toward each part, and
-//! the cost.
+//! representation: one coarsening step, how a grouping contracts, which
+//! plain graph seeds the coarsest level, how strongly a vertex is pulled
+//! toward each part, and the cost.
+//!
+//! Each coarsening step owns its scorer. A plain graph pairs vertices by
+//! heavy matching on edge weight ([`crate::matching`]); a hypergraph
+//! clusters them first-choice on heavy pins (`hpartition.rs`). What the two
+//! share — the candidate key `(score, tie(seed, {v,u}))` and the one seed
+//! draw and shuffle per step — lives in [`crate::coarsen`].
 //!
 //! Refinement evaluates the same vertex many times per level, so the pull
 //! comes with a per-level **tally** ([`Incidence::Tally`]): whatever the
@@ -77,8 +79,6 @@ pub trait Incidence: Sized + Sync {
     /// Whether cold and warm runs end with one cut-net-primary V-cycle and
     /// a flat cut-net polish.
     const CUT_NET_STAGE: bool;
-    /// Per-worker scratch for [`Incidence::for_each_partner`].
-    type PartnerScratch;
     /// What refinement remembers about one level under the current
     /// assignment; see [`Incidence::tally`].
     type Tally: PartialEq + Sync;
@@ -86,15 +86,6 @@ pub trait Incidence: Sized + Sync {
     fn num_vertices(&self) -> usize;
     fn vertex_weight(&self, v: NodeId) -> u32;
     fn total_vertex_weight(&self) -> u64;
-
-    fn partner_scratch(&self) -> Self::PartnerScratch;
-
-    /// Calls `f(u, score)` once per candidate coarsening partner of `v`, in
-    /// a deterministic order; a higher score is a stronger attraction.
-    /// Scores must be **symmetric** — `v` is told `(u, s)` iff `u` is told
-    /// `(v, s)` — because matching ranks the *edge* `{v, u}` and needs its
-    /// two ends to agree on the rank.
-    fn for_each_partner(&self, v: NodeId, s: &mut Self::PartnerScratch, f: impl FnMut(NodeId, u64));
 
     /// One coarsening step: which vertices merge into one coarse vertex.
     /// Only vertices with equal `labels` merge, and no group outweighs the
@@ -158,7 +149,6 @@ pub trait Incidence: Sized + Sync {
 impl Incidence for CsrGraph {
     const COLD_VCYCLES: usize = 0;
     const CUT_NET_STAGE: bool = false;
-    type PartnerScratch = ();
     type Tally = ();
 
     fn num_vertices(&self) -> usize {
@@ -173,15 +163,6 @@ impl Incidence for CsrGraph {
         self.total_vertex_weight()
     }
 
-    fn partner_scratch(&self) {}
-
-    /// Heavy-edge scoring: a neighbour attracts by the weight of its edge.
-    fn for_each_partner(&self, v: NodeId, _: &mut (), mut f: impl FnMut(NodeId, u64)) {
-        for (u, w) in self.edges(v) {
-            f(u, w as u64);
-        }
-    }
-
     /// Heavy-edge matching: pairs, each at most half a part.
     fn coarsen_step(
         &self,
@@ -191,7 +172,7 @@ impl Incidence for CsrGraph {
         rng: &mut StdRng,
         pool: &Pool,
     ) -> Grouping {
-        let max_pair = crate::partition::max_pair_weight(max_part);
+        let max_pair = crate::matching::max_pair_weight(max_part);
         let mate = crate::matching::heavy_matching(self, labels, max_pair, rng, pool);
         Grouping::from_mate(&mate)
     }

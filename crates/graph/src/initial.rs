@@ -22,6 +22,9 @@ use schism_par::Pool;
 /// A bisection: `side[v] ∈ {0, 1}`.
 pub type Side = Vec<u8>;
 
+/// Independent greedy-growing attempts per bisection.
+const INIT_TRIES: usize = 4;
+
 /// Grows partition 0 from a random seed until its weight reaches
 /// `target0`, preferring the frontier vertex most strongly connected to the
 /// grown region. Restarts from a fresh random vertex when the frontier
@@ -89,18 +92,11 @@ fn greedy_grow<R: Rng>(g: &CsrGraph, target0: u64, rng: &mut R) -> Side {
 }
 
 /// Bisects `g` so that side 0 holds approximately `target0` of the total
-/// vertex weight (side 1 gets the rest). Runs `tries` independent greedy
-/// growths **concurrently over `pool`**, FM-refines each, and returns the
+/// vertex weight (side 1 gets the rest). Runs `INIT_TRIES` independent
+/// greedy growths **concurrently over `pool`**, FM-refines each, and returns the
 /// best (cut, then balance, then earliest try — the sequential loop's
 /// first-best rule, preserved by reducing in try order).
-pub fn bisect<R: Rng>(
-    g: &CsrGraph,
-    target0: u64,
-    epsilon: f64,
-    tries: usize,
-    rng: &mut R,
-    pool: &Pool,
-) -> Side {
+pub fn bisect<R: Rng>(g: &CsrGraph, target0: u64, epsilon: f64, rng: &mut R, pool: &Pool) -> Side {
     let n = g.num_vertices();
     if n == 0 {
         return Vec::new();
@@ -110,14 +106,13 @@ pub fn bisect<R: Rng>(
 
     // Seeds are drawn sequentially from the caller's RNG so its state
     // advances the same way regardless of parallelism.
-    let tries = tries.max(1);
-    let seeds: Vec<u64> = (0..tries).map(|_| rng.gen()).collect();
+    let seeds: Vec<u64> = (0..INIT_TRIES).map(|_| rng.gen()).collect();
 
     let attempts: Vec<(u64, u64, Side)> = pool
-        .scope_chunks(tries, 1, |r| {
+        .scope_chunks(INIT_TRIES, 1, |r| {
             let mut trng = StdRng::seed_from_u64(seeds[r.start]);
             let mut side = greedy_grow(g, target0, &mut trng);
-            let cut = fm_bisection(g, &mut side, target0, epsilon, 8);
+            let cut = fm_bisection(g, &mut side, target0, epsilon);
             let w0: u64 = (0..n)
                 .filter(|&v| side[v] == 0)
                 .map(|v| g.vertex_weight(v as NodeId) as u64)
@@ -181,7 +176,6 @@ pub fn recursive_bisection<R: Rng>(
     g: &CsrGraph,
     k: u32,
     epsilon: f64,
-    tries: usize,
     rng: &mut R,
     pool: &Pool,
 ) -> Vec<u32> {
@@ -218,7 +212,7 @@ pub fn recursive_bisection<R: Rng>(
         let k0 = k / 2;
         let k1 = k - k0;
         let target0 = g_mul_frac(graph.total_vertex_weight(), k0 as u64, k as u64);
-        let side = bisect(&graph, target0, epsilon, tries, rng, pool);
+        let side = bisect(&graph, target0, epsilon, rng, pool);
         let (g0, o0) = induced_subgraph(&graph, &side, 0);
         let (g1, o1) = induced_subgraph(&graph, &side, 1);
         let orig0: Vec<NodeId> = o0.iter().map(|&l| orig[l as usize]).collect();
@@ -264,7 +258,6 @@ mod tests {
             &g,
             g.total_vertex_weight() / 2,
             0.05,
-            4,
             &mut rng,
             &Pool::new(1),
         );
@@ -296,7 +289,7 @@ mod tests {
     fn recursive_bisection_balances_odd_k() {
         let g = gen::grid(10, 9); // 90 unit-weight vertices
         let mut rng = StdRng::seed_from_u64(7);
-        let assign = recursive_bisection(&g, 3, 0.05, 4, &mut rng, &Pool::new(1));
+        let assign = recursive_bisection(&g, 3, 0.05, &mut rng, &Pool::new(1));
         let w = part_weights(&g, &assign, 3);
         assert!(
             imbalance(&w) < 1.15,
@@ -319,7 +312,6 @@ mod tests {
                 &g,
                 g.total_vertex_weight() / 2,
                 0.05,
-                4,
                 &mut rng,
                 &Pool::new(threads),
             )
@@ -339,7 +331,7 @@ mod tests {
         }
         let g = b.build();
         let mut rng = StdRng::seed_from_u64(3);
-        let side = bisect(&g, 3, 0.05, 4, &mut rng, &Pool::new(1));
+        let side = bisect(&g, 3, 0.05, &mut rng, &Pool::new(1));
         let assign: Vec<u32> = side.iter().map(|&s| s as u32).collect();
         assert_eq!(
             edge_cut(&g, &assign),

@@ -27,8 +27,8 @@
 //! | | shared (written once) | graph | hypergraph |
 //! |---|---|---|---|
 //! | schedule ([`partition`](mod@partition)) | `ncuts` fan-out + best-of, cold descent, warm start, label-respecting V-cycle, level projection, balance cap, result | no extra stages | 2 more cold V-cycles, then a cut-net-primary V-cycle + flat polish |
-//! | coarsening step | seed draw + shuffle, candidates ranked by `(score, tie(seed, {v,u}))` — the same from both ends — label restriction, the 2 % shrink floor and 64-level cap | [`matching`]: at most 8 propose / mutual-accept rounds, so a round matches every locally dominant edge, seeded-order cleanup, two-hop pass; pairs ≤ half a part; score = edge weight | first-choice clustering: every vertex rates its best co-pin once, in parallel, then joins its cluster in shuffle order, taken or not; clusters ≤ a twentieth of a part; score = `w·256/(|e|−1)` over shared nets ≤ 64 pins |
-//! | contraction ([`coarsen`]) | coarse ids in first-member order, checked coarse weights, the level struct | merged adjacency, stitched in coarse-id order | remapped + deduplicated pins, merged identical nets |
+//! | coarsening step ([`coarsen`]) | one seed draw + shuffle, candidates ranked by `(score, tie(seed, {v,u}))`, label restriction, the 2 % shrink floor and 64-level cap; each step owns its scorer | [`matching`]: score = edge weight, read off the adjacency, so both ends of an edge rank it alike; at most 8 propose / mutual-accept rounds, so a round matches every locally dominant edge, seeded-order cleanup, two-hop pass; pairs ≤ half a part | first-choice clustering: score = heavy pins, `w·256/(|e|−1)` over shared nets ≤ 64 pins; every vertex rates its best co-pin once, in parallel, then joins its cluster in shuffle order, taken or not; clusters ≤ a twentieth of a part |
+//! | contraction ([`coarsen`]) | coarse ids in first-member order, checked coarse weights, the level struct | merged adjacency, stitched in coarse-id order | remapped nets through a [`HyperEdgeBuffer`] per chunk, merged identical nets |
 //! | coarsest seed ([`initial`]) | recursive bisection | on the level itself | on its clique expansion |
 //! | refinement ([`refine`]) | parallel frozen scan of the active set (first pass: every vertex; later passes: whoever a move reported, plus whoever only the part weights held back) → `(Reverse(gain), v)` sort → sequential live re-validation; admissibility, take rule, tie to the lighter part | pull = edge weight into each part; nothing to remember; a move reports the neighbours | pull = weight of nets already spanning each part (nets ≤ 512 pins), plus the cut-net tie-break, read off a per-level tally Λ of pins per net and part; a move recounts its nets' rows and reports their pins |
 //! | balance ([`refine::enforce_balance`]) | 4 sweeps, cheapest damage first, destination re-chosen live; on the way up a level it shares one tally with refinement | same pull | same pull |
@@ -79,5 +79,5 @@ pub use builder::{EdgeBuffer, GraphBuilder};
 pub use csr::{CsrGraph, NodeId};
 pub use hpartition::connectivity_cost;
 pub use hypergraph::{HyperEdgeBuffer, HyperGraph, HyperGraphBuilder};
-pub use metrics::{boundary_size, edge_cut, imbalance, part_weights};
+pub use metrics::{edge_cut, imbalance, part_weights};
 pub use partition::{partition, partition_warm, PartitionerConfig, Partitioning};

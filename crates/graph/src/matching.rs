@@ -27,10 +27,10 @@
 //!
 //! **Why the order is on edges, not on targets.** The key of the candidate
 //! edge `{v, u}` is the same whether `v` weighs it or `u` does: the score is
-//! symmetric (the precondition on `Incidence::for_each_partner`: it reports
-//! `(u, s)` for `v` iff it reports `(v, s)` for `u` — here an edge weight)
-//! and `tie` hashes the *unordered* pair, a bijection of the packed 64-bit
-//! word, so no two edges of one call tie. An edge that outranks every
+//! the edge's weight, which `v` and `u` read off their adjacencies alike
+//! (`CsrGraph::validate` rejects an asymmetric one), and `tie` hashes the
+//! *unordered* pair, a bijection of the packed 64-bit word, so no two edges
+//! of one call tie. An edge that outranks every
 //! other eligible edge at both of its endpoints — a *locally
 //! dominant* edge — is therefore proposed from both sides and matches, and
 //! the best eligible edge overall always is one: a round matches every
@@ -70,20 +70,20 @@
 //! reduce.
 //!
 //! Matching, and with it the two-hop pass, is the clique graph's: a
-//! neighbour's score is the weight of its edge (`Incidence::for_each_partner`).
-//! A hypergraph coarsens by first-choice clustering instead (`hpartition.rs`),
-//! which ranks candidates by the same key, `tie` included, but lets a
-//! vertex join a partner that is already taken — so a hub's leaves gather
-//! around it within one level, where pairs stall.
+//! neighbour's score is the weight of its edge. A hypergraph coarsens by
+//! first-choice clustering instead (`hpartition.rs`), which ranks its
+//! heavy-pin scores by the same key, `tie` included, but lets a vertex join
+//! a partner that is already taken — so a hub's leaves gather around it
+//! within one level, where pairs stall. It never compares the two ends of
+//! a pair, so its scores need no symmetry.
 //!
 //! Determinism contract: for a fixed `(structure, rng state)` the returned
 //! matching is bit-identical for every pool size, because the parallel
 //! phase is pure and every tie-break is a total order independent of
 //! scheduling.
 
+use crate::coarsen::{draw_order, tie};
 use crate::csr::{CsrGraph, NodeId};
-use crate::incidence::Incidence;
-use rand::seq::SliceRandom;
 use rand::Rng;
 use schism_par::{chunk_size, Pool};
 
@@ -101,20 +101,6 @@ const NO_PROPOSAL: NodeId = NodeId::MAX;
 /// remainder; the cap is for the weight patterns (strictly increasing
 /// chains) where exactly one edge is.
 const PROPOSE_ROUNDS: usize = 8;
-
-/// The tie-break of the candidate edge `{v, u}`: the SplitMix64 finaliser
-/// over the packed *unordered* pair — a bijection of a 64-bit word, so both
-/// endpoints compute the same value and two edges never tie under one seed.
-/// Seeded per matching call so repeated levels explore different orders,
-/// like the shuffle used to.
-#[inline]
-pub(crate) fn tie(seed: u64, v: NodeId, u: NodeId) -> u64 {
-    let edge = (u64::from(v.min(u)) << 32) | u64::from(v.max(u));
-    let mut z = seed.wrapping_add(edge.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 /// What one matching call fixes for all of its phases: the structure, who
 /// may pair with whom, and the seed of the edge order.
@@ -163,16 +149,16 @@ impl Matcher<'_> {
     /// proposed from both ends.
     fn best_partner(&self, v: NodeId, mate: &[NodeId]) -> NodeId {
         let vw = self.g.vertex_weight(v) as u64;
-        let mut best: Option<((u64, u64), NodeId)> = None;
-        self.g.for_each_partner(v, &mut (), |u, score| {
+        let mut best: Option<((u32, u64), NodeId)> = None;
+        for (u, w) in self.g.edges(v) {
             if mate[u as usize] != UNMATCHED || !self.pairable(v, u, vw) {
-                return;
+                continue;
             }
-            let key = (score, tie(self.seed, v, u));
+            let key = (w, tie(self.seed, v, u));
             if best.is_none_or(|(b, _)| key > b) {
                 best = Some((key, u));
             }
-        });
+        }
         best.map_or(NO_PROPOSAL, |(_, u)| u)
     }
 
@@ -234,6 +220,13 @@ impl Matcher<'_> {
     }
 }
 
+/// Cap on a matched pair's weight: half a partition's capacity `max_part`,
+/// so initial partitioning always has room to balance — and never more
+/// than a `u32` vertex weight can hold, so a coarse level never loses mass.
+pub(crate) fn max_pair_weight(max_part: u64) -> u64 {
+    (max_part / 2).clamp(1, u32::MAX as u64)
+}
+
 /// Computes a heavy matching of `g`, parallelized over `pool`.
 ///
 /// Returns `mate` with `mate[v] == v` for vertices left unmatched (isolated
@@ -261,12 +254,7 @@ pub fn heavy_matching<R: Rng>(
 ) -> Vec<NodeId> {
     let n = g.num_vertices();
     debug_assert!(labels.is_none_or(|l| l.len() == n));
-    // One seed draw and one shuffle: the rng advances by the same amount
-    // whatever the pool size, so downstream consumers see identical state.
-    let seed: u64 = rng.gen();
-    let mut order: Vec<NodeId> = (0..n as NodeId).collect();
-    order.shuffle(rng);
-
+    let (seed, order) = draw_order(n, rng);
     let m = Matcher {
         g,
         labels,
@@ -318,7 +306,6 @@ mod tests {
     use super::*;
     use crate::builder::GraphBuilder;
     use crate::gen;
-    use crate::hpartition::random_hypergraph;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -336,24 +323,17 @@ mod tests {
             .count()
     }
 
-    /// Everything `for_each_partner` reports for `v`.
-    fn partners<G: Incidence>(g: &G, s: &mut G::PartnerScratch, v: NodeId) -> Vec<(NodeId, u64)> {
-        let mut out = Vec::new();
-        g.for_each_partner(v, s, |u, score| out.push((u, score)));
-        out
-    }
-
     /// The oracle: every edge that may ever match, sorted by the proposal
     /// key, descending, and added greedily. `UNMATCHED` where no edge was
     /// taken.
     fn greedy_by_edge_order(m: &Matcher) -> Vec<NodeId> {
         let n = m.g.num_vertices();
-        let mut edges: Vec<((u64, u64), NodeId, NodeId)> = Vec::new();
+        let mut edges: Vec<((u32, u64), NodeId, NodeId)> = Vec::new();
         for v in 0..n as NodeId {
             let vw = m.g.vertex_weight(v) as u64;
-            for (u, score) in partners(m.g, &mut (), v) {
+            for (u, w) in m.g.edges(v) {
                 if v < u && m.pairable(v, u, vw) {
-                    edges.push(((score, tie(m.seed, v, u)), v, u));
+                    edges.push(((w, tie(m.seed, v, u)), v, u));
                 }
             }
         }
@@ -426,7 +406,7 @@ mod tests {
                 continue;
             }
             // Maximal: a vertex left alone has no eligible partner left alone.
-            for (w, _) in partners(g, &mut (), v) {
+            for &w in g.neighbors(v) {
                 assert!(
                     mate[w as usize] != w || !m.pairable(v, w, vw),
                     "{v} and {w} are both single and could have paired"
@@ -464,42 +444,16 @@ mod tests {
         b.build()
     }
 
-    /// The precondition of the edge order: `v` sees `(u, s)` iff `u` sees
-    /// `(v, s)`, and sees each partner once.
-    fn partner_scores_are_symmetric<G: Incidence>(g: &G) {
-        let n = g.num_vertices() as NodeId;
-        let mut s = g.partner_scratch();
-        let seen: Vec<Vec<(NodeId, u64)>> = (0..n)
-            .map(|v| {
-                let mut ps = partners(g, &mut s, v);
-                ps.sort_unstable();
-                assert!(
-                    ps.windows(2).all(|w| w[0].0 != w[1].0),
-                    "{v} saw a partner twice"
-                );
-                ps
-            })
-            .collect();
-        for v in 0..n {
-            for &(u, score) in &seen[v as usize] {
-                assert_ne!(u, v, "{v} is its own partner");
-                assert!(
-                    seen[u as usize].binary_search(&(v, score)).is_ok(),
-                    "{v} scores {u} at {score}, {u} does not score {v} the same"
-                );
-            }
-        }
-    }
-
     proptest! {
         #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
 
-        /// Over 1 024 vertices, so that a pool of 2 or 4 really splits the
-        /// propose phase.
+        /// Over 4 096 vertices: below that, `chunk_size`'s 1 024-vertex
+        /// floor gives pools of 1, 2 and 4 the same chunks, and a proposal
+        /// that depended on them would go unseen.
         #[test]
         fn graph_matching_is_greedy_by_edge_order(
             seed in 0..u64::MAX,
-            n in 1_100..1_500usize,
+            n in 4_200..4_600usize,
         ) {
             let mut rng = StdRng::seed_from_u64(seed);
             let g = random_graph(&mut rng, n);
@@ -517,20 +471,6 @@ mod tests {
             let g = random_graph(&mut rng, n);
             let (labels, cap) = random_eligibility(&mut rng, n);
             matches_oracle(&g, labels.as_deref(), cap, rng.gen());
-        }
-
-        /// Both incidence implementations score symmetrically — what makes
-        /// the key of an edge the same at both of its ends. The wide nets
-        /// are above `SCORE_PIN_CAP`: skipped from both sides or neither.
-        #[test]
-        fn partner_scores_are_symmetric_on_both_incidences(
-            seed in 0..u64::MAX,
-            n in 560..700usize,
-            wide in 0..3usize,
-        ) {
-            let mut rng = StdRng::seed_from_u64(seed);
-            partner_scores_are_symmetric(&random_graph(&mut rng, n));
-            partner_scores_are_symmetric(&random_hypergraph(&mut rng, n, n / 3, wide));
         }
     }
 

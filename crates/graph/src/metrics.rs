@@ -42,17 +42,6 @@ pub fn imbalance(weights: &[u64]) -> f64 {
     max * weights.len() as f64 / total as f64
 }
 
-/// Number of vertices with at least one neighbor in a different partition.
-pub fn boundary_size(g: &CsrGraph, assignment: &[u32]) -> usize {
-    (0..g.num_vertices() as NodeId)
-        .filter(|&v| {
-            g.neighbors(v)
-                .iter()
-                .any(|&u| assignment[u as usize] != assignment[v as usize])
-        })
-        .count()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -84,13 +73,6 @@ mod tests {
         assert!((imbalance(&w) - 1.0).abs() < 1e-9);
         let w2 = part_weights(&g, &[0, 0, 0, 1], 2);
         assert!((imbalance(&w2) - 1.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn boundary_counts() {
-        let g = square();
-        assert_eq!(boundary_size(&g, &[0, 0, 1, 1]), 4);
-        assert_eq!(boundary_size(&g, &[0, 0, 0, 0]), 0);
     }
 
     #[test]

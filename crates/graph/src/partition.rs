@@ -84,11 +84,6 @@ impl PartitionerConfig {
     }
 }
 
-/// Independent greedy-growing attempts per bisection of the coarsest level.
-const INIT_TRIES: usize = 4;
-/// Maximum refinement passes per uncoarsening level.
-const REFINE_PASSES: usize = 6;
-
 /// The cold descent stops coarsening once at most this many vertices remain.
 pub(crate) fn cold_target(k: u32) -> usize {
     (24 * k as usize).max(128)
@@ -239,7 +234,7 @@ fn polish<G: Incidence>(
     if G::CUT_NET_STAGE {
         labels = vcycle(g, Some(labels), cfg, true, rng, pool);
         let max_part = max_part_weight(g.total_vertex_weight(), cfg.k, cfg.epsilon);
-        kway_greedy_refine(g, &mut labels, cfg.k, max_part, REFINE_PASSES, true, pool);
+        kway_greedy_refine(g, &mut labels, cfg.k, max_part, true, pool);
     }
     labels
 }
@@ -310,18 +305,10 @@ fn vcycle<G: Incidence>(
     // --- Coarsest level: seed (cold) or inherit the labels (warm) ---
     let mut assignment = labels.unwrap_or_else(|| {
         let seed_graph = coarsest.seed_graph();
-        recursive_bisection(&seed_graph, k, cfg.epsilon, INIT_TRIES, rng, pool)
+        recursive_bisection(&seed_graph, k, cfg.epsilon, rng, pool)
     });
     let settle = |level: &G, assignment: &mut Vec<u32>| {
-        refine::settle(
-            level,
-            assignment,
-            k,
-            max_part,
-            REFINE_PASSES,
-            cut_primary,
-            pool,
-        )
+        refine::settle(level, assignment, k, max_part, cut_primary, pool)
     };
     settle(coarsest, &mut assignment);
 
@@ -345,32 +332,6 @@ fn vcycle<G: Incidence>(
 /// sweeps.
 pub(crate) fn max_part_weight(total: u64, k: u32, epsilon: f64) -> u64 {
     (((total as f64) * (1.0 + epsilon)) / k as f64).ceil() as u64
-}
-
-/// Cap on a matched pair's weight: half a partition's capacity, so initial
-/// partitioning always has room to balance — and never more than a `u32`
-/// vertex weight can hold, so a coarse level never loses mass.
-pub(crate) fn max_pair_weight(max_part: u64) -> u64 {
-    (max_part / 2).clamp(1, u32::MAX as u64)
-}
-
-/// Cap on a first-choice cluster's weight: a twentieth of a part,
-/// `total / (20·k)`, clamped like [`max_pair_weight`]. A pair at most
-/// doubles a vertex per level; a cluster can gather a hub's whole
-/// neighbourhood in one, so its cap is tighter.
-///
-/// The cap decides how sharply the placement separates TPC-C's old
-/// orders from new ones within a warehouse, and with it whether the
-/// explanation's attribute selection keeps `o_id` beside `o_w_id`. At a
-/// tenth of a part the `advisor_hyper` placement's `o_id` correlation
-/// straddles that bar, so the range scheme won on 11 of 20 workload
-/// seeds and hashing on the rest; at a twentieth it won on 59 of 60.
-/// The price is YCSB-E, whose hottest keys outweigh the cap and cannot
-/// cluster: over eight partitioner seeds of `table1_graph_sizes`' input
-/// the mean (λ−1) cost is 41 220, against 35 995 at a tenth, 40 746 at
-/// half a part and 39 538 under pair matching.
-pub(crate) fn max_cluster_weight(total: u64, k: u32) -> u64 {
-    (total / (20 * u64::from(k))).clamp(1, u32::MAX as u64)
 }
 
 fn finish<G: Incidence>(g: &G, assignment: Vec<u32>, k: u32) -> Partitioning {

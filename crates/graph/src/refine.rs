@@ -46,6 +46,12 @@ use std::collections::BinaryHeap;
 /// this many consecutive non-improving moves.
 const FM_STALL_LIMIT: usize = 64;
 
+/// FM passes per bisection, at most.
+const FM_PASSES: usize = 8;
+
+/// k-way refinement passes per level, at most.
+pub(crate) const REFINE_PASSES: usize = 6;
+
 /// Internal/external connectivity of `v` under a bisection.
 fn bisection_gain(g: &CsrGraph, side: &[u8], v: NodeId) -> i64 {
     let own = side[v as usize];
@@ -67,13 +73,7 @@ fn bisection_gain(g: &CsrGraph, side: &[u8], v: NodeId) -> i64 {
 /// The implementation uses a lazy-invalidating max-heap rather than the
 /// classic gain buckets: on the coarse graphs where this runs (thousands of
 /// vertices) the `O(E log E)` pass is indistinguishable from bucket FM.
-pub fn fm_bisection(
-    g: &CsrGraph,
-    side: &mut [u8],
-    target0: u64,
-    epsilon: f64,
-    max_passes: usize,
-) -> u64 {
+pub fn fm_bisection(g: &CsrGraph, side: &mut [u8], target0: u64, epsilon: f64) -> u64 {
     let n = g.num_vertices();
     if n == 0 {
         return 0;
@@ -91,7 +91,7 @@ pub fn fm_bisection(
     let assign: Vec<u32> = side.iter().map(|&s| s as u32).collect();
     let mut cut = edge_cut(g, &assign);
 
-    for _ in 0..max_passes {
+    for _ in 0..FM_PASSES {
         // One pass: tentatively move vertices by best gain, remember the best
         // prefix, then roll back past it.
         let mut gains: Vec<i64> = (0..n as NodeId)
@@ -268,12 +268,11 @@ pub fn kway_greedy_refine<G: Incidence>(
     assignment: &mut [u32],
     k: u32,
     max_part_weight: u64,
-    passes: usize,
     cut_primary: bool,
     pool: &Pool,
 ) -> usize {
     let mut level = Level::new(g, assignment, k, max_part_weight);
-    let moves = level.refine(passes, cut_primary, pool);
+    let moves = level.refine(cut_primary, pool);
     level.finish();
     moves
 }
@@ -317,13 +316,12 @@ pub(crate) fn settle<G: Incidence>(
     assignment: &mut [u32],
     k: u32,
     max_part_weight: u64,
-    passes: usize,
     cut_primary: bool,
     pool: &Pool,
 ) {
     let mut level = Level::new(g, assignment, k, max_part_weight);
     level.balance(pool);
-    level.refine(passes, cut_primary, pool);
+    level.refine(cut_primary, pool);
     level.finish();
 }
 
@@ -368,7 +366,7 @@ impl<'a, G: Incidence> Level<'a, G> {
         );
     }
 
-    fn refine(&mut self, passes: usize, cut_primary: bool, pool: &Pool) -> usize {
+    fn refine(&mut self, cut_primary: bool, pool: &Pool) -> usize {
         let g = self.g;
         let n = g.num_vertices();
         let mut live = MoveScratch::new(self.k);
@@ -378,7 +376,7 @@ impl<'a, G: Incidence> Level<'a, G> {
         let mut active: Vec<NodeId> = (0..n as NodeId).collect();
         let mut queued = vec![false; n];
 
-        for _pass in 0..passes {
+        for _pass in 0..REFINE_PASSES {
             // --- Scan (parallel, frozen state): the boundary + its gains. ---
             let (tally, assignment, weights) = (&self.tally, &*self.assignment, &self.weights);
             let (k, max_part_weight) = (self.k, self.max_part_weight);
@@ -550,13 +548,12 @@ mod tests {
         assignment: &mut [u32],
         k: u32,
         max_part_weight: u64,
-        passes: usize,
         cut_primary: bool,
     ) -> usize {
         let mut weights = part_weights(g, assignment, k);
         let mut s = MoveScratch::new(k as usize);
         let mut total_moves = 0;
-        for _ in 0..passes {
+        for _ in 0..REFINE_PASSES {
             let mut tally = g.tally(assignment, k);
             let mut cands: Vec<(i64, NodeId)> = Vec::new();
             for v in 0..g.num_vertices() as NodeId {
@@ -668,11 +665,11 @@ mod tests {
             .collect();
         for cut_primary in [false, true] {
             let mut want = start.clone();
-            let want_moves = full_rescan_refine(g, &mut want, k, cap, 6, cut_primary);
+            let want_moves = full_rescan_refine(g, &mut want, k, cap, cut_primary);
             for threads in [1, 2, 4] {
                 let mut got = start.clone();
                 let pool = Pool::new(threads);
-                let moves = kway_greedy_refine(g, &mut got, k, cap, 6, cut_primary, &pool);
+                let moves = kway_greedy_refine(g, &mut got, k, cap, cut_primary, &pool);
                 assert_eq!(moves, want_moves, "moves, cut_primary {cut_primary}");
                 assert!(
                     got == want,
@@ -734,7 +731,7 @@ mod tests {
         let g = gen::two_cliques(6, 1);
         let mut side: Vec<u8> = (0..12u32).map(|v| (v % 2) as u8).collect();
         let before = edge_cut(&g, &side.iter().map(|&s| s as u32).collect::<Vec<_>>());
-        let cut = fm_bisection(&g, &mut side, 6, 0.05, 10);
+        let cut = fm_bisection(&g, &mut side, 6, 0.05);
         let assign: Vec<u32> = side.iter().map(|&s| s as u32).collect();
         assert_eq!(cut, edge_cut(&g, &assign), "returned cut must match actual");
         assert!(cut < before, "FM made no progress: {before} -> {cut}");
@@ -752,7 +749,7 @@ mod tests {
         let mut assign: Vec<u32> = (0..g.num_vertices()).map(|_| rng.gen_range(0..4)).collect();
         let before = edge_cut(&g, &assign);
         let cap = (g.total_vertex_weight() as f64 * 1.05 / 4.0).ceil() as u64;
-        kway_greedy_refine(&g, &mut assign, 4, cap, 10, false, &Pool::new(1));
+        kway_greedy_refine(&g, &mut assign, 4, cap, false, &Pool::new(1));
         let after = edge_cut(&g, &assign);
         assert!(after < before, "refinement failed: {before} -> {after}");
         let w = part_weights(&g, &assign, 4);
@@ -768,7 +765,7 @@ mod tests {
         let cap = (g.total_vertex_weight() as f64 * 1.05 / 4.0).ceil() as u64;
         let run = |threads: usize| {
             let mut a = start.clone();
-            kway_greedy_refine(&g, &mut a, 4, cap, 10, false, &Pool::new(threads));
+            kway_greedy_refine(&g, &mut a, 4, cap, false, &Pool::new(threads));
             a
         };
         let base = run(1);

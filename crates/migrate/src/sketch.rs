@@ -33,12 +33,8 @@
 //! (4 × 8192 counters + 1024 heavy hitters) fit in ~300 KiB.
 
 use crate::drift::{DistanceMetric, DriftReport};
-use schism_workload::{splitmix64, TraceSource, TupleId, TupleMap, TupleState};
+use schism_workload::{splitmix64, tuple_hash, TraceSource, TupleId, TupleMap, TupleState};
 use std::collections::BTreeSet;
-
-fn tuple_hash(t: TupleId) -> u64 {
-    splitmix64(t.row ^ (t.table as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
-}
 
 /// Sketch sizing. All three knobs trade accuracy for (fixed) memory; none
 /// of them grows with the trace.

@@ -16,8 +16,8 @@ use crate::dataset::Dataset;
 use crate::discretize;
 use crate::entropy::symmetric_uncertainty;
 
-/// Default number of bins when discretizing an attribute.
-pub const DEFAULT_BINS: usize = 16;
+/// Bins per attribute when discretizing.
+const BINS: usize = 16;
 
 /// Precomputed discrete view of a dataset for correlation estimates.
 struct DiscreteView {
@@ -74,7 +74,7 @@ pub struct CfsResult {
 
 /// Runs greedy-forward CFS. Returns an empty selection when no attribute
 /// carries any information about the label.
-pub fn cfs_select(ds: &Dataset, bins: usize) -> CfsResult {
+pub fn cfs_select(ds: &Dataset) -> CfsResult {
     let n = ds.num_attrs();
     if n == 0 || ds.is_empty() {
         return CfsResult {
@@ -83,7 +83,7 @@ pub fn cfs_select(ds: &Dataset, bins: usize) -> CfsResult {
             label_correlation: vec![0.0; n],
         };
     }
-    let view = DiscreteView::new(ds, bins.max(2));
+    let view = DiscreteView::new(ds, BINS);
     let rcf: Vec<f64> = (0..n).map(|a| view.su_with_label(a)).collect();
 
     // Pairwise SU cache, filled lazily.
@@ -164,7 +164,7 @@ mod tests {
             b.row(&[i, w], w as u32); // label == warehouse, item id is noise
         }
         let ds = b.build();
-        let r = cfs_select(&ds, DEFAULT_BINS);
+        let r = cfs_select(&ds);
         assert_eq!(r.selected, vec![1], "should select only s_w_id: {r:?}");
         assert!(r.label_correlation[1] > 0.9);
         assert!(r.label_correlation[0] < 0.3);
@@ -180,7 +180,7 @@ mod tests {
             b.row(&[7], u32::from(i % 2 == 0));
         }
         let ds = b.build();
-        let r = cfs_select(&ds, DEFAULT_BINS);
+        let r = cfs_select(&ds);
         assert!(r.selected.is_empty(), "selected {:?}", r.selected);
         assert_eq!(r.label_correlation, vec![0.0]);
     }
@@ -194,7 +194,7 @@ mod tests {
             b.row(&[(i * 48271) % 31], u32::from((i * 2654435761) % 2 == 0));
         }
         let ds = b.build();
-        let r = cfs_select(&ds, DEFAULT_BINS);
+        let r = cfs_select(&ds);
         assert!(
             r.label_correlation[0] < 0.1,
             "correlation {}",
@@ -217,7 +217,7 @@ mod tests {
             b.row(&[x, y, (i * 37) % 11], label);
         }
         let ds = b.build();
-        let r = cfs_select(&ds, DEFAULT_BINS);
+        let r = cfs_select(&ds);
         let mut sel = r.selected.clone();
         sel.sort_unstable();
         assert_eq!(sel, vec![0, 1], "should select x and y: {r:?}");
@@ -226,7 +226,7 @@ mod tests {
     #[test]
     fn empty_dataset_is_safe() {
         let ds = DatasetBuilder::new().numeric("x").build();
-        let r = cfs_select(&ds, 4);
+        let r = cfs_select(&ds);
         assert!(r.selected.is_empty());
     }
 }

@@ -34,6 +34,9 @@ pub fn stratified_folds(labels: &[u32], k: usize, seed: u64) -> Vec<Vec<u32>> {
     folds
 }
 
+/// Folds of [`cross_validate`].
+const CV_FOLDS: usize = 5;
+
 /// Result of [`cross_validate`].
 #[derive(Clone, Debug)]
 pub struct CvResult {
@@ -47,25 +50,19 @@ pub struct CvResult {
     pub tree: DecisionTree,
 }
 
-/// k-fold cross-validation of a decision tree configuration.
+/// `CV_FOLDS`-fold cross-validation of a decision tree configuration.
 ///
-/// The full-data tree and the `k` fold trees are `k + 1` independent tasks
+/// The full-data tree and the fold trees are independent tasks
 /// on `pool`. Each is a pure function of `(ds, cfg, seed)` and the fold
 /// accuracies are summed in fold order, so the result is bit-identical for
 /// every pool size.
-pub fn cross_validate(
-    ds: &Dataset,
-    cfg: &TreeConfig,
-    k: usize,
-    seed: u64,
-    pool: &Pool,
-) -> CvResult {
+pub fn cross_validate(ds: &Dataset, cfg: &TreeConfig, seed: u64, pool: &Pool) -> CvResult {
     let all: Vec<u32> = (0..ds.len() as u32).collect();
     // Too few rows to cross-validate: no folds, training accuracy only.
-    let folds = if ds.len() < k {
+    let folds = if ds.len() < CV_FOLDS {
         Vec::new()
     } else {
-        stratified_folds(ds.labels(), k, seed)
+        stratified_folds(ds.labels(), CV_FOLDS, seed)
     };
     // Task 0 trains and scores on everything; task `held + 1` trains on all
     // folds but `held` and scores on it (an empty fold scores nothing).
@@ -139,7 +136,7 @@ mod tests {
             b.row(&[i, (i * 7919) % 13], u32::from(i >= 100));
         }
         let ds = b.build();
-        let cv = cross_validate(&ds, &TreeConfig::default(), 5, 1, &Pool::new(1));
+        let cv = cross_validate(&ds, &TreeConfig::default(), 1, &Pool::new(1));
         assert!(cv.accuracy > 0.95, "cv accuracy {}", cv.accuracy);
         assert!(cv.training_accuracy >= cv.accuracy - 1e-9);
     }
@@ -169,7 +166,7 @@ mod tests {
             min_split: 2,
             max_depth: 1024,
         };
-        let cv = cross_validate(&ds, &cfg, 5, 2, &Pool::new(1));
+        let cv = cross_validate(&ds, &cfg, 2, &Pool::new(1));
         assert!(
             cv.accuracy < 0.7,
             "random labels should not generalize: {}",
@@ -212,7 +209,7 @@ mod tests {
         b.row(&[2], 1);
         let ds = b.build();
         let cfg = TreeConfig::default();
-        let cv = cross_validate(&ds, &cfg, 10, 3, &Pool::new(2));
+        let cv = cross_validate(&ds, &cfg, 3, &Pool::new(2));
         assert_eq!(cv.accuracy, cv.training_accuracy, "no folds to hold out");
         assert_full_data_tree(&ds, &cfg, &cv);
     }
@@ -221,7 +218,7 @@ mod tests {
     fn returned_tree_is_the_full_data_tree() {
         let ds = noisy_dataset(300);
         let cfg = TreeConfig::default();
-        let cv = cross_validate(&ds, &cfg, 5, 3, &Pool::new(2));
+        let cv = cross_validate(&ds, &cfg, 3, &Pool::new(2));
         assert!(cv.tree.num_leaves() > 1, "sanity: a real tree");
         assert_full_data_tree(&ds, &cfg, &cv);
     }
@@ -230,7 +227,7 @@ mod tests {
     fn identical_across_pool_sizes() {
         let ds = noisy_dataset(400);
         let run = |threads: usize| {
-            let cv = cross_validate(&ds, &TreeConfig::default(), 5, 9, &Pool::new(threads));
+            let cv = cross_validate(&ds, &TreeConfig::default(), 9, &Pool::new(threads));
             (
                 cv.accuracy.to_bits(),
                 cv.training_accuracy.to_bits(),

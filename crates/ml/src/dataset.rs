@@ -129,19 +129,6 @@ impl Dataset {
         }
         counts
     }
-
-    /// Majority class over `rows` (ties resolve to the smaller id);
-    /// `(class, count)`.
-    pub fn majority(&self, rows: &[u32]) -> (u32, u32) {
-        let counts = self.class_counts(rows);
-        let mut best = (0u32, 0u32);
-        for (c, &n) in counts.iter().enumerate() {
-            if n > best.1 {
-                best = (c as u32, n);
-            }
-        }
-        best
-    }
 }
 
 /// Convenience builder for tests and small callers.
@@ -200,7 +187,6 @@ mod tests {
         assert_eq!(ds.value(1, 2), 2);
         assert_eq!(ds.label(0), 0);
         assert_eq!(ds.class_counts(&[0, 1, 2]), vec![1, 2]);
-        assert_eq!(ds.majority(&[0, 1, 2]), (1, 2));
     }
 
     #[test]
@@ -213,14 +199,5 @@ mod tests {
         assert_eq!(names, ["y", "x"]);
         assert_eq!((ds.column(0), ds.column(1)), (&[7, 8][..], &[10, 20][..]));
         assert_eq!((ds.labels(), ds.num_classes()), (&[0, 1][..], 2));
-    }
-
-    #[test]
-    fn majority_tie_prefers_lower_class() {
-        let mut b = DatasetBuilder::new().numeric("x");
-        b.row(&[1], 0);
-        b.row(&[2], 1);
-        let ds = b.build();
-        assert_eq!(ds.majority(&[0, 1]), (0, 1));
     }
 }

@@ -491,6 +491,22 @@ mod tests {
     }
 
     #[test]
+    fn majority_tie_prefers_lower_class() {
+        let stats = NodeStats {
+            n: 7,
+            majority: 1,
+            errors: 4,
+        };
+        assert_eq!(stats_of(&[0, 3, 3, 1]), stats);
+        // Two rows no threshold separates: one leaf, of the lower class.
+        let mut b = DatasetBuilder::new().numeric("x");
+        b.row(&[1], 1);
+        b.row(&[1], 0);
+        let tree = DecisionTree::train(&b.build(), &TreeConfig::default());
+        assert_eq!((tree.num_leaves(), tree.predict(&[1])), (1, 0));
+    }
+
+    #[test]
     fn empty_dataset_gives_default_leaf() {
         let ds = DatasetBuilder::new().numeric("x").build();
         let tree = DecisionTree::train(&ds, &TreeConfig::default());

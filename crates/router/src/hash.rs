@@ -6,7 +6,7 @@
 use crate::pset::PartitionSet;
 use crate::scheme::{Complexity, Route, Scheme};
 use schism_sql::{ColId, Statement, TableId, Value};
-use schism_workload::{splitmix64, TupleId, TupleValues};
+use schism_workload::{splitmix64, tuple_hash, TupleId, TupleValues};
 
 /// What to hash.
 #[derive(Clone, Debug)]
@@ -48,8 +48,7 @@ impl HashScheme {
     }
 
     fn bucket_row(&self, table: TableId, row: u64) -> u32 {
-        (splitmix64(row ^ (table as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)) % self.k as u64)
-            as u32
+        (tuple_hash(TupleId::new(table, row)) % self.k as u64) as u32
     }
 
     fn hash_attr(&self, table: TableId) -> Option<ColId> {

@@ -15,8 +15,8 @@
 //! [`generate`] with an explicit offset.
 
 use crate::dist::Zipfian;
-use crate::trace::{txn_stream_seed, Trace, TraceSource, Workload};
-use crate::tuple::{TupleId, TupleValues};
+use crate::trace::{Trace, TraceSource, Workload};
+use crate::tuple::{splitmix_pair, TupleId, TupleValues};
 use crate::txn::{Transaction, TxnBuilder};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -213,7 +213,9 @@ pub fn stream(cfg: &DriftingConfig) -> DriftingSource {
 impl DriftingSource {
     fn txn(&self, idx: usize) -> Transaction {
         let cfg = &self.cfg;
-        let mut rng = StdRng::seed_from_u64(txn_stream_seed(cfg.seed, idx));
+        // One independent RNG seed per transaction index, so `stream`
+        // regenerates any chunk's transactions in isolation.
+        let mut rng = StdRng::seed_from_u64(splitmix_pair(cfg.seed, idx as u64));
         let rank = self.zipf.sample(&mut rng);
         let block = (rank + cfg.hot_offset) % self.blocks;
         let base = block * cfg.block_span;

@@ -18,7 +18,7 @@
 //! customer, and the 1% "bad item" rollback of new-order is omitted.
 
 use crate::trace::{Trace, TraceSource, Workload};
-use crate::tuple::{TupleId, TupleValues};
+use crate::tuple::{splitmix_pair as mix, TupleId, TupleValues};
 use crate::txn::{Transaction, TxnBuilder};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -94,16 +94,6 @@ impl TpccConfig {
         let expected_new = (self.num_txns as u64) / self.districts().max(1);
         self.init_orders_per_district + 4 * expected_new + 64
     }
-}
-
-/// splitmix64-style deterministic mixing for order contents.
-fn mix(a: u64, b: u64) -> u64 {
-    let mut h = a ^ b.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    h ^= h >> 30;
-    h = h.wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    h ^= h >> 27;
-    h = h.wrapping_mul(0x94D0_49BB_1331_11EB);
-    h ^ (h >> 31)
 }
 
 /// Derivable order facts shared by the generator and [`TpccDb`].

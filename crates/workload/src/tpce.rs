@@ -96,6 +96,8 @@ impl TpceConfig {
     }
 }
 
+/// Not `splitmix_pair`: it stops before the finaliser's second multiply,
+/// and every TPC-E trace is drawn through it as it is.
 fn mix(a: u64, b: u64) -> u64 {
     let mut h = a ^ b.wrapping_mul(0x9E37_79B9_7F4A_7C15);
     h ^= h >> 30;

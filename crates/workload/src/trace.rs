@@ -58,18 +58,6 @@ pub trait TraceSource: Sync {
     }
 }
 
-/// splitmix64 of `seed ^ f(idx)`: one independent RNG seed per transaction
-/// index, so `drifting::stream` regenerates any chunk's transactions in
-/// isolation.
-pub(crate) fn txn_stream_seed(seed: u64, idx: usize) -> u64 {
-    let mut x = seed ^ (idx as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    x ^= x >> 30;
-    x = x.wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x ^= x >> 27;
-    x = x.wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
 impl TraceSource for Trace {
     fn len(&self) -> usize {
         self.transactions.len()

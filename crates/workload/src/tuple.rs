@@ -40,6 +40,20 @@ pub fn splitmix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
+/// [`splitmix64`] of `a ^ b·φ`: two words mixed into one — a generator's
+/// draw per `(row, field)`, a stream seed per `(seed, index)`.
+#[inline]
+pub fn splitmix_pair(a: u64, b: u64) -> u64 {
+    splitmix64(a ^ b.wrapping_mul(0x9E37_79B9_7F4A_7C15))
+}
+
+/// A tuple's hash, `splitmix_pair(row, table)`: what tuple sampling, the
+/// drift sketch's rows and hashing by row id all place a tuple by.
+#[inline]
+pub fn tuple_hash(t: TupleId) -> u64 {
+    splitmix_pair(t.row, u64::from(t.table))
+}
+
 /// The hasher for maps keyed by tuples and row ids: each written word is
 /// folded in as `state = (state.rotl(5) ^ word) · φ`, and [`splitmix64`]
 /// mixes the result, so the low bits a hash table indexes by depend on
@@ -137,8 +151,9 @@ pub trait TupleValues: Send + Sync {
     /// materialized / not an integer.
     fn value(&self, t: TupleId, col: ColId) -> Option<i64>;
 
-    /// Approximate size in bytes of a row of `table` (for data-size
-    /// balancing). Defaults to 64.
+    /// Approximate size in bytes of a row of `table`: the length of the
+    /// payload `schism_store::seed_row` loads for one, and what a migration
+    /// plan's byte budget counts per copy it adds. Defaults to 64.
     fn tuple_bytes(&self, table: TableId) -> u32 {
         let _ = table;
         64
