@@ -18,12 +18,14 @@
 //! contraction are merged with summed weights and edges interior to a group
 //! vanish. The expensive part — building the coarse adjacency, O(E) — is
 //! parallelized over *coarse* vertex ranges: each chunk accumulates its
-//! vertices' merged neighbor lists into private buffers with a private
-//! timestamped scratch table, and a sequential stitch concatenates them
-//! with offset fixups. Because every coarse vertex's adjacency is emitted
-//! by exactly one chunk and emission order within a vertex only depends on
-//! fine-edge order, the stitched CSR is **byte-identical to the sequential
-//! build** for any pool size.
+//! vertices' merged neighbor lists into private buffers, reserved up to
+//! its members' degree sum, with a private scratch table that packs each
+//! neighbour's timestamp and slot into one word, and a sequential stitch
+//! appends the later chunks to the first one's buffers with offset fixups
+//! — so one chunk holding every coarse vertex is not copied at all. Because
+//! every coarse vertex's adjacency is emitted by exactly one chunk and
+//! emission order within a vertex only depends on fine-edge order, the
+//! CSR is **byte-identical to the sequential build** for any pool size.
 
 use crate::csr::{CsrGraph, NodeId};
 use crate::incidence::Incidence;
@@ -160,27 +162,37 @@ pub(crate) fn contract_adjacency(
     // a contiguous id range, so concatenating chunk outputs in order
     // reproduces the sequential emission exactly.
     struct ChunkAdj {
-        degrees: Vec<u32>,
+        /// Chunk-local CSR offsets: `xadj[0] == 0`, one end per vertex.
+        xadj: Vec<u32>,
         adjncy: Vec<NodeId>,
         adjwgt: Vec<u32>,
     }
-    // One chunk per worker (static split): the scratch tables below are
-    // O(cn) each, so fine-grained chunking would spend more on re-zeroing
-    // `stamp` than on merging edges.
+    // One chunk per worker (static split): the scratch table below is
+    // O(cn), so fine-grained chunking would spend more on re-zeroing it
+    // than on merging edges.
     let chunk = cn.div_ceil(pool.threads()).max(1024);
     let parts: Vec<ChunkAdj> = pool.scope_chunks(cn, chunk, |range| {
-        // slot[c] = index into the chunk-local adjacency being built, valid
-        // when stamp[c] == the coarse vertex currently being emitted.
-        let mut slot = vec![0u32; cn];
-        let mut stamp = vec![NodeId::MAX; cn];
+        // seen[c] packs a stamp (one plus the coarse vertex being emitted
+        // when `c` was last added; 0, never) over `c`'s index in the
+        // chunk-local adjacency, which is valid iff the stamp is the
+        // current vertex's. One word, so a neighbour costs one cache miss,
+        // not two.
+        let mut seen = vec![0u64; cn];
+        // The members' degrees bound the merged adjacency from above.
+        // Reserved, not written: pages past what is pushed are never
+        // touched.
+        let fine = first[range.start] as usize..first[range.end] as usize;
+        let bound: usize = members[fine].iter().map(|&v| g.degree(v)).sum();
+        let mut xadj = Vec::with_capacity(range.len() + 1);
+        xadj.push(0u32);
         let mut out = ChunkAdj {
-            degrees: Vec::with_capacity(range.len()),
-            adjncy: Vec::new(),
-            adjwgt: Vec::new(),
+            xadj,
+            adjncy: Vec::with_capacity(bound),
+            adjwgt: Vec::with_capacity(bound),
         };
         for cv in range {
-            let begin = out.adjncy.len();
             let span = first[cv] as usize..first[cv + 1] as usize;
+            let stamp = (cv as u64 + 1) << 32;
             let cv = cv as NodeId;
             for &fine in &members[span] {
                 for (u, w) in g.edges(fine) {
@@ -188,37 +200,45 @@ pub(crate) fn contract_adjacency(
                     if cu == cv {
                         continue; // interior edge of the group
                     }
-                    if stamp[cu as usize] == cv {
-                        let s = slot[cu as usize] as usize;
+                    let entry = &mut seen[cu as usize];
+                    if *entry & !u64::from(u32::MAX) == stamp {
+                        let s = *entry as u32 as usize;
                         out.adjwgt[s] = out.adjwgt[s].saturating_add(w);
                     } else {
-                        stamp[cu as usize] = cv;
-                        slot[cu as usize] = out.adjncy.len() as u32;
+                        *entry = stamp | out.adjncy.len() as u64;
                         out.adjncy.push(cu);
                         out.adjwgt.push(w);
                     }
                 }
             }
-            out.degrees.push((out.adjncy.len() - begin) as u32);
+            out.xadj.push(out.adjncy.len() as u32);
         }
         out
     });
 
-    // Sequential stitch: chunk outputs are already in coarse-id order.
+    // Sequential stitch: chunk outputs are already in coarse-id order. The
+    // first chunk's buffers become the result, so a lone chunk (every pool
+    // of one thread) is not copied at all.
     let total_adj: usize = parts.iter().map(|p| p.adjncy.len()).sum();
-    let mut xadj = Vec::with_capacity(cn + 1);
-    xadj.push(0u32);
-    let mut adjncy: Vec<NodeId> = Vec::with_capacity(total_adj);
-    let mut adjwgt: Vec<u32> = Vec::with_capacity(total_adj);
+    let mut parts = parts.into_iter();
+    let mut out = parts.next().unwrap_or(ChunkAdj {
+        xadj: vec![0],
+        adjncy: Vec::new(),
+        adjwgt: Vec::new(),
+    });
+    out.xadj.reserve_exact(cn + 1 - out.xadj.len());
+    out.adjncy.reserve_exact(total_adj - out.adjncy.len());
+    out.adjwgt.reserve_exact(total_adj - out.adjwgt.len());
     for p in parts {
-        for d in p.degrees {
-            xadj.push(xadj.last().expect("non-empty") + d);
-        }
-        adjncy.extend_from_slice(&p.adjncy);
-        adjwgt.extend_from_slice(&p.adjwgt);
+        let base = out.adjncy.len() as u32;
+        out.xadj.extend(p.xadj[1..].iter().map(|&end| base + end));
+        out.adjncy.extend_from_slice(&p.adjncy);
+        out.adjwgt.extend_from_slice(&p.adjwgt);
     }
-
-    CsrGraph::from_parts(xadj, adjncy, adjwgt, vwgt)
+    // Give back what the degree-sum reservations did not use.
+    out.adjncy.shrink_to_fit();
+    out.adjwgt.shrink_to_fit();
+    CsrGraph::from_parts(out.xadj, out.adjncy, out.adjwgt, vwgt)
 }
 
 #[cfg(test)]
@@ -295,18 +315,23 @@ mod tests {
 
     #[test]
     fn contraction_identical_across_pool_sizes() {
-        let mut b = GraphBuilder::new(500);
+        // Over 2 048 coarse vertices, so that pools of 2 and 4 split the
+        // build into chunks and stitch them, while a pool of 1 hands its
+        // one chunk over as built (`chunk` has a 1 024-vertex floor).
+        let n = 6_000;
+        let mut b = GraphBuilder::new(n);
         let mut rng = StdRng::seed_from_u64(11);
         use rand::Rng;
-        for _ in 0..1_500 {
-            let u = rng.gen_range(0..500u32);
-            let v = rng.gen_range(0..500u32);
+        for _ in 0..3 * n {
+            let u = rng.gen_range(0..n as u32);
+            let v = rng.gen_range(0..n as u32);
             b.add_edge(u, v, rng.gen_range(1..9));
         }
         let g = b.build();
         let mate = heavy_matching(&g, None, u64::MAX, &mut rng, &Pool::new(1));
         let base = contract(&g, Grouping::from_mate(&mate), &Pool::new(1));
         base.graph.validate().unwrap();
+        assert!(base.graph.num_vertices() > 2 * 1024);
         for t in [2, 4] {
             let lvl = contract(&g, Grouping::from_mate(&mate), &Pool::new(t));
             assert_eq!(lvl.map, base.map, "pool size {t} changed the map");

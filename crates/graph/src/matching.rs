@@ -49,6 +49,16 @@
 //! matched 9–31 k pairs in *every* round, evaluated 4.5 scans' worth and
 //! left 31 % of the vertices.
 //!
+//! A scan pays only for candidates that can still win. The key compares
+//! the weight first, so a candidate lighter than the best so far is
+//! skipped before its eligibility is checked or its `tie` hashed; and the
+//! pair cap is tested once per step (`Matcher::new`), then on no candidate
+//! at all unless two vertices together can outweigh it. On the same level-0
+//! graph and with the cap the partitioner sets there, the rounds' rescans
+//! hash `tie` 7 129 569 times and check the cap 0 times, where a scan
+//! that checks and hashes every unmatched candidate costs 9 846 520 of
+//! each. The same test prints both pairs.
+//!
 //! Run to a round that matches nothing, the rounds return exactly the
 //! matching that sorting all eligible edges by the key, descending, and
 //! adding them greedily would — a 1/2-approximation of the maximum-score
@@ -108,6 +118,9 @@ pub(crate) struct Matcher<'a> {
     g: &'a CsrGraph,
     labels: Option<&'a [u32]>,
     max_pair_weight: u64,
+    /// Whether two of `g`'s vertices together outweigh `max_pair_weight`.
+    /// When not, no candidate can fail the cap and none is checked.
+    cap_binds: bool,
     seed: u64,
 }
 
@@ -134,32 +147,49 @@ impl Rounds {
     }
 }
 
-impl Matcher<'_> {
+impl<'a> Matcher<'a> {
+    /// A matching of `g` under `labels` and `max_pair_weight`, its edges
+    /// ordered under `seed`. Whether the cap can bind is decided here, once.
+    fn new(g: &'a CsrGraph, labels: Option<&'a [u32]>, max_pair_weight: u64, seed: u64) -> Self {
+        let heaviest = g.vertex_weights().iter().max().map_or(0, |&w| u64::from(w));
+        Self {
+            g,
+            labels,
+            max_pair_weight,
+            cap_binds: 2 * heaviest > max_pair_weight,
+            seed,
+        }
+    }
+
     /// Whether `v` (of weight `vw`) may pair with `u`, `u`'s matching state
     /// aside.
     fn pairable(&self, v: NodeId, u: NodeId, vw: u64) -> bool {
         u != v
-            && vw + self.g.vertex_weight(u) as u64 <= self.max_pair_weight
+            && (!self.cap_binds || vw + self.g.vertex_weight(u) as u64 <= self.max_pair_weight)
             && self.labels.is_none_or(|l| l[u as usize] == l[v as usize])
     }
 
-    /// The partner across `v`'s highest-ranking eligible edge. The key is a
-    /// strict total order on edges that `u` computes identically for
-    /// `{u, v}`, so the proposal is unique and a locally dominant edge is
-    /// proposed from both ends.
+    /// The partner across `v`'s highest-ranking eligible edge. The key
+    /// `(w, tie)` is a strict total order on edges that `u` computes
+    /// identically for `{u, v}`, so the proposal is unique and a locally
+    /// dominant edge is proposed from both ends. A candidate lighter than
+    /// the best so far cannot win whatever its tie, so neither its
+    /// eligibility is checked nor its tie hashed.
     fn best_partner(&self, v: NodeId, mate: &[NodeId]) -> NodeId {
         let vw = self.g.vertex_weight(v) as u64;
-        let mut best: Option<((u32, u64), NodeId)> = None;
+        // `best_w` is 0 while `best` is NO_PROPOSAL, so no weight is skipped
+        // before an eligible candidate has been seen.
+        let (mut best, mut best_w, mut best_tie) = (NO_PROPOSAL, 0u32, 0u64);
         for (u, w) in self.g.edges(v) {
-            if mate[u as usize] != UNMATCHED || !self.pairable(v, u, vw) {
+            if w < best_w || mate[u as usize] != UNMATCHED || !self.pairable(v, u, vw) {
                 continue;
             }
-            let key = (w, tie(self.seed, v, u));
-            if best.is_none_or(|(b, _)| key > b) {
-                best = Some((key, u));
+            let t = tie(self.seed, v, u);
+            if best == NO_PROPOSAL || w > best_w || t > best_tie {
+                (best, best_w, best_tie) = (u, w, t);
             }
         }
-        best.map_or(NO_PROPOSAL, |(_, u)| u)
+        best
     }
 
     /// `v`'s proposal given the one it made last (`None` before round one).
@@ -255,12 +285,7 @@ pub fn heavy_matching<R: Rng>(
     let n = g.num_vertices();
     debug_assert!(labels.is_none_or(|l| l.len() == n));
     let (seed, order) = draw_order(n, rng);
-    let m = Matcher {
-        g,
-        labels,
-        max_pair_weight,
-        seed,
-    };
+    let m = Matcher::new(g, labels, max_pair_weight, seed);
     let Rounds { mut mate, prop, .. } = m.rounds(pool);
 
     // Cleanup: greedy maximal matching over the remainder, in the seeded
@@ -306,6 +331,7 @@ mod tests {
     use super::*;
     use crate::builder::GraphBuilder;
     use crate::gen;
+    use crate::partition::max_part_weight;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -323,6 +349,16 @@ mod tests {
             .count()
     }
 
+    /// Who may pair, as the module docs state it, the cap checked on every
+    /// pair: the reference for `Matcher::pairable`, which skips the cap
+    /// where it cannot bind.
+    fn eligible(m: &Matcher, v: NodeId, u: NodeId) -> bool {
+        let pair = u64::from(m.g.vertex_weight(v)) + u64::from(m.g.vertex_weight(u));
+        u != v
+            && pair <= m.max_pair_weight
+            && m.labels.is_none_or(|l| l[u as usize] == l[v as usize])
+    }
+
     /// The oracle: every edge that may ever match, sorted by the proposal
     /// key, descending, and added greedily. `UNMATCHED` where no edge was
     /// taken.
@@ -330,9 +366,8 @@ mod tests {
         let n = m.g.num_vertices();
         let mut edges: Vec<((u32, u64), NodeId, NodeId)> = Vec::new();
         for v in 0..n as NodeId {
-            let vw = m.g.vertex_weight(v) as u64;
             for (u, w) in m.g.edges(v) {
-                if v < u && m.pairable(v, u, vw) {
+                if v < u && eligible(m, v, u) {
                     edges.push(((w, tie(m.seed, v, u)), v, u));
                 }
             }
@@ -358,12 +393,7 @@ mod tests {
     /// it, the finished matching valid, maximal and within cap and labels,
     /// and all of it the same for pools of 1, 2 and 4.
     fn matches_oracle(g: &CsrGraph, labels: Option<&[u32]>, max_pair_weight: u64, seed: u64) {
-        let m = Matcher {
-            g,
-            labels,
-            max_pair_weight,
-            seed,
-        };
+        let m = Matcher::new(g, labels, max_pair_weight, seed);
         let finish = |pool: &Pool| {
             let mut rng = StdRng::seed_from_u64(seed);
             heavy_matching(g, labels, max_pair_weight, &mut rng, pool)
@@ -400,15 +430,14 @@ mod tests {
             let u = mate[v as usize];
             assert_ne!(u, UNMATCHED, "every vertex must be resolved");
             assert_eq!(mate[u as usize], v, "matching must be symmetric");
-            let vw = g.vertex_weight(v) as u64;
             if u != v {
-                assert!(m.pairable(v, u, vw), "pair {v}-{u} breaks cap or labels");
+                assert!(eligible(&m, v, u), "pair {v}-{u} breaks cap or labels");
                 continue;
             }
             // Maximal: a vertex left alone has no eligible partner left alone.
             for &w in g.neighbors(v) {
                 assert!(
-                    mate[w as usize] != w || !m.pairable(v, w, vw),
+                    mate[w as usize] != w || !eligible(&m, v, w),
                     "{v} and {w} are both single and could have paired"
                 );
             }
@@ -492,12 +521,7 @@ mod tests {
         for (name, g) in [("K_64", gen::complete(64)), ("100 x K_20", b.build())] {
             let n = g.num_vertices();
             for seed in 0..20 {
-                let m = Matcher {
-                    g: &g,
-                    labels: None,
-                    max_pair_weight: u64::MAX,
-                    seed,
-                };
+                let m = Matcher::new(&g, None, u64::MAX, seed);
                 let matched = matched_by_rounds(&m.rounds(&Pool::new(1)));
                 assert!(
                     matched * 10 >= n * 9,
@@ -520,12 +544,7 @@ mod tests {
         }
         let g = b.build();
         for seed in 0..5 {
-            let m = Matcher {
-                g: &g,
-                labels: None,
-                max_pair_weight: u64::MAX,
-                seed,
-            };
+            let m = Matcher::new(&g, None, u64::MAX, seed);
             assert_eq!(m.rounds(&Pool::new(1)).pairs, [1; PROPOSE_ROUNDS]);
             matches_oracle(&g, None, u64::MAX, seed);
             let mate = heavy_edge_matching(&g, &mut StdRng::seed_from_u64(seed));
@@ -533,12 +552,73 @@ mod tests {
         }
     }
 
+    #[test]
+    fn cap_at_twice_the_heaviest_vertex_is_greedy_by_edge_order() {
+        // One graph, the cap one below twice its heaviest vertex (it binds
+        // and is checked), at it and one above (it cannot bind and is
+        // skipped), each unlabeled and labeled: every finished matching and
+        // every converged round against the oracle, on pools of 1, 2 and 4.
+        let mut rng = StdRng::seed_from_u64(43);
+        let n = 4_400;
+        let g = random_graph(&mut rng, n);
+        let labels: Vec<u32> = (0..n).map(|_| rng.gen_range(0..3)).collect();
+        let heaviest = u64::from(*g.vertex_weights().iter().max().unwrap());
+        let seed = rng.gen();
+        for labels in [None, Some(labels.as_slice())] {
+            let mut matchings = Vec::new();
+            for cap in [2 * heaviest - 1, 2 * heaviest, 2 * heaviest + 1] {
+                let m = Matcher::new(&g, labels, cap, seed);
+                assert_eq!(m.cap_binds, cap < 2 * heaviest);
+                matches_oracle(&g, labels, cap, seed);
+                matchings.push(greedy_by_edge_order(&m));
+            }
+            assert_ne!(matchings[0], matchings[1], "the binding cap must bind");
+            assert_eq!(matchings[1], matchings[2]);
+        }
+    }
+
+    /// What one `best_partner` scan of `v` against `mate` spends, as
+    /// `(tie hashes, pair-cap checks)`, replayed two ways: `[0]` checks and
+    /// hashes every unmatched candidate (the scan before weight-first
+    /// filtering), `[1]` is `best_partner` as it stands — a candidate
+    /// lighter than the best so far costs neither, and the cap is checked
+    /// only where it can bind. The replay must pick `best_partner`'s
+    /// partner.
+    fn scan_counts(m: &Matcher, v: NodeId, mate: &[NodeId]) -> [(usize, usize); 2] {
+        let (mut every, mut filtered) = ((0, 0), (0, 0));
+        let mut best: Option<((u32, u64), NodeId)> = None;
+        for (u, w) in m.g.edges(v) {
+            if mate[u as usize] != UNMATCHED || u == v {
+                continue;
+            }
+            let ok = eligible(m, v, u);
+            every = (every.0 + usize::from(ok), every.1 + 1);
+            if best.is_some_and(|((bw, _), _)| w < bw) {
+                continue;
+            }
+            filtered.1 += usize::from(m.cap_binds);
+            if !ok {
+                continue;
+            }
+            filtered.0 += 1;
+            let key = (w, tie(m.seed, v, u));
+            if best.is_none_or(|(b, _)| key > b) {
+                best = Some((key, u));
+            }
+        }
+        let replayed = best.map_or(NO_PROPOSAL, |(_, u)| u);
+        assert_eq!(replayed, m.best_partner(v, mate), "replay of {v} diverged");
+        [every, filtered]
+    }
+
     /// The counted claim, on the graph the repo benchmark's `advisor_tpcc`
     /// partitions at trace seed 7 (`benchmark/src/advisor.rs::tpcc_spec`):
     /// what the propose rounds of the finest level evaluate and what they
     /// leave to the cleanup, read off the states between rounds — a vertex
     /// rescans its partners in a round iff it is unmatched and the partner
-    /// it last proposed to is not.
+    /// it last proposed to is not — and what those rescans spend on `tie`
+    /// hashes and pair-cap checks, with and without weight-first filtering
+    /// and the once-per-step cap test (`scan_counts`).
     #[test]
     fn tpcc_level0_rounds_evaluate_two_scans_and_leave_the_cleanup_nothing() {
         use schism_core::{build_graph, CoAccess, SchismConfig};
@@ -572,25 +652,31 @@ mod tests {
         let g = CsrGraph::from_parts(xadj, adjncy, adjwgt, built.vertex_weights().to_vec());
         let directed_edges = g.num_edges() * 2;
 
-        let m = Matcher {
-            g: &g,
-            labels: None,
-            max_pair_weight: u64::MAX,
-            seed: StdRng::seed_from_u64(cfg.seed).gen(),
-        };
+        // The cap the partitioner sets on this level's pairs.
+        let max_part = max_part_weight(g.total_vertex_weight(), cfg.k, cfg.partitioner.epsilon);
+        let seed = StdRng::seed_from_u64(cfg.seed).gen();
+        let m = Matcher::new(&g, None, max_pair_weight(max_part), seed);
+        assert!(!m.cap_binds, "no level-0 pair can reach half a part");
         let pool = Pool::new(2);
         let mut r = Rounds::new(n);
         let (mut calls, mut candidates) = (Vec::new(), Vec::new());
+        let mut spent = [(0, 0); 2];
         while r.pairs.len() < PROPOSE_ROUNDS && r.pairs.last() != Some(&0) {
-            let rescans = (0..n).filter(|&v| {
-                r.mate[v] == UNMATCHED
-                    && r.prop
-                        .get(v)
-                        .is_none_or(|&u| u != NO_PROPOSAL && r.mate[u as usize] != UNMATCHED)
-            });
-            let degrees: Vec<usize> = rescans.map(|v| g.degree(v as NodeId)).collect();
-            calls.push(degrees.len());
-            candidates.push(degrees.iter().sum::<usize>());
+            let rescans: Vec<NodeId> = (0..n as NodeId)
+                .filter(|&v| {
+                    r.mate[v as usize] == UNMATCHED
+                        && r.prop
+                            .get(v as usize)
+                            .is_none_or(|&u| u != NO_PROPOSAL && r.mate[u as usize] != UNMATCHED)
+                })
+                .collect();
+            for &v in &rescans {
+                for (total, (hashes, caps)) in spent.iter_mut().zip(scan_counts(&m, v, &r.mate)) {
+                    *total = (total.0 + hashes, total.1 + caps);
+                }
+            }
+            calls.push(rescans.len());
+            candidates.push(rescans.iter().map(|&v| g.degree(v)).sum::<usize>());
             m.round(&mut r, &pool);
         }
         assert!(
@@ -608,14 +694,27 @@ mod tests {
              pairs per round {:?}\nbest_partner calls per round {calls:?}\n\
              candidates per round {candidates:?}\n\
              {evaluated} candidates in all ({:.2} scans); {} vertices unmatched, \
-             {left} of them ({:.3} %) left to the cleanup",
+             {left} of them ({:.3} %) left to the cleanup\n\
+             (tie hashes, pair-cap checks): every unmatched candidate {:?}, \
+             weight-first with the cap tested once {:?}",
             r.pairs,
             evaluated as f64 / directed_edges as f64,
             n - matched_by_rounds(&r),
             100.0 * left as f64 / n as f64,
+            spent[0],
+            spent[1],
         );
         assert!(evaluated <= 15_000_000, "{evaluated} candidates evaluated");
         assert!(left * 100 < n, "{left} of {n} vertices left to the cleanup");
+        let [(_, _), (hashes, caps)] = spent;
+        assert!(
+            hashes * 10 <= evaluated * 6,
+            "{hashes} ties hashed of {evaluated}"
+        );
+        assert_eq!(
+            caps, 0,
+            "the cap cannot bind, so it is checked for no candidate"
+        );
     }
 
     fn check_is_matching(g: &CsrGraph, mate: &[NodeId]) {

@@ -12,30 +12,29 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use schism_par::Pool;
 
-/// Splits row indices into `k` folds, stratified so each fold has roughly
-/// the same class mix (shuffle within class, deal round-robin).
-pub fn stratified_folds(labels: &[u32], k: usize, seed: u64) -> Vec<Vec<u32>> {
-    assert!(k >= 2, "need at least 2 folds");
+/// Folds of [`cross_validate`].
+const CV_FOLDS: usize = 5;
+
+/// Splits row indices into [`CV_FOLDS`] folds, stratified so each fold has
+/// roughly the same class mix (shuffle within class, deal round-robin).
+fn stratified_folds(labels: &[u32], seed: u64) -> Vec<Vec<u32>> {
     let mut rng = StdRng::seed_from_u64(seed);
     let num_classes = labels.iter().copied().max().map_or(0, |m| m as usize + 1);
     let mut per_class: Vec<Vec<u32>> = vec![Vec::new(); num_classes];
     for (i, &l) in labels.iter().enumerate() {
         per_class[l as usize].push(i as u32);
     }
-    let mut folds: Vec<Vec<u32>> = vec![Vec::new(); k];
+    let mut folds: Vec<Vec<u32>> = vec![Vec::new(); CV_FOLDS];
     let mut next = 0usize;
     for class_rows in &mut per_class {
         class_rows.shuffle(&mut rng);
         for &r in class_rows.iter() {
             folds[next].push(r);
-            next = (next + 1) % k;
+            next = (next + 1) % CV_FOLDS;
         }
     }
     folds
 }
-
-/// Folds of [`cross_validate`].
-const CV_FOLDS: usize = 5;
 
 /// Result of [`cross_validate`].
 #[derive(Clone, Debug)]
@@ -62,7 +61,7 @@ pub fn cross_validate(ds: &Dataset, cfg: &TreeConfig, seed: u64, pool: &Pool) ->
     let folds = if ds.len() < CV_FOLDS {
         Vec::new()
     } else {
-        stratified_folds(ds.labels(), CV_FOLDS, seed)
+        stratified_folds(ds.labels(), seed)
     };
     // Task 0 trains and scores on everything; task `held + 1` trains on all
     // folds but `held` and scores on it (an empty fold scores nothing).
@@ -115,7 +114,7 @@ mod tests {
     #[test]
     fn folds_are_stratified_and_disjoint() {
         let labels: Vec<u32> = (0..100).map(|i| u32::from(i % 4 == 0)).collect(); // 25/75
-        let folds = stratified_folds(&labels, 5, 7);
+        let folds = stratified_folds(&labels, 7);
         assert_eq!(folds.len(), 5);
         let mut seen = std::collections::HashSet::new();
         for f in &folds {

@@ -36,7 +36,7 @@ pub mod rules;
 pub mod tree;
 
 pub use cfs::{cfs_select, CfsResult};
-pub use crossval::{cross_validate, stratified_folds, CvResult};
+pub use crossval::{cross_validate, CvResult};
 pub use dataset::{Attribute, Dataset, DatasetBuilder};
 pub use rules::{extract_rules, Cond, Rule};
 pub use tree::{DecisionTree, Node, NodeStats, TreeConfig};

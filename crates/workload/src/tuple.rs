@@ -149,6 +149,11 @@ pub type TupleMap<V> = HashMap<TupleId, V, TupleState>;
 pub trait TupleValues: Send + Sync {
     /// Value of `col` for tuple `t`, or `None` if the column is not
     /// materialized / not an integer.
+    ///
+    /// A pure function of `(t, col)` while `self` is shared: asking twice
+    /// gives the same answer, and asking changes nothing. Callers rely on
+    /// it — `RangeScheme::locate_tuple` reads a column at most once per
+    /// call, however many of the table's rules test it.
     fn value(&self, t: TupleId, col: ColId) -> Option<i64>;
 
     /// Approximate size in bytes of a row of `table`: the length of the
