@@ -336,9 +336,6 @@ fn run_scenario(
                     &PlanConfig {
                         max_rows_per_batch: 256,
                     },
-                    // Foreground writes racing a batch copy fail its
-                    // verification; each failure re-copies that batch.
-                    1_000_000,
                 )
                 .unwrap_or_else(|e| panic!("catch-up of shard {victim} failed: {e}"));
                 ctx.catch_up_us

@@ -874,7 +874,6 @@ where
     let mut alloc_count = vec![0u32; num_groups];
     let mut replica_used = vec![false; total_replicas];
     let mut map_local: Vec<NodeId> = Vec::new();
-    let mut net_scratch: Vec<NodeId> = Vec::new();
     let mut sink_compacted_len = 0usize;
     let mut compactions = (0usize, 0usize);
     for part in parts {
@@ -913,13 +912,7 @@ where
         };
         match (&mut sink, part.buffer) {
             (BuildSink::Clique(gb), ChunkBuffer::Clique(edges)) => gb.append_edges(edges, resolve),
-            (BuildSink::Hyper(hb), ChunkBuffer::Hyper(nets)) => {
-                for (pins, w) in nets.nets() {
-                    net_scratch.clear();
-                    net_scratch.extend(pins.iter().map(|&p| resolve(p)));
-                    hb.add_net(&net_scratch, w);
-                }
-            }
+            (BuildSink::Hyper(hb), ChunkBuffer::Hyper(nets)) => hb.append_nets(nets, resolve),
             _ => unreachable!("sink and chunk buffers both follow cfg.graph_backend"),
         }
         // Same doubling guard as the chunk buffers: once the merged edge

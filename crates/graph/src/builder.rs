@@ -108,12 +108,6 @@ impl GraphBuilder {
         self.vwgt[v as usize] = w;
     }
 
-    /// Adds `w` to the weight of vertex `v` (saturating).
-    pub fn add_vertex_weight(&mut self, v: NodeId, w: u32) {
-        let cur = &mut self.vwgt[v as usize];
-        *cur = cur.saturating_add(w);
-    }
-
     /// Number of buffered (pre-merge) edge insertions.
     pub fn pending_edges(&self) -> usize {
         self.segments.iter().map(Vec::len).sum()
@@ -581,9 +575,8 @@ mod tests {
     #[test]
     fn vertex_weights_roundtrip() {
         let mut b = GraphBuilder::new(3);
-        b.set_vertex_weight(0, 7);
-        b.add_vertex_weight(0, 3);
-        b.add_vertex_weight(2, 4);
+        b.set_vertex_weight(0, 10);
+        b.set_vertex_weight(2, 5);
         let g = b.build();
         assert_eq!(g.vertex_weight(0), 10);
         assert_eq!(g.vertex_weight(1), 1);

@@ -438,7 +438,7 @@ fn join(hg: &HyperGraph, targets: &[NodeId], limit: u64, order: &[NodeId]) -> Ve
 /// The hypergraph half of [`crate::coarsen::contract`]: each net's pins
 /// are remapped into a [`HyperEdgeBuffer`] — which deduplicates them and
 /// drops a net that collapsed to a single pin — over net chunks (parallel,
-/// pure), and the buffers are stitched in chunk order; the builder merges
+/// pure), and the builder takes the buffers over in chunk order; it merges
 /// identical coarse pin sets with summed weights, and its canonical form
 /// makes the result independent of chunk decomposition.
 fn contract_nets(hg: &HyperGraph, map: &[NodeId], vwgt: Vec<u32>, pool: &Pool) -> HyperGraph {
@@ -458,8 +458,8 @@ fn contract_nets(hg: &HyperGraph, map: &[NodeId], vwgt: Vec<u32>, pool: &Pool) -
     for (cv, &w) in vwgt.iter().enumerate() {
         b.set_vertex_weight(cv as NodeId, w);
     }
-    for (pins, w) in parts.iter().flat_map(HyperEdgeBuffer::nets) {
-        b.add_net(pins, w);
+    for part in parts {
+        b.append_nets(part, |v| v);
     }
     b.build()
 }

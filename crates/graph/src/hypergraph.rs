@@ -240,8 +240,7 @@ impl HyperGraph {
 #[derive(Clone, Debug)]
 pub struct HyperGraphBuilder {
     n: usize,
-    pin_buf: Vec<NodeId>,
-    nets: Vec<NetEntry>,
+    nets: HyperEdgeBuffer,
     vwgt: Vec<u32>,
 }
 
@@ -251,8 +250,7 @@ impl HyperGraphBuilder {
         assert!(n <= u32::MAX as usize, "too many vertices for u32 ids");
         Self {
             n,
-            pin_buf: Vec::new(),
-            nets: Vec::new(),
+            nets: HyperEdgeBuffer::new(),
             vwgt: vec![1; n],
         }
     }
@@ -275,18 +273,28 @@ impl HyperGraphBuilder {
             pins.iter().all(|&p| (p as usize) < self.n),
             "net pin out of range"
         );
-        let start = self.pin_buf.len();
-        self.pin_buf.extend_from_slice(pins);
-        let len = canonicalize_tail(&mut self.pin_buf, start);
-        if len < 2 {
-            self.pin_buf.truncate(start);
-            return;
+        self.nets.push(pins, w);
+    }
+
+    /// Takes over a chunk's buffer — the stitch half of a sharded build —
+    /// mapping each pin through `resolve` straight into the builder's own
+    /// buffer. Every net then goes through the same canonicalization as
+    /// [`HyperGraphBuilder::add_net`] (range-checked, pins sorted and
+    /// deduplicated, nets left with fewer than two pins dropped), in the
+    /// buffer's order, so a sequence of `append_nets` calls yields exactly
+    /// the hypergraph the equivalent `add_net` stream would.
+    pub fn append_nets(&mut self, buf: HyperEdgeBuffer, resolve: impl Fn(NodeId) -> NodeId) {
+        for (pins, w) in buf.nets() {
+            let start = self.nets.pin_buf.len();
+            self.nets.pin_buf.extend(pins.iter().map(|&p| resolve(p)));
+            assert!(
+                self.nets.pin_buf[start..]
+                    .iter()
+                    .all(|&p| (p as usize) < self.n),
+                "net pin out of range"
+            );
+            self.nets.seal(start, w);
         }
-        self.nets.push(NetEntry {
-            start,
-            len: len as u32,
-            w,
-        });
     }
 
     /// Sets the weight of vertex `v` (default is 1).
@@ -294,39 +302,33 @@ impl HyperGraphBuilder {
         self.vwgt[v as usize] = w;
     }
 
-    /// Adds `w` to the weight of vertex `v` (saturating).
-    pub fn add_vertex_weight(&mut self, v: NodeId, w: u32) {
-        let cur = &mut self.vwgt[v as usize];
-        *cur = cur.saturating_add(w);
-    }
-
     /// Number of buffered (pre-merge) pins.
     pub fn pending_pins(&self) -> usize {
-        self.pin_buf.len()
+        self.nets.pin_count()
     }
 
     /// Eagerly merges identical pin sets in place. Long streaming builds
     /// call this periodically to bound peak memory; [`Self::build`]
     /// performs the same merge at the end regardless.
     pub fn compact(&mut self) {
-        compact_nets(&mut self.pin_buf, &mut self.nets);
+        self.nets.compact();
     }
 
     /// Canonicalizes and emits the dual-CSR hypergraph.
     pub fn build(mut self) -> HyperGraph {
-        compact_nets(&mut self.pin_buf, &mut self.nets);
+        self.nets.compact();
         let n = self.n;
-        let m = self.nets.len();
+        let m = self.nets.nets.len();
 
         let mut exadj = Vec::with_capacity(m + 1);
         exadj.push(0u32);
-        let mut pins: Vec<NodeId> = Vec::with_capacity(self.pin_buf.len());
+        let mut pins: Vec<NodeId> = Vec::with_capacity(self.nets.pin_count());
         let mut ewgt: Vec<u32> = Vec::with_capacity(m);
-        for e in &self.nets {
-            pins.extend_from_slice(&self.pin_buf[e.start..e.start + e.len as usize]);
+        for (net, w) in self.nets.nets() {
+            pins.extend_from_slice(net);
             let end = u32::try_from(pins.len()).expect("pin count overflows u32 index");
             exadj.push(end);
-            ewgt.push(e.w);
+            ewgt.push(w);
         }
 
         // Vertex → net incidence: counting pass then scatter. Scanning nets
@@ -372,7 +374,8 @@ impl HyperGraphBuilder {
 ///
 /// Worker chunks push one net per transaction, periodically
 /// [`HyperEdgeBuffer::compact`]ing to bound memory, and the stitching pass
-/// drains the buffers into a [`HyperGraphBuilder`] in chunk order. Like
+/// hands the buffers to a [`HyperGraphBuilder`] in chunk order
+/// ([`HyperGraphBuilder::append_nets`]). Like
 /// [`crate::builder::EdgeBuffer`] there is **no vertex-range check**: chunk
 /// buffers may hold caller-encoded ids (chunk-local replica indices) that
 /// are remapped to real node ids during the stitch. Compaction only merges
@@ -398,16 +401,22 @@ impl HyperEdgeBuffer {
         }
         let start = self.pin_buf.len();
         self.pin_buf.extend_from_slice(pins);
+        self.seal(start, w);
+    }
+
+    /// Canonicalizes the pins from `start` on into one net of weight `w`,
+    /// or drops them if fewer than two distinct pins remain.
+    fn seal(&mut self, start: usize, w: u32) {
         let len = canonicalize_tail(&mut self.pin_buf, start);
         if len < 2 {
             self.pin_buf.truncate(start);
-            return;
+        } else {
+            self.nets.push(NetEntry {
+                start,
+                len: len as u32,
+                w,
+            });
         }
-        self.nets.push(NetEntry {
-            start,
-            len: len as u32,
-            w,
-        });
     }
 
     /// Number of buffered (pre-merge) pins.
@@ -487,9 +496,8 @@ mod tests {
     #[test]
     fn vertex_weights_roundtrip() {
         let mut b = HyperGraphBuilder::new(3);
-        b.set_vertex_weight(0, 7);
-        b.add_vertex_weight(0, 3);
-        b.add_vertex_weight(2, 4);
+        b.set_vertex_weight(0, 10);
+        b.set_vertex_weight(2, 5);
         let hg = b.build();
         assert_eq!(hg.vertex_weight(0), 10);
         assert_eq!(hg.vertex_weight(1), 1);
@@ -519,34 +527,32 @@ mod tests {
 
     #[test]
     fn buffer_stitch_matches_direct_build() {
-        let build = |chunked: bool| {
-            let mut b = HyperGraphBuilder::new(6);
-            let nets: [(&[NodeId], u32); 4] =
-                [(&[0, 1, 2], 1), (&[2, 3], 2), (&[0, 1, 2], 1), (&[4, 5], 9)];
-            if chunked {
-                let mut first = HyperEdgeBuffer::new();
-                let mut second = HyperEdgeBuffer::new();
-                for &(pins, w) in &nets[..2] {
-                    first.push(pins, w);
-                }
-                for &(pins, w) in &nets[2..] {
-                    second.push(pins, w);
-                }
-                first.compact();
-                for (pins, w) in first.nets() {
-                    b.add_net(pins, w);
-                }
-                for (pins, w) in second.nets() {
-                    b.add_net(pins, w);
-                }
-            } else {
-                for &(pins, w) in &nets {
-                    b.add_net(pins, w);
-                }
-            }
-            b.build()
-        };
-        assert_eq!(build(false), build(true));
+        let nets: [(&[NodeId], u32); 4] =
+            [(&[0, 1, 2], 1), (&[2, 3], 2), (&[0, 1, 2], 1), (&[4, 5], 9)];
+        let mut whole = HyperGraphBuilder::new(6);
+        for &(pins, w) in &nets {
+            whole.add_net(pins, w);
+        }
+        whole.add_net(&[3, 5], 7);
+        // Chunk-local ids 10.. stand for 0..; the second chunk maps 16 onto
+        // vertex 5 as well, so its net [13, 15, 16] becomes [3, 5] and its
+        // net [15, 16] collapses to one pin, which the stitch must drop.
+        let mut chunked = HyperGraphBuilder::new(6);
+        let mut first = HyperEdgeBuffer::new();
+        let mut second = HyperEdgeBuffer::new();
+        let local = |pins: &[NodeId]| pins.iter().map(|p| p + 10).collect::<Vec<_>>();
+        for &(pins, w) in &nets[..2] {
+            first.push(&local(pins), w);
+        }
+        for &(pins, w) in &nets[2..] {
+            second.push(&local(pins), w);
+        }
+        second.push(&[13, 15, 16], 7);
+        second.push(&[15, 16], 3);
+        first.compact();
+        chunked.append_nets(first, |v| v - 10);
+        chunked.append_nets(second, |v| (v - 10).min(5));
+        assert_eq!(whole.build(), chunked.build());
     }
 
     #[test]
@@ -564,6 +570,14 @@ mod tests {
         assert_eq!(got, vec![(vec![0, 1], 10), (vec![2, 3, 4], 20)]);
         buf.compact();
         assert_eq!(buf.nets().count(), 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn append_nets_rejects_out_of_range() {
+        let mut buf = HyperEdgeBuffer::new();
+        buf.push(&[0, 7], 1);
+        HyperGraphBuilder::new(2).append_nets(buf, |v| v);
     }
 
     #[test]

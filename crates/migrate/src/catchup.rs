@@ -31,26 +31,18 @@
 //! removes — matches the leader's current state before the shard goes
 //! Live.
 
-use crate::executor::{ExecError, ExecutorConfig, MigrationExecutor, StepOutcome};
+use crate::executor::{ExecError, ExecutorConfig, ExecutorReport, MigrationExecutor, StepOutcome};
 use crate::plan::{pack, MigrationPlan, PlanConfig, TupleMove};
 use schism_router::{PartitionSet, Scheme, VersionedScheme};
 use schism_store::{HealthMap, ShardId, ShardStore};
 use schism_workload::{TupleId, TupleValues};
 use std::sync::Arc;
 
-/// What one completed catch-up did.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct CatchUpReport {
-    /// Tuples the recovering shard is a member for (moves planned).
-    pub tuples: usize,
-    /// Rows actually copied onto the shard (tuples minus tombstones).
-    pub rows_copied: u64,
-    /// Payload bytes copied, measured from the rows themselves.
-    pub bytes_copied: u64,
-    /// Copy re-attempts needed before verification passed — non-zero under
-    /// concurrent foreground writes, and that is expected, not an error.
-    pub retries: u32,
-}
+/// Copy re-attempts [`run_catch_up`] allows per batch. Under live traffic
+/// a foreground write between copy and verify makes the checksums
+/// disagree once, so a handful of retries is normal; the bound only stops
+/// a batch that can never verify.
+const CATCH_UP_RETRIES: u32 = 1_000_000;
 
 /// Builds the rejoin plan for `shard`: one move per candidate tuple whose
 /// copy set (under `scheme`) contains `shard`, copying from the set's
@@ -89,10 +81,10 @@ pub fn catch_up_plan(
 /// tuple is gone, or verification kept failing) the shard is **left**
 /// catching up: it keeps absorbing writes and the caller may retry.
 ///
-/// `max_retries` bounds per-batch re-copies; under live traffic a handful
-/// of retries is normal (a foreground write between copy and verify makes
-/// the checksums disagree once), so callers should pass a generous bound.
-#[allow(clippy::too_many_arguments)]
+/// Each batch re-copies up to a million times. The returned report is the
+/// executor's: `tuples_moved` counts the tuples the shard is a member for,
+/// `rows_copied` those minus tombstones, and `retries` is non-zero under
+/// concurrent foreground writes — expected, not an error.
 pub fn run_catch_up(
     shard: ShardId,
     scheme: &Arc<dyn Scheme>,
@@ -101,8 +93,7 @@ pub fn run_catch_up(
     store: &dyn ShardStore,
     health: &Arc<HealthMap>,
     cfg: &PlanConfig,
-    max_retries: u32,
-) -> Result<CatchUpReport, ExecError> {
+) -> Result<ExecutorReport, ExecError> {
     assert_eq!(
         health.state(shard),
         schism_store::HealthState::CatchingUp,
@@ -117,9 +108,8 @@ pub fn run_catch_up(
         store,
         &vs,
         ExecutorConfig {
-            max_retries,
+            max_retries: CATCH_UP_RETRIES,
             health: Some(Arc::clone(health)),
-            ..ExecutorConfig::default()
         },
     );
     loop {
@@ -130,14 +120,8 @@ pub fn run_catch_up(
             StepOutcome::Paused => unreachable!("catch-up executor is never paused"),
         }
     }
-    let r = exec.report();
     health.mark_live(shard);
-    Ok(CatchUpReport {
-        tuples: plan.total_moves,
-        rows_copied: r.rows_copied,
-        bytes_copied: r.bytes_copied,
-        retries: r.retries,
-    })
+    Ok(exec.report())
 }
 
 #[cfg(test)]
@@ -221,14 +205,13 @@ mod tests {
             &store,
             &health,
             &PlanConfig::default(),
-            4,
         )
         .unwrap();
         assert_eq!(health.state(2), schism_store::HealthState::Live);
         assert_eq!(health.rejoins(), 1);
         assert_eq!(
             report.rows_copied,
-            report.tuples as u64 - 1,
+            report.tuples_moved as u64 - 1,
             "one tombstone"
         );
         // Every key shard 2 routes is back, byte-identical to the leader.
@@ -263,7 +246,6 @@ mod tests {
             &store,
             &health,
             &PlanConfig::default(),
-            4,
         )
         .unwrap_err();
         assert!(matches!(err, ExecError::MissingSource(_)));

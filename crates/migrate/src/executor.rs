@@ -1,14 +1,17 @@
 //! The migration executor: runs a [`MigrationPlan`] against physical
 //! shard stores, batch by batch, and drives routing from acknowledgements.
 //!
-//! Each batch walks the lifecycle
+//! One [`MigrationExecutor::step`] takes the next batch through
 //!
 //! ```text
-//! planned ──► copying ──► verifying ──► flipped
-//!                ▲            │
-//!                └── retry ◄──┤ (checksum/count mismatch, ≤ max_retries)
-//!                             └──► aborted (rollback: copied rows deleted)
+//! planned ──► copy ──► verify ──► flip ──► flipped
+//!              ▲         │
+//!              └─ retry ◄┤ (checksum/count mismatch, ≤ max_retries)
+//!                        └──► rollback (copied rows deleted) ──► aborted
 //! ```
+//!
+//! so a caller observes a batch only as planned, flipped or aborted
+//! ([`BatchState`], derived from the executor's cursor).
 //!
 //! - **copy** reads every moved row from its source shard and writes it to
 //!   each shard gaining a copy (one atomic [`ShardStore::apply_batch`] per
@@ -33,7 +36,7 @@ use crate::plan::{MigrationPlan, TupleMove};
 use schism_router::{FlipError, VersionedScheme};
 use schism_store::{HealthMap, ShardId, ShardStore, StoreError, WriteOp};
 use schism_workload::TupleId;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -43,11 +46,6 @@ pub struct ExecutorConfig {
     /// Copy re-attempts per batch after a failed verification (0 = a
     /// single verify failure aborts the migration).
     pub max_retries: u32,
-    /// Fault injection for tests and chaos runs: on attempt `a` of batch
-    /// `b`, every `(b, a)` listed here makes the copy write a corrupted
-    /// payload for the batch's first copied row, which verification then
-    /// catches.
-    pub corrupt_copies: Vec<(usize, u32)>,
     /// Shard liveness shared with the serving layer. When set, copy and
     /// verify read their source row from the first **live** member of a
     /// move's copy set — a failed shard's store is still readable but
@@ -96,13 +94,14 @@ impl From<StoreError> for ExecError {
     }
 }
 
-/// Lifecycle state of one batch.
+/// Lifecycle state of one batch, as a caller between steps sees it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum BatchState {
+    /// Not yet executed.
     Planned,
-    Copying,
-    Verifying,
+    /// Copied, verified and flipped: the new placement owns it.
     Flipped,
+    /// Will never execute (the migration was aborted at or before it).
     Aborted,
 }
 
@@ -161,11 +160,13 @@ pub struct MigrationExecutor<'a> {
     store: &'a dyn ShardStore,
     scheme: &'a VersionedScheme,
     cfg: ExecutorConfig,
-    states: Vec<BatchState>,
+    /// Batches `..next` have flipped; the rest are planned, or aborted
+    /// once `aborted` is set.
     next: usize,
     paused: bool,
     aborted: bool,
-    reports: Vec<BatchReport>,
+    /// Totals over the batches that flipped cleanly.
+    report: ExecutorReport,
 }
 
 impl<'a> MigrationExecutor<'a> {
@@ -183,7 +184,6 @@ impl<'a> MigrationExecutor<'a> {
             "executor requires a fresh migration epoch"
         );
         Self {
-            states: vec![BatchState::Planned; plan.batches.len()],
             plan,
             store,
             scheme,
@@ -191,18 +191,20 @@ impl<'a> MigrationExecutor<'a> {
             next: 0,
             paused: false,
             aborted: false,
-            reports: Vec::new(),
+            report: ExecutorReport::default(),
         }
     }
 
     /// Lifecycle state of batch `i`.
     pub fn batch_state(&self, i: usize) -> BatchState {
-        self.states[i]
-    }
-
-    /// Reports for the batches flipped so far, in order.
-    pub fn batch_reports(&self) -> &[BatchReport] {
-        &self.reports
+        assert!(i < self.plan.batches.len(), "batch {i} is not in the plan");
+        if i < self.next {
+            BatchState::Flipped
+        } else if self.aborted {
+            BatchState::Aborted
+        } else {
+            BatchState::Planned
+        }
     }
 
     /// `(flipped, total)` batch counts.
@@ -232,32 +234,18 @@ impl<'a> MigrationExecutor<'a> {
     }
 
     /// Aborts the migration at the current batch boundary: all remaining
-    /// batches are marked [`BatchState::Aborted`] and will never execute.
+    /// batches read [`BatchState::Aborted`] and will never execute.
     /// Already-flipped batches stay flipped (the new placement owns them);
     /// unexecuted batches never touched the stores, so no rollback is
     /// needed here — mid-batch failures roll themselves back inside
     /// [`step`](Self::step).
     pub fn abort(&mut self) {
         self.aborted = true;
-        for s in &mut self.states[self.next..] {
-            *s = BatchState::Aborted;
-        }
     }
 
     /// Aggregated totals over the executed prefix.
     pub fn report(&self) -> ExecutorReport {
-        let mut r = ExecutorReport {
-            batches_flipped: self.reports.len(),
-            ..Default::default()
-        };
-        for b in &self.reports {
-            r.tuples_moved += b.tuples;
-            r.rows_copied += b.rows_copied;
-            r.bytes_copied += b.bytes_copied;
-            r.rows_dropped += b.rows_dropped;
-            r.retries += b.retries;
-        }
-        r
+        self.report.clone()
     }
 
     /// Runs every remaining batch; stops early on pause or abort.
@@ -280,24 +268,25 @@ impl<'a> MigrationExecutor<'a> {
         }
         let i = self.next;
         match self.execute_batch(i) {
-            Ok(report) => {
-                self.states[i] = BatchState::Flipped;
+            Ok(b) => {
                 self.next += 1;
-                self.reports.push(report.clone());
-                StepOutcome::Flipped(report)
+                let r = &mut self.report;
+                r.batches_flipped += 1;
+                r.tuples_moved += b.tuples;
+                r.rows_copied += b.rows_copied;
+                r.bytes_copied += b.bytes_copied;
+                r.rows_dropped += b.rows_dropped;
+                r.retries += b.retries;
+                StepOutcome::Flipped(b)
             }
             Err((error, flipped)) => {
+                // A flip that landed before the failure (post-flip drop
+                // cleanup) gives the new placement this batch, so it counts
+                // as flipped — rolling it back now would contradict the
+                // moved-set. A pre-flip failure was rolled back inside
+                // execute_batch, so the stores match pre-batch state.
                 if flipped {
-                    // The flip landed before the failure (post-flip drop
-                    // cleanup): the new placement owns this batch, so it
-                    // must count as flipped — rolling it back now would
-                    // contradict the moved-set.
-                    self.states[i] = BatchState::Flipped;
-                    self.next = i + 1;
-                } else {
-                    // Pre-flip failure: execute_batch rolled the batch's
-                    // copies back, so the stores match pre-batch state.
-                    self.states[i] = BatchState::Aborted;
+                    self.next += 1;
                 }
                 self.abort();
                 StepOutcome::Aborted { batch: i, error }
@@ -307,23 +296,20 @@ impl<'a> MigrationExecutor<'a> {
 
     /// The error flag reports whether the batch had already flipped when
     /// the failure happened (post-flip failures must not roll back).
-    fn execute_batch(&mut self, i: usize) -> Result<BatchReport, (ExecError, bool)> {
+    fn execute_batch(&self, i: usize) -> Result<BatchReport, (ExecError, bool)> {
         let moves = &self.plan.batches[i].moves;
         let mut retries = 0u32;
         let (rows_copied, bytes_copied) = loop {
-            let attempt = retries;
-            self.states[i] = BatchState::Copying;
-            let copied = match self.copy_batch(i, attempt) {
+            let copied = match self.copy_batch(moves) {
                 Ok(c) => c,
                 Err(e) => return Err((self.rolled_back(i, e), false)),
             };
-            self.states[i] = BatchState::Verifying;
             match self.verify_batch(moves) {
                 Ok(true) => break copied,
-                Ok(false) if attempt >= self.cfg.max_retries => {
+                Ok(false) if retries >= self.cfg.max_retries => {
                     let e = ExecError::VerifyFailed {
                         batch: i,
-                        attempts: attempt + 1,
+                        attempts: retries + 1,
                     };
                     return Err((self.rolled_back(i, e), false));
                 }
@@ -383,15 +369,13 @@ impl<'a> MigrationExecutor<'a> {
         from.first().ok_or(ExecError::MissingSource(m.tuple))
     }
 
-    /// Copies every row of batch `i` to its gaining shards; one atomic
-    /// write batch per destination shard. Returns `(rows, bytes)` written.
-    fn copy_batch(&self, i: usize, attempt: u32) -> Result<(u64, u64), ExecError> {
-        let moves = &self.plan.batches[i].moves;
-        let corrupt = self.cfg.corrupt_copies.contains(&(i, attempt));
-        let mut per_shard: HashMap<ShardId, Vec<WriteOp>> = HashMap::new();
+    /// Copies every row of `moves` to its gaining shards; one atomic write
+    /// batch per destination shard, in ascending shard order. Returns
+    /// `(rows, bytes)` written.
+    fn copy_batch(&self, moves: &[TupleMove]) -> Result<(u64, u64), ExecError> {
+        let mut per_shard: BTreeMap<ShardId, Vec<WriteOp>> = BTreeMap::new();
         let mut rows = 0u64;
         let mut bytes = 0u64;
-        let mut corrupted_one = false;
         for m in moves {
             let added = m.copies_added();
             if added.is_empty() {
@@ -412,20 +396,12 @@ impl<'a> MigrationExecutor<'a> {
                 continue;
             };
             for shard in added.iter() {
-                let mut payload = row.clone();
-                if corrupt && !corrupted_one {
-                    corrupted_one = true;
-                    match payload.first_mut() {
-                        Some(b) => *b = b.wrapping_add(1),
-                        None => payload.push(0xff),
-                    }
-                }
                 rows += 1;
-                bytes += payload.len() as u64;
+                bytes += row.len() as u64;
                 per_shard
                     .entry(shard)
                     .or_default()
-                    .push(WriteOp::Put(m.tuple, payload));
+                    .push(WriteOp::Put(m.tuple, row.clone()));
             }
         }
         for (shard, ops) in per_shard {
@@ -457,9 +433,10 @@ impl<'a> MigrationExecutor<'a> {
 
     /// Deletes whatever the in-flight batch copied to destination shards,
     /// restoring them to their pre-batch contents (a gaining shard never
-    /// held the row before this batch — `copies_added = to \ from`).
+    /// held the row before this batch — `copies_added = to \ from`). One
+    /// write batch per shard, in ascending shard order.
     fn rollback_batch(&self, i: usize) -> Result<(), ExecError> {
-        let mut per_shard: HashMap<ShardId, Vec<WriteOp>> = HashMap::new();
+        let mut per_shard: BTreeMap<ShardId, Vec<WriteOp>> = BTreeMap::new();
         for m in &self.plan.batches[i].moves {
             for shard in m.copies_added().iter() {
                 per_shard
@@ -476,7 +453,12 @@ impl<'a> MigrationExecutor<'a> {
 }
 
 #[cfg(test)]
+#[path = "../../../tests/support/test_store.rs"]
+mod test_store;
+
+#[cfg(test)]
 mod tests {
+    use super::test_store::TestStore;
     use super::*;
     use crate::plan::{plan_migration, PlanConfig};
     use schism_router::{PartitionSet, Scheme};
@@ -603,12 +585,13 @@ mod tests {
         let old = asg(&[(0, 0), (1, 0)]);
         let new = asg(&[(0, 1), (1, 1)]);
         let (store, vs, plan) = fixture(&old, &new, 2, 10);
+        // The first two attempts write a bad copy.
+        let faulty = TestStore::new(&store).corrupting(TupleId::new(0, 0), 2);
         let cfg = ExecutorConfig {
             max_retries: 2,
-            corrupt_copies: vec![(0, 0), (0, 1)], // first two attempts bad
             ..ExecutorConfig::default()
         };
-        let mut exec = MigrationExecutor::new(&plan, &store, &vs, cfg);
+        let mut exec = MigrationExecutor::new(&plan, &faulty, &vs, cfg);
         let report = match exec.step() {
             StepOutcome::Flipped(r) => r,
             other => panic!("expected flip after retries, got {other:?}"),
@@ -625,12 +608,13 @@ mod tests {
         let old = asg(&[(0, 0), (1, 0), (2, 0), (3, 0)]);
         let new = asg(&[(0, 1), (1, 1), (2, 1), (3, 1)]);
         let (store, vs, plan) = fixture(&old, &new, 2, 2);
+        // Batch 1 never verifies: both its attempts write a bad copy.
+        let faulty = TestStore::new(&store).corrupting(plan.batches[1].moves[0].tuple, 2);
         let cfg = ExecutorConfig {
             max_retries: 1,
-            corrupt_copies: vec![(1, 0), (1, 1)], // batch 1 never verifies
             ..ExecutorConfig::default()
         };
-        let mut exec = MigrationExecutor::new(&plan, &store, &vs, cfg);
+        let mut exec = MigrationExecutor::new(&plan, &faulty, &vs, cfg);
         assert!(matches!(exec.step(), StepOutcome::Flipped(_)));
         match exec.step() {
             StepOutcome::Aborted { batch, error } => {
@@ -804,5 +788,61 @@ mod tests {
             assert!(store.get(0, m.tuple).unwrap().is_some());
             assert!(store.get(1, m.tuple).unwrap().is_none());
         }
+    }
+
+    #[test]
+    fn writes_reach_shards_in_one_order_every_run() {
+        // Every batch copies to, and the aborted one rolls back from,
+        // several shards at once.
+        let old = asg(&(0..12).map(|r| (r, 0)).collect::<Vec<_>>());
+        let new = asg(&(0..12).map(|r| (r, 1 + (r % 3) as u32)).collect::<Vec<_>>());
+        let run = || {
+            let (store, vs, plan) = fixture(&old, &new, 4, 6);
+            let faulty = TestStore::new(&store).corrupting(plan.batches[1].moves[0].tuple, 1);
+            let mut exec = MigrationExecutor::new(&plan, &faulty, &vs, ExecutorConfig::default());
+            assert!(matches!(
+                exec.run_to_completion(),
+                StepOutcome::Aborted { batch: 1, .. }
+            ));
+            faulty.applied()
+        };
+        let first = run();
+        let shards: Vec<ShardId> = first.iter().map(|&(s, _)| s).collect();
+        assert_eq!(shards, [1, 2, 3, 1, 2, 3, 1, 2, 3], "copy, copy, rollback");
+        for _ in 0..8 {
+            assert_eq!(run(), first);
+        }
+    }
+
+    #[test]
+    fn failed_cleanup_after_the_flip_keeps_the_batch_flipped() {
+        let old = asg(&(0..6).map(|r| (r, 0)).collect::<Vec<_>>());
+        let new = asg(&(0..6).map(|r| (r, 1)).collect::<Vec<_>>());
+        let (store, vs, plan) = fixture(&old, &new, 2, 2);
+        // Batch 1's first drop from the losing shard fails.
+        let victim = plan.batches[1].moves[0].tuple;
+        let faulty = TestStore::new(&store).failing_delete(0, victim);
+        let mut exec = MigrationExecutor::new(&plan, &faulty, &vs, ExecutorConfig::default());
+        assert!(matches!(exec.step(), StepOutcome::Flipped(_)));
+        assert!(matches!(
+            exec.step(),
+            StepOutcome::Aborted {
+                batch: 1,
+                error: ExecError::Store(_)
+            }
+        ));
+        assert_eq!(exec.batch_state(0), BatchState::Flipped);
+        assert_eq!(exec.batch_state(1), BatchState::Flipped);
+        assert_eq!(exec.batch_state(2), BatchState::Aborted);
+        assert_eq!(exec.progress(), (2, 3));
+        assert_eq!(vs.flipped_batches(), 2);
+        let db = MaterializedDb::new();
+        for m in &plan.batches[1].moves {
+            assert_eq!(vs.locate_tuple(m.tuple, &db), PartitionSet::single(1));
+            assert!(store.get(1, m.tuple).unwrap().is_some());
+        }
+        // The failed drop left its stale copy; nothing was rolled back.
+        assert!(store.get(0, victim).unwrap().is_some());
+        assert_eq!(exec.step(), StepOutcome::Done);
     }
 }

@@ -51,7 +51,7 @@ pub mod plan;
 pub mod relabel;
 pub mod sketch;
 
-pub use catchup::{catch_up_plan, run_catch_up, CatchUpReport};
+pub use catchup::{catch_up_plan, run_catch_up};
 pub use controller::{ControllerConfig, MigrationController, MigrationOutcome, Tick};
 pub use drift::{AccessHistogram, DistanceMetric, DriftDetector, DriftReport};
 pub use executor::{

@@ -7,7 +7,7 @@
 use crate::pset::PartitionSet;
 use crate::scheme::{Complexity, Route, Scheme};
 use schism_sql::{ColId, Statement, Value};
-use schism_workload::{TupleId, TupleState, TupleValues};
+use schism_workload::{tuple_hash, TupleId, TupleState, TupleValues};
 use std::collections::HashMap;
 
 /// What to do for tuples absent from the lookup table (never accessed by
@@ -18,6 +18,7 @@ use std::collections::HashMap;
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum MissPolicy {
     Replicate,
+    /// A missed row goes where [`crate::HashScheme::by_row_id`] sends it.
     HashRow,
 }
 
@@ -142,14 +143,7 @@ impl LookupScheme {
     fn miss_set(&self, t: TupleId) -> PartitionSet {
         match self.miss {
             MissPolicy::Replicate => PartitionSet::all(self.k),
-            MissPolicy::HashRow => {
-                let h = t.row ^ (t.table as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-                let mut x = h;
-                x ^= x >> 30;
-                x = x.wrapping_mul(0xBF58_476D_1CE4_E5B9);
-                x ^= x >> 27;
-                PartitionSet::single((x % self.k as u64) as u32)
-            }
+            MissPolicy::HashRow => PartitionSet::single((tuple_hash(t) % u64::from(self.k)) as u32),
         }
     }
 
@@ -272,7 +266,10 @@ mod tests {
         let s = mk(MissPolicy::Replicate);
         assert_eq!(s.locate_tuple(TupleId::new(0, 99), &db).len(), 2);
         let s = mk(MissPolicy::HashRow);
-        assert!(s.locate_tuple(TupleId::new(0, 99), &db).is_single());
+        let by_row = crate::HashScheme::by_row_id(2);
+        for t in (90..100).map(|r| TupleId::new(0, r)) {
+            assert_eq!(s.locate_tuple(t, &db), by_row.locate_tuple(t, &db));
+        }
         // Known tuple resolves exactly.
         assert_eq!(
             s.locate_tuple(TupleId::new(0, 1), &db),

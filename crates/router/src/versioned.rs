@@ -15,8 +15,8 @@
 //!   routes and stays `must`-semantics unless both sides allow any-one.
 //!
 //! The moved-set is interior-mutable (`RwLock`) because the router shares
-//! schemes as `&dyn Scheme`; marking a tuple moved is the commit point of
-//! its copy and is idempotent.
+//! schemes as `&dyn Scheme`; flipping a batch is the commit point of its
+//! copy.
 //!
 //! ## Acknowledgement-driven flips
 //!
@@ -26,15 +26,12 @@
 //! out-of-order or duplicate flip is rejected with [`FlipError`] instead of
 //! silently advancing the moved-set, so routing can never *lead* the bytes:
 //! a tuple routes to the new placement only after its batch's copy has been
-//! acknowledged. [`mark_moved`](VersionedScheme::mark_moved) and
-//! [`mark_batch`](VersionedScheme::mark_batch) remain as the low-level,
-//! unsequenced primitives (single-tuple tests, replays); they deliberately
-//! do not advance the batch cursor.
+//! acknowledged. It is the moved-set's only writer.
 
 use crate::pset::PartitionSet;
 use crate::scheme::{Complexity, Route, Scheme};
 use schism_sql::Statement;
-use schism_workload::{TupleId, TupleValues};
+use schism_workload::{TupleId, TupleState, TupleValues};
 use std::collections::HashSet;
 use std::fmt;
 use std::sync::{Arc, RwLock};
@@ -63,9 +60,8 @@ impl std::error::Error for FlipError {}
 
 #[derive(Default)]
 struct MovedState {
-    set: HashSet<TupleId>,
-    /// Number of batches flipped through the sequenced API; also the next
-    /// expected sequence number.
+    set: HashSet<TupleId, TupleState>,
+    /// Number of batches flipped; also the next expected sequence number.
     flipped_batches: u64,
 }
 
@@ -84,25 +80,6 @@ impl VersionedScheme {
             new,
             moved: RwLock::new(MovedState::default()),
         }
-    }
-
-    /// Marks one tuple as moved (its copy on the new placement is now
-    /// authoritative). Idempotent; returns whether the tuple was newly
-    /// marked.
-    pub fn mark_moved(&self, t: TupleId) -> bool {
-        self.moved
-            .write()
-            .expect("moved-set poisoned")
-            .set
-            .insert(t)
-    }
-
-    /// Marks a whole batch as moved (one lock acquisition), without
-    /// advancing the batch cursor. Prefer
-    /// [`flip_batch`](Self::flip_batch) when executing a plan.
-    pub fn mark_batch<I: IntoIterator<Item = TupleId>>(&self, tuples: I) -> usize {
-        let mut state = self.moved.write().expect("moved-set poisoned");
-        tuples.into_iter().filter(|&t| state.set.insert(t)).count()
     }
 
     /// Flips batch `seq` on acknowledgement of its verified copy. Batches
@@ -127,8 +104,8 @@ impl VersionedScheme {
         Ok(tuples.into_iter().filter(|&t| state.set.insert(t)).count())
     }
 
-    /// Number of batches flipped through [`flip_batch`](Self::flip_batch);
-    /// equivalently, the next expected sequence number.
+    /// Number of batches flipped; equivalently, the next expected
+    /// sequence number.
     pub fn flipped_batches(&self) -> u64 {
         self.moved
             .read()
@@ -269,8 +246,12 @@ mod tests {
         let vs = VersionedScheme::new(old.clone(), new.clone());
         let t = TupleId::new(0, 42);
         assert_eq!(vs.locate_tuple(t, &db), old.locate_tuple(t, &db));
-        assert!(vs.mark_moved(t));
-        assert!(!vs.mark_moved(t), "second mark is a no-op");
+        assert_eq!(vs.flip_batch(0, [t]).unwrap(), 1);
+        assert_eq!(
+            vs.flip_batch(1, [t]).unwrap(),
+            0,
+            "re-flipping a moved tuple moves nothing"
+        );
         assert_eq!(vs.locate_tuple(t, &db), new.locate_tuple(t, &db));
         // Unmoved neighbors are untouched.
         let u = TupleId::new(0, 43);
@@ -339,20 +320,11 @@ mod tests {
     }
 
     #[test]
-    fn mark_batch_does_not_advance_flip_cursor() {
-        let (old, new) = hash_pair();
-        let vs = VersionedScheme::new(old, new);
-        vs.mark_batch([TupleId::new(0, 9)]);
-        assert_eq!(vs.flipped_batches(), 0, "unsequenced marks are not acks");
-        assert_eq!(vs.flip_batch(0, [TupleId::new(0, 9)]).unwrap(), 0);
-        assert_eq!(vs.flipped_batches(), 1);
-    }
-
-    #[test]
     fn finalize_hands_back_new_scheme() {
         let (old, new) = hash_pair();
         let vs = VersionedScheme::new(old, new.clone());
-        vs.mark_batch([TupleId::new(0, 1), TupleId::new(0, 2)]);
+        vs.flip_batch(0, [TupleId::new(0, 1), TupleId::new(0, 2)])
+            .unwrap();
         let done = vs.finalize();
         assert_eq!(done.name(), new.name());
     }
@@ -385,7 +357,7 @@ mod tests {
             "phases never overlap"
         );
         // Once moved, the new placement is the only write target.
-        vs.mark_moved(t);
+        vs.flip_batch(0, [t]).unwrap();
         assert_eq!(vs.write_phases(t, &db), vec![new.locate_tuple(t, &db)]);
     }
 
@@ -402,7 +374,7 @@ mod tests {
         let vs = VersionedScheme::new(old.clone(), new.clone());
         let t = TupleId::new(0, 6);
         assert_eq!(vs.replica_set(t, &db), old.replica_set(t, &db));
-        vs.mark_moved(t);
+        vs.flip_batch(0, [t]).unwrap();
         assert_eq!(vs.replica_set(t, &db), new.replica_set(t, &db));
         // An unmoved tuple's new-epoch pre-copies are write targets but
         // never replica-set members (they lag until copied).

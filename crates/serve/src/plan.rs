@@ -335,11 +335,13 @@ mod tests {
             return old;
         }
         let vs = VersionedScheme::new(old, replicated(HashScheme::by_row_id(k)));
-        vs.mark_batch(
+        vs.flip_batch(
+            0,
             keys.iter()
                 .filter(|r| *r % 2 == 0)
                 .map(|&r| TupleId::new(0, r)),
-        );
+        )
+        .unwrap();
         Arc::new(vs)
     }
 

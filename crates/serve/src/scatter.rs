@@ -23,7 +23,7 @@ use crate::server::{RequestMetrics, RouteKind, ServeError, ServeOutcome};
 use schism_router::PartitionSet;
 use schism_sql::{Schema, Statement, StatementKind, Value};
 use schism_store::{FaultPlan, ShardId, ShardStore, StoreError};
-use schism_workload::TupleId;
+use schism_workload::{TupleId, TupleState};
 use std::collections::{BTreeMap, HashSet};
 use std::sync::mpsc::{channel, sync_channel, Receiver, Sender, SyncSender};
 use std::sync::{Arc, Mutex, RwLock};
@@ -219,7 +219,7 @@ impl Drop for Workers {
 #[derive(Default)]
 pub(crate) struct Gather {
     raw_rows: Vec<(ShardId, TupleId, Vec<Value>)>,
-    wrote: HashSet<TupleId>,
+    wrote: HashSet<TupleId, TupleState>,
     replied: PartitionSet,
     queue_us: u64,
     exec_us: u64,
@@ -227,7 +227,7 @@ pub(crate) struct Gather {
 
 impl Gather {
     /// The tuples some shard has returned a row for so far.
-    pub fn answered(&self) -> HashSet<TupleId> {
+    pub fn answered(&self) -> HashSet<TupleId, TupleState> {
         self.raw_rows.iter().map(|(_, t, _)| *t).collect()
     }
 

@@ -69,7 +69,7 @@ use schism_sql::{
     Value,
 };
 use schism_store::{FaultPlan, HealthMap, ShardId, ShardStore, StoreError};
-use schism_workload::{TupleId, TupleValues};
+use schism_workload::{TupleId, TupleState, TupleValues};
 use std::collections::HashSet;
 use std::fmt;
 use std::sync::{Arc, RwLock};
@@ -171,7 +171,7 @@ pub(crate) struct ExecOpts<'a> {
     /// repeats spread across the replica set.
     pub salt: Option<u64>,
     /// Keys whose point reads must go to the (possibly promoted) leader.
-    pub leader_keys: Option<&'a HashSet<TupleId>>,
+    pub leader_keys: Option<&'a HashSet<TupleId, TupleState>>,
     /// Pin every read to the leader (the caller wrote through a statement
     /// it could not key-pin, so any key may be dirty).
     pub leader_all: bool,

@@ -16,7 +16,7 @@
 
 use crate::server::{ExecOpts, ServeError, ServeOutcome, Server};
 use schism_sql::{parse_statement, Statement};
-use schism_workload::{splitmix64, TupleId};
+use schism_workload::{splitmix64, TupleId, TupleState};
 use std::collections::HashSet;
 
 /// One client's view of a [`Server`]: salted replica picks plus
@@ -25,7 +25,7 @@ pub struct Session<'a> {
     server: &'a Server,
     seed: u64,
     counter: u64,
-    written: HashSet<TupleId>,
+    written: HashSet<TupleId, TupleState>,
     wrote_unpinned: bool,
 }
 
@@ -35,7 +35,7 @@ impl<'a> Session<'a> {
             server,
             seed,
             counter: 0,
-            written: HashSet::new(),
+            written: HashSet::default(),
             wrote_unpinned: false,
         }
     }
@@ -69,7 +69,7 @@ impl<'a> Session<'a> {
     }
 
     /// The keys this session pins to the leader (its write set so far).
-    pub fn written(&self) -> &HashSet<TupleId> {
+    pub fn written(&self) -> &HashSet<TupleId, TupleState> {
         &self.written
     }
 }

@@ -71,6 +71,7 @@ pub use fault::{sync_points, FaultHook, FaultPlan};
 pub use health::{HealthMap, HealthState, HealthView};
 pub use log::{LogStore, LogStoreConfig};
 pub use mem::MemStore;
+pub use schism_workload::fnv1a;
 
 use std::str::FromStr;
 
@@ -107,7 +108,7 @@ impl FromStr for BackendKind {
 
 use schism_router::PartitionSet;
 use schism_sql::TableId;
-use schism_workload::{TupleId, TupleValues};
+use schism_workload::{splitmix64, TupleId, TupleValues};
 use std::collections::HashMap;
 use std::fmt;
 use std::hash::BuildHasher;
@@ -205,16 +206,6 @@ pub trait ShardStore: Send + Sync {
     }
 }
 
-/// FNV-1a over a byte slice — the checksum copy verification uses.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// Deterministic row payload for tuple `t`: `len` bytes derived from the
 /// tuple identity by a splitmix-style generator, so two independently
 /// seeded stores agree on every row and corruption is detectable.
@@ -223,11 +214,7 @@ pub fn seed_row(t: TupleId, len: u32) -> Vec<u8> {
     let mut out = Vec::with_capacity(len as usize);
     while out.len() < len as usize {
         x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = x;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^= z >> 31;
-        out.extend_from_slice(&z.to_le_bytes());
+        out.extend_from_slice(&splitmix64(x).to_le_bytes());
     }
     out.truncate(len as usize);
     out

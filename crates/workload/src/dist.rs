@@ -1,5 +1,6 @@
 //! Key-selection distributions: uniform and YCSB-style Zipfian.
 
+use crate::tuple::fnv1a;
 use rand::Rng;
 
 /// Zipfian distribution over `0..n` with parameter `theta` (YCSB uses
@@ -87,17 +88,8 @@ impl ScrambledZipfian {
 
     pub fn sample<R: Rng>(&self, rng: &mut R) -> u64 {
         let rank = self.inner.sample(rng);
-        fnv1a(rank) % self.inner.n()
+        fnv1a(&rank.to_le_bytes()) % self.inner.n()
     }
-}
-
-fn fnv1a(x: u64) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for b in x.to_le_bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
 }
 
 #[cfg(test)]

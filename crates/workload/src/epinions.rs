@@ -14,7 +14,7 @@
 
 use crate::dist::Zipfian;
 use crate::trace::{Trace, Workload};
-use crate::tuple::{TupleId, TupleValues};
+use crate::tuple::{fnv1a, TupleId, TupleValues};
 use crate::txn::TxnBuilder;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -89,23 +89,14 @@ enum Query {
     Q9UpdateTrust,
 }
 
-fn fnv(x: u64) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for b in x.to_le_bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
-}
-
 /// Community of a user id (hash-scattered, invisible to range schemes).
 pub fn user_community(u: u64, communities: u32) -> u32 {
-    (fnv(u) % communities as u64) as u32
+    (fnv1a(&u.to_le_bytes()) % communities as u64) as u32
 }
 
 /// Community of an item id.
 pub fn item_community(i: u64, communities: u32) -> u32 {
-    (fnv(i ^ 0x9E3779B97F4A7C15) % communities as u64) as u32
+    (fnv1a(&(i ^ 0x9E3779B97F4A7C15).to_le_bytes()) % communities as u64) as u32
 }
 
 /// Materialized edge tables (the n-to-n relations must be stored; everything

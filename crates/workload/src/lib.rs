@@ -40,7 +40,7 @@ pub use dist::{ScrambledZipfian, Zipfian};
 pub use sqllog::{render_log, SqlLogError, SqlLogSource, SqlLogStats};
 pub use trace::{Trace, TraceSource, Workload};
 pub use tuple::{
-    splitmix64, splitmix_pair, tuple_hash, MaterializedDb, TupleHasher, TupleId, TupleMap,
+    fnv1a, splitmix64, splitmix_pair, tuple_hash, MaterializedDb, TupleHasher, TupleId, TupleMap,
     TupleState, TupleValues,
 };
 pub use txn::{Transaction, TxnBuilder};

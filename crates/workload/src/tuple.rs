@@ -47,6 +47,18 @@ pub fn splitmix_pair(a: u64, b: u64) -> u64 {
     splitmix64(a ^ b.wrapping_mul(0x9E37_79B9_7F4A_7C15))
 }
 
+/// FNV-1a over a byte slice: the store's row checksum and the workloads'
+/// scatter of a rank or an id.
+#[inline]
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
 /// A tuple's hash, `splitmix_pair(row, table)`: what tuple sampling, the
 /// drift sketch's rows and hashing by row id all place a tuple by.
 #[inline]

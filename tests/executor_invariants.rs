@@ -15,6 +15,10 @@ use schism_store::{load_assignment, seed_row, MemStore, ShardStore};
 use schism_workload::{MaterializedDb, TupleId};
 use std::collections::HashMap;
 use std::sync::Arc;
+use test_store::TestStore;
+
+#[path = "support/test_store.rs"]
+mod test_store;
 
 fn assignment(pairs: &[(u64, u32)]) -> HashMap<TupleId, PartitionSet> {
     pairs
@@ -167,20 +171,27 @@ proptest! {
             return; // nothing changed placement; nothing to corrupt
         }
 
-        // Corrupt one batch on both its attempts: it can never verify.
+        // Corrupt one batch's first copy on both its attempts: it can never
+        // verify.
         let bad = bad_pick % plan.batches.len();
+        let victim = plan.batches[bad]
+            .moves
+            .iter()
+            .find(|m| !m.copies_added().is_empty())
+            .map(|m| m.tuple);
+        let faulty = match victim {
+            Some(t) => TestStore::new(&store).corrupting(t, 2),
+            None => TestStore::new(&store),
+        };
         let cfg = ExecutorConfig {
             max_retries: 1,
-            corrupt_copies: vec![(bad, 0), (bad, 1)],
             ..ExecutorConfig::default()
         };
-        let mut exec = MigrationExecutor::new(&plan, &store, &vs, cfg);
-        // A corrupt copy on a batch with no copied bytes (all drop-only
-        // moves) cannot fail verification — the executor then completes.
+        let mut exec = MigrationExecutor::new(&plan, &faulty, &vs, cfg);
+        // A batch with no copied bytes (all drop-only moves) has nothing to
+        // corrupt, so nothing fails verification — the executor completes.
         let outcome = exec.run_to_completion();
-        let copies_in_bad: u32 =
-            plan.batches[bad].moves.iter().map(|m| m.copies_added().len()).sum();
-        if copies_in_bad == 0 {
+        if victim.is_none() {
             prop_assert_eq!(outcome, StepOutcome::Done);
             prop_assert!(exec.is_complete());
         } else {

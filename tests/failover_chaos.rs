@@ -163,7 +163,6 @@ fn chaos_case(seed: u64) {
         ExecutorConfig {
             health: Some(Arc::clone(&f.health)),
             max_retries: 10_000,
-            ..ExecutorConfig::default()
         },
     );
     let mut sessions: Vec<_> = (0..3).map(|i| f.server.session(seed ^ i)).collect();
@@ -316,7 +315,6 @@ fn leader_kill_mid_migration_keeps_acked_writes() {
         ExecutorConfig {
             health: Some(Arc::clone(&f.health)),
             max_retries: 10_000,
-            ..ExecutorConfig::default()
         },
     );
     // Acknowledge a write to every key, then flip a few batches so the
@@ -395,7 +393,6 @@ fn rejoin(f: &Fixture, shard: u32) {
         &*f.store,
         &f.health,
         &PlanConfig::default(),
-        8,
     )
     .unwrap_or_else(|e| panic!("catch-up of shard {shard} failed: {e}"));
 }
@@ -423,7 +420,6 @@ fn chaos_rejoin_case(seed: u64) {
         ExecutorConfig {
             health: Some(Arc::clone(&f.health)),
             max_retries: 10_000,
-            ..ExecutorConfig::default()
         },
     );
     let mut sessions: Vec<_> = (0..3).map(|i| f.server.session(seed ^ i)).collect();
@@ -558,7 +554,6 @@ fn rf3_two_failures_in_one_group_gate_writes_on_majority() {
         &*f.store,
         &f.health,
         &PlanConfig::default(),
-        8,
     )
     .unwrap();
     let mut s2 = f.server.session(13);

@@ -116,12 +116,11 @@ proptest! {
         };
 
         check_all(&moved); // before the first batch
-        for batch in &plan.batches {
-            for m in &batch.moves {
-                vs.mark_moved(m.tuple);
-                moved.insert(m.tuple);
-                check_all(&moved); // after every single move
-            }
+        // One-tuple flips in sequence, so every single move is observable.
+        for (seq, m) in plan.moves().enumerate() {
+            vs.flip_batch(seq as u64, [m.tuple]).unwrap();
+            moved.insert(m.tuple);
+            check_all(&moved); // after every single move
         }
         prop_assert_eq!(vs.moved_count(), plan.total_moves);
     }

@@ -371,7 +371,6 @@ proptest! {
                 &*f.store,
                 &f.health,
                 &PlanConfig::default(),
-                8,
             )
             .unwrap_or_else(|e| panic!("catch-up of shard {shard} failed: {e}"));
         };

@@ -23,6 +23,10 @@ use schism_workload::{splitmix64, MaterializedDb, TupleId};
 use std::collections::HashMap;
 use std::io::Write;
 use std::sync::Arc;
+use test_store::TestStore;
+
+#[path = "support/test_store.rs"]
+mod test_store;
 
 const TABLES: u16 = 3;
 const ROWS: u64 = 20;
@@ -302,8 +306,8 @@ proptest! {
 
 /// Runs one seeded random plan through the executor on a `MemStore`, a
 /// default `LogStore` and a `LogStore` that compacts any segment past 256
-/// bytes: same step outcomes (including retries from injected corruption
-/// and the final abort-with-rollback), same batch reports and totals, same
+/// bytes: same step outcomes (each flipped batch's report, retries from
+/// injected corruption, the final abort-with-rollback), same totals, same
 /// final physical state. Returns how many compactions the compacting store
 /// ran while the plan executed.
 fn run_executor_on_every_backend(seed: u64) -> u64 {
@@ -328,17 +332,21 @@ fn run_executor_on_every_backend(seed: u64) -> u64 {
             max_rows_per_batch: 4,
         },
     );
-    // Sometimes poison one batch persistently: every backend must retry,
-    // fail verification, roll back, and abort identically.
-    let cfg = if splitmix(&mut st).is_multiple_of(2) && !plan.batches.is_empty() {
-        let victim = (splitmix(&mut st) % plan.batches.len() as u64) as usize;
-        ExecutorConfig {
+    // Sometimes poison one batch's first copy persistently: every backend
+    // must retry, fail verification, roll back, and abort identically.
+    let (cfg, victim) = if splitmix(&mut st).is_multiple_of(2) && !plan.batches.is_empty() {
+        let bad = (splitmix(&mut st) % plan.batches.len() as u64) as usize;
+        let cfg = ExecutorConfig {
             max_retries: 1,
-            corrupt_copies: vec![(victim, 0), (victim, 1)],
             ..ExecutorConfig::default()
-        }
+        };
+        let first_copy = plan.batches[bad]
+            .moves
+            .iter()
+            .find(|m| !m.copies_added().is_empty());
+        (cfg, first_copy.map(|m| m.tuple))
     } else {
-        ExecutorConfig::default()
+        (ExecutorConfig::default(), None)
     };
 
     let dir = TempDir::new("schism-prop-exec").unwrap();
@@ -359,7 +367,11 @@ fn run_executor_on_every_backend(seed: u64) -> u64 {
     let compactions_before = compacting.compactions();
     let run = |store: &dyn ShardStore| {
         let vs = VersionedScheme::new(lookup_scheme(&old), lookup_scheme(&new));
-        let mut exec = MigrationExecutor::new(&plan, store, &vs, cfg.clone());
+        let faulty = match victim {
+            Some(t) => TestStore::new(store).corrupting(t, 2),
+            None => TestStore::new(store),
+        };
+        let mut exec = MigrationExecutor::new(&plan, &faulty, &vs, cfg.clone());
         let mut outcomes = Vec::new();
         loop {
             let o = exec.step();
@@ -369,13 +381,12 @@ fn run_executor_on_every_backend(seed: u64) -> u64 {
                 break;
             }
         }
-        (outcomes, exec.batch_reports().to_vec(), exec.report())
+        (outcomes, exec.report())
     };
-    let (mo, mr, mtotal) = run(&mem);
+    let (mo, mtotal) = run(&mem);
     for store in [&log as &dyn ShardStore, &compacting] {
-        let (o, r, total) = run(store);
+        let (o, total) = run(store);
         assert_eq!(o, mo);
-        assert_eq!(r, mr);
         assert_eq!(total, mtotal);
         assert_eq!(contents(store), contents(&mem));
         assert_accounting_exact(store);
