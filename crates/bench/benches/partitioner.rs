@@ -45,7 +45,7 @@ fn training_graph(tpcc: &TpccConfig, cfg: &SchismConfig) -> WorkloadGraph {
 
 /// `partition/<name>/{cold,warm}/{1t,2t}` with k and seed from `cfg`. Cold is
 /// `partition`; warm is `partition_warm` from the cold result (what
-/// `Schism::rerun` pays).
+/// `rerun_incremental` pays).
 fn bench_cold_and_warm(
     c: &mut Criterion,
     name: &str,

@@ -52,7 +52,9 @@
 
 use schism_bench::table::Table;
 use schism_core::{GraphBackend, SchismConfig};
-use schism_migrate::{distributed_fraction, DistanceMetric, SketchConfig, SketchDriftDetector};
+use schism_migrate::{
+    distributed_fraction, DistanceMetric, DriftReport, SketchConfig, SketchHistogram,
+};
 use schism_workload::drifting::{self, DriftingConfig};
 use schism_workload::epinions::{self, EpinionsConfig};
 use schism_workload::tpcc::{self, TpccConfig};
@@ -136,7 +138,7 @@ fn thread_scaling(w: &Workload, wcfg: &TpccConfig, full: bool, max_threads: usiz
     cfg.threads = max_threads;
     let src = tpcc::stream(wcfg);
     let t0 = Instant::now();
-    let wg = schism_core::build_graph_source(w, &src, &cfg);
+    let wg = schism_core::build_graph_source(&src, &cfg);
     let dt = t0.elapsed().as_secs_f64();
     assert_eq!(
         wg.digest(),
@@ -210,7 +212,6 @@ fn huge(smoke: bool, threads: usize, backend: GraphBackend) -> String {
     // jitter does not.
     let ceiling_mib: u64 = if smoke { 128 } else { 2_048 };
 
-    let meta = drifting::workload_meta(&wcfg);
     let src = drifting::stream(&wcfg);
     let mut cfg = SchismConfig::new(8);
     cfg.threads = threads;
@@ -230,7 +231,7 @@ fn huge(smoke: bool, threads: usize, backend: GraphBackend) -> String {
         threads,
     );
     let t0 = Instant::now();
-    let wg = schism_core::build_graph_source(&meta, &src, &cfg);
+    let wg = schism_core::build_graph_source(&src, &cfg);
     let build_s = t0.elapsed().as_secs_f64();
     let accesses: u64 = wg.tuple_access_counts().map(|(_, c)| c as u64).sum();
     let structure = match backend {
@@ -282,8 +283,10 @@ fn huge(smoke: bool, threads: usize, backend: GraphBackend) -> String {
         }
     };
     let t0 = Instant::now();
-    let detector = SketchDriftDetector::new(DistanceMetric::TotalVariation, scfg, &reference);
-    let report = detector.observe(&observed);
+    let reference = SketchHistogram::from_source(scfg, &reference);
+    let distance = SketchHistogram::from_source(scfg, &observed)
+        .distance(&reference, DistanceMetric::TotalVariation);
+    let report = DriftReport::new(distance, observed.len());
     let drift_s = t0.elapsed().as_secs_f64();
     println!(
         "drift window ({window_txns} txns): {drift_s:.1}s, TV distance {:.3} -> drifted={}",
@@ -291,7 +294,7 @@ fn huge(smoke: bool, threads: usize, backend: GraphBackend) -> String {
     );
     assert!(
         report.drifted,
-        "rotated hot spot must trigger the sketched detector (TV {:.3})",
+        "rotated hot spot must trigger on the sketched histograms (TV {:.3})",
         report.distance
     );
 
@@ -346,7 +349,7 @@ fn sqllog_round_trip(threads: usize) {
     let mut cfg = SchismConfig::new(4);
     cfg.threads = threads;
     let from_trace = schism_core::build_graph(&w, &w.trace, &cfg);
-    let from_sql = schism_core::build_graph_source(&w, &src, &cfg);
+    let from_sql = schism_core::build_graph_source(&src, &cfg);
     assert_eq!(
         from_sql.digest(),
         from_trace.digest(),

@@ -50,8 +50,8 @@ pub struct SchismConfig {
     /// hyperedge per transaction (linear memory, exact distributed-txn
     /// metric). Both backends share pass 1, tuple sampling, blanket
     /// filtering, replication stars and coalescing; the partitioning phase
-    /// dispatches on the built representation, so `Schism::run`/`rerun` and
-    /// the migration path work unchanged under either.
+    /// dispatches on the built representation, so `Schism::run` and the
+    /// migration path's warm reruns work unchanged under either.
     pub graph_backend: GraphBackend,
     /// Enable tuple-level replication via star explosion.
     pub replication: bool,

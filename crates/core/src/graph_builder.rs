@@ -582,9 +582,11 @@ impl WorkloadGraph {
 }
 
 /// Builds the workload graph from the training trace (the whole-trace
-/// ingestion path; see [`build_graph_source`] for streaming sources).
-pub fn build_graph(workload: &Workload, trace: &Trace, cfg: &SchismConfig) -> WorkloadGraph {
-    build_graph_source(workload, trace, cfg)
+/// ingestion path; see [`build_graph_source`] for streaming sources). The
+/// graph is a function of `trace` alone; `_workload` names the trace's
+/// workload for callers that hold both, and is not read.
+pub fn build_graph(_workload: &Workload, trace: &Trace, cfg: &SchismConfig) -> WorkloadGraph {
+    build_graph_source(trace, cfg)
 }
 
 /// Builds the workload graph from any [`TraceSource`], consuming it in
@@ -594,7 +596,7 @@ pub fn build_graph(workload: &Workload, trace: &Trace, cfg: &SchismConfig) -> Wo
 /// of the source — see the module docs for how each pass earns that. The
 /// graph is a function of the trace alone: no vertex weight or grouping
 /// reads the workload's database.
-pub fn build_graph_source<S>(_workload: &Workload, source: &S, cfg: &SchismConfig) -> WorkloadGraph
+pub fn build_graph_source<S>(source: &S, cfg: &SchismConfig) -> WorkloadGraph
 where
     S: TraceSource + ?Sized,
 {
@@ -1108,7 +1110,7 @@ mod tests {
         for threads in [1usize, 3] {
             let mut cfg = base_cfg();
             cfg.threads = threads;
-            let from_source = build_graph_source(&w, &src, &cfg);
+            let from_source = build_graph_source(&src, &cfg);
             let from_trace = build_graph(&w, &whole, &cfg);
             assert_eq!(from_source.stats, from_trace.stats);
             assert_eq!(from_source.digest(), from_trace.digest());
@@ -1296,7 +1298,7 @@ mod tests {
             let mut cfg = base_cfg();
             cfg.graph_backend = GraphBackend::Hypergraph;
             cfg.threads = threads;
-            let from_source = build_graph_source(&w, &src, &cfg);
+            let from_source = build_graph_source(&src, &cfg);
             let from_trace = build_graph(&w, &whole, &cfg);
             assert_eq!(from_source.stats, from_trace.stats);
             assert_eq!(from_source.digest(), from_trace.digest());

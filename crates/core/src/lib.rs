@@ -49,7 +49,5 @@ pub use config::{GraphBackend, SchismConfig};
 pub use explain::{Explanation, TableExplanation};
 pub use graph_builder::{build_graph, build_graph_source, BuildStats, CoAccess, WorkloadGraph};
 pub use partition_phase::{run_partition_phase, run_partition_phase_warm, PartitionPhase};
-pub use pipeline::{
-    build_lookup_scheme, hash_on_frequent_attributes, Recommendation, RerunOutcome, Schism,
-};
+pub use pipeline::{build_lookup_scheme, hash_on_frequent_attributes, Recommendation, Schism};
 pub use validate::{validate, Candidate, SelectionRules, Validation};

@@ -5,7 +5,7 @@
 use crate::config::SchismConfig;
 use crate::explain::{explain, Explanation};
 use crate::graph_builder::{build_graph, BuildStats};
-use crate::partition_phase::{run_partition_phase, run_partition_phase_warm, PartitionPhase};
+use crate::partition_phase::run_partition_phase;
 use crate::validate::{validate, Validation};
 use schism_par::{resolve_threads, Pool};
 use schism_router::{
@@ -64,18 +64,6 @@ impl Recommendation {
             .find(|c| c.name == name)
             .map(|c| c.fraction())
     }
-}
-
-/// Everything an incremental [`Schism::rerun`] produced. Unlike a full
-/// [`Recommendation`] there is no explanation/validation sweep — the warm
-/// path exists to keep the *current* scheme family and move little data, so
-/// consumers feed `phase.assignment` straight into relabeling and planning.
-pub struct RerunOutcome {
-    pub build_stats: BuildStats,
-    pub graph_build_time: Duration,
-    /// The warm-started partitioning, resolved back to per-tuple sets.
-    pub phase: PartitionPhase,
-    pub total_time: Duration,
 }
 
 impl Schism {
@@ -142,43 +130,6 @@ impl Schism {
             partition_time: phase.partition_time,
             explanation,
             validation,
-            total_time: t0.elapsed(),
-        }
-    }
-
-    /// Incremental re-run: rebuilds the workload graph from a drifted
-    /// training trace and *refines* the previous per-tuple placement
-    /// instead of partitioning from scratch.
-    ///
-    /// This is the repartitioning half of the continuous loop the paper
-    /// leaves open ("detecting significant workload shifts" is future work
-    /// in §7); the relabeling, planning, and mid-migration routing halves
-    /// live in `schism-migrate`. Tuples unseen in `prev` are parked on the
-    /// lightest partition before refinement; everything else starts where
-    /// it already lives, so only balance- or cut-improving moves relocate
-    /// data.
-    ///
-    /// Both the graph rebuild and the warm partitioner honor
-    /// [`SchismConfig::threads`] (`SCHISM_THREADS` when 0) exactly like the
-    /// cold path, so a rerun racing a drift window — typically on the
-    /// migration controller's critical path — uses every core without
-    /// changing its output.
-    pub fn rerun(
-        &self,
-        workload: &Workload,
-        train: &Trace,
-        prev: &HashMap<TupleId, PartitionSet, impl BuildHasher>,
-    ) -> RerunOutcome {
-        let cfg = &self.cfg;
-        let t0 = Instant::now();
-        let wg = build_graph(workload, train, cfg);
-        let graph_build_time = t0.elapsed();
-        let initial = wg.seed_assignment(prev, cfg.k);
-        let phase = run_partition_phase_warm(&wg, cfg, &initial);
-        RerunOutcome {
-            build_stats: wg.stats,
-            graph_build_time,
-            phase,
             total_time: t0.elapsed(),
         }
     }

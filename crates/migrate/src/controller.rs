@@ -1,30 +1,36 @@
 //! The continuous loop: watch windows, detect drift, repartition warm,
 //! relabel, and emit a migration plan.
 //!
-//! [`MigrationController`] owns the pieces the rest of the crate provides —
-//! an exact Jensen–Shannon [`DriftDetector`] rebased on every repartition,
-//! the current per-tuple placement, and the planner budgets — and exposes
+//! [`MigrationController`] owns the loop's state — the exact
+//! [`AccessHistogram`] of the window the current placement was computed
+//! from, that per-tuple placement, and the planner budgets — and exposes
 //! a single [`observe`](MigrationController::observe) entry point per
-//! window. The caller executes the returned plan at its own pace: build a
-//! [`MigrationExecutor`] via [`MigrationOutcome::executor`] over the live
+//! window. Each window's histogram is scored against the reference under
+//! Jensen–Shannon and handed to [`DriftReport::new`], the trigger; on a
+//! drift the window's histogram becomes the new reference. The caller
+//! executes the returned plan at its own pace: build a
+//! [`MigrationExecutor`](crate::MigrationExecutor) over the plan, the live
 //! [`schism_store::ShardStore`] and a [`schism_router::VersionedScheme`],
-//! then [`step`](MigrationExecutor::step) it between foreground work.
-//! Routing flips only on each batch's verified-copy acknowledgement, so
-//! traffic keeps being served correctly for the whole migration.
+//! then [`step`](crate::MigrationExecutor::step) it between foreground
+//! work. Routing flips only on each batch's verified-copy
+//! acknowledgement, so traffic keeps being served correctly for the whole
+//! migration.
 //!
-//! Windows arrive as materialized [`Workload`]s, so the exact detector's
-//! per-tuple histogram is bounded by data the caller already holds. A
-//! source too large to materialize is watched with the fixed-memory
-//! [`SketchDriftDetector`](crate::SketchDriftDetector) directly.
+//! Windows arrive as materialized [`Workload`]s, so the exact histogram is
+//! bounded by data the caller already holds. A source too large to
+//! materialize is watched with a fixed-memory
+//! [`SketchHistogram`](crate::SketchHistogram) and the same trigger.
 
-use crate::drift::{DistanceMetric, DriftDetector, DriftReport};
-use crate::executor::{ExecutorConfig, MigrationExecutor};
+use crate::drift::{AccessHistogram, DistanceMetric, DriftReport};
 use crate::incremental::{rerun_incremental, RepartitionOutcome};
 use crate::plan::{plan_migration, MigrationPlan, PlanConfig};
-use schism_core::{build_graph, run_partition_phase, Schism, SchismConfig};
-use schism_router::{PartitionSet, VersionedScheme};
-use schism_store::ShardStore;
+use schism_core::{build_graph, run_partition_phase, SchismConfig};
+use schism_router::PartitionSet;
 use schism_workload::{TupleMap, Workload};
+
+/// The controller's drift distance: Jensen–Shannon reads resampling noise
+/// as far smaller than total variation does on per-tuple histograms.
+const METRIC: DistanceMetric = DistanceMetric::JensenShannon;
 
 /// Everything the controller needs to run the loop.
 #[derive(Clone, Debug)]
@@ -63,24 +69,12 @@ pub struct MigrationOutcome {
     pub plan: MigrationPlan,
 }
 
-impl MigrationOutcome {
-    /// Builds the executor for this outcome's plan: `store` holds the
-    /// physical shards, `scheme` is the fresh old→new epoch whose moved-set
-    /// the executor will advance batch by batch.
-    pub fn executor<'a>(
-        &'a self,
-        store: &'a dyn ShardStore,
-        scheme: &'a VersionedScheme,
-    ) -> MigrationExecutor<'a> {
-        MigrationExecutor::new(&self.plan, store, scheme, ExecutorConfig::default())
-    }
-}
-
 /// Drift-detect → warm repartition → relabel → plan, with state carried
 /// across windows.
 pub struct MigrationController {
     cfg: ControllerConfig,
-    detector: DriftDetector,
+    /// Access histogram of the window the placement was computed from.
+    reference: AccessHistogram,
     assignment: TupleMap<PartitionSet>,
 }
 
@@ -90,10 +84,9 @@ impl MigrationController {
     pub fn bootstrap(workload: &Workload, cfg: ControllerConfig) -> Self {
         let wg = build_graph(workload, &workload.trace, &cfg.schism);
         let phase = run_partition_phase(&wg, &cfg.schism);
-        let detector = DriftDetector::new(DistanceMetric::JensenShannon, &workload.trace);
         Self {
             cfg,
-            detector,
+            reference: AccessHistogram::from_source(&workload.trace),
             assignment: phase.assignment,
         }
     }
@@ -105,10 +98,9 @@ impl MigrationController {
         assignment: TupleMap<PartitionSet>,
         cfg: ControllerConfig,
     ) -> Self {
-        let detector = DriftDetector::new(DistanceMetric::JensenShannon, &reference.trace);
         Self {
             cfg,
-            detector,
+            reference: AccessHistogram::from_source(&reference.trace),
             assignment,
         }
     }
@@ -121,16 +113,18 @@ impl MigrationController {
     /// Feeds one window (a [`Workload`] whose trace is the window).
     ///
     /// On drift: runs the warm repartition, swaps the controller's
-    /// placement to the relabeled result, rebases the drift reference, and
-    /// returns the move plan. The caller owns plan execution; the
-    /// controller's state already reflects the post-migration world.
+    /// placement to the relabeled result, adopts the window's histogram as
+    /// the drift reference, and returns the move plan. The caller owns plan
+    /// execution; the controller's state already reflects the
+    /// post-migration world.
     pub fn observe(&mut self, window: &Workload) -> Tick {
-        let report = self.detector.observe(&window.trace);
+        let hist = AccessHistogram::from_source(&window.trace);
+        let report = DriftReport::new(hist.distance(&self.reference, METRIC), window.trace.len());
         if !report.drifted {
             return Tick::Stable(report);
         }
-        let schism = Schism::new(self.cfg.schism.clone());
-        let repartition = rerun_incremental(&schism, window, &window.trace, &self.assignment);
+        let repartition =
+            rerun_incremental(&self.cfg.schism, window, &window.trace, &self.assignment);
         let plan = plan_migration(
             &self.assignment,
             &repartition.assignment,
@@ -138,7 +132,7 @@ impl MigrationController {
             &self.cfg.plan,
         );
         self.assignment = repartition.assignment.clone();
-        self.detector.rebase(&window.trace);
+        self.reference = hist;
         Tick::Migrate(MigrationOutcome {
             report,
             repartition,

@@ -1,11 +1,12 @@
 //! Windowed drift detection over workload traces.
 //!
-//! The detector keeps a *reference* access histogram — the distribution the
+//! A caller keeps a *reference* access histogram — the distribution the
 //! current partitioning was computed from — and compares each incoming
-//! window's histogram against it with a distribution distance. When the
-//! distance crosses [`THRESHOLD`] on a window of at least
-//! [`MIN_TRANSACTIONS`], the workload has drifted enough that the
-//! placement is stale and a (warm) re-partition pays off.
+//! window's histogram against it with a distribution distance.
+//! [`DriftReport::new`] is the trigger: when the distance crosses
+//! [`THRESHOLD`] on a window of at least [`MIN_TRANSACTIONS`], the
+//! workload has drifted enough that the placement is stale and a (warm)
+//! re-partition pays off.
 //!
 //! Two distances are offered:
 //!
@@ -15,17 +16,52 @@
 //! - **Jensen–Shannon divergence** (base-2, so in `[0, 1]`): smoother under
 //!   sampling noise and symmetric, the usual choice for drift monitors.
 //!
+//! Each is written once ([`DistanceMetric`]'s sum over `(p, q)` mass
+//! pairs) and fed bins in ascending-tuple order, by the exact histogram
+//! here and the sketched one in [`crate::sketch`]. So a distance is the
+//! same bits on every build of the same windows, whatever key the
+//! histograms' hash maps drew.
+//!
 //! Histograms are per-tuple. At production scale callers would coarsen to
 //! key ranges first; the windowed API only assumes the histogram keys are
 //! comparable across windows.
 
-use schism_workload::{Trace, TraceSource, TupleId, TupleMap};
+use schism_workload::{TraceSource, TupleId, TupleMap};
 
-/// Distribution distance used by the detector.
+/// Distribution distance between two access histograms.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum DistanceMetric {
     TotalVariation,
     JensenShannon,
+}
+
+impl DistanceMetric {
+    /// The distance between two distributions given as `(p, q)` mass
+    /// pairs, one per bin, summed in the order given — callers pass bins
+    /// in ascending-tuple order so the result does not depend on map order.
+    pub(crate) fn between(self, masses: impl Iterator<Item = (f64, f64)>) -> f64 {
+        let d: f64 = match self {
+            DistanceMetric::TotalVariation => 0.5 * masses.map(|(p, q)| (p - q).abs()).sum::<f64>(),
+            DistanceMetric::JensenShannon => {
+                let kl_term = |p: f64, m: f64| if p > 0.0 { p * (p / m).log2() } else { 0.0 };
+                masses
+                    .map(|(p, q)| {
+                        let m = 0.5 * (p + q);
+                        0.5 * kl_term(p, m) + 0.5 * kl_term(q, m)
+                    })
+                    .sum()
+            }
+        };
+        d.clamp(0.0, 1.0)
+    }
+}
+
+/// The keys of two histograms, ascending and without duplicates.
+pub(crate) fn sorted_union(a: &TupleMap<u64>, b: &TupleMap<u64>) -> Vec<TupleId> {
+    let mut keys: Vec<TupleId> = a.keys().chain(b.keys()).copied().collect();
+    keys.sort_unstable();
+    keys.dedup();
+    keys
 }
 
 /// Distance above which a window counts as drifted.
@@ -42,13 +78,9 @@ pub struct AccessHistogram {
 }
 
 impl AccessHistogram {
-    /// Counts every access (point reads, scan members, writes).
-    pub fn from_trace(trace: &Trace) -> Self {
-        Self::from_source(trace)
-    }
-
-    /// Counts every access of a window streamed from any [`TraceSource`]
-    /// — no materialized `Trace` needed.
+    /// Counts every access (point reads, scan members, writes) of a window
+    /// streamed from any [`TraceSource`] — an in-memory
+    /// [`Trace`](schism_workload::Trace) is one.
     pub fn from_source<S>(source: &S) -> Self
     where
         S: TraceSource + ?Sized,
@@ -81,10 +113,6 @@ impl AccessHistogram {
         self.total
     }
 
-    pub fn distinct_tuples(&self) -> usize {
-        self.counts.len()
-    }
-
     /// Probability mass of `t` in this window.
     pub fn mass(&self, t: TupleId) -> f64 {
         if self.total == 0 {
@@ -94,50 +122,19 @@ impl AccessHistogram {
         }
     }
 
-    /// Distance between two windows' access distributions.
+    /// Distance between two windows' access distributions, over the
+    /// union of their tuples in ascending order.
     pub fn distance(&self, other: &Self, metric: DistanceMetric) -> f64 {
         if self.total == 0 || other.total == 0 {
             // An empty window carries no evidence either way.
             return 0.0;
         }
-        match metric {
-            DistanceMetric::TotalVariation => {
-                let mut sum = 0.0f64;
-                for (&t, &c) in &self.counts {
-                    let p = c as f64 / self.total as f64;
-                    let q = other.mass(t);
-                    sum += (p - q).abs();
-                }
-                // Keys only in `other`.
-                for (&t, &c) in &other.counts {
-                    if !self.counts.contains_key(&t) {
-                        sum += c as f64 / other.total as f64;
-                    }
-                }
-                0.5 * sum
-            }
-            DistanceMetric::JensenShannon => {
-                let mut js = 0.0f64;
-                let kl_term = |p: f64, m: f64| if p > 0.0 { p * (p / m).log2() } else { 0.0 };
-                for (&t, &c) in &self.counts {
-                    let p = c as f64 / self.total as f64;
-                    let q = other.mass(t);
-                    let m = 0.5 * (p + q);
-                    js += 0.5 * kl_term(p, m);
-                }
-                for (&t, &c) in &other.counts {
-                    let q = c as f64 / other.total as f64;
-                    let p = self.mass(t);
-                    let m = 0.5 * (p + q);
-                    js += 0.5 * kl_term(q, m);
-                }
-                js.clamp(0.0, 1.0)
-            }
-        }
+        let keys = sorted_union(&self.counts, &other.counts);
+        metric.between(keys.into_iter().map(|t| (self.mass(t), other.mass(t))))
     }
 }
 
-/// What the detector said about one window.
+/// What the trigger said about one window.
 #[derive(Clone, Copy, Debug)]
 pub struct DriftReport {
     /// Distance from the reference distribution.
@@ -149,9 +146,10 @@ pub struct DriftReport {
 }
 
 impl DriftReport {
-    /// The trigger both detectors share: a window of `window_txns`
-    /// transactions at `distance` from the reference.
-    pub(crate) fn new(distance: f64, window_txns: usize) -> Self {
+    /// The drift trigger: a window of `window_txns` transactions at
+    /// `distance` from the reference has drifted when the distance exceeds
+    /// [`THRESHOLD`] and the window holds at least [`MIN_TRANSACTIONS`].
+    pub fn new(distance: f64, window_txns: usize) -> Self {
         Self {
             distance,
             drifted: window_txns >= MIN_TRANSACTIONS && distance > THRESHOLD,
@@ -160,39 +158,11 @@ impl DriftReport {
     }
 }
 
-/// Windowed drift detector: reference histogram + threshold trigger.
-pub struct DriftDetector {
-    metric: DistanceMetric,
-    reference: AccessHistogram,
-}
-
-impl DriftDetector {
-    /// `reference` is the trace the current placement was computed from.
-    pub fn new(metric: DistanceMetric, reference: &Trace) -> Self {
-        Self {
-            metric,
-            reference: AccessHistogram::from_trace(reference),
-        }
-    }
-
-    /// Scores one window against the reference.
-    pub fn observe(&self, window: &Trace) -> DriftReport {
-        let hist = AccessHistogram::from_trace(window);
-        DriftReport::new(hist.distance(&self.reference, self.metric), window.len())
-    }
-
-    /// Resets the reference after a repartition: future windows are judged
-    /// against the distribution the *new* placement was computed from.
-    pub fn rebase(&mut self, trace: &Trace) {
-        self.reference = AccessHistogram::from_trace(trace);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use schism_workload::drifting::{self, DriftingConfig};
-    use schism_workload::TxnBuilder;
+    use schism_workload::{Trace, TxnBuilder};
 
     fn point_trace(rows: &[u64]) -> Trace {
         Trace {
@@ -210,7 +180,7 @@ mod tests {
     #[test]
     fn identical_windows_have_zero_distance() {
         let t = point_trace(&[1, 2, 3, 1, 1, 5]);
-        let h = AccessHistogram::from_trace(&t);
+        let h = AccessHistogram::from_source(&t);
         for m in [
             DistanceMetric::TotalVariation,
             DistanceMetric::JensenShannon,
@@ -221,58 +191,56 @@ mod tests {
 
     #[test]
     fn disjoint_windows_have_maximal_distance() {
-        let a = AccessHistogram::from_trace(&point_trace(&[1, 2, 3]));
-        let b = AccessHistogram::from_trace(&point_trace(&[10, 11, 12]));
+        let a = AccessHistogram::from_source(&point_trace(&[1, 2, 3]));
+        let b = AccessHistogram::from_source(&point_trace(&[10, 11, 12]));
         assert!((a.distance(&b, DistanceMetric::TotalVariation) - 1.0).abs() < 1e-12);
         assert!((a.distance(&b, DistanceMetric::JensenShannon) - 1.0).abs() < 1e-9);
     }
 
     #[test]
     fn distance_is_symmetric() {
-        let a = AccessHistogram::from_trace(&point_trace(&[1, 1, 2, 3]));
-        let b = AccessHistogram::from_trace(&point_trace(&[2, 3, 3, 4, 5]));
+        let a = AccessHistogram::from_source(&point_trace(&[1, 1, 2, 3]));
+        let b = AccessHistogram::from_source(&point_trace(&[2, 3, 3, 4, 5]));
         for m in [
             DistanceMetric::TotalVariation,
             DistanceMetric::JensenShannon,
         ] {
-            assert!((a.distance(&b, m) - b.distance(&a, m)).abs() < 1e-12);
+            assert_eq!(a.distance(&b, m).to_bits(), b.distance(&a, m).to_bits());
         }
+    }
+
+    /// The trigger on `window` against `reference`, as the controller
+    /// pulls it.
+    fn judge(reference: &Trace, window: &Trace) -> DriftReport {
+        let distance = AccessHistogram::from_source(window).distance(
+            &AccessHistogram::from_source(reference),
+            DistanceMetric::JensenShannon,
+        );
+        DriftReport::new(distance, window.len())
     }
 
     #[test]
     fn detector_fires_on_real_drift_not_on_noise() {
         let cfg = DriftingConfig::default();
         let w0 = drifting::window(&cfg, 0);
-        let detector = DriftDetector::new(DistanceMetric::JensenShannon, &w0.trace);
         // A fresh sample of the same distribution: below threshold.
         let same = drifting::generate(&DriftingConfig {
             seed: 1234,
             ..cfg.clone()
         });
-        let quiet = detector.observe(&same.trace);
+        let quiet = judge(&w0.trace, &same.trace);
         assert!(!quiet.drifted, "noise misread as drift: {}", quiet.distance);
         // A rotated hot spot: above threshold.
         let moved = drifting::window(&cfg, 3);
-        let loud = detector.observe(&moved.trace);
+        let loud = judge(&w0.trace, &moved.trace);
         assert!(loud.drifted, "drift missed: {}", loud.distance);
         assert!(loud.distance > quiet.distance);
     }
 
     #[test]
     fn small_windows_never_trigger() {
-        let detector = DriftDetector::new(DistanceMetric::JensenShannon, &point_trace(&[1, 2, 3]));
-        let r = detector.observe(&point_trace(&[50, 51, 52]));
+        let r = judge(&point_trace(&[1, 2, 3]), &point_trace(&[50, 51, 52]));
         assert!(r.distance > 0.9, "disjoint windows are far apart");
         assert!(!r.drifted, "3-txn window is below MIN_TRANSACTIONS");
-    }
-
-    #[test]
-    fn rebase_resets_reference() {
-        let rows = |from: u64| (from..from + MIN_TRANSACTIONS as u64).collect::<Vec<_>>();
-        let mut d = DriftDetector::new(DistanceMetric::JensenShannon, &point_trace(&rows(0)));
-        let far = point_trace(&rows(1_000));
-        assert!(d.observe(&far).drifted);
-        d.rebase(&far);
-        assert!(!d.observe(&far).drifted);
     }
 }

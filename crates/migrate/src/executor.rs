@@ -165,7 +165,8 @@ pub struct MigrationExecutor<'a> {
     next: usize,
     paused: bool,
     aborted: bool,
-    /// Totals over the batches that flipped cleanly.
+    /// Totals over the flipped batches, a batch whose post-flip cleanup
+    /// failed included.
     report: ExecutorReport,
 }
 
@@ -269,24 +270,18 @@ impl<'a> MigrationExecutor<'a> {
         let i = self.next;
         match self.execute_batch(i) {
             Ok(b) => {
-                self.next += 1;
-                let r = &mut self.report;
-                r.batches_flipped += 1;
-                r.tuples_moved += b.tuples;
-                r.rows_copied += b.rows_copied;
-                r.bytes_copied += b.bytes_copied;
-                r.rows_dropped += b.rows_dropped;
-                r.retries += b.retries;
+                self.count_flipped(&b);
                 StepOutcome::Flipped(b)
             }
             Err((error, flipped)) => {
                 // A flip that landed before the failure (post-flip drop
                 // cleanup) gives the new placement this batch, so it counts
-                // as flipped — rolling it back now would contradict the
-                // moved-set. A pre-flip failure was rolled back inside
-                // execute_batch, so the stores match pre-batch state.
-                if flipped {
-                    self.next += 1;
+                // as flipped, with what it did before the failure — rolling
+                // it back now would contradict the moved-set. A pre-flip
+                // failure was rolled back inside execute_batch, so the
+                // stores match pre-batch state.
+                if let Some(b) = flipped {
+                    self.count_flipped(&b);
                 }
                 self.abort();
                 StepOutcome::Aborted { batch: i, error }
@@ -294,15 +289,29 @@ impl<'a> MigrationExecutor<'a> {
         }
     }
 
-    /// The error flag reports whether the batch had already flipped when
-    /// the failure happened (post-flip failures must not roll back).
-    fn execute_batch(&self, i: usize) -> Result<BatchReport, (ExecError, bool)> {
+    /// Advances the cursor past a flipped batch and adds its report to the
+    /// running totals.
+    fn count_flipped(&mut self, b: &BatchReport) {
+        self.next += 1;
+        let r = &mut self.report;
+        r.batches_flipped += 1;
+        r.tuples_moved += b.tuples;
+        r.rows_copied += b.rows_copied;
+        r.bytes_copied += b.bytes_copied;
+        r.rows_dropped += b.rows_dropped;
+        r.retries += b.retries;
+    }
+
+    /// A failure carries the batch's report when the batch had already
+    /// flipped (post-flip failures must not roll back, and what the batch
+    /// did still counts).
+    fn execute_batch(&self, i: usize) -> Result<BatchReport, (ExecError, Option<BatchReport>)> {
         let moves = &self.plan.batches[i].moves;
         let mut retries = 0u32;
         let (rows_copied, bytes_copied) = loop {
             let copied = match self.copy_batch(moves) {
                 Ok(c) => c,
-                Err(e) => return Err((self.rolled_back(i, e), false)),
+                Err(e) => return Err((self.rolled_back(i, e), None)),
             };
             match self.verify_batch(moves) {
                 Ok(true) => break copied,
@@ -311,10 +320,10 @@ impl<'a> MigrationExecutor<'a> {
                         batch: i,
                         attempts: retries + 1,
                     };
-                    return Err((self.rolled_back(i, e), false));
+                    return Err((self.rolled_back(i, e), None));
                 }
                 Ok(false) => retries += 1,
-                Err(e) => return Err((self.rolled_back(i, e), false)),
+                Err(e) => return Err((self.rolled_back(i, e), None)),
             }
         };
         // The acknowledgement: routing flips only now, and only in order.
@@ -322,28 +331,28 @@ impl<'a> MigrationExecutor<'a> {
             .scheme
             .flip_batch(i as u64, moves.iter().map(|m| m.tuple))
         {
-            return Err((self.rolled_back(i, ExecError::Flip(e)), false));
+            return Err((self.rolled_back(i, ExecError::Flip(e)), None));
         }
-        // Post-flip cleanup: shards losing a copy drop theirs. Routing
-        // already points elsewhere, so this can never orphan a key.
-        let mut rows_dropped = 0u64;
-        for m in moves {
-            for shard in m.copies_dropped().iter() {
-                match self.store.delete(shard, m.tuple) {
-                    Ok(true) => rows_dropped += 1,
-                    Ok(false) => {}
-                    Err(e) => return Err((ExecError::Store(e), true)),
-                }
-            }
-        }
-        Ok(BatchReport {
+        let mut report = BatchReport {
             batch: i,
             tuples: moves.len(),
             rows_copied,
             bytes_copied,
-            rows_dropped,
+            rows_dropped: 0,
             retries,
-        })
+        };
+        // Post-flip cleanup: shards losing a copy drop theirs. Routing
+        // already points elsewhere, so this can never orphan a key.
+        for m in moves {
+            for shard in m.copies_dropped().iter() {
+                match self.store.delete(shard, m.tuple) {
+                    Ok(true) => report.rows_dropped += 1,
+                    Ok(false) => {}
+                    Err(e) => return Err((ExecError::Store(e), Some(report))),
+                }
+            }
+        }
+        Ok(report)
     }
 
     /// Rolls batch `i`'s destination copies back and returns the error to
@@ -836,6 +845,14 @@ mod tests {
         assert_eq!(exec.batch_state(2), BatchState::Aborted);
         assert_eq!(exec.progress(), (2, 3));
         assert_eq!(vs.flipped_batches(), 2);
+        // The report counts both flipped batches, batch 1's copies with
+        // them: every tuple of the first two batches gained one copy, and
+        // only batch 0's drops went through.
+        let report = exec.report();
+        assert_eq!(report.batches_flipped, exec.progress().0);
+        assert_eq!(report.tuples_moved, 4);
+        assert_eq!(report.rows_copied, 4);
+        assert_eq!(report.rows_dropped, 2);
         let db = MaterializedDb::new();
         for m in &plan.batches[1].moves {
             assert_eq!(vs.locate_tuple(m.tuple, &db), PartitionSet::single(1));

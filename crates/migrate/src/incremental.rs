@@ -1,11 +1,14 @@
 //! Incremental vs. from-scratch repartitioning.
 //!
 //! [`rerun_incremental`] is the warm path: rebuild the workload graph from
-//! the drifted trace, seed the partitioner with the previous per-tuple
-//! placement ([`schism_core::Schism::rerun`]), then solve the relabeling
-//! problem against the previous assignment so ids line up. Because
-//! refinement only moves vertices for balance or cut gains, the resulting
-//! diff — the data migration — stays small.
+//! the drifted trace, seed each group with the previous per-tuple
+//! placement ([`schism_core::WorkloadGraph::seed_assignment`]), refine that
+//! seed ([`schism_core::run_partition_phase_warm`]), then solve the
+//! relabeling problem against the previous assignment so ids line up.
+//! Because refinement only moves vertices for balance or cut gains, the
+//! resulting diff — the data migration — stays small. Tuples unseen in
+//! the previous placement start where their co-accessed neighbours live,
+//! or on the lightest partition.
 //!
 //! [`rerun_scratch`] is the control: a cold multilevel partition of the
 //! same graph, relabeled as favorably as possible. Even with optimal
@@ -20,12 +23,13 @@
 //! uses every core without changing its output.
 
 use crate::relabel::{apply_relabel, relabel, Relabeling};
-use schism_core::{build_graph, run_partition_phase, Schism};
+use schism_core::{
+    build_graph, run_partition_phase, run_partition_phase_warm, PartitionPhase, SchismConfig,
+};
 use schism_router::{evaluate, PartitionSet};
 use schism_workload::{Trace, TupleId, TupleMap, Workload};
 use std::collections::HashMap;
 use std::hash::BuildHasher;
-use std::time::{Duration, Instant};
 
 /// A repartitioning outcome with ids aligned to the previous assignment.
 #[derive(Clone, Debug)]
@@ -38,8 +42,6 @@ pub struct RepartitionOutcome {
     pub edge_cut: u64,
     /// Load imbalance (1.0 = perfect).
     pub imbalance: f64,
-    /// Wall-clock for graph build + partitioning + relabeling.
-    pub wall_time: Duration,
 }
 
 impl RepartitionOutcome {
@@ -51,59 +53,41 @@ impl RepartitionOutcome {
 
 /// Warm-started re-partition of `train`, aligned to `prev`.
 pub fn rerun_incremental(
-    schism: &Schism,
+    cfg: &SchismConfig,
     workload: &Workload,
     train: &Trace,
     prev: &HashMap<TupleId, PartitionSet, impl BuildHasher>,
 ) -> RepartitionOutcome {
-    let t0 = Instant::now();
-    let outcome = schism.rerun(workload, train, prev);
-    finish(
-        outcome.phase.assignment,
-        prev,
-        schism.cfg.k,
-        outcome.phase.edge_cut,
-        outcome.phase.imbalance,
-        t0,
-    )
+    let wg = build_graph(workload, train, cfg);
+    let initial = wg.seed_assignment(prev, cfg.k);
+    aligned(run_partition_phase_warm(&wg, cfg, &initial), prev, cfg.k)
 }
 
 /// From-scratch re-partition of `train`, aligned to `prev` (baseline).
 pub fn rerun_scratch(
-    schism: &Schism,
+    cfg: &SchismConfig,
     workload: &Workload,
     train: &Trace,
     prev: &HashMap<TupleId, PartitionSet, impl BuildHasher>,
 ) -> RepartitionOutcome {
-    let t0 = Instant::now();
-    let wg = build_graph(workload, train, &schism.cfg);
-    let phase = run_partition_phase(&wg, &schism.cfg);
-    finish(
-        phase.assignment,
-        prev,
-        schism.cfg.k,
-        phase.edge_cut,
-        phase.imbalance,
-        t0,
-    )
+    let wg = build_graph(workload, train, cfg);
+    aligned(run_partition_phase(&wg, cfg), prev, cfg.k)
 }
 
-fn finish(
-    mut assignment: TupleMap<PartitionSet>,
+/// Relabels `phase`'s placement onto `prev`'s partition ids.
+fn aligned(
+    phase: PartitionPhase,
     prev: &HashMap<TupleId, PartitionSet, impl BuildHasher>,
     k: u32,
-    edge_cut: u64,
-    imbalance: f64,
-    t0: Instant,
 ) -> RepartitionOutcome {
+    let mut assignment = phase.assignment;
     let relabeling = relabel(prev, &assignment, k);
     apply_relabel(&mut assignment, &relabeling.mapping);
     RepartitionOutcome {
         assignment,
         relabeling,
-        edge_cut,
-        imbalance,
-        wall_time: t0.elapsed(),
+        edge_cut: phase.edge_cut,
+        imbalance: phase.imbalance,
     }
 }
 
@@ -123,7 +107,6 @@ pub fn distributed_fraction(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use schism_core::SchismConfig;
     use schism_workload::drifting::{self, DriftingConfig};
 
     fn cfg(k: u32, seed: u64) -> SchismConfig {
@@ -139,10 +122,10 @@ mod tests {
             ..Default::default()
         };
         let w = drifting::window(&dcfg, 0);
-        let schism = Schism::new(cfg(4, 7));
-        let wg = build_graph(&w, &w.trace, &schism.cfg);
-        let prev = run_partition_phase(&wg, &schism.cfg).assignment;
-        let out = rerun_incremental(&schism, &w, &w.trace, &prev);
+        let cfg = cfg(4, 7);
+        let wg = build_graph(&w, &w.trace, &cfg);
+        let prev = run_partition_phase(&wg, &cfg).assignment;
+        let out = rerun_incremental(&cfg, &w, &w.trace, &prev);
         assert!(
             out.moved_fraction() < 0.05,
             "no drift should mean (almost) no movement, got {}",
@@ -169,13 +152,13 @@ mod tests {
         let mut under_half = 0;
         let mut pairs = Vec::new();
         for seed in 3..=7 {
-            let schism = Schism::new(cfg(4, seed));
-            let wg = build_graph(&w0, &w0.trace, &schism.cfg);
-            let prev = run_partition_phase(&wg, &schism.cfg).assignment;
-            let inc = rerun_incremental(&schism, &w1, &w1.trace, &prev);
+            let warm = cfg(4, seed);
+            let wg = build_graph(&w0, &w0.trace, &warm);
+            let prev = run_partition_phase(&wg, &warm).assignment;
+            let inc = rerun_incremental(&warm, &w1, &w1.trace, &prev);
             let f_inc = distributed_fraction(&w1, &train, &test, &inc.assignment, 4);
             for cold_seed in [99, 100, 101] {
-                let scratch = rerun_scratch(&Schism::new(cfg(4, cold_seed)), &w1, &w1.trace, &prev);
+                let scratch = rerun_scratch(&cfg(4, cold_seed), &w1, &w1.trace, &prev);
                 let (moved, cold_moved) = (inc.relabeling.moved, scratch.relabeling.moved);
                 under_half += usize::from((moved as f64) < 0.5 * cold_moved as f64);
                 pairs.push(format!("{seed}/{cold_seed}: {moved} vs {cold_moved}"));

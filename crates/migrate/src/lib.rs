@@ -8,7 +8,7 @@
 //!
 //! | module | role |
 //! |--------|------|
-//! | [`drift`] | windowed access histograms + distribution-distance trigger |
+//! | [`drift`] | windowed access histograms, the one TV / JS distance, the [`DriftReport::new`] trigger |
 //! | [`sketch`] | fixed-memory drift: count-min sketch + heavy-hitter reservoir |
 //! | [`incremental`] | warm-started re-partition and the from-scratch baseline |
 //! | [`relabel`](mod@relabel) | Hungarian matching of new→old partition ids to minimize movement |
@@ -35,7 +35,7 @@
 //!     &drifting::window(&cfg, 0),
 //!     ControllerConfig::new(4),
 //! );
-//! // The hot spot rotates: the detector fires and a move plan comes back.
+//! // The hot spot rotates: the trigger fires and a move plan comes back.
 //! match ctl.observe(&drifting::window(&cfg, 3)) {
 //!     Tick::Migrate(m) => assert!(m.plan.total_moves > 0),
 //!     Tick::Stable(r) => panic!("drift missed: {}", r.distance),
@@ -53,7 +53,7 @@ pub mod sketch;
 
 pub use catchup::{catch_up_plan, run_catch_up};
 pub use controller::{ControllerConfig, MigrationController, MigrationOutcome, Tick};
-pub use drift::{AccessHistogram, DistanceMetric, DriftDetector, DriftReport};
+pub use drift::{AccessHistogram, DistanceMetric, DriftReport};
 pub use executor::{
     BatchReport, BatchState, ExecError, ExecutorConfig, ExecutorReport, MigrationExecutor,
     StepOutcome,
@@ -61,4 +61,4 @@ pub use executor::{
 pub use incremental::{distributed_fraction, rerun_incremental, rerun_scratch, RepartitionOutcome};
 pub use plan::{plan_migration, MigrationBatch, MigrationPlan, PlanConfig, TupleMove};
 pub use relabel::{apply_relabel, relabel, Relabeling};
-pub use sketch::{SketchConfig, SketchDriftDetector, SketchHistogram};
+pub use sketch::{SketchConfig, SketchHistogram};

@@ -19,8 +19,10 @@
 //!   are reproducible.
 //!
 //! Distances ([`SketchHistogram::distance`]) are computed over the **union
-//! of the two reservoirs** plus one aggregate *residual* bin holding the
-//! tail mass neither reservoir tracks. That is exactly the distance of a
+//! of the two reservoirs**, in ascending-tuple order, plus one aggregate
+//! *residual* bin (summed last) holding the tail mass neither reservoir
+//! tracks — the same TV / JS sum the exact histogram uses, so the result is
+//! the same bits on every build. That is exactly the distance of a
 //! coarsened pair of distributions, so by the data-processing inequality
 //! the sketched TV/JS can only *under*-shoot the exact distance by the
 //! detail lost in the tail bin — while CMS overestimation noise can push
@@ -31,8 +33,13 @@
 //! Memory is `depth · width · 8` bytes of counters plus the reservoir —
 //! independent of the trace length and of the hot-set size. The defaults
 //! (4 × 8192 counters + 1024 heavy hitters) fit in ~300 KiB.
+//!
+//! There is no sketched detector: a caller keeps a reference
+//! `SketchHistogram`, scores each window's sketch against it, and hands
+//! the distance to [`DriftReport::new`](crate::drift::DriftReport::new),
+//! the one trigger.
 
-use crate::drift::{DistanceMetric, DriftReport};
+use crate::drift::{sorted_union, DistanceMetric};
 use schism_workload::{splitmix64, tuple_hash, TraceSource, TupleId, TupleMap, TupleState};
 use std::collections::BTreeSet;
 
@@ -191,9 +198,9 @@ impl SketchHistogram {
     /// Distance plus its error bound vs. the exact (per-tuple) distance.
     ///
     /// The distance is computed over the union `U` of the two reservoirs'
-    /// key sets, with per-key masses from the count-min estimates, plus one
-    /// residual bin per side holding `max(0, 1 - Σ_U mass)` — the tail
-    /// neither reservoir tracks.
+    /// key sets in ascending order, with per-key masses from the count-min
+    /// estimates, plus one residual bin per side holding
+    /// `max(0, 1 - Σ_U mass)` — the tail neither reservoir tracks.
     ///
     /// The bound combines the two error sources: `|U| · (ε_a + ε_b)` of
     /// count-min overestimation slack across the queried keys (an expected
@@ -202,102 +209,27 @@ impl SketchHistogram {
     /// in the residual bins. It is stated for total variation; for
     /// Jensen–Shannon the same value is returned as a heuristic (JS of a
     /// coarsening is likewise a lower bound of the exact JS, but the CMS
-    /// noise term has no closed form). Pinned against the exact detector in
+    /// noise term has no closed form). Pinned against the exact histogram in
     /// `tests/drift_sketch.rs`.
     pub fn distance_with_bound(&self, other: &Self, metric: DistanceMetric) -> (f64, f64) {
         if self.total == 0 || other.total == 0 {
             // An empty window carries no evidence either way.
             return (0.0, 0.0);
         }
-        let mut keys: Vec<TupleId> = self.heavy.keys().copied().collect();
-        keys.extend(other.heavy.keys().copied());
-        keys.sort_unstable();
-        keys.dedup();
-
-        let mut sum_p = 0.0f64;
-        let mut sum_q = 0.0f64;
+        let keys = sorted_union(&self.heavy, &other.heavy);
         let masses: Vec<(f64, f64)> = keys
             .iter()
-            .map(|&t| {
-                let p = self.mass(t);
-                let q = other.mass(t);
-                sum_p += p;
-                sum_q += q;
-                (p, q)
-            })
+            .map(|&t| (self.mass(t), other.mass(t)))
             .collect();
+        let (sum_p, sum_q) = masses
+            .iter()
+            .fold((0.0f64, 0.0f64), |(sp, sq), &(p, q)| (sp + p, sq + q));
         let rp = (1.0 - sum_p).max(0.0);
         let rq = (1.0 - sum_q).max(0.0);
-
-        let distance = match metric {
-            DistanceMetric::TotalVariation => {
-                let mut sum = (rp - rq).abs();
-                for &(p, q) in &masses {
-                    sum += (p - q).abs();
-                }
-                (0.5 * sum).clamp(0.0, 1.0)
-            }
-            DistanceMetric::JensenShannon => {
-                let kl_term = |p: f64, m: f64| if p > 0.0 { p * (p / m).log2() } else { 0.0 };
-                let mut js = 0.0f64;
-                for &(p, q) in masses.iter().chain(std::iter::once(&(rp, rq))) {
-                    let m = 0.5 * (p + q);
-                    js += 0.5 * kl_term(p, m) + 0.5 * kl_term(q, m);
-                }
-                js.clamp(0.0, 1.0)
-            }
-        };
+        let distance = metric.between(masses.into_iter().chain(std::iter::once((rp, rq))));
         let cms_slack = keys.len() as f64 * (self.epsilon() + other.epsilon());
         let bound = cms_slack + 0.5 * (rp + rq) + 0.5 * cms_slack;
         (distance, bound)
-    }
-}
-
-/// Fixed-memory counterpart of [`DriftDetector`](crate::drift::DriftDetector):
-/// the same window-vs-reference trigger, with sketched histograms on both
-/// sides and windows fed from any [`TraceSource`] — no materialized
-/// `Trace`, no per-tuple reference map.
-pub struct SketchDriftDetector {
-    metric: DistanceMetric,
-    scfg: SketchConfig,
-    reference: SketchHistogram,
-}
-
-impl SketchDriftDetector {
-    /// `reference` is the window the current placement was computed from
-    /// (an in-memory `Trace` works too — it implements [`TraceSource`]).
-    pub fn new<S>(metric: DistanceMetric, scfg: SketchConfig, reference: &S) -> Self
-    where
-        S: TraceSource + ?Sized,
-    {
-        Self {
-            metric,
-            scfg,
-            reference: SketchHistogram::from_source(scfg, reference),
-        }
-    }
-
-    /// Scores one streamed window against the reference.
-    pub fn observe<S>(&self, window: &S) -> DriftReport
-    where
-        S: TraceSource + ?Sized,
-    {
-        let distance =
-            SketchHistogram::from_source(self.scfg, window).distance(&self.reference, self.metric);
-        DriftReport::new(distance, window.len())
-    }
-
-    /// Resets the reference after a repartition.
-    pub fn rebase<S>(&mut self, reference: &S)
-    where
-        S: TraceSource + ?Sized,
-    {
-        self.reference = SketchHistogram::from_source(self.scfg, reference);
-    }
-
-    /// The reference sketch (for error-bound introspection).
-    pub fn reference(&self) -> &SketchHistogram {
-        &self.reference
     }
 }
 
@@ -385,7 +317,7 @@ mod tests {
             DistanceMetric::TotalVariation,
             DistanceMetric::JensenShannon,
         ] {
-            assert!((a.distance(&b, m) - b.distance(&a, m)).abs() < 1e-12);
+            assert_eq!(a.distance(&b, m).to_bits(), b.distance(&a, m).to_bits());
         }
     }
 

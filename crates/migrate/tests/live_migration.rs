@@ -5,7 +5,8 @@
 
 use schism_core::{build_graph, build_lookup_scheme, run_partition_phase, SchismConfig};
 use schism_migrate::{
-    ControllerConfig, MigrationController, MigrationOutcome, MigrationPlan, StepOutcome, Tick,
+    ControllerConfig, ExecutorConfig, MigrationController, MigrationExecutor, MigrationOutcome,
+    MigrationPlan, StepOutcome, Tick,
 };
 use schism_router::{PartitionSet, Scheme, VersionedScheme};
 use schism_store::{load_assignment, tempdir::TempDir, LogStore, MemStore, ShardStore};
@@ -75,7 +76,7 @@ fn assert_plan_converges(store: &dyn ShardStore, fixture: &Fixture) {
     let rows_before = total_rows(store);
 
     let vs = VersionedScheme::new(old.clone(), new.clone());
-    let mut exec = outcome.executor(store, &vs);
+    let mut exec = MigrationExecutor::new(&outcome.plan, store, &vs, ExecutorConfig::default());
     assert_eq!(exec.run_to_completion(), StepOutcome::Done);
     assert!(exec.is_complete());
 
@@ -137,7 +138,7 @@ fn moved_set_never_leads_acknowledged_batches() {
     let store = MemStore::new(K);
     load_assignment(&store, &prev, &*w3.db).expect("seed store");
     let vs = VersionedScheme::new(old.clone(), new);
-    let mut exec = outcome.executor(&store, &vs);
+    let mut exec = MigrationExecutor::new(plan, &store, &vs, ExecutorConfig::default());
 
     let mut acknowledged_tuples = 0;
     for (b, batch) in plan.batches.iter().enumerate() {

@@ -155,22 +155,6 @@ pub fn generate(cfg: &DriftingConfig) -> Workload {
     }
 }
 
-/// The workload metadata (schema, value oracle, table sizes) for a
-/// drifting configuration, with an **empty trace** — pairs with [`stream`]
-/// when the trace is consumed chunk-by-chunk and never materialized (the
-/// graph builder's source path reads only the metadata from the
-/// [`Workload`]).
-pub fn workload_meta(cfg: &DriftingConfig) -> Workload {
-    Workload {
-        name: format!("ycsb-drift@{}-streamed", cfg.hot_offset),
-        schema: Arc::new(schema()),
-        trace: Trace::default(),
-        db: Arc::new(DriftDb),
-        table_rows: vec![cfg.records],
-        attr_stats: AttributeStats::default(),
-    }
-}
-
 /// Streaming counterpart of [`generate`]: a [`TraceSource`] that produces
 /// each transaction on demand from a per-index RNG stream instead of one
 /// sequential stream, so any chunk of the trace can be generated

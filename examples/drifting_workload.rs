@@ -2,7 +2,7 @@
 //!
 //! A YCSB-style hot-key workload drifts across five windows (the Zipfian
 //! hot spot rotates through the key space). A [`MigrationController`]
-//! watches each window: its drift detector scores the access distribution
+//! watches each window: it scores the window's access distribution
 //! against the reference, and when the threshold is crossed it re-runs the
 //! partitioner *warm-started* from the current placement, relabels the
 //! result to minimize movement, and emits a throttled migration plan.
@@ -14,7 +14,7 @@
 //! cargo run --release -p schism --example drifting_workload
 //! ```
 
-use schism::core::{Schism, SchismConfig};
+use schism::core::SchismConfig;
 use schism::migrate::incremental::rerun_scratch;
 use schism::migrate::{ControllerConfig, MigrationController, Tick};
 use schism::workload::drifting::{self, DriftingConfig};
@@ -58,7 +58,7 @@ fn main() {
             Tick::Migrate(m) => {
                 let mut scfg = SchismConfig::new(k);
                 scfg.seed = 900 + w;
-                let scratch = rerun_scratch(&Schism::new(scfg), &window, &window.trace, &prev);
+                let scratch = rerun_scratch(&scfg, &window, &window.trace, &prev);
                 let pct = |moved: u64, common: u64| 100.0 * moved as f64 / common.max(1) as f64;
                 println!(
                     "window {w}: drift {:.3} — REPARTITION (warm)",

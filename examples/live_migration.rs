@@ -15,7 +15,9 @@
 //! ```
 
 use schism::core::{build_graph, build_lookup_scheme, run_partition_phase, SchismConfig};
-use schism::migrate::{ControllerConfig, MigrationController, StepOutcome, Tick};
+use schism::migrate::{
+    ControllerConfig, ExecutorConfig, MigrationController, MigrationExecutor, StepOutcome, Tick,
+};
 use schism::router::{Scheme, VersionedScheme};
 use schism::store::{
     load_assignment, tempdir::TempDir, BackendKind, LogStore, MemStore, ShardStore,
@@ -76,7 +78,7 @@ fn main() {
     let old: Arc<dyn Scheme> = Arc::new(build_lookup_scheme(&w0, &w0.trace, &placement, k));
     let new: Arc<dyn Scheme> = Arc::new(build_lookup_scheme(&w3, &w3.trace, ctl.assignment(), k));
     let vs = VersionedScheme::new(old, new.clone());
-    let mut exec = outcome.executor(&*store, &vs);
+    let mut exec = MigrationExecutor::new(&outcome.plan, &*store, &vs, ExecutorConfig::default());
     loop {
         match exec.step() {
             StepOutcome::Flipped(b) => println!(

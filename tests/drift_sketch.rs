@@ -6,17 +6,19 @@
 //!   traces across seeds, rotations, and sketch sizes;
 //! - with an exact-capacity sketch (reservoir covering the whole keyspace,
 //!   collision-free width) the sketched and exact distances coincide;
-//! - both detectors agree on the trigger decision for the drifting
-//!   workload the migration controller monitors — quiet windows stay
-//!   quiet, rotated hot spots fire;
+//! - exact and sketched histograms agree on the trigger decision
+//!   ([`DriftReport::new`]) for the drifting workload the migration
+//!   controller monitors — quiet windows stay quiet, rotated hot spots fire;
 //! - histograms fed incrementally from a streamed `TraceSource` match
-//!   batch construction from the materialized trace.
+//!   batch construction from the materialized trace;
+//! - every build of a window's histogram scores the same bits against a
+//!   fixed other window, whatever key its hash map drew.
 
 use proptest::prelude::*;
-use schism_migrate::drift::{AccessHistogram, DistanceMetric, DriftDetector};
-use schism_migrate::sketch::{SketchConfig, SketchDriftDetector, SketchHistogram};
+use schism_migrate::drift::{AccessHistogram, DistanceMetric, DriftReport};
+use schism_migrate::sketch::{SketchConfig, SketchHistogram};
 use schism_workload::drifting::{self, DriftingConfig};
-use schism_workload::TraceSource;
+use schism_workload::{TraceSource, Workload};
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 16, ..ProptestConfig::default() })]
@@ -38,8 +40,8 @@ proptest! {
         };
         let a = drifting::window(&cfg, 0);
         let b = drifting::window(&cfg, rotation);
-        let exact = AccessHistogram::from_trace(&a.trace)
-            .distance(&AccessHistogram::from_trace(&b.trace), DistanceMetric::TotalVariation);
+        let exact = AccessHistogram::from_source(&a.trace)
+            .distance(&AccessHistogram::from_source(&b.trace), DistanceMetric::TotalVariation);
 
         let scfg = SketchConfig {
             width: 1 << width_pow,
@@ -72,8 +74,8 @@ proptest! {
         };
         let a = drifting::window(&cfg, 0);
         let b = drifting::window(&cfg, rotation);
-        let exact = AccessHistogram::from_trace(&a.trace)
-            .distance(&AccessHistogram::from_trace(&b.trace), DistanceMetric::TotalVariation);
+        let exact = AccessHistogram::from_source(&a.trace)
+            .distance(&AccessHistogram::from_source(&b.trace), DistanceMetric::TotalVariation);
         // 1600 keys into 64k counters x 4 rows: collisions are negligible,
         // and the 1600-slot reservoir holds every key exactly.
         let scfg = SketchConfig {
@@ -91,7 +93,7 @@ proptest! {
     }
 
     /// Trigger agreement on the controller's workload: the sketched and
-    /// exact detectors see the same quiet resample and the same rotated
+    /// exact histograms see the same quiet resample and the same rotated
     /// hot spot.
     #[test]
     fn sketched_and_exact_detectors_agree_on_triggers(seed in 0..10u64) {
@@ -111,14 +113,22 @@ proptest! {
         // per-tuple histograms reads resampling noise as ~0.24 at this
         // window size, which is exactly why the controller uses JS.
         let metric = DistanceMetric::JensenShannon;
-        let exact = DriftDetector::new(metric, &reference.trace);
-        let sketched =
-            SketchDriftDetector::new(metric, SketchConfig::default(), &reference.trace);
+        let scfg = SketchConfig::default();
+        let exact_ref = AccessHistogram::from_source(&reference.trace);
+        let sketch_ref = SketchHistogram::from_source(scfg, &reference.trace);
+        let exact = |w: &Workload| DriftReport::new(
+            AccessHistogram::from_source(&w.trace).distance(&exact_ref, metric),
+            w.trace.len(),
+        );
+        let sketched = |w: &Workload| DriftReport::new(
+            SketchHistogram::from_source(scfg, &w.trace).distance(&sketch_ref, metric),
+            w.trace.len(),
+        );
 
-        let (eq, sq) = (exact.observe(&quiet.trace), sketched.observe(&quiet.trace));
+        let (eq, sq) = (exact(&quiet), sketched(&quiet));
         prop_assert!(!eq.drifted && !sq.drifted,
             "noise misread as drift: exact {:.3} sketched {:.3}", eq.distance, sq.distance);
-        let (el, sl) = (exact.observe(&loud.trace), sketched.observe(&loud.trace));
+        let (el, sl) = (exact(&loud), sketched(&loud));
         prop_assert!(el.drifted && sl.drifted,
             "drift missed: exact {:.3} sketched {:.3}", el.distance, sl.distance);
     }
@@ -135,7 +145,7 @@ fn streamed_and_batch_histograms_agree() {
     let src = drifting::stream(&cfg);
     let trace = src.materialize();
 
-    let batch_exact = AccessHistogram::from_trace(&trace);
+    let batch_exact = AccessHistogram::from_source(&trace);
     let streamed_exact = AccessHistogram::from_source(&src);
     assert_eq!(
         batch_exact.total_accesses(),
@@ -161,4 +171,47 @@ fn streamed_and_batch_histograms_agree() {
             .abs()
             < 1e-12
     );
+}
+
+/// A distance is a function of the two windows, not of the hash key each
+/// histogram's map drew: twenty builds of one window's histogram, exact
+/// and sketched, score the same bits against one fixed other window under
+/// both metrics.
+#[test]
+fn every_build_of_a_window_scores_the_same_bits() {
+    let cfg = DriftingConfig::default();
+    let window = drifting::window(&cfg, 0);
+    let other = drifting::generate(&DriftingConfig {
+        seed: 1234,
+        ..cfg.clone()
+    });
+    let scfg = SketchConfig::default();
+    let exact_other = AccessHistogram::from_source(&other.trace);
+    let sketch_other = SketchHistogram::from_source(scfg, &other.trace);
+    for metric in [
+        DistanceMetric::TotalVariation,
+        DistanceMetric::JensenShannon,
+    ] {
+        let exact: Vec<u64> = (0..20)
+            .map(|_| {
+                AccessHistogram::from_source(&window.trace)
+                    .distance(&exact_other, metric)
+                    .to_bits()
+            })
+            .collect();
+        let sketched: Vec<u64> = (0..20)
+            .map(|_| {
+                SketchHistogram::from_source(scfg, &window.trace)
+                    .distance(&sketch_other, metric)
+                    .to_bits()
+            })
+            .collect();
+        for (name, bits) in [("exact", exact), ("sketched", sketched)] {
+            assert!(
+                bits.iter().all(|&b| b == bits[0]),
+                "{name} {metric:?} distance varies across builds: {:?}",
+                bits.iter().map(|&b| f64::from_bits(b)).collect::<Vec<_>>()
+            );
+        }
+    }
 }

@@ -74,7 +74,7 @@ proptest! {
         cfg.threads = threads;
         cfg.tuple_sample = f64::from(tuple_pct) / 100.0;
 
-        let chunked = build_graph_source(&w, &src, &cfg);
+        let chunked = build_graph_source(&src, &cfg);
         let whole = build_graph(&w, &src.materialize(), &cfg);
         prop_assert_eq!(chunked.stats.sampled_txns, whole.stats.sampled_txns);
         prop_assert_eq!(chunked.stats.dropped_scans, whole.stats.dropped_scans);
@@ -102,7 +102,7 @@ proptest! {
         cfg.threads = threads;
         cfg.blanket_threshold = 4;
 
-        let chunked = build_graph_source(&w, &src, &cfg);
+        let chunked = build_graph_source(&src, &cfg);
         let whole = build_graph(&w, &src.materialize(), &cfg);
         prop_assert!(chunked.stats.dropped_scans > 0, "threshold too lax for the pin");
         prop_assert_eq!(chunked.stats, whole.stats);
@@ -186,7 +186,7 @@ proptest! {
         cfg.seed = seed;
         cfg.threads = 1;
         cfg.tuple_sample = f64::from(tuple_pct) / 100.0;
-        let reference = build_graph_source(&w, &src, &cfg);
+        let reference = build_graph_source(&src, &cfg);
         prop_assert_eq!(
             build_graph(&w, &src.materialize(), &cfg).digest(),
             reference.digest()
@@ -194,7 +194,7 @@ proptest! {
 
         for threads in 2..=4usize {
             cfg.threads = threads;
-            let chunked = build_graph_source(&w, &src, &cfg);
+            let chunked = build_graph_source(&src, &cfg);
             let whole = build_graph(&w, &src.materialize(), &cfg);
             prop_assert_eq!(chunked.stats, reference.stats);
             prop_assert_eq!(

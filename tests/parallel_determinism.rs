@@ -392,12 +392,12 @@ fn build_identical_across_threads_and_ingestion(
     });
     let drift_src = drifting::stream(&drift_cfg);
     for t in THREAD_COUNTS {
-        let chunked = build_graph_source(&tpcc_w, &tpcc_src, &mk(t));
+        let chunked = build_graph_source(&tpcc_src, &mk(t));
         let whole = build_graph(&tpcc_w, &tpcc_src.materialize(), &mk(t));
         assert_eq!(chunked.stats, whole.stats, "tpcc chunked vs whole stats");
         assert_eq!(chunked.digest(), whole.digest(), "tpcc chunked vs whole");
 
-        let chunked = build_graph_source(&drift_w, &drift_src, &mk(t));
+        let chunked = build_graph_source(&drift_src, &mk(t));
         let whole = build_graph(&drift_w, &drift_src.materialize(), &mk(t));
         assert_eq!(chunked.stats, whole.stats, "drift chunked vs whole stats");
         assert_eq!(chunked.digest(), whole.digest(), "drift chunked vs whole");
