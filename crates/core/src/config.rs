@@ -81,7 +81,7 @@ pub struct SchismConfig {
     /// Fraction of the trace used for training (rest is the test set the
     /// costs are measured on).
     pub train_fraction: f64,
-    /// Tie and balance rules for picking the winning scheme.
+    /// The fixed tie and balance rule for picking the winning scheme.
     pub selection: crate::validate::SelectionRules,
 }
 
@@ -99,7 +99,7 @@ impl SchismConfig {
             partitioner: PartitionerConfig::with_k(k),
             explain_sample_per_table: 10_000,
             train_fraction: 0.8,
-            selection: crate::validate::SelectionRules::default(),
+            selection: crate::validate::SelectionRules,
         }
     }
 }

@@ -1,7 +1,9 @@
 //! Final validation (§4.4): compare the fine-grained lookup scheme, the
 //! range-predicate explanation, hash partitioning and full replication by
 //! the number of distributed transactions on the held-out test trace, and
-//! pick the winner — preferring simpler schemes on ties.
+//! pick the winner — preferring simpler schemes on ties. The tie window
+//! (`TIE_ABS`, `TIE_REL`) and the balance limit (`BALANCE_LIMIT`) are
+//! named constants: the paper states one rule, not a tunable one.
 
 use schism_router::{evaluate, Complexity, CostReport, Scheme};
 use schism_workload::{Trace, TupleValues};
@@ -33,46 +35,42 @@ impl Validation {
     }
 }
 
-/// Tie/balance rules for winner selection.
-#[derive(Clone, Copy, Debug)]
-pub struct SelectionRules {
-    /// Absolute tie window in fraction points.
-    pub tie_abs: f64,
-    /// Relative tie window (fraction of the best cost). The paper only says
-    /// schemes with "close to the same number" of distributed transactions
-    /// tie; a relative component makes 49% vs 52% a tie while keeping 0.2%
-    /// vs 5% a clear win.
-    pub tie_rel: f64,
-    /// Candidates whose per-partition transaction load imbalance exceeds
-    /// this are disqualified (unless every candidate does) — a scheme that
-    /// "wins" by piling everything onto one partition violates the
-    /// balanced-partitions requirement the whole paper rests on. The
-    /// default is a generous backstop: key-skew (Zipfian heads) legitimately
-    /// unbalances *every* scheme, so only gross pathologies should trip it.
-    pub balance_limit: f64,
-}
+/// Absolute tie window, in fraction points.
+const TIE_ABS: f64 = 0.01;
 
-impl Default for SelectionRules {
-    fn default() -> Self {
-        Self {
-            tie_abs: 0.01,
-            tie_rel: 0.15,
-            balance_limit: 4.0,
-        }
-    }
-}
+/// Relative tie window (a fraction of the best cost). The paper only says
+/// schemes with "close to the same number" of distributed transactions tie
+/// (§4.4); a relative component makes 49% vs 52% a tie while keeping 0.2%
+/// vs 5% a clear win.
+const TIE_REL: f64 = 0.15;
+
+/// Candidates whose per-partition transaction load imbalance exceeds this
+/// are disqualified (unless every candidate does) — a scheme that "wins" by
+/// piling everything onto one partition violates the balanced-partitions
+/// requirement the whole paper rests on. It is a generous backstop:
+/// key-skew (Zipfian heads) legitimately unbalances *every* scheme, so only
+/// gross pathologies should trip it.
+const BALANCE_LIMIT: f64 = 4.0;
+
+/// The winner-selection rule: the tie window (`TIE_ABS`, `TIE_REL`) and
+/// the balance limit (`BALANCE_LIMIT`). It carries no settings. It stays
+/// as [`validate`]'s argument and as `SchismConfig::selection` because the
+/// benchmark package (`benchmark/`) calls
+/// `validate(candidates, &test, db, cfg.selection)`.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct SelectionRules;
 
 /// Evaluates all candidates and selects the winner.
 ///
 /// Winner = minimum distributed fraction among balanced candidates; every
-/// candidate within `max(tie_abs, tie_rel * best)` of the minimum is
+/// candidate within `max(TIE_ABS, TIE_REL * best)` of the minimum is
 /// considered tied, and the tie resolves to the lowest [`Complexity`] (then
 /// lowest cost, then input order).
 pub fn validate(
     schemes: Vec<(String, Box<dyn Scheme>)>,
     test: &Trace,
     db: &dyn TupleValues,
-    rules: SelectionRules,
+    _rules: SelectionRules,
 ) -> Validation {
     assert!(!schemes.is_empty(), "need at least one candidate");
     let candidates: Vec<Candidate> = schemes
@@ -87,7 +85,7 @@ pub fn validate(
             }
         })
         .collect();
-    let balanced = |c: &Candidate| c.report.load_imbalance() <= rules.balance_limit;
+    let balanced = |c: &Candidate| c.report.load_imbalance() <= BALANCE_LIMIT;
     let any_balanced = candidates.iter().any(balanced);
     let eligible = |c: &Candidate| !any_balanced || balanced(c);
     let best = candidates
@@ -95,7 +93,7 @@ pub fn validate(
         .filter(|c| eligible(c))
         .map(Candidate::fraction)
         .fold(f64::INFINITY, f64::min);
-    let window = best + rules.tie_abs.max(rules.tie_rel * best);
+    let window = best + TIE_ABS.max(TIE_REL * best);
     let winner = candidates
         .iter()
         .enumerate()
@@ -139,7 +137,7 @@ mod tests {
             ],
             &w.trace,
             &*w.db,
-            SelectionRules::default(),
+            SelectionRules,
         );
         assert_eq!(v.winner().name, "hashing");
         assert_eq!(v.winner().report.distributed_txns, 0);
@@ -165,7 +163,7 @@ mod tests {
             ],
             &w.trace,
             &*w.db,
-            SelectionRules::default(),
+            SelectionRules,
         );
         assert_eq!(v.winner().name, "hashing");
         // Replication = 100% distributed; hashing ~50%.
@@ -202,7 +200,7 @@ mod tests {
             ],
             &w.trace,
             &*w.db,
-            SelectionRules::default(),
+            SelectionRules,
         );
         // Hash scatters nearly every scan; replication only pays for the 5%
         // updates.

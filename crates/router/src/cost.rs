@@ -58,11 +58,11 @@ pub fn evaluate(scheme: &dyn Scheme, trace: &Trace, db: &dyn TupleValues) -> Cos
     };
     for txn in &trace.transactions {
         let p = route_transaction(txn, scheme, db);
-        if p.is_distributed() {
+        if p.len() > 1 {
             report.distributed_txns += 1;
         }
-        report.total_participants += p.set.len() as u64;
-        for part in p.set.iter() {
+        report.total_participants += p.len() as u64;
+        for part in p.iter() {
             report.txns_per_partition[part as usize] += 1;
         }
     }

@@ -23,7 +23,7 @@ pub use lookup::{BitArrayBackend, IndexBackend, LookupBackend, LookupScheme, Mis
 pub use pset::{PartitionSet, MAX_PARTITIONS};
 pub use range::{RangeRule, RangeScheme, TablePolicy};
 pub use replica::{ReplicaSet, ReplicatedScheme};
-pub use router::{route_transaction, Participants};
+pub use router::route_transaction;
 pub use scheme::{
     pick_any, statement_salt, Complexity, ReplicationScheme, Route, RouteDecision, Scheme,
 };

@@ -10,25 +10,13 @@ use crate::pset::{PartitionSet, MAX_PARTITIONS};
 use crate::scheme::Scheme;
 use schism_workload::{splitmix64, Transaction, TupleValues};
 
-/// Participants of one transaction under a scheme.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Participants {
-    pub set: PartitionSet,
-}
-
-impl Participants {
-    /// Whether the transaction is distributed (more than one participant).
-    pub fn is_distributed(&self) -> bool {
-        self.set.len() > 1
-    }
-}
-
-/// Routes a transaction: returns the minimal-ish participant set.
+/// Routes a transaction: returns the minimal-ish participant set. The
+/// transaction is distributed when the set holds more than one partition.
 pub fn route_transaction(
     txn: &Transaction,
     scheme: &dyn Scheme,
     db: &dyn TupleValues,
-) -> Participants {
+) -> PartitionSet {
     let mut participants = PartitionSet::empty();
 
     // Writes pin every copy.
@@ -81,7 +69,7 @@ pub fn route_transaction(
     if participants.is_empty() {
         participants.insert(0);
     }
-    Participants { set: participants }
+    participants
 }
 
 #[cfg(test)]
@@ -112,8 +100,7 @@ mod tests {
         let mut b = TxnBuilder::new(false);
         b.read(TupleId::new(0, 0)).write(TupleId::new(0, 1));
         let p = route_transaction(&b.finish(), &s, &db);
-        assert_eq!(p.set, PartitionSet::single(2));
-        assert!(!p.is_distributed());
+        assert_eq!(p, PartitionSet::single(2));
     }
 
     #[test]
@@ -128,7 +115,7 @@ mod tests {
         let mut b = TxnBuilder::new(false);
         b.read(TupleId::new(0, 0)).write(TupleId::new(0, 1));
         let p = route_transaction(&b.finish(), &s, &db);
-        assert_eq!(p.set, PartitionSet::single(3));
+        assert_eq!(p, PartitionSet::single(3));
     }
 
     #[test]
@@ -138,8 +125,7 @@ mod tests {
         let mut b = TxnBuilder::new(false);
         b.write(TupleId::new(0, 0));
         let p = route_transaction(&b.finish(), &s, &db);
-        assert_eq!(p.set.len(), 4);
-        assert!(p.is_distributed());
+        assert_eq!(p.len(), 4);
     }
 
     #[test]
@@ -154,7 +140,7 @@ mod tests {
         let mut b = TxnBuilder::new(false);
         b.read(TupleId::new(0, 0)).read(TupleId::new(0, 1));
         let p = route_transaction(&b.finish(), &s, &db);
-        assert_eq!(p.set, PartitionSet::single(1));
+        assert_eq!(p, PartitionSet::single(1));
     }
 
     #[test]
@@ -167,14 +153,14 @@ mod tests {
             .read(TupleId::new(1, 5));
         let p = route_transaction(&b.finish(), &s, &db);
         assert!(
-            p.set.is_single(),
+            p.is_single(),
             "read-only under replication is local: {:?}",
-            p.set
+            p
         );
         let mut b = TxnBuilder::new(false);
         b.write(TupleId::new(0, 0));
         let p = route_transaction(&b.finish(), &s, &db);
-        assert_eq!(p.set.len(), 3);
+        assert_eq!(p.len(), 3);
     }
 
     #[test]
@@ -182,7 +168,7 @@ mod tests {
         let s = ReplicationScheme::new(2);
         let db = MaterializedDb::new();
         let p = route_transaction(&TxnBuilder::new(false).finish(), &s, &db);
-        assert_eq!(p.set.len(), 1);
+        assert_eq!(p.len(), 1);
     }
 
     #[test]
@@ -195,8 +181,7 @@ mod tests {
         let mut b = TxnBuilder::new(false);
         b.scan(vec![TupleId::new(0, 0), TupleId::new(0, 1)]);
         let p = route_transaction(&b.finish(), &s, &db);
-        assert_eq!(p.set.len(), 2);
-        assert!(p.is_distributed());
+        assert_eq!(p.len(), 2);
     }
 
     /// The greedy cover as it was first written, counting into a map per
@@ -289,7 +274,7 @@ mod tests {
             }
             let txn = b.finish();
             prop_assert_eq!(
-                route_transaction(&txn, &scheme, &db).set,
+                route_transaction(&txn, &scheme, &db),
                 route_with_map(&txn, &scheme, &db)
             );
         }

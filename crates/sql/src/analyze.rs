@@ -5,7 +5,6 @@
 //! appears in WHERE clauses, per table, and selects the *frequent attribute
 //! set* the explanation phase is allowed to split on.
 
-use crate::predicate::Predicate;
 use crate::schema::{ColId, TableId};
 use crate::statement::Statement;
 use std::collections::HashMap;
@@ -95,7 +94,8 @@ impl AttributeStats {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Routability {
     /// At least one column is pinned to a finite value set (equality,
-    /// IN-list, or small BETWEEN — see [`Predicate::pinned_values`]); a
+    /// IN-list, or small BETWEEN — see
+    /// [`Predicate::pinned_values`](crate::Predicate::pinned_values)); a
     /// scheme partitioned on any of these columns can route without a
     /// broadcast. Columns are sorted and deduplicated.
     Pinned(Vec<ColId>),
@@ -129,21 +129,10 @@ pub fn classify_routability(stmt: &Statement) -> Routability {
     }
 }
 
-/// Checks whether the predicate is a "blanket" scan: no column constraints
-/// at all (`WHERE TRUE` / missing WHERE). Schism filters these out of the
-/// graph (§5.1) because they touch everything and carry no co-access signal.
-pub fn is_blanket(p: &Predicate) -> bool {
-    match p {
-        Predicate::True => true,
-        Predicate::And(ps) => ps.iter().all(is_blanket),
-        Predicate::Or(ps) => ps.iter().all(is_blanket),
-        _ => false,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::predicate::Predicate;
     use crate::value::Value;
 
     #[test]
@@ -184,13 +173,6 @@ mod tests {
         let mut stats = AttributeStats::default();
         stmts.iter().for_each(|s| stats.observe(s));
         assert_eq!(stats.count(0, 0), 1);
-    }
-
-    #[test]
-    fn blanket_detection() {
-        assert!(is_blanket(&Predicate::True));
-        assert!(is_blanket(&Predicate::And(vec![])));
-        assert!(!is_blanket(&Predicate::Eq(0, Value::Int(1))));
     }
 
     #[test]

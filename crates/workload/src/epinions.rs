@@ -6,11 +6,13 @@
 //!
 //! **Substitution**: the paper uses Paolo Massa's Epinions crawl. We generate
 //! a synthetic social graph with *planted communities*: users and items are
-//! hashed into latent clusters, and review/trust edges stay inside their
-//! cluster with probability `p_local`. The clusters are deliberately
-//! scattered over the id space (hash, not ranges), so no range or hash
-//! scheme can see them — exactly the property that makes the real dataset
-//! hard for schema-driven partitioning and lets graph partitioning win.
+//! hashed into `COMMUNITIES` (40) latent clusters, and review/trust edges
+//! stay inside their cluster with probability `P_LOCAL` (0.96); both are
+//! constants, the config sets only the scale. The clusters are
+//! deliberately scattered over the id space (hash, not ranges), so no
+//! range or hash scheme can see them — exactly the property that makes
+//! the real dataset hard for schema-driven partitioning and lets graph
+//! partitioning win.
 
 use crate::dist::Zipfian;
 use crate::trace::{Trace, Workload};
@@ -28,6 +30,11 @@ pub const T_ITEMS: u16 = 1;
 pub const T_REVIEWS: u16 = 2;
 pub const T_TRUST: u16 = 3;
 
+/// Number of planted communities.
+const COMMUNITIES: u32 = 40;
+/// Probability that a review/trust edge stays inside its community.
+const P_LOCAL: f64 = 0.96;
+
 /// Generator configuration.
 #[derive(Clone, Debug)]
 pub struct EpinionsConfig {
@@ -35,13 +42,8 @@ pub struct EpinionsConfig {
     pub items: u64,
     pub reviews: u64,
     pub trust_edges: u64,
-    /// Number of planted communities.
-    pub communities: u32,
-    /// Probability that a review/trust edge stays inside its community.
-    pub p_local: f64,
     pub num_txns: usize,
     pub seed: u64,
-    pub keep_statements: bool,
 }
 
 impl Default for EpinionsConfig {
@@ -51,11 +53,8 @@ impl Default for EpinionsConfig {
             items: 4_000,
             reviews: 40_000,
             trust_edges: 20_000,
-            communities: 40,
-            p_local: 0.96,
             num_txns: 10_000,
             seed: 0,
-            keep_statements: false,
         }
     }
 }
@@ -90,13 +89,13 @@ enum Query {
 }
 
 /// Community of a user id (hash-scattered, invisible to range schemes).
-pub fn user_community(u: u64, communities: u32) -> u32 {
-    (fnv1a(&u.to_le_bytes()) % communities as u64) as u32
+fn user_community(u: u64) -> u32 {
+    (fnv1a(&u.to_le_bytes()) % u64::from(COMMUNITIES)) as u32
 }
 
 /// Community of an item id.
-pub fn item_community(i: u64, communities: u32) -> u32 {
-    (fnv1a(&(i ^ 0x9E3779B97F4A7C15).to_le_bytes()) % communities as u64) as u32
+fn item_community(i: u64) -> u32 {
+    (fnv1a(&(i ^ 0x9E3779B97F4A7C15).to_le_bytes()) % u64::from(COMMUNITIES)) as u32
 }
 
 /// Materialized edge tables (the n-to-n relations must be stored; everything
@@ -172,15 +171,14 @@ pub fn schema() -> Schema {
 
 /// Generates the dataset and trace.
 pub fn generate(cfg: &EpinionsConfig) -> Workload {
-    assert!(cfg.users > 1 && cfg.items > 1 && cfg.communities >= 1);
+    assert!(cfg.users > 1 && cfg.items > 1);
     let schema = Arc::new(schema());
     let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let c = cfg.communities;
 
     // Index users/items by community.
-    let mut users_by_comm: Vec<Vec<u32>> = vec![Vec::new(); c as usize];
+    let mut users_by_comm: Vec<Vec<u32>> = vec![Vec::new(); COMMUNITIES as usize];
     for u in 0..cfg.users {
-        users_by_comm[user_community(u, c) as usize].push(u as u32);
+        users_by_comm[user_community(u) as usize].push(u as u32);
     }
     // Guard against empty communities at tiny scales.
     for comm in users_by_comm.iter_mut() {
@@ -197,8 +195,8 @@ pub fn generate(cfg: &EpinionsConfig) -> Workload {
     let mut reviews_by_user: Vec<Vec<u32>> = vec![Vec::new(); cfg.users as usize];
     for r in 0..cfg.reviews {
         let item = item_zipf.sample(&mut rng);
-        let user = if rng.gen_bool(cfg.p_local) {
-            let comm = &users_by_comm[item_community(item, c) as usize];
+        let user = if rng.gen_bool(P_LOCAL) {
+            let comm = &users_by_comm[item_community(item) as usize];
             comm[rng.gen_range(0..comm.len())] as u64
         } else {
             rng.gen_range(0..cfg.users)
@@ -215,8 +213,8 @@ pub fn generate(cfg: &EpinionsConfig) -> Workload {
     let mut trust_out: Vec<Vec<u32>> = vec![Vec::new(); cfg.users as usize];
     for t in 0..cfg.trust_edges {
         let src = rng.gen_range(0..cfg.users);
-        let dst = if rng.gen_bool(cfg.p_local) {
-            let comm = &users_by_comm[user_community(src, c) as usize];
+        let dst = if rng.gen_bool(P_LOCAL) {
+            let comm = &users_by_comm[user_community(src) as usize];
             comm[rng.gen_range(0..comm.len())] as u64
         } else {
             rng.gen_range(0..cfg.users)
@@ -268,7 +266,6 @@ pub fn generate(cfg: &EpinionsConfig) -> Workload {
                 user_zipf: &user_zipf,
                 user_perm: &user_perm,
                 users_by_comm: &users_by_comm,
-                communities: c,
             },
             &reviews_of_item,
             &reviews_by_user,
@@ -297,7 +294,6 @@ struct Pickers<'a> {
     user_zipf: &'a Zipfian,
     user_perm: &'a [u32],
     users_by_comm: &'a [Vec<u32>],
-    communities: u32,
 }
 
 impl Pickers<'_> {
@@ -309,7 +305,7 @@ impl Pickers<'_> {
     /// A visitor browsing item `i`: from the item's community (site traffic
     /// is community-local).
     fn user_near_item(&self, i: u64, rng: &mut StdRng) -> u64 {
-        let comm = &self.users_by_comm[item_community(i, self.communities) as usize];
+        let comm = &self.users_by_comm[item_community(i) as usize];
         comm[rng.gen_range(0..comm.len())] as u64
     }
 }
@@ -327,20 +323,16 @@ fn gen_query(
     stats: &mut AttributeStats,
 ) -> crate::txn::Transaction {
     let item_zipf = pick.item_zipf;
-    let mut tb = TxnBuilder::new(cfg.keep_statements);
-    let mut observe = |s: Statement, tb: &mut TxnBuilder| {
-        stats.observe(&s);
-        tb.stmt(move || s.clone());
-    };
+    let mut tb = TxnBuilder::new(false);
     match q {
         Query::Q1RatingsFromTrusted => {
             // Visitor u looks at item i: ratings of i from users u trusts.
             let i = item_zipf.sample(rng);
             let u = pick.user_near_item(i, rng);
             tb.read(TupleId::new(T_USERS, u));
-            observe(Statement::select(T_USERS, eq(0, u)), &mut tb);
+            stats.observe(&Statement::select(T_USERS, eq(0, u)));
             tb.read(TupleId::new(T_ITEMS, i));
-            observe(Statement::select(T_ITEMS, eq(0, i)), &mut tb);
+            stats.observe(&Statement::select(T_ITEMS, eq(0, i)));
             // Trust list of u.
             let trusted: Vec<u64> = trust_out[u as usize]
                 .iter()
@@ -350,7 +342,7 @@ fn gen_query(
                     db.trust_dst[t as usize] as u64
                 })
                 .collect();
-            observe(Statement::select(T_TRUST, eq(1, u)), &mut tb);
+            stats.observe(&Statement::select(T_TRUST, eq(1, u)));
             // Reviews of i by trusted users.
             let hits: Vec<TupleId> = reviews_of_item[i as usize]
                 .iter()
@@ -359,64 +351,64 @@ fn gen_query(
                 .map(|&r| TupleId::new(T_REVIEWS, r as u64))
                 .collect();
             tb.scan(hits);
-            observe(Statement::select(T_REVIEWS, eq(2, i)), &mut tb);
+            stats.observe(&Statement::select(T_REVIEWS, eq(2, i)));
         }
         Query::Q2TrustedUsers => {
             let u = pick.active_user(rng);
             tb.read(TupleId::new(T_USERS, u));
-            observe(Statement::select(T_USERS, eq(0, u)), &mut tb);
+            stats.observe(&Statement::select(T_USERS, eq(0, u)));
             let mut group = Vec::new();
             for &t in trust_out[u as usize].iter().take(FANOUT_CAP) {
                 tb.read(TupleId::new(T_TRUST, t as u64));
                 group.push(TupleId::new(T_USERS, db.trust_dst[t as usize] as u64));
             }
             tb.scan(group);
-            observe(Statement::select(T_TRUST, eq(1, u)), &mut tb);
+            stats.observe(&Statement::select(T_TRUST, eq(1, u)));
         }
         Query::Q3ItemAverage => {
             let i = item_zipf.sample(rng);
             tb.read(TupleId::new(T_ITEMS, i));
-            observe(Statement::select(T_ITEMS, eq(0, i)), &mut tb);
+            stats.observe(&Statement::select(T_ITEMS, eq(0, i)));
             let group: Vec<TupleId> = reviews_of_item[i as usize]
                 .iter()
                 .map(|&r| TupleId::new(T_REVIEWS, r as u64))
                 .collect();
             tb.scan(group);
-            observe(Statement::select(T_REVIEWS, eq(2, i)), &mut tb);
+            stats.observe(&Statement::select(T_REVIEWS, eq(2, i)));
         }
         Query::Q4PopularReviewsOfItem => {
             let i = item_zipf.sample(rng);
             tb.read(TupleId::new(T_ITEMS, i));
-            observe(Statement::select(T_ITEMS, eq(0, i)), &mut tb);
+            stats.observe(&Statement::select(T_ITEMS, eq(0, i)));
             let group: Vec<TupleId> = reviews_of_item[i as usize]
                 .iter()
                 .take(10)
                 .map(|&r| TupleId::new(T_REVIEWS, r as u64))
                 .collect();
             tb.scan(group);
-            observe(Statement::select(T_REVIEWS, eq(2, i)), &mut tb);
+            stats.observe(&Statement::select(T_REVIEWS, eq(2, i)));
         }
         Query::Q5ReviewsByUser => {
             let u = pick.active_user(rng);
             tb.read(TupleId::new(T_USERS, u));
-            observe(Statement::select(T_USERS, eq(0, u)), &mut tb);
+            stats.observe(&Statement::select(T_USERS, eq(0, u)));
             let group: Vec<TupleId> = reviews_by_user[u as usize]
                 .iter()
                 .take(10)
                 .map(|&r| TupleId::new(T_REVIEWS, r as u64))
                 .collect();
             tb.scan(group);
-            observe(Statement::select(T_REVIEWS, eq(1, u)), &mut tb);
+            stats.observe(&Statement::select(T_REVIEWS, eq(1, u)));
         }
         Query::Q6UpdateUser => {
             let u = pick.active_user(rng);
             tb.write(TupleId::new(T_USERS, u));
-            observe(Statement::update(T_USERS, eq(0, u)), &mut tb);
+            stats.observe(&Statement::update(T_USERS, eq(0, u)));
         }
         Query::Q7UpdateItem => {
             let i = item_zipf.sample(rng);
             tb.write(TupleId::new(T_ITEMS, i));
-            observe(Statement::update(T_ITEMS, eq(0, i)), &mut tb);
+            stats.observe(&Statement::update(T_ITEMS, eq(0, i)));
         }
         Query::Q8UpsertReview => {
             // Updates follow read popularity: pick a popular item, then one
@@ -431,9 +423,9 @@ fn gen_query(
             tb.read(TupleId::new(T_USERS, u));
             tb.read(TupleId::new(T_ITEMS, i));
             tb.write(TupleId::new(T_REVIEWS, r));
-            observe(Statement::select(T_USERS, eq(0, u)), &mut tb);
-            observe(Statement::select(T_ITEMS, eq(0, i)), &mut tb);
-            observe(Statement::update(T_REVIEWS, eq(0, r)), &mut tb);
+            stats.observe(&Statement::select(T_USERS, eq(0, u)));
+            stats.observe(&Statement::select(T_ITEMS, eq(0, i)));
+            stats.observe(&Statement::update(T_REVIEWS, eq(0, r)));
         }
         Query::Q9UpdateTrust => {
             // Trust changes come from active users; fall back to a uniform
@@ -448,7 +440,7 @@ fn gen_query(
             tb.read(TupleId::new(T_USERS, src));
             tb.read(TupleId::new(T_USERS, dst));
             tb.write(TupleId::new(T_TRUST, t));
-            observe(Statement::update(T_TRUST, eq(0, t)), &mut tb);
+            stats.observe(&Statement::update(T_TRUST, eq(0, t)));
         }
     }
     tb.finish()
@@ -468,7 +460,6 @@ mod tests {
             items: 400,
             reviews: 4_000,
             trust_edges: 2_000,
-            communities: 4,
             num_txns: 2_000,
             ..Default::default()
         }
@@ -490,8 +481,7 @@ mod tests {
         };
         let local = (0..cfg.reviews as usize)
             .filter(|&r| {
-                user_community(db.review_user[r] as u64, 4)
-                    == item_community(db.review_item[r] as u64, 4)
+                user_community(db.review_user[r] as u64) == item_community(db.review_item[r] as u64)
             })
             .count();
         let frac = local as f64 / cfg.reviews as f64;
@@ -529,7 +519,7 @@ mod tests {
         // Consecutive user ids should usually be in different communities —
         // that's what defeats range partitioning.
         let same = (0..199u64)
-            .filter(|&u| user_community(u, 16) == user_community(u + 1, 16))
+            .filter(|&u| user_community(u) == user_community(u + 1))
             .count();
         assert!(same < 40, "communities look contiguous: {same}/199");
     }

@@ -17,7 +17,6 @@ pub struct RandomConfig {
     pub records: u64,
     pub num_txns: usize,
     pub seed: u64,
-    pub keep_statements: bool,
 }
 
 impl Default for RandomConfig {
@@ -26,7 +25,6 @@ impl Default for RandomConfig {
             records: 1_000_000,
             num_txns: 10_000,
             seed: 0,
-            keep_statements: false,
         }
     }
 }
@@ -66,12 +64,11 @@ pub fn generate(cfg: &RandomConfig) -> Workload {
         while b == a {
             b = rng.gen_range(0..cfg.records);
         }
-        let mut tb = TxnBuilder::new(cfg.keep_statements);
+        let mut tb = TxnBuilder::new(false);
         for id in [a, b] {
             tb.write(TupleId::new(0, id));
             let stmt = Statement::update(0, Predicate::Eq(0, Value::Int(id as i64)));
             stats.observe(&stmt);
-            tb.stmt(move || stmt.clone());
         }
         txns.push(tb.finish());
     }

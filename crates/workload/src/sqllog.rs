@@ -4,10 +4,12 @@
 //!
 //! This is the paper's §5.3 trace extractor as a streaming adapter: DBMSs
 //! log executed statements, and Schism consumes `(tuple, transaction)`
-//! pairs. [`SqlLogSource`] bridges the two — it indexes a statement log
-//! once (O(transactions) offsets, O(1) statement text in memory), then
-//! re-parses each transaction block on demand as the builder's workers ask
-//! for chunks.
+//! pairs. [`SqlLogSource`] bridges the two — it holds the log text,
+//! indexes it once (one byte range per transaction), then re-parses each
+//! transaction block on demand as the builder's workers ask for chunks. A
+//! caller holding a log file reads it into a `String` first
+//! ([`std::fs::read_to_string`]) and hands that to
+//! [`SqlLogSource::from_string`].
 //!
 //! # Log format
 //!
@@ -45,10 +47,8 @@ use crate::tuple::TupleId;
 use crate::txn::{Transaction, TxnBuilder};
 use schism_sql::{parse_statement, ColId, Schema, Statement, StatementKind};
 use std::fmt;
-use std::io::{BufRead, Read, Seek, SeekFrom};
 use std::ops::Range;
-use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// What the index pass saw (fixed at construction).
 #[derive(Clone, Copy, Debug, Default)]
@@ -78,13 +78,6 @@ impl fmt::Display for SqlLogError {
 
 impl std::error::Error for SqlLogError {}
 
-enum Backing {
-    Text(String),
-    /// Re-read per chunk under a lock; each `for_chunk` call does one
-    /// contiguous seek+read covering its whole range.
-    File(Mutex<std::fs::File>, PathBuf),
-}
-
 /// A SQL statement log as a chunked [`TraceSource`]. The transactions it
 /// yields carry read/write sets only, no statements: the graph builder
 /// needs nothing else.
@@ -95,23 +88,17 @@ pub struct SqlLogSource {
     /// it is a single column. `None` marks a table as unresolvable: its
     /// statements are counted skipped.
     key_cols: Vec<Option<ColId>>,
-    backing: Backing,
-    /// Byte range of each transaction block (single statement line, or
-    /// `BEGIN` through `COMMIT` inclusive).
-    blocks: Vec<(u64, u64)>,
+    /// The whole log.
+    text: String,
+    /// Byte range of each transaction block in `text` (single statement
+    /// line, or `BEGIN` through `COMMIT` inclusive).
+    blocks: Vec<(usize, usize)>,
     stats: SqlLogStats,
 }
 
 impl fmt::Debug for SqlLogSource {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("SqlLogSource")
-            .field(
-                "backing",
-                match &self.backing {
-                    Backing::Text(_) => &"text",
-                    Backing::File(_, _) => &"file",
-                },
-            )
             .field("transactions", &self.blocks.len())
             .field("stats", &self.stats)
             .finish()
@@ -131,28 +118,6 @@ fn is_noise(line: &str) -> bool {
 impl SqlLogSource {
     /// Indexes and validates an in-memory log.
     pub fn from_string(schema: Arc<Schema>, log: impl Into<String>) -> Result<Self, SqlLogError> {
-        let log = log.into();
-        let mut s = Self::indexed(schema, &mut log.as_bytes())?;
-        s.backing = Backing::Text(log);
-        Ok(s)
-    }
-
-    /// Indexes and validates a log file. The file is scanned once now
-    /// (O(1) memory) and re-read in chunk-sized pieces during builds.
-    pub fn open(schema: Arc<Schema>, path: impl AsRef<Path>) -> Result<Self, SqlLogError> {
-        let path = path.as_ref().to_path_buf();
-        let io_err = |e: std::io::Error| SqlLogError {
-            line: 0,
-            message: format!("{}: {e}", path.display()),
-        };
-        let file = std::fs::File::open(&path).map_err(io_err)?;
-        let mut s = Self::indexed(schema, &mut std::io::BufReader::new(&file))?;
-        s.backing = Backing::File(Mutex::new(file), path);
-        Ok(s)
-    }
-
-    /// Runs the index pass over `reader`; the caller sets the backing.
-    fn indexed(schema: Arc<Schema>, reader: &mut dyn BufRead) -> Result<Self, SqlLogError> {
         let key_cols = schema
             .tables()
             .map(|(_, t)| match t.primary_key.as_slice() {
@@ -163,11 +128,11 @@ impl SqlLogSource {
         let mut s = Self {
             schema,
             key_cols,
-            backing: Backing::Text(String::new()),
+            text: log.into(),
             blocks: Vec::new(),
             stats: SqlLogStats::default(),
         };
-        s.index(reader)?;
+        s.index()?;
         Ok(s)
     }
 
@@ -182,28 +147,20 @@ impl SqlLogSource {
 
     /// One pass over the log: record each transaction block's byte range,
     /// parse + resolve every statement once to validate and count.
-    fn index(&mut self, reader: &mut dyn BufRead) -> Result<(), SqlLogError> {
-        let mut line = String::new();
-        let mut offset = 0u64;
+    fn index(&mut self) -> Result<(), SqlLogError> {
+        let mut blocks = Vec::new();
+        let mut offset = 0;
         let mut lineno = 0usize;
         // Open BEGIN block: (start offset, start line number).
-        let mut open: Option<(u64, usize)> = None;
-        loop {
-            line.clear();
-            let n = reader.read_line(&mut line).map_err(|e| SqlLogError {
-                line: lineno + 1,
-                message: e.to_string(),
-            })?;
-            if n == 0 {
-                break;
-            }
+        let mut open: Option<(usize, usize)> = None;
+        for line in self.text.split_inclusive('\n') {
             lineno += 1;
             let start = offset;
-            offset += n as u64;
-            if is_noise(&line) {
+            offset += line.len();
+            if is_noise(line) {
                 continue;
             }
-            if keyword(&line, &["BEGIN", "START TRANSACTION"]) {
+            if keyword(line, &["BEGIN", "START TRANSACTION"]) {
                 if open.is_some() {
                     return Err(SqlLogError {
                         line: lineno,
@@ -211,12 +168,12 @@ impl SqlLogSource {
                     });
                 }
                 open = Some((start, lineno));
-            } else if keyword(&line, &["COMMIT", "END"]) {
+            } else if keyword(line, &["COMMIT", "END"]) {
                 let (s, _) = open.take().ok_or(SqlLogError {
                     line: lineno,
                     message: "COMMIT without BEGIN".into(),
                 })?;
-                self.blocks.push((s, offset));
+                blocks.push((s, offset));
             } else {
                 let stmt = parse_statement(&self.schema, line.trim().trim_end_matches(';'))
                     .map_err(|e| SqlLogError {
@@ -230,7 +187,7 @@ impl SqlLogSource {
                     None => self.stats.skipped_statements += 1,
                 }
                 if open.is_none() {
-                    self.blocks.push((start, offset));
+                    blocks.push((start, offset));
                 }
             }
         }
@@ -240,6 +197,7 @@ impl SqlLogSource {
                 message: "BEGIN without COMMIT (truncated log?)".into(),
             });
         }
+        self.blocks = blocks;
         Ok(())
     }
 
@@ -258,23 +216,6 @@ impl SqlLogSource {
             None
         } else {
             Some(tuples)
-        }
-    }
-
-    /// Reads the contiguous byte range `[start, end)` of the log.
-    fn read_span(&self, start: u64, end: u64) -> String {
-        match &self.backing {
-            Backing::Text(t) => t[start as usize..end as usize].to_owned(),
-            Backing::File(file, path) => {
-                let mut buf = vec![0u8; (end - start) as usize];
-                {
-                    let mut f = file.lock().expect("log file lock");
-                    f.seek(SeekFrom::Start(start))
-                        .and_then(|_| f.read_exact(&mut buf))
-                        .unwrap_or_else(|e| panic!("re-reading {}: {e}", path.display()));
-                }
-                String::from_utf8(buf).expect("log validated as UTF-8 at index time")
-            }
         }
     }
 
@@ -308,15 +249,9 @@ impl TraceSource for SqlLogSource {
     }
 
     fn for_chunk(&self, range: Range<usize>, visit: &mut dyn FnMut(usize, &Transaction)) {
-        if range.is_empty() {
-            return;
-        }
-        let span_start = self.blocks[range.start].0;
-        let span_end = self.blocks[range.end - 1].1;
-        let buf = self.read_span(span_start, span_end);
         for i in range {
             let (s, e) = self.blocks[i];
-            let txn = self.parse_block(&buf[(s - span_start) as usize..(e - span_start) as usize]);
+            let txn = self.parse_block(&self.text[s..e]);
             visit(i, &txn);
         }
     }
@@ -453,23 +388,6 @@ SELECT * FROM orders WHERE oid > 100;
                 assert_eq!(t.scans, whole.transactions[i].scans);
             }
         }
-    }
-
-    #[test]
-    fn file_backing_matches_text_backing() {
-        let dir = std::env::temp_dir().join("schism-sqllog-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("trace.sql");
-        std::fs::write(&path, LOG).unwrap();
-        let from_file = SqlLogSource::open(schema(), &path).unwrap();
-        let from_text = SqlLogSource::from_string(schema(), LOG).unwrap();
-        assert_eq!(from_file.len(), from_text.len());
-        let (a, b) = (from_file.materialize(), from_text.materialize());
-        for (x, y) in a.transactions.iter().zip(&b.transactions) {
-            assert_eq!(x.reads, y.reads);
-            assert_eq!(x.writes, y.writes);
-        }
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]

@@ -11,15 +11,18 @@
 //! written by trade-result and market-feed — so neither pure customer
 //! sharding nor full replication is free.
 //!
-//! Scale follows the spec ratios for 1000 customers: 5 accounts/customer,
-//! 685 securities, 500 companies, 10 brokers.
+//! Scale is one number, `customers` (the paper runs 1000); everything else
+//! follows from it by the spec ratios: 5 accounts per customer, a broker
+//! per 100 customers, a company per 2 and 0.685 securities per customer
+//! (685, 500 and 10 at 1000 customers), 4 initial trades and 8
+//! holding-summary slots per account, and 10 items per watch list.
 
 use crate::trace::{Trace, Workload};
-use crate::tuple::{TupleId, TupleValues};
+use crate::tuple::{splitmix_pair, TupleId, TupleValues};
 use crate::txn::TxnBuilder;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use schism_sql::{AttributeStats, ColumnType, Predicate, Schema, Statement, Value};
+use schism_sql::{AttributeStats, ColumnType, Schema};
 use std::sync::Arc;
 
 /// Table ids, in [`schema`] order.
@@ -44,21 +47,20 @@ pub const T_INDUSTRY: u16 = 16;
 /// History entries per trade (submitted / completed / settled).
 const TH_PER_TRADE: u64 = 3;
 
-/// Generator configuration.
+// Spec ratios that do not depend on scale.
+const ACCOUNTS_PER_CUSTOMER: u64 = 5;
+const INIT_TRADES_PER_ACCOUNT: u64 = 4;
+/// Holding-summary slots per account.
+const HOLDINGS_PER_ACCOUNT: u64 = 8;
+const WATCH_ITEMS_PER_LIST: u64 = 10;
+
+/// Generator configuration. Everything else follows from `customers` by
+/// the spec ratios.
 #[derive(Clone, Debug)]
 pub struct TpceConfig {
     pub customers: u64,
-    pub accounts_per_customer: u64,
-    pub brokers: u64,
-    pub companies: u64,
-    pub securities: u64,
-    pub init_trades_per_account: u64,
-    /// Holding-summary slots per account.
-    pub holdings_per_account: u64,
-    pub watch_items_per_list: u64,
     pub num_txns: usize,
     pub seed: u64,
-    pub keep_statements: bool,
 }
 
 impl TpceConfig {
@@ -66,16 +68,8 @@ impl TpceConfig {
     pub fn with_customers(customers: u64) -> Self {
         Self {
             customers,
-            accounts_per_customer: 5,
-            brokers: (customers / 100).max(1),
-            companies: (customers / 2).max(2),
-            securities: (customers * 685 / 1000).max(2),
-            init_trades_per_account: 4,
-            holdings_per_account: 8,
-            watch_items_per_list: 10,
             num_txns: 100_000,
             seed: 0,
-            keep_statements: false,
         }
     }
 
@@ -88,22 +82,24 @@ impl TpceConfig {
     }
 
     fn accounts(&self) -> u64 {
-        self.customers * self.accounts_per_customer
+        self.customers * ACCOUNTS_PER_CUSTOMER
+    }
+
+    fn brokers(&self) -> u64 {
+        (self.customers / 100).max(1)
+    }
+
+    fn companies(&self) -> u64 {
+        (self.customers / 2).max(2)
+    }
+
+    fn securities(&self) -> u64 {
+        (self.customers * 685 / 1000).max(2)
     }
 
     fn trade_capacity(&self) -> u64 {
-        self.accounts() * self.init_trades_per_account + self.num_txns as u64 + 1
+        self.accounts() * INIT_TRADES_PER_ACCOUNT + self.num_txns as u64 + 1
     }
-}
-
-/// Not `splitmix_pair`: it stops before the finaliser's second multiply,
-/// and every TPC-E trace is drawn through it as it is.
-fn mix(a: u64, b: u64) -> u64 {
-    let mut h = a ^ b.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    h ^= h >> 30;
-    h = h.wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    h ^= h >> 27;
-    h ^ (h >> 31)
 }
 
 /// Attribute oracle: formulas everywhere except the trade table, whose
@@ -122,13 +118,13 @@ impl TupleValues for TpceDb {
         let v: i64 = match (t.table, col) {
             (T_CUSTOMER, 0) => r as i64,
             (T_ACCOUNT, 0) => r as i64,
-            (T_ACCOUNT, 1) => (r / c.accounts_per_customer) as i64,
-            (T_ACCOUNT, 2) => (mix(r, 0xB) % c.brokers) as i64,
+            (T_ACCOUNT, 1) => (r / ACCOUNTS_PER_CUSTOMER) as i64,
+            (T_ACCOUNT, 2) => (splitmix_pair(r, 0xB) % c.brokers()) as i64,
             (T_BROKER, 0) => r as i64,
             (T_COMPANY, 0) => r as i64,
             (T_COMPANY, 1) => (r % 102) as i64, // industry
             (T_SECURITY, 0) => r as i64,
-            (T_SECURITY, 1) => (r % c.companies) as i64,
+            (T_SECURITY, 1) => (r % c.companies()) as i64,
             (T_SECURITY, 2) => (r % 4) as i64, // exchange
             (T_LAST_TRADE, 0) => r as i64,
             (T_TRADE, 0) => r as i64,
@@ -137,14 +133,14 @@ impl TupleValues for TpceDb {
             (T_TRADE_HISTORY, 0) => (r / TH_PER_TRADE) as i64,
             (T_TRADE_HISTORY, 1) => (r % TH_PER_TRADE) as i64,
             (T_SETTLEMENT, 0) | (T_CASH_TX, 0) => r as i64,
-            (T_HOLDING_SUMMARY, 0) => (r / c.holdings_per_account) as i64,
-            (T_HOLDING_SUMMARY, 1) => (mix(r, 0x5) % c.securities) as i64,
+            (T_HOLDING_SUMMARY, 0) => (r / HOLDINGS_PER_ACCOUNT) as i64,
+            (T_HOLDING_SUMMARY, 1) => (splitmix_pair(r, 0x5) % c.securities()) as i64,
             (T_HOLDING, 0) => r as i64,
             (T_HOLDING, 1) => *self.trade_acct.get(r as usize)? as i64,
             (T_HOLDING, 2) => *self.trade_sec.get(r as usize)? as i64,
             (T_WATCH_LIST, 0) | (T_WATCH_LIST, 1) => r as i64,
-            (T_WATCH_ITEM, 0) => (r / c.watch_items_per_list) as i64,
-            (T_WATCH_ITEM, 1) => (mix(r, 0x7) % c.securities) as i64,
+            (T_WATCH_ITEM, 0) => (r / WATCH_ITEMS_PER_LIST) as i64,
+            (T_WATCH_ITEM, 1) => (splitmix_pair(r, 0x7) % c.securities()) as i64,
             (T_EXCHANGE, 0) => r as i64,
             (T_SECTOR, 0) => r as i64,
             (T_INDUSTRY, 0) => r as i64,
@@ -245,12 +241,6 @@ struct Gen {
 }
 
 impl Gen {
-    fn observe(&mut self, table: u16, cols: &[u16], tb: &mut TxnBuilder, key: u64) {
-        self.stats.observe_shape(table, cols);
-        let col0 = cols[0];
-        tb.stmt(move || Statement::select(table, Predicate::Eq(col0, Value::Int(key as i64))));
-    }
-
     fn new_trade(&mut self, acct: u64, sec: u64) -> u64 {
         let t = self.trade_acct.len() as u64;
         self.trade_acct.push(acct as u32);
@@ -273,28 +263,27 @@ impl Gen {
     fn trade_order(&mut self, tb: &mut TxnBuilder) {
         let cfg = self.cfg.clone();
         let cust = self.rng.gen_range(0..cfg.customers);
-        let acct =
-            cust * cfg.accounts_per_customer + self.rng.gen_range(0..cfg.accounts_per_customer);
-        let broker = mix(acct, 0xB) % cfg.brokers;
-        let sec = self.rng.gen_range(0..cfg.securities);
+        let acct = cust * ACCOUNTS_PER_CUSTOMER + self.rng.gen_range(0..ACCOUNTS_PER_CUSTOMER);
+        let broker = splitmix_pair(acct, 0xB) % cfg.brokers();
+        let sec = self.rng.gen_range(0..cfg.securities());
         tb.read(TupleId::new(T_CUSTOMER, cust));
-        self.observe(T_CUSTOMER, &[0], tb, cust);
+        self.stats.observe_shape(T_CUSTOMER, &[0]);
         tb.read(TupleId::new(T_ACCOUNT, acct));
-        self.observe(T_ACCOUNT, &[0], tb, acct);
+        self.stats.observe_shape(T_ACCOUNT, &[0]);
         tb.read(TupleId::new(T_BROKER, broker));
-        self.observe(T_BROKER, &[0], tb, broker);
+        self.stats.observe_shape(T_BROKER, &[0]);
         tb.read(TupleId::new(T_SECURITY, sec));
-        self.observe(T_SECURITY, &[0], tb, sec);
+        self.stats.observe_shape(T_SECURITY, &[0]);
         tb.read(TupleId::new(T_LAST_TRADE, sec));
-        self.observe(T_LAST_TRADE, &[0], tb, sec);
+        self.stats.observe_shape(T_LAST_TRADE, &[0]);
         let t = self.new_trade(acct, sec);
         tb.write(TupleId::new(T_TRADE, t));
-        self.observe(T_TRADE, &[0], tb, t);
+        self.stats.observe_shape(T_TRADE, &[0]);
         tb.write(TupleId::new(T_TRADE_HISTORY, t * TH_PER_TRADE));
-        self.observe(T_TRADE_HISTORY, &[0, 1], tb, t);
-        let hs = acct * self.cfg.holdings_per_account + sec % self.cfg.holdings_per_account;
+        self.stats.observe_shape(T_TRADE_HISTORY, &[0, 1]);
+        let hs = acct * HOLDINGS_PER_ACCOUNT + sec % HOLDINGS_PER_ACCOUNT;
         tb.write(TupleId::new(T_HOLDING_SUMMARY, hs));
-        self.observe(T_HOLDING_SUMMARY, &[0, 1], tb, acct);
+        self.stats.observe_shape(T_HOLDING_SUMMARY, &[0, 1]);
     }
 
     fn trade_result(&mut self, tb: &mut TxnBuilder) {
@@ -304,95 +293,95 @@ impl Gen {
             return self.trade_order(tb);
         };
         let cfg = self.cfg.clone();
-        let cust = acct / cfg.accounts_per_customer;
-        let broker = mix(acct, 0xB) % cfg.brokers;
+        let cust = acct / ACCOUNTS_PER_CUSTOMER;
+        let broker = splitmix_pair(acct, 0xB) % cfg.brokers();
         let sec = self.trade_sec[t as usize] as u64;
         tb.read(TupleId::new(T_ACCOUNT, acct));
-        self.observe(T_ACCOUNT, &[0], tb, acct);
+        self.stats.observe_shape(T_ACCOUNT, &[0]);
         tb.read(TupleId::new(T_CUSTOMER, cust));
-        self.observe(T_CUSTOMER, &[0], tb, cust);
+        self.stats.observe_shape(T_CUSTOMER, &[0]);
         tb.write(TupleId::new(T_BROKER, broker)); // b_num_trades++
-        self.observe(T_BROKER, &[0], tb, broker);
+        self.stats.observe_shape(T_BROKER, &[0]);
         tb.write(TupleId::new(T_TRADE, t));
-        self.observe(T_TRADE, &[0], tb, t);
+        self.stats.observe_shape(T_TRADE, &[0]);
         tb.write(TupleId::new(T_TRADE_HISTORY, t * TH_PER_TRADE + 1));
-        self.observe(T_TRADE_HISTORY, &[0, 1], tb, t);
+        self.stats.observe_shape(T_TRADE_HISTORY, &[0, 1]);
         tb.write(TupleId::new(T_SETTLEMENT, t));
-        self.observe(T_SETTLEMENT, &[0], tb, t);
+        self.stats.observe_shape(T_SETTLEMENT, &[0]);
         tb.write(TupleId::new(T_CASH_TX, t));
-        self.observe(T_CASH_TX, &[0], tb, t);
+        self.stats.observe_shape(T_CASH_TX, &[0]);
         tb.write(TupleId::new(T_HOLDING, t));
-        self.observe(T_HOLDING, &[0], tb, t);
-        let hs = acct * cfg.holdings_per_account + sec % cfg.holdings_per_account;
+        self.stats.observe_shape(T_HOLDING, &[0]);
+        let hs = acct * HOLDINGS_PER_ACCOUNT + sec % HOLDINGS_PER_ACCOUNT;
         tb.write(TupleId::new(T_HOLDING_SUMMARY, hs));
-        self.observe(T_HOLDING_SUMMARY, &[0, 1], tb, acct);
+        self.stats.observe_shape(T_HOLDING_SUMMARY, &[0, 1]);
         // The market tick: everyone reads this row, trade-result writes it.
         tb.write(TupleId::new(T_LAST_TRADE, sec));
-        self.observe(T_LAST_TRADE, &[0], tb, sec);
+        self.stats.observe_shape(T_LAST_TRADE, &[0]);
     }
 
     fn trade_lookup(&mut self, tb: &mut TxnBuilder) {
         let acct = self.random_account();
         tb.read(TupleId::new(T_ACCOUNT, acct));
-        self.observe(T_ACCOUNT, &[0], tb, acct);
+        self.stats.observe_shape(T_ACCOUNT, &[0]);
         for t in self.recent_trades(acct, 4) {
             tb.read(TupleId::new(T_TRADE, t));
-            self.observe(T_TRADE, &[0], tb, t);
+            self.stats.observe_shape(T_TRADE, &[0]);
             tb.read(TupleId::new(T_SETTLEMENT, t));
-            self.observe(T_SETTLEMENT, &[0], tb, t);
+            self.stats.observe_shape(T_SETTLEMENT, &[0]);
             tb.read(TupleId::new(T_CASH_TX, t));
-            self.observe(T_CASH_TX, &[0], tb, t);
+            self.stats.observe_shape(T_CASH_TX, &[0]);
             let hist: Vec<TupleId> = (0..TH_PER_TRADE)
                 .map(|s| TupleId::new(T_TRADE_HISTORY, t * TH_PER_TRADE + s))
                 .collect();
             tb.scan(hist);
-            self.observe(T_TRADE_HISTORY, &[0], tb, t);
+            self.stats.observe_shape(T_TRADE_HISTORY, &[0]);
         }
     }
 
     fn trade_status(&mut self, tb: &mut TxnBuilder) {
         let acct = self.random_account();
         tb.read(TupleId::new(T_ACCOUNT, acct));
-        self.observe(T_ACCOUNT, &[0], tb, acct);
+        self.stats.observe_shape(T_ACCOUNT, &[0]);
         let trades = self.recent_trades(acct, 10);
         let group: Vec<TupleId> = trades.iter().map(|&t| TupleId::new(T_TRADE, t)).collect();
         tb.scan(group);
-        self.observe(T_TRADE, &[1], tb, acct);
+        self.stats.observe_shape(T_TRADE, &[1]);
         let secs: Vec<TupleId> = trades
             .iter()
             .map(|&t| TupleId::new(T_SECURITY, self.trade_sec[t as usize] as u64))
             .collect();
         tb.scan(secs);
-        self.observe(T_SECURITY, &[0], tb, acct);
+        self.stats.observe_shape(T_SECURITY, &[0]);
     }
 
     fn customer_position(&mut self, tb: &mut TxnBuilder) {
         let cfg = self.cfg.clone();
         let cust = self.rng.gen_range(0..cfg.customers);
         tb.read(TupleId::new(T_CUSTOMER, cust));
-        self.observe(T_CUSTOMER, &[0], tb, cust);
-        for slot in 0..cfg.accounts_per_customer {
-            let acct = cust * cfg.accounts_per_customer + slot;
+        self.stats.observe_shape(T_CUSTOMER, &[0]);
+        for slot in 0..ACCOUNTS_PER_CUSTOMER {
+            let acct = cust * ACCOUNTS_PER_CUSTOMER + slot;
             tb.read(TupleId::new(T_ACCOUNT, acct));
-            self.observe(T_ACCOUNT, &[1], tb, cust);
-            let hs_rows: Vec<TupleId> = (0..cfg.holdings_per_account)
-                .map(|h| TupleId::new(T_HOLDING_SUMMARY, acct * cfg.holdings_per_account + h))
+            self.stats.observe_shape(T_ACCOUNT, &[1]);
+            let hs_rows: Vec<TupleId> = (0..HOLDINGS_PER_ACCOUNT)
+                .map(|h| TupleId::new(T_HOLDING_SUMMARY, acct * HOLDINGS_PER_ACCOUNT + h))
                 .collect();
             let ticks: Vec<TupleId> = hs_rows
                 .iter()
-                .map(|hs| TupleId::new(T_LAST_TRADE, mix(hs.row, 0x5) % cfg.securities))
+                .map(|hs| TupleId::new(T_LAST_TRADE, splitmix_pair(hs.row, 0x5) % cfg.securities()))
                 .collect();
             tb.scan(hs_rows);
-            self.observe(T_HOLDING_SUMMARY, &[0], tb, acct);
+            self.stats.observe_shape(T_HOLDING_SUMMARY, &[0]);
             tb.scan(ticks);
-            self.observe(T_LAST_TRADE, &[0], tb, acct);
+            self.stats.observe_shape(T_LAST_TRADE, &[0]);
         }
     }
 
     fn broker_volume(&mut self, tb: &mut TxnBuilder) {
-        let broker = self.rng.gen_range(0..self.cfg.brokers);
+        let broker = self.rng.gen_range(0..self.cfg.brokers());
         tb.read(TupleId::new(T_BROKER, broker));
-        self.observe(T_BROKER, &[0], tb, broker);
+        self.stats.observe_shape(T_BROKER, &[0]);
         let accounts: Vec<u64> = self.accounts_by_broker[broker as usize]
             .iter()
             .take(10)
@@ -403,7 +392,7 @@ impl Gen {
             .map(|&a| TupleId::new(T_ACCOUNT, a))
             .collect();
         tb.scan(group);
-        self.observe(T_ACCOUNT, &[2], tb, broker);
+        self.stats.observe_shape(T_ACCOUNT, &[2]);
         let mut trades = Vec::new();
         for a in accounts {
             if let Some(&t) = self.trades_by_account[a as usize].last() {
@@ -411,69 +400,69 @@ impl Gen {
             }
         }
         tb.scan(trades);
-        self.observe(T_TRADE, &[1], tb, broker);
+        self.stats.observe_shape(T_TRADE, &[1]);
     }
 
     fn security_detail(&mut self, tb: &mut TxnBuilder) {
         let cfg = &self.cfg;
-        let sec = self.rng.gen_range(0..cfg.securities);
-        let co = sec % cfg.companies;
+        let sec = self.rng.gen_range(0..cfg.securities());
+        let co = sec % cfg.companies();
         let industry = co % 102;
         let sector = industry % 12;
         let exchange = sec % 4;
         tb.read(TupleId::new(T_SECURITY, sec));
-        self.observe(T_SECURITY, &[0], tb, sec);
+        self.stats.observe_shape(T_SECURITY, &[0]);
         tb.read(TupleId::new(T_COMPANY, co));
-        self.observe(T_COMPANY, &[0], tb, co);
+        self.stats.observe_shape(T_COMPANY, &[0]);
         tb.read(TupleId::new(T_INDUSTRY, industry));
-        self.observe(T_INDUSTRY, &[0], tb, industry);
+        self.stats.observe_shape(T_INDUSTRY, &[0]);
         tb.read(TupleId::new(T_SECTOR, sector));
-        self.observe(T_SECTOR, &[0], tb, sector);
+        self.stats.observe_shape(T_SECTOR, &[0]);
         tb.read(TupleId::new(T_EXCHANGE, exchange));
-        self.observe(T_EXCHANGE, &[0], tb, exchange);
+        self.stats.observe_shape(T_EXCHANGE, &[0]);
         tb.read(TupleId::new(T_LAST_TRADE, sec));
-        self.observe(T_LAST_TRADE, &[0], tb, sec);
+        self.stats.observe_shape(T_LAST_TRADE, &[0]);
     }
 
     fn market_watch(&mut self, tb: &mut TxnBuilder) {
         let cfg = self.cfg.clone();
         let cust = self.rng.gen_range(0..cfg.customers);
         tb.read(TupleId::new(T_WATCH_LIST, cust));
-        self.observe(T_WATCH_LIST, &[1], tb, cust);
-        let items: Vec<TupleId> = (0..cfg.watch_items_per_list)
-            .map(|i| TupleId::new(T_WATCH_ITEM, cust * cfg.watch_items_per_list + i))
+        self.stats.observe_shape(T_WATCH_LIST, &[1]);
+        let items: Vec<TupleId> = (0..WATCH_ITEMS_PER_LIST)
+            .map(|i| TupleId::new(T_WATCH_ITEM, cust * WATCH_ITEMS_PER_LIST + i))
             .collect();
         let ticks: Vec<TupleId> = items
             .iter()
-            .map(|wi| TupleId::new(T_LAST_TRADE, mix(wi.row, 0x7) % cfg.securities))
+            .map(|wi| TupleId::new(T_LAST_TRADE, splitmix_pair(wi.row, 0x7) % cfg.securities()))
             .collect();
         tb.scan(items);
-        self.observe(T_WATCH_ITEM, &[0], tb, cust);
+        self.stats.observe_shape(T_WATCH_ITEM, &[0]);
         tb.scan(ticks);
-        self.observe(T_LAST_TRADE, &[0], tb, cust);
+        self.stats.observe_shape(T_LAST_TRADE, &[0]);
     }
 
     fn market_feed(&mut self, tb: &mut TxnBuilder) {
         // Ticker batch: update a handful of last-trade rows.
         let n = self.rng.gen_range(5..=10);
         for _ in 0..n {
-            let sec = self.rng.gen_range(0..self.cfg.securities);
+            let sec = self.rng.gen_range(0..self.cfg.securities());
             tb.write(TupleId::new(T_LAST_TRADE, sec));
-            self.observe(T_LAST_TRADE, &[0], tb, sec);
+            self.stats.observe_shape(T_LAST_TRADE, &[0]);
         }
     }
 
     fn trade_update(&mut self, tb: &mut TxnBuilder) {
         let acct = self.random_account();
         tb.read(TupleId::new(T_ACCOUNT, acct));
-        self.observe(T_ACCOUNT, &[0], tb, acct);
+        self.stats.observe_shape(T_ACCOUNT, &[0]);
         for t in self.recent_trades(acct, 3) {
             tb.read(TupleId::new(T_TRADE, t));
-            self.observe(T_TRADE, &[0], tb, t);
+            self.stats.observe_shape(T_TRADE, &[0]);
             tb.write(TupleId::new(T_SETTLEMENT, t));
-            self.observe(T_SETTLEMENT, &[0], tb, t);
+            self.stats.observe_shape(T_SETTLEMENT, &[0]);
             tb.write(TupleId::new(T_TRADE_HISTORY, t * TH_PER_TRADE + 2));
-            self.observe(T_TRADE_HISTORY, &[0, 1], tb, t);
+            self.stats.observe_shape(T_TRADE_HISTORY, &[0, 1]);
         }
     }
 }
@@ -502,24 +491,24 @@ pub fn generate(cfg: &TpceConfig) -> Workload {
         trade_acct: Vec::with_capacity(cfg.trade_capacity() as usize),
         trade_sec: Vec::with_capacity(cfg.trade_capacity() as usize),
         trades_by_account: vec![Vec::new(); accounts as usize],
-        accounts_by_broker: vec![Vec::new(); cfg.brokers as usize],
+        accounts_by_broker: vec![Vec::new(); cfg.brokers() as usize],
         stats: AttributeStats::default(),
     };
     // Initial trades (deterministic assignment, matching the oracle).
     for acct in 0..accounts {
-        for i in 0..cfg.init_trades_per_account {
-            let sec = mix(acct * cfg.init_trades_per_account + i, 0x51) % cfg.securities;
+        for i in 0..INIT_TRADES_PER_ACCOUNT {
+            let sec = splitmix_pair(acct * INIT_TRADES_PER_ACCOUNT + i, 0x51) % cfg.securities();
             g.new_trade(acct, sec);
         }
     }
     for acct in 0..accounts {
-        let broker = mix(acct, 0xB) % cfg.brokers;
+        let broker = splitmix_pair(acct, 0xB) % cfg.brokers();
         g.accounts_by_broker[broker as usize].push(acct as u32);
     }
 
     let mut txns = Vec::with_capacity(cfg.num_txns);
     for _ in 0..cfg.num_txns {
-        let mut tb = TxnBuilder::new(cfg.keep_statements);
+        let mut tb = TxnBuilder::new(false);
         let mut roll = g.rng.gen_range(0..100u32);
         let kind = MIX
             .iter()
@@ -548,27 +537,25 @@ pub fn generate(cfg: &TpceConfig) -> Workload {
         txns.push(tb.finish());
     }
 
-    let tcap = g.trade_acct.len() as u64;
     let table_rows = vec![
         cfg.customers,
         accounts,
-        cfg.brokers,
-        cfg.companies,
-        cfg.securities,
-        cfg.securities, // last_trade
+        cfg.brokers(),
+        cfg.companies(),
+        cfg.securities(),
+        cfg.securities(), // last_trade
         cfg.trade_capacity(),
         cfg.trade_capacity() * TH_PER_TRADE,
         cfg.trade_capacity(), // settlement
         cfg.trade_capacity(), // cash_transaction
-        accounts * cfg.holdings_per_account,
+        accounts * HOLDINGS_PER_ACCOUNT,
         cfg.trade_capacity(), // holding
         cfg.customers,        // watch_list
-        cfg.customers * cfg.watch_items_per_list,
+        cfg.customers * WATCH_ITEMS_PER_LIST,
         4,
         12,
         102,
     ];
-    let _ = tcap;
 
     Workload {
         name: "tpce".to_owned(),
@@ -587,13 +574,12 @@ pub fn generate(cfg: &TpceConfig) -> Workload {
 /// Ground-truth customer (0-based) of a tuple, or `None` for shared market
 /// data. Used by tests and manual-style baselines.
 pub fn customer_of(db: &TpceDb, t: TupleId) -> Option<u64> {
-    let cfg = &db.cfg;
-    let apc = cfg.accounts_per_customer;
+    let apc = ACCOUNTS_PER_CUSTOMER;
     match t.table {
         T_CUSTOMER | T_WATCH_LIST => Some(t.row),
         T_ACCOUNT => Some(t.row / apc),
-        T_HOLDING_SUMMARY => Some(t.row / cfg.holdings_per_account / apc),
-        T_WATCH_ITEM => Some(t.row / cfg.watch_items_per_list),
+        T_HOLDING_SUMMARY => Some(t.row / HOLDINGS_PER_ACCOUNT / apc),
+        T_WATCH_ITEM => Some(t.row / WATCH_ITEMS_PER_LIST),
         T_TRADE | T_SETTLEMENT | T_CASH_TX | T_HOLDING => {
             db.trade_acct.get(t.row as usize).map(|&a| a as u64 / apc)
         }
@@ -641,7 +627,7 @@ mod tests {
                     let acct = w.db.value(tup, 1).expect("trade has account");
                     assert!((acct as u64) < cfg.accounts());
                     let sec = w.db.value(tup, 2).expect("trade has security");
-                    assert!((sec as u64) < cfg.securities);
+                    assert!((sec as u64) < cfg.securities());
                 }
             }
         }

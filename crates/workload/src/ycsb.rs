@@ -25,8 +25,12 @@ pub enum YcsbWorkload {
     E,
 }
 
+/// Zipfian skew: YCSB's default.
+const THETA: f64 = 0.99;
+
 /// Generator configuration. Paper parameters: 100k-tuple table, 10k
-/// transactions, Zipfian with YCSB's default skew, scan length 0–10 (§6.1).
+/// transactions, Zipfian with YCSB's default skew (`THETA`), scan length
+/// 0–10 (§6.1).
 #[derive(Clone, Debug)]
 pub struct YcsbConfig {
     pub workload: YcsbWorkload,
@@ -34,10 +38,7 @@ pub struct YcsbConfig {
     pub num_txns: usize,
     /// Maximum scan length for workload E.
     pub scan_max: u64,
-    /// Zipfian skew parameter.
-    pub theta: f64,
     pub seed: u64,
-    pub keep_statements: bool,
 }
 
 impl YcsbConfig {
@@ -47,9 +48,7 @@ impl YcsbConfig {
             records: 100_000,
             num_txns: 10_000,
             scan_max: 10,
-            theta: 0.99,
             seed: 0,
-            keep_statements: false,
         }
     }
 
@@ -91,12 +90,12 @@ pub fn schema() -> Schema {
 pub fn generate(cfg: &YcsbConfig) -> Workload {
     let schema = Arc::new(schema());
     let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let zipf = Zipfian::new(cfg.records, cfg.theta);
+    let zipf = Zipfian::new(cfg.records, THETA);
     let mut stats = AttributeStats::default();
     let mut txns = Vec::with_capacity(cfg.num_txns);
 
     for _ in 0..cfg.num_txns {
-        let mut tb = TxnBuilder::new(cfg.keep_statements);
+        let mut tb = TxnBuilder::new(false);
         match cfg.workload {
             YcsbWorkload::A => {
                 let key = zipf.sample(&mut rng);
@@ -109,7 +108,6 @@ pub fn generate(cfg: &YcsbConfig) -> Workload {
                     Statement::update(0, Predicate::Eq(0, Value::Int(key as i64)))
                 };
                 stats.observe(&stmt);
-                tb.stmt(move || stmt.clone());
             }
             YcsbWorkload::E => {
                 if rng.gen_bool(0.95) {
@@ -123,13 +121,11 @@ pub fn generate(cfg: &YcsbConfig) -> Workload {
                         Predicate::Between(0, Value::Int(start as i64), Value::Int(end as i64)),
                     );
                     stats.observe(&stmt);
-                    tb.stmt(move || stmt.clone());
                 } else {
                     let key = zipf.sample(&mut rng);
                     tb.write(TupleId::new(0, key));
                     let stmt = Statement::update(0, Predicate::Eq(0, Value::Int(key as i64)));
                     stats.observe(&stmt);
-                    tb.stmt(move || stmt.clone());
                 }
             }
         }

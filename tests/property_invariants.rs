@@ -95,13 +95,13 @@ proptest! {
         }
         let txn = tb.finish();
         let participants = route_transaction(&txn, &scheme, &db);
-        prop_assert!(!participants.set.is_empty());
+        prop_assert!(!participants.is_empty());
         use schism_router::Scheme;
         for &w in &writes {
             let home = scheme.locate_tuple(TupleId::new(0, w), &db);
             prop_assert_eq!(
-                participants.set.union(&home),
-                participants.set,
+                participants.union(&home),
+                participants,
                 "write {} copies not covered", w
             );
         }
