@@ -106,8 +106,7 @@ fn bench_partition_hyper(c: &mut Criterion) {
 /// The clique graph of `advisor_tpcc` (`tpcc_spec`) at trace seed 7: 44 000
 /// transactions over 16 warehouses at a tenth-of-a-percent of TPC-C's
 /// per-warehouse cardinalities, 5 % tuple sampling, k = 8 — 373 085
-/// vertices in equal-weight transaction cliques, the shape matching orders
-/// edges rather than targets for.
+/// vertices in equal-weight transaction cliques.
 fn bench_partition_clique(c: &mut Criterion) {
     let mut cfg = SchismConfig::new(8);
     cfg.tuple_sample = 0.05;

@@ -14,16 +14,6 @@ pub fn path(n: usize) -> CsrGraph {
     b.build()
 }
 
-/// Cycle graph on `n >= 3` vertices.
-pub fn cycle(n: usize) -> CsrGraph {
-    assert!(n >= 3);
-    let mut b = GraphBuilder::new(n);
-    for i in 0..n {
-        b.add_edge(i as NodeId, ((i + 1) % n) as NodeId, 1);
-    }
-    b.build()
-}
-
 /// `w x h` grid with 4-neighborhood and unit weights.
 pub fn grid(w: usize, h: usize) -> CsrGraph {
     let mut b = GraphBuilder::new(w * h);
@@ -36,17 +26,6 @@ pub fn grid(w: usize, h: usize) -> CsrGraph {
             if y + 1 < h {
                 b.add_edge(id(x, y), id(x, y + 1), 1);
             }
-        }
-    }
-    b.build()
-}
-
-/// Complete graph on `n` vertices with unit edge weights.
-pub fn complete(n: usize) -> CsrGraph {
-    let mut b = GraphBuilder::new(n);
-    for i in 0..n {
-        for j in i + 1..n {
-            b.add_edge(i as NodeId, j as NodeId, 1);
         }
     }
     b.build()
@@ -108,9 +87,7 @@ mod tests {
     #[test]
     fn generator_shapes() {
         assert_eq!(path(5).num_edges(), 4);
-        assert_eq!(cycle(5).num_edges(), 5);
         assert_eq!(grid(3, 4).num_edges(), 3 * 4 * 2 - 3 - 4);
-        assert_eq!(complete(6).num_edges(), 15);
         let tc = two_cliques(4, 7);
         assert_eq!(tc.num_edges(), 2 * 6 + 1);
         tc.validate().unwrap();

@@ -5,21 +5,11 @@
 //! Each phase re-derives, for nets instead of edges, only the part that
 //! depends on the representation:
 //!
-//! 1. **Coarsening** is **first-choice clustering** (the hMETIS / PaToH
-//!    scheme), not pair matching, in two phases per level. *Rate*
-//!    (parallel over vertex chunks, pure): every vertex picks the co-pin it
-//!    is most attracted to by **heavy pins** — co-occurrence in heavy, small
-//!    nets, each net scoring its pin pairs `w / (|e| − 1)`, so a 2-pin net
-//!    counts like a full edge and a wide scan contributes little — ranked
-//!    by the shared key `(score, tie(seed, {v,u}))` among co-pins of its
-//!    label light enough to pair with it, taken or not. *Join*
-//!    (sequential, in the level's seeded shuffle): a vertex that has
-//!    neither joined a cluster nor been joined joins its target's cluster
-//!    if the cluster stays within a twentieth of a part; the vertex and its
-//!    target are then both taken. One co-pin scan per vertex per level, and
-//!    a hub's leaves gather around it in one level — where pair matching
-//!    pairs a few leaves per hub per level and stalls on TPC-C's
-//!    hub-and-leaf nets.
+//! 1. **Coarsening** is the shared first-choice clustering
+//!    ([`crate::coarsen`]), scored by **heavy pins** — co-occurrence in
+//!    heavy, small nets, each net scoring its pin pairs `w / (|e| − 1)`, so
+//!    a 2-pin net counts like a full edge and a wide scan contributes
+//!    little — with clusters capped at a twentieth of a part.
 //! 2. **Contraction** remaps each net's pins into a [`HyperEdgeBuffer`],
 //!    which deduplicates them and drops nets that collapse to one pin; the
 //!    builder merges identical coarse pin sets.
@@ -42,11 +32,9 @@
 //! model's edge cut is only a quadratic proxy.
 
 use crate::builder::GraphBuilder;
-use crate::coarsen::{draw_order, tie, Grouping};
 use crate::csr::{CsrGraph, NodeId};
 use crate::hypergraph::{HyperEdgeBuffer, HyperGraph, HyperGraphBuilder};
 use crate::incidence::{Incidence, MoveScratch};
-use rand::rngs::StdRng;
 use schism_par::{chunk_size, Pool};
 use std::borrow::Cow;
 
@@ -69,9 +57,6 @@ const EXPAND_PIN_CAP: usize = 64;
 
 /// Fixed-point scale for heavy-pin scores (`w·SCALE / (|e| − 1)`).
 const SCORE_SCALE: u64 = 256;
-
-/// "No eligible co-pin" in a rating.
-const NO_TARGET: NodeId = NodeId::MAX;
 
 /// The (λ−1) connectivity cost: `Σ_e w(e) · (parts_spanned(e) − 1)`.
 /// Zero iff every net is internal to one partition.
@@ -142,13 +127,30 @@ impl NetTally {
 
 /// Per-worker scratch for heavy-pin scoring: `score[u]` is valid when
 /// `stamp[u]` equals the vertex currently being scored.
-struct ScoreScratch {
+pub struct ScoreScratch {
     score: Vec<u64>,
     stamp: Vec<NodeId>,
     touched: Vec<NodeId>,
 }
 
-impl HyperGraph {
+impl Incidence for HyperGraph {
+    const COLD_VCYCLES: usize = 2;
+    const CUT_NET_STAGE: bool = true;
+    type Tally = NetTally;
+    type Scratch = ScoreScratch;
+
+    fn num_vertices(&self) -> usize {
+        self.num_vertices()
+    }
+
+    fn vertex_weights(&self) -> &[u32] {
+        self.vertex_weights()
+    }
+
+    fn total_vertex_weight(&self) -> u64 {
+        self.total_vertex_weight()
+    }
+
     fn score_scratch(&self) -> ScoreScratch {
         let n = self.num_vertices();
         ScoreScratch {
@@ -158,11 +160,10 @@ impl HyperGraph {
         }
     }
 
-    /// Heavy-pin scoring, first-choice clustering's scorer: calls `f(u,
-    /// score)` once per co-pin `u` of `v`, in first-seen order, where every
-    /// net up to [`SCORE_PIN_CAP`] pins credits each of `v`'s co-pins with
-    /// `w·SCALE / (|e| − 1)`.
-    fn heavy_pins(&self, v: NodeId, s: &mut ScoreScratch, mut f: impl FnMut(NodeId, u64)) {
+    /// Heavy pins: each co-pin `u` of `v`, in first-seen order, where
+    /// every net up to [`SCORE_PIN_CAP`] pins credits each of `v`'s co-pins
+    /// with `w·SCALE / (|e| − 1)`.
+    fn candidates(&self, v: NodeId, s: &mut ScoreScratch, mut f: impl FnMut(NodeId, u64)) {
         s.touched.clear();
         for &e in self.nets(v) {
             let ps = self.pins(e);
@@ -186,36 +187,22 @@ impl HyperGraph {
             f(u, s.score[u as usize]);
         }
     }
-}
 
-impl Incidence for HyperGraph {
-    const COLD_VCYCLES: usize = 2;
-    const CUT_NET_STAGE: bool = true;
-    type Tally = NetTally;
-
-    fn num_vertices(&self) -> usize {
-        self.num_vertices()
-    }
-
-    fn vertex_weight(&self, v: NodeId) -> u32 {
-        self.vertex_weight(v)
-    }
-
-    fn total_vertex_weight(&self) -> u64 {
-        self.total_vertex_weight()
-    }
-
-    /// First-choice clustering, clusters at most a twentieth of a part.
-    fn coarsen_step(
-        &self,
-        labels: Option<&[u32]>,
-        k: u32,
-        _max_part: u64,
-        rng: &mut StdRng,
-        pool: &Pool,
-    ) -> Grouping {
-        let limit = max_cluster_weight(self.total_vertex_weight(), k);
-        first_choice(self, labels, limit, rng, pool)
+    /// A twentieth of a part, `total / (20·k)`, ten times tighter than the
+    /// plain graph's half a part.
+    ///
+    /// The cap decides how sharply the placement separates TPC-C's old
+    /// orders from new ones within a warehouse, and with it whether the
+    /// explanation's attribute selection keeps `o_id` beside `o_w_id`. At a
+    /// tenth of a part the `advisor_hyper` placement's `o_id` correlation
+    /// straddles that bar, so the range scheme won on 11 of 20 workload
+    /// seeds and hashing on the rest; at a twentieth it won on 59 of 60.
+    /// The price is YCSB-E, whose hottest keys outweigh the cap and cannot
+    /// cluster: over eight partitioner seeds of `table1_graph_sizes`' input
+    /// the mean (λ−1) cost is 41 220, against 35 995 at a tenth, 40 746 at
+    /// half a part and 39 538 under pair matching.
+    fn cluster_cap(&self, k: u32, _max_part: u64) -> u64 {
+        (self.total_vertex_weight() / (20 * u64::from(k))).clamp(1, u32::MAX as u64)
     }
 
     fn contract(&self, map: &[NodeId], vwgt: Vec<u32>, pool: &Pool) -> Self {
@@ -325,114 +312,6 @@ impl Incidence for HyperGraph {
     fn cost(&self, assignment: &[u32]) -> u64 {
         connectivity_cost(self, assignment)
     }
-}
-
-/// Cap on a first-choice cluster's weight: a twentieth of a part,
-/// `total / (20·k)`, clamped like `matching::max_pair_weight`. A pair at
-/// most doubles a vertex per level; a cluster can gather a hub's whole
-/// neighbourhood in one, so its cap is tighter.
-///
-/// The cap decides how sharply the placement separates TPC-C's old
-/// orders from new ones within a warehouse, and with it whether the
-/// explanation's attribute selection keeps `o_id` beside `o_w_id`. At a
-/// tenth of a part the `advisor_hyper` placement's `o_id` correlation
-/// straddles that bar, so the range scheme won on 11 of 20 workload
-/// seeds and hashing on the rest; at a twentieth it won on 59 of 60.
-/// The price is YCSB-E, whose hottest keys outweigh the cap and cannot
-/// cluster: over eight partitioner seeds of `table1_graph_sizes`' input
-/// the mean (λ−1) cost is 41 220, against 35 995 at a tenth, 40 746 at
-/// half a part and 39 538 under pair matching.
-fn max_cluster_weight(total: u64, k: u32) -> u64 {
-    (total / (20 * u64::from(k))).clamp(1, u32::MAX as u64)
-}
-
-/// One level of first-choice clustering under the cluster weight cap
-/// `limit`: the step's draws ([`draw_order`]), then [`rate`] and [`join`].
-fn first_choice(
-    hg: &HyperGraph,
-    labels: Option<&[u32]>,
-    limit: u64,
-    rng: &mut StdRng,
-    pool: &Pool,
-) -> Grouping {
-    let (seed, order) = draw_order(hg.num_vertices(), rng);
-    let targets = rate(hg, labels, limit, seed, pool);
-    Grouping::from_reps(&join(hg, &targets, limit, &order))
-}
-
-/// Phase 1 of first-choice clustering: every vertex's target, the co-pin
-/// whose key `(heavy-pin score, tie(seed, {v,u}))` ranks highest among
-/// those of `v`'s label that weigh at most `limit` together with `v` —
-/// [`NO_TARGET`] if there is none. Whether the co-pin will be taken by then
-/// does not matter, so each vertex scans its co-pins once, in parallel, and
-/// the ratings are a pure function of `(hg, labels, limit, seed)`.
-fn rate(
-    hg: &HyperGraph,
-    labels: Option<&[u32]>,
-    limit: u64,
-    seed: u64,
-    pool: &Pool,
-) -> Vec<NodeId> {
-    let n = hg.num_vertices();
-    let chunks: Vec<Vec<NodeId>> = pool.scope_chunks_with(
-        n,
-        chunk_size(n, pool.threads()),
-        || hg.score_scratch(),
-        |s, range| {
-            range
-                .map(|v| {
-                    let v = v as NodeId;
-                    let vw = hg.vertex_weight(v) as u64;
-                    let mut best: Option<((u64, u64), NodeId)> = None;
-                    hg.heavy_pins(v, s, |u, score| {
-                        if vw + hg.vertex_weight(u) as u64 > limit
-                            || labels.is_some_and(|l| l[u as usize] != l[v as usize])
-                        {
-                            return;
-                        }
-                        let key = (score, tie(seed, v, u));
-                        if best.is_none_or(|(b, _)| key > b) {
-                            best = Some((key, u));
-                        }
-                    });
-                    best.map_or(NO_TARGET, |(_, u)| u)
-                })
-                .collect()
-        },
-    );
-    chunks.concat()
-}
-
-/// Phase 2 of first-choice clustering, sequential in `order`: a vertex
-/// that has neither joined a cluster nor been joined joins the cluster of
-/// its target if that cluster still weighs at most `limit` with it; the
-/// vertex and its target are then both taken. Returns each vertex's
-/// cluster as a representative (the member whose cluster it first was).
-///
-/// A vertex that is not taken is alone in its cluster — whoever joins a
-/// cluster first takes its representative — so a join only ever moves a
-/// single vertex, and a representative is always its own.
-fn join(hg: &HyperGraph, targets: &[NodeId], limit: u64, order: &[NodeId]) -> Vec<NodeId> {
-    let n = hg.num_vertices();
-    let mut rep: Vec<NodeId> = (0..n as NodeId).collect();
-    // Indexed by representative; `limit` fits a u32.
-    let mut weight: Vec<u32> = hg.vertex_weights().to_vec();
-    let mut taken = vec![false; n];
-    for &v in order {
-        let t = targets[v as usize];
-        if taken[v as usize] || t == NO_TARGET {
-            continue;
-        }
-        let c = rep[t as usize] as usize;
-        let w = hg.vertex_weight(v);
-        if weight[c] as u64 + w as u64 <= limit {
-            weight[c] += w;
-            rep[v as usize] = c as NodeId;
-            taken[v as usize] = true;
-            taken[t as usize] = true;
-        }
-    }
-    rep
 }
 
 /// The hypergraph half of [`crate::coarsen::contract`]: each net's pins
@@ -592,11 +471,9 @@ pub(crate) fn random_hypergraph(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::coarsen::contract;
+    use crate::coarsen::tests::{clustering_properties, cold_descent, random_eligibility};
     use crate::metrics::part_weights;
-    use crate::partition::{
-        cold_target, max_part_weight, partition, partition_warm, PartitionerConfig,
-    };
+    use crate::partition::{partition, partition_warm, PartitionerConfig};
     use crate::refine::{enforce_balance, kway_greedy_refine};
     use proptest::prelude::*;
     use rand::rngs::StdRng;
@@ -882,156 +759,14 @@ mod tests {
         }
     }
 
-    /// The sequential oracle of [`first_choice`], written from its
-    /// definition: each target a brute-force argmax over everything
-    /// `heavy_pins` reports, then the join loop over explicit cluster ids,
-    /// a cluster's weight summed afresh at every turn. Returns the grouping
-    /// and the targets.
-    fn first_choice_oracle(
-        hg: &HyperGraph,
-        labels: Option<&[u32]>,
-        limit: u64,
-        rng: &mut StdRng,
-    ) -> (Grouping, Vec<NodeId>) {
-        let n = hg.num_vertices();
-        let (seed, order) = draw_order(n, rng);
-        let mut s = hg.score_scratch();
-        let targets: Vec<NodeId> = (0..n as NodeId)
-            .map(|v| {
-                let mut candidates = Vec::new();
-                hg.heavy_pins(v, &mut s, |u, score| candidates.push((u, score)));
-                candidates
-                    .into_iter()
-                    .filter(|&(u, _)| eligible(hg, labels, limit, v, u))
-                    .max_by_key(|&(u, score)| (score, tie(seed, v, u)))
-                    .map_or(NO_TARGET, |(u, _)| u)
-            })
-            .collect();
-        let mut cluster: Vec<NodeId> = (0..n as NodeId).collect();
-        let mut taken = vec![false; n];
-        for &v in &order {
-            let t = targets[v as usize];
-            if taken[v as usize] || t == NO_TARGET {
-                continue;
-            }
-            let c = cluster[t as usize];
-            let weight: u64 = (0..n)
-                .filter(|&u| cluster[u] == c)
-                .map(|u| hg.vertex_weight(u as NodeId) as u64)
-                .sum();
-            if weight + hg.vertex_weight(v) as u64 <= limit {
-                cluster[v as usize] = c;
-                taken[v as usize] = true;
-                taken[t as usize] = true;
-            }
-        }
-        (Grouping::from_reps(&cluster), targets)
-    }
-
-    /// Whether `u` may be `v`'s target: a co-pin of `v`'s label that
-    /// weighs at most `limit` together with it.
-    fn eligible(hg: &HyperGraph, labels: Option<&[u32]>, limit: u64, v: NodeId, u: NodeId) -> bool {
-        hg.vertex_weight(v) as u64 + hg.vertex_weight(u) as u64 <= limit
-            && labels.is_none_or(|l| l[u as usize] == l[v as usize])
-    }
-
-    /// A random hypergraph of `n` vertices (weights 1–4) with random
-    /// labels or none and a cluster cap between 2 and a fifth of the total
-    /// weight, or none.
-    fn random_clustering_input(
-        rng: &mut StdRng,
-        n: usize,
-        wide: usize,
-    ) -> (HyperGraph, Option<Vec<u32>>, u64) {
-        let hg = random_hypergraph(rng, n, n / 3, wide);
-        let labels = rng
-            .gen_bool(0.5)
-            .then(|| (0..n).map(|_| rng.gen_range(0..3)).collect());
-        let limit = if rng.gen_bool(0.8) {
-            rng.gen_range(2..=(hg.total_vertex_weight() / 5).max(2))
-        } else {
-            u64::MAX
-        };
-        (hg, labels, limit)
-    }
-
-    /// Every property of one clustering level: the same grouping for
-    /// pools of 1, 2 and 4; equal to the oracle; every cluster a singleton
-    /// or within `limit`, none mixing labels, the coarse weights summing to
-    /// the fine total; and a vertex left single had no eligible target, or
-    /// its target's cluster had no room for it at its turn — weights only
-    /// grow, so no room at the end.
-    fn clustering_properties(hg: &HyperGraph, labels: Option<&[u32]>, limit: u64, seed: u64) {
-        let n = hg.num_vertices();
-        let cluster = |threads: usize| {
-            first_choice(
-                hg,
-                labels,
-                limit,
-                &mut StdRng::seed_from_u64(seed),
-                &Pool::new(threads),
-            )
-        };
-        let got = cluster(1);
-        for threads in [2, 4] {
-            assert!(
-                cluster(threads) == got,
-                "pool {threads} changed the clustering"
-            );
-        }
-        let (want, targets) =
-            first_choice_oracle(hg, labels, limit, &mut StdRng::seed_from_u64(seed));
-        assert!(
-            got == want,
-            "the clustering differs from the sequential oracle"
-        );
-
-        let mut members = vec![Vec::new(); got.groups];
-        for v in 0..n {
-            members[got.map[v] as usize].push(v as NodeId);
-        }
-        let weight = |c: NodeId| -> u64 {
-            members[c as usize]
-                .iter()
-                .map(|&u| hg.vertex_weight(u) as u64)
-                .sum()
-        };
-        for group in &members {
-            assert!(!group.is_empty(), "an unused coarse id");
-            if group.len() > 1 {
-                let c = got.map[group[0] as usize];
-                assert!(
-                    weight(c) <= limit,
-                    "cluster {c} weighs {} > {limit}",
-                    weight(c)
-                );
-                if let Some(l) = labels {
-                    let label = l[group[0] as usize];
-                    assert!(
-                        group.iter().all(|&u| l[u as usize] == label),
-                        "cluster {c} mixes labels"
-                    );
-                }
-            }
-        }
-        let level = contract(hg, got.clone(), &Pool::new(1));
+    /// [`clustering_properties`] on a random hypergraph of `n` vertices,
+    /// `wide` of its nets too wide to score.
+    fn random_hypergraph_clustering(seed: u64, n: usize, wide: usize) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let hg = random_hypergraph(&mut rng, n, n / 3, wide);
+        let (labels, limit) = random_eligibility(&mut rng, n, hg.total_vertex_weight());
+        let level = clustering_properties(&hg, labels.as_deref(), limit, rng.gen());
         level.graph.validate().unwrap();
-        assert_eq!(level.graph.total_vertex_weight(), hg.total_vertex_weight());
-        let mut s = hg.score_scratch();
-        for v in 0..n as NodeId {
-            if members[got.map[v as usize] as usize].len() > 1 {
-                continue;
-            }
-            let t = targets[v as usize];
-            if t == NO_TARGET {
-                let mut any = false;
-                hg.heavy_pins(v, &mut s, |u, _| any |= eligible(hg, labels, limit, v, u));
-                assert!(!any, "single {v} had an eligible co-pin");
-            } else {
-                let room = weight(got.map[t as usize]) + hg.vertex_weight(v) as u64 <= limit;
-                assert!(!room, "single {v} had room in its target {t}'s cluster");
-            }
-        }
     }
 
     proptest! {
@@ -1046,25 +781,20 @@ mod tests {
             n in 4_200..4_600usize,
             wide in 0..3usize,
         ) {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let (hg, labels, limit) = random_clustering_input(&mut rng, n, wide);
-            clustering_properties(&hg, labels.as_deref(), limit, rng.gen());
+            random_hypergraph_clustering(seed, n, wide);
         }
 
         /// Small hypergraphs, where whole neighbourhoods tie.
         #[test]
         fn small_clusterings_match_their_oracle(seed in 0..u64::MAX, n in 2..80usize) {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let (hg, labels, limit) = random_clustering_input(&mut rng, n, 0);
-            clustering_properties(&hg, labels.as_deref(), limit, rng.gen());
+            random_hypergraph_clustering(seed, n, 0);
         }
     }
 
     /// The counted claim, on the hypergraph the repo benchmark's
     /// `advisor_hyper` partitions at trace seed 7 (built as
     /// `benches/partitioner.rs::bench_partition_hyper` builds it): the cold
-    /// descent stepped as `vcycle` steps it, level by level, with every
-    /// vertex's one co-pin scan per step counted.
+    /// descent stepped as `vcycle` steps it ([`cold_descent`]).
     #[test]
     fn hyper_coarsening_counts() {
         use schism_core::{build_graph, CoAccess, GraphBackend, SchismConfig};
@@ -1093,37 +823,7 @@ mod tests {
         for e in 0..built.num_nets() as u32 {
             b.add_net(built.pins(e), built.net_weight(e));
         }
-        let hg = b.build();
-
-        // Run 0's seed of `partition`, and `vcycle`'s cold loop.
-        let pcfg = PartitionerConfig {
-            k: cfg.k,
-            seed: cfg.seed,
-            epsilon: cfg.partitioner.epsilon,
-            ..PartitionerConfig::default()
-        };
-        let seed = pcfg.seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ pcfg.seed;
-        let mut rng = StdRng::seed_from_u64(seed);
-        let max_part = max_part_weight(hg.total_vertex_weight(), pcfg.k, pcfg.epsilon);
-        let pool = Pool::new(2);
-        let (mut current, mut steps, mut scans) = (hg, 0usize, 0usize);
-        let mut sizes = vec![current.num_vertices()];
-        while current.num_vertices() > cold_target(pcfg.k) && steps <= 64 {
-            let n = current.num_vertices();
-            let grouping = current.coarsen_step(None, pcfg.k, max_part, &mut rng, &pool);
-            steps += 1;
-            scans += n;
-            if ((n - grouping.groups) as f64) < 0.02 * n as f64 {
-                break;
-            }
-            current = contract(&current, grouping, &pool).graph;
-            sizes.push(current.num_vertices());
-        }
-        let coarsest = current.num_vertices();
-        println!(
-            "advisor_hyper seed 7, cold descent: {steps} clustering steps, \
-             vertices per level {sizes:?}, {scans} partner scans"
-        );
+        let (steps, coarsest, scans) = cold_descent("advisor_hyper", b.build(), &cfg);
         assert!(steps <= 8, "{steps} clustering steps");
         assert!(coarsest <= 1_500, "coarsest level of {coarsest} vertices");
         assert!(scans <= 80_000, "{scans} partner scans");

@@ -9,15 +9,16 @@
 //! coarse ids and weights, frozen-scan / sorted-apply refinement,
 //! cheapest-damage eviction, the V-cycle schedule — are shared; an
 //! implementation only supplies what genuinely depends on the
-//! representation: one coarsening step, how a grouping contracts, which
-//! plain graph seeds the coarsest level, how strongly a vertex is pulled
-//! toward each part, and the cost.
+//! representation: how coarsening scores and caps, how a grouping
+//! contracts, which plain graph seeds the coarsest level, how strongly a
+//! vertex is pulled toward each part, and the cost.
 //!
-//! Each coarsening step owns its scorer. A plain graph pairs vertices by
-//! heavy matching on edge weight ([`crate::matching`]); a hypergraph
-//! clusters them first-choice on heavy pins (`hpartition.rs`). What the two
-//! share — the candidate key `(score, tie(seed, {v,u}))` and the one seed
-//! draw and shuffle per step — lives in [`crate::coarsen`].
+//! One coarsening step, two scorers, two caps. Both structures coarsen by
+//! first-choice clustering ([`crate::coarsen`]); an implementation supplies
+//! the scorer that rates a vertex's candidates ([`Incidence::candidates`]:
+//! edge weight per adjacency entry for a plain graph, heavy pins for a
+//! hypergraph) and the cap on a cluster's weight
+//! ([`Incidence::cluster_cap`]: half a part, a twentieth of a part).
 //!
 //! Refinement evaluates the same vertex many times per level, so the pull
 //! comes with a per-level **tally** ([`Incidence::Tally`]): whatever the
@@ -32,9 +33,7 @@
 //! bounds; the module is private, so it cannot be named or implemented
 //! outside this crate.
 
-use crate::coarsen::Grouping;
 use crate::csr::{CsrGraph, NodeId};
-use rand::rngs::StdRng;
 use schism_par::Pool;
 use std::borrow::Cow;
 
@@ -83,24 +82,30 @@ pub trait Incidence: Sized + Sync {
     /// assignment; see [`Incidence::tally`].
     type Tally: PartialEq + Sync;
 
+    /// Per-worker scratch of [`Incidence::candidates`].
+    type Scratch;
+
     fn num_vertices(&self) -> usize;
-    fn vertex_weight(&self, v: NodeId) -> u32;
+    fn vertex_weights(&self) -> &[u32];
     fn total_vertex_weight(&self) -> u64;
 
-    /// One coarsening step: which vertices merge into one coarse vertex.
-    /// Only vertices with equal `labels` merge, and no group outweighs the
-    /// implementation's cap — a fraction of `max_part`, the balance cap of
-    /// a `k`-way partition — so balance stays achievable. Draws the same
-    /// amount from `rng` and returns the same grouping whatever `pool`'s
-    /// size.
-    fn coarsen_step(
-        &self,
-        labels: Option<&[u32]>,
-        k: u32,
-        max_part: u64,
-        rng: &mut StdRng,
-        pool: &Pool,
-    ) -> Grouping;
+    fn vertex_weight(&self, v: NodeId) -> u32 {
+        self.vertex_weights()[v as usize]
+    }
+
+    /// A fresh scratch for [`Incidence::candidates`].
+    fn score_scratch(&self) -> Self::Scratch;
+
+    /// First-choice clustering's scorer: calls `f(u, score)` once per
+    /// candidate `u != v` of `v`, the higher the score the stronger the
+    /// pull. A pure function of the structure and `v`.
+    fn candidates(&self, v: NodeId, s: &mut Self::Scratch, f: impl FnMut(NodeId, u64));
+
+    /// Cap on the weight of one cluster of a coarsening step, from `k` and
+    /// `max_part`, the balance cap of a `k`-way partition: a fraction of a
+    /// part, so balance stays achievable, and never above `u32::MAX`, so a
+    /// coarse vertex weight holds its members' mass.
+    fn cluster_cap(&self, k: u32, max_part: u64) -> u64;
 
     /// The structure induced by merging every group: `map` sends fine to
     /// coarse ids and `vwgt` holds the coarse vertex weights. Must be
@@ -150,31 +155,35 @@ impl Incidence for CsrGraph {
     const COLD_VCYCLES: usize = 0;
     const CUT_NET_STAGE: bool = false;
     type Tally = ();
+    type Scratch = ();
 
     fn num_vertices(&self) -> usize {
         self.num_vertices()
     }
 
-    fn vertex_weight(&self, v: NodeId) -> u32 {
-        self.vertex_weight(v)
+    fn vertex_weights(&self) -> &[u32] {
+        self.vertex_weights()
     }
 
     fn total_vertex_weight(&self) -> u64 {
         self.total_vertex_weight()
     }
 
-    /// Heavy-edge matching: pairs, each at most half a part.
-    fn coarsen_step(
-        &self,
-        labels: Option<&[u32]>,
-        _k: u32,
-        max_part: u64,
-        rng: &mut StdRng,
-        pool: &Pool,
-    ) -> Grouping {
-        let max_pair = crate::matching::max_pair_weight(max_part);
-        let mate = crate::matching::heavy_matching(self, labels, max_pair, rng, pool);
-        Grouping::from_mate(&mate)
+    fn score_scratch(&self) {}
+
+    /// Each neighbour, scored by the weight of its edge.
+    fn candidates(&self, v: NodeId, _: &mut (), mut f: impl FnMut(NodeId, u64)) {
+        for (u, w) in self.edges(v) {
+            f(u, u64::from(w));
+        }
+    }
+
+    /// Half a part. A twentieth, the hypergraph's cap, leaves the clique
+    /// of a TPC-C transaction too little room: on fig4's tpcc-2w-sampled
+    /// row the choice fell from range predicates at 9.9 % to hashing at
+    /// 50.6 %.
+    fn cluster_cap(&self, _k: u32, max_part: u64) -> u64 {
+        (max_part / 2).clamp(1, u32::MAX as u64)
     }
 
     fn contract(&self, map: &[NodeId], vwgt: Vec<u32>, pool: &Pool) -> Self {

@@ -8,8 +8,8 @@
 //! with a cut-net final stage).
 //!
 //! The partitioner follows the classic multilevel recipe: randomized
-//! coarsening (heavy matching for a graph, first-choice clustering for a
-//! hypergraph), recursive-bisection initial partitioning
+//! first-choice clustering (the hMETIS / PaToH coarsener) for both
+//! representations, recursive-bisection initial partitioning
 //! (greedy graph growing + Fiduccia–Mattheyses refinement), and greedy
 //! k-way boundary refinement during uncoarsening, optionally repeated as
 //! label-respecting V-cycles. It is deterministic for a fixed seed and
@@ -27,7 +27,7 @@
 //! | | shared (written once) | graph | hypergraph |
 //! |---|---|---|---|
 //! | schedule ([`partition`](mod@partition)) | `ncuts` fan-out + best-of, cold descent, warm start, label-respecting V-cycle, level projection, balance cap, result | no extra stages | 2 more cold V-cycles, then a cut-net-primary V-cycle + flat polish |
-//! | coarsening step ([`coarsen`]) | one seed draw + shuffle, candidates ranked by `(score, tie(seed, {v,u}))`, label restriction, the 2 % shrink floor and 64-level cap; each step owns its scorer | [`matching`]: score = edge weight, read off the adjacency, so both ends of an edge rank it alike; at most 8 propose / mutual-accept rounds, so a round matches every locally dominant edge, seeded-order cleanup, two-hop pass; pairs ≤ half a part | first-choice clustering: score = heavy pins, `w·256/(|e|−1)` over shared nets ≤ 64 pins; every vertex rates its best co-pin once, in parallel, then joins its cluster in shuffle order, taken or not; clusters ≤ a twentieth of a part |
+//! | coarsening step ([`coarsen`]) | one coarsening step, two scorers, two caps: first-choice clustering — one seed draw + shuffle; every vertex rates its best candidate once, in parallel, by `(score, tie(seed, {v,u}))` among those of its label light enough to join it; then, in shuffle order, joins its target's cluster, taken or not, within the cap; the 2 % shrink floor and 64-level cap | score = edge weight, per adjacency entry; clusters ≤ half a part | score = heavy pins, `w·256/(|e|−1)` over shared nets ≤ 64 pins; clusters ≤ a twentieth of a part |
 //! | contraction ([`coarsen`]) | coarse ids in first-member order, checked coarse weights, the level struct | merged adjacency, stitched in coarse-id order | remapped nets through a [`HyperEdgeBuffer`] per chunk, merged identical nets |
 //! | coarsest seed ([`initial`]) | recursive bisection | on the level itself | on its clique expansion |
 //! | refinement ([`refine`]) | parallel frozen scan of the active set (first pass: every vertex; later passes: whoever a move reported, plus whoever only the part weights held back) → `(Reverse(gain), v)` sort → sequential live re-validation; admissibility, take rule, tie to the lighter part | pull = edge weight into each part; nothing to remember; a move reports the neighbours | pull = weight of nets already spanning each part (nets ≤ 512 pins), plus the cut-net tie-break, read off a per-level tally Λ of pins per net and part; a move recounts its nets' rows and reports their pins |
@@ -37,9 +37,8 @@
 //! All phases run data-parallel over a [`schism_par::Pool`] sized by
 //! [`PartitionerConfig::threads`] (default: `SCHISM_THREADS` or all
 //! hardware threads), with a hard determinism contract: partition labels
-//! and cost are **bit-identical for every thread count** — matching uses
-//! propose/mutual-accept rounds with a sequential tie-break pass,
-//! clustering rates in parallel and joins sequentially,
+//! and cost are **bit-identical for every thread count** — clustering
+//! rates in parallel and joins sequentially,
 //! contraction stitches chunk-built structure in a canonical order, and
 //! refinement scans the boundary in parallel but serializes only the
 //! conflict set of candidate moves. What refinement skips — vertices no
@@ -70,7 +69,6 @@ mod hpartition;
 pub mod hypergraph;
 mod incidence;
 pub mod initial;
-pub mod matching;
 pub mod metrics;
 pub mod partition;
 pub mod refine;

@@ -5,10 +5,9 @@
 //! Pipeline (Karypis–Kumar multilevel scheme, the algorithm family METIS
 //! implements), one **V** of which is `vcycle`:
 //!
-//! 1. **Coarsen** — randomized heavy matching for a plain graph,
-//!    first-choice clustering for a hypergraph — until the structure is
-//!    small (or stops shrinking), capping coarse vertex weights so balance
-//!    stays achievable.
+//! 1. **Coarsen** — randomized first-choice clustering — until the
+//!    structure is small (or stops shrinking), capping coarse vertex
+//!    weights so balance stays achievable.
 //! 2. **Initial partition** of the coarsest level by recursive bisection
 //!    (greedy graph growing + FM) — or, when the V starts from labels, the
 //!    labels themselves, which label-respecting coarsening has projected
@@ -30,7 +29,7 @@
 //! labels and cost are bit-identical for `threads ∈ {1, 2, 4, ...}` — so
 //! parallelism is purely a wall-clock knob.
 
-use crate::coarsen::{contract, CoarseLevel};
+use crate::coarsen::{contract, first_choice, CoarseLevel};
 use crate::incidence::Incidence;
 use crate::initial::recursive_bisection;
 use crate::metrics::part_weights;
@@ -277,7 +276,8 @@ fn vcycle<G: Incidence>(
             break;
         }
         let n = current.num_vertices();
-        let grouping = current.coarsen_step(labels.as_deref(), k, max_part, rng, pool);
+        let limit = current.cluster_cap(k, max_part);
+        let grouping = first_choice(current, labels.as_deref(), limit, rng, pool);
         // Stop if the level stops shrinking meaningfully (< 2% reduction).
         if ((n - grouping.groups) as f64) < 0.02 * n as f64 {
             break;
@@ -540,7 +540,8 @@ mod tests {
         let max_part = max_part_weight(total, 2, 0.05);
         let mut current = g.clone();
         for _ in 0..8 {
-            let grouping = current.coarsen_step(None, 2, max_part, &mut rng, &pool);
+            let limit = current.cluster_cap(2, max_part);
+            let grouping = first_choice(&current, None, limit, &mut rng, &pool);
             current = contract(&current, grouping, &pool).graph;
             assert_eq!(current.total_vertex_weight(), total, "a level lost mass");
         }

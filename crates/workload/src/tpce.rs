@@ -105,7 +105,7 @@ impl TpceConfig {
 /// Attribute oracle: formulas everywhere except the trade table, whose
 /// account/security assignments are chosen by the generator and therefore
 /// materialized.
-pub struct TpceDb {
+struct TpceDb {
     cfg: TpceConfig,
     trade_acct: Vec<u32>,
     trade_sec: Vec<u32>,
@@ -571,26 +571,6 @@ pub fn generate(cfg: &TpceConfig) -> Workload {
     }
 }
 
-/// Ground-truth customer (0-based) of a tuple, or `None` for shared market
-/// data. Used by tests and manual-style baselines.
-pub fn customer_of(db: &TpceDb, t: TupleId) -> Option<u64> {
-    let apc = ACCOUNTS_PER_CUSTOMER;
-    match t.table {
-        T_CUSTOMER | T_WATCH_LIST => Some(t.row),
-        T_ACCOUNT => Some(t.row / apc),
-        T_HOLDING_SUMMARY => Some(t.row / HOLDINGS_PER_ACCOUNT / apc),
-        T_WATCH_ITEM => Some(t.row / WATCH_ITEMS_PER_LIST),
-        T_TRADE | T_SETTLEMENT | T_CASH_TX | T_HOLDING => {
-            db.trade_acct.get(t.row as usize).map(|&a| a as u64 / apc)
-        }
-        T_TRADE_HISTORY => db
-            .trade_acct
-            .get((t.row / TH_PER_TRADE) as usize)
-            .map(|&a| a as u64 / apc),
-        _ => None,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -666,29 +646,5 @@ mod tests {
             avg(&lt_touchers),
             avg(&acct_touchers)
         );
-    }
-
-    #[test]
-    fn customer_of_groups_trade_chain() {
-        let cfg = TpceConfig::small();
-        let w = generate(&cfg);
-        // Re-derive a TpceDb to use customer_of (Arc<dyn> hides the type).
-        let db = TpceDb {
-            cfg: cfg.clone(),
-            trade_acct: (0..100)
-                .map(|t| w.db.value(TupleId::new(T_TRADE, t), 1).unwrap() as u32)
-                .collect(),
-            trade_sec: (0..100)
-                .map(|t| w.db.value(TupleId::new(T_TRADE, t), 2).unwrap() as u32)
-                .collect(),
-        };
-        for t in 0..100u64 {
-            let c_trade = customer_of(&db, TupleId::new(T_TRADE, t)).unwrap();
-            let c_settle = customer_of(&db, TupleId::new(T_SETTLEMENT, t)).unwrap();
-            let c_hist = customer_of(&db, TupleId::new(T_TRADE_HISTORY, t * TH_PER_TRADE)).unwrap();
-            assert_eq!(c_trade, c_settle);
-            assert_eq!(c_trade, c_hist);
-        }
-        assert_eq!(customer_of(&db, TupleId::new(T_SECURITY, 0)), None);
     }
 }

@@ -72,6 +72,51 @@ fn tpcc_derives_warehouse_partitioning() {
     );
 }
 
+/// fig4's tpcc-2w row as a test: full-cardinality TPC-C (two warehouses,
+/// every table at its specification size, k = 2) on the default backend
+/// must choose range predicates within two points of manual warehouse
+/// partitioning. At full cardinality the test trace reaches tuples training
+/// never saw, so only the explanation's rules can place them.
+#[test]
+fn tpcc_full_cardinality_matches_manual_partitioning() {
+    let tcfg = TpccConfig {
+        num_txns: 30_000,
+        ..TpccConfig::full(2)
+    };
+    let w = tpcc::generate(&tcfg);
+    let cfg = SchismConfig::new(2);
+    let (train, test) = w.trace.split(cfg.train_fraction, cfg.seed ^ 0x7E57);
+    let rec = Schism::new(cfg).run_split(&w, &train, &test);
+    // Manual: every table split by warehouse, `item` replicated, so a
+    // transaction is distributed iff it touches two warehouses.
+    let multi = test.transactions.iter().filter(|t| {
+        let mut ws: Vec<u64> = t
+            .accessed()
+            .filter_map(|tp| tpcc::warehouse_of(&tcfg, tp))
+            .collect();
+        ws.sort_unstable();
+        ws.dedup();
+        ws.len() > 1
+    });
+    let manual = multi.count() as f64 / test.len() as f64;
+    let candidates: Vec<_> = rec
+        .validation
+        .candidates
+        .iter()
+        .map(|c| (c.name.clone(), c.fraction()))
+        .collect();
+    assert_eq!(
+        rec.chosen(),
+        "range-predicates",
+        "candidates: {candidates:?}"
+    );
+    assert!(
+        rec.chosen_fraction() <= manual + 0.02,
+        "range predicates at {} against manual at {manual}",
+        rec.chosen_fraction()
+    );
+}
+
 #[test]
 fn epinions_lookup_beats_all_simple_schemes() {
     let w = epinions::generate(&EpinionsConfig {
