@@ -4,10 +4,14 @@
 //! a held-out test trace.
 //!
 //! ```text
-//! cargo run --release -p schism-bench --bin fig4_partitioning_quality [--full]
+//! cargo run --release -p schism-bench --bin fig4_partitioning_quality \
+//!     [--full] [--backend clique|hypergraph]
 //! ```
 //!
 //! `--full` uses paper-scale trace sizes (slower; same shapes).
+//! `--backend` picks the co-access representation every experiment
+//! partitions (default `clique`); the per-run `cut` is that backend's own
+//! metric, which stderr names.
 
 use schism_bench::manual::{ManualEpinions, ManualTpcc};
 use schism_bench::table::Table;
@@ -187,8 +191,11 @@ fn stripes_scheme(records: u64, k: u32) -> schism_router::RangeScheme {
 }
 
 fn main() {
-    schism_bench::reject_unknown_args(&["--full"]);
+    schism_bench::reject_unknown_args(&["--full", "--backend"]);
     let full = schism_bench::full_scale();
+    let backend = schism_bench::graph_backend_arg();
+    let (backend_name, cut_metric) = schism_bench::graph_backend_names(backend);
+    eprintln!("[fig4] backend {backend_name}: cut is the {cut_metric}");
     println!(
         "=== Figure 4: % distributed transactions per workload and strategy ({}) ===\n",
         if full {
@@ -213,7 +220,8 @@ fn main() {
     ]);
     let mut details = String::new();
 
-    for exp in experiments(full) {
+    for mut exp in experiments(full) {
+        exp.cfg.graph_backend = backend;
         let t0 = std::time::Instant::now();
         let (train, test) = exp
             .workload

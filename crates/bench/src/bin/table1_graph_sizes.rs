@@ -21,7 +21,8 @@
 //!
 //! `--huge` runs the fixed-memory stress: a **1e8-access** drifting trace
 //! is streamed end to end — graph build (`build_graph_source`, never a
-//! materialized `Trace`), partition phase, and a sketched drift check —
+//! materialized `Trace`), partition phase, and a sketched drift check that
+//! a rotated window must trigger and a resampled one must not —
 //! while peak RSS (`VmHWM`) is asserted under a hard ceiling. `--smoke`
 //! scales it down 100x (~1e6 accesses, CI-sized) and additionally
 //! round-trips a statement-retaining trace through `render_log` →
@@ -188,8 +189,6 @@ fn huge_cfg(smoke: bool) -> DriftingConfig {
         records,
         block_span,
         num_txns: (333_400 * scale) as usize,
-        theta: 0.9,
-        write_fraction: 0.3,
         // One window of drift rotates the hot spot by 10% of the keyspace.
         drift_blocks_per_window: records / block_span / 10,
         hot_offset: 0,
@@ -256,7 +255,8 @@ fn huge(smoke: bool, threads: usize, backend: GraphBackend) -> String {
 
     // Drift check on sketched (fixed-memory) histograms: a fresh window
     // with the hot spot rotated one drift step must trigger against a
-    // reference window of the built distribution.
+    // reference window of the built distribution, and a fresh window of
+    // the same distribution (another seed, no rotation) must not.
     let window_txns = wcfg.num_txns / 33;
     let reference = drifting::stream(&DriftingConfig {
         num_txns: window_txns,
@@ -296,6 +296,23 @@ fn huge(smoke: bool, threads: usize, backend: GraphBackend) -> String {
         report.drifted,
         "rotated hot spot must trigger on the sketched histograms (TV {:.3})",
         report.distance
+    );
+    let resampled = drifting::stream(&DriftingConfig {
+        num_txns: window_txns,
+        seed: wcfg.seed ^ 0x5A3E,
+        ..wcfg.clone()
+    });
+    let noise = SketchHistogram::from_source(scfg, &resampled)
+        .distance(&reference, DistanceMetric::TotalVariation);
+    let quiet = DriftReport::new(noise, resampled.len());
+    println!(
+        "same-distribution window ({window_txns} txns): TV distance {:.3} -> drifted={}",
+        quiet.distance, quiet.drifted
+    );
+    assert!(
+        !quiet.drifted,
+        "a resampled window of the same distribution must not trigger (TV {:.3})",
+        quiet.distance
     );
 
     if smoke {

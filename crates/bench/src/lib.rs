@@ -86,9 +86,10 @@ pub fn reset_peak_rss() -> bool {
 }
 
 /// Parses `--backend clique|hypergraph` (default `clique`) for the graph
-/// benches (`fig5_partitioner_scaling`, `table1_graph_sizes`). The
-/// serving/store benches reuse the same flag name for `mem|log` via
-/// [`backend_kind`]; the two sets of binaries don't overlap.
+/// benches (`fig4_partitioning_quality`, `fig5_partitioner_scaling`,
+/// `table1_graph_sizes`). The serving/store benches reuse the same flag
+/// name for `mem|log` via [`backend_kind`]; the two sets of binaries don't
+/// overlap.
 pub fn graph_backend_arg() -> schism_core::GraphBackend {
     match arg_value("--backend").as_deref() {
         None | Some("clique") => schism_core::GraphBackend::Clique,

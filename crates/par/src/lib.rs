@@ -98,12 +98,6 @@ impl Pool {
         }
     }
 
-    /// A pool sized by [`resolve_threads`]`(0)`: the `SCHISM_THREADS`
-    /// override if present, otherwise all hardware threads.
-    pub fn auto() -> Self {
-        Self::new(resolve_threads(0))
-    }
-
     /// This pool's thread budget.
     pub fn threads(&self) -> usize {
         self.threads

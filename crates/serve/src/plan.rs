@@ -1,7 +1,7 @@
 //! The routing / quorum plan: every replication, promotion and quorum
 //! rule of the front door, as pure functions of one statement attempt's
-//! [`View`] — an immutable scheme snapshot, the routing db and a
-//! [`HealthView`] taken by value. Nothing here sends, waits or marks;
+//! [`View`] — the active scheme under its read guard, the routing db and
+//! a [`HealthView`] taken by value. Nothing here sends, waits or marks;
 //! `server.rs` drives a [`Plan`] through `scatter.rs` and applies its
 //! [`Ack`]s to what came back.
 //!
@@ -39,12 +39,14 @@ use schism_sql::Statement;
 use schism_store::{HealthView, ShardId};
 use schism_workload::{TupleId, TupleValues};
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, RwLockReadGuard};
 
-/// Everything one statement attempt decides against, snapshotted once:
-/// the rules below never see a scheme flip or a liveness change midway.
+/// Everything one statement attempt decides against, read once: the rules
+/// below never see a scheme swap or a liveness change midway. The scheme
+/// is borrowed under the server's read guard, so it cannot be swapped
+/// until the attempt drops its view.
 pub(crate) struct View<'a> {
-    pub scheme: Arc<dyn Scheme>,
+    pub scheme: RwLockReadGuard<'a, Arc<dyn Scheme>>,
     pub db: &'a dyn TupleValues,
     pub health: HealthView,
 }
@@ -312,6 +314,7 @@ mod tests {
     use proptest::prelude::*;
     use schism_router::{HashScheme, ReplicatedScheme, VersionedScheme};
     use schism_sql::{parse_statement, ColumnType, Schema};
+    use std::sync::RwLock;
 
     fn schema() -> Schema {
         let mut s = Schema::new();
@@ -378,7 +381,8 @@ mod tests {
                 catching_up: bits(c1 & c2).intersect(&all).difference(&down),
             };
             let not_live = health.not_live();
-            let view = View { scheme: Arc::clone(&scheme), db: &db, health };
+            let lock = RwLock::new(Arc::clone(&scheme));
+            let view = View { scheme: lock.read().unwrap(), db: &db, health };
             for &row in &keys {
                 let t = TupleId::new(0, row);
                 let rs = scheme.replica_set(t, &db);
@@ -435,8 +439,9 @@ mod tests {
         for versioned in [false, true] {
             let keys: Vec<u64> = (0..64).collect();
             let scheme = scheme(5, 3, versioned, &keys);
+            let lock = RwLock::new(Arc::clone(&scheme));
             let view = View {
-                scheme: Arc::clone(&scheme),
+                scheme: lock.read().unwrap(),
                 db: &db,
                 health: HealthView::default(),
             };
@@ -456,8 +461,9 @@ mod tests {
         let db = PkValues::from_schema(&schema);
         let keys: Vec<u64> = (0..32).collect();
         let scheme = scheme(4, 2, false, &keys);
+        let lock = RwLock::new(Arc::clone(&scheme));
         let view = View {
-            scheme: Arc::clone(&scheme),
+            scheme: lock.read().unwrap(),
             db: &db,
             health: HealthView::default(),
         };

@@ -304,8 +304,10 @@ pub fn load_table(
 /// and joins the workers (clean shutdown).
 pub struct Server {
     schema: Arc<Schema>,
-    // Guards one pointer clone or swap, neither of which can panic, so
-    // the `expect`s on this lock only trip on a bug in this file.
+    // Every statement attempt holds this read guard until its last reply
+    // (see `view`), so a swap waits out the attempts on the old scheme.
+    // Nothing that can panic runs under the write guard, so the `expect`s
+    // on this lock only trip on a bug in this file.
     scheme: RwLock<Arc<dyn Scheme>>,
     db: Arc<dyn TupleValues>,
     key_cols: Vec<Option<ColId>>,
@@ -350,9 +352,10 @@ impl Server {
             && self.health.begin_catch_up(shard)
     }
 
-    /// Atomically swaps the active scheme under live traffic. In-flight
-    /// statements finish under the snapshot they routed with; the next
-    /// statement routes with `scheme`.
+    /// Swaps the active scheme under live traffic. Returns once every
+    /// statement attempt routed on the old scheme has had its last reply,
+    /// so no attempt outlives the scheme it routed with; the next attempt
+    /// routes with `scheme`.
     pub fn install_scheme(&self, scheme: Arc<dyn Scheme>) {
         *self.scheme.write().expect("scheme lock poisoned") = scheme;
     }
@@ -465,11 +468,14 @@ impl Server {
         Some(tuples)
     }
 
-    /// What one statement attempt decides against: the active scheme and
-    /// the liveness of every shard, each read exactly once.
+    /// What one statement attempt decides against: the active scheme, held
+    /// under its read guard until the attempt drops the view, and the
+    /// liveness of every shard, each read exactly once. An attempt takes
+    /// no second view: a read queued behind a waiting
+    /// [`install_scheme`](Self::install_scheme) would deadlock.
     fn view(&self) -> View<'_> {
         View {
-            scheme: self.scheme(),
+            scheme: self.scheme.read().expect("scheme lock poisoned"),
             db: &*self.db,
             health: self.health.view(),
         }

@@ -611,11 +611,6 @@ impl LogStore {
         Ok(self.locked(shard)?.tail)
     }
 
-    /// Total live rows across all shards.
-    pub fn total_rows(&self) -> u64 {
-        self.sum_shards(|log| log.index.len() as u64)
-    }
-
     /// Total live payload bytes across all shards.
     pub fn total_bytes(&self) -> u64 {
         self.sum_shards(|log| log.live_payload)

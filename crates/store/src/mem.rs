@@ -62,27 +62,11 @@ impl MemStore {
             .ok_or(StoreError::NoSuchShard(shard))
     }
 
-    /// Total rows across all shards.
-    pub fn total_rows(&self) -> u64 {
-        (0..self.num_shards())
-            .map(|s| self.stats(s).expect("shard in range").rows)
-            .sum()
-    }
-
     /// Total payload bytes across all shards.
     pub fn total_bytes(&self) -> u64 {
         (0..self.num_shards())
             .map(|s| self.stats(s).expect("shard in range").bytes)
             .sum()
-    }
-
-    /// Clears one shard's contents entirely — the chaos-test crash model
-    /// where a failed node's replacement comes up with an empty disk, so
-    /// rejoin has to re-copy everything rather than trust residue.
-    pub fn wipe_shard(&self, shard: ShardId) -> Result<(), StoreError> {
-        let mut guard = self.shard(shard)?.write().expect("shard lock poisoned");
-        *guard = Shard::default();
-        Ok(())
     }
 }
 

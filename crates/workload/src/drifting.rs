@@ -24,6 +24,12 @@ use schism_sql::{AttributeStats, ColumnType, Predicate, Schema, Statement, Value
 use std::ops::Range;
 use std::sync::Arc;
 
+/// Zipfian skew over block ranks.
+const THETA: f64 = 0.9;
+
+/// Fraction of accesses that are writes.
+const WRITE_FRACTION: f64 = 0.3;
+
 /// Generator configuration. Defaults give 100 blocks of 16 keys with a
 /// strong Zipfian head and a 10%-of-keyspace rotation per window.
 #[derive(Clone, Debug)]
@@ -34,10 +40,6 @@ pub struct DriftingConfig {
     pub block_span: u64,
     /// Transactions per generated window.
     pub num_txns: usize,
-    /// Zipfian skew over block ranks.
-    pub theta: f64,
-    /// Fraction of accesses that are writes.
-    pub write_fraction: f64,
     /// Blocks the hot spot advances per window (used by [`window`]).
     pub drift_blocks_per_window: u64,
     /// Explicit rotation of the block ranking for this generation.
@@ -52,8 +54,6 @@ impl Default for DriftingConfig {
             records: 1_600,
             block_span: 16,
             num_txns: 4_000,
-            theta: 0.9,
-            write_fraction: 0.3,
             drift_blocks_per_window: 10,
             hot_offset: 0,
             seed: 0,
@@ -119,7 +119,7 @@ pub fn generate(cfg: &DriftingConfig) -> Workload {
     assert!(blocks >= 1);
     let schema = Arc::new(schema());
     let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let zipf = Zipfian::new(blocks, cfg.theta);
+    let zipf = Zipfian::new(blocks, THETA);
     let mut stats = AttributeStats::default();
     let mut txns = Vec::with_capacity(cfg.num_txns);
 
@@ -131,7 +131,7 @@ pub fn generate(cfg: &DriftingConfig) -> Workload {
         let accesses = rng.gen_range(2..=4u32);
         for _ in 0..accesses {
             let key = base + rng.gen_range(0..cfg.block_span);
-            let write = rng.gen_bool(cfg.write_fraction);
+            let write = rng.gen_bool(WRITE_FRACTION);
             let stmt = if write {
                 tb.write(TupleId::new(0, key));
                 Statement::update(0, Predicate::Eq(0, Value::Int(key as i64)))
@@ -188,7 +188,7 @@ pub fn stream(cfg: &DriftingConfig) -> DriftingSource {
     let blocks = cfg.num_blocks();
     assert!(blocks >= 1);
     DriftingSource {
-        zipf: Zipfian::new(blocks, cfg.theta),
+        zipf: Zipfian::new(blocks, THETA),
         blocks,
         cfg: cfg.clone(),
     }
@@ -207,7 +207,7 @@ impl DriftingSource {
         let accesses = rng.gen_range(2..=4u32);
         for _ in 0..accesses {
             let key = base + rng.gen_range(0..cfg.block_span);
-            if rng.gen_bool(cfg.write_fraction) {
+            if rng.gen_bool(WRITE_FRACTION) {
                 tb.write(TupleId::new(0, key));
             } else {
                 tb.read(TupleId::new(0, key));
@@ -331,7 +331,6 @@ mod tests {
     #[test]
     fn write_fraction_is_respected() {
         let w = generate(&DriftingConfig {
-            write_fraction: 0.5,
             num_txns: 2_000,
             ..Default::default()
         });
@@ -341,6 +340,9 @@ mod tests {
             writes += t.writes.len();
         }
         let frac = writes as f64 / (reads + writes) as f64;
-        assert!((0.4..0.6).contains(&frac), "write fraction {frac}");
+        assert!(
+            (frac - WRITE_FRACTION).abs() < 0.05,
+            "write fraction {frac}"
+        );
     }
 }

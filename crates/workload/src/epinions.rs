@@ -495,7 +495,7 @@ mod tests {
             .trace
             .transactions
             .iter()
-            .filter(|t| !t.is_read_only())
+            .filter(|t| !t.writes.is_empty())
             .count();
         let frac = writers as f64 / w.trace.len() as f64;
         // Mix says 8% writes.

@@ -585,7 +585,7 @@ mod tests {
             .trace
             .transactions
             .iter()
-            .filter(|t| t.is_read_only())
+            .filter(|t| t.writes.is_empty())
             .count();
         assert!(
             ro > 1_000,

@@ -45,11 +45,6 @@ impl Transaction {
     pub fn num_accesses(&self) -> usize {
         self.reads.len() + self.scans.iter().map(Vec::len).sum::<usize>() + self.writes.len()
     }
-
-    /// Whether the transaction is read-only.
-    pub fn is_read_only(&self) -> bool {
-        self.writes.is_empty()
-    }
 }
 
 /// Incremental builder enforcing the read/write set invariants.
@@ -136,7 +131,6 @@ mod tests {
         assert_eq!(txn.reads, vec![t(0, 5)]); // (0,1) promoted to write; dup removed
         assert_eq!(txn.writes, vec![t(0, 1), t(1, 0)]);
         assert_eq!(txn.num_accesses(), 3);
-        assert!(!txn.is_read_only());
     }
 
     #[test]

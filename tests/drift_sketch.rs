@@ -18,7 +18,7 @@ use proptest::prelude::*;
 use schism_migrate::drift::{AccessHistogram, DistanceMetric, DriftReport};
 use schism_migrate::sketch::{SketchConfig, SketchHistogram};
 use schism_workload::drifting::{self, DriftingConfig};
-use schism_workload::{TraceSource, Workload};
+use schism_workload::{TraceSource, TupleId, Workload};
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 16, ..ProptestConfig::default() })]
@@ -145,12 +145,19 @@ fn streamed_and_batch_histograms_agree() {
     let src = drifting::stream(&cfg);
     let trace = src.materialize();
 
+    let accessed: Vec<TupleId> = trace
+        .transactions
+        .iter()
+        .flat_map(|t| t.accessed())
+        .collect();
     let batch_exact = AccessHistogram::from_source(&trace);
     let streamed_exact = AccessHistogram::from_source(&src);
-    assert_eq!(
-        batch_exact.total_accesses(),
-        streamed_exact.total_accesses()
-    );
+    for &t in &accessed {
+        assert_eq!(
+            batch_exact.mass(t).to_bits(),
+            streamed_exact.mass(t).to_bits()
+        );
+    }
     assert!(
         batch_exact
             .distance(&streamed_exact, DistanceMetric::TotalVariation)
@@ -161,10 +168,12 @@ fn streamed_and_batch_histograms_agree() {
     let scfg = SketchConfig::default();
     let batch_sketch = SketchHistogram::from_source(scfg, &trace);
     let streamed_sketch = SketchHistogram::from_source(scfg, &src);
-    assert_eq!(
-        batch_sketch.total_accesses(),
-        streamed_sketch.total_accesses()
-    );
+    for &t in &accessed {
+        assert_eq!(
+            batch_sketch.mass(t).to_bits(),
+            streamed_sketch.mass(t).to_bits()
+        );
+    }
     assert!(
         batch_sketch
             .distance(&streamed_sketch, DistanceMetric::TotalVariation)

@@ -5,9 +5,7 @@
 //! bit-identical to the pre-migration state for every unflipped batch.
 
 use proptest::prelude::*;
-use schism_migrate::{
-    plan_migration, BatchState, ExecutorConfig, MigrationExecutor, PlanConfig, StepOutcome,
-};
+use schism_migrate::{plan_migration, ExecutorConfig, MigrationExecutor, PlanConfig, StepOutcome};
 use schism_router::{
     IndexBackend, LookupBackend, LookupScheme, MissPolicy, PartitionSet, Scheme, VersionedScheme,
 };
@@ -51,13 +49,12 @@ fn check_consistency(
     k: u32,
 ) {
     let db = MaterializedDb::new();
-    // Which tuples flipped is decided batch-wise by the executor.
-    let mut flipped_tuples = std::collections::HashSet::new();
-    for (i, b) in plan.batches.iter().enumerate() {
-        if exec.batch_state(i) == BatchState::Flipped {
-            flipped_tuples.extend(b.moves.iter().map(|m| m.tuple));
-        }
-    }
+    // Which tuples flipped is decided batch-wise by the executor: the
+    // flipped batches are the prefix `progress` counts.
+    let flipped_tuples: std::collections::HashSet<TupleId> = plan.batches[..exec.progress().0]
+        .iter()
+        .flat_map(|b| b.moves.iter().map(|m| m.tuple))
+        .collect();
     for (&t, &old_owner) in old {
         let loc = vs.locate_tuple(t, &db);
         assert_eq!(loc.len(), 1, "tuple {t} has {} owners", loc.len());
@@ -87,12 +84,23 @@ fn check_consistency(
     }
 }
 
+/// Steps `exec` until a step flips nothing; returns that step's outcome.
+fn run(exec: &mut MigrationExecutor<'_>) -> StepOutcome {
+    loop {
+        match exec.step() {
+            StepOutcome::Flipped(_) => {}
+            other => return other,
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
 
-    /// Abort after an arbitrary number of flipped batches: the moved-set
-    /// equals the flipped prefix, every key has exactly one owner backed
-    /// by real bytes, and unflipped batches left no trace in the stores.
+    /// Stop stepping after an arbitrary number of flipped batches: the
+    /// moved-set equals the flipped prefix, every key has exactly one
+    /// owner backed by real bytes, and unflipped batches left no trace in
+    /// the stores.
     #[test]
     fn abort_at_any_batch_boundary_is_consistent(
         rows in prop::collection::vec((0..120u64, 0..5u32, 0..5u32), 1..80),
@@ -127,9 +135,7 @@ proptest! {
             prop_assert_eq!(vs.flipped_batches(), i as u64 + 1);
             prop_assert_eq!(exec.progress().0, i + 1);
         }
-        exec.abort();
-        prop_assert_eq!(exec.step(), StepOutcome::Done);
-        prop_assert!(exec.is_aborted());
+        prop_assert_eq!(exec.progress().0, stop_after);
         prop_assert_eq!(vs.flipped_batches(), stop_after as u64);
 
         check_consistency(&store, &vs, &exec, &plan, &old, k);
@@ -190,10 +196,10 @@ proptest! {
         let mut exec = MigrationExecutor::new(&plan, &faulty, &vs, cfg);
         // A batch with no copied bytes (all drop-only moves) has nothing to
         // corrupt, so nothing fails verification — the executor completes.
-        let outcome = exec.run_to_completion();
+        let outcome = run(&mut exec);
         if victim.is_none() {
             prop_assert_eq!(outcome, StepOutcome::Done);
-            prop_assert!(exec.is_complete());
+            prop_assert_eq!(exec.progress().0, plan.batches.len());
         } else {
             prop_assert_eq!(outcome, StepOutcome::Aborted {
                 batch: bad,

@@ -31,11 +31,25 @@ use schism_store::{FaultPlan, HealthMap, MemStore, ShardStore};
 use schism_workload::{splitmix64, TupleId, TupleValues};
 use std::collections::HashMap;
 use std::sync::Arc;
+use test_store::wipe_shard;
+
+#[path = "support/test_store.rs"]
+mod test_store;
 
 const K: u32 = 4;
 const RF: u32 = 2;
 const RF3: u32 = 3;
 const N_KEYS: u64 = 32;
+
+/// Steps `exec` until a step flips nothing; returns that step's outcome.
+fn run(exec: &mut MigrationExecutor<'_>) -> StepOutcome {
+    loop {
+        match exec.step() {
+            StepOutcome::Flipped(_) => {}
+            other => return other,
+        }
+    }
+}
 
 struct Rng(u64);
 
@@ -237,7 +251,7 @@ fn chaos_case(seed: u64) {
     }
     // Drain the migration under whatever outage the seed produced, cut the
     // server over, and re-verify every acknowledged write.
-    assert_eq!(exec.run_to_completion(), StepOutcome::Done);
+    assert_eq!(run(&mut exec), StepOutcome::Done);
     f.server.install_scheme(Arc::clone(&f.new_scheme));
     drop(sessions);
     let mut check = f.server.session(seed ^ 0xC0DE);
@@ -367,7 +381,7 @@ fn leader_kill_mid_migration_keeps_acked_writes() {
     }
     // The migration itself must drain with the shard down (live-source
     // reads route around it), and the writes survive cutover.
-    assert_eq!(exec.run_to_completion(), StepOutcome::Done);
+    assert_eq!(run(&mut exec), StepOutcome::Done);
     f.server.install_scheme(Arc::clone(&f.new_scheme));
     let mut check = f.server.session(3);
     for k in 0..N_KEYS {
@@ -383,7 +397,7 @@ fn leader_kill_mid_migration_keeps_acked_writes() {
 /// to the live members' state — the full crash-recovery path a real node
 /// replacement would take. Panics if the shard was not strictly down.
 fn rejoin(f: &Fixture, shard: u32) {
-    f.store.wipe_shard(shard).unwrap();
+    wipe_shard(&*f.store, shard, 0);
     assert!(f.server.revive_shard(shard), "shard {shard} must be down");
     run_catch_up(
         shard,
@@ -476,7 +490,7 @@ fn chaos_rejoin_case(seed: u64) {
             "a second kill of the same shard requires it to have rejoined"
         );
     }
-    assert_eq!(exec.run_to_completion(), StepOutcome::Done);
+    assert_eq!(run(&mut exec), StepOutcome::Done);
     f.server.install_scheme(Arc::clone(&f.new_scheme));
     drop(sessions);
     let mut check = f.server.session(seed ^ 0xCA7C);
@@ -535,7 +549,7 @@ fn rf3_two_failures_in_one_group_gate_writes_on_majority() {
     f.health.mark_down(followers[0]);
     assert!(matches!(write(333), Err(ServeError::Unavailable { .. })));
     // A revived-but-catching-up shard counts toward no quorum yet.
-    f.store.wipe_shard(leader).unwrap();
+    wipe_shard(&*f.store, leader, 0);
     assert!(f.server.revive_shard(leader));
     assert!(matches!(write(444), Err(ServeError::Unavailable { .. })));
     // The lone live member still serves reads, and the refused writes

@@ -17,7 +17,15 @@
 //! write must refuse cleanly when the majority is gone, and a rejoined
 //! shard — whose store is deliberately poisoned before revival — must
 //! never serve a read until its catch-up flips it Live.
+//!
+//! A statement attempt never outlives the scheme it routed with:
+//! [`a_held_read_fences_the_next_epoch`] and
+//! [`a_held_write_fences_the_next_epoch`] stall one UPDATE's store call
+//! while a migrator installs a `VersionedScheme`, runs its plan and
+//! installs the new scheme, and check the UPDATE neither misses its row
+//! nor writes a copy the migration already dropped.
 
+use hold_store::{Held, HoldStore};
 use proptest::prelude::*;
 use schism_migrate::{
     plan_migration, run_catch_up, ExecutorConfig, MigrationExecutor, PlanConfig, StepOutcome,
@@ -26,12 +34,19 @@ use schism_router::{
     HashScheme, IndexBackend, LookupBackend, LookupScheme, MissPolicy, PartitionSet,
     ReplicatedScheme, RowKey, Scheme, VersionedScheme,
 };
-use schism_serve::{encode_row, load_table, PkValues, ServeConfig, ServeError, Server};
+use schism_serve::{decode_row, encode_row, load_table, PkValues, ServeConfig, ServeError, Server};
 use schism_sql::{ColumnType, Schema, Value};
 use schism_store::{HealthMap, HealthState, MemStore, ShardStore};
 use schism_workload::{TupleId, TupleValues};
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
+use std::time::Duration;
+use test_store::wipe_shard;
+
+#[path = "support/hold_store.rs"]
+mod hold_store;
+#[path = "support/test_store.rs"]
+mod test_store;
 
 const K: u32 = 4;
 
@@ -43,6 +58,16 @@ fn schema() -> Arc<Schema> {
         &["id"],
     );
     Arc::new(s)
+}
+
+/// Steps `exec` until a step flips nothing; returns that step's outcome.
+fn run(exec: &mut MigrationExecutor<'_>) -> StepOutcome {
+    loop {
+        match exec.step() {
+            StepOutcome::Flipped(_) => {}
+            other => return other,
+        }
+    }
 }
 
 struct Fixture {
@@ -221,7 +246,7 @@ proptest! {
         }
         // Finish the migration, cut the server over, and re-verify all
         // acknowledged writes under the finalized scheme.
-        prop_assert_eq!(exec.run_to_completion(), StepOutcome::Done);
+        prop_assert_eq!(run(&mut exec), StepOutcome::Done);
         prop_assert_eq!(exec.report().batches_flipped, f.plan.batches.len());
         f.server.install_scheme(Arc::clone(&f.new_scheme));
         for (k, v) in model {
@@ -264,7 +289,7 @@ fn delete_of_in_plan_key_passes_through_migration() {
         .unwrap();
     assert_eq!(out.affected, 1);
     let mut exec = MigrationExecutor::new(&f.plan, &*f.store, &f.vs, ExecutorConfig::default());
-    assert_eq!(exec.run_to_completion(), StepOutcome::Done);
+    assert_eq!(run(&mut exec), StepOutcome::Done);
     assert_eq!(exec.report().batches_flipped, f.plan.batches.len());
     let out = f
         .server
@@ -446,7 +471,7 @@ proptest! {
             catch_up(s);
         }
         for s in f.health.view().down.iter() {
-            f.store.wipe_shard(s).unwrap();
+            wipe_shard(&*f.store, s, 0);
             prop_assert!(f.server.revive_shard(s));
             catch_up(s);
         }
@@ -527,7 +552,7 @@ fn concurrent_clients_survive_live_migration() {
                         std::thread::sleep(std::time::Duration::from_micros(200))
                     }
                     StepOutcome::Done => break,
-                    StepOutcome::Paused => {}
+                    StepOutcome::Paused => unreachable!("step never pauses"),
                     StepOutcome::Aborted { batch, error } => {
                         panic!("migration aborted at batch {batch}: {error}")
                     }
@@ -551,4 +576,89 @@ fn concurrent_clients_survive_live_migration() {
             Value::Int((ITERS - 1) * 1000 + key as i64)
         );
     }
+}
+
+/// One UPDATE of key 1 whose `held` store call waits while a migrator
+/// thread installs a `VersionedScheme`, runs the one-batch plan that
+/// moves the key to the next shard, and installs the new scheme. The
+/// call goes on once the migrator is done, or after 500 ms when the
+/// migrator is waiting for the statement. Returns the rows the UPDATE
+/// affected and the balance the key's new owner holds afterwards.
+fn update_across_an_epoch(held: Held) -> (u64, Value) {
+    let schema = schema();
+    let mem = Arc::new(MemStore::new(K));
+    let db: Arc<dyn TupleValues> = Arc::new(PkValues::from_schema(&schema));
+    let old: Arc<dyn Scheme> = Arc::new(HashScheme::by_attrs(K, vec![Some(0)]));
+    let key = TupleId::new(0, 1);
+    let row = vec![Value::Int(1), Value::Int(0)];
+    load_table(&*mem, &*old, &*db, &schema, 0, std::iter::once(row)).unwrap();
+    let from = old.locate_tuple(key, &*db);
+    let to = PartitionSet::single((from.first().unwrap() + 1) % K);
+    let new: Arc<dyn Scheme> = Arc::new(LookupScheme::new(
+        K,
+        vec![Some(
+            Box::new(IndexBackend::new(vec![(1, to)])) as Box<dyn LookupBackend>
+        )],
+        vec![Some(RowKey { col: 0, offset: 0 })],
+        MissPolicy::HashRow,
+    ));
+    let plan = plan_migration(
+        &HashMap::from([(key, from)]),
+        &HashMap::from([(key, to)]),
+        &*db,
+        &PlanConfig::default(),
+    );
+    assert_eq!(plan.batches.len(), 1);
+    let store = Arc::new(HoldStore::new(Arc::clone(&mem) as _, held, key));
+    let server = Server::new(
+        schema,
+        Arc::clone(&store) as _,
+        Arc::clone(&old),
+        db,
+        ServeConfig::default(),
+    );
+    let (done, migrated) = mpsc::channel();
+    let affected = std::thread::scope(|s| {
+        let (server, plan) = (&server, &plan);
+        let update = s.spawn(move || {
+            server
+                .execute_sql("UPDATE account SET bal = 7 WHERE id = 1")
+                .unwrap()
+                .affected
+        });
+        store.wait_held();
+        s.spawn(move || {
+            let vs = Arc::new(VersionedScheme::new(old, Arc::clone(&new)));
+            server.install_scheme(Arc::clone(&vs) as _);
+            let mut exec =
+                MigrationExecutor::new(plan, &**server.store(), &vs, ExecutorConfig::default());
+            assert_eq!(run(&mut exec), StepOutcome::Done);
+            server.install_scheme(new);
+            done.send(()).unwrap();
+        });
+        // Under the fence the migrator waits in `install_scheme` for the
+        // held attempt, so this wait runs out.
+        let _ = migrated.recv_timeout(Duration::from_millis(500));
+        store.release();
+        update.join().unwrap()
+    });
+    let owned = mem.get(to.first().unwrap(), key).unwrap();
+    let row = decode_row(&owned.expect("the new owner holds the row")).unwrap();
+    (affected, row[1].clone())
+}
+
+/// The UPDATE's read of its row is held across the migration: run on the
+/// scheme it routed with after the next epoch dropped that copy, it
+/// would find no row.
+#[test]
+fn a_held_read_fences_the_next_epoch() {
+    assert_eq!(update_across_an_epoch(Held::Get), (1, Value::Int(7)));
+}
+
+/// The UPDATE's write is held across the migration: landing on the old
+/// copy after the migration verified and dropped it, the acknowledged
+/// balance would be lost to the new owner.
+#[test]
+fn a_held_write_fences_the_next_epoch() {
+    assert_eq!(update_across_an_epoch(Held::Put), (1, Value::Int(7)));
 }

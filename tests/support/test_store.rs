@@ -1,15 +1,33 @@
 //! A test-only [`ShardStore`] wrapper that drives the migration executor
 //! through faults: it corrupts a victim tuple's copies, fails one chosen
-//! delete, and records every `apply_batch` call in order.
+//! delete, and records every `apply_batch` call in order. Beside it, two
+//! helpers over any store: [`wipe_shard`] and [`total_rows`].
 //!
-//! The executor's unit tests and the umbrella integration tests both
-//! include this file by `#[path]`, and no one of them calls every method.
+//! The migrate crate's unit and integration tests and the umbrella
+//! integration tests include this file by `#[path]`, and no one of them
+//! calls every item.
 #![allow(dead_code)]
 
 use schism_store::{ShardId, ShardStats, ShardStore, StoreError, WriteOp};
 use schism_workload::TupleId;
 use std::ops::Range;
 use std::sync::Mutex;
+
+/// Deletes every row of `table` from `shard`: a failed node's replacement
+/// comes up with an empty disk, so a rejoin must re-copy everything
+/// rather than trust residue.
+pub fn wipe_shard(store: &dyn ShardStore, shard: ShardId, table: u16) {
+    for (t, _) in store.scan_range(shard, table, 0..u64::MAX).unwrap() {
+        store.delete(shard, t).unwrap();
+    }
+}
+
+/// Rows held across every shard, summed from each shard's stats.
+pub fn total_rows(store: &dyn ShardStore) -> u64 {
+    (0..store.num_shards())
+        .map(|s| store.stats(s).unwrap().rows)
+        .sum()
+}
 
 /// Wraps a store; every call not named below passes straight through.
 pub struct TestStore<'a> {
