@@ -51,6 +51,42 @@ fn noisy_item_dataset() -> Dataset {
     Dataset::new(vec![attr], vec![ids], labels, 9)
 }
 
+/// The shape of `advisor_tpcc`'s `stock` table: two attributes (`s_i_id`,
+/// `s_w_id`) over 16 warehouses of 1 000 items, about 7.9 k touched tuples
+/// each repeated up to 32 times by access count (about 85 k rows), and 16
+/// labels (8 partitions, 7 replication sets, the replicate catch-all).
+/// Two warehouses share a partition; hot items carry replication labels.
+/// With two attributes every split also partitions the other list.
+fn weighted_stock_dataset() -> Dataset {
+    let mix = |i: u64| {
+        let h = i.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        (h ^ (h >> 29)).wrapping_mul(0xBF58_476D_1CE4_E5B9) >> 17
+    };
+    let (mut items, mut warehouses, mut labels) = (Vec::new(), Vec::new(), Vec::new());
+    for tuple in 0..16_000u64 {
+        let h = mix(tuple);
+        if h % 100 >= 49 {
+            continue; // untouched
+        }
+        let (item, warehouse) = ((tuple % 1_000) as i64, (tuple / 1_000) as i64);
+        let label = match mix(tuple ^ 0x5EED) % 20 {
+            0 => 8 + (item % 8) as u32,
+            1 => (mix(tuple ^ 0xD1CE) % 8) as u32,
+            _ => (warehouse / 2) as u32,
+        };
+        let weight = 1 + (mix(tuple ^ 0xBEEF) % 1_000).pow(2) / 33_000;
+        for _ in 0..weight {
+            items.push(item);
+            warehouses.push(warehouse);
+            labels.push(label);
+        }
+    }
+    let attrs = ["s_i_id", "s_w_id"].map(|name| Attribute {
+        name: name.to_owned(),
+    });
+    Dataset::new(attrs.into(), vec![items, warehouses], labels, 16)
+}
+
 /// Leaf-support floor as `schism_core::explain` scales it for a table of
 /// `rows` training rows at k = 8.
 fn explain_tree_config(rows: usize) -> TreeConfig {
@@ -76,6 +112,19 @@ fn bench_noisy_item(c: &mut Criterion) {
             |b, pool| b.iter(|| cross_validate(&ds, &cfg, 7, pool)),
         );
     }
+    group.finish();
+}
+
+fn bench_weighted_stock(c: &mut Criterion) {
+    let ds = weighted_stock_dataset();
+    let cfg = explain_tree_config(ds.len());
+    let mut group = c.benchmark_group("tree/weighted_stock");
+    group.sample_size(10);
+    group.bench_function("train", |b| b.iter(|| DecisionTree::train(&ds, &cfg)));
+    let pool = Pool::new(2);
+    group.bench_function("cross_validate/2", |b| {
+        b.iter(|| cross_validate(&ds, &cfg, 7, &pool))
+    });
     group.finish();
 }
 
@@ -112,6 +161,7 @@ criterion_group!(
     benches,
     bench_tree_train,
     bench_noisy_item,
+    bench_weighted_stock,
     bench_cfs,
     bench_predict
 );

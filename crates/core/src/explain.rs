@@ -67,16 +67,16 @@ pub fn explain(
     let mut per_table = Vec::new();
     let mut policies: Vec<TablePolicy> = Vec::new();
 
-    // Group assignment entries by table (sorted for determinism).
-    let mut by_table: Vec<Vec<(TupleId, PartitionSet)>> =
-        vec![Vec::new(); workload.schema.num_tables()];
-    for (&t, &pset) in assignment {
-        if (t.table as usize) < by_table.len() {
-            by_table[t.table as usize].push((t, pset));
+    // Group the assigned rows by table, sorted for determinism. Only the
+    // rows `explain_table` samples have their partition sets looked up.
+    let mut by_table: Vec<Vec<u64>> = vec![Vec::new(); workload.schema.num_tables()];
+    for t in assignment.keys() {
+        if let Some(rows) = by_table.get_mut(t.table as usize) {
+            rows.push(t.row);
         }
     }
-    for v in &mut by_table {
-        v.sort_unstable_by_key(|&(t, _)| t);
+    for rows in &mut by_table {
+        rows.sort_unstable();
     }
 
     // Per-table write fractions (drive the low-confidence fallback below).
@@ -95,13 +95,12 @@ pub fn explain(
         }
     }
 
-    for (tid, tdef) in workload.schema.tables() {
-        let entries = &by_table[tid as usize];
+    for (tid, _) in workload.schema.tables() {
         let mut exp = explain_table(
             workload,
             tid,
-            &tdef.name,
-            entries,
+            &by_table[tid as usize],
+            assignment,
             access_counts,
             cfg,
             &pool,
@@ -146,15 +145,16 @@ pub fn explain(
 fn explain_table(
     workload: &Workload,
     table: TableId,
-    table_name: &str,
-    entries: &[(TupleId, PartitionSet)],
+    rows: &[u64],
+    assignment: &HashMap<TupleId, PartitionSet, impl BuildHasher>,
     access_counts: &HashMap<TupleId, u32, impl BuildHasher + Sync>,
     cfg: &SchismConfig,
     pool: &Pool,
 ) -> TableExplanation {
     let k = cfg.k;
+    let table_name = &workload.schema.table(table).name;
     // Untouched table: nothing to learn; replicate the (reference) table.
-    if entries.is_empty() {
+    if rows.is_empty() {
         return TableExplanation {
             table,
             table_name: table_name.to_owned(),
@@ -168,10 +168,17 @@ fn explain_table(
         };
     }
 
-    // Deterministic training sample (stride over the sorted entries).
+    // Deterministic training sample (stride over the sorted rows).
     let cap = cfg.explain_sample_per_table.max(1);
-    let stride = entries.len().div_ceil(cap);
-    let sample: Vec<&(TupleId, PartitionSet)> = entries.iter().step_by(stride.max(1)).collect();
+    let stride = rows.len().div_ceil(cap);
+    let sample: Vec<(TupleId, PartitionSet)> = rows
+        .iter()
+        .step_by(stride.max(1))
+        .map(|&row| {
+            let t = TupleId::new(table, row);
+            (t, assignment[&t])
+        })
+        .collect();
 
     // Label space: partitions 0..k, then the most common replication sets.
     let mut set_freq: HashMap<PartitionSet, usize> = HashMap::new();
@@ -215,7 +222,7 @@ fn explain_table(
     // the classifier optimizes for the tuples the workload actually reads.
     let mut columns: Vec<Vec<i64>> = vec![Vec::with_capacity(sample.len()); candidates.len()];
     let mut labels: Vec<u32> = Vec::with_capacity(sample.len());
-    'tuples: for &&(t, pset) in &sample {
+    'tuples: for &(t, pset) in &sample {
         let mut row = Vec::with_capacity(candidates.len());
         for &col in &candidates {
             match workload.db.value(t, col) {

@@ -81,7 +81,7 @@ pub fn cross_validate(ds: &Dataset, cfg: &TreeConfig, seed: u64, pool: &Pool) ->
                 .filter(|&(i, _)| i != held)
                 .flat_map(|(_, f)| f.iter().copied())
                 .collect();
-            let tree = DecisionTree::train_on(ds, train_rows, cfg);
+            let tree = DecisionTree::train_on(ds, &train_rows, cfg);
             let accuracy = tree.accuracy_on(ds, &folds[held]);
             Some((tree, accuracy))
         })

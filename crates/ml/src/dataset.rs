@@ -6,6 +6,8 @@
 //! ids — in Schism these are partition numbers plus virtual replication
 //! labels (§4.3).
 
+use crate::entropy::xlog2x;
+
 /// Attribute metadata: the column's name, for rendering rules.
 #[derive(Clone, Debug)]
 pub struct Attribute {
@@ -20,6 +22,9 @@ pub struct Dataset {
     columns: Vec<Vec<i64>>,
     labels: Vec<u32>,
     num_classes: u32,
+    /// `xlog2x[c]` = [`crate::entropy::xlog2x`]`(c)` for every count
+    /// `0..=len`: the tree's split criterion reads it instead of taking logs.
+    xlog2x: Vec<f64>,
 }
 
 impl Dataset {
@@ -44,11 +49,13 @@ impl Dataset {
         for &l in &labels {
             assert!(l < num_classes, "label {l} >= num_classes {num_classes}");
         }
+        let xlog2x = (0..=labels.len() as u32).map(xlog2x).collect();
         Self {
             attrs,
             columns,
             labels,
             num_classes,
+            xlog2x,
         }
     }
 
@@ -66,6 +73,7 @@ impl Dataset {
             columns,
             labels: self.labels,
             num_classes: self.num_classes,
+            xlog2x: self.xlog2x,
         }
     }
 
@@ -119,6 +127,11 @@ impl Dataset {
     /// All labels.
     pub fn labels(&self) -> &[u32] {
         &self.labels
+    }
+
+    /// `c·log2 c` for every count `c` a histogram over this dataset can hold.
+    pub(crate) fn xlog2x_table(&self) -> &[f64] {
+        &self.xlog2x
     }
 
     /// Class histogram over the given row indices.

@@ -1,7 +1,25 @@
 //! Information-theoretic split criteria (entropy, information gain, gain
-//! ratio) shared by the decision tree and CFS feature selection. The tree's
-//! split search computes gain and gain ratio incrementally; [`info_gain`]
-//! and [`gain_ratio`] state the formulas it is tested against to the bit.
+//! ratio) shared by the decision tree and CFS feature selection.
+//!
+//! [`entropy`] (used by CFS) takes probabilities. The split criterion is in
+//! the *count form* of C4.5 and Weka's J48 (`EntropyBasedSplitCrit.lnFunc`,
+//! there in natural logs): with `f(c) = c·log2 c`, a histogram of
+//! `n` rows has `n·H = f(n) − Σ_cells f(c)` (`count_entropy`), a split's
+//! children together have `n·H = Σ_side f(n_side) − Σ_cells f(c)`
+//! (`children_entropy`), and gain and split information are their
+//! differences over `n`. Every term is a count's `f`, so the tree reads `f`
+//! from a table built once per dataset and a candidate threshold costs
+//! additions only. [`info_gain`] and [`gain_ratio`] state the formulas with
+//! `f` computed directly; the tree's scan is tested against them to the bit.
+
+/// `c·log2 c`, zero at zero: the one logarithm the count form takes.
+pub(crate) fn xlog2x(c: u32) -> f64 {
+    if c == 0 {
+        return 0.0;
+    }
+    let c = c as f64;
+    c * c.log2()
+}
 
 /// Shannon entropy (bits) of a class histogram.
 pub fn entropy(counts: &[u32]) -> f64 {
@@ -20,35 +38,48 @@ pub fn entropy(counts: &[u32]) -> f64 {
     h
 }
 
-/// Entropy of a two-way split: weighted sum of child entropies.
-pub fn split_entropy(parts: &[&[u32]]) -> f64 {
-    let total: u64 = parts
-        .iter()
-        .map(|p| p.iter().map(|&c| c as u64).sum::<u64>())
-        .sum();
-    if total == 0 {
-        return 0.0;
+/// `n·H(counts)` in count form, `f(n) − Σ f(c)`, with `n = Σ counts`.
+pub(crate) fn count_entropy(counts: &[u32], f: impl Fn(u32) -> f64) -> f64 {
+    let mut cells = 0.0;
+    for &c in counts {
+        cells += f(c);
     }
-    let tot = total as f64;
-    parts
-        .iter()
-        .map(|p| {
-            let n: u64 = p.iter().map(|&c| c as u64).sum();
-            (n as f64 / tot) * entropy(p)
-        })
-        .sum()
+    f(counts.iter().sum()) - cells
 }
 
-/// Information gain of a split relative to the parent histogram.
+/// `n·H(children)` of a split in count form, `Σ_side f(n_side) − Σ_cells
+/// f(c)`: the row-weighted sum of the children's entropies, times `n`.
+pub(crate) fn children_entropy(parts: &[&[u32]], f: impl Fn(u32) -> f64) -> f64 {
+    let mut sides = 0.0;
+    let mut cells = 0.0;
+    for part in parts {
+        sides += f(part.iter().sum());
+        for &c in *part {
+            cells += f(c);
+        }
+    }
+    sides - cells
+}
+
+/// Information gain (bits per row) of a split relative to the parent
+/// histogram.
 pub fn info_gain(parent: &[u32], parts: &[&[u32]]) -> f64 {
-    entropy(parent) - split_entropy(parts)
+    let n: u32 = parent.iter().sum();
+    if n == 0 {
+        return 0.0;
+    }
+    (count_entropy(parent, xlog2x) - children_entropy(parts, xlog2x)) / n as f64
 }
 
 /// Split information: entropy of the partition *sizes* (C4.5's denominator
 /// that penalizes high-arity splits).
 pub fn split_info(parts: &[&[u32]]) -> f64 {
     let sizes: Vec<u32> = parts.iter().map(|p| p.iter().sum::<u32>()).collect();
-    entropy(&sizes)
+    let n: u32 = sizes.iter().sum();
+    if n == 0 {
+        return 0.0;
+    }
+    count_entropy(&sizes, xlog2x) / n as f64
 }
 
 /// C4.5 gain ratio: `info_gain / split_info`, zero when the split is
@@ -97,6 +128,21 @@ mod tests {
         assert!(entropy(&[10, 0]).abs() < EPS);
         assert!(entropy(&[]).abs() < EPS);
         assert!((entropy(&[1, 1, 1, 1]) - 2.0).abs() < EPS);
+    }
+
+    /// The count form is the probability form rearranged: `n·H` of a
+    /// histogram and of a split's children match `entropy` up to rounding.
+    #[test]
+    fn count_form_matches_probability_form() {
+        for counts in [&[5u32, 5][..], &[1, 2, 3, 4], &[7, 0, 1], &[12_000, 3]] {
+            let n: u32 = counts.iter().sum();
+            let h = count_entropy(counts, xlog2x) / n as f64;
+            assert!((h - entropy(counts)).abs() < EPS, "{counts:?}");
+        }
+        let (left, right) = ([3u32, 1], [2u32, 6]);
+        let weighted = (4.0 * entropy(&left) + 8.0 * entropy(&right)) / 12.0;
+        let h = children_entropy(&[&left, &right], xlog2x) / 12.0;
+        assert!((h - weighted).abs() < EPS);
     }
 
     #[test]

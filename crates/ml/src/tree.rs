@@ -2,13 +2,25 @@
 //! uses for its explanation phase, §5.2).
 //!
 //! - every attribute is an ordered `i64`: binary splits `value <= threshold`
-//! - split criterion: gain ratio
+//! - split criterion: gain ratio, in C4.5's count form (see
+//!   [`crate::entropy`]): `c·log2 c` is read from the dataset's table, so a
+//!   candidate threshold costs additions only
 //! - stopping: purity, `min_split`, `min_leaf`, `max_depth`
 //! - pruning: pessimistic error-based subtree replacement (see
 //!   [`crate::prune`]), controlled by a confidence factor
+//!
+//! J48 sorts a node's rows by each attribute at every node. Here
+//! [`DecisionTree::train_on`] sorts them once per tree, into one list per
+//! attribute (SLIQ's attribute lists); a split marks each row left or
+//! right and partitions every list stably into its two halves, so each
+//! child's lists come out sorted. Only boundaries between distinct values
+//! are candidates, and the counts there do not depend on the order of
+//! rows within a tie, so the tree is the one per-node sorting grows (the
+//! tests keep that builder as the reference).
 
 use crate::dataset::Dataset;
-use crate::entropy::{entropy, split_entropy};
+use crate::entropy::{children_entropy, count_entropy};
+use std::ops::Range;
 
 /// Training knobs. Defaults mirror C4.5/J48 defaults; Schism cranks
 /// `min_leaf` up ("aggressive pruning ... to eliminate rules with little
@@ -83,11 +95,14 @@ impl DecisionTree {
     /// Trains on the whole dataset.
     pub fn train(ds: &Dataset, cfg: &TreeConfig) -> Self {
         let rows: Vec<u32> = (0..ds.len() as u32).collect();
-        Self::train_on(ds, rows, cfg)
+        Self::train_on(ds, &rows, cfg)
     }
 
     /// Trains on a subset of rows (used by cross-validation).
-    pub fn train_on(ds: &Dataset, mut rows: Vec<u32>, cfg: &TreeConfig) -> Self {
+    ///
+    /// Sorts `rows` once per attribute; every split below partitions those
+    /// lists instead of sorting again.
+    pub fn train_on(ds: &Dataset, rows: &[u32], cfg: &TreeConfig) -> Self {
         let mut root = if rows.is_empty() {
             Node::Leaf {
                 stats: NodeStats {
@@ -97,7 +112,28 @@ impl DecisionTree {
                 },
             }
         } else {
-            build(ds, &mut rows, cfg.max_depth, cfg)
+            let lists = (0..ds.num_attrs())
+                .map(|a| {
+                    let mut list: Vec<Entry> = rows
+                        .iter()
+                        .map(|&row| Entry {
+                            value: ds.value(a, row as usize),
+                            row,
+                            label: ds.label(row as usize),
+                        })
+                        .collect();
+                    list.sort_unstable_by_key(|e| e.value);
+                    list
+                })
+                .collect();
+            let mut builder = Builder {
+                cfg,
+                f: ds.xlog2x_table(),
+                lists,
+                goes_left: vec![false; ds.len()],
+                spill: Vec::with_capacity(rows.len()),
+            };
+            builder.build(0..rows.len(), ds.class_counts(rows), cfg.max_depth)
         };
         if cfg.prune_cf < 1.0 {
             crate::prune::prune(&mut root, cfg.prune_cf);
@@ -193,111 +229,145 @@ fn stats_of(counts: &[u32]) -> NodeStats {
     }
 }
 
+/// One row in an attribute's sorted list: the attribute's value, the row,
+/// and its label, so a scan reads neither the column nor the labels.
+#[derive(Clone, Copy)]
+struct Entry {
+    value: i64,
+    row: u32,
+    label: u32,
+}
+
+/// The best threshold of one attribute at one node.
 struct BestSplit {
-    attr: usize,
     gain_ratio: f64,
     threshold: i64,
+    /// Rows at or below `threshold`: a prefix of the attribute's list.
+    left_n: usize,
 }
 
-fn build(ds: &Dataset, rows: &mut [u32], depth_left: usize, cfg: &TreeConfig) -> Node {
-    let counts = ds.class_counts(rows);
-    let stats = stats_of(&counts);
-    let pure = counts.iter().filter(|&&c| c > 0).count() <= 1;
-    if pure || stats.n < cfg.min_split || depth_left == 0 {
-        return Node::Leaf { stats };
-    }
-
-    let best = find_best_split(ds, rows, &counts, cfg);
-    let best = match best {
-        Some(b) if b.gain_ratio > 1e-10 => b,
-        _ => return Node::Leaf { stats },
-    };
-
-    // Partition rows in place: `<= threshold` first.
-    let mid = partition_in_place(rows, |r| ds.value(best.attr, r as usize) <= best.threshold);
-    if mid == 0 || mid == rows.len() {
-        return Node::Leaf { stats };
-    }
-    let (l, r) = rows.split_at_mut(mid);
-    let left = build(ds, l, depth_left - 1, cfg);
-    let right = build(ds, r, depth_left - 1, cfg);
-    Node::Num {
-        stats,
-        attr: best.attr,
-        threshold: best.threshold,
-        left: Box::new(left),
-        right: Box::new(right),
-    }
+/// Grows one tree over attribute lists sorted once, at the root.
+struct Builder<'a> {
+    cfg: &'a TreeConfig,
+    /// `c·log2 c` by count.
+    f: &'a [f64],
+    /// `lists[a]`: the tree's rows sorted by attribute `a`. A node owns the
+    /// same index range of every list, each sorted within it.
+    lists: Vec<Vec<Entry>>,
+    /// Per dataset row: whether it goes left at the split being applied.
+    goes_left: Vec<bool>,
+    /// A list's right half while that list is partitioned.
+    spill: Vec<Entry>,
 }
 
-fn find_best_split(
-    ds: &Dataset,
-    rows: &[u32],
-    parent_counts: &[u32],
-    cfg: &TreeConfig,
-) -> Option<BestSplit> {
-    let mut best: Option<BestSplit> = None;
-    let nc = ds.num_classes() as usize;
-    for attr in 0..ds.num_attrs() {
-        if let Some(c) = best_numeric_split(ds, rows, parent_counts, attr, nc, cfg) {
-            match &best {
-                Some(b) if b.gain_ratio >= c.gain_ratio => {}
-                _ => best = Some(c),
+impl Builder<'_> {
+    fn build(&mut self, range: Range<usize>, counts: Vec<u32>, depth_left: usize) -> Node {
+        let stats = stats_of(&counts);
+        let pure = counts.iter().filter(|&&c| c > 0).count() <= 1;
+        if pure || stats.n < self.cfg.min_split || depth_left == 0 {
+            return Node::Leaf { stats };
+        }
+
+        let parent = count_entropy(&counts, |c| self.f[c as usize]);
+        let mut best: Option<(usize, BestSplit)> = None;
+        for (attr, list) in self.lists.iter().enumerate() {
+            let seg = &list[range.clone()];
+            if let Some(c) = best_numeric_split(seg, &counts, parent, self.f, self.cfg.min_leaf) {
+                match &best {
+                    Some((_, b)) if b.gain_ratio >= c.gain_ratio => {}
+                    _ => best = Some((attr, c)),
+                }
             }
         }
+        let (attr, best) = match best {
+            Some((a, b)) if b.gain_ratio > 1e-10 => (a, b),
+            _ => return Node::Leaf { stats },
+        };
+
+        // The chosen list is split already: its prefix goes left. Flag its
+        // rows, then split every other list stably by the flags.
+        let mid = range.start + best.left_n;
+        let mut left_counts = vec![0u32; counts.len()];
+        let mut right_counts = counts.clone();
+        for (i, e) in self.lists[attr][range.clone()].iter().enumerate() {
+            let left = i < best.left_n;
+            self.goes_left[e.row as usize] = left;
+            if left {
+                left_counts[e.label as usize] += 1;
+                right_counts[e.label as usize] -= 1;
+            }
+        }
+        for a in (0..self.lists.len()).filter(|&a| a != attr) {
+            let seg = &mut self.lists[a][range.clone()];
+            self.spill.clear();
+            let mut kept = 0;
+            for i in 0..seg.len() {
+                let e = seg[i];
+                if self.goes_left[e.row as usize] {
+                    seg[kept] = e;
+                    kept += 1;
+                } else {
+                    self.spill.push(e);
+                }
+            }
+            seg[kept..].copy_from_slice(&self.spill);
+        }
+        let left = self.build(range.start..mid, left_counts, depth_left - 1);
+        let right = self.build(mid..range.end, right_counts, depth_left - 1);
+        Node::Num {
+            stats,
+            attr,
+            threshold: best.threshold,
+            left: Box::new(left),
+            right: Box::new(right),
+        }
     }
-    best
 }
 
+/// The best threshold of one attribute over a node's rows, `seg` sorted by
+/// value. `parent` is the node's count-form entropy of `parent_counts`.
+/// Only boundaries between distinct values are candidates, so the order of
+/// rows within a tie changes nothing.
 fn best_numeric_split(
-    ds: &Dataset,
-    rows: &[u32],
+    seg: &[Entry],
     parent_counts: &[u32],
-    attr: usize,
-    nc: usize,
-    cfg: &TreeConfig,
+    parent: f64,
+    f: &[f64],
+    min_leaf: u32,
 ) -> Option<BestSplit> {
-    // Sort (value, label) and scan boundaries between distinct values.
-    let mut pairs: Vec<(i64, u32)> = rows
-        .iter()
-        .map(|&r| (ds.value(attr, r as usize), ds.label(r as usize)))
-        .collect();
-    pairs.sort_unstable_by_key(|&(v, _)| v);
-    let n = pairs.len();
-    // `info_gain` and `gain_ratio` taken apart so that what does not depend
-    // on the threshold is computed once: the parent entropy, and the gain
-    // the ratio divides. Same operations on the same operands, so every
-    // float matches theirs to the bit.
-    let parent_entropy = entropy(parent_counts);
-    let mut left = vec![0u32; nc];
-    let mut right = vec![0u32; nc];
-    // Candidate thresholds with (gain, gain_ratio). Gain ratio alone favors
-    // degenerate peel-one-row splits (the split-info denominator collapses),
-    // so — like C4.5 — only candidates with at-least-average gain compete on
-    // gain ratio.
-    let mut candidates: Vec<(f64, f64, i64)> = Vec::new();
-    for i in 0..n - 1 {
-        left[pairs[i].1 as usize] += 1;
-        if pairs[i].0 == pairs[i + 1].0 {
+    let f = |c: u32| f[c as usize];
+    let n = seg.len();
+    let nf = n as f64;
+    let mut left = vec![0u32; parent_counts.len()];
+    let mut right = vec![0u32; parent_counts.len()];
+    // Candidate thresholds with (gain, gain_ratio, left_n). Gain ratio alone
+    // favors degenerate peel-one-row splits (the split-info denominator
+    // collapses), so — like C4.5 — only candidates with at-least-average
+    // gain compete on gain ratio. The floats are `info_gain` and
+    // `gain_ratio`'s: the same operations on the same operands.
+    let mut candidates: Vec<(f64, f64, usize)> = Vec::new();
+    for i in 0..n.saturating_sub(1) {
+        left[seg[i].label as usize] += 1;
+        if seg[i].value == seg[i + 1].value {
             continue; // not a boundary
         }
         let left_n = (i + 1) as u32;
         let right_n = (n - i - 1) as u32;
-        if left_n < cfg.min_leaf || right_n < cfg.min_leaf {
+        if left_n < min_leaf || right_n < min_leaf {
             continue;
         }
         for (r, (&p, &l)) in right.iter_mut().zip(parent_counts.iter().zip(&left)) {
             *r = p - l;
         }
-        let gain = parent_entropy - split_entropy(&[&left, &right]);
+        let gain = (parent - children_entropy(&[&left, &right], f)) / nf;
         if gain > 1e-10 {
-            let split_info = entropy(&[left_n, right_n]);
+            let split_info = count_entropy(&[left_n, right_n], f) / nf;
             let gr = if split_info <= f64::EPSILON {
                 0.0
             } else {
                 gain / split_info
             };
-            candidates.push((gain, gr, pairs[i].0));
+            candidates.push((gain, gr, i + 1));
         }
     }
     if candidates.is_empty() {
@@ -309,24 +379,11 @@ fn best_numeric_split(
         .into_iter()
         .filter(|&(g, _, _)| g + 1e-12 >= avg_gain)
         .max_by(|a, b| a.1.total_cmp(&b.1))
-        .map(|(_, gr, threshold)| BestSplit {
-            attr,
-            gain_ratio: gr,
-            threshold,
+        .map(|(_, gain_ratio, left_n)| BestSplit {
+            gain_ratio,
+            threshold: seg[left_n - 1].value,
+            left_n,
         })
-}
-
-/// Stable-ish in-place partition; returns the number of rows satisfying the
-/// predicate (moved to the front).
-fn partition_in_place(rows: &mut [u32], pred: impl Fn(u32) -> bool) -> usize {
-    let mut i = 0usize;
-    for j in 0..rows.len() {
-        if pred(rows[j]) {
-            rows.swap(i, j);
-            i += 1;
-        }
-    }
-    i
 }
 
 #[cfg(test)]
@@ -428,24 +485,22 @@ mod tests {
     }
 
     /// The split search as the formulas state it: `info_gain` and
-    /// `gain_ratio` evaluated from scratch at every boundary.
+    /// `gain_ratio` evaluated from scratch at every boundary of `pairs`,
+    /// sorted by value.
     fn reference_numeric_split(
         pairs: &[(i64, u32)],
         parent: &[u32],
         min_leaf: u32,
     ) -> Option<(i64, f64)> {
         let n = pairs.len();
+        let mut left = vec![0u32; parent.len()];
         let mut candidates = Vec::new();
-        for i in 0..n - 1 {
+        for i in 0..n.saturating_sub(1) {
+            left[pairs[i].1 as usize] += 1;
             if pairs[i].0 == pairs[i + 1].0 || ((i + 1).min(n - i - 1) as u32) < min_leaf {
                 continue;
             }
-            let mut left = vec![0u32; parent.len()];
-            let mut right = vec![0u32; parent.len()];
-            for (j, &(_, l)) in pairs.iter().enumerate() {
-                let side = if j <= i { &mut left } else { &mut right };
-                side[l as usize] += 1;
-            }
+            let right: Vec<u32> = parent.iter().zip(&left).map(|(&p, &l)| p - l).collect();
             let gain = info_gain(parent, &[&left, &right]);
             if gain > 1e-10 {
                 let ratio = gain_ratio(parent, &[&left, &right]);
@@ -460,12 +515,76 @@ mod tests {
             .map(|(_, ratio, threshold)| (threshold, ratio))
     }
 
+    /// The tree as C4.5 grows it: every node sorts its rows by each
+    /// attribute afresh and takes the split `reference_numeric_split`
+    /// picks; the first attribute wins a tie.
+    fn reference_build(
+        ds: &Dataset,
+        rows: &mut [u32],
+        depth_left: usize,
+        cfg: &TreeConfig,
+    ) -> Node {
+        let counts = ds.class_counts(rows);
+        let stats = stats_of(&counts);
+        let pure = counts.iter().filter(|&&c| c > 0).count() <= 1;
+        if pure || stats.n < cfg.min_split || depth_left == 0 {
+            return Node::Leaf { stats };
+        }
+        let mut best: Option<(usize, i64, f64)> = None;
+        for attr in 0..ds.num_attrs() {
+            let mut pairs: Vec<(i64, u32)> = rows
+                .iter()
+                .map(|&r| (ds.value(attr, r as usize), ds.label(r as usize)))
+                .collect();
+            pairs.sort_by_key(|&(v, _)| v);
+            if let Some((threshold, ratio)) = reference_numeric_split(&pairs, &counts, cfg.min_leaf)
+            {
+                match best {
+                    Some((_, _, b)) if b >= ratio => {}
+                    _ => best = Some((attr, threshold, ratio)),
+                }
+            }
+        }
+        let Some((attr, threshold, _)) = best.filter(|b| b.2 > 1e-10) else {
+            return Node::Leaf { stats };
+        };
+        rows.sort_by_key(|&r| ds.value(attr, r as usize) > threshold);
+        let mid = rows.partition_point(|&r| ds.value(attr, r as usize) <= threshold);
+        let (l, r) = rows.split_at_mut(mid);
+        Node::Num {
+            stats,
+            attr,
+            threshold,
+            left: Box::new(reference_build(ds, l, depth_left - 1, cfg)),
+            right: Box::new(reference_build(ds, r, depth_left - 1, cfg)),
+        }
+    }
+
+    /// One tuple: four attribute values, a label, and a weight.
+    type Tuple = ((i64, i64, i64, i64), u32, u32);
+
+    /// The first `attrs` values of each tuple, the row repeated `weight`
+    /// times as `explain_table` weights tuples by access count (a weight of
+    /// 33 or more counts once: most tuples are rarely accessed).
+    fn weighted_dataset(tuples: &[Tuple], attrs: usize) -> Dataset {
+        let mut b = ["a", "b", "c", "d"][..attrs]
+            .iter()
+            .fold(DatasetBuilder::new(), |b, name| b.numeric(name));
+        for &((a, bb, c, d), label, weight) in tuples {
+            let weight = if weight > 32 { 1 } else { weight };
+            for _ in 0..weight {
+                b.row(&[a, bb, c, d][..attrs], label);
+            }
+        }
+        b.build()
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
 
-        /// Hoisting the parent entropy and deriving the ratio from the gain
-        /// already computed changes no float: same threshold, same gain
-        /// ratio to the bit, on wide-range and heavily tied values alike.
+        /// The count-form scan over a presorted list computes what the
+        /// formulas state: same threshold, same gain ratio to the bit, on
+        /// wide-range and heavily tied values alike.
         #[test]
         fn numeric_split_matches_reference_formulas(
             rows in prop::collection::vec((0..40i64, 0..5u32), 2..120),
@@ -479,14 +598,57 @@ mod tests {
             let ds = b.build();
             let all: Vec<u32> = (0..ds.len() as u32).collect();
             let parent = ds.class_counts(&all);
-            let cfg = TreeConfig { min_leaf, ..Default::default() };
-            let got = best_numeric_split(&ds, &all, &parent, 0, parent.len(), &cfg)
+            let mut seg: Vec<Entry> = all
+                .iter()
+                .map(|&row| Entry { value: ds.value(0, row as usize), row, label: ds.label(row as usize) })
+                .collect();
+            seg.sort_by_key(|e| e.value);
+            let f = ds.xlog2x_table();
+            let parent_h = count_entropy(&parent, |c| f[c as usize]);
+            let got = best_numeric_split(&seg, &parent, parent_h, f, min_leaf)
                 .map(|s| (s.threshold, s.gain_ratio.to_bits()));
             let mut pairs: Vec<(i64, u32)> = rows.iter().map(|&(v, l)| (v * spread, l)).collect();
             pairs.sort_by_key(|&(v, _)| v);
             let want = reference_numeric_split(&pairs, &parent, min_leaf)
                 .map(|(threshold, ratio)| (threshold, ratio.to_bits()));
             prop_assert_eq!(got, want);
+        }
+
+        /// Sorting once and partitioning the lists grows the tree that
+        /// sorting at every node grows, pruned or not, on the whole dataset
+        /// and on the row subsets cross-validation trains on.
+        #[test]
+        fn presorted_tree_matches_per_node_sort(
+            tuples in prop::collection::vec(
+                ((0..6i64, 0..6i64, 0..3i64, 0..40i64), 0..5u32, 1..65u32),
+                1..48,
+            ),
+            attrs in 1..=4usize,
+            min_leaf in 1..8u32,
+            max_depth in 1..12usize,
+            prune in 0..2u32,
+            held in 0..6u32,
+        ) {
+            let ds = weighted_dataset(&tuples, attrs);
+            let cfg = TreeConfig {
+                max_depth,
+                min_leaf,
+                min_split: min_leaf * 2,
+                prune_cf: if prune == 1 { 0.25 } else { 1.0 },
+            };
+            // `held == 5` trains on every row; otherwise one fold of five is
+            // left out, as `cross_validate` leaves it out.
+            let rows: Vec<u32> = (0..ds.len() as u32).filter(|r| r % 5 != held).collect();
+            let got = DecisionTree::train_on(&ds, &rows, &cfg);
+            let mut want = if rows.is_empty() {
+                Node::Leaf { stats: stats_of(&[]) }
+            } else {
+                reference_build(&ds, &mut rows.clone(), cfg.max_depth, &cfg)
+            };
+            if prune == 1 {
+                crate::prune::prune(&mut want, cfg.prune_cf);
+            }
+            prop_assert_eq!(format!("{:?}", got.root()), format!("{:?}", want));
         }
     }
 
