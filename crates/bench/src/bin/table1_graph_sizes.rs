@@ -232,7 +232,7 @@ fn huge(smoke: bool, threads: usize, backend: GraphBackend) -> String {
     let t0 = Instant::now();
     let wg = schism_core::build_graph_source(&src, &cfg);
     let build_s = t0.elapsed().as_secs_f64();
-    let accesses: u64 = wg.tuple_access_counts().map(|(_, c)| c as u64).sum();
+    let accesses: u64 = wg.tuple_access_counts().map(u64::from).sum();
     let structure = match backend {
         GraphBackend::Clique => format!("{} edges", wg.stats.edges),
         GraphBackend::Hypergraph => format!(

@@ -1,15 +1,20 @@
 //! The explanation phase (§4.3, §5.2): learn a compact predicate-based
 //! description of the per-tuple partitioning with a decision tree, per
 //! table, restricted to frequently-queried attributes.
+//!
+//! The input is the partition phase's [`Placement`] and its aligned access
+//! counts. Each table is one contiguous, sorted range of that column, so
+//! the training sample is a stride over positions: no tuple is hashed or
+//! looked up.
 
 use crate::config::SchismConfig;
+use crate::partition_phase::Placement;
 use schism_ml::{cfs_select, cross_validate, extract_rules, Attribute, Dataset, TreeConfig};
 use schism_par::{resolve_threads, Pool};
 use schism_router::{PartitionSet, RangeRule, RangeScheme, TablePolicy};
 use schism_sql::{ColId, TableId};
 use schism_workload::{TupleId, Workload};
 use std::collections::HashMap;
-use std::hash::BuildHasher;
 
 /// What the classifier produced for one table.
 pub struct TableExplanation {
@@ -46,38 +51,28 @@ const MAX_VIRTUAL_LABELS: usize = 7;
 /// blow the training set up).
 const MAX_TUPLE_WEIGHT: u32 = 32;
 
-/// Runs the explanation phase over the partitioning-phase assignment.
+/// Runs the explanation phase over the partitioning-phase placement.
 ///
-/// `access_counts` weight the training set by access frequency: the
-/// classifier learns the mapping for the tuples the workload actually
-/// touches, which is what makes the paper's `item` example come out as
-/// "replicate" despite a long tail of barely-seen tuples (§5.2).
+/// `access_counts`, aligned with the placement's tuples, weight the
+/// training set by access frequency: the classifier learns the mapping for
+/// the tuples the workload actually touches, which is what makes the
+/// paper's `item` example come out as "replicate" despite a long tail of
+/// barely-seen tuples (§5.2). An empty slice weighs every tuple 1.
 ///
-/// Tables are explained one after another; within a table the full-data
-/// tree and the cross-validation folds train concurrently on
-/// [`SchismConfig::threads`] workers, bit-identical at any count.
+/// Tables are explained one after another, each from its contiguous range
+/// of the placement; within a table the full-data tree and the
+/// cross-validation folds train concurrently on [`SchismConfig::threads`]
+/// workers, bit-identical at any count.
 pub fn explain(
     workload: &Workload,
-    assignment: &HashMap<TupleId, PartitionSet, impl BuildHasher>,
-    access_counts: &HashMap<TupleId, u32, impl BuildHasher + Sync>,
+    placement: &Placement,
+    access_counts: &[u32],
     cfg: &SchismConfig,
 ) -> Explanation {
     let k = cfg.k;
     let pool = Pool::new(resolve_threads(cfg.threads));
     let mut per_table = Vec::new();
     let mut policies: Vec<TablePolicy> = Vec::new();
-
-    // Group the assigned rows by table, sorted for determinism. Only the
-    // rows `explain_table` samples have their partition sets looked up.
-    let mut by_table: Vec<Vec<u64>> = vec![Vec::new(); workload.schema.num_tables()];
-    for t in assignment.keys() {
-        if let Some(rows) = by_table.get_mut(t.table as usize) {
-            rows.push(t.row);
-        }
-    }
-    for rows in &mut by_table {
-        rows.sort_unstable();
-    }
 
     // Per-table write fractions (drive the low-confidence fallback below).
     let mut reads = vec![0u64; workload.schema.num_tables()];
@@ -96,15 +91,7 @@ pub fn explain(
     }
 
     for (tid, _) in workload.schema.tables() {
-        let mut exp = explain_table(
-            workload,
-            tid,
-            &by_table[tid as usize],
-            assignment,
-            access_counts,
-            cfg,
-            &pool,
-        );
+        let mut exp = explain_table(workload, tid, placement, access_counts, cfg, &pool);
         // Low-confidence fallback (the paper's `item` narrative, §5.2): a
         // table whose classifier cannot generalize gets replicated when it
         // is (nearly) read-only — reads stay local everywhere and rare
@@ -145,14 +132,14 @@ pub fn explain(
 fn explain_table(
     workload: &Workload,
     table: TableId,
-    rows: &[u64],
-    assignment: &HashMap<TupleId, PartitionSet, impl BuildHasher>,
-    access_counts: &HashMap<TupleId, u32, impl BuildHasher + Sync>,
+    placement: &Placement,
+    access_counts: &[u32],
     cfg: &SchismConfig,
     pool: &Pool,
 ) -> TableExplanation {
     let k = cfg.k;
     let table_name = &workload.schema.table(table).name;
+    let rows = placement.table(table);
     // Untouched table: nothing to learn; replicate the (reference) table.
     if rows.is_empty() {
         return TableExplanation {
@@ -168,21 +155,21 @@ fn explain_table(
         };
     }
 
-    // Deterministic training sample (stride over the sorted rows).
+    // Deterministic training sample: a stride over the table's sorted
+    // range, each sampled position with its tuple, set and weight.
     let cap = cfg.explain_sample_per_table.max(1);
     let stride = rows.len().div_ceil(cap);
-    let sample: Vec<(TupleId, PartitionSet)> = rows
-        .iter()
+    let sample: Vec<(TupleId, PartitionSet, u32)> = rows
         .step_by(stride.max(1))
-        .map(|&row| {
-            let t = TupleId::new(table, row);
-            (t, assignment[&t])
+        .map(|i| {
+            let weight = access_counts.get(i).copied().unwrap_or(1);
+            (placement.tuples()[i], placement.sets()[i], weight)
         })
         .collect();
 
     // Label space: partitions 0..k, then the most common replication sets.
     let mut set_freq: HashMap<PartitionSet, usize> = HashMap::new();
-    for (_, pset) in &sample {
+    for (_, pset, _) in &sample {
         if !pset.is_single() {
             *set_freq.entry(*pset).or_insert(0) += 1;
         }
@@ -222,7 +209,7 @@ fn explain_table(
     // the classifier optimizes for the tuples the workload actually reads.
     let mut columns: Vec<Vec<i64>> = vec![Vec::with_capacity(sample.len()); candidates.len()];
     let mut labels: Vec<u32> = Vec::with_capacity(sample.len());
-    'tuples: for &(t, pset) in &sample {
+    'tuples: for &(t, pset, weight) in &sample {
         let mut row = Vec::with_capacity(candidates.len());
         for &col in &candidates {
             match workload.db.value(t, col) {
@@ -230,12 +217,7 @@ fn explain_table(
                 None => continue 'tuples,
             }
         }
-        let weight = access_counts
-            .get(&t)
-            .copied()
-            .unwrap_or(1)
-            .clamp(1, MAX_TUPLE_WEIGHT);
-        for _ in 0..weight {
+        for _ in 0..weight.clamp(1, MAX_TUPLE_WEIGHT) {
             for (c, &v) in row.iter().enumerate() {
                 columns[c].push(v);
             }
@@ -443,7 +425,7 @@ mod tests {
             assignment.insert(t, PartitionSet::single((t.row / stripe) as u32));
         }
         let cfg = SchismConfig::new(4);
-        let exp = explain(&w, &assignment, &HashMap::new(), &cfg);
+        let exp = explain(&w, &Placement::from(&assignment), &[], &cfg);
         assert!(exp.trusted, "stripes are perfectly learnable");
         let e = &exp.per_table[0];
         assert!(e.cv_accuracy > 0.95, "cv accuracy {}", e.cv_accuracy);
@@ -487,7 +469,7 @@ mod tests {
             .collect();
         let cfg = SchismConfig::new(10);
         let run = || {
-            let e = &explain(&w, &assignment, &HashMap::new(), &cfg).per_table[0];
+            let e = &explain(&w, &Placement::from(&assignment), &[], &cfg).per_table[0];
             (e.rules_rendered.clone(), format!("{:?}", e.policy))
         };
         let first = run();
@@ -511,7 +493,7 @@ mod tests {
             assignment.insert(t, PartitionSet::all(2));
         }
         let cfg = SchismConfig::new(2);
-        let exp = explain(&w, &assignment, &HashMap::new(), &cfg);
+        let exp = explain(&w, &Placement::from(&assignment), &[], &cfg);
         let e = &exp.per_table[0];
         assert!(
             matches!(e.policy, TablePolicy::Replicate),
@@ -530,9 +512,8 @@ mod tests {
             num_txns: 10,
             ..Default::default()
         });
-        let assignment = HashMap::new(); // nothing observed
         let cfg = SchismConfig::new(2);
-        let exp = explain(&w, &assignment, &HashMap::new(), &cfg);
+        let exp = explain(&w, &Placement::default(), &[], &cfg); // nothing observed
         assert!(matches!(exp.per_table[0].policy, TablePolicy::Replicate));
         assert_eq!(exp.per_table[0].training_tuples, 0);
     }
@@ -559,7 +540,7 @@ mod tests {
             assignment.insert(t, PartitionSet::single((h % 2) as u32));
         }
         let cfg = SchismConfig::new(2);
-        let exp = explain(&w, &assignment, &HashMap::new(), &cfg);
+        let exp = explain(&w, &Placement::from(&assignment), &[], &cfg);
         let e = &exp.per_table[0];
         assert!(
             !e.trusted || e.cv_accuracy < 0.75,
@@ -584,7 +565,7 @@ mod tests {
             assignment.insert(t, PartitionSet::single((t.row / stripe) as u32));
         }
         let cfg = SchismConfig::new(2);
-        let exp = explain(&w, &assignment, &HashMap::new(), &cfg);
+        let exp = explain(&w, &Placement::from(&assignment), &[], &cfg);
         // A tuple the trace never touched still routes by range.
         let unseen = TupleId::new(0, 10);
         let got = exp.scheme.locate_tuple(unseen, &*w.db);

@@ -49,6 +49,7 @@
 //! neither does the edge-buffer compaction threshold (`COMPACT_EVERY`).
 
 use crate::config::{GraphBackend, SchismConfig};
+use crate::partition_phase::Placement;
 use schism_graph::{
     CsrGraph, EdgeBuffer, GraphBuilder, HyperEdgeBuffer, HyperGraph, HyperGraphBuilder, NodeId,
 };
@@ -57,9 +58,10 @@ use schism_router::PartitionSet;
 use schism_workload::{
     splitmix64, tuple_hash, Trace, TraceSource, TupleId, TupleMap, TupleState, Workload,
 };
+use std::cmp::Reverse;
+use std::collections::binary_heap::PeekMut;
 use std::collections::hash_map::Entry;
-use std::collections::HashMap;
-use std::hash::BuildHasher;
+use std::collections::{BinaryHeap, HashMap};
 
 /// Deterministic access-weighted sampling decision for a tuple: keep with
 /// probability `min(1, p * accesses)`. Plain uniform sampling at e.g. 3%
@@ -89,9 +91,6 @@ struct TupleStats {
     /// signatures merge associatively — duplicate accesses still count
     /// (`2h ≠ h`), unlike an XOR, which would cancel them.
     signature: u64,
-    /// The coalesced group (base node) of a surviving tuple, written by
-    /// grouping and read by pass 2; not merged.
-    group: NodeId,
 }
 
 impl TupleStats {
@@ -333,12 +332,18 @@ impl WorkloadGraph {
             .map(move |(&t, &g)| (t, per_group[g as usize]))
     }
 
-    /// `(tuple, access count)` for every tuple in the graph.
-    pub fn tuple_access_counts(&self) -> impl Iterator<Item = (TupleId, u32)> + '_ {
-        self.tuples
+    /// [`WorkloadGraph::tuple_partitions`] collected into a [`Placement`]:
+    /// the tuple list copied, one set per tuple, no map.
+    pub fn placement(&self, assignment: &[u32]) -> Placement {
+        self.tuple_partitions(assignment).collect()
+    }
+
+    /// The access count of every tuple in the graph, aligned with
+    /// [`WorkloadGraph::tuples`].
+    pub fn tuple_access_counts(&self) -> impl ExactSizeIterator<Item = u32> + '_ {
+        self.group_of
             .iter()
-            .enumerate()
-            .map(|(i, &t)| (t, self.group_accesses[self.group_of[i] as usize]))
+            .map(|&g| self.group_accesses[g as usize])
     }
 
     /// Resolves any graph node (group center or replica) to its group.
@@ -436,11 +441,7 @@ impl WorkloadGraph {
     /// three sweeps) so a newly-hot co-access cluster seeds onto *one*
     /// partition rather than being scattered; only groups with no labeled
     /// neighbors at all fall back to the currently lightest partition.
-    pub fn seed_assignment(
-        &self,
-        prev: &HashMap<TupleId, PartitionSet, impl BuildHasher>,
-        k: u32,
-    ) -> Vec<u32> {
+    pub fn seed_assignment(&self, prev: &Placement, k: u32) -> Vec<u32> {
         assert!(k >= 1);
         // Majority vote per group over the previous placement, counted in
         // one flat row of `k` counters per group.
@@ -691,44 +692,65 @@ where
             }
         },
     );
-    let filter_slots: Vec<std::sync::Mutex<TupleMap<TupleStats>>> = merged
-        .into_iter()
-        .map(|m| std::sync::Mutex::new(m.unwrap_or_default()))
-        .collect();
-    pool.scope_chunks(filter_slots.len(), 1, |range| {
-        let mut m = filter_slots[range.start].lock().expect("shard poisoned");
-        m.retain(|&t, s| keep_tuple(t, cfg.tuple_sample, s.accesses, seed));
+    // Tuple sampling, then each shard drains into a run of its survivors
+    // sorted by tuple, one shard per task. Sampling runs in place first so
+    // the run is allocated at its exact size.
+    let runs: Vec<Vec<(TupleId, TupleStats)>> = pool.map_each(merged, |_, shard| {
+        let mut shard = shard.unwrap_or_default();
+        shard.retain(|&t, s| keep_tuple(t, cfg.tuple_sample, s.accesses, seed));
+        let mut run: Vec<(TupleId, TupleStats)> = shard.into_iter().collect();
+        run.sort_unstable_by_key(|&(t, _)| t);
+        run
     });
-    // The merged, filtered stats stay hash-sharded: tuple `t`'s live in
-    // `stats[shard_of(t, shards)]`.
-    let mut stats: Vec<TupleMap<TupleStats>> = filter_slots
-        .into_iter()
-        .map(|m| m.into_inner().expect("shard poisoned"))
-        .collect();
 
-    // --- Grouping (tuple coalescing). ---
-    let mut tuples: Vec<TupleId> = stats.iter().flat_map(|m| m.keys().copied()).collect();
-    tuples.sort_unstable();
-    let mut group_of = vec![0 as NodeId; tuples.len()];
+    // --- Grouping (tuple coalescing). The runs merge into the globally
+    // sorted survivor list, and a group's id is the rank of the first
+    // occurrence of its `(signature, accesses)` key in that order. The
+    // serial loop reads only the runs; `run_groups[s]` takes the group of
+    // each entry of run `s`, in run order.
+    let survivors: usize = runs.iter().map(Vec::len).sum();
+    let mut tuples: Vec<TupleId> = Vec::with_capacity(survivors);
+    let mut group_of: Vec<NodeId> = Vec::with_capacity(survivors);
+    let mut run_groups: Vec<Vec<NodeId>> =
+        runs.iter().map(|r| Vec::with_capacity(r.len())).collect();
     let mut group_key: HashMap<(u64, u32), NodeId, TupleState> = HashMap::default();
     let mut groups: Vec<(u32, u32)> = Vec::new(); // (accesses, writes)
-    for (i, &t) in tuples.iter().enumerate() {
-        let s = stats[shard_of(t, shards)]
-            .get_mut(&t)
-            .expect("every survivor has stats");
+    let mut heads: BinaryHeap<Reverse<(TupleId, usize)>> = runs
+        .iter()
+        .enumerate()
+        .filter_map(|(r, run)| run.first().map(|&(t, _)| Reverse((t, r))))
+        .collect();
+    while let Some(mut head) = heads.peek_mut() {
+        let Reverse((t, r)) = *head;
+        let i = run_groups[r].len();
+        let s = &runs[r][i].1;
         let gid = *group_key
             .entry((s.signature, s.accesses))
             .or_insert_with(|| {
                 groups.push((0, 0));
                 (groups.len() - 1) as NodeId
             });
-        group_of[i] = gid;
-        s.group = gid;
         let g = &mut groups[gid as usize];
         g.0 = g.0.max(s.accesses); // identical within a group by construction
         g.1 = g.1.max(s.writes);
+        tuples.push(t);
+        group_of.push(gid);
+        run_groups[r].push(gid);
+        match runs[r].get(i + 1) {
+            Some(&(next, _)) => head.0 = (next, r),
+            None => {
+                PeekMut::pop(head);
+            }
+        }
     }
     let num_groups = groups.len();
+    // Each shard's groups go back into the map pass 2 reads (tuple `t`'s
+    // group lives in `group_maps[shard_of(t, shards)]`), one shard per
+    // task, each run freed as its map is built.
+    let group_maps: Vec<TupleMap<NodeId>> = pool.map_each(
+        runs.into_iter().zip(run_groups).collect(),
+        |_, (run, gids)| run.into_iter().map(|(t, _)| t).zip(gids).collect(),
+    );
 
     // --- Explosion plan: groups accessed often enough get replica stars.
     // Each exploded group reserves a contiguous replica-id range sized by
@@ -792,8 +814,8 @@ where
                 members.clear();
                 {
                     let mut add = |t: TupleId| {
-                        if let Some(s) = stats[shard_of(t, shards)].get(&t) {
-                            members.push(s.group);
+                        if let Some(&g) = group_maps[shard_of(t, shards)].get(&t) {
+                            members.push(g);
                         }
                     };
                     for &t in &txn.reads {
@@ -1174,7 +1196,7 @@ mod tests {
         for &t in &hot {
             prev.insert(t, [0u32, 1, 2].into_iter().collect());
         }
-        let seeded = g.seed_assignment(&prev, 3);
+        let seeded = g.seed_assignment(&Placement::from(&prev), 3);
         for (t, ps) in g.tuple_partitions(&seeded) {
             if hot.contains(&t) {
                 assert_eq!(ps.first(), Some(0), "primary placement preserved");
@@ -1354,7 +1376,7 @@ mod tests {
                 schism_router::PartitionSet::single((i % 2) as u32),
             );
         }
-        let seeded = g.seed_assignment(&prev, 2);
+        let seeded = g.seed_assignment(&Placement::from(&prev), 2);
         let label_of: HashMap<TupleId, u32> = g
             .tuple_partitions(&seeded)
             .map(|(t, ps)| (t, ps.first().expect("placed")))
@@ -1366,6 +1388,64 @@ mod tests {
                 "odd row {} must co-locate with its pair",
                 2 * i + 1
             );
+        }
+    }
+
+    /// Grouping by its definition: the survivors sorted, and a group's id
+    /// the rank of the first occurrence of its `(signature, accesses)` key
+    /// in that order — recounted from the trace in one map, against the
+    /// sharded, merged build at 1 and 3 threads.
+    #[test]
+    fn grouping_matches_its_definition() {
+        let w = ycsb::generate(&YcsbConfig {
+            records: 3_000,
+            num_txns: 2_000,
+            ..YcsbConfig::workload_e()
+        });
+        let cfg = base_cfg();
+        let mut stats: TupleMap<TupleStats> = TupleMap::default();
+        for (idx, txn) in w.trace.transactions.iter().enumerate() {
+            for &t in &txn.reads {
+                visit_tuple(&mut stats, t, false, idx);
+            }
+            for &t in &txn.writes {
+                visit_tuple(&mut stats, t, true, idx);
+            }
+            for scan in txn
+                .scans
+                .iter()
+                .filter(|s| s.len() <= cfg.blanket_threshold)
+            {
+                for &t in scan {
+                    visit_tuple(&mut stats, t, false, idx);
+                }
+            }
+        }
+        let seed = cfg.seed ^ 0x5C41_53A7;
+        let mut tuples: Vec<TupleId> = stats
+            .iter()
+            .filter(|&(&t, s)| keep_tuple(t, cfg.tuple_sample, s.accesses, seed))
+            .map(|(&t, _)| t)
+            .collect();
+        tuples.sort_unstable();
+        let mut first: HashMap<(u64, u32), NodeId> = HashMap::new();
+        let group_of: Vec<NodeId> = tuples
+            .iter()
+            .map(|t| {
+                let next = first.len() as NodeId;
+                *first
+                    .entry((stats[t].signature, stats[t].accesses))
+                    .or_insert(next)
+            })
+            .collect();
+        assert!(first.len() < tuples.len(), "sanity: scans coalesce tuples");
+        for threads in [1, 3] {
+            let mut c = base_cfg();
+            c.threads = threads;
+            let g = build_graph(&w, &w.trace, &c);
+            assert_eq!(g.tuples, tuples, "threads={threads}");
+            assert_eq!(g.group_of, group_of, "threads={threads}");
+            assert_eq!(g.num_groups, first.len(), "threads={threads}");
         }
     }
 

@@ -48,6 +48,8 @@ pub mod validate;
 pub use config::{GraphBackend, SchismConfig};
 pub use explain::{Explanation, TableExplanation};
 pub use graph_builder::{build_graph, build_graph_source, BuildStats, CoAccess, WorkloadGraph};
-pub use partition_phase::{run_partition_phase, run_partition_phase_warm, PartitionPhase};
+pub use partition_phase::{
+    run_partition_phase, run_partition_phase_warm, PartitionPhase, Placement,
+};
 pub use pipeline::{build_lookup_scheme, hash_on_frequent_attributes, Recommendation, Schism};
 pub use validate::{validate, Candidate, SelectionRules, Validation};

@@ -1,21 +1,24 @@
 //! The end-to-end Schism pipeline (§2's five steps): pre-process the trace,
 //! build the graph, partition it, explain the partitioning, and validate
 //! the candidate schemes on a held-out test trace.
+//!
+//! Steps 3–5 share the partition phase's [`Placement`]: the explanation
+//! samples it and [`build_lookup_scheme`] feeds each table's range of it
+//! to that table's lookup backend. A caller holding a keyed placement
+//! (the migration plane) converts it with `Placement::from` first.
 
 use crate::config::SchismConfig;
 use crate::explain::{explain, Explanation};
 use crate::graph_builder::{build_graph, BuildStats};
-use crate::partition_phase::run_partition_phase;
+use crate::partition_phase::{run_partition_phase, Placement};
 use crate::validate::{validate, Validation};
 use schism_par::{resolve_threads, Pool};
 use schism_router::{
     BitArrayBackend, HashScheme, IndexBackend, LookupBackend, LookupScheme, MissPolicy,
-    PartitionSet, ReplicationScheme, RowKey, Scheme,
+    ReplicationScheme, RowKey, Scheme,
 };
 use schism_sql::ColId;
 use schism_workload::{Trace, TupleId, Workload};
-use std::collections::HashMap;
-use std::hash::BuildHasher;
 use std::time::{Duration, Instant};
 
 /// Rows above which a table's lookup backend switches from the dense
@@ -184,32 +187,30 @@ pub fn hash_on_frequent_attributes(workload: &Workload, k: u32) -> HashScheme {
 }
 
 /// Builds the fine-grained lookup scheme from the partitioning-phase
-/// assignment: dense bit-arrays for moderate tables, hash indexes for huge
-/// ones; per-table row keys for statement routing; miss policy chosen by
-/// the workload's write fraction (§6.1's Epinions note: read-mostly
-/// workloads replicate never-seen tuples).
+/// placement: dense bit-arrays for moderate tables, hash indexes for huge
+/// ones, each fed its table's range of the placement; per-table row keys
+/// for statement routing; miss policy chosen by the workload's write
+/// fraction (§6.1's Epinions note: read-mostly workloads replicate
+/// never-seen tuples).
 pub fn build_lookup_scheme(
     workload: &Workload,
     train: &Trace,
-    assignment: &HashMap<TupleId, PartitionSet, impl BuildHasher>,
+    placement: &Placement,
     k: u32,
 ) -> LookupScheme {
-    let num_tables = workload.schema.num_tables();
-    let mut per_table: Vec<Vec<(u64, PartitionSet)>> = vec![Vec::new(); num_tables];
-    for (&t, &pset) in assignment {
-        if (t.table as usize) < num_tables {
-            per_table[t.table as usize].push((t.row, pset));
-        }
-    }
-
-    let backends: Vec<Option<Box<dyn LookupBackend>>> = per_table
-        .into_iter()
-        .enumerate()
-        .map(|(tid, entries)| {
-            if entries.is_empty() {
+    let backends: Vec<Option<Box<dyn LookupBackend>>> = workload
+        .schema
+        .tables()
+        .map(|(tid, _)| {
+            let range = placement.table(tid);
+            if range.is_empty() {
                 return None;
             }
-            let rows = workload.table_rows.get(tid).copied().unwrap_or(0);
+            let entries = placement.tuples()[range.clone()]
+                .iter()
+                .zip(&placement.sets()[range])
+                .map(|(t, &pset)| (t.row, pset));
+            let rows = workload.table_rows.get(tid as usize).copied().unwrap_or(0);
             let backend: Box<dyn LookupBackend> = if rows > 0 && rows <= BITARRAY_MAX_ROWS {
                 Box::new(BitArrayBackend::new(rows, entries))
             } else {
@@ -280,6 +281,7 @@ fn write_fraction(trace: &Trace) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use schism_router::PartitionSet;
     use schism_workload::random::{self, RandomConfig};
     use schism_workload::simplecount::{self, AccessMode, SimpleCountConfig};
     use schism_workload::ycsb::{self, YcsbConfig};
@@ -355,14 +357,16 @@ mod tests {
             ..YcsbConfig::workload_a()
         });
         let (train, _) = w.trace.split(0.8, 1);
-        let mut assignment = HashMap::new();
-        for t in w.trace.distinct_tuples() {
-            assignment.insert(t, PartitionSet::single((t.row % 2) as u32));
-        }
-        let scheme = build_lookup_scheme(&w, &train, &assignment, 2);
+        let placement: Placement = w
+            .trace
+            .distinct_tuples()
+            .into_iter()
+            .map(|t| (t, PartitionSet::single((t.row % 2) as u32)))
+            .collect();
+        let scheme = build_lookup_scheme(&w, &train, &placement, 2);
         use schism_sql::{Predicate, Statement, Value};
         // ycsb_key == row (offset 0); pick an assigned row.
-        let some_row = *assignment.keys().next().map(|t| &t.row).unwrap();
+        let some_row = placement.tuples()[0].row;
         let stmt = Statement::select(0, Predicate::Eq(0, Value::Int(some_row as i64)));
         let r = scheme.route_statement(&stmt);
         assert!(r.targets.is_single());

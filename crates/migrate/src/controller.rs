@@ -87,7 +87,7 @@ impl MigrationController {
         Self {
             cfg,
             reference: AccessHistogram::from_source(&workload.trace),
-            assignment: phase.assignment,
+            assignment: phase.assignment.iter().collect(),
         }
     }
 

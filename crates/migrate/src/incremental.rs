@@ -24,7 +24,8 @@
 
 use crate::relabel::{apply_relabel, relabel, Relabeling};
 use schism_core::{
-    build_graph, run_partition_phase, run_partition_phase_warm, PartitionPhase, SchismConfig,
+    build_graph, run_partition_phase, run_partition_phase_warm, PartitionPhase, Placement,
+    SchismConfig,
 };
 use schism_router::{evaluate, PartitionSet};
 use schism_workload::{Trace, TupleId, TupleMap, Workload};
@@ -59,7 +60,7 @@ pub fn rerun_incremental(
     prev: &HashMap<TupleId, PartitionSet, impl BuildHasher>,
 ) -> RepartitionOutcome {
     let wg = build_graph(workload, train, cfg);
-    let initial = wg.seed_assignment(prev, cfg.k);
+    let initial = wg.seed_assignment(&Placement::from(prev), cfg.k);
     aligned(run_partition_phase_warm(&wg, cfg, &initial), prev, cfg.k)
 }
 
@@ -74,13 +75,14 @@ pub fn rerun_scratch(
     aligned(run_partition_phase(&wg, cfg), prev, cfg.k)
 }
 
-/// Relabels `phase`'s placement onto `prev`'s partition ids.
+/// Relabels `phase`'s placement onto `prev`'s partition ids, as the keyed
+/// map the migration plane edits.
 fn aligned(
     phase: PartitionPhase,
     prev: &HashMap<TupleId, PartitionSet, impl BuildHasher>,
     k: u32,
 ) -> RepartitionOutcome {
-    let mut assignment = phase.assignment;
+    let mut assignment: TupleMap<PartitionSet> = phase.assignment.iter().collect();
     let relabeling = relabel(prev, &assignment, k);
     apply_relabel(&mut assignment, &relabeling.mapping);
     RepartitionOutcome {
@@ -97,10 +99,10 @@ pub fn distributed_fraction(
     workload: &Workload,
     train: &Trace,
     eval: &Trace,
-    assignment: &HashMap<TupleId, PartitionSet, impl BuildHasher>,
+    placement: &Placement,
     k: u32,
 ) -> f64 {
-    let scheme = schism_core::build_lookup_scheme(workload, train, assignment, k);
+    let scheme = schism_core::build_lookup_scheme(workload, train, placement, k);
     evaluate(&scheme, eval, &*workload.db).distributed_fraction()
 }
 
@@ -124,7 +126,7 @@ mod tests {
         let w = drifting::window(&dcfg, 0);
         let cfg = cfg(4, 7);
         let wg = build_graph(&w, &w.trace, &cfg);
-        let prev = run_partition_phase(&wg, &cfg).assignment;
+        let prev: TupleMap<_> = run_partition_phase(&wg, &cfg).assignment.iter().collect();
         let out = rerun_incremental(&cfg, &w, &w.trace, &prev);
         assert!(
             out.moved_fraction() < 0.05,
@@ -154,9 +156,10 @@ mod tests {
         for seed in 3..=7 {
             let warm = cfg(4, seed);
             let wg = build_graph(&w0, &w0.trace, &warm);
-            let prev = run_partition_phase(&wg, &warm).assignment;
+            let prev: TupleMap<_> = run_partition_phase(&wg, &warm).assignment.iter().collect();
             let inc = rerun_incremental(&warm, &w1, &w1.trace, &prev);
-            let f_inc = distributed_fraction(&w1, &train, &test, &inc.assignment, 4);
+            let f_inc =
+                distributed_fraction(&w1, &train, &test, &Placement::from(&inc.assignment), 4);
             for cold_seed in [99, 100, 101] {
                 let scratch = rerun_scratch(&cfg(4, cold_seed), &w1, &w1.trace, &prev);
                 let (moved, cold_moved) = (inc.relabeling.moved, scratch.relabeling.moved);
@@ -166,7 +169,13 @@ mod tests {
                 // serves stays within 10% of what the cold run would deliver
                 // (distributed-txn fraction on a held-out slice of the
                 // drifted window).
-                let f_scr = distributed_fraction(&w1, &train, &test, &scratch.assignment, 4);
+                let f_scr = distributed_fraction(
+                    &w1,
+                    &train,
+                    &test,
+                    &Placement::from(&scratch.assignment),
+                    4,
+                );
                 assert!(
                     f_inc <= f_scr + 0.10,
                     "seeds {seed}/{cold_seed}: incremental dist fraction {f_inc:.4} \

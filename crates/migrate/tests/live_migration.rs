@@ -3,7 +3,7 @@
 //! — until store contents and routing both match the new placement, with
 //! routing flips driven by batch acknowledgements, never ahead of them.
 
-use schism_core::{build_graph, build_lookup_scheme, run_partition_phase, SchismConfig};
+use schism_core::{build_graph, build_lookup_scheme, run_partition_phase, Placement, SchismConfig};
 use schism_migrate::{
     ControllerConfig, ExecutorConfig, MigrationController, MigrationExecutor, MigrationOutcome,
     MigrationPlan, StepOutcome, Tick,
@@ -38,15 +38,25 @@ fn drifted_fixture(num_txns: usize) -> Fixture {
     let w0 = drifting::window(&dcfg, 0);
     let cfg = SchismConfig::new(K);
     let wg = build_graph(&w0, &w0.trace, &cfg);
-    let prev = run_partition_phase(&wg, &cfg).assignment;
+    let prev: TupleMap<PartitionSet> = run_partition_phase(&wg, &cfg).assignment.iter().collect();
     let mut ctl = MigrationController::with_assignment(&w0, prev.clone(), ControllerConfig::new(K));
     let w3 = drifting::window(&dcfg, 3);
     let outcome = match ctl.observe(&w3) {
         Tick::Migrate(m) => m,
         Tick::Stable(r) => panic!("drift missed: {}", r.distance),
     };
-    let old: Arc<dyn Scheme> = Arc::new(build_lookup_scheme(&w0, &w0.trace, &prev, K));
-    let new: Arc<dyn Scheme> = Arc::new(build_lookup_scheme(&w3, &w3.trace, ctl.assignment(), K));
+    let old: Arc<dyn Scheme> = Arc::new(build_lookup_scheme(
+        &w0,
+        &w0.trace,
+        &Placement::from(&prev),
+        K,
+    ));
+    let new: Arc<dyn Scheme> = Arc::new(build_lookup_scheme(
+        &w3,
+        &w3.trace,
+        &Placement::from(ctl.assignment()),
+        K,
+    ));
     (outcome, prev, old, new, w3)
 }
 

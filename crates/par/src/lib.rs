@@ -255,16 +255,28 @@ impl Pool {
                 per_shard[s].push(p);
             }
         }
-        let slots: Vec<Mutex<Option<Vec<P>>>> =
-            per_shard.into_iter().map(|v| Mutex::new(Some(v))).collect();
-        self.scope_chunks(shards, 1, |range| {
-            let s = range.start;
-            let chunk_parts = slots[s]
-                .lock()
-                .expect("shard slot poisoned")
-                .take()
-                .expect("each shard folds exactly once");
+        self.map_each(per_shard, |s, chunk_parts| {
             chunk_parts.into_iter().fold(init(s), &fold)
+        })
+    }
+
+    /// Maps `f` over `items`, one item per task, handing each task its
+    /// index and its item **by value** (so a task can consume or free it);
+    /// the results come back in item order, independent of scheduling.
+    pub fn map_each<T, U, F>(&self, items: Vec<T>, f: F) -> Vec<U>
+    where
+        T: Send,
+        U: Send,
+        F: Fn(usize, T) -> U + Sync,
+    {
+        let slots: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
+        self.scope_chunks(slots.len(), 1, |range| {
+            let item = slots[range.start]
+                .lock()
+                .expect("item slot poisoned")
+                .take()
+                .expect("each item is taken once");
+            f(range.start, item)
         })
     }
 }

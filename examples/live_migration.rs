@@ -14,15 +14,18 @@
 //! cargo run --release -p schism --example live_migration [-- --backend mem|log]
 //! ```
 
-use schism::core::{build_graph, build_lookup_scheme, run_partition_phase, SchismConfig};
+use schism::core::{
+    build_graph, build_lookup_scheme, run_partition_phase, Placement, SchismConfig,
+};
 use schism::migrate::{
     ControllerConfig, ExecutorConfig, MigrationController, MigrationExecutor, StepOutcome, Tick,
 };
-use schism::router::{Scheme, VersionedScheme};
+use schism::router::{PartitionSet, Scheme, VersionedScheme};
 use schism::store::{
     load_assignment, tempdir::TempDir, BackendKind, LogStore, MemStore, ShardStore,
 };
 use schism::workload::drifting::{self, DriftingConfig};
+use schism::workload::TupleMap;
 use std::sync::Arc;
 
 fn main() {
@@ -43,7 +46,8 @@ fn main() {
     let w0 = drifting::window(&dcfg, 0);
     let cfg = SchismConfig::new(k);
     let wg = build_graph(&w0, &w0.trace, &cfg);
-    let placement = run_partition_phase(&wg, &cfg).assignment;
+    let placement: TupleMap<PartitionSet> =
+        run_partition_phase(&wg, &cfg).assignment.iter().collect();
     let store_dir = TempDir::new("schism-example-live-migration").expect("temp dir");
     let store: Box<dyn ShardStore> = match backend {
         BackendKind::Mem => Box::new(MemStore::new(k)),
@@ -75,8 +79,18 @@ fn main() {
     );
 
     // Execute: copy → verify → flip, batch by batch.
-    let old: Arc<dyn Scheme> = Arc::new(build_lookup_scheme(&w0, &w0.trace, &placement, k));
-    let new: Arc<dyn Scheme> = Arc::new(build_lookup_scheme(&w3, &w3.trace, ctl.assignment(), k));
+    let old: Arc<dyn Scheme> = Arc::new(build_lookup_scheme(
+        &w0,
+        &w0.trace,
+        &Placement::from(&placement),
+        k,
+    ));
+    let new: Arc<dyn Scheme> = Arc::new(build_lookup_scheme(
+        &w3,
+        &w3.trace,
+        &Placement::from(ctl.assignment()),
+        k,
+    ));
     let vs = VersionedScheme::new(old, new.clone());
     let mut exec = MigrationExecutor::new(&outcome.plan, &*store, &vs, ExecutorConfig::default());
     loop {

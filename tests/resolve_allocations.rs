@@ -1,8 +1,9 @@
 //! Counted claim: resolving a graph partitioning to per-tuple partition
-//! sets allocates once per resolve, not once per tuple.
+//! sets allocates per resolve, not per tuple.
 //! `WorkloadGraph::tuple_partitions` builds one `PartitionSet` per group
-//! and hands each tuple a copy, so the count stays flat however many
-//! tuples the graph holds.
+//! and hands each tuple a copy, and `WorkloadGraph::placement` collects
+//! those copies into two columns sized up front (the tuple list and one set
+//! per tuple), so the count stays flat however many tuples the graph holds.
 //!
 //! The binary installs a counting global allocator. It counts per thread,
 //! so the test harness's own threads cannot add to a measured count.
@@ -87,5 +88,13 @@ fn resolving_to_tuples_allocates_per_resolve_not_per_tuple() {
     assert!(
         allocations <= 2,
         "resolving {n} tuples allocated {allocations} times"
+    );
+
+    let (placement, allocations) = allocations_of(|| wg.placement(&assignment));
+    println!("placement: {n} tuples: {allocations} allocations");
+    assert_eq!(placement.len(), n);
+    assert!(
+        allocations <= 3,
+        "collecting {n} tuples into the placement allocated {allocations} times"
     );
 }
